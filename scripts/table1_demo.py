@@ -29,14 +29,12 @@ from lipext import (
     katetov_shift,
     minmax_scale,
     objective_kq,
-    optimal_alpha,
     predict,
     pso_minimize,
     rank,
-    split,
 )
 from lipext.dataio import read_dataset, table1_path
-from lipext.extension import mcshane_batch, whitney_batch
+from lipext.pipeline import holdout_alpha
 
 METHODS = ("standard", "mcshane", "whitney", "blend", "linear")
 
@@ -71,11 +69,7 @@ def print_cv(title, reports):
 
 def rank_unindexed(ds, cm, seed, train_fraction=0.7):
     indexed = ds.indexed_rows()
-    tr, ho = split(indexed, train_fraction, seed)
-    probe = fit_extension(tr.as_sample(), cm, "blend")
-    alpha = optimal_alpha(
-        ho.index, whitney_batch(probe, ho.features), mcshane_batch(probe, ho.features)
-    )
+    alpha = holdout_alpha(indexed, cm, train_fraction, seed)
     model = fit_extension(indexed.as_sample(), cm, "blend", alpha=alpha)
     preds = predict(model, ds.unindexed_rows().features)
     return rank(ds, preds)

@@ -19,15 +19,14 @@ from .constants import (
 from .extension import (
     ExtensionModel,
     FitError,
-    blend_predict,
     fit_extension,
-    mcshane_predict,
+    linear_fit,
+    linear_predict,
     optimal_alpha,
     predict,
     standard_index_fit,
-    whitney_predict,
 )
-from .metrics import BASE_METRICS, CompositionMetric, base_distance, composed_distance
+from .metrics import BASE_METRICS, CompositionMetric, base_distance
 from .phi import (
     ATOM_NAMES,
     LINEAR_BASIS,
@@ -42,8 +41,6 @@ from .pipeline import (
     CvReport,
     Dataset,
     cross_validate,
-    linear_fit,
-    linear_predict,
     mae,
     minmax_scale,
     rank,
@@ -71,9 +68,7 @@ __all__ = [
     "PsoConfig",
     "SwarmResult",
     "base_distance",
-    "blend_predict",
     "coherence_constant",
-    "composed_distance",
     "constants_report",
     "cross_validate",
     "error_bound",
@@ -84,7 +79,6 @@ __all__ = [
     "linear_fit",
     "linear_predict",
     "mae",
-    "mcshane_predict",
     "minmax_scale",
     "normalization_constant",
     "objective_kq",
@@ -99,5 +93,4 @@ __all__ = [
     "standard_index_fit",
     "validate_modulus",
     "validate_phi",
-    "whitney_predict",
 ]

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass, field, fields, replace
@@ -34,30 +35,19 @@ from .dataio import (
     write_csv,
     write_json,
 )
-from .extension import (
-    ExtensionModel,
-    FitError,
-    fit_extension,
-    mcshane_batch,
-    optimal_alpha,
-    predict,
-    standard_index_fit,
-    whitney_batch,
-)
+from .extension import METHODS, ExtensionModel, FitError, fit_extension, predict
 from .metrics import BASE_METRICS, CompositionMetric
 from .phi import ATOM_NAMES, LINEAR_BASIS, PhiCombination, identity_phi
 from .pipeline import (
-    PIPELINE_METHODS,
+    THREADS_ENV_VAR,
     Dataset,
     apply_scaling,
     cross_validate,
     cv_repeat_rows,
-    linear_fit,
-    linear_predict,
+    holdout_alpha,
     minmax_scale,
     objective_test_rmse,
     rank,
-    split,
 )
 from .swarm import PsoConfig, pso_minimize, objective_kq
 
@@ -133,8 +123,8 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
 def _check_config(cfg: RunConfig) -> None:
     if cfg.metric not in BASE_METRICS:
         raise CliError("config", f"metric must be one of {BASE_METRICS}")
-    if cfg.method not in PIPELINE_METHODS:
-        raise CliError("config", f"method must be one of {PIPELINE_METHODS}")
+    if cfg.method not in METHODS:
+        raise CliError("config", f"method must be one of {METHODS}")
     if cfg.objective not in ("kq_bound", "test_rmse"):
         raise CliError("config", "objective must be kq-bound or test-rmse")
     if not 0.0 < cfg.train_fraction < 1.0:
@@ -249,19 +239,24 @@ def model_to_json_dict(
             "min": [float(v) for v in scaled.scaling[0]],
             "max": [float(v) for v in scaled.scaling[1]],
         }
-    anchor_id = ids[model.anchor] if model.anchor is not None else None
-    return {
+    shared = {
         "method": model.method,
-        "alpha": model.alpha,
-        "anchor_id": anchor_id,
-        "K": model.K,
-        "offset": model.offset,
-        "phi": model.cm.phi.to_json_dict(),
-        "metric": model.cm.base,
         "training_hash": raw_hash,
         "feature_names": list(scaled.feature_names),
         "scaling": scaling,
     }
+    if model.method == "linear":
+        return dict(shared, coefficients=[float(c) for c in model.coefficients])
+    anchor_id = ids[model.anchor] if model.anchor is not None else None
+    return dict(
+        shared,
+        alpha=model.alpha,
+        anchor_id=anchor_id,
+        K=model.K,
+        offset=model.offset,
+        phi=model.cm.phi.to_json_dict(),
+        metric=model.cm.base,
+    )
 
 
 def rebuild_model(model_dict: dict, ds_raw: Dataset) -> tuple[ExtensionModel, Dataset]:
@@ -285,6 +280,12 @@ def rebuild_model(model_dict: dict, ds_raw: Dataset) -> tuple[ExtensionModel, Da
         scaling=scaling,
     )
     indexed = scaled.indexed_rows()
+    if model_dict["method"] == "linear":
+        coeffs = np.array(model_dict["coefficients"], dtype=float)
+        model = ExtensionModel(
+            indexed.as_sample(), CompositionMetric(), None, "linear", coefficients=coeffs
+        )
+        return model, scaled
     cm = CompositionMetric(
         model_dict["metric"], PhiCombination.from_json_dict(model_dict["phi"])
     )
@@ -309,8 +310,6 @@ def rebuild_model(model_dict: dict, ds_raw: Dataset) -> tuple[ExtensionModel, Da
 
 def _fit_for_extend(cfg: RunConfig, indexed: Dataset, cm: CompositionMetric) -> ExtensionModel:
     sample = indexed.as_sample()
-    if cfg.method == "standard":
-        return standard_index_fit(sample, cm)
     if cfg.method != "blend":
         return fit_extension(sample, cm, cfg.method)
     alpha = cfg.alpha
@@ -318,11 +317,7 @@ def _fit_for_extend(cfg: RunConfig, indexed: Dataset, cm: CompositionMetric) -> 
         # Estimate the blend weight on an internal holdout, then refit on
         # every indexed row with that weight frozen.
         try:
-            tr, ho = split(indexed, cfg.train_fraction, cfg.seed, cfg.split)
-            probe = fit_extension(tr.as_sample(), cm, "blend")
-            alpha = optimal_alpha(
-                ho.index, whitney_batch(probe, ho.features), mcshane_batch(probe, ho.features)
-            )
+            alpha = holdout_alpha(indexed, cm, cfg.train_fraction, cfg.seed, cfg.split)
         except ValueError:
             warnings.warn("too few indexed rows to estimate alpha; using 0.5", stacklevel=2)
             alpha = 0.5
@@ -339,25 +334,6 @@ def _extend(cfg: RunConfig, data_path: str) -> tuple[Dataset, np.ndarray, dict]:
     targets = scaled.unindexed_rows()
     if indexed.n_rows < 2:
         raise CliError("data", "extension needs at least two indexed rows")
-
-    if cfg.method == "linear":
-        coeffs = linear_fit(indexed.as_sample())
-        preds = (
-            linear_predict(coeffs, targets.features)
-            if targets.n_rows
-            else np.empty(0)
-        )
-        model_dict = {
-            "method": "linear",
-            "coefficients": [float(c) for c in coeffs],
-            "training_hash": raw_hash,
-            "feature_names": list(scaled.feature_names),
-            "scaling": {
-                "min": [float(v) for v in scaled.scaling[0]],
-                "max": [float(v) for v in scaled.scaling[1]],
-            },
-        }
-        return scaled, preds, model_dict
 
     model = _fit_for_extend(cfg, indexed, cm)
     preds = predict(model, targets.features) if targets.n_rows else np.empty(0)
@@ -394,6 +370,14 @@ def cmd_extend(cfg: RunConfig, args) -> int:
 
 
 def cmd_cv(cfg: RunConfig, args) -> int:
+    threads = os.environ.get(THREADS_ENV_VAR)
+    if threads:
+        try:
+            int(threads)
+        except ValueError:
+            raise CliError(
+                "config", f"{THREADS_ENV_VAR} must be an integer, got {threads!r}"
+            ) from None
     scaled = _scaled_dataset(cfg, args.data)
     cm = CompositionMetric(cfg.metric, _resolve_phi(cfg, scaled))
     report = cross_validate(
@@ -467,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--data", required=True, help="dataset CSV path")
         p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--method", choices=PIPELINE_METHODS, default=None)
+        p.add_argument("--method", choices=METHODS, default=None)
         p.add_argument("--phi", default=None,
                        help="'optimize', inline JSON, or a JSON file path")
         p.add_argument("--metric", choices=BASE_METRICS, default=None)

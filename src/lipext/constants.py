@@ -80,48 +80,53 @@ class ConstantsReport:
         }
 
 
-def _pair_distances(s: IndexedSample, cm: CompositionMetric):
-    """Condensed upper-triangle pair data in lexicographic (i, j) order."""
+def pair_data(s: IndexedSample, base: str):
+    """Condensed upper-triangle pair data in lexicographic (i, j) order.
+
+    Returns (i_idx, j_idx, base distances, |I_i - I_j|, |I_i| + |I_j|).
+    """
     n = len(s)
     if n < 2:
         raise ValueError("need at least two rows")
     i_idx, j_idx = np.triu_indices(n, k=1)
-    d_base = pairwise_base(cm.base, s.points, s.points)[i_idx, j_idx]
-    d_phi = phi_eval(cm.phi, d_base)
-    return i_idx, j_idx, d_phi
+    d_base = pairwise_base(base, s.points, s.points)[i_idx, j_idx]
+    v_i, v_j = s.values[i_idx], s.values[j_idx]
+    return i_idx, j_idx, d_base, np.abs(v_i - v_j), np.abs(v_i) + np.abs(v_j)
 
 
-def _ratio_max(num: np.ndarray, den: np.ndarray, i_idx, j_idx):
-    """Max of num/den over den > 0; +inf if some den == 0 has num > 0.
+def ratio_max(num: np.ndarray, den: np.ndarray) -> tuple[float, int | None]:
+    """Max of num/den over den > 0; +inf if some den <= 0 has num > 0.
 
-    Returns (value, pair).  np.argmax keeps the first occurrence of the
-    maximum, and the condensed order is lexicographic, so ties resolve to
-    the smallest (i, j) automatically.
+    Returns (value, position of the achieving pair), or (0.0, None) when no
+    den is positive.  np.argmax keeps the first occurrence, and the
+    condensed order is lexicographic, so ties resolve to the smallest (i, j)
+    automatically.  When every den is positive, which is the usual case,
+    the ratios take a single division and no masking.
     """
-    violated = (den == 0.0) & (num > 0.0)
-    if np.any(violated):
-        k = int(np.flatnonzero(violated)[0])
-        return math.inf, (int(i_idx[k]), int(j_idx[k]))
     ok = den > 0.0
-    if not np.any(ok):
-        return 0.0, None
-    ratios = np.where(ok, num / np.where(ok, den, 1.0), -math.inf)
+    if ok.all():
+        ratios = num / den
+    else:
+        violated = ~ok & (num > 0.0)
+        if violated.any():
+            return math.inf, int(np.argmax(violated))
+        if not ok.any():
+            return 0.0, None
+        ratios = np.divide(num, den, out=np.full(num.shape, -math.inf), where=ok)
     k = int(np.argmax(ratios))
-    return float(ratios[k]), (int(i_idx[k]), int(j_idx[k]))
+    return float(ratios[k]), k
 
 
 def coherence_constant(s: IndexedSample, cm: CompositionMetric) -> float:
     """Smallest Lipschitz constant of the index; +inf if not coherent."""
-    i_idx, j_idx, d_phi = _pair_distances(s, cm)
-    num = np.abs(s.values[i_idx] - s.values[j_idx])
-    return _ratio_max(num, d_phi, i_idx, j_idx)[0]
+    _, _, d_base, d_vals, _ = pair_data(s, cm.base)
+    return ratio_max(d_vals, phi_eval(cm.phi, d_base))[0]
 
 
 def normalization_constant(s: IndexedSample, cm: CompositionMetric) -> float:
     """Smallest Katetov constant of the index; +inf when unnormalizable."""
-    i_idx, j_idx, d_phi = _pair_distances(s, cm)
-    den = np.abs(s.values[i_idx]) + np.abs(s.values[j_idx])
-    return _ratio_max(d_phi, den, i_idx, j_idx)[0]
+    _, _, d_base, _, denom = pair_data(s, cm.base)
+    return ratio_max(phi_eval(cm.phi, d_base), denom)[0]
 
 
 def index_bound(s: IndexedSample) -> float:
@@ -160,15 +165,17 @@ def constants_report(s: IndexedSample, cm: CompositionMetric) -> ConstantsReport
     Reported argmax pairs reproduce the max ratio exactly.  Infinite K or Q
     is flagged in ``notes`` together with the offending pair.
     """
-    i_idx, j_idx, d_phi = _pair_distances(s, cm)
-    vals = s.values
-    d_vals = np.abs(vals[i_idx] - vals[j_idx])
-    denom = np.abs(vals[i_idx]) + np.abs(vals[j_idx])
+    i_idx, j_idx, d_base, d_vals, denom = pair_data(s, cm.base)
+    d_phi = phi_eval(cm.phi, d_base)
 
-    K, k_pair = _ratio_max(d_vals, d_phi, i_idx, j_idx)
+    def pair(k):
+        return None if k is None else (int(i_idx[k]), int(j_idx[k]))
+
+    K, k_at = ratio_max(d_vals, d_phi)
     # Katetov pairs with d_phi == 0 impose no constraint, so only distances
     # over a zero denominator can force Q to infinity.
-    Q, q_pair = _ratio_max(d_phi, denom, i_idx, j_idx)
+    Q, q_at = ratio_max(d_phi, denom)
+    k_pair, q_pair = pair(k_at), pair(q_at)
     C = index_bound(s)
 
     notes = []

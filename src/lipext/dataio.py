@@ -1,8 +1,9 @@
 """CSV ingestion, atomic output writing and the bundled sample data.
 
-Dataset CSV contract: a header row; column 1 is a string ``id``; columns
-2..m+1 are numeric features; the final column is ``index`` where an empty
-cell marks an unknown value.  UTF-8, comma separated, decimal point.
+Dataset CSV contract: a header row; column 1 is a string ``id``, unique per
+row because a model file names its anchor row by id; columns 2..m+1 are
+numeric features; the final column is ``index`` where an empty cell marks an
+unknown value.  UTF-8, comma separated, decimal point.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ def read_dataset(path: str | os.PathLike) -> Dataset:
             )
         feature_names = [h.strip() for h in header[1:-1]]
         ids: list[str] = []
+        first_line: dict[str, int] = {}
         features: list[list[float]] = []
         index: list[float] = []
         for lineno, row in enumerate(reader, start=2):
@@ -54,7 +56,13 @@ def read_dataset(path: str | os.PathLike) -> Dataset:
                 raise CsvParseError(
                     f"{path}:{lineno}: expected {len(header)} columns, found {len(row)}"
                 )
-            ids.append(row[0].strip())
+            cid = row[0].strip()
+            if cid in first_line:
+                raise CsvParseError(
+                    f"{path}:{lineno}: duplicate id {cid!r} (first on line {first_line[cid]})"
+                )
+            first_line[cid] = lineno
+            ids.append(cid)
             try:
                 features.append([float(cell) for cell in row[1:-1]])
             except ValueError as exc:

@@ -1,7 +1,8 @@
 """Index extension from a training sample to the rest of the space.
 
-Four methods are provided.  Writing d for the composed metric and K for the
-coherence constant of the training values:
+Four Lipschitz methods and a least-squares baseline are provided.  Writing
+d for the composed metric and K for the coherence constant of the training
+values:
 
 * whitney:  F(x) = min_y { I(y) + K d(x, y) }, the largest K-Lipschitz
   extension of the training values.
@@ -11,9 +12,11 @@ coherence constant of the training values:
 * standard: anchor at the row a0 that minimizes the index and predict
   min(I) + K d(a0, x).  On finite data this is the whole approximation,
   and its training error is bounded by (K*Q - 1) * C.
+* linear:   ordinary least squares on the features, with no metric and no
+  coherence constant.
 
-All predictions funnel through one vectorized batch path so that single-point
-and batch calls are bitwise identical.
+Predictions are vectorized over rows.  A Lipschitz prediction depends only
+on its own row, so row-by-row calls give the same bits as one batch call.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 from .constants import IndexedSample, coherence_constant, katetov_shift
 from .metrics import CompositionMetric
 
-METHODS = ("mcshane", "whitney", "blend", "standard")
+METHODS = ("mcshane", "whitney", "blend", "standard", "linear")
 
 
 class FitError(ValueError):
@@ -36,15 +39,16 @@ class FitError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class ExtensionModel:
-    """Immutable fitted state shared by all four prediction rules."""
+    """Immutable fitted state shared by all prediction rules."""
 
     training: IndexedSample
     cm: CompositionMetric
-    K: float
+    K: float | None  # None for linear
     method: str
     alpha: float | None = None  # blend only
     anchor: int | None = None  # standard only: row index of the minimizer
     offset: float = 0.0  # standard only: pre-shift minimum of the index
+    coefficients: np.ndarray | None = None  # linear only: intercept first
 
 
 def fit_extension(
@@ -52,21 +56,22 @@ def fit_extension(
     cm: CompositionMetric,
     method: str = "blend",
     alpha: float | None = None,
-    K: float | None = None,
 ) -> ExtensionModel:
     """Fit an extension model on an indexed sample.
 
-    K defaults to the coherence constant computed on ``s``; the override
-    exists for experiments only.  An infinite constant means the values are
-    not Lipschitz for the chosen metric and nothing can be extended.
+    K is the coherence constant computed on ``s``.  An infinite constant
+    means the values are not Lipschitz for the chosen metric and nothing can
+    be extended; ``linear`` needs no constant and fits regardless.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     if len(s) < 1:
         raise FitError("empty training set")
+    if method == "linear":
+        return ExtensionModel(s, cm, None, "linear", coefficients=linear_fit(s))
     if method == "standard":
-        return standard_index_fit(s, cm, K=K)
-    k_val = coherence_constant(s, cm) if K is None else float(K)
+        return standard_index_fit(s, cm)
+    k_val = coherence_constant(s, cm)
     if not math.isfinite(k_val):
         raise FitError("coherence constant is infinite: duplicate points carry distinct values")
     if alpha is not None and not 0.0 <= alpha <= 1.0:
@@ -74,9 +79,7 @@ def fit_extension(
     return ExtensionModel(s, cm, k_val, method, alpha=alpha)
 
 
-def standard_index_fit(
-    s: IndexedSample, cm: CompositionMetric, K: float | None = None
-) -> ExtensionModel:
+def standard_index_fit(s: IndexedSample, cm: CompositionMetric) -> ExtensionModel:
     """Anchor the extension at the row with the smallest index value.
 
     The sample is shifted to zero minimum, the anchor a0 is the argmin of
@@ -87,26 +90,70 @@ def standard_index_fit(
         raise FitError("standard fit needs at least two rows")
     offset = float(np.min(s.values))
     shifted = katetov_shift(s)
-    k_val = coherence_constant(shifted, cm) if K is None else float(K)
+    k_val = coherence_constant(shifted, cm)
     if not math.isfinite(k_val):
         raise FitError("coherence constant is infinite: standard index unfittable")
     anchor = int(np.argmin(shifted.values))
     return ExtensionModel(shifted, cm, k_val, "standard", anchor=anchor, offset=offset)
 
 
-def _dphi_to_training(m: ExtensionModel, X: np.ndarray) -> np.ndarray:
+def linear_fit(s: IndexedSample) -> np.ndarray:
+    """Ordinary least squares through the normal equations, intercept first.
+
+    Singular systems get a 1e-10 ridge jitter on the diagonal, which also
+    yields a near-minimum-norm solution when underdetermined.
+    """
+    X = np.hstack([np.ones((len(s), 1)), s.points])
+    G = X.T @ X
+    b = X.T @ s.values
+    try:
+        coeffs = np.linalg.solve(G, b)
+        if not np.all(np.isfinite(coeffs)):
+            raise np.linalg.LinAlgError
+    except np.linalg.LinAlgError:
+        coeffs = np.linalg.solve(G + 1e-10 * np.eye(G.shape[0]), b)
+    return coeffs
+
+
+def linear_predict(coeffs: np.ndarray, X) -> np.ndarray:
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    return np.hstack([np.ones((X.shape[0], 1)), X]) @ coeffs
+
+
+def _dphi_to_training(m: ExtensionModel, X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     return m.cm.pairwise(X, m.training.points)
 
 
-def whitney_batch(m: ExtensionModel, X) -> np.ndarray:
-    D = _dphi_to_training(m, X)
+def _whitney(m: ExtensionModel, D: np.ndarray) -> np.ndarray:
     return np.min(m.training.values[None, :] + m.K * D, axis=1)
 
 
-def mcshane_batch(m: ExtensionModel, X) -> np.ndarray:
-    D = _dphi_to_training(m, X)
+def _mcshane(m: ExtensionModel, D: np.ndarray) -> np.ndarray:
     return np.max(m.training.values[None, :] - m.K * D, axis=1)
+
+
+def whitney_batch(m: ExtensionModel, X) -> np.ndarray:
+    return _whitney(m, _dphi_to_training(m, X))
+
+
+def mcshane_batch(m: ExtensionModel, X) -> np.ndarray:
+    return _mcshane(m, _dphi_to_training(m, X))
+
+
+def blend_with_alpha(
+    m: ExtensionModel, X, alpha: float | None = None, truth=None
+) -> tuple[float, np.ndarray]:
+    """Blend of the whitney and mcshane extensions at X, with its weight.
+
+    The weight is ``alpha`` when given, else the ``optimal_alpha`` against
+    ``truth`` at X.  Distances to the training rows are computed once and
+    serve both extensions.  Returns (weight, predictions).
+    """
+    D = _dphi_to_training(m, X)
+    i_w, i_m = _whitney(m, D), _mcshane(m, D)
+    a = optimal_alpha(truth, i_w, i_m) if alpha is None else alpha
+    return a, (1.0 - a) * i_w + a * i_m
 
 
 def blend_batch(m: ExtensionModel, X, alpha: float | None = None) -> np.ndarray:
@@ -115,7 +162,7 @@ def blend_batch(m: ExtensionModel, X, alpha: float | None = None) -> np.ndarray:
         raise ValueError("blend requires an alpha (fit one or pass it)")
     if not 0.0 <= a <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {a}")
-    return (1.0 - a) * whitney_batch(m, X) + a * mcshane_batch(m, X)
+    return blend_with_alpha(m, X, a)[1]
 
 
 def standard_batch(m: ExtensionModel, X) -> np.ndarray:
@@ -123,22 +170,6 @@ def standard_batch(m: ExtensionModel, X) -> np.ndarray:
         raise ValueError("model was not fitted with the standard method")
     D = _dphi_to_training(m, X)
     return m.offset + m.K * D[:, m.anchor]
-
-
-def whitney_predict(m: ExtensionModel, x) -> float:
-    return float(whitney_batch(m, np.asarray(x, dtype=float)[None, :])[0])
-
-
-def mcshane_predict(m: ExtensionModel, x) -> float:
-    return float(mcshane_batch(m, np.asarray(x, dtype=float)[None, :])[0])
-
-
-def blend_predict(m: ExtensionModel, x, alpha: float | None = None) -> float:
-    return float(blend_batch(m, np.asarray(x, dtype=float)[None, :], alpha)[0])
-
-
-def standard_predict(m: ExtensionModel, x) -> float:
-    return float(standard_batch(m, np.asarray(x, dtype=float)[None, :])[0])
 
 
 def predict(m: ExtensionModel, X) -> np.ndarray:
@@ -149,6 +180,8 @@ def predict(m: ExtensionModel, X) -> np.ndarray:
         return mcshane_batch(m, X)
     if m.method == "blend":
         return blend_batch(m, X)
+    if m.method == "linear":
+        return linear_predict(m.coefficients, X)
     return standard_batch(m, X)
 
 

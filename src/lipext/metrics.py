@@ -21,14 +21,7 @@ def base_distance(kind: str, a, b) -> float:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     _check_dims(a, b)
-    diff = a - b
-    if kind == "euclidean":
-        return float(np.sqrt(np.sum(diff * diff)))
-    if kind == "manhattan":
-        return float(np.sum(np.abs(diff)))
-    if kind == "chebyshev":
-        return float(np.max(np.abs(diff)))
-    raise ValueError(f"unknown base metric {kind!r}; choose from {BASE_METRICS}")
+    return float(_reduce(kind, a - b))
 
 
 def pairwise_base(kind: str, A, B) -> np.ndarray:
@@ -79,11 +72,3 @@ class CompositionMetric:
 
     def rowwise(self, A, B) -> np.ndarray:
         return phi_eval(self.phi, rowwise_base(self.base, A, B))
-
-    def with_phi(self, phi: PhiCombination) -> "CompositionMetric":
-        return CompositionMetric(self.base, phi)
-
-
-def composed_distance(cm: CompositionMetric, a, b) -> float:
-    """Convenience form of ``cm.distance``."""
-    return cm.distance(a, b)

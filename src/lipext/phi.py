@@ -92,9 +92,6 @@ class PhiCombination:
         if all(c == 0.0 for c in coeffs):
             raise ValueError("all-zero coefficients give a constant map")
 
-    def __call__(self, x):
-        return phi_eval(self, x)
-
     def scaled(self, c: float) -> "PhiCombination":
         return PhiCombination(self.atoms, tuple(c * v for v in self.coefficients))
 

@@ -21,19 +21,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .constants import IndexedSample
-from .extension import (
-    FitError,
-    fit_extension,
-    mcshane_batch,
-    optimal_alpha,
-    predict,
-    whitney_batch,
-)
+from .extension import METHODS, FitError, blend_with_alpha, fit_extension, predict
 from .metrics import CompositionMetric
 from .phi import PhiCombination
 from .swarm import nudge_lambda
-
-PIPELINE_METHODS = ("mcshane", "whitney", "blend", "standard", "linear")
 
 #: Seed offset for the nested alpha split, so it never reuses a repeat seed.
 _INNER_SPLIT_OFFSET = 7919
@@ -198,29 +189,6 @@ def smape(pred, truth) -> float:
     return float(np.mean(terms))
 
 
-def linear_fit(s: IndexedSample) -> np.ndarray:
-    """Ordinary least squares through the normal equations, intercept first.
-
-    Singular systems get a 1e-10 ridge jitter on the diagonal, which also
-    yields a near-minimum-norm solution when underdetermined.
-    """
-    X = np.hstack([np.ones((len(s), 1)), s.points])
-    G = X.T @ X
-    b = X.T @ s.values
-    try:
-        coeffs = np.linalg.solve(G, b)
-        if not np.all(np.isfinite(coeffs)):
-            raise np.linalg.LinAlgError
-    except np.linalg.LinAlgError:
-        coeffs = np.linalg.solve(G + 1e-10 * np.eye(G.shape[0]), b)
-    return coeffs
-
-
-def linear_predict(coeffs: np.ndarray, X) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    return np.hstack([np.ones((X.shape[0], 1)), X]) @ coeffs
-
-
 def rank(ds: Dataset, predictions) -> list[tuple[int, str, float]]:
     """Rank the unindexed rows by predicted value, descending; ties by id."""
     targets = ds.unindexed_rows()
@@ -268,6 +236,22 @@ def _cv_stats(values: Sequence[float]) -> tuple[float, float, float]:
     return float(np.mean(arr)), float(np.median(arr)), float(np.std(arr))
 
 
+def holdout_alpha(
+    ds: Dataset,
+    cm: CompositionMetric,
+    train_fraction: float,
+    seed: int,
+    split_method: str = "random",
+) -> float:
+    """Blend weight of a model fitted on one side of a split of ``ds``.
+
+    The weight is the ``optimal_alpha`` against the other side.
+    """
+    train, held_out = split(ds, train_fraction, seed, split_method)
+    model = fit_extension(train.as_sample(), cm, "blend")
+    return blend_with_alpha(model, held_out.features, truth=held_out.index)[0]
+
+
 def _fit_and_score(
     train: Dataset,
     test: Dataset,
@@ -278,28 +262,12 @@ def _fit_and_score(
     inner_seed: int,
     train_fraction: float,
 ) -> float:
-    test_truth = test.index
-    if method == "linear":
-        coeffs = linear_fit(train.as_sample())
-        return rmse(linear_predict(coeffs, test.features), test_truth)
-    if method == "blend":
-        a = alpha
-        if a is None and honest_alpha:
-            inner_train, inner_val = split(train, train_fraction, inner_seed)
-            inner_model = fit_extension(inner_train.as_sample(), cm, "blend")
-            a = optimal_alpha(
-                inner_val.index,
-                whitney_batch(inner_model, inner_val.features),
-                mcshane_batch(inner_model, inner_val.features),
-            )
-        model = fit_extension(train.as_sample(), cm, "blend")
-        i_w = whitney_batch(model, test.features)
-        i_m = mcshane_batch(model, test.features)
-        if a is None:
-            a = optimal_alpha(test_truth, i_w, i_m)
-        return rmse((1.0 - a) * i_w + a * i_m, test_truth)
+    if method == "blend" and alpha is None and honest_alpha:
+        alpha = holdout_alpha(train, cm, train_fraction, inner_seed)
     model = fit_extension(train.as_sample(), cm, method)
-    return rmse(predict(model, test.features), test_truth)
+    if method == "blend":
+        return rmse(blend_with_alpha(model, test.features, alpha, test.index)[1], test.index)
+    return rmse(predict(model, test.features), test.index)
 
 
 def cross_validate(
@@ -321,8 +289,8 @@ def cross_validate(
     pool (capped by the LIPEXT_THREADS environment variable) with results
     assembled in repeat order.
     """
-    if method not in PIPELINE_METHODS:
-        raise ValueError(f"unknown method {method!r}; choose from {PIPELINE_METHODS}")
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     indexed = ds.indexed_rows()
@@ -394,11 +362,9 @@ def objective_test_rmse(
             model = fit_extension(train_sample, cm, "blend")
         except FitError:
             return math.inf
-        i_w = whitney_batch(model, test.features)
-        i_m = mcshane_batch(model, test.features)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            a = optimal_alpha(test.index, i_w, i_m)
-        return rmse((1.0 - a) * i_w + a * i_m, test.index)
+            pred = blend_with_alpha(model, test.features, truth=test.index)[1]
+        return rmse(pred, test.index)
 
     return objective

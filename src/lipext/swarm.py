@@ -16,8 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constants import IndexedSample
-from .metrics import pairwise_base
+from .constants import IndexedSample, pair_data, ratio_max
 from .phi import ATOM_FUNCS
 
 OBJECTIVES = ("kq_bound", "test_rmse")
@@ -143,28 +142,17 @@ def objective_kq(s: IndexedSample, base: str, atoms: tuple[str, ...]) -> Callabl
     single weighted sum plus two reductions.  Returns +inf when either
     constant is infinite; all-zero vectors are nudged first.
     """
-    n = len(s)
-    if n < 2:
-        raise ValueError("need at least two rows")
-    i_idx, j_idx = np.triu_indices(n, k=1)
-    d_base = pairwise_base(base, s.points, s.points)[i_idx, j_idx]
+    _, _, d_base, d_vals, denom = pair_data(s, base)
     atom_vals = np.stack([ATOM_FUNCS[a](d_base) for a in atoms])  # (n_atoms, n_pairs)
-    d_vals = np.abs(s.values[i_idx] - s.values[j_idx])
-    denom = np.abs(s.values[i_idx]) + np.abs(s.values[j_idx])
 
     def objective(lam: np.ndarray) -> float:
         lam = nudge_lambda(lam)
         if lam.shape != (len(atoms),):
             raise ValueError(f"expected {len(atoms)} coefficients, got {lam.shape}")
         d_phi = lam @ atom_vals
-        pos = d_phi > 0.0
-        if np.any(~pos & (d_vals > 0.0)):
-            return math.inf
-        K = float(np.max(np.where(pos, d_vals / np.where(pos, d_phi, 1.0), 0.0))) if np.any(pos) else 0.0
-        den_pos = denom > 0.0
-        if np.any(~den_pos & pos):
-            return math.inf
-        Q = float(np.max(np.where(den_pos, d_phi / np.where(den_pos, denom, 1.0), 0.0))) if np.any(den_pos) else 0.0
-        return K * Q
+        K = ratio_max(d_vals, d_phi)[0]
+        Q = ratio_max(d_phi, denom)[0]
+        # An infinite constant makes the product infinite, even times K = 0.
+        return math.inf if math.inf in (K, Q) else K * Q
 
     return objective

@@ -41,7 +41,7 @@ from lipext.extension import (
 )
 from lipext.metrics import CompositionMetric, rowwise_base
 from lipext.phi import ATOM_NAMES, PhiCombination, identity_phi, phi_eval, random_combination
-from lipext.pipeline import cross_validate, minmax_scale, rank, split
+from lipext.pipeline import cross_validate, holdout_alpha, minmax_scale, rank
 from lipext.swarm import PsoConfig, objective_kq, pso_minimize
 
 import oracles
@@ -193,11 +193,7 @@ def test_scale_invariance():
         cm = CompositionMetric("euclidean", p)
         report = cross_validate(ds, "blend", cm, repeats=5, seed=13)
         indexed = ds.indexed_rows()
-        tr, ho = split(indexed, 0.7, seed=13)
-        probe = fit_extension(tr.as_sample(), cm, "blend")
-        alpha = optimal_alpha(
-            ho.index, whitney_batch(probe, ho.features), mcshane_batch(probe, ho.features)
-        )
+        alpha = holdout_alpha(indexed, cm, 0.7, seed=13)
         model = fit_extension(indexed.as_sample(), cm, "blend", alpha=alpha)
         preds = predict(model, ds.unindexed_rows().features)
         return report.per_repeat_rmse, rank(ds, preds)

@@ -7,7 +7,7 @@ import pytest
 
 from lipext.cli import main, rebuild_model
 from lipext.dataio import CsvParseError, dataset_hash, read_dataset, table1_path
-from lipext.extension import predict
+from lipext.extension import METHODS, predict
 
 TWO_POINT_CSV = "id,x,index\na,0,0\nb,1,2\n"
 RECOVERY_CSV = "id,x,index\na,0,0\nb,1,2\nc,1,\n"
@@ -47,6 +47,15 @@ def test_parse_error_wrong_column_count(tmp_path):
     path = write(tmp_path, "bad.csv", "id,x,index\na,1\n")
     with pytest.raises(CsvParseError, match=":2:"):
         read_dataset(path)
+
+
+def test_duplicate_id_rejected_at_second_occurrence(tmp_path, capsys):
+    data = write(tmp_path, "dup.csv", "id,x,index\na,0,1\nb,1,2\na,2,\n")
+    with pytest.raises(CsvParseError, match=r":4: duplicate id 'a' \(first on line 2\)"):
+        read_dataset(data)
+    code, _, err = run_cli(capsys, "extend", "--data", data)
+    assert code == 2
+    assert err.startswith("error:parse:") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -123,11 +132,12 @@ def test_extend_no_targets_writes_empty_file(tmp_path, capsys):
     assert (out_dir / "predictions.csv").read_text().strip() == "id,predicted_index"
 
 
-def test_model_round_trip_bitwise(tmp_path, capsys):
+@pytest.mark.parametrize("method", METHODS)
+def test_model_round_trip_bitwise(tmp_path, capsys, method):
     out_dir = tmp_path / "out"
     code, _, _ = run_cli(
         capsys, "extend", "--data", str(table1_path()), "--out", str(out_dir),
-        "--method", "blend", "--phi", '{"atoms": ["identity", "log1p"], "coefficients": [1.0, 2.0]}',
+        "--method", method, "--phi", '{"atoms": ["identity", "log1p"], "coefficients": [1.0, 2.0]}',
     )
     assert code == 0
     first = (out_dir / "predictions.csv").read_text()
@@ -262,6 +272,14 @@ def test_missing_file_reports_io(capsys):
     code, _, err = run_cli(capsys, "cv", "--data", "/does/not/exist.csv")
     assert code != 0
     assert err.startswith("error:io:") or "error:" in err
+
+
+def test_bad_thread_cap_reports_config(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("LIPEXT_THREADS", "abc")
+    code, _, err = run_cli(capsys, "cv", "--data", str(table1_path()), "--repeats", "2")
+    assert code == 2
+    assert err.startswith("error:config:") and "LIPEXT_THREADS" in err
+    assert err.count("\n") == 1
 
 
 def test_bad_config_key_rejected(tmp_path, capsys):

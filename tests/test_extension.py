@@ -13,16 +13,13 @@ from lipext.constants import (
 from lipext.extension import (
     FitError,
     blend_batch,
-    blend_predict,
+    blend_with_alpha,
     fit_extension,
     mcshane_batch,
-    mcshane_predict,
     optimal_alpha,
     predict,
     standard_index_fit,
-    standard_predict,
     whitney_batch,
-    whitney_predict,
 )
 from lipext.metrics import CompositionMetric
 from lipext.phi import identity_phi, random_combination
@@ -36,6 +33,11 @@ def line_sample(xs, values):
     return IndexedSample(np.array(xs, dtype=float).reshape(-1, 1), values)
 
 
+def at(batch, model, x, *args) -> float:
+    """One prediction from a batch routine, at the single point x."""
+    return float(batch(model, np.asarray(x, dtype=float)[None, :], *args)[0])
+
+
 @pytest.fixture
 def two_point_model():
     # Points {0, 2} with values (0, 2); the coherence constant is 1.
@@ -43,16 +45,16 @@ def two_point_model():
 
 
 def test_whitney_between_points(two_point_model):
-    assert whitney_predict(two_point_model, [1.0]) == 1.0
+    assert at(whitney_batch, two_point_model, [1.0]) == 1.0
 
 
 def test_whitney_beyond_points(two_point_model):
-    assert whitney_predict(two_point_model, [3.0]) == 3.0
+    assert at(whitney_batch, two_point_model, [3.0]) == 3.0
 
 
 def test_mcshane_values(two_point_model):
-    assert mcshane_predict(two_point_model, [3.0]) == 1.0
-    assert mcshane_predict(two_point_model, [1.0]) == 1.0
+    assert at(mcshane_batch, two_point_model, [3.0]) == 1.0
+    assert at(mcshane_batch, two_point_model, [1.0]) == 1.0
 
 
 def test_interpolation_at_training_points():
@@ -68,17 +70,17 @@ def test_interpolation_at_training_points():
 
 def test_blend_endpoints(two_point_model):
     x = [0.7]
-    assert blend_predict(two_point_model, x, 0.0) == whitney_predict(two_point_model, x)
-    assert blend_predict(two_point_model, x, 1.0) == mcshane_predict(two_point_model, x)
+    assert at(blend_batch, two_point_model, x, 0.0) == at(whitney_batch, two_point_model, x)
+    assert at(blend_batch, two_point_model, x, 1.0) == at(mcshane_batch, two_point_model, x)
 
 
 def test_blend_midpoint(two_point_model):
-    assert blend_predict(two_point_model, [3.0], 0.5) == 2.0
+    assert at(blend_batch, two_point_model, [3.0], 0.5) == 2.0
 
 
 def test_blend_alpha_out_of_range(two_point_model):
     with pytest.raises(ValueError):
-        blend_predict(two_point_model, [1.0], 1.5)
+        at(blend_batch, two_point_model, [1.0], 1.5)
     with pytest.raises(ValueError):
         fit_extension(line_sample([0.0, 1.0], [0.0, 1.0]), IDENTITY, "blend", alpha=-0.1)
 
@@ -156,8 +158,8 @@ def test_standard_fit_exact_recovery():
     model = standard_index_fit(s, IDENTITY)
     assert model.K == 2.0
     assert model.anchor == 0
-    assert standard_predict(model, [1.0]) == 2.0
-    assert standard_predict(model, [0.0]) == 0.0
+    assert at(predict, model, [1.0]) == 2.0
+    assert at(predict, model, [0.0]) == 0.0
 
 
 def test_standard_fit_affine_line():
@@ -173,7 +175,7 @@ def test_standard_prediction_at_anchor_is_pre_shift_min():
     s = IndexedSample(rng.uniform(size=(8, 2)), rng.uniform(3.0, 9.0, 8))
     model = standard_index_fit(s, IDENTITY)
     anchor_point = model.training.points[model.anchor]
-    assert standard_predict(model, anchor_point) == float(np.min(s.values))
+    assert at(predict, model, anchor_point) == float(np.min(s.values))
 
 
 def test_standard_anchor_tie_breaks_on_lowest_row():
@@ -243,13 +245,13 @@ def test_matches_double_loop_oracles():
         for _ in range(5):
             x = rng.uniform(size=m)
             args = (pts, vals, "euclidean", phi.atoms, phi.coefficients, K)
-            assert whitney_predict(model, x) == pytest.approx(
+            assert at(whitney_batch, model, x) == pytest.approx(
                 oracles.whitney(*args, x.tolist()), rel=1e-12, abs=1e-12
             )
-            assert mcshane_predict(model, x) == pytest.approx(
+            assert at(mcshane_batch, model, x) == pytest.approx(
                 oracles.mcshane(*args, x.tolist()), rel=1e-12, abs=1e-12
             )
-            assert standard_predict(std_model, x) == pytest.approx(
+            assert at(predict, std_model, x) == pytest.approx(
                 oracles.standard(*args, x.tolist()), rel=1e-12, abs=1e-12
             )
 
@@ -262,8 +264,32 @@ def test_empty_training_rejected():
 def test_batch_and_single_agree():
     rng = np.random.default_rng(8)
     s = IndexedSample(rng.uniform(size=(9, 2)), rng.uniform(0.0, 4.0, 9))
-    model = fit_extension(s, IDENTITY, "blend", alpha=0.25)
     X = rng.uniform(size=(6, 2))
-    batch = predict(model, X)
-    singles = [blend_predict(model, x) for x in X]
-    assert np.array_equal(batch, singles)
+    for method in ("mcshane", "whitney", "blend", "standard"):
+        model = fit_extension(s, IDENTITY, method, alpha=0.25 if method == "blend" else None)
+        batch = predict(model, X)
+        singles = [predict(model, x[None, :])[0] for x in X]
+        assert np.array_equal(batch, singles), method
+
+
+def test_blend_with_alpha_picks_optimal_alpha_and_mixes():
+    rng = np.random.default_rng(9)
+    s = IndexedSample(rng.uniform(size=(12, 3)), rng.uniform(0.0, 5.0, 12))
+    model = fit_extension(s, CompositionMetric("euclidean", random_combination(rng)), "blend")
+    X = rng.uniform(size=(20, 3))
+    truth = rng.uniform(0.0, 5.0, 20)
+    i_w, i_m = whitney_batch(model, X), mcshane_batch(model, X)
+    a, pred = blend_with_alpha(model, X, truth=truth)
+    assert a == optimal_alpha(truth, i_w, i_m)
+    assert np.array_equal(pred, (1.0 - a) * i_w + a * i_m)
+    assert np.array_equal(pred, blend_batch(model, X, a))
+    assert blend_with_alpha(model, X, 0.3)[0] == 0.3
+
+
+def test_linear_fits_where_coherence_is_infinite():
+    s = line_sample([1.0, 1.0, 2.0], [0.0, 2.0, 4.0])
+    with pytest.raises(FitError):
+        fit_extension(s, IDENTITY, "whitney")
+    model = fit_extension(s, IDENTITY, "linear")
+    assert model.K is None
+    np.testing.assert_allclose(predict(model, [[3.0]]), [7.0], rtol=1e-9)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lipext.constants import IndexedSample
+from lipext.extension import linear_fit, linear_predict
 from lipext.metrics import CompositionMetric
 from lipext.phi import PhiCombination, identity_phi, random_combination
 from lipext.pipeline import (
@@ -13,8 +14,6 @@ from lipext.pipeline import (
     Dataset,
     cross_validate,
     cv_repeat_rows,
-    linear_fit,
-    linear_predict,
     mae,
     minmax_scale,
     objective_test_rmse,

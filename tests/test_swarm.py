@@ -140,6 +140,14 @@ def test_objective_kq_infinite_on_conflicting_duplicates():
     assert obj(np.array([1.0])) == math.inf
 
 
+def test_objective_kq_infinite_when_k_zero_and_q_infinite():
+    # A constant zero index gives K = 0; distinct rows over |I|+|I| = 0 give
+    # Q = inf, and the product is inf rather than 0 * inf = nan.
+    s = IndexedSample(np.array([[0.0], [1.0]]), [0.0, 0.0])
+    obj = objective_kq(s, "euclidean", ("identity",))
+    assert obj(np.array([1.0])) == math.inf
+
+
 def test_pso_on_kq_objective_never_worse_than_identity():
     rng = np.random.default_rng(19)
     s = katetov_shift(IndexedSample(rng.uniform(size=(12, 3)), rng.uniform(0.0, 7.0, 12)))
