@@ -35,16 +35,16 @@ from .dataio import (
     write_csv,
     write_json,
 )
-from .extension import METHODS, ExtensionModel, FitError, fit_extension, predict
+from .extension import METHODS, ExtensionModel, FitError, predict
 from .metrics import BASE_METRICS, CompositionMetric
 from .phi import ATOM_NAMES, LINEAR_BASIS, PhiCombination, identity_phi
 from .pipeline import (
     THREADS_ENV_VAR,
     Dataset,
+    PairTable,
     apply_scaling,
     cross_validate,
     cv_repeat_rows,
-    holdout_alpha,
     minmax_scale,
     objective_test_rmse,
     rank,
@@ -90,11 +90,15 @@ def load_config(path: str | None) -> RunConfig:
         raise CliError("io", f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise CliError("config", f"invalid JSON in {path}: {exc}")
+    if not isinstance(raw, dict):
+        raise CliError("config", f"{path} must hold a JSON object")
     known = {f.name for f in fields(RunConfig)}
     unknown = set(raw) - known
     if unknown:
         raise CliError("config", f"unknown config keys {sorted(unknown)}")
     if "atoms" in raw:
+        if not isinstance(raw["atoms"], list):
+            raise CliError("config", "atoms must be a list of atom names")
         raw["atoms"] = tuple(raw["atoms"])
     return replace(cfg, **raw)
 
@@ -120,6 +124,15 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value: object) -> bool:
+    """A finite JSON number; bools are not numbers here."""
+    return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+
+
 def _check_config(cfg: RunConfig) -> None:
     if cfg.metric not in BASE_METRICS:
         raise CliError("config", f"metric must be one of {BASE_METRICS}")
@@ -127,23 +140,39 @@ def _check_config(cfg: RunConfig) -> None:
         raise CliError("config", f"method must be one of {METHODS}")
     if cfg.objective not in ("kq_bound", "test_rmse"):
         raise CliError("config", "objective must be kq-bound or test-rmse")
-    if not 0.0 < cfg.train_fraction < 1.0:
+    if not (_is_real(cfg.train_fraction) and 0.0 < cfg.train_fraction < 1.0):
         raise CliError("config", "train-fraction must lie strictly between 0 and 1")
-    if cfg.repeats < 1:
-        raise CliError("config", "repeats must be >= 1")
+    if not (_is_int(cfg.repeats) and cfg.repeats >= 1):
+        raise CliError("config", "repeats must be an integer >= 1")
+    if not _is_int(cfg.seed):
+        raise CliError("config", "seed must be an integer")
+    if cfg.alpha is not None and not (_is_real(cfg.alpha) and 0.0 <= cfg.alpha <= 1.0):
+        raise CliError("config", "alpha must be null or a number in [0, 1]")
     if cfg.scale_on not in ("all", "indexed"):
         raise CliError("config", "scale_on must be 'all' or 'indexed'")
     if cfg.split not in ("random", "ordered"):
         raise CliError("config", "split must be 'random' or 'ordered'")
+    if cfg.out is not None and not isinstance(cfg.out, str):
+        raise CliError("config", "out must be a directory path")
+    if not cfg.atoms:
+        raise CliError("config", "atoms must name at least one atom")
     bad = [a for a in cfg.atoms if a not in ATOM_NAMES]
     if bad:
         raise CliError("config", f"unknown atoms {bad}; choose from {ATOM_NAMES}")
 
 
 def _pso_config(cfg: RunConfig) -> PsoConfig:
+    if not isinstance(cfg.pso, dict):
+        raise CliError("config", "pso must be an object")
     opts = dict(cfg.pso)
     opts.setdefault("seed", cfg.seed)
     opts.setdefault("objective", cfg.objective)
+    for key in ("swarm_size", "iterations", "seed"):
+        if key in opts and not _is_int(opts[key]):
+            raise CliError("config", f"bad pso settings: {key} must be an integer")
+    for key in ("inertia", "cognitive", "social", "lambda_max"):
+        if key in opts and not _is_real(opts[key]):
+            raise CliError("config", f"bad pso settings: {key} must be a finite number")
     try:
         return PsoConfig(**opts)
     except (TypeError, ValueError) as exc:
@@ -309,19 +338,20 @@ def rebuild_model(model_dict: dict, ds_raw: Dataset) -> tuple[ExtensionModel, Da
 
 
 def _fit_for_extend(cfg: RunConfig, indexed: Dataset, cm: CompositionMetric) -> ExtensionModel:
-    sample = indexed.as_sample()
+    table = PairTable(indexed, cm, distances=cfg.method != "linear")
+    rows = np.arange(indexed.n_rows)
     if cfg.method != "blend":
-        return fit_extension(sample, cm, cfg.method)
+        return table.fit(rows, cfg.method)
     alpha = cfg.alpha
     if alpha is None:
         # Estimate the blend weight on an internal holdout, then refit on
         # every indexed row with that weight frozen.
         try:
-            alpha = holdout_alpha(indexed, cm, cfg.train_fraction, cfg.seed, cfg.split)
+            alpha = table.holdout_alpha(rows, cfg.train_fraction, cfg.seed, cfg.split)
         except ValueError:
             warnings.warn("too few indexed rows to estimate alpha; using 0.5", stacklevel=2)
             alpha = 0.5
-    return fit_extension(sample, cm, "blend", alpha=alpha)
+    return table.fit(rows, "blend", alpha)
 
 
 def _extend(cfg: RunConfig, data_path: str) -> tuple[Dataset, np.ndarray, dict]:

@@ -11,6 +11,8 @@ quantities are computed exactly by maximizing over the finite pair set:
 
 The approximation error of anchor-based extension is bounded by
 (K*Q - 1) * C once the index has been shifted so its minimum is zero.
+``constants_report`` therefore gives Q and C of the shifted index next to
+the raw ones and takes the bound from those; K is the same for both.
 Constants can legitimately be infinite (duplicate points with distinct
 values, or zero Katetov denominators on distinct points); infinities are
 returned as values rather than raised, so optimizers can penalize them.
@@ -18,6 +20,7 @@ returned as values rather than raised, so optimizers can penalize them.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -60,7 +63,9 @@ class ConstantsReport:
     K: float
     Q: float
     C: float
-    bound: float
+    Q_shifted: float  # Q of the Katetov-shifted index
+    C_shifted: float  # C of the Katetov-shifted index
+    bound: float  # (K * Q_shifted - 1) * C_shifted
     k_pair: tuple[int, int] | None
     q_pair: tuple[int, int] | None
     notes: tuple[str, ...] = ()
@@ -73,11 +78,28 @@ class ConstantsReport:
             "K": enc(self.K),
             "Q": enc(self.Q),
             "C": self.C,
+            "Q_shifted": enc(self.Q_shifted),
+            "C_shifted": self.C_shifted,
             "bound": enc(self.bound),
             "k_pair": list(self.k_pair) if self.k_pair is not None else None,
             "q_pair": list(self.q_pair) if self.q_pair is not None else None,
             "notes": list(self.notes),
         }
+
+
+@functools.lru_cache(maxsize=2)
+def condensed_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (i, j) positions of the pairs i < j of n rows, in
+    lexicographic order.
+
+    The two latest sizes are cached: CV repeats (with their nested alpha
+    split) and objective evaluations ask for the same sizes many times.
+    ``pair_data``, called once per use, builds its own.
+    """
+    i_idx, j_idx = np.triu_indices(n, k=1)
+    i_idx.setflags(write=False)
+    j_idx.setflags(write=False)
+    return i_idx, j_idx
 
 
 def pair_data(s: IndexedSample, base: str):
@@ -117,10 +139,22 @@ def ratio_max(num: np.ndarray, den: np.ndarray) -> tuple[float, int | None]:
     return float(ratios[k]), k
 
 
+def coherence_from_pairs(values: np.ndarray, d_phi: np.ndarray) -> float:
+    """Coherence constant of ``values`` given their composed pair distances.
+
+    ``d_phi`` holds the distances of the condensed pairs in ``pair_data``
+    order, for example sliced from a distance table built once.
+    """
+    n = len(values)
+    if n < 2:
+        raise ValueError("need at least two rows")
+    i_idx, j_idx = condensed_pairs(n)
+    return ratio_max(np.abs(values[i_idx] - values[j_idx]), d_phi)[0]
+
+
 def coherence_constant(s: IndexedSample, cm: CompositionMetric) -> float:
     """Smallest Lipschitz constant of the index; +inf if not coherent."""
-    _, _, d_base, d_vals, _ = pair_data(s, cm.base)
-    return ratio_max(d_vals, phi_eval(cm.phi, d_base))[0]
+    return coherence_from_pairs(s.values, phi_eval(cm.phi, pair_data(s, cm.base)[2]))
 
 
 def normalization_constant(s: IndexedSample, cm: CompositionMetric) -> float:
@@ -163,7 +197,10 @@ def constants_report(s: IndexedSample, cm: CompositionMetric) -> ConstantsReport
     """Compute K, Q, C and the error bound with achieving pairs.
 
     Reported argmax pairs reproduce the max ratio exactly.  Infinite K or Q
-    is flagged in ``notes`` together with the offending pair.
+    is flagged in ``notes`` together with the offending pair.  The bound is
+    that of the Katetov-shifted index, which the theorem covers: it uses
+    the shifted Q and C.  Two distinct rows that tie at the minimum both
+    shift to 0, so the shifted Q and the bound are infinite.
     """
     i_idx, j_idx, d_base, d_vals, denom = pair_data(s, cm.base)
     d_phi = phi_eval(cm.phi, d_base)
@@ -177,11 +214,23 @@ def constants_report(s: IndexedSample, cm: CompositionMetric) -> ConstantsReport
     Q, q_at = ratio_max(d_phi, denom)
     k_pair, q_pair = pair(k_at), pair(q_at)
     C = index_bound(s)
+    shifted = katetov_shift(s).values
+    Q_shifted, q_shifted_at = ratio_max(
+        d_phi, np.abs(shifted[i_idx]) + np.abs(shifted[j_idx])
+    )
+    C_shifted = float(np.max(shifted))
 
     notes = []
     if math.isinf(K):
         notes.append(f"not coherent: rows {k_pair} coincide but carry distinct values")
     if math.isinf(Q):
         notes.append(f"not normalizable: rows {q_pair} are distinct with |I|+|I| = 0")
-    bound = error_bound(K, Q, C) if notes == [] else math.inf
-    return ConstantsReport(K, Q, C, bound, k_pair, q_pair, tuple(notes))
+    if math.isinf(Q_shifted):
+        notes.append(
+            f"shifted index not normalizable: rows {pair(q_shifted_at)} are "
+            "distinct and both attain the minimum"
+        )
+    bound = error_bound(K, Q_shifted, C_shifted)
+    return ConstantsReport(
+        K, Q, C, Q_shifted, C_shifted, bound, k_pair, q_pair, tuple(notes)
+    )

@@ -17,6 +17,9 @@ values:
 
 Predictions are vectorized over rows.  A Lipschitz prediction depends only
 on its own row, so row-by-row calls give the same bits as one batch call.
+``fit_on_pairs`` and ``predict_from_distances`` take the composed distances
+as given instead of computing them from the points, so callers that slice
+one distance table for many fits get the same bits as fresh computation.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import IndexedSample, coherence_constant, katetov_shift
+from .constants import IndexedSample, coherence_constant, coherence_from_pairs, katetov_shift
 from .metrics import CompositionMetric
 
 METHODS = ("mcshane", "whitney", "blend", "standard", "linear")
@@ -63,20 +66,7 @@ def fit_extension(
     means the values are not Lipschitz for the chosen metric and nothing can
     be extended; ``linear`` needs no constant and fits regardless.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-    if len(s) < 1:
-        raise FitError("empty training set")
-    if method == "linear":
-        return ExtensionModel(s, cm, None, "linear", coefficients=linear_fit(s))
-    if method == "standard":
-        return standard_index_fit(s, cm)
-    k_val = coherence_constant(s, cm)
-    if not math.isfinite(k_val):
-        raise FitError("coherence constant is infinite: duplicate points carry distinct values")
-    if alpha is not None and not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    return ExtensionModel(s, cm, k_val, method, alpha=alpha)
+    return fit_on_pairs(s, cm, method, alpha, None)
 
 
 def standard_index_fit(s: IndexedSample, cm: CompositionMetric) -> ExtensionModel:
@@ -86,15 +76,47 @@ def standard_index_fit(s: IndexedSample, cm: CompositionMetric) -> ExtensionMode
     the shifted values (ties go to the lowest row index), and predictions
     add the pre-shift minimum back: min(I) + K d(a0, x).
     """
-    if len(s) < 2:
-        raise FitError("standard fit needs at least two rows")
-    offset = float(np.min(s.values))
-    shifted = katetov_shift(s)
-    k_val = coherence_constant(shifted, cm)
+    return fit_on_pairs(s, cm, "standard", None, None)
+
+
+def fit_on_pairs(
+    s: IndexedSample,
+    cm: CompositionMetric,
+    method: str,
+    alpha: float | None,
+    d_pairs: np.ndarray | None,
+) -> ExtensionModel:
+    """``fit_extension`` given the composed distances of the pairs of ``s``.
+
+    ``d_pairs`` is in ``constants.pair_data`` order; None computes it from
+    the points.  The distances do not change under the standard method's
+    shift, so one slice serves every method.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    if len(s) < 1:
+        raise FitError("empty training set")
+    if method == "linear":
+        return ExtensionModel(s, cm, None, "linear", coefficients=linear_fit(s))
+    if method == "standard":
+        if len(s) < 2:
+            raise FitError("standard fit needs at least two rows")
+        offset = float(np.min(s.values))
+        s = katetov_shift(s)
+    if d_pairs is None:
+        k_val = coherence_constant(s, cm)
+    else:
+        k_val = coherence_from_pairs(s.values, d_pairs)
+    if method == "standard":
+        if not math.isfinite(k_val):
+            raise FitError("coherence constant is infinite: standard index unfittable")
+        anchor = int(np.argmin(s.values))
+        return ExtensionModel(s, cm, k_val, "standard", anchor=anchor, offset=offset)
     if not math.isfinite(k_val):
-        raise FitError("coherence constant is infinite: standard index unfittable")
-    anchor = int(np.argmin(shifted.values))
-    return ExtensionModel(shifted, cm, k_val, "standard", anchor=anchor, offset=offset)
+        raise FitError("coherence constant is infinite: duplicate points carry distinct values")
+    if alpha is not None and not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    return ExtensionModel(s, cm, k_val, method, alpha=alpha)
 
 
 def linear_fit(s: IndexedSample) -> np.ndarray:
@@ -133,6 +155,37 @@ def _mcshane(m: ExtensionModel, D: np.ndarray) -> np.ndarray:
     return np.max(m.training.values[None, :] - m.K * D, axis=1)
 
 
+def _standard(m: ExtensionModel, D: np.ndarray) -> np.ndarray:
+    return m.offset + m.K * D[:, m.anchor]
+
+
+def _blend(m: ExtensionModel, D: np.ndarray, alpha, truth) -> tuple[float, np.ndarray]:
+    i_w, i_m = _whitney(m, D), _mcshane(m, D)
+    a = optimal_alpha(truth, i_w, i_m) if alpha is None else alpha
+    return a, (1.0 - a) * i_w + a * i_m
+
+
+def predict_from_distances(
+    m: ExtensionModel, D: np.ndarray, alpha: float | None = None, truth=None
+) -> tuple[float | None, np.ndarray]:
+    """(blend weight, predictions) of a Lipschitz model from distances.
+
+    ``D`` (q, n) holds the composed distances of the query rows to the
+    model's training rows.  A blend model mixes with ``alpha`` when given,
+    else with the ``optimal_alpha`` against ``truth``; the other methods
+    return None as the weight.
+    """
+    if m.method == "whitney":
+        return None, _whitney(m, D)
+    if m.method == "mcshane":
+        return None, _mcshane(m, D)
+    if m.method == "standard":
+        return None, _standard(m, D)
+    if m.method == "blend":
+        return _blend(m, D, alpha, truth)
+    raise ValueError(f"method {m.method!r} does not predict from distances")
+
+
 def whitney_batch(m: ExtensionModel, X) -> np.ndarray:
     return _whitney(m, _dphi_to_training(m, X))
 
@@ -150,10 +203,7 @@ def blend_with_alpha(
     ``truth`` at X.  Distances to the training rows are computed once and
     serve both extensions.  Returns (weight, predictions).
     """
-    D = _dphi_to_training(m, X)
-    i_w, i_m = _whitney(m, D), _mcshane(m, D)
-    a = optimal_alpha(truth, i_w, i_m) if alpha is None else alpha
-    return a, (1.0 - a) * i_w + a * i_m
+    return _blend(m, _dphi_to_training(m, X), alpha, truth)
 
 
 def blend_batch(m: ExtensionModel, X, alpha: float | None = None) -> np.ndarray:
@@ -168,8 +218,7 @@ def blend_batch(m: ExtensionModel, X, alpha: float | None = None) -> np.ndarray:
 def standard_batch(m: ExtensionModel, X) -> np.ndarray:
     if m.anchor is None:
         raise ValueError("model was not fitted with the standard method")
-    D = _dphi_to_training(m, X)
-    return m.offset + m.K * D[:, m.anchor]
+    return _standard(m, _dphi_to_training(m, X))
 
 
 def predict(m: ExtensionModel, X) -> np.ndarray:

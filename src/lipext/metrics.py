@@ -10,6 +10,10 @@ from .phi import PhiCombination, identity_phi, phi_eval
 
 BASE_METRICS = ("euclidean", "manhattan", "chebyshev")
 
+#: Byte budget of the (rows, n, m) difference tensor that ``pairwise_base``
+#: builds per row block, so its peak memory is O(tile * n * m + q * n).
+TILE_BYTES = 2 * 2**20
+
 
 def _check_dims(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape[-1] != b.shape[-1]:
@@ -25,11 +29,23 @@ def base_distance(kind: str, a, b) -> float:
 
 
 def pairwise_base(kind: str, A, B) -> np.ndarray:
-    """All base distances between rows of A (q, m) and rows of B (n, m)."""
+    """All base distances between rows of A (q, m) and rows of B (n, m).
+
+    Rows of A are taken in blocks of at most ``TILE_BYTES`` of differences.
+    Each distance is still one reduction over its own m differences, so the
+    result does not depend on the block size.
+    """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     _check_dims(A, B)
-    return _reduce(kind, A[:, None, :] - B[None, :, :])
+    q, n = A.shape[0], B.shape[0]
+    tile = max(1, TILE_BYTES // max(1, 8 * n * A.shape[1]))
+    out = np.empty((q, n))
+    # An empty A still makes one (empty) block, so ``kind`` is always checked.
+    for start in range(0, max(q, 1), tile):
+        block = A[start:start + tile]
+        out[start:start + tile] = _reduce(kind, block[:, None, :] - B[None, :, :])
+    return out
 
 
 def rowwise_base(kind: str, A, B) -> np.ndarray:

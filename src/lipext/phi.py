@@ -121,11 +121,21 @@ def phi_eval(phi: PhiCombination, x):
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0.0):
         raise ValueError("modulus functions are defined on [0, inf) only")
-    out = np.zeros_like(arr)
-    for name, lam in zip(phi.atoms, phi.coefficients):
-        out += lam * ATOM_FUNCS[name](arr)
+    out = weighted_sum(phi.coefficients, (ATOM_FUNCS[name](arr) for name in phi.atoms), arr)
     if np.ndim(x) == 0:
         return float(out)
+    return out
+
+
+def weighted_sum(coefficients, atom_values, like: np.ndarray) -> np.ndarray:
+    """``sum_j c_j * v_j``, added atom by atom onto zeros shaped like ``like``.
+
+    This is the order ``phi_eval`` sums in, so atom values computed ahead of
+    time give its bits exactly.
+    """
+    out = np.zeros_like(like)
+    for c, v in zip(coefficients, atom_values):
+        out += c * v
     return out
 
 

@@ -6,6 +6,10 @@ on the held-out side, and repeat (20 times by default) with consecutive
 seeds.  The blend weight alpha is chosen against the held-out side itself,
 trading a little optimism for data efficiency; ``honest_alpha`` switches to
 a nested split inside the training rows.
+
+Splits only change which indexed rows train, so the composed distances
+among the indexed rows are computed once (``PairTable``) and every split
+slices them.
 """
 
 from __future__ import annotations
@@ -20,10 +24,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .constants import IndexedSample
-from .extension import METHODS, FitError, blend_with_alpha, fit_extension, predict
+from .constants import IndexedSample, condensed_pairs
+from .extension import (
+    METHODS,
+    ExtensionModel,
+    FitError,
+    fit_on_pairs,
+    predict,
+    predict_from_distances,
+)
 from .metrics import CompositionMetric
-from .phi import PhiCombination
+from .phi import ATOM_FUNCS, PhiCombination, weighted_sum
 from .swarm import nudge_lambda
 
 #: Seed offset for the nested alpha split, so it never reuses a repeat seed.
@@ -144,22 +155,23 @@ def split(ds: Dataset, train_fraction: float, seed: int, method: str = "random")
     takes the first rows in file order as training, for datasets pre-sorted
     by some priority such as population.
     """
+    train_idx, test_idx = _split_rows(ds.n_rows, train_fraction, seed, method)
+    return ds.subset(train_idx), ds.subset(test_idx)
+
+
+def _split_rows(n: int, train_fraction: float, seed: int, method: str):
+    """Sorted (train, test) row positions of ``split`` on n rows."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must lie strictly between 0 and 1")
-    n = ds.n_rows
     k = int(math.floor(n * train_fraction + 0.5))
     if k == 0 or k == n:
         raise ValueError(f"split of {n} rows at {train_fraction} leaves an empty side")
     if method == "random":
         perm = np.random.default_rng(seed).permutation(n)
-        train_idx = np.sort(perm[:k])
-        test_idx = np.sort(perm[k:])
-    elif method == "ordered":
-        train_idx = np.arange(k)
-        test_idx = np.arange(k, n)
-    else:
-        raise ValueError("split method must be 'random' or 'ordered'")
-    return ds.subset(train_idx), ds.subset(test_idx)
+        return np.sort(perm[:k]), np.sort(perm[k:])
+    if method == "ordered":
+        return np.arange(k), np.arange(k, n)
+    raise ValueError("split method must be 'random' or 'ordered'")
 
 
 def rmse(pred, truth) -> float:
@@ -206,7 +218,8 @@ class CvReport:
     ``per_repeat_rmse`` covers the successful repeats only (failures, e.g.
     from an infinite coherence constant, are counted in ``failed``).
     Statistics use the population standard deviation.  Timing is wall time
-    per repeat, averaged; it is measurement metadata, not reproducible.
+    per repeat, averaged, with the one-off distance table build shared out
+    over the repeats; it is measurement metadata, not reproducible.
     """
 
     method: str
@@ -236,6 +249,59 @@ def _cv_stats(values: Sequence[float]) -> tuple[float, float, float]:
     return float(np.mean(arr)), float(np.median(arr)), float(np.std(arr))
 
 
+class PairTable:
+    """Composed distances among the rows of ``ds``, all indexed, built once.
+
+    Fits and predictions on subsets of the rows slice the table instead of
+    recomputing distances.  The modulus acts elementwise and each entry is
+    the base reduction over the same two rows, so a slice has the bits that
+    a fresh computation on the subset would give.  The table is read-only
+    once built, so threads may share it.  ``distances=False`` skips the
+    table for the linear method, which needs none.  Memory is O(n^2).
+    """
+
+    def __init__(self, ds: Dataset, cm: CompositionMetric, distances: bool = True):
+        self.ds = ds
+        self.cm = cm
+        self.D = cm.pairwise(ds.features, ds.features) if distances else None
+
+    def pairs(self, rows: np.ndarray) -> np.ndarray:
+        """Distances of the pairs of ``rows``, in ``pair_data`` order."""
+        i_idx, j_idx = condensed_pairs(len(rows))
+        return self.D[rows[i_idx], rows[j_idx]]
+
+    def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Distances from ``rows`` (one per result row) to ``cols``."""
+        return self.D[np.ix_(rows, cols)]
+
+    def fit(self, rows: np.ndarray, method: str, alpha: float | None = None) -> ExtensionModel:
+        """``fit_extension`` on the given rows."""
+        sample = IndexedSample(self.ds.features[rows], self.ds.index[rows])
+        d_pairs = None if method == "linear" else self.pairs(rows)
+        return fit_on_pairs(sample, self.cm, method, alpha, d_pairs)
+
+    def predict(
+        self, model: ExtensionModel, train: np.ndarray, rows: np.ndarray, alpha=None
+    ) -> tuple[float | None, np.ndarray]:
+        """(blend weight, predictions) at ``rows`` of a model fitted on ``train``.
+
+        A blend without ``alpha`` takes the optimal weight against the
+        index values at ``rows``.
+        """
+        if model.method == "linear":
+            return None, predict(model, self.ds.features[rows])
+        truth = self.ds.index[rows]
+        return predict_from_distances(model, self.block(rows, train), alpha, truth)
+
+    def holdout_alpha(
+        self, rows: np.ndarray, train_fraction: float, seed: int, split_method: str
+    ) -> float:
+        """Blend weight of a model fitted on one side of a split of ``rows``."""
+        train, held_out = _split_rows(len(rows), train_fraction, seed, split_method)
+        train, held_out = rows[train], rows[held_out]
+        return self.predict(self.fit(train, "blend"), train, held_out)[0]
+
+
 def holdout_alpha(
     ds: Dataset,
     cm: CompositionMetric,
@@ -247,27 +313,8 @@ def holdout_alpha(
 
     The weight is the ``optimal_alpha`` against the other side.
     """
-    train, held_out = split(ds, train_fraction, seed, split_method)
-    model = fit_extension(train.as_sample(), cm, "blend")
-    return blend_with_alpha(model, held_out.features, truth=held_out.index)[0]
-
-
-def _fit_and_score(
-    train: Dataset,
-    test: Dataset,
-    method: str,
-    cm: CompositionMetric,
-    alpha: float | None,
-    honest_alpha: bool,
-    inner_seed: int,
-    train_fraction: float,
-) -> float:
-    if method == "blend" and alpha is None and honest_alpha:
-        alpha = holdout_alpha(train, cm, train_fraction, inner_seed)
-    model = fit_extension(train.as_sample(), cm, method)
-    if method == "blend":
-        return rmse(blend_with_alpha(model, test.features, alpha, test.index)[1], test.index)
-    return rmse(predict(model, test.features), test.index)
+    rows = np.arange(ds.n_rows)
+    return PairTable(ds, cm).holdout_alpha(rows, train_fraction, seed, split_method)
 
 
 def cross_validate(
@@ -285,9 +332,10 @@ def cross_validate(
     """Repeatedly split, fit and score; repeat r uses seed + r.
 
     Repeats where fitting fails are excluded from the RMSE statistics and
-    counted.  Repeats are independent, so they may run on a small thread
-    pool (capped by the LIPEXT_THREADS environment variable) with results
-    assembled in repeat order.
+    counted.  The distances among the indexed rows are computed once, and
+    each repeat slices them.  Repeats are independent, so they may run on a
+    small thread pool (capped by the LIPEXT_THREADS environment variable)
+    with results assembled in repeat order.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
@@ -296,15 +344,20 @@ def cross_validate(
     indexed = ds.indexed_rows()
     if indexed.n_rows < 2:
         raise ValueError("cross-validation needs at least two indexed rows")
+    t0 = time.perf_counter()
+    table = PairTable(indexed, cm, distances=method != "linear")
+    build_seconds = time.perf_counter() - t0
 
     def one_repeat(r: int) -> tuple[float | None, float]:
         t0 = time.perf_counter()
-        train, test = split(indexed, train_fraction, seed + r, split_method)
+        train, test = _split_rows(indexed.n_rows, train_fraction, seed + r, split_method)
+        a = alpha
         try:
-            score = _fit_and_score(
-                train, test, method, cm, alpha, honest_alpha,
-                seed + r + _INNER_SPLIT_OFFSET, train_fraction,
-            )
+            if method == "blend" and a is None and honest_alpha:
+                inner_seed = seed + r + _INNER_SPLIT_OFFSET
+                a = table.holdout_alpha(train, train_fraction, inner_seed, "random")
+            model = table.fit(train, method)
+            score = rmse(table.predict(model, train, test, a)[1], indexed.index[test])
         except FitError:
             score = None
         return score, time.perf_counter() - t0
@@ -317,7 +370,7 @@ def cross_validate(
         outcomes = [one_repeat(r) for r in range(repeats)]
 
     scores = tuple(s for s, _ in outcomes if s is not None)
-    seconds = float(np.mean([t for _, t in outcomes]))
+    seconds = (build_seconds + sum(t for _, t in outcomes)) / repeats
     if not scores:
         raise FitError("every cross-validation repeat failed to fit")
     mean, median, std = _cv_stats(scores)
@@ -348,23 +401,33 @@ def objective_test_rmse(
     """Held-out RMSE of the alpha-blend extension as a function of coefficients.
 
     One split is drawn up front and reused for every candidate, so all
-    coefficient vectors are compared on identical data.  Unfittable
-    candidates score +inf.
+    coefficient vectors are compared on identical data.  Each atom is
+    applied once to the base distances of the training pairs and of the
+    test x train block; a candidate then weights and sums those stacks in
+    ``phi_eval``'s order.  Unfittable candidates score +inf.
     """
-    train, test = split(ds_indexed, train_fraction, seed)
-    train_sample = train.as_sample()
+    train, test = _split_rows(ds_indexed.n_rows, train_fraction, seed, "random")
+    # Under the identity modulus the table holds the base distances.
+    table = PairTable(ds_indexed, CompositionMetric(base))
+    pairs, block = table.pairs(train), table.block(test, train)
+    pair_atoms = [ATOM_FUNCS[a](pairs) for a in atoms]
+    block_atoms = [ATOM_FUNCS[a](block) for a in atoms]
+    train_sample = IndexedSample(ds_indexed.features[train], ds_indexed.index[train])
+    truth = ds_indexed.index[test]
 
     def objective(lam: np.ndarray) -> float:
         lam = nudge_lambda(lam)
         phi = PhiCombination(atoms, tuple(float(v) for v in lam))
         cm = CompositionMetric(base, phi)
+        d_pairs = weighted_sum(phi.coefficients, pair_atoms, pairs)
         try:
-            model = fit_extension(train_sample, cm, "blend")
+            model = fit_on_pairs(train_sample, cm, "blend", None, d_pairs)
         except FitError:
             return math.inf
+        d_block = weighted_sum(phi.coefficients, block_atoms, block)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            pred = blend_with_alpha(model, test.features, truth=test.index)[1]
-        return rmse(pred, test.index)
+            pred = predict_from_distances(model, d_block, truth=truth)[1]
+        return rmse(pred, truth)
 
     return objective

@@ -290,6 +290,38 @@ def test_bad_config_key_rejected(tmp_path, capsys):
     assert err.startswith("error:config:")
 
 
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("cv", '{"alpha": 1.5}'),
+        ("extend", '{"alpha": 1.5}'),
+        ("cv", '{"alpha": -0.1}'),
+        ("cv", '{"alpha": true}'),
+        ("cv", '{"repeats": "3"}'),
+        ("cv", '{"repeats": true}'),
+        ("cv", '{"train_fraction": null}'),
+        ("cv", '{"seed": 1.5}'),
+        ("extend", '{"out": 5}'),
+        ("optimize", '{"pso": {"swarm_size": 4.5}}'),
+        ("optimize", '{"pso": {"iterations": 2.5}}'),
+        ("optimize", '{"pso": {"lambda_max": 1e400}}'),
+        ("optimize", '{"pso": [1]}'),
+        ("optimize", '{"atoms": []}'),
+        ("optimize", '{"atoms": 5}'),
+        ("cv", "5"),
+    ],
+)
+def test_bad_config_values_report_config(tmp_path, capsys, monkeypatch, command, config):
+    monkeypatch.chdir(tmp_path)
+    cfg = write(tmp_path, "cfg.json", config)
+    code, _, err = run_cli(capsys, command, "--data", str(table1_path()), "--config", cfg)
+    assert code == 2
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        err.strip()
+    ]
+    assert err.startswith("error:config:")
+
+
 def test_config_file_values_and_flag_override(tmp_path, capsys):
     cfg = write(
         tmp_path, "cfg.json",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from lipext.constants import (
     katetov_shift,
     normalization_constant,
 )
+from lipext.dataio import read_dataset, table1_path
 from lipext.metrics import CompositionMetric
 from lipext.phi import PhiCombination, identity_phi, random_combination
+from lipext.pipeline import minmax_scale
 
 from oracles import constants as oracle_constants
 
@@ -175,3 +178,40 @@ def test_report_json_encodes_infinity():
     d = constants_report(s, IDENTITY).to_json_dict()
     assert d["Q"] == "inf"
     assert d["bound"] == "inf"
+
+
+def test_report_bound_is_that_of_the_shifted_index_on_table1():
+    s = minmax_scale(read_dataset(table1_path())).indexed_rows().as_sample()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no "K*Q < 1" clamp on the shifted index
+        report = constants_report(s, IDENTITY)
+    args = ("euclidean", ("identity",), (1.0,))
+    K_raw, Q_raw, C_raw = oracle_constants(s.points.tolist(), s.values.tolist(), *args)
+    shifted = katetov_shift(s)
+    K_sh, Q_sh, C_sh = oracle_constants(shifted.points.tolist(), shifted.values.tolist(), *args)
+    assert report.K == pytest.approx(K_raw, rel=1e-12)
+    assert report.K == pytest.approx(K_sh, rel=1e-12)  # K does not move under the shift
+    assert (report.Q, report.C) == (pytest.approx(Q_raw, rel=1e-12), C_raw)
+    assert report.Q_shifted == pytest.approx(Q_sh, rel=1e-12)
+    assert report.C_shifted == C_sh == 15.0
+    assert report.bound == pytest.approx((K_sh * Q_sh - 1.0) * C_sh, rel=1e-12)
+    assert report.Q_shifted == pytest.approx(0.74169, abs=1e-5)
+    assert report.bound == pytest.approx(150.221, abs=1e-3)
+    d = report.to_json_dict()
+    assert (d["Q_shifted"], d["C_shifted"], d["bound"]) == (
+        report.Q_shifted, report.C_shifted, report.bound,
+    )
+
+
+def test_tie_at_the_minimum_makes_the_shifted_bound_infinite():
+    # Rows 0 and 1 are distinct and both carry the minimum, so both shift
+    # to 0 and their Katetov ratio has a zero denominator.
+    s = line_sample([0.0, 1.0, 2.0], [1.0, 1.0, 3.0])
+    report = constants_report(s, IDENTITY)
+    assert math.isfinite(report.Q) and math.isfinite(report.K)
+    assert report.Q_shifted == math.inf
+    assert report.C_shifted == 2.0
+    assert report.bound == math.inf
+    assert any("(0, 1)" in note and "minimum" in note for note in report.notes)
+    d = report.to_json_dict()
+    assert d["Q_shifted"] == "inf" and d["bound"] == "inf"

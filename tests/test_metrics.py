@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lipext.metrics import (
     BASE_METRICS,
+    TILE_BYTES,
     CompositionMetric,
+    _reduce,
     base_distance,
     pairwise_base,
     rowwise_base,
@@ -132,3 +135,39 @@ def test_coefficient_scaling_scales_distance():
         assert cm_scaled.distance(a, b) == pytest.approx(
             c * cm.distance(a, b), rel=1e-12
         )
+
+
+def _one_shot(kind, A, B):
+    return _reduce(kind, A[:, None, :] - B[None, :, :])
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "manhattan", "chebyshev"])
+def test_pairwise_tiles_match_one_shot_bit_for_bit(kind):
+    rng = np.random.default_rng(3)
+    n, m = 64, 8
+    tile = TILE_BYTES // (8 * n * m)
+    B = rng.uniform(-5.0, 5.0, size=(n, m))
+    # One row, around one tile, and whole tiles with an empty remainder.
+    for q in (1, tile - 1, tile, tile + 1, 3 * tile):
+        A = rng.uniform(-5.0, 5.0, size=(q, m))
+        assert np.array_equal(pairwise_base(kind, A, B), _one_shot(kind, A, B))
+
+
+def test_pairwise_empty_query_block():
+    B = np.ones((4, 2))
+    assert pairwise_base("euclidean", np.empty((0, 2)), B).shape == (0, 4)
+    with pytest.raises(ValueError):
+        pairwise_base("cosine", np.empty((0, 2)), B)
+
+
+def test_pairwise_peak_memory_is_bounded_by_the_tile():
+    rng = np.random.default_rng(4)
+    A, B = rng.uniform(size=(2000, 10)), rng.uniform(size=(500, 10))
+    tracemalloc.start()
+    try:
+        pairwise_base("euclidean", A, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One (q, n, m) difference tensor and its square would need 160 MB.
+    assert peak < 32 * 2**20

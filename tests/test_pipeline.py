@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,10 +7,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lipext.constants import IndexedSample
-from lipext.extension import linear_fit, linear_predict
+from lipext.extension import (
+    FitError,
+    blend_with_alpha,
+    fit_extension,
+    linear_fit,
+    linear_predict,
+    predict,
+)
 from lipext.metrics import CompositionMetric
-from lipext.phi import PhiCombination, identity_phi, random_combination
+from lipext.phi import (
+    ATOM_NAMES,
+    LINEAR_BASIS,
+    SQRT_BASIS,
+    PhiCombination,
+    identity_phi,
+    random_combination,
+)
 from lipext.pipeline import (
+    _INNER_SPLIT_OFFSET,
     CvReport,
     Dataset,
     cross_validate,
@@ -311,3 +327,114 @@ def test_dataset_validation():
         Dataset(["a"], np.array([[1.0], [2.0]]), np.array([1.0, 2.0]), ["f0"])
     with pytest.raises(ValueError):
         Dataset(["a"], np.array([[np.inf]]), np.array([1.0]), ["f0"])
+
+
+# ---------------------------------------------------------------------------
+# equivalence of the shared distance table with fitting each split afresh
+
+
+def smooth_dataset(n=200, m=3, seed=0, duplicates=False):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(size=(n, m))
+    y = 1.0 + X @ rng.uniform(0.5, 1.5, m) + 0.25 * np.sin(6.0 * X[:, 0])
+    y = y + 0.01 * rng.normal(size=n)
+    y[rng.choice(n, n // 10, replace=False)] = np.nan
+    if duplicates:
+        # A conflicting duplicate: repeats that train on both rows fail.
+        X[1] = X[0]
+        y[0], y[1] = 1.0, 2.0
+    return make_dataset(X, y)
+
+
+def naive_cv(ds, method, cm, repeats, seed, alpha, honest_alpha, split_method):
+    """Split, fit on the training rows and predict the test rows, from scratch."""
+    indexed = ds.indexed_rows()
+    scores = []
+    for r in range(repeats):
+        train, test = split(indexed, 0.7, seed + r, split_method)
+        a = alpha
+        try:
+            if method == "blend" and a is None and honest_alpha:
+                inner, held = split(train, 0.7, seed + r + _INNER_SPLIT_OFFSET)
+                model = fit_extension(inner.as_sample(), cm, "blend")
+                a = blend_with_alpha(model, held.features, truth=held.index)[0]
+            model = fit_extension(train.as_sample(), cm, method)
+        except FitError:
+            continue
+        if method == "blend":
+            pred = blend_with_alpha(model, test.features, a, test.index)[1]
+        else:
+            pred = predict(model, test.features)
+        scores.append(rmse(pred, test.index))
+    return tuple(scores)
+
+
+@pytest.mark.filterwarnings("ignore:degenerate blend")
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("honest_alpha", [False, True])
+@pytest.mark.parametrize("split_method", ["random", "ordered"])
+@pytest.mark.parametrize("method", ["mcshane", "whitney", "blend", "standard", "linear"])
+def test_cv_matches_fitting_each_split_afresh(
+    monkeypatch, method, split_method, honest_alpha, workers
+):
+    monkeypatch.setenv("LIPEXT_THREADS", "2")
+    ds = smooth_dataset()
+    phi = random_combination(np.random.default_rng(1), ATOM_NAMES)
+    cm = CompositionMetric("euclidean", phi)
+    report = cross_validate(
+        ds, method, cm, repeats=6, seed=3, honest_alpha=honest_alpha,
+        split_method=split_method, workers=workers,
+    )
+    expected = naive_cv(ds, method, cm, 6, 3, None, honest_alpha, split_method)
+    assert report.per_repeat_rmse == expected
+    assert report.failed == 0
+
+
+@pytest.mark.parametrize("kind", ["manhattan", "chebyshev"])
+@pytest.mark.parametrize("method", ["mcshane", "whitney", "blend", "standard"])
+def test_cv_matches_afresh_with_failed_repeats_and_fixed_alpha(kind, method):
+    ds = smooth_dataset(seed=2, duplicates=True)
+    cm = CompositionMetric(kind, PhiCombination(SQRT_BASIS, (0.5, 1.0, 2.0, 0.25)))
+    report = cross_validate(ds, method, cm, repeats=10, seed=0, alpha=0.3, workers=2)
+    expected = naive_cv(ds, method, cm, 10, 0, 0.3, False, "random")
+    assert report.per_repeat_rmse == expected
+    assert report.failed == 10 - len(expected) > 0
+
+
+def naive_test_rmse(ds, base, atoms, lam, seed):
+    train, test = split(ds, 0.7, seed)
+    lam = np.asarray(lam, dtype=float)
+    if np.all(lam == 0.0):
+        lam = np.eye(len(atoms))[0] * 1e-9
+    cm = CompositionMetric(base, PhiCombination(atoms, tuple(float(v) for v in lam)))
+    try:
+        model = fit_extension(train.as_sample(), cm, "blend")
+    except FitError:
+        return math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        pred = blend_with_alpha(model, test.features, truth=test.index)[1]
+    return rmse(pred, test.index)
+
+
+@pytest.mark.parametrize(
+    "base, atoms", [("euclidean", LINEAR_BASIS), ("manhattan", SQRT_BASIS)]
+)
+def test_objective_test_rmse_matches_refitting(base, atoms):
+    ds = smooth_dataset(seed=5).indexed_rows()
+    obj = objective_test_rmse(ds, base, atoms, seed=4)
+    rng = np.random.default_rng(6)
+    lams = [np.zeros(len(atoms))] + list(rng.uniform(0.0, 10.0, size=(200, len(atoms))))
+    lams[1][1:] = 0.0  # one single-atom candidate
+    for lam in lams:
+        assert obj(lam) == naive_test_rmse(ds, base, atoms, lam, 4)
+
+
+def test_objective_test_rmse_infinite_on_conflicting_duplicates():
+    # Four copies of one point with distinct values: at least two of them
+    # land on the training side.
+    ds = make_dataset([[0.0]] * 4 + [[1.0], [2.0], [3.0], [4.0]], np.arange(8.0))
+    obj = objective_test_rmse(ds, "euclidean", LINEAR_BASIS, seed=0)
+    lam = np.array([1.0, 0.5, 0.0, 2.0])
+    assert naive_test_rmse(ds, "euclidean", LINEAR_BASIS, lam, 0) == math.inf
+    assert obj(lam) == math.inf
