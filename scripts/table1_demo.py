@@ -24,7 +24,7 @@ from lipext import (
     PhiCombination,
     PsoConfig,
     cross_validate,
-    fit_extension,
+    fit_for_extend,
     identity_phi,
     katetov_shift,
     minmax_scale,
@@ -34,7 +34,6 @@ from lipext import (
     rank,
 )
 from lipext.dataio import read_dataset, table1_path
-from lipext.pipeline import holdout_alpha
 
 METHODS = ("standard", "mcshane", "whitney", "blend", "linear")
 
@@ -67,10 +66,8 @@ def print_cv(title, reports):
         )
 
 
-def rank_unindexed(ds, cm, seed, train_fraction=0.7):
-    indexed = ds.indexed_rows()
-    alpha = holdout_alpha(indexed, cm, train_fraction, seed)
-    model = fit_extension(indexed.as_sample(), cm, "blend", alpha=alpha)
+def rank_unindexed(ds, cm, seed):
+    model = fit_for_extend(ds.indexed_rows(), cm, "blend", seed=seed)
     preds = predict(model, ds.unindexed_rows().features)
     return rank(ds, preds)
 

@@ -24,7 +24,6 @@ from .extension import (
     linear_predict,
     optimal_alpha,
     predict,
-    standard_index_fit,
 )
 from .metrics import BASE_METRICS, CompositionMetric, base_distance
 from .phi import (
@@ -41,6 +40,7 @@ from .pipeline import (
     CvReport,
     Dataset,
     cross_validate,
+    fit_for_extend,
     mae,
     minmax_scale,
     rank,
@@ -73,6 +73,7 @@ __all__ = [
     "cross_validate",
     "error_bound",
     "fit_extension",
+    "fit_for_extend",
     "identity_phi",
     "index_bound",
     "katetov_shift",
@@ -90,7 +91,6 @@ __all__ = [
     "rmse",
     "smape",
     "split",
-    "standard_index_fit",
     "validate_modulus",
     "validate_phi",
 ]

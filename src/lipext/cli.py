@@ -41,10 +41,10 @@ from .phi import ATOM_NAMES, LINEAR_BASIS, PhiCombination, identity_phi
 from .pipeline import (
     THREADS_ENV_VAR,
     Dataset,
-    PairTable,
     apply_scaling,
     cross_validate,
     cv_repeat_rows,
+    fit_for_extend,
     minmax_scale,
     objective_test_rmse,
     rank,
@@ -337,23 +337,6 @@ def rebuild_model(model_dict: dict, ds_raw: Dataset) -> tuple[ExtensionModel, Da
 # commands
 
 
-def _fit_for_extend(cfg: RunConfig, indexed: Dataset, cm: CompositionMetric) -> ExtensionModel:
-    table = PairTable(indexed, cm, distances=cfg.method != "linear")
-    rows = np.arange(indexed.n_rows)
-    if cfg.method != "blend":
-        return table.fit(rows, cfg.method)
-    alpha = cfg.alpha
-    if alpha is None:
-        # Estimate the blend weight on an internal holdout, then refit on
-        # every indexed row with that weight frozen.
-        try:
-            alpha = table.holdout_alpha(rows, cfg.train_fraction, cfg.seed, cfg.split)
-        except ValueError:
-            warnings.warn("too few indexed rows to estimate alpha; using 0.5", stacklevel=2)
-            alpha = 0.5
-    return table.fit(rows, "blend", alpha)
-
-
 def _extend(cfg: RunConfig, data_path: str) -> tuple[Dataset, np.ndarray, dict]:
     ds_raw = read_dataset(data_path)
     raw_hash = dataset_hash(ds_raw)
@@ -365,7 +348,9 @@ def _extend(cfg: RunConfig, data_path: str) -> tuple[Dataset, np.ndarray, dict]:
     if indexed.n_rows < 2:
         raise CliError("data", "extension needs at least two indexed rows")
 
-    model = _fit_for_extend(cfg, indexed, cm)
+    model = fit_for_extend(
+        indexed, cm, cfg.method, cfg.alpha, cfg.train_fraction, cfg.seed, cfg.split
+    )
     preds = predict(model, targets.features) if targets.n_rows else np.empty(0)
     model_dict = model_to_json_dict(model, raw_hash, scaled, indexed.ids)
     if targets.n_rows == 0:
@@ -512,7 +497,7 @@ def main(argv: list[str] | None = None) -> int:
     except FitError as exc:
         print(f"error:unfittable: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error:io: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

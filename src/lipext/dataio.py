@@ -3,7 +3,9 @@
 Dataset CSV contract: a header row; column 1 is a string ``id``, unique per
 row because a model file names its anchor row by id; columns 2..m+1 are
 numeric features; the final column is ``index`` where an empty cell marks an
-unknown value.  UTF-8, comma separated, decimal point.
+unknown value.  Every number is finite: ``nan``, ``inf`` and overflowing
+literals such as ``1e400`` are parse errors.  UTF-8, comma separated,
+decimal point.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import tempfile
 from importlib import resources
@@ -26,15 +29,23 @@ class CsvParseError(ValueError):
     """Malformed dataset CSV; the message carries the offending line number."""
 
 
-def table1_path() -> Path:
-    """Path of the bundled six-city sample file."""
-    return Path(str(resources.files("lipext.data").joinpath("cities_table1.csv")))
+def table1_path():
+    """The bundled six-city sample file, as a package resource.
+
+    It is a ``Path`` when the package is installed as plain files; inside a
+    zip archive it is a ``zipfile.Path``, which ``read_dataset`` also reads.
+    """
+    return resources.files("lipext.data") / "cities_table1.csv"
 
 
-def read_dataset(path: str | os.PathLike) -> Dataset:
-    """Parse a dataset CSV, reporting the line number of any bad cell."""
-    path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
+def read_dataset(path) -> Dataset:
+    """Parse a dataset CSV, reporting the line number of any bad cell.
+
+    ``path`` is a file path or a package resource such as ``table1_path()``.
+    """
+    if isinstance(path, (str, os.PathLike)):
+        path = Path(path)
+    with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -64,19 +75,26 @@ def read_dataset(path: str | os.PathLike) -> Dataset:
             first_line[cid] = lineno
             ids.append(cid)
             try:
-                features.append([float(cell) for cell in row[1:-1]])
+                values = [float(cell) for cell in row[1:-1]]
             except ValueError as exc:
                 raise CsvParseError(f"{path}:{lineno}: non-numeric feature: {exc}") from None
+            if not all(map(math.isfinite, values)):
+                cell = next(c for c, v in zip(row[1:-1], values) if not math.isfinite(v))
+                raise CsvParseError(f"{path}:{lineno}: non-finite feature {cell.strip()!r}")
+            features.append(values)
             last = row[-1].strip()
             if last == "":
                 index.append(float("nan"))
             else:
                 try:
-                    index.append(float(last))
+                    value = float(last)
                 except ValueError:
                     raise CsvParseError(
                         f"{path}:{lineno}: non-numeric index value {last!r}"
                     ) from None
+                if not math.isfinite(value):
+                    raise CsvParseError(f"{path}:{lineno}: non-finite index value {last!r}")
+                index.append(value)
         if not ids:
             raise CsvParseError(f"{path}:2: no data rows")
     return Dataset(ids, np.array(features), np.array(index), feature_names)

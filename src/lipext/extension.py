@@ -17,9 +17,10 @@ values:
 
 Predictions are vectorized over rows.  A Lipschitz prediction depends only
 on its own row, so row-by-row calls give the same bits as one batch call.
-``fit_on_pairs`` and ``predict_from_distances`` take the composed distances
-as given instead of computing them from the points, so callers that slice
-one distance table for many fits get the same bits as fresh computation.
+``fit_extension`` and ``predict_from_distances`` can take the composed
+distances as given instead of computing them from the points, so callers
+that slice one distance table for many fits get the same bits as fresh
+computation.
 """
 
 from __future__ import annotations
@@ -53,44 +54,35 @@ class ExtensionModel:
     offset: float = 0.0  # standard only: pre-shift minimum of the index
     coefficients: np.ndarray | None = None  # linear only: intercept first
 
+    def __post_init__(self):
+        check_alpha(self.alpha)
+
+
+def check_alpha(alpha: float | None) -> None:
+    """Reject a blend weight outside [0, 1]; None means "not chosen yet"."""
+    if alpha is not None and not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+
 
 def fit_extension(
     s: IndexedSample,
     cm: CompositionMetric,
     method: str = "blend",
     alpha: float | None = None,
+    d_pairs: np.ndarray | None = None,
 ) -> ExtensionModel:
     """Fit an extension model on an indexed sample.
 
     K is the coherence constant computed on ``s``.  An infinite constant
     means the values are not Lipschitz for the chosen metric and nothing can
-    be extended; ``linear`` needs no constant and fits regardless.
-    """
-    return fit_on_pairs(s, cm, method, alpha, None)
+    be extended; ``linear`` needs no constant and fits regardless.  The
+    standard method shifts the sample to zero minimum and anchors at the
+    argmin of the shifted values (ties go to the lowest row index).
 
-
-def standard_index_fit(s: IndexedSample, cm: CompositionMetric) -> ExtensionModel:
-    """Anchor the extension at the row with the smallest index value.
-
-    The sample is shifted to zero minimum, the anchor a0 is the argmin of
-    the shifted values (ties go to the lowest row index), and predictions
-    add the pre-shift minimum back: min(I) + K d(a0, x).
-    """
-    return fit_on_pairs(s, cm, "standard", None, None)
-
-
-def fit_on_pairs(
-    s: IndexedSample,
-    cm: CompositionMetric,
-    method: str,
-    alpha: float | None,
-    d_pairs: np.ndarray | None,
-) -> ExtensionModel:
-    """``fit_extension`` given the composed distances of the pairs of ``s``.
-
-    ``d_pairs`` is in ``constants.pair_data`` order; None computes it from
-    the points.  The distances do not change under the standard method's
-    shift, so one slice serves every method.
+    ``d_pairs`` holds the composed distances of the pairs of ``s`` in
+    ``constants.pair_data`` order; None computes them from the points.  The
+    distances do not change under the standard method's shift, so one slice
+    serves every method.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
@@ -114,8 +106,6 @@ def fit_on_pairs(
         return ExtensionModel(s, cm, k_val, "standard", anchor=anchor, offset=offset)
     if not math.isfinite(k_val):
         raise FitError("coherence constant is infinite: duplicate points carry distinct values")
-    if alpha is not None and not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     return ExtensionModel(s, cm, k_val, method, alpha=alpha)
 
 
@@ -155,16 +145,6 @@ def _mcshane(m: ExtensionModel, D: np.ndarray) -> np.ndarray:
     return np.max(m.training.values[None, :] - m.K * D, axis=1)
 
 
-def _standard(m: ExtensionModel, D: np.ndarray) -> np.ndarray:
-    return m.offset + m.K * D[:, m.anchor]
-
-
-def _blend(m: ExtensionModel, D: np.ndarray, alpha, truth) -> tuple[float, np.ndarray]:
-    i_w, i_m = _whitney(m, D), _mcshane(m, D)
-    a = optimal_alpha(truth, i_w, i_m) if alpha is None else alpha
-    return a, (1.0 - a) * i_w + a * i_m
-
-
 def predict_from_distances(
     m: ExtensionModel, D: np.ndarray, alpha: float | None = None, truth=None
 ) -> tuple[float | None, np.ndarray]:
@@ -172,18 +152,23 @@ def predict_from_distances(
 
     ``D`` (q, n) holds the composed distances of the query rows to the
     model's training rows.  A blend model mixes with ``alpha`` when given,
-    else with the ``optimal_alpha`` against ``truth``; the other methods
-    return None as the weight.
+    else with the ``optimal_alpha`` against ``truth``, and raises
+    ``ValueError`` with neither; the other methods return None as the
+    weight.
     """
     if m.method == "whitney":
         return None, _whitney(m, D)
     if m.method == "mcshane":
         return None, _mcshane(m, D)
     if m.method == "standard":
-        return None, _standard(m, D)
-    if m.method == "blend":
-        return _blend(m, D, alpha, truth)
-    raise ValueError(f"method {m.method!r} does not predict from distances")
+        return None, m.offset + m.K * D[:, m.anchor]
+    if m.method != "blend":
+        raise ValueError(f"method {m.method!r} does not predict from distances")
+    if alpha is None and truth is None:
+        raise ValueError("blend requires an alpha (fit one or pass it)")
+    i_w, i_m = _whitney(m, D), _mcshane(m, D)
+    a = optimal_alpha(truth, i_w, i_m) if alpha is None else alpha
+    return a, (1.0 - a) * i_w + a * i_m
 
 
 def whitney_batch(m: ExtensionModel, X) -> np.ndarray:
@@ -194,44 +179,11 @@ def mcshane_batch(m: ExtensionModel, X) -> np.ndarray:
     return _mcshane(m, _dphi_to_training(m, X))
 
 
-def blend_with_alpha(
-    m: ExtensionModel, X, alpha: float | None = None, truth=None
-) -> tuple[float, np.ndarray]:
-    """Blend of the whitney and mcshane extensions at X, with its weight.
-
-    The weight is ``alpha`` when given, else the ``optimal_alpha`` against
-    ``truth`` at X.  Distances to the training rows are computed once and
-    serve both extensions.  Returns (weight, predictions).
-    """
-    return _blend(m, _dphi_to_training(m, X), alpha, truth)
-
-
-def blend_batch(m: ExtensionModel, X, alpha: float | None = None) -> np.ndarray:
-    a = m.alpha if alpha is None else alpha
-    if a is None:
-        raise ValueError("blend requires an alpha (fit one or pass it)")
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {a}")
-    return blend_with_alpha(m, X, a)[1]
-
-
-def standard_batch(m: ExtensionModel, X) -> np.ndarray:
-    if m.anchor is None:
-        raise ValueError("model was not fitted with the standard method")
-    return _standard(m, _dphi_to_training(m, X))
-
-
 def predict(m: ExtensionModel, X) -> np.ndarray:
     """Batch prediction dispatched on the fitted method."""
-    if m.method == "whitney":
-        return whitney_batch(m, X)
-    if m.method == "mcshane":
-        return mcshane_batch(m, X)
-    if m.method == "blend":
-        return blend_batch(m, X)
     if m.method == "linear":
         return linear_predict(m.coefficients, X)
-    return standard_batch(m, X)
+    return predict_from_distances(m, _dphi_to_training(m, X), m.alpha)[1]
 
 
 def optimal_alpha(i_true, i_whitney, i_mcshane) -> float:

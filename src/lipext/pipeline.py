@@ -29,7 +29,8 @@ from .extension import (
     METHODS,
     ExtensionModel,
     FitError,
-    fit_on_pairs,
+    check_alpha,
+    fit_extension,
     predict,
     predict_from_distances,
 )
@@ -278,7 +279,7 @@ class PairTable:
         """``fit_extension`` on the given rows."""
         sample = IndexedSample(self.ds.features[rows], self.ds.index[rows])
         d_pairs = None if method == "linear" else self.pairs(rows)
-        return fit_on_pairs(sample, self.cm, method, alpha, d_pairs)
+        return fit_extension(sample, self.cm, method, alpha, d_pairs)
 
     def predict(
         self, model: ExtensionModel, train: np.ndarray, rows: np.ndarray, alpha=None
@@ -302,19 +303,34 @@ class PairTable:
         return self.predict(self.fit(train, "blend"), train, held_out)[0]
 
 
-def holdout_alpha(
-    ds: Dataset,
+def fit_for_extend(
+    indexed: Dataset,
     cm: CompositionMetric,
-    train_fraction: float,
-    seed: int,
+    method: str,
+    alpha: float | None = None,
+    train_fraction: float = 0.7,
+    seed: int = 0,
     split_method: str = "random",
-) -> float:
-    """Blend weight of a model fitted on one side of a split of ``ds``.
+) -> ExtensionModel:
+    """Fit ``method`` on every row of ``indexed``: the model that extends.
 
-    The weight is the ``optimal_alpha`` against the other side.
+    A blend without ``alpha`` takes its weight from a holdout first: fit on
+    one side of a split of the rows and take the ``optimal_alpha`` against
+    the other side.  It then refits on every row with that weight frozen.
+    When the rows are too few for the holdout, the weight is 0.5, with a
+    warning.  The holdout and the final fit share one distance table.
     """
-    rows = np.arange(ds.n_rows)
-    return PairTable(ds, cm).holdout_alpha(rows, train_fraction, seed, split_method)
+    table = PairTable(indexed, cm, distances=method != "linear")
+    rows = np.arange(indexed.n_rows)
+    if method != "blend":
+        return table.fit(rows, method)
+    if alpha is None:
+        try:
+            alpha = table.holdout_alpha(rows, train_fraction, seed, split_method)
+        except ValueError:
+            warnings.warn("too few indexed rows to estimate alpha; using 0.5", stacklevel=2)
+            alpha = 0.5
+    return table.fit(rows, "blend", alpha)
 
 
 def cross_validate(
@@ -341,6 +357,7 @@ def cross_validate(
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
+    check_alpha(alpha)
     indexed = ds.indexed_rows()
     if indexed.n_rows < 2:
         raise ValueError("cross-validation needs at least two indexed rows")
@@ -421,7 +438,7 @@ def objective_test_rmse(
         cm = CompositionMetric(base, phi)
         d_pairs = weighted_sum(phi.coefficients, pair_atoms, pairs)
         try:
-            model = fit_on_pairs(train_sample, cm, "blend", None, d_pairs)
+            model = fit_extension(train_sample, cm, "blend", None, d_pairs)
         except FitError:
             return math.inf
         d_block = weighted_sum(phi.coefficients, block_atoms, block)

@@ -15,6 +15,7 @@ import io
 import json
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,17 +32,15 @@ from lipext.constants import (
 )
 from lipext.dataio import read_dataset, table1_path
 from lipext.extension import (
-    blend_batch,
     fit_extension,
     mcshane_batch,
     optimal_alpha,
     predict,
-    standard_index_fit,
     whitney_batch,
 )
 from lipext.metrics import CompositionMetric, rowwise_base
 from lipext.phi import ATOM_NAMES, PhiCombination, identity_phi, phi_eval, random_combination
-from lipext.pipeline import cross_validate, holdout_alpha, minmax_scale, rank
+from lipext.pipeline import cross_validate, fit_for_extend, minmax_scale, rank
 from lipext.swarm import PsoConfig, objective_kq, pso_minimize
 
 import oracles
@@ -120,7 +119,7 @@ def test_interpolation_and_sandwich():
         alpha = float(rng.uniform())
         w = whitney_batch(model, X)
         mc = mcshane_batch(model, X)
-        bl = blend_batch(model, X, alpha)
+        bl = predict(replace(model, method="blend", alpha=alpha), X)
         assert np.all(mc - 1e-9 <= bl) and np.all(bl <= w + 1e-9)
 
 
@@ -162,7 +161,7 @@ def test_error_bound_guarantee():
             continue
         checked += 1
         bound = (K * Q - 1.0) * index_bound(s)
-        anchor_model = standard_index_fit(s, cm)
+        anchor_model = fit_extension(s, cm, "standard")
         anchor_err = np.max(np.abs(predict(anchor_model, s.points) - s.values))
         assert anchor_err <= bound + 1e-9
         w_model = fit_extension(s, cm, "whitney")
@@ -179,7 +178,7 @@ def test_exact_recovery_two_points():
     assert abs(report.Q - 0.5) <= 1e-12
     assert abs(report.K * report.Q - 1.0) <= 1e-12
     assert abs(report.bound) <= 1e-12
-    model = standard_index_fit(s, cm)
+    model = fit_extension(s, cm, "standard")
     errors = np.abs(predict(model, s.points) - s.values)
     assert np.max(errors) <= 1e-12
 
@@ -193,7 +192,7 @@ def test_scale_invariance():
         cm = CompositionMetric("euclidean", p)
         report = cross_validate(ds, "blend", cm, repeats=5, seed=13)
         indexed = ds.indexed_rows()
-        alpha = holdout_alpha(indexed, cm, 0.7, seed=13)
+        alpha = fit_for_extend(indexed, cm, "blend", None, 0.7, seed=13).alpha
         model = fit_extension(indexed.as_sample(), cm, "blend", alpha=alpha)
         preds = predict(model, ds.unindexed_rows().features)
         return report.per_repeat_rmse, rank(ds, preds)
@@ -270,7 +269,7 @@ def test_bruteforce_oracle_equivalence():
         assert index_bound(s) == close(C_o)
 
         model = fit_extension(s, cm, "whitney")
-        std_model = standard_index_fit(s, cm)
+        std_model = fit_extension(s, cm, "standard")
         pts, vals = s.points.tolist(), s.values.tolist()
         alpha = float(rng.uniform())
         for _ in range(4):
@@ -280,7 +279,8 @@ def test_bruteforce_oracle_equivalence():
             m_o = oracles.mcshane(*args, x.tolist())
             assert whitney_batch(model, x[None, :])[0] == close(w_o)
             assert mcshane_batch(model, x[None, :])[0] == close(m_o)
-            assert blend_batch(model, x[None, :], alpha)[0] == close(
+            blend_model = replace(model, method="blend", alpha=alpha)
+            assert predict(blend_model, x[None, :])[0] == close(
                 (1.0 - alpha) * w_o + alpha * m_o
             )
             assert predict(std_model, x[None, :])[0] == close(

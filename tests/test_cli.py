@@ -49,6 +49,26 @@ def test_parse_error_wrong_column_count(tmp_path):
         read_dataset(path)
 
 
+@pytest.mark.parametrize(
+    "cells, bad",
+    [
+        ("1,nan", "'nan'"),
+        ("1,inf", "'inf'"),
+        ("1,-Infinity", "'-Infinity'"),
+        ("nan,1", "'nan'"),
+        ("inf,1", "'inf'"),
+        ("1e400,1", "'1e400'"),
+    ],
+)
+def test_non_finite_cell_rejected_at_its_line(tmp_path, capsys, cells, bad):
+    data = write(tmp_path, "bad.csv", f"id,x,index\na,0,1\nb,1,2\nc,{cells}\nd,2,\n")
+    with pytest.raises(CsvParseError, match=f":4: non-finite .*{bad}"):
+        read_dataset(data)
+    code, out, err = run_cli(capsys, "extend", "--data", data)
+    assert code == 2 and out == ""
+    assert err.startswith("error:parse:") and ":4:" in err and err.count("\n") == 1
+
+
 def test_duplicate_id_rejected_at_second_occurrence(tmp_path, capsys):
     data = write(tmp_path, "dup.csv", "id,x,index\na,0,1\nb,1,2\na,2,\n")
     with pytest.raises(CsvParseError, match=r":4: duplicate id 'a' \(first on line 2\)"):
@@ -148,6 +168,16 @@ def test_model_round_trip_bitwise(tmp_path, capsys, method):
     preds = predict(model, scaled.unindexed_rows().features)
     reread = [float(line.split(",")[1]) for line in first.strip().splitlines()[1:]]
     assert list(preds) == reread  # bitwise: repr round-trips float64 exactly
+
+
+def test_rebuild_model_rejects_alpha_out_of_range(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code, _, _ = run_cli(capsys, "extend", "--data", str(table1_path()), "--out", str(out_dir))
+    assert code == 0
+    model_dict = json.loads((out_dir / "model.json").read_text())
+    model_dict["alpha"] = 1.5
+    with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\], got 1.5"):
+        rebuild_model(model_dict, read_dataset(table1_path()))
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +300,27 @@ def test_unfittable_reports_category(tmp_path, capsys):
 
 def test_missing_file_reports_io(capsys):
     code, _, err = run_cli(capsys, "cv", "--data", "/does/not/exist.csv")
-    assert code != 0
-    assert err.startswith("error:io:") or "error:" in err
+    assert code == 2
+    assert err.startswith("error:io:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", ["data-dir", "data-under-file", "config-dir", "phi-dir", "out-under-file"])
+def test_os_errors_report_io(tmp_path, capsys, monkeypatch, case):
+    # A directory where a file is expected, or a path below a regular file.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    data = write(tmp_path, "rec.csv", RECOVERY_CSV)
+    write(tmp_path, "phi.json", json.dumps({"phi": str(tmp_path / "adir")}))
+    argv = {
+        "data-dir": ["constants", "--data", str(tmp_path / "adir")],
+        "data-under-file": ["constants", "--data", data + "/x"],
+        "config-dir": ["constants", "--data", data, "--config", str(tmp_path / "adir")],
+        "phi-dir": ["constants", "--data", data, "--config", str(tmp_path / "phi.json")],
+        "out-under-file": ["extend", "--data", data, "--out", data + "/x"],
+    }[case]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:io:") and err.count("\n") == 1
 
 
 def test_bad_thread_cap_reports_config(tmp_path, capsys, monkeypatch):

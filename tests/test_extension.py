@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,13 +13,11 @@ from lipext.constants import (
 )
 from lipext.extension import (
     FitError,
-    blend_batch,
-    blend_with_alpha,
     fit_extension,
     mcshane_batch,
     optimal_alpha,
     predict,
-    standard_index_fit,
+    predict_from_distances,
     whitney_batch,
 )
 from lipext.metrics import CompositionMetric
@@ -36,6 +35,11 @@ def line_sample(xs, values):
 def at(batch, model, x, *args) -> float:
     """One prediction from a batch routine, at the single point x."""
     return float(batch(model, np.asarray(x, dtype=float)[None, :], *args)[0])
+
+
+def blend(model, X, alpha) -> np.ndarray:
+    """Blend of ``model``'s extensions at X with the weight ``alpha``."""
+    return predict(replace(model, method="blend", alpha=alpha), X)
 
 
 @pytest.fixture
@@ -70,17 +74,17 @@ def test_interpolation_at_training_points():
 
 def test_blend_endpoints(two_point_model):
     x = [0.7]
-    assert at(blend_batch, two_point_model, x, 0.0) == at(whitney_batch, two_point_model, x)
-    assert at(blend_batch, two_point_model, x, 1.0) == at(mcshane_batch, two_point_model, x)
+    assert at(blend, two_point_model, x, 0.0) == at(whitney_batch, two_point_model, x)
+    assert at(blend, two_point_model, x, 1.0) == at(mcshane_batch, two_point_model, x)
 
 
 def test_blend_midpoint(two_point_model):
-    assert at(blend_batch, two_point_model, [3.0], 0.5) == 2.0
+    assert at(blend, two_point_model, [3.0], 0.5) == 2.0
 
 
 def test_blend_alpha_out_of_range(two_point_model):
     with pytest.raises(ValueError):
-        at(blend_batch, two_point_model, [1.0], 1.5)
+        at(blend, two_point_model, [1.0], 1.5)
     with pytest.raises(ValueError):
         fit_extension(line_sample([0.0, 1.0], [0.0, 1.0]), IDENTITY, "blend", alpha=-0.1)
 
@@ -96,7 +100,7 @@ def test_sandwich_property():
         alpha = float(rng.uniform())
         w = whitney_batch(model, X)
         mc = mcshane_batch(model, X)
-        bl = blend_batch(model, X, alpha)
+        bl = blend(model, X, alpha)
         assert np.all(mc <= w + 1e-9)
         assert np.all(mc - 1e-9 <= bl) and np.all(bl <= w + 1e-9)
 
@@ -109,7 +113,7 @@ def test_predictions_are_lipschitz():
     X = rng.uniform(-0.5, 1.5, size=(200, 3))
     Y = rng.uniform(-0.5, 1.5, size=(200, 3))
     gaps = cm.rowwise(X, Y)
-    for batch in (whitney_batch, mcshane_batch, lambda m, Z: blend_batch(m, Z, 0.3)):
+    for batch in (whitney_batch, mcshane_batch, lambda m, Z: blend(m, Z, 0.3)):
         fx = batch(model, X)
         fy = batch(model, Y)
         assert np.all(np.abs(fx - fy) <= model.K * gaps + 1e-9)
@@ -155,7 +159,7 @@ def test_optimal_alpha_bad_lengths():
 
 def test_standard_fit_exact_recovery():
     s = line_sample([0.0, 1.0], [0.0, 2.0])
-    model = standard_index_fit(s, IDENTITY)
+    model = fit_extension(s, IDENTITY, "standard")
     assert model.K == 2.0
     assert model.anchor == 0
     assert at(predict, model, [1.0]) == 2.0
@@ -164,7 +168,7 @@ def test_standard_fit_exact_recovery():
 
 def test_standard_fit_affine_line():
     s = line_sample([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
-    model = standard_index_fit(s, IDENTITY)
+    model = fit_extension(s, IDENTITY, "standard")
     assert model.K == 1.0
     assert model.anchor == 0
     assert np.array_equal(predict(model, s.points), [0.0, 1.0, 2.0])
@@ -173,14 +177,14 @@ def test_standard_fit_affine_line():
 def test_standard_prediction_at_anchor_is_pre_shift_min():
     rng = np.random.default_rng(4)
     s = IndexedSample(rng.uniform(size=(8, 2)), rng.uniform(3.0, 9.0, 8))
-    model = standard_index_fit(s, IDENTITY)
+    model = fit_extension(s, IDENTITY, "standard")
     anchor_point = model.training.points[model.anchor]
     assert at(predict, model, anchor_point) == float(np.min(s.values))
 
 
 def test_standard_anchor_tie_breaks_on_lowest_row():
     s = line_sample([0.0, 1.0, 2.0], [5.0, 3.0, 3.0])
-    model = standard_index_fit(s, IDENTITY)
+    model = fit_extension(s, IDENTITY, "standard")
     assert model.anchor == 1
 
 
@@ -189,7 +193,7 @@ def test_unfittable_when_constant_infinite():
     with pytest.raises(FitError):
         fit_extension(s, IDENTITY, "whitney")
     with pytest.raises(FitError):
-        standard_index_fit(s, IDENTITY)
+        fit_extension(s, IDENTITY, "standard")
 
 
 def test_standard_error_bounded_on_training_rows():
@@ -205,7 +209,7 @@ def test_standard_error_bounded_on_training_rows():
         if not (math.isfinite(K) and math.isfinite(Q)):
             continue
         bound = (K * Q - 1.0) * index_bound(s)
-        model = standard_index_fit(s, cm)
+        model = fit_extension(s, cm, "standard")
         errors = np.abs(predict(model, s.points) - s.values)
         assert np.max(errors) <= bound + 1e-9
         w_model = fit_extension(s, cm, "whitney")
@@ -239,7 +243,7 @@ def test_matches_double_loop_oracles():
         cm = CompositionMetric("euclidean", phi)
         K = coherence_constant(s, cm)
         model = fit_extension(s, cm, "whitney")
-        std_model = standard_index_fit(s, cm)
+        std_model = fit_extension(s, cm, "standard")
         pts = s.points.tolist()
         vals = s.values.tolist()
         for _ in range(5):
@@ -272,18 +276,21 @@ def test_batch_and_single_agree():
         assert np.array_equal(batch, singles), method
 
 
-def test_blend_with_alpha_picks_optimal_alpha_and_mixes():
+def test_blend_from_distances_picks_optimal_alpha_and_mixes():
     rng = np.random.default_rng(9)
     s = IndexedSample(rng.uniform(size=(12, 3)), rng.uniform(0.0, 5.0, 12))
     model = fit_extension(s, CompositionMetric("euclidean", random_combination(rng)), "blend")
     X = rng.uniform(size=(20, 3))
+    D = model.cm.pairwise(X, model.training.points)
     truth = rng.uniform(0.0, 5.0, 20)
     i_w, i_m = whitney_batch(model, X), mcshane_batch(model, X)
-    a, pred = blend_with_alpha(model, X, truth=truth)
+    a, pred = predict_from_distances(model, D, truth=truth)
     assert a == optimal_alpha(truth, i_w, i_m)
     assert np.array_equal(pred, (1.0 - a) * i_w + a * i_m)
-    assert np.array_equal(pred, blend_batch(model, X, a))
-    assert blend_with_alpha(model, X, 0.3)[0] == 0.3
+    assert np.array_equal(pred, blend(model, X, a))
+    assert predict_from_distances(model, D, 0.3)[0] == 0.3
+    with pytest.raises(ValueError, match="blend requires an alpha"):
+        predict(model, X)
 
 
 def test_linear_fits_where_coherence_is_infinite():

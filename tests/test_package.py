@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import lipext
@@ -23,3 +24,24 @@ def test_table1_demo_runs():
     assert done.returncode == 0, done.stderr
     assert done.stdout.count("ranking of unindexed rows:") == 2
     assert "Montreal" in done.stdout and "Toronto" in done.stdout
+
+
+def test_bundled_data_reads_from_zipped_package(tmp_path):
+    archive = tmp_path / "lipext.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        for f in sorted((ROOT / "src" / "lipext").rglob("*")):
+            if f.is_file() and "__pycache__" not in f.parts:
+                zf.write(f, f.relative_to(ROOT / "src"))
+    code = (
+        "import lipext, sys\n"
+        "from lipext.dataio import read_dataset, table1_path\n"
+        "assert lipext.__file__.startswith(sys.argv[1]), lipext.__file__\n"
+        "print(read_dataset(table1_path()).n_rows)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(archive))
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(archive)],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "6\n"

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from lipext.constants import IndexedSample
 from lipext.extension import (
     FitError,
-    blend_with_alpha,
     fit_extension,
     linear_fit,
     linear_predict,
     predict,
+    predict_from_distances,
 )
 from lipext.metrics import CompositionMetric
 from lipext.phi import (
@@ -303,6 +303,21 @@ def test_cv_repeat_rows_shape():
     assert rows == [(i + 1, v) for i, v in enumerate(report.per_repeat_rmse)]
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"alpha": 1.5}, "alpha must lie in"),
+        ({"alpha": -0.1}, "alpha must lie in"),
+        ({"alpha": math.nan}, "alpha must lie in"),
+        ({"repeats": 0}, "repeats must be"),
+    ],
+)
+def test_cv_rejects_out_of_range_arguments(kwargs, message):
+    ds = minmax_scale(table1_like())
+    with pytest.raises(ValueError, match=message):
+        cross_validate(ds, "blend", IDENTITY, **kwargs)
+
+
 def test_cv_workers_do_not_change_results(monkeypatch):
     ds = minmax_scale(table1_like())
     serial = cross_validate(ds, "blend", IDENTITY, repeats=8, seed=4)
@@ -346,6 +361,11 @@ def smooth_dataset(n=200, m=3, seed=0, duplicates=False):
     return make_dataset(X, y)
 
 
+def blend_at(model, X, alpha=None, truth=None):
+    """(weight, predictions) of a blend model at X, distances computed afresh."""
+    return predict_from_distances(model, model.cm.pairwise(X, model.training.points), alpha, truth)
+
+
 def naive_cv(ds, method, cm, repeats, seed, alpha, honest_alpha, split_method):
     """Split, fit on the training rows and predict the test rows, from scratch."""
     indexed = ds.indexed_rows()
@@ -357,12 +377,12 @@ def naive_cv(ds, method, cm, repeats, seed, alpha, honest_alpha, split_method):
             if method == "blend" and a is None and honest_alpha:
                 inner, held = split(train, 0.7, seed + r + _INNER_SPLIT_OFFSET)
                 model = fit_extension(inner.as_sample(), cm, "blend")
-                a = blend_with_alpha(model, held.features, truth=held.index)[0]
+                a = blend_at(model, held.features, truth=held.index)[0]
             model = fit_extension(train.as_sample(), cm, method)
         except FitError:
             continue
         if method == "blend":
-            pred = blend_with_alpha(model, test.features, a, test.index)[1]
+            pred = blend_at(model, test.features, a, test.index)[1]
         else:
             pred = predict(model, test.features)
         scores.append(rmse(pred, test.index))
@@ -413,7 +433,7 @@ def naive_test_rmse(ds, base, atoms, lam, seed):
         return math.inf
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        pred = blend_with_alpha(model, test.features, truth=test.index)[1]
+        pred = blend_at(model, test.features, truth=test.index)[1]
     return rmse(pred, test.index)
 
 
