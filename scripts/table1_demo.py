@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """End-to-end walkthrough on the bundled six-city sample.
 
-For each of the two four-atom modulus families, searches coefficients that
-minimize the coherence-times-normalization product, then compares repeated
-cross-validation RMSE of every extension method under the plain metric and
-under the optimized one, and finally ranks the two unindexed cities.
+For each of the two four-atom modulus families, finds the coefficients that
+minimize the coherence-times-normalization product exactly, then compares
+repeated cross-validation RMSE of every extension method under the plain
+metric and under the optimized one, and finally ranks the two unindexed
+cities.
 
 Run:
     python scripts/table1_demo.py [--data CSV] [--repeats N] [--seed S]
@@ -15,22 +16,18 @@ from __future__ import annotations
 import argparse
 import warnings
 
-import numpy as np
-
 from lipext import (
     LINEAR_BASIS,
     SQRT_BASIS,
     CompositionMetric,
     PhiCombination,
-    PsoConfig,
     cross_validate,
     fit_for_extend,
     identity_phi,
     katetov_shift,
+    minimize_kq,
     minmax_scale,
-    objective_kq,
     predict,
-    pso_minimize,
     rank,
 )
 from lipext.dataio import read_dataset, table1_path
@@ -38,14 +35,10 @@ from lipext.dataio import read_dataset, table1_path
 METHODS = ("standard", "mcshane", "whitney", "blend", "linear")
 
 
-def optimize_phi(ds, atoms, metric, seed):
+def optimize_phi(ds, atoms, metric):
     sample = katetov_shift(ds.indexed_rows().as_sample())
-    objective = objective_kq(sample, metric, atoms)
-    cfg = PsoConfig(swarm_size=40, iterations=200, seed=seed)
-    result = pso_minimize(objective, len(atoms), cfg)
-    lam = result.best_lambda / np.sum(result.best_lambda)
-    identity_value = objective(np.eye(len(atoms))[0])
-    return PhiCombination(atoms, tuple(lam)), identity_value, result.best_objective
+    lam, best, identity_value = minimize_kq(sample, metric, atoms)
+    return PhiCombination(atoms, tuple(lam)), identity_value, best
 
 
 def cv_table(ds, cm, repeats, seed):
@@ -90,7 +83,7 @@ def main() -> int:
     print_cv("plain metric", cv_table(ds, plain, args.repeats, args.seed))
 
     for label, atoms in (("linear family", LINEAR_BASIS), ("sqrt family", SQRT_BASIS)):
-        phi, ident_kq, best_kq = optimize_phi(ds, atoms, args.metric, args.seed)
+        phi, ident_kq, best_kq = optimize_phi(ds, atoms, args.metric)
         coeffs = ", ".join(f"{a}={c:.4f}" for a, c in zip(phi.atoms, phi.coefficients))
         print(f"\n== {label}: K*Q {ident_kq:.4f} -> {best_kq:.4f}")
         print(f"   coefficients: {coeffs}")

@@ -3,7 +3,8 @@
 Given a finite set of feature vectors where an index value is known only on
 a subset, this package extends the index to the remaining points by
 Lipschitz regression, after optionally reshaping the base metric with a
-subadditive strictly increasing modulus chosen by particle swarm search.
+subadditive strictly increasing modulus: the one that minimizes the error
+bound's K*Q exactly, or one chosen by particle swarm search.
 """
 
 from .constants import (
@@ -48,7 +49,7 @@ from .pipeline import (
     smape,
     split,
 )
-from .swarm import PsoConfig, SwarmResult, objective_kq, pso_minimize
+from .swarm import PsoConfig, SwarmResult, minimize_kq, objective_kq, pso_minimize
 
 __version__ = "0.1.0"
 
@@ -80,6 +81,7 @@ __all__ = [
     "linear_fit",
     "linear_predict",
     "mae",
+    "minimize_kq",
     "minmax_scale",
     "normalization_constant",
     "objective_kq",

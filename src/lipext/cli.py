@@ -5,7 +5,8 @@ Five subcommands cover the user workflows:
 * ``constants`` -- coherence/normalization constants of the indexed rows.
 * ``extend``    -- fit on all indexed rows, predict all unindexed rows.
 * ``cv``        -- repeated train/test evaluation of one method.
-* ``optimize``  -- particle swarm search for modulus coefficients.
+* ``optimize``  -- search for modulus coefficients: exact for the K*Q
+  bound, by particle swarm for held-out RMSE.
 * ``rank``      -- extend, then order the unindexed rows by prediction.
 
 Every command reads one dataset CSV plus an optional JSON config; flags
@@ -49,7 +50,7 @@ from .pipeline import (
     objective_test_rmse,
     rank,
 )
-from .swarm import PsoConfig, pso_minimize, objective_kq
+from .swarm import PsoConfig, identity_lambda, minimize_kq, pso_minimize
 
 DEFAULT_ATOMS = LINEAR_BASIS
 
@@ -206,8 +207,8 @@ def _parse_phi_value(value: object) -> PhiCombination:
 def _resolve_phi(cfg: RunConfig, scaled: Dataset) -> PhiCombination:
     """Turn the configured phi into a concrete combination.
 
-    ``"optimize"`` runs the swarm search on the indexed rows first and uses
-    the winning coefficients.
+    ``"optimize"`` runs the coefficient search on the indexed rows first and
+    uses the winning coefficients.
     """
     if cfg.phi == "optimize":
         result = _run_optimize(cfg, scaled)
@@ -219,39 +220,28 @@ def _scaled_dataset(cfg: RunConfig, data_path: str) -> Dataset:
     return minmax_scale(read_dataset(data_path), fit_on=cfg.scale_on)
 
 
-def _identity_lambda(dim: int) -> np.ndarray:
-    lam = np.zeros(dim)
-    lam[0] = 1.0
-    return lam
-
-
 def _run_optimize(cfg: RunConfig, scaled: Dataset) -> dict:
     indexed = scaled.indexed_rows()
     if indexed.n_rows < 2:
         raise CliError("data", "optimize needs at least two indexed rows")
     atoms = cfg.atoms
     if cfg.objective == "kq_bound":
+        _pso_config(cfg)  # checked on every run, though only test-rmse searches
         sample = katetov_shift(indexed.as_sample())
-        objective = objective_kq(sample, cfg.metric, atoms)
+        lam, best, identity_objective = minimize_kq(sample, cfg.metric, atoms)
+        search = {}
     else:
-        objective = objective_test_rmse(
-            indexed, cfg.metric, atoms, cfg.train_fraction, cfg.seed
-        )
-    pso_cfg = _pso_config(cfg)
-    result = pso_minimize(objective, len(atoms), pso_cfg)
-    identity_objective = objective(_identity_lambda(len(atoms)))
-
-    lam = np.asarray(result.best_lambda, dtype=float)
-    if cfg.objective == "kq_bound":
-        # The product is constant along rays; report unit-sum coefficients.
-        lam = lam / np.sum(lam)
-    best_phi = PhiCombination(atoms, tuple(float(v) for v in lam))
+        objective = objective_test_rmse(indexed, cfg.metric, atoms, cfg.train_fraction, cfg.seed)
+        result = pso_minimize(objective, len(atoms), _pso_config(cfg))
+        lam, best = result.best_lambda, result.best_objective
+        identity_objective = objective(identity_lambda(len(atoms)))
+        search = {"swarm": result.to_json_dict()}
     return {
         "objective": cfg.objective,
         "identity_objective": identity_objective,
-        "best_objective": result.best_objective,
-        "best_phi": best_phi.to_json_dict(),
-        "swarm": result.to_json_dict(),
+        "best_objective": best,
+        "best_phi": PhiCombination(atoms, tuple(float(v) for v in lam)).to_json_dict(),
+        **search,
     }
 
 
@@ -460,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("constants", "report coherence/normalization constants and the error bound"),
         ("extend", "predict the index for all unindexed rows"),
         ("cv", "repeated train/test evaluation of one method"),
-        ("optimize", "search modulus coefficients by particle swarm"),
+        ("optimize", "search modulus coefficients (exact K*Q, or PSO for test-rmse)"),
         ("rank", "extend and rank the unindexed rows"),
     ):
         p = sub.add_parser(name, help=help_text)

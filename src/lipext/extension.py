@@ -38,7 +38,7 @@ METHODS = ("mcshane", "whitney", "blend", "standard", "linear")
 
 
 class FitError(ValueError):
-    """The sample cannot be fitted (empty, or infinite coherence constant)."""
+    """The sample cannot be fitted (too few rows, or infinite coherence constant)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,11 +73,12 @@ def fit_extension(
 ) -> ExtensionModel:
     """Fit an extension model on an indexed sample.
 
-    K is the coherence constant computed on ``s``.  An infinite constant
-    means the values are not Lipschitz for the chosen metric and nothing can
-    be extended; ``linear`` needs no constant and fits regardless.  The
-    standard method shifts the sample to zero minimum and anchors at the
-    argmin of the shifted values (ties go to the lowest row index).
+    K is the coherence constant computed on ``s``, which needs at least two
+    rows.  An infinite constant means the values are not Lipschitz for the
+    chosen metric and nothing can be extended; ``linear`` needs no constant
+    and fits regardless.  The standard method shifts the sample to zero
+    minimum and anchors at the argmin of the shifted values (ties go to the
+    lowest row index).
 
     ``d_pairs`` holds the composed distances of the pairs of ``s`` in
     ``constants.pair_data`` order; None computes them from the points.  The
@@ -90,9 +91,9 @@ def fit_extension(
         raise FitError("empty training set")
     if method == "linear":
         return ExtensionModel(s, cm, None, "linear", coefficients=linear_fit(s))
+    if len(s) < 2:
+        raise FitError(f"{method} fit needs at least two rows")
     if method == "standard":
-        if len(s) < 2:
-            raise FitError("standard fit needs at least two rows")
         offset = float(np.min(s.values))
         s = katetov_shift(s)
     if d_pairs is None:

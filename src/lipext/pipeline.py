@@ -160,11 +160,16 @@ def split(ds: Dataset, train_fraction: float, seed: int, method: str = "random")
     return ds.subset(train_idx), ds.subset(test_idx)
 
 
-def _split_rows(n: int, train_fraction: float, seed: int, method: str):
-    """Sorted (train, test) row positions of ``split`` on n rows."""
+def _train_size(n: int, train_fraction: float) -> int:
+    """Training rows of a split of n rows: round(n * fraction), halves up."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must lie strictly between 0 and 1")
-    k = int(math.floor(n * train_fraction + 0.5))
+    return int(math.floor(n * train_fraction + 0.5))
+
+
+def _split_rows(n: int, train_fraction: float, seed: int, method: str):
+    """Sorted (train, test) row positions of ``split`` on n rows."""
+    k = _train_size(n, train_fraction)
     if k == 0 or k == n:
         raise ValueError(f"split of {n} rows at {train_fraction} leaves an empty side")
     if method == "random":
@@ -317,19 +322,23 @@ def fit_for_extend(
     A blend without ``alpha`` takes its weight from a holdout first: fit on
     one side of a split of the rows and take the ``optimal_alpha`` against
     the other side.  It then refits on every row with that weight frozen.
-    When the rows are too few for the holdout, the weight is 0.5, with a
-    warning.  The holdout and the final fit share one distance table.
+    When the split would leave an empty side or fewer than two training
+    rows, the weight is 0.5, with a warning; a holdout that cannot be fitted
+    raises its ``FitError``, and a bad fraction or split method raises
+    ``ValueError``.  The holdout and the final fit share one distance
+    table.
     """
     table = PairTable(indexed, cm, distances=method != "linear")
     rows = np.arange(indexed.n_rows)
     if method != "blend":
         return table.fit(rows, method)
     if alpha is None:
-        try:
-            alpha = table.holdout_alpha(rows, train_fraction, seed, split_method)
-        except ValueError:
+        k = _train_size(indexed.n_rows, train_fraction)
+        if k < 2 or k == indexed.n_rows:
             warnings.warn("too few indexed rows to estimate alpha; using 0.5", stacklevel=2)
             alpha = 0.5
+        else:
+            alpha = table.holdout_alpha(rows, train_fraction, seed, split_method)
     return table.fit(rows, "blend", alpha)
 
 
@@ -421,9 +430,17 @@ def objective_test_rmse(
     coefficient vectors are compared on identical data.  Each atom is
     applied once to the base distances of the training pairs and of the
     test x train block; a candidate then weights and sums those stacks in
-    ``phi_eval``'s order.  Unfittable candidates score +inf.
+    ``phi_eval``'s order.  Unfittable candidates score +inf.  A split with
+    fewer than two training rows raises ``ValueError`` here, since every
+    candidate would be unfittable.
     """
     train, test = _split_rows(ds_indexed.n_rows, train_fraction, seed, "random")
+    if len(train) < 2:
+        raise ValueError(
+            f"the test-rmse search needs at least two training rows: a split of "
+            f"{ds_indexed.n_rows} indexed rows at train_fraction {train_fraction} "
+            f"leaves {len(train)}"
+        )
     # Under the identity modulus the table holds the base distances.
     table = PairTable(ds_indexed, CompositionMetric(base))
     pairs, block = table.pairs(train), table.block(test, train)

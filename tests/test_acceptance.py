@@ -214,9 +214,11 @@ def test_scale_invariance():
 
 @criterion("optimizer-guarantees")
 def test_optimizer_guarantees(tmp_path):
-    # Identity-seeded search can never report worse than the identity
-    # coefficients; histories are monotone; reruns are bitwise identical;
-    # and the default budget drives a 3-d sphere below 1e-4.
+    # Neither search reports worse than the identity coefficients.  The
+    # exact K*Q search reports the product at exactly the coefficients it
+    # writes; the test-rmse swarm's history is monotone; reruns of both are
+    # bitwise identical; and the default budget drives a 3-d sphere below
+    # 1e-4.
     rng = np.random.default_rng(41)
     datasets = [str(table1_path())]
     for i in range(3):
@@ -230,16 +232,28 @@ def test_optimizer_guarantees(tmp_path):
         path.write_text("\n".join(rows) + "\n", encoding="utf-8")
         datasets.append(str(path))
 
+    pso = tmp_path / "pso.json"
+    pso.write_text(json.dumps({"pso": {"swarm_size": 8, "iterations": 15}}), encoding="utf-8")
     for data in datasets:
         out1 = quiet_cli(["optimize", "--data", data, "--seed", "5"])
+        payload = json.loads(out1)
+        assert payload["best_objective"] <= payload["identity_objective"]
+        phi = payload["best_phi"]
+        sample = katetov_shift(minmax_scale(read_dataset(data)).indexed_rows().as_sample())
+        kq = objective_kq(sample, "euclidean", tuple(phi["atoms"]))
+        assert payload["best_objective"] == kq(np.array(phi["coefficients"]))
+        assert out1 == quiet_cli(["optimize", "--data", data, "--seed", "5"])
+
+        rmse_args = ["optimize", "--data", data, "--seed", "5", "--objective",
+                     "test-rmse", "--config", str(pso)]
+        out1 = quiet_cli(rmse_args)
         payload = json.loads(out1)
         assert payload["best_objective"] <= payload["identity_objective"]
         history = [
             math.inf if h == "inf" else h for h in payload["swarm"]["history"]
         ]
         assert all(b <= a for a, b in zip(history, history[1:]))
-        out2 = quiet_cli(["optimize", "--data", data, "--seed", "5"])
-        assert out1 == out2
+        assert out1 == quiet_cli(rmse_args)
 
     sphere = lambda lam: float(np.sum((lam - 1.0) ** 2))
     result = pso_minimize(sphere, dim=3, cfg=PsoConfig(swarm_size=40, iterations=200, seed=3))

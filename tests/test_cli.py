@@ -1,13 +1,17 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lipext.cli import main, rebuild_model
+from lipext.constants import katetov_shift
 from lipext.dataio import CsvParseError, dataset_hash, read_dataset, table1_path
 from lipext.extension import METHODS, predict
+from lipext.pipeline import minmax_scale
+from lipext.swarm import objective_kq
 
 TWO_POINT_CSV = "id,x,index\na,0,0\nb,1,2\n"
 RECOVERY_CSV = "id,x,index\na,0,0\nb,1,2\nc,1,\n"
@@ -215,6 +219,20 @@ def test_optimize_never_worse_than_identity(tmp_path, capsys):
     assert payload["best_objective"] <= payload["identity_objective"]
     best_phi = json.loads((out_dir / "best_phi.json").read_text())
     assert sum(best_phi["coefficients"]) == pytest.approx(1.0, rel=1e-9)
+    result = json.loads((out_dir / "swarm_result.json").read_text())
+    assert result == payload and result["best_phi"] == best_phi
+    sample = katetov_shift(minmax_scale(read_dataset(table1_path())).indexed_rows().as_sample())
+    kq = objective_kq(sample, "euclidean", tuple(best_phi["atoms"]))
+    assert result["best_objective"] == kq(np.array(best_phi["coefficients"]))
+
+    cfg = write(tmp_path, "cfg.json", json.dumps({"pso": {"swarm_size": 10, "iterations": 20}}))
+    code, out, _ = run_cli(
+        capsys, "optimize", "--data", str(table1_path()), "--out", str(out_dir),
+        "--seed", "3", "--objective", "test-rmse", "--config", cfg,
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["best_objective"] <= payload["identity_objective"]
     history = json.loads((out_dir / "swarm_result.json").read_text())["swarm"]["history"]
     assert all(b <= a for a, b in zip(history, history[1:]))
 
@@ -225,6 +243,12 @@ def test_optimize_deterministic_output(tmp_path, capsys):
     code2, out2, _ = run_cli(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
+    # The K*Q search is exact: neither the seed nor the swarm settings matter.
+    cfg = write(tmp_path, "cfg.json", json.dumps({"pso": {"swarm_size": 5, "iterations": 3}}))
+    code3, out3, _ = run_cli(capsys, "optimize", "--data", str(table1_path()),
+                             "--seed", "12", "--config", cfg)
+    assert code3 == 0
+    assert out3 == out1
 
 
 def test_optimize_two_point_floor(tmp_path, capsys):
@@ -234,8 +258,8 @@ def test_optimize_two_point_floor(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "optimize", "--data", data, "--seed", "0")
     assert code == 0
     payload = json.loads(out)
-    assert payload["identity_objective"] == pytest.approx(1.0, abs=1e-12)
-    assert payload["best_objective"] == pytest.approx(1.0, abs=1e-12)
+    assert payload["identity_objective"] == payload["best_objective"] == 1.0
+    assert payload["best_phi"]["coefficients"] == [1.0, 0.0, 0.0, 0.0]
 
 
 def test_optimize_test_rmse_objective(tmp_path, capsys):
@@ -296,6 +320,41 @@ def test_unfittable_reports_category(tmp_path, capsys):
     code, _, err = run_cli(capsys, "extend", "--data", data, "--method", "whitney")
     assert code != 0
     assert err.startswith("error:unfittable:")
+
+
+def test_unfittable_holdout_is_not_blamed_on_too_few_rows(tmp_path, capsys):
+    # The ordered holdout trains on the first five rows, two of which share
+    # x = 0 with index values 1 and 2: the holdout's FitError is the error.
+    rows = "".join(f"r{i},{x},{v}\n" for i, (x, v) in enumerate(zip([0, 0, 1, 2, 3, 4, 5], range(1, 8))))
+    data = write(tmp_path, "clash.csv", "id,x,index\n" + rows + "t,6,\n")
+    cfg = write(tmp_path, "cfg.json", json.dumps({"split": "ordered"}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run_cli(capsys, "extend", "--data", data, "--method", "blend", "--config", cfg)
+    assert code == 2
+    assert err.startswith("error:unfittable:") and err.count("\n") == 1
+    assert not [w for w in caught if "too few" in str(w.message)]
+
+
+def test_two_indexed_rows_extend_with_alpha_half(tmp_path, capsys):
+    data = write(tmp_path, "rec.csv", RECOVERY_CSV)
+    with pytest.warns(UserWarning, match="too few indexed rows to estimate alpha; using 0.5"):
+        code, _, _ = run_cli(capsys, "extend", "--data", data, "--out", str(tmp_path / "out"))
+    assert code == 0
+    assert json.loads((tmp_path / "out" / "model.json").read_text())["alpha"] == 0.5
+
+
+def test_one_training_row_reports_unfittable_or_names_the_split(tmp_path, capsys):
+    # With two indexed rows every split trains on one row: cv counts each
+    # repeat as failed, and the test-rmse search refuses the split up front.
+    data = write(tmp_path, "rec.csv", RECOVERY_CSV)
+    code, _, err = run_cli(capsys, "cv", "--data", data, "--repeats", "3")
+    assert code == 2
+    assert err == "error:unfittable: every cross-validation repeat failed to fit\n"
+    code, _, err = run_cli(capsys, "optimize", "--data", data, "--objective", "test-rmse")
+    assert code == 2
+    assert err.startswith("error:data:") and err.count("\n") == 1
+    assert "2 indexed rows" in err and "train_fraction 0.7" in err
 
 
 def test_missing_file_reports_io(capsys):

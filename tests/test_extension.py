@@ -265,6 +265,16 @@ def test_empty_training_rejected():
         fit_extension(IndexedSample(np.empty((0, 1)), []), IDENTITY, "whitney")
 
 
+@pytest.mark.parametrize("method", ["whitney", "mcshane", "blend", "standard"])
+@pytest.mark.parametrize("given", [False, True], ids=["points", "pairs"])
+def test_one_row_lipschitz_fit_is_unfittable(method, given):
+    one = IndexedSample(np.array([[0.5]]), [3.0])
+    d_pairs = np.empty(0) if given else None
+    with pytest.raises(FitError, match="at least two rows"):
+        fit_extension(one, IDENTITY, method, d_pairs=d_pairs)
+    assert fit_extension(one, IDENTITY, "linear").method == "linear"
+
+
 def test_batch_and_single_agree():
     rng = np.random.default_rng(8)
     s = IndexedSample(rng.uniform(size=(9, 2)), rng.uniform(0.0, 4.0, 9))

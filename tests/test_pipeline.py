@@ -30,6 +30,7 @@ from lipext.pipeline import (
     Dataset,
     cross_validate,
     cv_repeat_rows,
+    fit_for_extend,
     mae,
     minmax_scale,
     objective_test_rmse,
@@ -335,6 +336,34 @@ def test_objective_test_rmse_finite_and_penalizes_unfittable():
     assert math.isfinite(val) and val >= 0.0
     # Identical coefficients give identical values: the split is frozen.
     assert obj(np.array([1.0, 0.0])) == val
+
+
+def test_objective_test_rmse_rejects_one_training_row():
+    ds = make_dataset([0.0, 1.0], [1.0, 2.0])
+    with pytest.raises(ValueError, match="2 indexed rows at train_fraction 0.7 leaves 1"):
+        objective_test_rmse(ds, "euclidean", ("identity",))
+
+
+def test_cv_counts_one_row_inner_split_as_failed():
+    # Four rows at 0.6 train on two; the honest inner split of those two
+    # trains on one, which cannot be fitted.
+    ds = make_dataset([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0])
+    with pytest.raises(FitError, match="every cross-validation repeat failed"):
+        cross_validate(ds, "blend", IDENTITY, repeats=3, train_fraction=0.6, honest_alpha=True)
+
+
+def test_fit_for_extend_falls_back_only_on_too_few_training_rows():
+    clash = make_dataset([0.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FitError):
+            fit_for_extend(clash, IDENTITY, "blend", split_method="ordered")
+        for bad in ({"split_method": "bogus"}, {"train_fraction": 1.5}):
+            with pytest.raises(ValueError):
+                fit_for_extend(clash, IDENTITY, "blend", **bad)
+    two = make_dataset([0.0, 1.0], [1.0, 2.0])  # one training row at 0.7
+    with pytest.warns(UserWarning, match="too few indexed rows"):
+        assert fit_for_extend(two, IDENTITY, "blend").alpha == 0.5
 
 
 def test_dataset_validation():

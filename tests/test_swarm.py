@@ -1,13 +1,19 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lipext.constants import IndexedSample, katetov_shift
+import lipext
+from lipext.constants import IndexedSample, katetov_shift, pair_data
 from lipext.constants import coherence_constant, normalization_constant
 from lipext.metrics import CompositionMetric
-from lipext.phi import PhiCombination
-from lipext.swarm import PsoConfig, nudge_lambda, objective_kq, pso_minimize
+from lipext.phi import ATOM_FUNCS, LINEAR_BASIS, SQRT_BASIS, PhiCombination
+from lipext.swarm import PsoConfig, minimize_kq, nudge_lambda, objective_kq, pso_minimize
 
 
 def sphere(lam):
@@ -165,3 +171,102 @@ def test_swarm_result_json_encodes_infinity():
     d = result.to_json_dict()
     assert d["best_objective"] == "inf"
     assert d["history"] == ["inf", "inf"]
+
+
+# ---------------------------------------------------------------------------
+# exact K*Q minimization
+
+
+def random_shifted_sample(rng, n):
+    m = int(rng.integers(1, 6))
+    points = rng.uniform(size=(n, m)) ** rng.uniform(0.3, 3.0)
+    values = points @ rng.uniform(size=m) + 0.1 * rng.normal(size=n)
+    return katetov_shift(IndexedSample(points, values))
+
+
+def linprog_kq(s, atoms):
+    """K*Q at the coefficients of scipy's solution of the same linear program.
+
+    The rows are scaled as in ``minimize_kq``; unscaled, HiGHS's absolute
+    feasibility tolerance lets t overshoot on pairs with a small |dI|.
+    """
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    _, _, d, dv, den = pair_data(s, "euclidean")
+    A = np.stack([ATOM_FUNCS[a](d) for a in atoms], axis=1)
+    k, q = dv > 0.0, den > 0.0
+    a_ub = np.vstack([
+        np.hstack([-A[k] / dv[k, None], np.ones((k.sum(), 1))]),
+        np.hstack([A[q] / den[q, None], np.zeros((q.sum(), 1))]),
+    ])
+    b_ub = np.concatenate([np.zeros(k.sum()), np.ones(q.sum())])
+    lp = linprog(np.r_[np.zeros(len(atoms)), -1.0], A_ub=a_ub, b_ub=b_ub,
+                 bounds=[(0.0, None)] * (len(atoms) + 1), method="highs")
+    assert lp.status == 0, lp.message
+    return objective_kq(s, "euclidean", atoms)(lp.x[:-1])
+
+
+@pytest.mark.parametrize("atoms", [LINEAR_BASIS, SQRT_BASIS], ids=["linear", "sqrt"])
+def test_minimize_kq_matches_linprog(atoms):
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        s = random_shifted_sample(rng, int(rng.integers(3, 201)))
+        lam, best, identity_value = minimize_kq(s, "euclidean", atoms)
+        assert best == pytest.approx(linprog_kq(s, atoms), rel=1e-9)
+        assert best <= identity_value
+        assert np.all(lam >= 0.0) and np.sum(lam) == pytest.approx(1.0, rel=1e-12)
+        # The value is the product at exactly the returned coefficients.
+        assert best == objective_kq(s, "euclidean", atoms)(lam)
+
+
+def test_minimize_kq_not_worse_than_pso():
+    rng = np.random.default_rng(31)
+    for trial in range(6):
+        s = random_shifted_sample(rng, int(rng.integers(5, 40)))
+        atoms = LINEAR_BASIS if trial % 2 else SQRT_BASIS
+        obj = objective_kq(s, "euclidean", atoms)
+        pso = pso_minimize(obj, 4, PsoConfig(swarm_size=20, iterations=40, seed=trial))
+        _, best, identity_value = minimize_kq(s, "euclidean", atoms)
+        assert best <= identity_value == obj(np.array([1.0, 0.0, 0.0, 0.0]))
+        # PSO can land an ulp lower at a coefficient vector it does not scale.
+        assert best <= pso.best_objective * (1.0 + 1e-12)
+
+
+def test_minimize_kq_two_point_floor_returns_identity():
+    lam, best, identity_value = minimize_kq(two_point_sample(), "euclidean", LINEAR_BASIS)
+    assert best == identity_value == 1.0
+    assert np.array_equal(lam, [1.0, 0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "points, values",
+    [
+        ([[1.0], [1.0], [2.0]], [0.0, 2.0, 1.0]),  # conflicting duplicates: K = inf
+        ([[0.0], [1.0], [2.0]], [0.0, 0.0, 3.0]),  # two rows tied at the minimum: Q = inf
+        ([[0.0], [1.0], [2.0]], [0.0, 0.0, 0.0]),  # constant index
+    ],
+    ids=["duplicates", "tied-minimum", "constant"],
+)
+def test_minimize_kq_infinite_cases_return_identity(points, values):
+    s = IndexedSample(np.array(points), values)
+    lam, best, identity_value = minimize_kq(s, "euclidean", LINEAR_BASIS)
+    assert best == identity_value == math.inf
+    assert np.array_equal(lam, [1.0, 0.0, 0.0, 0.0])
+
+
+def test_minimize_kq_runs_without_scipy(tmp_path):
+    # The solver is numpy only: optimize succeeds with scipy made unimportable.
+    out = tmp_path / "out"
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from lipext.cli import main\n"
+        "from lipext.dataio import table1_path\n"
+        f"code = main(['optimize', '--data', str(table1_path()), '--out', {str(out)!r}])\n"
+        "assert 'scipy' not in [m.split('.')[0] for m in sys.modules if sys.modules[m] is not None]\n"
+        "sys.exit(code)\n"
+    )
+    src = str(Path(lipext.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    result = json.loads((out / "swarm_result.json").read_text())
+    assert sorted(result) == ["best_objective", "best_phi", "identity_objective", "objective"]
