@@ -15,7 +15,6 @@ from .constants import (
     error_bound,
     index_bound,
     katetov_shift,
-    normalization_constant,
 )
 from .extension import (
     ExtensionModel,
@@ -26,7 +25,7 @@ from .extension import (
     optimal_alpha,
     predict,
 )
-from .metrics import BASE_METRICS, CompositionMetric, base_distance
+from .metrics import BASE_METRICS, CompositionMetric
 from .phi import (
     ATOM_NAMES,
     LINEAR_BASIS,
@@ -34,19 +33,15 @@ from .phi import (
     PhiCombination,
     identity_phi,
     phi_eval,
-    validate_modulus,
-    validate_phi,
 )
 from .pipeline import (
     CvReport,
     Dataset,
     cross_validate,
     fit_for_extend,
-    mae,
     minmax_scale,
     rank,
     rmse,
-    smape,
     split,
 )
 from .swarm import PsoConfig, SwarmResult, minimize_kq, objective_kq, pso_minimize
@@ -68,7 +63,6 @@ __all__ = [
     "PhiCombination",
     "PsoConfig",
     "SwarmResult",
-    "base_distance",
     "coherence_constant",
     "constants_report",
     "cross_validate",
@@ -80,10 +74,8 @@ __all__ = [
     "katetov_shift",
     "linear_fit",
     "linear_predict",
-    "mae",
     "minimize_kq",
     "minmax_scale",
-    "normalization_constant",
     "objective_kq",
     "optimal_alpha",
     "phi_eval",
@@ -91,8 +83,5 @@ __all__ = [
     "pso_minimize",
     "rank",
     "rmse",
-    "smape",
     "split",
-    "validate_modulus",
-    "validate_phi",
 ]

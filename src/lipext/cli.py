@@ -40,11 +40,9 @@ from .extension import METHODS, ExtensionModel, FitError, predict
 from .metrics import BASE_METRICS, CompositionMetric
 from .phi import ATOM_NAMES, LINEAR_BASIS, PhiCombination, identity_phi
 from .pipeline import (
-    THREADS_ENV_VAR,
     Dataset,
     apply_scaling,
     cross_validate,
-    cv_repeat_rows,
     fit_for_extend,
     minmax_scale,
     objective_test_rmse,
@@ -53,6 +51,9 @@ from .pipeline import (
 from .swarm import PsoConfig, identity_lambda, minimize_kq, pso_minimize
 
 DEFAULT_ATOMS = LINEAR_BASIS
+
+#: Environment variable with the number of threads for ``cv`` repeats.
+THREADS_ENV_VAR = "LIPEXT_THREADS"
 
 
 class CliError(Exception):
@@ -153,6 +154,8 @@ def _check_config(cfg: RunConfig) -> None:
         raise CliError("config", "scale_on must be 'all' or 'indexed'")
     if cfg.split not in ("random", "ordered"):
         raise CliError("config", "split must be 'random' or 'ordered'")
+    if not isinstance(cfg.honest_alpha, bool):
+        raise CliError("config", "honest_alpha must be true or false")
     if cfg.out is not None and not isinstance(cfg.out, str):
         raise CliError("config", "out must be a directory path")
     if not cfg.atoms:
@@ -167,7 +170,6 @@ def _pso_config(cfg: RunConfig) -> PsoConfig:
         raise CliError("config", "pso must be an object")
     opts = dict(cfg.pso)
     opts.setdefault("seed", cfg.seed)
-    opts.setdefault("objective", cfg.objective)
     for key in ("swarm_size", "iterations", "seed"):
         if key in opts and not _is_int(opts[key]):
             raise CliError("config", f"bad pso settings: {key} must be an integer")
@@ -374,15 +376,21 @@ def cmd_extend(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_cv(cfg: RunConfig, args) -> int:
+def _thread_count() -> int | None:
+    """Threads for ``cv`` repeats from the environment; values below 1 mean 1."""
     threads = os.environ.get(THREADS_ENV_VAR)
-    if threads:
-        try:
-            int(threads)
-        except ValueError:
-            raise CliError(
-                "config", f"{THREADS_ENV_VAR} must be an integer, got {threads!r}"
-            ) from None
+    if not threads:
+        return None
+    try:
+        return max(1, int(threads))
+    except ValueError:
+        raise CliError(
+            "config", f"{THREADS_ENV_VAR} must be an integer, got {threads!r}"
+        ) from None
+
+
+def cmd_cv(cfg: RunConfig, args) -> int:
+    workers = _thread_count()
     scaled = _scaled_dataset(cfg, args.data)
     cm = CompositionMetric(cfg.metric, _resolve_phi(cfg, scaled))
     report = cross_validate(
@@ -395,13 +403,14 @@ def cmd_cv(cfg: RunConfig, args) -> int:
         alpha=cfg.alpha,
         honest_alpha=cfg.honest_alpha,
         split_method=cfg.split,
+        workers=workers,
     )
     payload = report.to_json_dict()
     print(json.dumps(payload, indent=2, sort_keys=True))
     if cfg.out:
         write_json(Path(cfg.out) / "cv_report.json", payload)
         write_csv(Path(cfg.out) / "cv_repeats.csv", ["repeat", "rmse"],
-                  cv_repeat_rows(report))
+                  list(enumerate(report.per_repeat_rmse, start=1)))
     return 0
 
 

@@ -157,12 +157,6 @@ def coherence_constant(s: IndexedSample, cm: CompositionMetric) -> float:
     return coherence_from_pairs(s.values, phi_eval(cm.phi, pair_data(s, cm.base)[2]))
 
 
-def normalization_constant(s: IndexedSample, cm: CompositionMetric) -> float:
-    """Smallest Katetov constant of the index; +inf when unnormalizable."""
-    _, _, d_base, _, denom = pair_data(s, cm.base)
-    return ratio_max(phi_eval(cm.phi, d_base), denom)[0]
-
-
 def index_bound(s: IndexedSample) -> float:
     """Sup norm of the index values."""
     return float(np.max(np.abs(s.values)))

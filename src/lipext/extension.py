@@ -87,8 +87,6 @@ def fit_extension(
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-    if len(s) < 1:
-        raise FitError("empty training set")
     if method == "linear":
         return ExtensionModel(s, cm, None, "linear", coefficients=linear_fit(s))
     if len(s) < 2:

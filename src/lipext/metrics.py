@@ -15,19 +15,6 @@ BASE_METRICS = ("euclidean", "manhattan", "chebyshev")
 TILE_BYTES = 2 * 2**20
 
 
-def _check_dims(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape[-1] != b.shape[-1]:
-        raise ValueError(f"dimension mismatch: {a.shape[-1]} vs {b.shape[-1]}")
-
-
-def base_distance(kind: str, a, b) -> float:
-    """Distance between two feature vectors under the named base metric."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    _check_dims(a, b)
-    return float(_reduce(kind, a - b))
-
-
 def pairwise_base(kind: str, A, B) -> np.ndarray:
     """All base distances between rows of A (q, m) and rows of B (n, m).
 
@@ -37,7 +24,8 @@ def pairwise_base(kind: str, A, B) -> np.ndarray:
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
-    _check_dims(A, B)
+    if A.shape[1] != B.shape[1]:
+        raise ValueError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
     q, n = A.shape[0], B.shape[0]
     tile = max(1, TILE_BYTES // max(1, 8 * n * A.shape[1]))
     out = np.empty((q, n))
@@ -46,14 +34,6 @@ def pairwise_base(kind: str, A, B) -> np.ndarray:
         block = A[start:start + tile]
         out[start:start + tile] = _reduce(kind, block[:, None, :] - B[None, :, :])
     return out
-
-
-def rowwise_base(kind: str, A, B) -> np.ndarray:
-    """Base distances between corresponding rows of A and B, both (n, m)."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    _check_dims(A, B)
-    return _reduce(kind, A - B)
 
 
 def _reduce(kind: str, diff: np.ndarray) -> np.ndarray:
@@ -80,11 +60,5 @@ class CompositionMetric:
         if self.base not in BASE_METRICS:
             raise ValueError(f"unknown base metric {self.base!r}")
 
-    def distance(self, a, b) -> float:
-        return float(phi_eval(self.phi, base_distance(self.base, a, b)))
-
     def pairwise(self, A, B) -> np.ndarray:
         return phi_eval(self.phi, pairwise_base(self.base, A, B))
-
-    def rowwise(self, A, B) -> np.ndarray:
-        return phi_eval(self.phi, rowwise_base(self.base, A, B))

@@ -1,4 +1,4 @@
-"""Data preparation, repeated cross-validation, error metrics and ranking.
+"""Data preparation, repeated cross-validation, RMSE and ranking.
 
 The evaluation protocol: min-max scale the features over the whole dataset,
 split the indexed rows 70/30 at random, fit on the training side, score RMSE
@@ -15,7 +15,6 @@ slices them.
 from __future__ import annotations
 
 import math
-import os
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -40,17 +39,6 @@ from .swarm import nudge_lambda
 
 #: Seed offset for the nested alpha split, so it never reuses a repeat seed.
 _INNER_SPLIT_OFFSET = 7919
-
-THREADS_ENV_VAR = "LIPEXT_THREADS"
-
-
-def _worker_count(requested: int | None) -> int:
-    cap = os.environ.get(THREADS_ENV_VAR)
-    cap = max(1, int(cap)) if cap else None
-    if requested is None:
-        return cap if cap is not None else 1
-    requested = max(1, requested)
-    return min(requested, cap) if cap is not None else requested
 
 
 @dataclass(eq=False)
@@ -124,18 +112,14 @@ def minmax_scale(ds: Dataset, fit_on: str = "all") -> Dataset:
     if fit_on not in ("all", "indexed"):
         raise ValueError("fit_on must be 'all' or 'indexed'")
     rows = ds.features if fit_on == "all" else ds.features[ds.indexed_mask]
-    col_min = rows.min(axis=0)
-    col_max = rows.max(axis=0)
-    span = col_max - col_min
-    flat = span == 0.0
-    if np.any(flat):
-        names = [ds.feature_names[k] for k in np.flatnonzero(flat)]
+    scaling = (rows.min(axis=0), rows.max(axis=0))
+    flat = np.flatnonzero(scaling[1] == scaling[0])
+    if flat.size:
+        names = [ds.feature_names[k] for k in flat]
         warnings.warn(f"constant feature columns {names} collapsed to 0", stacklevel=2)
-    scaled = (ds.features - col_min) / np.where(flat, 1.0, span)
-    scaled[:, flat] = 0.0
     return Dataset(
-        list(ds.ids), scaled, ds.index.copy(), list(ds.feature_names),
-        scaling=(col_min.copy(), col_max.copy()),
+        list(ds.ids), apply_scaling(ds.features, scaling), ds.index.copy(),
+        list(ds.feature_names), scaling=scaling,
     )
 
 
@@ -186,25 +170,6 @@ def rmse(pred, truth) -> float:
     if p.shape != t.shape or p.size == 0:
         raise ValueError("prediction and truth must be non-empty and equal length")
     return float(np.sqrt(np.mean((p - t) ** 2)))
-
-
-def mae(pred, truth) -> float:
-    p = np.asarray(pred, dtype=float).reshape(-1)
-    t = np.asarray(truth, dtype=float).reshape(-1)
-    if p.shape != t.shape or p.size == 0:
-        raise ValueError("prediction and truth must be non-empty and equal length")
-    return float(np.mean(np.abs(p - t)))
-
-
-def smape(pred, truth) -> float:
-    """Symmetric mean absolute percentage error in [0, 2]; 0/0 terms count 0."""
-    p = np.asarray(pred, dtype=float).reshape(-1)
-    t = np.asarray(truth, dtype=float).reshape(-1)
-    if p.shape != t.shape or p.size == 0:
-        raise ValueError("prediction and truth must be non-empty and equal length")
-    den = np.abs(p) + np.abs(t)
-    terms = np.where(den > 0.0, 2.0 * np.abs(p - t) / np.where(den > 0.0, den, 1.0), 0.0)
-    return float(np.mean(terms))
 
 
 def rank(ds: Dataset, predictions) -> list[tuple[int, str, float]]:
@@ -358,9 +323,9 @@ def cross_validate(
 
     Repeats where fitting fails are excluded from the RMSE statistics and
     counted.  The distances among the indexed rows are computed once, and
-    each repeat slices them.  Repeats are independent, so they may run on a
-    small thread pool (capped by the LIPEXT_THREADS environment variable)
-    with results assembled in repeat order.
+    each repeat slices them.  Repeats are independent, so with ``workers``
+    above 1 they run on a thread pool of that size, with results assembled
+    in repeat order; None means 1.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
@@ -388,9 +353,8 @@ def cross_validate(
             score = None
         return score, time.perf_counter() - t0
 
-    n_workers = _worker_count(workers)
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+    if workers is not None and workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(one_repeat, range(repeats)))
     else:
         outcomes = [one_repeat(r) for r in range(repeats)]
@@ -410,11 +374,6 @@ def cross_validate(
         std_dev=std,
         seconds_per_iteration=seconds,
     )
-
-
-def cv_repeat_rows(report: CvReport) -> list[tuple[int, float]]:
-    """Flat (repeat, rmse) rows for the per-repeat CSV."""
-    return [(r + 1, v) for r, v in enumerate(report.per_repeat_rmse)]
 
 
 def objective_test_rmse(

@@ -29,8 +29,6 @@ import numpy as np
 from .constants import IndexedSample, pair_data, ratio_max
 from .phi import ATOM_FUNCS
 
-OBJECTIVES = ("kq_bound", "test_rmse")
-
 #: Replacement for an all-zero coefficient vector before evaluation.
 ZERO_NUDGE = 1e-9
 
@@ -51,7 +49,6 @@ class PsoConfig:
     social: float = 1.49618
     lambda_max: float = 10.0
     seed: int = 0
-    objective: str = "kq_bound"
 
     def __post_init__(self):
         if self.swarm_size < 2:
@@ -60,8 +57,6 @@ class PsoConfig:
             raise ValueError("iterations must be >= 1")
         if self.lambda_max <= 0.0:
             raise ValueError("lambda_max must be positive")
-        if self.objective not in OBJECTIVES:
-            raise ValueError(f"objective must be one of {OBJECTIVES}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -201,7 +201,9 @@ def test_cv_command_writes_report_and_csv(tmp_path, capsys):
     assert report["per_repeat_rmse"] == payload["per_repeat_rmse"]
     csv_lines = (out_dir / "cv_repeats.csv").read_text().strip().splitlines()
     assert csv_lines[0] == "repeat,rmse"
-    assert len(csv_lines) == 6
+    assert [line.split(",") for line in csv_lines[1:]] == [
+        [str(r + 1), repr(v)] for r, v in enumerate(payload["per_repeat_rmse"])
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +392,16 @@ def test_bad_thread_cap_reports_config(tmp_path, capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
+def test_thread_count_does_not_change_cv(capsys, monkeypatch):
+    argv = ["cv", "--data", str(table1_path()), "--repeats", "4"]
+    monkeypatch.delenv("LIPEXT_THREADS", raising=False)
+    serial = json.loads(run_cli(capsys, *argv)[1])["per_repeat_rmse"]
+    for value in ("2", "0", "-3"):  # values below 1 mean 1
+        monkeypatch.setenv("LIPEXT_THREADS", value)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out)["per_repeat_rmse"] == serial
+
+
 def test_bad_config_key_rejected(tmp_path, capsys):
     data = write(tmp_path, "two.csv", TWO_POINT_CSV)
     cfg = write(tmp_path, "cfg.json", '{"metirc": "euclidean"}')
@@ -417,6 +429,9 @@ def test_bad_config_key_rejected(tmp_path, capsys):
         ("optimize", '{"atoms": []}'),
         ("optimize", '{"atoms": 5}'),
         ("cv", "5"),
+        ("cv", '{"honest_alpha": "false"}'),
+        ("cv", '{"honest_alpha": 0}'),
+        ("optimize", '{"objective": "test_rmse", "pso": {"objective": "kq_bound"}}'),
     ],
 )
 def test_bad_config_values_report_config(tmp_path, capsys, monkeypatch, command, config):

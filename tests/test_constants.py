@@ -11,13 +11,13 @@ from lipext.constants import (
     error_bound,
     index_bound,
     katetov_shift,
-    normalization_constant,
 )
 from lipext.dataio import read_dataset, table1_path
 from lipext.metrics import CompositionMetric
-from lipext.phi import PhiCombination, identity_phi, random_combination
+from lipext.phi import PhiCombination, identity_phi
 from lipext.pipeline import minmax_scale
 
+from helpers import distance, random_combination, scaled
 from oracles import constants as oracle_constants
 
 IDENTITY = CompositionMetric("euclidean", identity_phi())
@@ -53,9 +53,9 @@ def test_coherence_infinite_on_conflicting_duplicates():
 
 
 def test_normalization_examples():
-    assert normalization_constant(line_sample([0.0, 1.0], [0.0, 2.0]), IDENTITY) == 0.5
-    assert normalization_constant(line_sample([0.0, 1.0], [0.0, 0.0]), IDENTITY) == math.inf
-    assert normalization_constant(line_sample([0.0, 2.0], [1.0, 1.0]), IDENTITY) == 1.0
+    assert constants_report(line_sample([0.0, 1.0], [0.0, 2.0]), IDENTITY).Q == 0.5
+    assert constants_report(line_sample([0.0, 1.0], [0.0, 0.0]), IDENTITY).Q == math.inf
+    assert constants_report(line_sample([0.0, 2.0], [1.0, 1.0]), IDENTITY).Q == 1.0
 
 
 def test_index_bound():
@@ -101,6 +101,7 @@ def _random_sample(rng, n=None, m=None):
     return IndexedSample(pts, vals)
 
 
+@pytest.mark.filterwarnings("ignore:K\\*Q")
 def test_kq_product_invariant_under_coefficient_scaling():
     rng = np.random.default_rng(10)
     for _ in range(20):
@@ -108,11 +109,11 @@ def test_kq_product_invariant_under_coefficient_scaling():
         phi = random_combination(rng)
         cm = CompositionMetric("euclidean", phi)
         K = coherence_constant(s, cm)
-        Q = normalization_constant(s, cm)
+        Q = constants_report(s, cm).Q
         for c in (0.5, 2.0, 10.0):
-            cm_c = CompositionMetric("euclidean", phi.scaled(c))
+            cm_c = CompositionMetric("euclidean", scaled(phi, c))
             K_c = coherence_constant(s, cm_c)
-            Q_c = normalization_constant(s, cm_c)
+            Q_c = constants_report(s, cm_c).Q
             assert K_c == pytest.approx(K / c, rel=1e-9)
             assert Q_c == pytest.approx(Q * c, rel=1e-9)
             assert K_c * Q_c == pytest.approx(K * Q, rel=1e-9)
@@ -127,7 +128,7 @@ def test_kq_at_least_one_after_shift():
         phi = random_combination(rng)
         cm = CompositionMetric("euclidean", phi)
         K = coherence_constant(s, cm)
-        Q = normalization_constant(s, cm)
+        Q = constants_report(s, cm).Q
         if math.isinf(K) or math.isinf(Q):
             continue
         assert K * Q >= 1.0 - 1e-9
@@ -142,10 +143,10 @@ def test_reported_pairs_achieve_the_constants():
         cm = CompositionMetric("euclidean", phi)
         report = constants_report(s, cm)
         i, j = report.k_pair
-        d = cm.distance(s.points[i], s.points[j])
+        d = distance(cm, s.points[i], s.points[j])
         assert abs(s.values[i] - s.values[j]) / d == report.K
         i, j = report.q_pair
-        d = cm.distance(s.points[i], s.points[j])
+        d = distance(cm, s.points[i], s.points[j])
         assert d / (abs(s.values[i]) + abs(s.values[j])) == report.Q
 
 
@@ -158,6 +159,7 @@ def test_argmax_tie_resolves_to_smallest_pair():
     assert report.k_pair == (0, 1)
 
 
+@pytest.mark.filterwarnings("ignore:K\\*Q")
 def test_matches_double_loop_oracle_small_samples():
     rng = np.random.default_rng(13)
     for trial in range(30):
@@ -169,7 +171,7 @@ def test_matches_double_loop_oracle_small_samples():
                 s.points.tolist(), s.values.tolist(), kind, phi.atoms, phi.coefficients
             )
             assert coherence_constant(s, cm) == pytest.approx(K_o, rel=1e-12, abs=1e-12)
-            assert normalization_constant(s, cm) == pytest.approx(Q_o, rel=1e-12, abs=1e-12)
+            assert constants_report(s, cm).Q == pytest.approx(Q_o, rel=1e-12, abs=1e-12)
             assert index_bound(s) == pytest.approx(C_o, rel=1e-12, abs=1e-12)
 
 

@@ -7,9 +7,9 @@ import pytest
 from lipext.constants import (
     IndexedSample,
     coherence_constant,
+    constants_report,
     index_bound,
     katetov_shift,
-    normalization_constant,
 )
 from lipext.extension import (
     FitError,
@@ -21,9 +21,10 @@ from lipext.extension import (
     whitney_batch,
 )
 from lipext.metrics import CompositionMetric
-from lipext.phi import identity_phi, random_combination
+from lipext.phi import identity_phi
 
 import oracles
+from helpers import random_combination, scaled
 
 IDENTITY = CompositionMetric("euclidean", identity_phi())
 
@@ -112,7 +113,7 @@ def test_predictions_are_lipschitz():
     model = fit_extension(s, cm, "whitney")
     X = rng.uniform(-0.5, 1.5, size=(200, 3))
     Y = rng.uniform(-0.5, 1.5, size=(200, 3))
-    gaps = cm.rowwise(X, Y)
+    gaps = np.diagonal(cm.pairwise(X, Y))
     for batch in (whitney_batch, mcshane_batch, lambda m, Z: blend(m, Z, 0.3)):
         fx = batch(model, X)
         fy = batch(model, Y)
@@ -196,6 +197,7 @@ def test_unfittable_when_constant_infinite():
         fit_extension(s, IDENTITY, "standard")
 
 
+@pytest.mark.filterwarnings("ignore:K\\*Q")
 def test_standard_error_bounded_on_training_rows():
     rng = np.random.default_rng(5)
     for _ in range(30):
@@ -205,7 +207,7 @@ def test_standard_error_bounded_on_training_rows():
         )
         cm = CompositionMetric("euclidean", random_combination(rng))
         K = coherence_constant(s, cm)
-        Q = normalization_constant(s, cm)
+        Q = constants_report(s, cm).Q
         if not (math.isfinite(K) and math.isfinite(Q)):
             continue
         bound = (K * Q - 1.0) * index_bound(s)
@@ -224,7 +226,7 @@ def test_coefficient_scaling_leaves_predictions_unchanged():
     X = rng.uniform(size=(40, 3))
     for c in (0.1, 3.0, 42.0):
         base_cm = CompositionMetric("euclidean", phi)
-        scaled_cm = CompositionMetric("euclidean", phi.scaled(c))
+        scaled_cm = CompositionMetric("euclidean", scaled(phi, c))
         for method in ("whitney", "mcshane", "standard"):
             m1 = fit_extension(s, base_cm, method)
             m2 = fit_extension(s, scaled_cm, method)

@@ -9,13 +9,16 @@ from lipext.metrics import (
     TILE_BYTES,
     CompositionMetric,
     _reduce,
-    base_distance,
     pairwise_base,
-    rowwise_base,
 )
-from lipext.phi import ATOM_NAMES, PhiCombination, identity_phi, random_combination
+from lipext.phi import ATOM_NAMES, PhiCombination, identity_phi
 
+from helpers import distance, random_combination, scaled
 from oracles import base_dist
+
+
+def base_distance(kind, a, b) -> float:
+    return distance(CompositionMetric(kind), a, b)
 
 
 def test_identical_points_have_zero_distance():
@@ -40,15 +43,14 @@ def test_chebyshev():
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
-        base_distance("euclidean", (1.0,), (1.0, 2.0))
-    cm = CompositionMetric()
+        pairwise_base("euclidean", [(1.0,)], [(1.0, 2.0)])
     with pytest.raises(ValueError):
-        cm.distance((1.0,), (1.0, 2.0))
+        CompositionMetric().pairwise([(1.0,)], [(1.0, 2.0)])
 
 
 def test_unknown_metric_rejected():
     with pytest.raises(ValueError):
-        base_distance("cosine", (0.0,), (1.0,))
+        pairwise_base("cosine", [(0.0,)], [(1.0,)])
     with pytest.raises(ValueError):
         CompositionMetric("cosine", identity_phi())
 
@@ -59,20 +61,19 @@ def test_composed_zero_on_equal_points():
         phi = random_combination(rng)
         cm = CompositionMetric(kind, phi)
         a = rng.uniform(size=4)
-        assert cm.distance(a, a) == 0.0
+        assert distance(cm, a, a) == 0.0
 
 
 def test_composed_log_value():
     cm = CompositionMetric("euclidean", PhiCombination(("log1p",), (1.0,)))
-    assert cm.distance((0.0,), (math.e - 1.0,)) == pytest.approx(1.0, rel=1e-12)
+    assert distance(cm, (0.0,), (math.e - 1.0,)) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_identity_composition_reduces_to_base():
     rng = np.random.default_rng(1)
+    A, B = rng.uniform(size=(2, 100, 3))
     cm = CompositionMetric("euclidean", identity_phi())
-    for _ in range(100):
-        a, b = rng.uniform(size=(2, 3))
-        assert cm.distance(a, b) == base_distance("euclidean", a, b)
+    assert np.array_equal(cm.pairwise(A, B), pairwise_base("euclidean", A, B))
 
 
 def test_pairwise_matches_single():
@@ -85,6 +86,7 @@ def test_pairwise_matches_single():
         for i in range(7):
             for j in range(5):
                 assert D[i, j] == base_distance(kind, A[i], B[j])
+                assert D[i, j] == pytest.approx(base_dist(kind, A[i], B[j]), rel=1e-12)
 
 
 def _random_phis(rng, n_combos=20):
@@ -94,20 +96,18 @@ def _random_phis(rng, n_combos=20):
 
 
 def test_metric_axioms_on_random_triples():
-    # Lighter version of the acceptance gate: 1000 triples per modulus.
+    # Lighter version of the acceptance gate: every ordered triple of 20
+    # random points (8000 triples) per modulus, through ``pairwise``.
     rng = np.random.default_rng(3)
-    a, b, c = np.random.default_rng(4).uniform(size=(3, 1000, 5))
+    P = np.random.default_rng(4).uniform(size=(20, 5))
     for kind in BASE_METRICS:
-        d_ab = rowwise_base(kind, a, b)
+        base = pairwise_base(kind, P, P)
         for phi in _random_phis(rng, n_combos=5):
-            cm = CompositionMetric(kind, phi)
-            ab = cm.rowwise(a, b)
-            ba = cm.rowwise(b, a)
-            bc = cm.rowwise(b, c)
-            ac = cm.rowwise(a, c)
-            assert np.array_equal(ab, ba)  # symmetry, exact
-            assert np.all(ab[d_ab > 0] > 0.0)  # positivity off the diagonal
-            assert np.all(ac <= ab + bc + 1e-9)  # triangle inequality
+            D = CompositionMetric(kind, phi).pairwise(P, P)
+            assert np.array_equal(D, D.T)  # symmetry, exact
+            assert np.all(D[base > 0.0] > 0.0)  # positivity off the diagonal
+            # triangle inequality: D[i, k] <= D[i, j] + D[j, k]
+            assert np.all(D[:, None, :] <= D[:, :, None] + D[None, :, :] + 1e-9)
 
 
 def test_monotone_compatibility_with_base():
@@ -116,12 +116,10 @@ def test_monotone_compatibility_with_base():
     cm = CompositionMetric("euclidean", phi)
     for _ in range(200):
         a, b, c = rng.uniform(size=(3, 3))
-        base_ab = base_distance("euclidean", a, b)
-        base_ac = base_distance("euclidean", a, c)
+        base_ab, base_ac = pairwise_base("euclidean", [a], [b, c])[0]
         if base_ab == base_ac:
             continue
-        composed_ab = cm.distance(a, b)
-        composed_ac = cm.distance(a, c)
+        composed_ab, composed_ac = cm.pairwise([a], [b, c])[0]
         assert (base_ab < base_ac) == (composed_ab < composed_ac)
 
 
@@ -130,10 +128,10 @@ def test_coefficient_scaling_scales_distance():
     phi = random_combination(rng)
     for c in (0.5, 3.0, 42.0):
         cm = CompositionMetric("euclidean", phi)
-        cm_scaled = CompositionMetric("euclidean", phi.scaled(c))
+        cm_scaled = CompositionMetric("euclidean", scaled(phi, c))
         a, b = rng.uniform(size=(2, 4))
-        assert cm_scaled.distance(a, b) == pytest.approx(
-            c * cm.distance(a, b), rel=1e-12
+        assert distance(cm_scaled, a, b) == pytest.approx(
+            c * distance(cm, a, b), rel=1e-12
         )
 
 

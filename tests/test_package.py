@@ -14,6 +14,18 @@ def test_every_public_name_resolves():
     assert missing == []
 
 
+def test_public_names_are_the_documented_surface():
+    assert sorted(lipext.__all__) == sorted("""
+        ATOM_NAMES BASE_METRICS LINEAR_BASIS SQRT_BASIS CompositionMetric
+        ConstantsReport CvReport Dataset ExtensionModel FitError IndexedSample
+        PhiCombination PsoConfig SwarmResult coherence_constant constants_report
+        cross_validate error_bound fit_extension fit_for_extend identity_phi
+        index_bound katetov_shift linear_fit linear_predict minimize_kq
+        minmax_scale objective_kq optimal_alpha phi_eval predict pso_minimize
+        rank rmse split
+    """.split())
+
+
 def test_table1_demo_runs():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 import lipext
-from lipext.constants import IndexedSample, katetov_shift, pair_data
-from lipext.constants import coherence_constant, normalization_constant
+from lipext.constants import IndexedSample, constants_report, katetov_shift, pair_data
 from lipext.metrics import CompositionMetric
 from lipext.phi import ATOM_FUNCS, LINEAR_BASIS, SQRT_BASIS, PhiCombination
 from lipext.swarm import PsoConfig, minimize_kq, nudge_lambda, objective_kq, pso_minimize
@@ -90,8 +89,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         PsoConfig(lambda_max=0.0)
     with pytest.raises(ValueError):
-        PsoConfig(objective="banana")
-    with pytest.raises(ValueError):
         pso_minimize(sphere, dim=0, cfg=PsoConfig())
 
 
@@ -136,7 +133,8 @@ def test_objective_kq_agrees_with_constants_route():
     for _ in range(10):
         lam = rng.uniform(0.05, 8.0, size=3)
         cm = CompositionMetric("euclidean", PhiCombination(atoms, tuple(lam)))
-        expected = coherence_constant(s, cm) * normalization_constant(s, cm)
+        report = constants_report(s, cm)
+        expected = report.K * report.Q
         assert obj(lam) == pytest.approx(expected, rel=1e-9)
 
 
