@@ -264,6 +264,16 @@ def test_cv_scale_invariance_of_rmse():
             assert a == pytest.approx(b, rel=1e-9)
 
 
+def test_cv_repeat_rows_shape():
+    # cv_repeats.csv has one (repeat, rmse) row per entry of per_repeat_rmse.
+    ds = minmax_scale(table1_like())
+    report = cross_validate(ds, "standard", IDENTITY, repeats=4, seed=0)
+    assert report.failed == 0
+    assert len(report.per_repeat_rmse) == report.repeats == 4
+    assert all(math.isfinite(v) and v >= 0.0 for v in report.per_repeat_rmse)
+    assert report.to_json_dict()["per_repeat_rmse"] == list(report.per_repeat_rmse)
+
+
 @pytest.mark.parametrize(
     "kwargs, message",
     [
