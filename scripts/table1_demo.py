@@ -24,7 +24,6 @@ from lipext import (
     cross_validate,
     fit_for_extend,
     identity_phi,
-    katetov_shift,
     minimize_kq,
     minmax_scale,
     predict,
@@ -36,8 +35,7 @@ METHODS = ("standard", "mcshane", "whitney", "blend", "linear")
 
 
 def optimize_phi(ds, atoms, metric):
-    sample = katetov_shift(ds.indexed_rows().as_sample())
-    lam, best, identity_value = minimize_kq(sample, metric, atoms)
+    lam, best, identity_value = minimize_kq(ds.indexed_rows().as_sample(), metric, atoms)
     return PhiCombination(atoms, tuple(lam)), identity_value, best
 
 

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constants import constants_report, katetov_shift
+from .constants import constants_report, encode_inf
 from .dataio import (
     CsvParseError,
     dataset_hash,
@@ -48,7 +48,7 @@ from .pipeline import (
     objective_test_rmse,
     rank,
 )
-from .swarm import PsoConfig, identity_lambda, minimize_kq, pso_minimize
+from .swarm import PsoConfig, minimize_kq, pso_minimize, settle
 
 DEFAULT_ATOMS = LINEAR_BASIS
 
@@ -166,19 +166,17 @@ def _check_config(cfg: RunConfig) -> None:
 
 
 def _pso_config(cfg: RunConfig) -> PsoConfig:
+    """The swarm settings: ``pso`` sizes the swarm, the run seed seeds it."""
     if not isinstance(cfg.pso, dict):
         raise CliError("config", "pso must be an object")
-    opts = dict(cfg.pso)
-    opts.setdefault("seed", cfg.seed)
-    for key in ("swarm_size", "iterations", "seed"):
-        if key in opts and not _is_int(opts[key]):
+    for key, value in cfg.pso.items():
+        if key not in ("swarm_size", "iterations"):
+            raise CliError("config", f"unknown pso key {key!r}; pso takes swarm_size and iterations")
+        if not _is_int(value):
             raise CliError("config", f"bad pso settings: {key} must be an integer")
-    for key in ("inertia", "cognitive", "social", "lambda_max"):
-        if key in opts and not _is_real(opts[key]):
-            raise CliError("config", f"bad pso settings: {key} must be a finite number")
     try:
-        return PsoConfig(**opts)
-    except (TypeError, ValueError) as exc:
+        return PsoConfig(**cfg.pso, seed=cfg.seed)
+    except ValueError as exc:
         raise CliError("config", f"bad pso settings: {exc}")
 
 
@@ -229,14 +227,12 @@ def _run_optimize(cfg: RunConfig, scaled: Dataset) -> dict:
     atoms = cfg.atoms
     if cfg.objective == "kq_bound":
         _pso_config(cfg)  # checked on every run, though only test-rmse searches
-        sample = katetov_shift(indexed.as_sample())
-        lam, best, identity_objective = minimize_kq(sample, cfg.metric, atoms)
+        lam, best, identity_objective = minimize_kq(indexed.as_sample(), cfg.metric, atoms)
         search = {}
     else:
         objective = objective_test_rmse(indexed, cfg.metric, atoms, cfg.train_fraction, cfg.seed)
         result = pso_minimize(objective, len(atoms), _pso_config(cfg))
-        lam, best = result.best_lambda, result.best_objective
-        identity_objective = objective(identity_lambda(len(atoms)))
+        lam, best, identity_objective = settle(objective, result.best_lambda)
         search = {"swarm": result.to_json_dict()}
     return {
         "objective": cfg.objective,
@@ -417,9 +413,8 @@ def cmd_cv(cfg: RunConfig, args) -> int:
 def cmd_optimize(cfg: RunConfig, args) -> int:
     scaled = _scaled_dataset(cfg, args.data)
     result = _run_optimize(cfg, scaled)
-    enc = lambda v: "inf" if isinstance(v, float) and math.isinf(v) else v
-    payload = dict(result, identity_objective=enc(result["identity_objective"]),
-                   best_objective=enc(result["best_objective"]))
+    payload = dict(result, identity_objective=encode_inf(result["identity_objective"]),
+                   best_objective=encode_inf(result["best_objective"]))
     print(json.dumps(payload, indent=2, sort_keys=True))
     if cfg.out:
         write_json(Path(cfg.out) / "best_phi.json", result["best_phi"])

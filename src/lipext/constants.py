@@ -58,6 +58,15 @@ class IndexedSample:
         return self.points.shape[0]
 
 
+#: How far below 1 the product K*Q may round before ``error_bound`` warns.
+KQ_ROUNDING_SLACK = 4 * np.finfo(float).eps
+
+
+def encode_inf(value):
+    """``value`` for a JSON file: an infinity becomes the string "inf"."""
+    return "inf" if math.isinf(value) else value
+
+
 @dataclass(frozen=True)
 class ConstantsReport:
     K: float
@@ -71,16 +80,13 @@ class ConstantsReport:
     notes: tuple[str, ...] = ()
 
     def to_json_dict(self) -> dict:
-        def enc(v):
-            return "inf" if math.isinf(v) else v
-
         return {
-            "K": enc(self.K),
-            "Q": enc(self.Q),
+            "K": encode_inf(self.K),
+            "Q": encode_inf(self.Q),
             "C": self.C,
-            "Q_shifted": enc(self.Q_shifted),
+            "Q_shifted": encode_inf(self.Q_shifted),
             "C_shifted": self.C_shifted,
-            "bound": enc(self.bound),
+            "bound": encode_inf(self.bound),
             "k_pair": list(self.k_pair) if self.k_pair is not None else None,
             "q_pair": list(self.q_pair) if self.q_pair is not None else None,
             "notes": list(self.notes),
@@ -166,18 +172,21 @@ def error_bound(K: float, Q: float, C: float) -> float:
     """The worst-case anchor-extension error (K*Q - 1) * C.
 
     Valid for shifted non-negative indices, where K*Q >= 1 is automatic.
-    When K*Q < 1 the formula would go negative, which signals inputs outside
-    that regime; the bound degrades to 0 with a warning.
+    When K*Q < 1 the formula would go negative and the bound degrades to 0.
+    A product more than KQ_ROUNDING_SLACK below 1 signals inputs outside
+    that regime and warns; one within it is a product of exactly 1 that
+    rounded down, and does not.
     """
     if not (math.isfinite(K) and math.isfinite(Q) and math.isfinite(C)):
         return math.inf
     kq = K * Q
     if kq < 1.0:
-        warnings.warn(
-            f"K*Q = {kq} < 1: error bound clamped to 0 (input outside the "
-            "shifted-index regime)",
-            stacklevel=2,
-        )
+        if kq < 1.0 - KQ_ROUNDING_SLACK:
+            warnings.warn(
+                f"K*Q = {kq} < 1: error bound clamped to 0 (input outside the "
+                "shifted-index regime)",
+                stacklevel=2,
+            )
         return 0.0
     return (kq - 1.0) * C
 

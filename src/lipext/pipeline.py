@@ -35,7 +35,6 @@ from .extension import (
 )
 from .metrics import CompositionMetric
 from .phi import ATOM_FUNCS, PhiCombination, weighted_sum
-from .swarm import nudge_lambda
 
 #: Seed offset for the nested alpha split, so it never reuses a repeat seed.
 _INNER_SPLIT_OFFSET = 7919
@@ -389,9 +388,9 @@ def objective_test_rmse(
     coefficient vectors are compared on identical data.  Each atom is
     applied once to the base distances of the training pairs and of the
     test x train block; a candidate then weights and sums those stacks in
-    ``phi_eval``'s order.  Unfittable candidates score +inf.  A split with
-    fewer than two training rows raises ``ValueError`` here, since every
-    candidate would be unfittable.
+    ``phi_eval``'s order.  Unfittable candidates and the zero vector, which
+    is not a modulus, score +inf.  A split with fewer than two training rows
+    raises ``ValueError`` here, since every candidate would be unfittable.
     """
     train, test = _split_rows(ds_indexed.n_rows, train_fraction, seed, "random")
     if len(train) < 2:
@@ -409,7 +408,8 @@ def objective_test_rmse(
     truth = ds_indexed.index[test]
 
     def objective(lam: np.ndarray) -> float:
-        lam = nudge_lambda(lam)
+        if not np.any(lam):
+            return math.inf
         phi = PhiCombination(atoms, tuple(float(v) for v in lam))
         cm = CompositionMetric(base, phi)
         d_pairs = weighted_sum(phi.coefficients, pair_atoms, pairs)

@@ -4,20 +4,16 @@
 coherence-times-normalization product K*Q exactly.  Composed distances are
 linear in the coefficients and the product does not change when they are
 scaled, so the minimum is a small linear program, solved here with numpy
-alone by constraint generation over the pairs and a dense simplex.  The
-result is never worse than the identity coefficients (1, 0, ..., 0) and
-does not depend on any seed.
+alone by constraint generation over the pairs and a dense simplex.
 
 ``pso_minimize`` is a global-best particle swarm for objectives that are not
-convex, such as held-out RMSE.  The search box is [0, lambda_max] per
-coordinate because modulus coefficients must be non-negative.
-Hyperparameter defaults are the standard constriction values (inertia
-0.7298, cognitive = social = 1.49618).  One particle is always seeded at
-(1, 0, ..., 0) -- the coefficients of the untouched base metric -- so the
-best objective found can never be worse than leaving the metric alone.
-Runs are deterministic given the seed.
+convex, such as held-out RMSE, with the constriction values of Clerc &
+Kennedy (2002).  It searches the fixed box [0, BOX] per coordinate: both
+objectives depend only on the coefficients' direction, so only the box's
+size next to the identity seed (1, 0, ..., 0) matters.  The zero vector is
+not a modulus, and both objectives score it +inf.  Runs are deterministic
+given the seed.  ``settle`` writes either search's answer under one rule.
 """
-
 from __future__ import annotations
 
 import math
@@ -26,11 +22,15 @@ from typing import Callable
 
 import numpy as np
 
-from .constants import IndexedSample, pair_data, ratio_max
-from .phi import ATOM_FUNCS
+from .constants import IndexedSample, encode_inf, katetov_shift, pair_data, ratio_max
+from .phi import ATOM_FUNCS, weighted_sum
 
-#: Replacement for an all-zero coefficient vector before evaluation.
-ZERO_NUDGE = 1e-9
+#: Constriction values of the velocity update (Clerc & Kennedy 2002).
+INERTIA = 0.7298
+COGNITIVE = 1.49618
+SOCIAL = 1.49618
+#: Upper end of the search box [0, BOX] of every coordinate.
+BOX = 10.0
 
 #: Relative slack of the exact K*Q solve's stopping test.
 KQ_REL_TOL = 1e-12
@@ -44,10 +44,6 @@ SIMPLEX_TOL = 1e-12
 class PsoConfig:
     swarm_size: int = 40
     iterations: int = 200
-    inertia: float = 0.7298
-    cognitive: float = 1.49618
-    social: float = 1.49618
-    lambda_max: float = 10.0
     seed: int = 0
 
     def __post_init__(self):
@@ -55,8 +51,6 @@ class PsoConfig:
             raise ValueError("swarm_size must be >= 2")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.lambda_max <= 0.0:
-            raise ValueError("lambda_max must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,11 +60,10 @@ class SwarmResult:
     history: np.ndarray  # best-so-far after each iteration, non-increasing
 
     def to_json_dict(self) -> dict:
-        enc = lambda v: "inf" if math.isinf(v) else v
         return {
             "best_lambda": [float(v) for v in self.best_lambda],
-            "best_objective": enc(float(self.best_objective)),
-            "history": [enc(float(v)) for v in self.history],
+            "best_objective": encode_inf(float(self.best_objective)),
+            "history": [encode_inf(float(v)) for v in self.history],
         }
 
 
@@ -81,45 +74,41 @@ def identity_lambda(dim: int) -> np.ndarray:
     return lam
 
 
-def nudge_lambda(lam: np.ndarray) -> np.ndarray:
-    """Replace an all-zero coefficient vector with (ZERO_NUDGE, 0, ..., 0)."""
-    lam = np.asarray(lam, dtype=float)
-    if np.all(lam == 0.0):
-        out = np.zeros_like(lam)
-        out[0] = ZERO_NUDGE
-        return out
-    return lam
-
-
-def _nudge_rows(X: np.ndarray) -> None:
-    dead = ~np.any(X != 0.0, axis=1)
-    if np.any(dead):
-        X[dead, :] = 0.0
-        X[dead, 0] = ZERO_NUDGE
+def settle(objective: Callable[[np.ndarray], float], lam: np.ndarray):
+    """A search's answer ``lam`` under the one output rule: (coefficients,
+    objective at exactly them, objective at the identity), the coefficients
+    being ``lam`` scaled to unit sum if that scores strictly below the
+    identity (1, 0, ..., 0), else the identity itself."""
+    identity = identity_lambda(len(lam))
+    identity_value = objective(identity)
+    total = float(np.sum(lam))
+    if total > 0.0:
+        lam = lam / total
+        value = objective(lam)
+        if value < identity_value:
+            return lam, value, identity_value
+    return identity, identity_value, identity_value
 
 
 def pso_minimize(
     objective: Callable[[np.ndarray], float], dim: int, cfg: PsoConfig
 ) -> SwarmResult:
-    """Minimize ``objective`` over the box [0, lambda_max]^dim.
+    """Minimize ``objective`` over the box [0, BOX]^dim.
 
     Velocity update: v <- w*v + c1*r1*(pbest - x) + c2*r2*(gbest - x), with
-    velocities clamped to half the box range and positions clamped to the
-    box.  All-zero positions are nudged before evaluation, and a NaN
+    velocities clamped to half the box and positions to the box.  A NaN
     objective is treated as +inf.  ``history[i]`` is the best objective seen
     up to and including iteration i+1 (initial placement included).
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
     rng = np.random.default_rng(cfg.seed)
-    S, lam_max = cfg.swarm_size, cfg.lambda_max
-    v_max = 0.5 * lam_max
+    S = cfg.swarm_size
+    v_max = 0.5 * BOX
 
-    X = rng.uniform(0.0, lam_max, size=(S, dim))
-    X[0, :] = 0.0
-    X[0, 0] = min(1.0, lam_max)  # identity seed, kept inside the box
+    X = rng.uniform(0.0, BOX, size=(S, dim))
+    X[0] = identity_lambda(dim)
     V = np.zeros_like(X)
-    _nudge_rows(X)
 
     def evaluate(x: np.ndarray) -> float:
         val = float(objective(x))
@@ -135,10 +124,9 @@ def pso_minimize(
     for it in range(cfg.iterations):
         r1 = rng.uniform(size=(S, dim))
         r2 = rng.uniform(size=(S, dim))
-        V = cfg.inertia * V + cfg.cognitive * r1 * (pbest - X) + cfg.social * r2 * (gbest - X)
+        V = INERTIA * V + COGNITIVE * r1 * (pbest - X) + SOCIAL * r2 * (gbest - X)
         np.clip(V, -v_max, v_max, out=V)
-        X = np.clip(X + V, 0.0, lam_max)
-        _nudge_rows(X)
+        X = np.clip(X + V, 0.0, BOX)
         for i in range(S):
             f = evaluate(X[i])
             if f < pbest_f[i]:
@@ -153,13 +141,19 @@ def pso_minimize(
 
 
 def _kq_terms(s: IndexedSample, base: str, atoms: tuple[str, ...]):
-    """(atom stack (n_atoms, n_pairs), |I_i - I_j|, |I_i| + |I_j|) of the pairs of ``s``."""
-    _, _, d_base, d_vals, denom = pair_data(s, base)
+    """(atom stack (n_atoms, n_pairs), |I_i - I_j|, |I_i| + |I_j|) of the pairs
+    of ``s``, the sums taken after the Katetov shift as in ``constants_report``."""
+    i_idx, j_idx, d_base, d_vals, _ = pair_data(s, base)
+    shifted = katetov_shift(s).values
+    denom = np.abs(shifted[i_idx]) + np.abs(shifted[j_idx])
     return np.stack([ATOM_FUNCS[a](d_base) for a in atoms]), d_vals, denom
 
 
 def _kq_value(lam: np.ndarray, atom_vals: np.ndarray, d_vals: np.ndarray, denom: np.ndarray) -> float:
-    d_phi = lam @ atom_vals
+    if not lam.any():
+        return math.inf  # the zero vector is not a modulus
+    # Summed as ``phi_eval`` sums, so the value is that of ``constants_report``.
+    d_phi = weighted_sum(lam, atom_vals, d_vals)
     K = ratio_max(d_vals, d_phi)[0]
     Q = ratio_max(d_phi, denom)[0]
     # An infinite constant makes the product infinite, even times K = 0.
@@ -169,16 +163,15 @@ def _kq_value(lam: np.ndarray, atom_vals: np.ndarray, d_vals: np.ndarray, denom:
 def objective_kq(s: IndexedSample, base: str, atoms: tuple[str, ...]) -> Callable:
     """Evaluator of the coherence-times-normalization product over coefficients.
 
-    The caller is expected to have shifted ``s`` to zero minimum, which makes
-    the product at least 1 and the error bound meaningful.  Base distances
-    and per-atom transforms are precomputed once, so each evaluation is a
-    single weighted sum plus two reductions.  Returns +inf when either
-    constant is infinite; all-zero vectors are nudged first.
+    Q is that of the Katetov-shifted index, which makes the product at least
+    1.  Base distances and per-atom transforms are precomputed once, so each
+    evaluation is a weighted sum plus two reductions.  Returns +inf when
+    either constant is infinite, and for the zero vector.
     """
     atom_vals, d_vals, denom = _kq_terms(s, base, atoms)
 
     def objective(lam: np.ndarray) -> float:
-        lam = nudge_lambda(lam)
+        lam = np.asarray(lam, dtype=float)
         if lam.shape != (len(atoms),):
             raise ValueError(f"expected {len(atoms)} coefficients, got {lam.shape}")
         return _kq_value(lam, atom_vals, d_vals, denom)
@@ -244,11 +237,10 @@ def _most_violated(ratio: np.ndarray, working: np.ndarray) -> np.ndarray:
 def minimize_kq(s: IndexedSample, base: str, atoms: tuple[str, ...]):
     """Coefficients of ``atoms`` that minimize K*Q on ``s`` exactly.
 
-    Returns (unit-sum coefficients, K*Q at exactly those coefficients, K*Q
-    at the identity coefficients (1, 0, ..., 0)).  The composed distance
-    d_p = lam . a_p of each pair p is linear in lam, and K*Q does not change
-    when lam is scaled, so fixing Q <= 1 and maximizing t = 1/K is a linear
-    program in (lam, t) >= 0:
+    Q is that of the Katetov-shifted index; returns ``settle``'s triple.  The
+    composed distance d_p = lam . a_p of each pair p is linear in lam, and
+    K*Q does not change when lam is scaled, so fixing Q <= 1 and maximizing
+    t = 1/K is a linear program in (lam, t) >= 0:
 
         d_p >= t |I_i - I_j|   and   d_p <= |I_i| + |I_j|   for every pair.
 
@@ -262,23 +254,26 @@ def minimize_kq(s: IndexedSample, base: str, atoms: tuple[str, ...]):
     Comparing ratios computed alike, not K*Q with the solved t, keeps the
     round-off of ill-conditioned rows out of the stopping test.
 
-    The identity is returned unless the solution is strictly better, so the
-    result is never worse than leaving the metric alone.  When the identity's
-    K*Q is infinite (duplicate points with distinct values, or distinct rows
-    with |I_i| + |I_j| = 0) no coefficients can help, because every atom is
-    positive at every positive distance, and the solve is skipped; so it is
-    when the product is 0, which nothing undercuts.
+    When the identity's K*Q is infinite (duplicate points with distinct
+    values, or distinct rows with |I_i| + |I_j| = 0) no coefficients can
+    help, because every atom is positive at every positive distance, and the
+    solve is skipped; so it is when the product is 0, which nothing
+    undercuts.
     """
     atom_vals, d_vals, denom = _kq_terms(s, base, atoms)
+
+    def kq(lam: np.ndarray) -> float:
+        return _kq_value(lam, atom_vals, d_vals, denom)
+
     identity = identity_lambda(len(atoms))
-    identity_value = _kq_value(identity, atom_vals, d_vals, denom)
+    identity_value = kq(identity)
     if not 0.0 < identity_value < math.inf:
         return identity, identity_value, identity_value
 
     lam = identity
     work_k = work_q = np.empty(0, dtype=np.intp)
     while True:
-        d_phi = lam @ atom_vals
+        d_phi = weighted_sum(lam, atom_vals, d_vals)
         k_ratio = np.divide(d_vals, d_phi, out=np.zeros_like(d_phi), where=d_vals > 0.0)
         q_ratio = np.divide(d_phi, denom, out=np.zeros_like(d_phi), where=denom > 0.0)
         new_k = _most_violated(k_ratio, work_k)
@@ -298,8 +293,4 @@ def minimize_kq(s: IndexedSample, base: str, atoms: tuple[str, ...]):
         c[-1] = 1.0
         lam = _simplex_max(A, b, c)[:-1]
 
-    lam = lam / np.sum(lam)
-    value = _kq_value(lam, atom_vals, d_vals, denom)
-    if value < identity_value:
-        return lam, value, identity_value
-    return identity, identity_value, identity_value
+    return settle(kq, lam)

@@ -2,8 +2,8 @@
 
 ``oracles`` holds the independent plain-Python references; this module holds
 what the tests need beyond them: a numeric probe of the modulus axioms,
-random and rescaled coefficient combinations, and single-pair distances
-taken from ``pairwise``.
+random and rescaled coefficient combinations, single-pair distances
+taken from ``pairwise``, and seeded synthetic dataset CSVs.
 """
 
 from __future__ import annotations
@@ -96,3 +96,24 @@ def scaled(phi: PhiCombination, c: float) -> PhiCombination:
 def distance(cm, a, b) -> float:
     """Composed distance between two points: the one entry of ``pairwise``."""
     return float(cm.pairwise([a], [b])[0, 0])
+
+
+def synthetic_csv(seed: int, n: int, m: int = 3, hidden: float = 0.2) -> str:
+    """CSV text of ``n`` rows with ``m`` features and a smooth noisy index.
+
+    Features are uniform on per-column ranges of widely different sizes; a
+    ``hidden`` share of the rows has its index left empty.  The same seed
+    gives the same bytes.
+    """
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(size=(n, m))
+    weights = rng.uniform(0.5, 1.5, size=m) / np.sqrt(m)
+    wave = rng.normal(size=m)
+    index = 1.0 + z @ weights + 0.25 * np.sin(2 * np.pi * z @ wave) + 0.005 * rng.normal(size=n)
+    features = rng.uniform(-5, 5, size=m) + z * 10.0 ** rng.uniform(-1, 2, size=m)
+    hide = set(rng.choice(n, size=int(round(hidden * n)), replace=False).tolist())
+    lines = ["id," + ",".join(f"x{k}" for k in range(m)) + ",index"]
+    for i in range(n):
+        value = "" if i in hide else repr(float(index[i]))
+        lines.append(f"r{i}," + ",".join(repr(float(x)) for x in features[i]) + "," + value)
+    return "\n".join(lines) + "\n"

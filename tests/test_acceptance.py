@@ -39,7 +39,13 @@ from lipext.extension import (
 )
 from lipext.metrics import CompositionMetric
 from lipext.phi import ATOM_NAMES, PhiCombination, identity_phi, phi_eval
-from lipext.pipeline import cross_validate, fit_for_extend, minmax_scale, rank
+from lipext.pipeline import (
+    cross_validate,
+    fit_for_extend,
+    minmax_scale,
+    objective_test_rmse,
+    rank,
+)
 from lipext.swarm import PsoConfig, objective_kq, pso_minimize
 
 import oracles
@@ -201,8 +207,7 @@ def test_scale_invariance():
         return report.per_repeat_rmse, rank(ds, preds)
 
     base_rmse, base_rank = rank_and_rmse(phi)
-    sample = katetov_shift(ds.indexed_rows().as_sample())
-    kq = objective_kq(sample, "euclidean", phi.atoms)
+    kq = objective_kq(ds.indexed_rows().as_sample(), "euclidean", phi.atoms)
     lam = np.asarray(phi.coefficients)
     base_kq = kq(lam)
     for c in (0.1, 3.0, 42.0):
@@ -217,11 +222,11 @@ def test_scale_invariance():
 
 @criterion("optimizer-guarantees")
 def test_optimizer_guarantees(tmp_path):
-    # Neither search reports worse than the identity coefficients.  The
-    # exact K*Q search reports the product at exactly the coefficients it
-    # writes; the test-rmse swarm's history is monotone; reruns of both are
-    # bitwise identical; and the default budget drives a 3-d sphere below
-    # 1e-4.
+    # Neither search reports worse than the identity coefficients.  Both
+    # write unit-sum coefficients and report the objective at exactly those
+    # coefficients; the test-rmse swarm's history is monotone; reruns of
+    # both are bitwise identical; and the default budget drives a 3-d sphere
+    # below 1e-4.
     rng = np.random.default_rng(41)
     datasets = [str(table1_path())]
     for i in range(3):
@@ -242,8 +247,9 @@ def test_optimizer_guarantees(tmp_path):
         payload = json.loads(out1)
         assert payload["best_objective"] <= payload["identity_objective"]
         phi = payload["best_phi"]
-        sample = katetov_shift(minmax_scale(read_dataset(data)).indexed_rows().as_sample())
-        kq = objective_kq(sample, "euclidean", tuple(phi["atoms"]))
+        assert sum(phi["coefficients"]) == pytest.approx(1.0, abs=1e-12)
+        indexed = minmax_scale(read_dataset(data)).indexed_rows()
+        kq = objective_kq(indexed.as_sample(), "euclidean", tuple(phi["atoms"]))
         assert payload["best_objective"] == kq(np.array(phi["coefficients"]))
         assert out1 == quiet_cli(["optimize", "--data", data, "--seed", "5"])
 
@@ -252,6 +258,10 @@ def test_optimizer_guarantees(tmp_path):
         out1 = quiet_cli(rmse_args)
         payload = json.loads(out1)
         assert payload["best_objective"] <= payload["identity_objective"]
+        phi = payload["best_phi"]
+        assert sum(phi["coefficients"]) == pytest.approx(1.0, abs=1e-12)
+        rmse = objective_test_rmse(indexed, "euclidean", tuple(phi["atoms"]), seed=5)
+        assert payload["best_objective"] == rmse(np.array(phi["coefficients"]))
         history = [
             math.inf if h == "inf" else h for h in payload["swarm"]["history"]
         ]

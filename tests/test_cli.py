@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from lipext.cli import main, rebuild_model
-from lipext.constants import katetov_shift
 from lipext.dataio import CsvParseError, dataset_hash, read_dataset, table1_path
 from lipext.extension import METHODS, predict
-from lipext.pipeline import minmax_scale
+from lipext.phi import LINEAR_BASIS, SQRT_BASIS
+from lipext.pipeline import minmax_scale, objective_test_rmse
 from lipext.swarm import objective_kq
+
+from helpers import synthetic_csv
 
 TWO_POINT_CSV = "id,x,index\na,0,0\nb,1,2\n"
 RECOVERY_CSV = "id,x,index\na,0,0\nb,1,2\nc,1,\n"
@@ -103,6 +105,19 @@ def test_constants_command_infinite_q(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["Q"] == "inf"
+
+
+def test_constants_does_not_warn_when_kq_rounds_below_one(tmp_path, capsys):
+    # K*Q of the shifted two-row index is 1 in theory but rounds an ulp
+    # below; the bound is 0 without a warning.
+    data = write(tmp_path, "two.csv", "id,a,b,index\nr0,0,0,0\nr1,1,1,27.2268870741246\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "constants", "--data", data)
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["K"] * payload["Q_shifted"] < 1.0
+    assert payload["bound"] == 0.0
 
 
 def test_constants_writes_file(tmp_path, capsys):
@@ -223,7 +238,7 @@ def test_optimize_never_worse_than_identity(tmp_path, capsys):
     assert sum(best_phi["coefficients"]) == pytest.approx(1.0, rel=1e-9)
     result = json.loads((out_dir / "swarm_result.json").read_text())
     assert result == payload and result["best_phi"] == best_phi
-    sample = katetov_shift(minmax_scale(read_dataset(table1_path())).indexed_rows().as_sample())
+    sample = minmax_scale(read_dataset(table1_path())).indexed_rows().as_sample()
     kq = objective_kq(sample, "euclidean", tuple(best_phi["atoms"]))
     assert result["best_objective"] == kq(np.array(best_phi["coefficients"]))
 
@@ -235,8 +250,52 @@ def test_optimize_never_worse_than_identity(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["best_objective"] <= payload["identity_objective"]
+    best_phi = json.loads((out_dir / "best_phi.json").read_text())
+    assert sum(best_phi["coefficients"]) == pytest.approx(1.0, rel=1e-12)
+    indexed = minmax_scale(read_dataset(table1_path())).indexed_rows()
+    rmse = objective_test_rmse(indexed, "euclidean", tuple(best_phi["atoms"]), seed=3)
+    assert payload["best_objective"] == rmse(np.array(best_phi["coefficients"]))
     history = json.loads((out_dir / "swarm_result.json").read_text())["swarm"]["history"]
     assert all(b <= a for a, b in zip(history, history[1:]))
+
+
+@pytest.mark.parametrize(
+    "seed, n, atoms",
+    [(0, 60, "linear"), (8, 60, "linear"), (15, 20, "linear"), (13, 150, "sqrt")],
+)
+def test_optimize_kq_equals_constants_under_best_phi(tmp_path, capsys, seed, n, atoms):
+    # Both commands compose distances in the same order and take K from the
+    # same |I_i - I_j|, so the searched K*Q is the reported K * Q_shifted
+    # bit for bit.
+    data = write(tmp_path, "data.csv", synthetic_csv(seed, n))
+    basis = list(LINEAR_BASIS if atoms == "linear" else SQRT_BASIS)
+    cfg = write(tmp_path, "cfg.json", json.dumps({"atoms": basis}))
+    out_dir = tmp_path / "out"
+    code, out, _ = run_cli(capsys, "optimize", "--data", data, "--config", cfg,
+                           "--out", str(out_dir))
+    assert code == 0
+    best = json.loads(out)["best_objective"]
+    code, out, _ = run_cli(capsys, "constants", "--data", data,
+                           "--phi", str(out_dir / "best_phi.json"))
+    assert code == 0
+    report = json.loads(out)
+    assert best == report["K"] * report["Q_shifted"]
+
+
+@pytest.mark.parametrize("seed", [6, 7])
+def test_optimize_test_rmse_writes_identity_for_identity_ray(tmp_path, capsys, seed):
+    # On these samples the swarm's best points all lie on the identity's
+    # ray, a rounding-noise below it or at the zero corner; the written
+    # answer is the identity itself.
+    data = write(tmp_path, "data.csv", synthetic_csv(seed, 30))
+    cfg = write(tmp_path, "cfg.json", json.dumps({"pso": {"swarm_size": 10, "iterations": 20}}))
+    code, out, _ = run_cli(capsys, "optimize", "--data", data, "--config", cfg,
+                           "--objective", "test-rmse", "--seed", "0")
+    assert code == 0
+    payload = json.loads(out)
+    assert not any(payload["swarm"]["best_lambda"][1:])
+    assert payload["best_phi"]["coefficients"] == [1.0, 0.0, 0.0, 0.0]
+    assert payload["best_objective"] == payload["identity_objective"]
 
 
 def test_optimize_deterministic_output(tmp_path, capsys):
@@ -425,6 +484,9 @@ def test_bad_config_key_rejected(tmp_path, capsys):
         ("optimize", '{"pso": {"swarm_size": 4.5}}'),
         ("optimize", '{"pso": {"iterations": 2.5}}'),
         ("optimize", '{"pso": {"lambda_max": 1e400}}'),
+        ("optimize", '{"pso": {"lambda_max": 10}}'),
+        ("optimize", '{"pso": {"inertia": 0.5}}'),
+        ("optimize", '{"pso": {"seed": 1}}'),
         ("optimize", '{"pso": [1]}'),
         ("optimize", '{"atoms": []}'),
         ("optimize", '{"atoms": 5}'),

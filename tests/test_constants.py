@@ -73,6 +73,20 @@ def test_error_bound_warns_below_one():
         assert error_bound(0.5, 0.5, 10.0) == 0.0
 
 
+def test_error_bound_ignores_rounding_below_one():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert error_bound(1.0, 1.0 - 2.0**-53, 5.0) == 0.0
+
+
+def test_degenerate_zero_constants_still_warn():
+    # Two copies of one row: K and the shifted Q are both 0.
+    s = line_sample([1.0, 1.0], [3.0, 3.0])
+    with pytest.warns(UserWarning, match="K\\*Q = 0.0 < 1"):
+        report = constants_report(s, IDENTITY)
+    assert (report.K, report.Q_shifted, report.bound) == (0.0, 0.0, 0.0)
+
+
 def test_katetov_shift():
     s = line_sample([0.0, 1.0, 2.0], [3.0, 5.0, 4.0])
     assert np.array_equal(katetov_shift(s).values, [0.0, 2.0, 1.0])

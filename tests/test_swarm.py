@@ -10,9 +10,11 @@ import pytest
 
 import lipext
 from lipext.constants import IndexedSample, constants_report, katetov_shift, pair_data
+from lipext.dataio import read_dataset, table1_path
 from lipext.metrics import CompositionMetric
 from lipext.phi import ATOM_FUNCS, LINEAR_BASIS, SQRT_BASIS, PhiCombination
-from lipext.swarm import PsoConfig, minimize_kq, nudge_lambda, objective_kq, pso_minimize
+from lipext.pipeline import minmax_scale, objective_test_rmse
+from lipext.swarm import PsoConfig, minimize_kq, objective_kq, pso_minimize, settle
 
 
 def sphere(lam):
@@ -63,8 +65,12 @@ def test_nan_objective_treated_as_infinite():
 
 
 def test_best_lambda_in_bounds_and_not_zero():
-    # An objective that pushes toward the all-zero corner.
-    result = pso_minimize(lambda lam: float(np.sum(lam)), dim=3, cfg=PsoConfig(seed=7))
+    # An objective that pushes toward the all-zero corner, which, like the
+    # zero vector of both coefficient objectives, scores +inf.
+    def toward_zero(lam):
+        return float(np.sum(lam)) if np.any(lam) else math.inf
+
+    result = pso_minimize(toward_zero, dim=3, cfg=PsoConfig(seed=7))
     assert np.all(result.best_lambda >= 0.0)
     assert np.all(result.best_lambda <= 10.0)
     assert np.any(result.best_lambda != 0.0)
@@ -87,15 +93,20 @@ def test_config_validation():
     with pytest.raises(ValueError):
         PsoConfig(iterations=0)
     with pytest.raises(ValueError):
-        PsoConfig(lambda_max=0.0)
-    with pytest.raises(ValueError):
         pso_minimize(sphere, dim=0, cfg=PsoConfig())
 
 
-def test_nudge_lambda():
-    assert np.array_equal(nudge_lambda(np.zeros(3)), [1e-9, 0.0, 0.0])
-    lam = np.array([0.0, 2.0])
-    assert np.array_equal(nudge_lambda(lam), lam)
+def test_settle_scales_to_unit_sum_and_keeps_the_identity_on_ties():
+    def ray(lam):  # scale-free, and lowest on the direction (1, 1, 0)
+        return float(np.sum((lam / np.sum(lam) - [0.5, 0.5, 0.0]) ** 2))
+
+    lam, value, identity_value = settle(ray, np.array([3.0, 3.0, 0.0]))
+    assert np.array_equal(lam, [0.5, 0.5, 0.0])
+    assert value == ray(lam) == 0.0 and identity_value == ray(np.array([1.0, 0.0, 0.0]))
+    # A rescaled identity, the zero vector and a tie are written as the identity.
+    for found in ([7.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0]):
+        lam, value, identity_value = settle(lambda l: 1.0, np.array(found))
+        assert np.array_equal(lam, [1.0, 0.0, 0.0]) and value == identity_value == 1.0
 
 
 def two_point_sample():
@@ -119,10 +130,16 @@ def test_objective_kq_scale_invariant_along_rays():
         assert obj(c * lam) == pytest.approx(base, abs=1e-9, rel=1e-9)
 
 
-def test_objective_kq_zero_vector_nudged_finite():
-    obj = objective_kq(two_point_sample(), "euclidean", ("identity",))
-    assert math.isfinite(obj(np.array([0.0])))
-    assert obj(np.array([0.0])) == pytest.approx(1.0, rel=1e-9)
+def test_objectives_score_zero_vector_infinite():
+    # The zero vector is not a modulus: neither objective scores it finite,
+    # even on a constant index, where K and Q of the zero map are both 0.
+    for values in ([0.0, 2.0], [1.0, 1.0]):
+        s = IndexedSample(np.array([[0.0], [1.0]]), values)
+        assert objective_kq(s, "euclidean", LINEAR_BASIS)(np.zeros(4)) == math.inf
+    indexed = minmax_scale(read_dataset(table1_path())).indexed_rows()
+    rmse = objective_test_rmse(indexed, "euclidean", LINEAR_BASIS)
+    assert math.isfinite(rmse(np.array([1.0, 0.0, 0.0, 0.0])))
+    assert rmse(np.zeros(4)) == math.inf
 
 
 def test_objective_kq_agrees_with_constants_route():
