@@ -216,14 +216,17 @@ def _resolve_phi(cfg: RunConfig, scaled: Dataset) -> PhiCombination:
     return _parse_phi_value(cfg.phi)
 
 
-def _scaled_dataset(cfg: RunConfig, data_path: str) -> Dataset:
-    return minmax_scale(read_dataset(data_path), fit_on=cfg.scale_on)
+def _load(cfg: RunConfig, args) -> tuple[Dataset, Dataset]:
+    """The (raw, scaled) dataset of ``--data``; every command needs at least
+    two indexed rows, checked before scaling."""
+    raw = read_dataset(args.data)
+    if np.count_nonzero(raw.indexed_mask) < 2:
+        raise CliError("data", f"{args.command} needs at least two indexed rows")
+    return raw, minmax_scale(raw, fit_on=cfg.scale_on)
 
 
 def _run_optimize(cfg: RunConfig, scaled: Dataset) -> dict:
     indexed = scaled.indexed_rows()
-    if indexed.n_rows < 2:
-        raise CliError("data", "optimize needs at least two indexed rows")
     atoms = cfg.atoms
     if cfg.objective == "kq_bound":
         _pso_config(cfg)  # checked on every run, though only test-rmse searches
@@ -285,17 +288,10 @@ def rebuild_model(model_dict: dict, ds_raw: Dataset) -> tuple[ExtensionModel, Da
     """
     if dataset_hash(ds_raw) != model_dict["training_hash"]:
         raise CliError("data", "dataset does not match the model's training hash")
-    scaling = (
+    scaled = apply_scaling(ds_raw, (
         np.array(model_dict["scaling"]["min"], dtype=float),
         np.array(model_dict["scaling"]["max"], dtype=float),
-    )
-    scaled = Dataset(
-        list(ds_raw.ids),
-        apply_scaling(ds_raw.features, scaling),
-        ds_raw.index.copy(),
-        list(ds_raw.feature_names),
-        scaling=scaling,
-    )
+    ))
     indexed = scaled.indexed_rows()
     if model_dict["method"] == "linear":
         coeffs = np.array(model_dict["coefficients"], dtype=float)
@@ -325,34 +321,25 @@ def rebuild_model(model_dict: dict, ds_raw: Dataset) -> tuple[ExtensionModel, Da
 # commands
 
 
-def _extend(cfg: RunConfig, data_path: str) -> tuple[Dataset, np.ndarray, dict]:
-    ds_raw = read_dataset(data_path)
-    raw_hash = dataset_hash(ds_raw)
-    scaled = minmax_scale(ds_raw, fit_on=cfg.scale_on)
-    phi = _resolve_phi(cfg, scaled)
-    cm = CompositionMetric(cfg.metric, phi)
+def _extend(cfg: RunConfig, args) -> tuple[Dataset, np.ndarray, dict]:
+    raw, scaled = _load(cfg, args)
+    cm = CompositionMetric(cfg.metric, _resolve_phi(cfg, scaled))
     indexed = scaled.indexed_rows()
     targets = scaled.unindexed_rows()
-    if indexed.n_rows < 2:
-        raise CliError("data", "extension needs at least two indexed rows")
-
     model = fit_for_extend(
         indexed, cm, cfg.method, cfg.alpha, cfg.train_fraction, cfg.seed, cfg.split
     )
     preds = predict(model, targets.features) if targets.n_rows else np.empty(0)
-    model_dict = model_to_json_dict(model, raw_hash, scaled, indexed.ids)
+    model_dict = model_to_json_dict(model, dataset_hash(raw), scaled, indexed.ids)
     if targets.n_rows == 0:
         warnings.warn("no unindexed rows: nothing to predict", stacklevel=2)
     return scaled, preds, model_dict
 
 
 def cmd_constants(cfg: RunConfig, args) -> int:
-    scaled = _scaled_dataset(cfg, args.data)
-    indexed = scaled.indexed_rows()
-    if indexed.n_rows < 2:
-        raise CliError("data", "constants need at least two indexed rows")
+    _, scaled = _load(cfg, args)
     cm = CompositionMetric(cfg.metric, _resolve_phi(cfg, scaled))
-    report = constants_report(indexed.as_sample(), cm)
+    report = constants_report(scaled.as_sample(), cm)
     payload = report.to_json_dict()
     print(json.dumps(payload, indent=2, sort_keys=True))
     if cfg.out:
@@ -361,7 +348,7 @@ def cmd_constants(cfg: RunConfig, args) -> int:
 
 
 def cmd_extend(cfg: RunConfig, args) -> int:
-    scaled, preds, model_dict = _extend(cfg, args.data)
+    scaled, preds, model_dict = _extend(cfg, args)
     ids = scaled.unindexed_rows().ids
     out = Path(cfg.out or ".")
     write_csv(out / "predictions.csv", ["id", "predicted_index"],
@@ -387,7 +374,7 @@ def _thread_count() -> int | None:
 
 def cmd_cv(cfg: RunConfig, args) -> int:
     workers = _thread_count()
-    scaled = _scaled_dataset(cfg, args.data)
+    _, scaled = _load(cfg, args)
     cm = CompositionMetric(cfg.metric, _resolve_phi(cfg, scaled))
     report = cross_validate(
         scaled,
@@ -411,7 +398,7 @@ def cmd_cv(cfg: RunConfig, args) -> int:
 
 
 def cmd_optimize(cfg: RunConfig, args) -> int:
-    scaled = _scaled_dataset(cfg, args.data)
+    _, scaled = _load(cfg, args)
     result = _run_optimize(cfg, scaled)
     payload = dict(result, identity_objective=encode_inf(result["identity_objective"]),
                    best_objective=encode_inf(result["best_objective"]))
@@ -423,7 +410,7 @@ def cmd_optimize(cfg: RunConfig, args) -> int:
 
 
 def cmd_rank(cfg: RunConfig, args) -> int:
-    scaled, preds, _ = _extend(cfg, args.data)
+    scaled, preds, _ = _extend(cfg, args)
     if scaled.unindexed_rows().n_rows == 0:
         raise CliError("data", "ranking needs at least one unindexed row")
     rows = [(r, cid, val, cfg.method) for r, cid, val in rank(scaled, preds)]

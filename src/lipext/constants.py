@@ -100,7 +100,6 @@ def condensed_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 
     The two latest sizes are cached: CV repeats (with their nested alpha
     split) and objective evaluations ask for the same sizes many times.
-    ``pair_data``, called once per use, builds its own.
     """
     i_idx, j_idx = np.triu_indices(n, k=1)
     i_idx.setflags(write=False)
@@ -111,15 +110,20 @@ def condensed_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 def pair_data(s: IndexedSample, base: str):
     """Condensed upper-triangle pair data in lexicographic (i, j) order.
 
-    Returns (i_idx, j_idx, base distances, |I_i - I_j|, |I_i| + |I_j|).
+    Returns (i_idx, j_idx, base distances, |I_i - I_j|, |I_i| + |I_j|, and
+    |I_i| + |I_j| of the Katetov-shifted index).
     """
     n = len(s)
     if n < 2:
         raise ValueError("need at least two rows")
-    i_idx, j_idx = np.triu_indices(n, k=1)
+    i_idx, j_idx = condensed_pairs(n)
     d_base = pairwise_base(base, s.points, s.points)[i_idx, j_idx]
     v_i, v_j = s.values[i_idx], s.values[j_idx]
-    return i_idx, j_idx, d_base, np.abs(v_i - v_j), np.abs(v_i) + np.abs(v_j)
+    shifted = katetov_shift(s).values  # non-negative, so no abs
+    return (
+        i_idx, j_idx, d_base, np.abs(v_i - v_j), np.abs(v_i) + np.abs(v_j),
+        shifted[i_idx] + shifted[j_idx],
+    )
 
 
 def ratio_max(num: np.ndarray, den: np.ndarray) -> tuple[float, int | None]:
@@ -145,22 +149,21 @@ def ratio_max(num: np.ndarray, den: np.ndarray) -> tuple[float, int | None]:
     return float(ratios[k]), k
 
 
-def coherence_from_pairs(values: np.ndarray, d_phi: np.ndarray) -> float:
-    """Coherence constant of ``values`` given their composed pair distances.
+def coherence_constant(
+    s: IndexedSample, cm: CompositionMetric, d_pairs: np.ndarray | None = None
+) -> float:
+    """Smallest Lipschitz constant of the index; +inf if not coherent.
 
-    ``d_phi`` holds the distances of the condensed pairs in ``pair_data``
-    order, for example sliced from a distance table built once.
+    ``d_pairs`` holds the composed distances of the pairs of ``s`` in
+    ``pair_data`` order, for example sliced from a distance table built
+    once; None computes them from the points.
     """
-    n = len(values)
-    if n < 2:
+    if len(s) < 2:
         raise ValueError("need at least two rows")
-    i_idx, j_idx = condensed_pairs(n)
-    return ratio_max(np.abs(values[i_idx] - values[j_idx]), d_phi)[0]
-
-
-def coherence_constant(s: IndexedSample, cm: CompositionMetric) -> float:
-    """Smallest Lipschitz constant of the index; +inf if not coherent."""
-    return coherence_from_pairs(s.values, phi_eval(cm.phi, pair_data(s, cm.base)[2]))
+    if d_pairs is None:
+        d_pairs = phi_eval(cm.phi, pair_data(s, cm.base)[2])
+    i_idx, j_idx = condensed_pairs(len(s))
+    return ratio_max(np.abs(s.values[i_idx] - s.values[j_idx]), d_pairs)[0]
 
 
 def index_bound(s: IndexedSample) -> float:
@@ -205,7 +208,7 @@ def constants_report(s: IndexedSample, cm: CompositionMetric) -> ConstantsReport
     the shifted Q and C.  Two distinct rows that tie at the minimum both
     shift to 0, so the shifted Q and the bound are infinite.
     """
-    i_idx, j_idx, d_base, d_vals, denom = pair_data(s, cm.base)
+    i_idx, j_idx, d_base, d_vals, denom, denom_shifted = pair_data(s, cm.base)
     d_phi = phi_eval(cm.phi, d_base)
 
     def pair(k):
@@ -217,11 +220,9 @@ def constants_report(s: IndexedSample, cm: CompositionMetric) -> ConstantsReport
     Q, q_at = ratio_max(d_phi, denom)
     k_pair, q_pair = pair(k_at), pair(q_at)
     C = index_bound(s)
-    shifted = katetov_shift(s).values
-    Q_shifted, q_shifted_at = ratio_max(
-        d_phi, np.abs(shifted[i_idx]) + np.abs(shifted[j_idx])
-    )
-    C_shifted = float(np.max(shifted))
+    Q_shifted, q_shifted_at = ratio_max(d_phi, denom_shifted)
+    # max(I - min I) rounds like max(I) - min(I): subtraction is monotone.
+    C_shifted = float(np.max(s.values) - np.min(s.values))
 
     notes = []
     if math.isinf(K):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import IndexedSample, coherence_constant, coherence_from_pairs, katetov_shift
+from .constants import IndexedSample, coherence_constant, katetov_shift
 from .metrics import CompositionMetric
 
 METHODS = ("mcshane", "whitney", "blend", "standard", "linear")
@@ -94,10 +94,7 @@ def fit_extension(
     if method == "standard":
         offset = float(np.min(s.values))
         s = katetov_shift(s)
-    if d_pairs is None:
-        k_val = coherence_constant(s, cm)
-    else:
-        k_val = coherence_from_pairs(s.values, d_pairs)
+    k_val = coherence_constant(s, cm, d_pairs)
     if method == "standard":
         if not math.isfinite(k_val):
             raise FitError("coherence constant is infinite: standard index unfittable")

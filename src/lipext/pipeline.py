@@ -103,33 +103,33 @@ def minmax_scale(ds: Dataset, fit_on: str = "all") -> Dataset:
     Column extremes are taken over all rows by default, indexed and
     unindexed alike, since the whole space is rescaled before any extension;
     ``fit_on="indexed"`` restricts the fit for leakage-sensitive setups.
-    Constant columns are collapsed to 0 with a warning.  Index values are
-    never rescaled.
+    The rows fitted on must number at least two.  Constant columns are
+    collapsed to 0 with a warning.  Index values are never rescaled.
     """
-    if ds.n_rows < 2:
-        raise ValueError("scaling needs at least two rows")
     if fit_on not in ("all", "indexed"):
         raise ValueError("fit_on must be 'all' or 'indexed'")
     rows = ds.features if fit_on == "all" else ds.features[ds.indexed_mask]
+    if rows.shape[0] < 2:
+        raise ValueError("scaling needs at least two rows")
     scaling = (rows.min(axis=0), rows.max(axis=0))
     flat = np.flatnonzero(scaling[1] == scaling[0])
     if flat.size:
         names = [ds.feature_names[k] for k in flat]
         warnings.warn(f"constant feature columns {names} collapsed to 0", stacklevel=2)
-    return Dataset(
-        list(ds.ids), apply_scaling(ds.features, scaling), ds.index.copy(),
-        list(ds.feature_names), scaling=scaling,
-    )
+    return apply_scaling(ds, scaling)
 
 
-def apply_scaling(features: np.ndarray, scaling: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Re-apply stored (min, max) scaling parameters to raw features."""
+def apply_scaling(ds: Dataset, scaling: tuple[np.ndarray, np.ndarray]) -> Dataset:
+    """``ds`` with per-column (min, max) scaling parameters applied to its
+    features and recorded; a column with min == max maps to 0."""
     col_min, col_max = scaling
     span = col_max - col_min
     flat = span == 0.0
-    out = (np.asarray(features, dtype=float) - col_min) / np.where(flat, 1.0, span)
-    out[:, flat] = 0.0
-    return out
+    features = (ds.features - col_min) / np.where(flat, 1.0, span)
+    features[:, flat] = 0.0
+    return Dataset(
+        list(ds.ids), features, ds.index.copy(), list(ds.feature_names), scaling=scaling
+    )
 
 
 def split(ds: Dataset, train_fraction: float, seed: int, method: str = "random"):
@@ -265,8 +265,15 @@ class PairTable:
 
     def holdout_alpha(
         self, rows: np.ndarray, train_fraction: float, seed: int, split_method: str
-    ) -> float:
-        """Blend weight of a model fitted on one side of a split of ``rows``."""
+    ) -> float | None:
+        """Blend weight of a model fitted on one side of a split of ``rows``.
+
+        None when the split would leave fewer than two training rows or no
+        held-out row.
+        """
+        k = _train_size(len(rows), train_fraction)
+        if k < 2 or k == len(rows):
+            return None
         train, held_out = _split_rows(len(rows), train_fraction, seed, split_method)
         train, held_out = rows[train], rows[held_out]
         return self.predict(self.fit(train, "blend"), train, held_out)[0]
@@ -283,26 +290,22 @@ def fit_for_extend(
 ) -> ExtensionModel:
     """Fit ``method`` on every row of ``indexed``: the model that extends.
 
-    A blend without ``alpha`` takes its weight from a holdout first: fit on
-    one side of a split of the rows and take the ``optimal_alpha`` against
-    the other side.  It then refits on every row with that weight frozen.
-    When the split would leave an empty side or fewer than two training
-    rows, the weight is 0.5, with a warning; a holdout that cannot be fitted
-    raises its ``FitError``, and a bad fraction or split method raises
-    ``ValueError``.  The holdout and the final fit share one distance
-    table.
+    A blend without ``alpha`` takes its weight from ``PairTable.holdout_alpha``
+    first, then refits on every row with that weight frozen.  When the
+    holdout split is too small, the weight is 0.5, with a warning; a
+    holdout that cannot be fitted raises its ``FitError``, and a bad
+    fraction or split method raises ``ValueError``.  The holdout and the
+    final fit share one distance table.
     """
     table = PairTable(indexed, cm, distances=method != "linear")
     rows = np.arange(indexed.n_rows)
     if method != "blend":
         return table.fit(rows, method)
     if alpha is None:
-        k = _train_size(indexed.n_rows, train_fraction)
-        if k < 2 or k == indexed.n_rows:
+        alpha = table.holdout_alpha(rows, train_fraction, seed, split_method)
+        if alpha is None:
             warnings.warn("too few indexed rows to estimate alpha; using 0.5", stacklevel=2)
             alpha = 0.5
-        else:
-            alpha = table.holdout_alpha(rows, train_fraction, seed, split_method)
     return table.fit(rows, "blend", alpha)
 
 
@@ -320,11 +323,12 @@ def cross_validate(
 ) -> CvReport:
     """Repeatedly split, fit and score; repeat r uses seed + r.
 
-    Repeats where fitting fails are excluded from the RMSE statistics and
-    counted.  The distances among the indexed rows are computed once, and
-    each repeat slices them.  Repeats are independent, so with ``workers``
-    above 1 they run on a thread pool of that size, with results assembled
-    in repeat order; None means 1.
+    Repeats where fitting fails, or whose nested ``honest_alpha`` split is
+    too small, are excluded from the RMSE statistics and counted.  The
+    distances among the indexed rows are computed once, and each repeat
+    slices them.  Repeats are independent, so with ``workers`` above 1 they
+    run on a thread pool of that size, with results assembled in repeat
+    order; None means 1.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
@@ -346,6 +350,8 @@ def cross_validate(
             if method == "blend" and a is None and honest_alpha:
                 inner_seed = seed + r + _INNER_SPLIT_OFFSET
                 a = table.holdout_alpha(train, train_fraction, inner_seed, "random")
+                if a is None:
+                    raise FitError("the nested alpha split is too small")
             model = table.fit(train, method)
             score = rmse(table.predict(model, train, test, a)[1], indexed.index[test])
         except FitError:

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constants import IndexedSample, encode_inf, katetov_shift, pair_data, ratio_max
+from .constants import IndexedSample, encode_inf, pair_data, ratio_max
 from .phi import ATOM_FUNCS, weighted_sum
 
 #: Constriction values of the velocity update (Clerc & Kennedy 2002).
@@ -143,9 +143,7 @@ def pso_minimize(
 def _kq_terms(s: IndexedSample, base: str, atoms: tuple[str, ...]):
     """(atom stack (n_atoms, n_pairs), |I_i - I_j|, |I_i| + |I_j|) of the pairs
     of ``s``, the sums taken after the Katetov shift as in ``constants_report``."""
-    i_idx, j_idx, d_base, d_vals, _ = pair_data(s, base)
-    shifted = katetov_shift(s).values
-    denom = np.abs(shifted[i_idx]) + np.abs(shifted[j_idx])
+    _, _, d_base, d_vals, _, denom = pair_data(s, base)
     return np.stack([ATOM_FUNCS[a](d_base) for a in atoms]), d_vals, denom
 
 

@@ -418,6 +418,38 @@ def test_one_training_row_reports_unfittable_or_names_the_split(tmp_path, capsys
     assert "2 indexed rows" in err and "train_fraction 0.7" in err
 
 
+SIX_ROW_CSV = "id,x,index\n" + "".join(
+    f"r{i},{i},{v}\n" for i, v in enumerate([0.0, 1.0, 4.0, 2.0, 3.0, 5.0])
+)
+
+
+@pytest.mark.parametrize("text, settings", [
+    (SIX_ROW_CSV, {"train_fraction": 0.9}),
+    (SIX_ROW_CSV, {"train_fraction": 0.2}),
+    (RECOVERY_CSV, {}),
+], ids=["six-rows-0.9", "six-rows-0.2", "two-rows"])
+def test_honest_cv_counts_too_small_inner_split_as_failed(tmp_path, capsys, text, settings):
+    # Every repeat's nested alpha split leaves no held-out row or fewer
+    # than two training rows, so every repeat fails, as a one-row fit does.
+    data = write(tmp_path, "d.csv", text)
+    cfg = write(tmp_path, "cfg.json", json.dumps(dict(settings, honest_alpha=True)))
+    code, _, err = run_cli(capsys, "cv", "--data", data, "--config", cfg, "--repeats", "3")
+    assert code == 2
+    assert err == "error:unfittable: every cross-validation repeat failed to fit\n"
+
+
+@pytest.mark.parametrize("settings", [
+    {}, {"scale_on": "indexed"}, {"phi": "optimize"}, {"phi": "optimize", "scale_on": "indexed"},
+])
+@pytest.mark.parametrize("command", ["constants", "extend", "cv", "optimize", "rank"])
+def test_every_command_needs_two_indexed_rows(tmp_path, capsys, command, settings):
+    data = write(tmp_path, "one.csv", "id,x,index\na,0,1\nb,1,\nc,2,\n")
+    cfg = write(tmp_path, "cfg.json", json.dumps(settings))
+    code, _, err = run_cli(capsys, command, "--data", data, "--config", cfg)
+    assert code == 2
+    assert err == f"error:data: {command} needs at least two indexed rows\n"
+
+
 def test_missing_file_reports_io(capsys):
     code, _, err = run_cli(capsys, "cv", "--data", "/does/not/exist.csv")
     assert code == 2

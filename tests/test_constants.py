@@ -15,7 +15,7 @@ from lipext.constants import (
 from lipext.dataio import read_dataset, table1_path
 from lipext.metrics import CompositionMetric
 from lipext.phi import PhiCombination, identity_phi
-from lipext.pipeline import minmax_scale
+from lipext.pipeline import Dataset, PairTable, minmax_scale
 
 from helpers import distance, random_combination, scaled
 from oracles import constants as oracle_constants
@@ -231,3 +231,23 @@ def test_tie_at_the_minimum_makes_the_shifted_bound_infinite():
     assert any("(0, 1)" in note and "minimum" in note for note in report.notes)
     d = report.to_json_dict()
     assert d["Q_shifted"] == "inf" and d["bound"] == "inf"
+
+
+@pytest.mark.parametrize("base", ["euclidean", "manhattan", "chebyshev"])
+def test_coherence_from_a_table_slice_equals_fresh_computation(base):
+    # The slice of a PairTable and the distances computed from the points
+    # must give one float, finite, infinite (conflicting duplicates) or 0.0
+    # (a constant index).
+    rng = np.random.default_rng(41)
+    cases = [(_random_sample(rng), None) for _ in range(15)]
+    cases.append((line_sample([0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 3.0, 2.0]), math.inf))
+    cases.append((line_sample([0.0, 1.0, 2.0], [4.0, 4.0, 4.0]), 0.0))
+    for k, (s, expected) in enumerate(cases):
+        cm = CompositionMetric(base, random_combination(rng) if k % 2 else identity_phi())
+        ds = Dataset([f"r{i}" for i in range(len(s))], s.points, s.values,
+                     [f"f{j}" for j in range(s.points.shape[1])])
+        d_pairs = PairTable(ds, cm).pairs(np.arange(len(s)))
+        fresh = coherence_constant(s, cm)
+        assert coherence_constant(s, cm, d_pairs) == fresh
+        if expected is not None:
+            assert fresh == expected

@@ -6,6 +6,8 @@ the test.  A CSV that breaks the contract must end in ``error:parse:``
 whatever the command, and only such a CSV may.  The CSVs are small and mostly well formed, so that runs reach the
 fitting and search code, with at most one defect each: a ragged row, a bad
 cell (``nan``, ``inf``, empty, non-numeric, overflowing) or a duplicate id.
+The config draws the modulus, the scaling rows, the split, the base metric,
+the blend weight, the train fraction and the nested alpha split.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from hypothesis import strategies as st
 
 from lipext.cli import main
 from lipext.extension import METHODS
+from lipext.metrics import BASE_METRICS
 
 ERROR_LINE = re.compile(r"error:(parse|config|data|unfittable|io): .*\n")
 BAD_CELLS = ("nan", "inf", "-inf", "NaN", "", "x", "1e400")
@@ -95,15 +98,23 @@ def run(argv: list[str]) -> tuple[int, str]:
     method=st.sampled_from(METHODS),
     objective=st.sampled_from(["kq-bound", "test-rmse"]),
     phi=st.sampled_from(PHIS),
+    options=st.fixed_dictionaries({
+        "scale_on": st.sampled_from(["all", "indexed"]),
+        "honest_alpha": st.booleans(),
+        "split": st.sampled_from(["random", "ordered"]),
+        "metric": st.sampled_from(BASE_METRICS),
+        "alpha": st.sampled_from([None, 0, 0.3, 1]),
+        "train_fraction": st.sampled_from([0.3, 0.7, 0.9]),
+    }),
 )
-def test_every_command_exits_cleanly(csv, method, objective, phi):
+def test_every_command_exits_cleanly(csv, method, objective, phi, options):
     text, malformed = csv
     with tempfile.TemporaryDirectory() as tmp:
         data = Path(tmp) / "data.csv"
         data.write_text(text, encoding="utf-8")
         config = Path(tmp) / "config.json"
         config.write_text(
-            json.dumps({"phi": phi, "pso": {"swarm_size": 4, "iterations": 3}}),
+            json.dumps(dict(options, phi=phi, pso={"swarm_size": 4, "iterations": 3})),
             encoding="utf-8",
         )
         for command in ("constants", "extend", "cv", "optimize", "rank"):

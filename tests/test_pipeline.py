@@ -79,6 +79,14 @@ def test_minmax_unit_column_unchanged():
     assert np.array_equal(scaled.features[:, 0], [0.0, 1.0])
 
 
+@pytest.mark.parametrize("index", [[np.nan, np.nan, np.nan], [1.0, np.nan, np.nan]])
+def test_minmax_needs_two_rows_to_fit_on(index):
+    ds = make_dataset([0.0, 1.0, 2.0], index)
+    assert minmax_scale(ds).features[2, 0] == 1.0
+    with pytest.raises(ValueError, match="needs at least two rows"):
+        minmax_scale(ds, fit_on="indexed")
+
+
 def test_minmax_idempotent():
     ds = minmax_scale(table1_like())
     again = minmax_scale(ds)
@@ -319,6 +327,16 @@ def test_cv_counts_one_row_inner_split_as_failed():
     ds = make_dataset([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0])
     with pytest.raises(FitError, match="every cross-validation repeat failed"):
         cross_validate(ds, "blend", IDENTITY, repeats=3, train_fraction=0.6, honest_alpha=True)
+
+
+@pytest.mark.parametrize("train_fraction", [0.9, 0.2])
+def test_cv_counts_too_small_inner_split_as_failed(train_fraction):
+    # Six rows at 0.9 train on five, whose inner split at 0.9 holds none
+    # out; at 0.2 they train on one, whose inner split trains on none.
+    ds = make_dataset(np.arange(6.0), [0.0, 1.0, 4.0, 2.0, 3.0, 5.0])
+    with pytest.raises(FitError, match="every cross-validation repeat failed"):
+        cross_validate(ds, "blend", IDENTITY, repeats=3, train_fraction=train_fraction,
+                       honest_alpha=True)
 
 
 def test_fit_for_extend_falls_back_only_on_too_few_training_rows():

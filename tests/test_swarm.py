@@ -206,7 +206,7 @@ def linprog_kq(s, atoms):
     feasibility tolerance lets t overshoot on pairs with a small |dI|.
     """
     linprog = pytest.importorskip("scipy.optimize").linprog
-    _, _, d, dv, den = pair_data(s, "euclidean")
+    _, _, d, dv, den, _ = pair_data(s, "euclidean")
     A = np.stack([ATOM_FUNCS[a](d) for a in atoms], axis=1)
     k, q = dv > 0.0, den > 0.0
     a_ub = np.vstack([
