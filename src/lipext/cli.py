@@ -321,8 +321,7 @@ def rebuild_model(model_dict: dict, ds_raw: Dataset) -> tuple[ExtensionModel, Da
 # commands
 
 
-def _extend(cfg: RunConfig, args) -> tuple[Dataset, np.ndarray, dict]:
-    raw, scaled = _load(cfg, args)
+def _extend(cfg: RunConfig, raw: Dataset, scaled: Dataset) -> tuple[np.ndarray, dict]:
     cm = CompositionMetric(cfg.metric, _resolve_phi(cfg, scaled))
     indexed = scaled.indexed_rows()
     targets = scaled.unindexed_rows()
@@ -333,7 +332,7 @@ def _extend(cfg: RunConfig, args) -> tuple[Dataset, np.ndarray, dict]:
     model_dict = model_to_json_dict(model, dataset_hash(raw), scaled, indexed.ids)
     if targets.n_rows == 0:
         warnings.warn("no unindexed rows: nothing to predict", stacklevel=2)
-    return scaled, preds, model_dict
+    return preds, model_dict
 
 
 def cmd_constants(cfg: RunConfig, args) -> int:
@@ -348,7 +347,8 @@ def cmd_constants(cfg: RunConfig, args) -> int:
 
 
 def cmd_extend(cfg: RunConfig, args) -> int:
-    scaled, preds, model_dict = _extend(cfg, args)
+    raw, scaled = _load(cfg, args)
+    preds, model_dict = _extend(cfg, raw, scaled)
     ids = scaled.unindexed_rows().ids
     out = Path(cfg.out or ".")
     write_csv(out / "predictions.csv", ["id", "predicted_index"],
@@ -410,9 +410,10 @@ def cmd_optimize(cfg: RunConfig, args) -> int:
 
 
 def cmd_rank(cfg: RunConfig, args) -> int:
-    scaled, preds, _ = _extend(cfg, args)
+    raw, scaled = _load(cfg, args)
     if scaled.unindexed_rows().n_rows == 0:
         raise CliError("data", "ranking needs at least one unindexed row")
+    preds, _ = _extend(cfg, raw, scaled)
     rows = [(r, cid, val, cfg.method) for r, cid, val in rank(scaled, preds)]
     out = Path(cfg.out or ".")
     write_csv(out / "ranking.csv", ["rank", "id", "predicted_index", "method"], rows)

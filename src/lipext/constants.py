@@ -20,14 +20,13 @@ returned as values rather than raised, so optimizers can penalize them.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import CompositionMetric, pairwise_base
+from .metrics import CompositionMetric, pairwise_base, row_blocks
 from .phi import phi_eval
 
 
@@ -93,20 +92,6 @@ class ConstantsReport:
         }
 
 
-@functools.lru_cache(maxsize=2)
-def condensed_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (i, j) positions of the pairs i < j of n rows, in
-    lexicographic order.
-
-    The two latest sizes are cached: CV repeats (with their nested alpha
-    split) and objective evaluations ask for the same sizes many times.
-    """
-    i_idx, j_idx = np.triu_indices(n, k=1)
-    i_idx.setflags(write=False)
-    j_idx.setflags(write=False)
-    return i_idx, j_idx
-
-
 def pair_data(s: IndexedSample, base: str):
     """Condensed upper-triangle pair data in lexicographic (i, j) order.
 
@@ -116,7 +101,7 @@ def pair_data(s: IndexedSample, base: str):
     n = len(s)
     if n < 2:
         raise ValueError("need at least two rows")
-    i_idx, j_idx = condensed_pairs(n)
+    i_idx, j_idx = np.triu_indices(n, k=1)
     d_base = pairwise_base(base, s.points, s.points)[i_idx, j_idx]
     v_i, v_j = s.values[i_idx], s.values[j_idx]
     shifted = katetov_shift(s).values  # non-negative, so no abs
@@ -150,20 +135,34 @@ def ratio_max(num: np.ndarray, den: np.ndarray) -> tuple[float, int | None]:
 
 
 def coherence_constant(
-    s: IndexedSample, cm: CompositionMetric, d_pairs: np.ndarray | None = None
+    s: IndexedSample, cm: CompositionMetric, d: np.ndarray | None = None
 ) -> float:
     """Smallest Lipschitz constant of the index; +inf if not coherent.
 
-    ``d_pairs`` holds the composed distances of the pairs of ``s`` in
-    ``pair_data`` order, for example sliced from a distance table built
-    once; None computes them from the points.
+    ``d`` is the (n, n) square of composed distances among the rows of
+    ``s``, for example sliced from a distance table built once; None
+    computes it from the points.  The square is reduced in ``row_blocks``,
+    each row i against the columns j >= the block's first row: the square
+    is symmetric, so this covers every pair.  A pair at distance 0 with
+    equal values imposes no constraint, and one with distinct values makes
+    K infinite, as in ``ratio_max``, which gives the same bits on the
+    condensed pairs.
     """
-    if len(s) < 2:
+    n = len(s)
+    if n < 2:
         raise ValueError("need at least two rows")
-    if d_pairs is None:
-        d_pairs = phi_eval(cm.phi, pair_data(s, cm.base)[2])
-    i_idx, j_idx = condensed_pairs(len(s))
-    return ratio_max(np.abs(s.values[i_idx] - s.values[j_idx]), d_pairs)[0]
+    if d is None:
+        d = cm.pairwise(s.points, s.points)
+    v = s.values
+    K = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for rows in row_blocks(n, 8 * n):
+            ratios = v[rows, None] - v[rows.start:]
+            np.abs(ratios, out=ratios)
+            ratios /= d[rows, rows.start:]
+            # fmax skips the NaN of 0/0; x/0 is +inf.
+            K = max(K, np.fmax.reduce(ratios, axis=None, initial=0.0))
+    return float(K)
 
 
 def index_bound(s: IndexedSample) -> float:

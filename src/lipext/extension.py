@@ -16,7 +16,8 @@ values:
   coherence constant.
 
 Predictions are vectorized over rows.  A Lipschitz prediction depends only
-on its own row, so row-by-row calls give the same bits as one batch call.
+on its own row, so row-by-row calls give the same bits as one batch call,
+and ``predict`` works through the queries in row blocks.
 ``fit_extension`` and ``predict_from_distances`` can take the composed
 distances as given instead of computing them from the points, so callers
 that slice one distance table for many fits get the same bits as fresh
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import IndexedSample, coherence_constant, katetov_shift
-from .metrics import CompositionMetric
+from .metrics import CompositionMetric, row_blocks
 
 METHODS = ("mcshane", "whitney", "blend", "standard", "linear")
 
@@ -69,7 +70,7 @@ def fit_extension(
     cm: CompositionMetric,
     method: str = "blend",
     alpha: float | None = None,
-    d_pairs: np.ndarray | None = None,
+    d: np.ndarray | None = None,
 ) -> ExtensionModel:
     """Fit an extension model on an indexed sample.
 
@@ -80,10 +81,9 @@ def fit_extension(
     minimum and anchors at the argmin of the shifted values (ties go to the
     lowest row index).
 
-    ``d_pairs`` holds the composed distances of the pairs of ``s`` in
-    ``constants.pair_data`` order; None computes them from the points.  The
-    distances do not change under the standard method's shift, so one slice
-    serves every method.
+    ``d`` is the (n, n) square of composed distances among the rows of
+    ``s``; None computes it from the points.  The distances do not change
+    under the standard method's shift, so one square serves every method.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
@@ -94,7 +94,7 @@ def fit_extension(
     if method == "standard":
         offset = float(np.min(s.values))
         s = katetov_shift(s)
-    k_val = coherence_constant(s, cm, d_pairs)
+    k_val = coherence_constant(s, cm, d)
     if method == "standard":
         if not math.isfinite(k_val):
             raise FitError("coherence constant is infinite: standard index unfittable")
@@ -176,10 +176,18 @@ def mcshane_batch(m: ExtensionModel, X) -> np.ndarray:
 
 
 def predict(m: ExtensionModel, X) -> np.ndarray:
-    """Batch prediction dispatched on the fitted method."""
+    """Batch prediction dispatched on the fitted method.
+
+    A Lipschitz model takes the queries in ``row_blocks`` of their distances
+    to the training rows, so only one block of distances is held at a time.
+    """
     if m.method == "linear":
         return linear_predict(m.coefficients, X)
-    return predict_from_distances(m, _dphi_to_training(m, X), m.alpha)[1]
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    out = np.empty(X.shape[0])
+    for rows in row_blocks(X.shape[0], 8 * len(m.training)):
+        out[rows] = predict_from_distances(m, _dphi_to_training(m, X[rows]), m.alpha)[1]
+    return out
 
 
 def optimal_alpha(i_true, i_whitney, i_mcshane) -> float:

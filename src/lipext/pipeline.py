@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .constants import IndexedSample, condensed_pairs
+from .constants import IndexedSample
 from .extension import (
     METHODS,
     ExtensionModel,
@@ -227,7 +227,8 @@ class PairTable:
     the base reduction over the same two rows, so a slice has the bits that
     a fresh computation on the subset would give.  The table is read-only
     once built, so threads may share it.  ``distances=False`` skips the
-    table for the linear method, which needs none.  Memory is O(n^2).
+    table for the linear method, which needs none.  Memory is O(n^2): the
+    table is the one quadratic structure on the fit and prediction paths.
     """
 
     def __init__(self, ds: Dataset, cm: CompositionMetric, distances: bool = True):
@@ -235,20 +236,24 @@ class PairTable:
         self.cm = cm
         self.D = cm.pairwise(ds.features, ds.features) if distances else None
 
-    def pairs(self, rows: np.ndarray) -> np.ndarray:
-        """Distances of the pairs of ``rows``, in ``pair_data`` order."""
-        i_idx, j_idx = condensed_pairs(len(rows))
-        return self.D[rows[i_idx], rows[j_idx]]
-
     def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Distances from ``rows`` (one per result row) to ``cols``."""
         return self.D[np.ix_(rows, cols)]
 
     def fit(self, rows: np.ndarray, method: str, alpha: float | None = None) -> ExtensionModel:
-        """``fit_extension`` on the given rows."""
+        """``fit_extension`` on the given rows.
+
+        A fit on every row, in order, takes the table itself rather than a
+        copy of it.
+        """
         sample = IndexedSample(self.ds.features[rows], self.ds.index[rows])
-        d_pairs = None if method == "linear" else self.pairs(rows)
-        return fit_extension(sample, self.cm, method, alpha, d_pairs)
+        if method == "linear":
+            d = None
+        elif np.array_equal(rows, np.arange(len(self.D))):
+            d = self.D
+        else:
+            d = self.block(rows, rows)
+        return fit_extension(sample, self.cm, method, alpha, d)
 
     def predict(
         self, model: ExtensionModel, train: np.ndarray, rows: np.ndarray, alpha=None
@@ -392,8 +397,8 @@ def objective_test_rmse(
 
     One split is drawn up front and reused for every candidate, so all
     coefficient vectors are compared on identical data.  Each atom is
-    applied once to the base distances of the training pairs and of the
-    test x train block; a candidate then weights and sums those stacks in
+    applied once to the base distances of the train x train square and of
+    the test x train block; a candidate then weights and sums those stacks in
     ``phi_eval``'s order.  Unfittable candidates and the zero vector, which
     is not a modulus, score +inf.  A split with fewer than two training rows
     raises ``ValueError`` here, since every candidate would be unfittable.
@@ -407,8 +412,8 @@ def objective_test_rmse(
         )
     # Under the identity modulus the table holds the base distances.
     table = PairTable(ds_indexed, CompositionMetric(base))
-    pairs, block = table.pairs(train), table.block(test, train)
-    pair_atoms = [ATOM_FUNCS[a](pairs) for a in atoms]
+    square, block = table.block(train, train), table.block(test, train)
+    square_atoms = [ATOM_FUNCS[a](square) for a in atoms]
     block_atoms = [ATOM_FUNCS[a](block) for a in atoms]
     train_sample = IndexedSample(ds_indexed.features[train], ds_indexed.index[train])
     truth = ds_indexed.index[test]
@@ -418,9 +423,9 @@ def objective_test_rmse(
             return math.inf
         phi = PhiCombination(atoms, tuple(float(v) for v in lam))
         cm = CompositionMetric(base, phi)
-        d_pairs = weighted_sum(phi.coefficients, pair_atoms, pairs)
+        d_square = weighted_sum(phi.coefficients, square_atoms, square)
         try:
-            model = fit_extension(train_sample, cm, "blend", None, d_pairs)
+            model = fit_extension(train_sample, cm, "blend", None, d_square)
         except FitError:
             return math.inf
         d_block = weighted_sum(phi.coefficients, block_atoms, block)

@@ -358,10 +358,14 @@ def test_rank_on_bundled_data(tmp_path, capsys):
 
 
 def test_rank_requires_unindexed_rows(tmp_path, capsys):
+    # Checked before any fit, so no fit warning precedes the error.
     data = write(tmp_path, "full.csv", TWO_POINT_CSV)
-    code, _, err = run_cli(capsys, "rank", "--data", data)
-    assert code != 0
-    assert err.startswith("error:data:")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run_cli(capsys, "rank", "--data", data)
+    assert code == 2
+    assert err.splitlines() == ["error:data: ranking needs at least one unindexed row"]
+    assert [str(w.message) for w in caught] == []
 
 
 # ---------------------------------------------------------------------------

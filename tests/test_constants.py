@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from lipext import metrics
 from lipext.constants import (
     IndexedSample,
     coherence_constant,
@@ -11,11 +13,13 @@ from lipext.constants import (
     error_bound,
     index_bound,
     katetov_shift,
+    ratio_max,
 )
 from lipext.dataio import read_dataset, table1_path
-from lipext.metrics import CompositionMetric
-from lipext.phi import PhiCombination, identity_phi
+from lipext.metrics import CompositionMetric, pairwise_base
+from lipext.phi import LINEAR_BASIS, PhiCombination, identity_phi, phi_eval
 from lipext.pipeline import Dataset, PairTable, minmax_scale
+from lipext.swarm import minimize_kq
 
 from helpers import distance, random_combination, scaled
 from oracles import constants as oracle_constants
@@ -246,8 +250,61 @@ def test_coherence_from_a_table_slice_equals_fresh_computation(base):
         cm = CompositionMetric(base, random_combination(rng) if k % 2 else identity_phi())
         ds = Dataset([f"r{i}" for i in range(len(s))], s.points, s.values,
                      [f"f{j}" for j in range(s.points.shape[1])])
-        d_pairs = PairTable(ds, cm).pairs(np.arange(len(s)))
+        rows = np.arange(len(s))
+        square = PairTable(ds, cm).block(rows, rows)
         fresh = coherence_constant(s, cm)
-        assert coherence_constant(s, cm, d_pairs) == fresh
+        assert coherence_constant(s, cm, square) == fresh
         if expected is not None:
             assert fresh == expected
+
+
+def _condensed_coherence(s, cm):
+    """K as ``ratio_max`` gives it on the condensed pairs i < j."""
+    i, j = np.triu_indices(len(s), k=1)
+    d = phi_eval(cm.phi, pairwise_base(cm.base, s.points, s.points))[i, j]
+    return ratio_max(np.abs(s.values[i] - s.values[j]), d)[0]
+
+
+# A tile of one row, then samples of tile - 1, tile, tile + 1 and 3 * tile
+# rows against a tile of four.
+@pytest.mark.parametrize("n, tile", [(12, 1), (3, 4), (4, 4), (5, 4), (12, 4)])
+@pytest.mark.parametrize("base", ["euclidean", "manhattan", "chebyshev"])
+def test_coherence_tiles_on_a_table_slice_match_condensed_ratio_max(n, tile, base, monkeypatch):
+    rng = np.random.default_rng(7 * n + tile)
+    m = 3
+    cm = CompositionMetric(base, random_combination(rng))
+    conflicting = rng.uniform(size=(n, m))
+    conflicting[-1] = conflicting[0]
+    cases = [
+        (IndexedSample(rng.uniform(size=(n, m)), rng.uniform(0.0, 10.0, n)), None),
+        (IndexedSample(np.ones((n, m)), np.full(n, 2.0)), 0.0),  # all-equal duplicates
+        (IndexedSample(conflicting, np.arange(n, dtype=float)), math.inf),
+    ]
+    references = [_condensed_coherence(s, cm) for s, _ in cases]
+    monkeypatch.setattr(metrics, "TILE_BYTES", 8 * n * tile)
+    for (s, expected), reference in zip(cases, references):
+        # The sample's rows alternate with other rows of the table.
+        features = np.empty((2 * n, m))
+        features[0::2], features[1::2] = rng.uniform(size=(n, m)), s.points
+        index = np.empty(2 * n)
+        index[0::2], index[1::2] = rng.uniform(0.0, 10.0, n), s.values
+        ds = Dataset([f"r{i}" for i in range(2 * n)], features, index,
+                     [f"f{j}" for j in range(m)])
+        rows = np.arange(1, 2 * n, 2)
+        K = coherence_constant(s, cm, PairTable(ds, cm).block(rows, rows))
+        assert K == reference
+        if expected is not None:
+            assert K == expected
+
+
+def test_constants_and_kq_search_hold_no_memory_after_they_return():
+    rng = np.random.default_rng(43)
+    s = katetov_shift(IndexedSample(rng.uniform(size=(1500, 3)), rng.uniform(1.0, 3.0, 1500)))
+    tracemalloc.start()
+    try:
+        constants_report(s, IDENTITY)
+        minimize_kq(s, "euclidean", LINEAR_BASIS)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2**20

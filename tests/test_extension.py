@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 
@@ -20,8 +21,10 @@ from lipext.extension import (
     predict_from_distances,
     whitney_batch,
 )
-from lipext.metrics import CompositionMetric
-from lipext.phi import identity_phi
+from lipext import metrics
+from lipext.metrics import CompositionMetric, pairwise_base
+from lipext.phi import identity_phi, phi_eval
+from lipext.pipeline import Dataset, PairTable
 
 import oracles
 from helpers import random_combination, scaled
@@ -271,9 +274,9 @@ def test_empty_training_rejected():
 @pytest.mark.parametrize("given", [False, True], ids=["points", "pairs"])
 def test_one_row_lipschitz_fit_is_unfittable(method, given):
     one = IndexedSample(np.array([[0.5]]), [3.0])
-    d_pairs = np.empty(0) if given else None
+    d = np.zeros((1, 1)) if given else None
     with pytest.raises(FitError, match="at least two rows"):
-        fit_extension(one, IDENTITY, method, d_pairs=d_pairs)
+        fit_extension(one, IDENTITY, method, d=d)
     assert fit_extension(one, IDENTITY, "linear").method == "linear"
 
 
@@ -312,3 +315,65 @@ def test_linear_fits_where_coherence_is_infinite():
     model = fit_extension(s, IDENTITY, "linear")
     assert model.K is None
     np.testing.assert_allclose(predict(model, [[3.0]]), [7.0], rtol=1e-9)
+
+
+@pytest.mark.parametrize("method", ["whitney", "mcshane", "blend", "standard"])
+def test_predict_tiles_match_one_untiled_call(method, monkeypatch):
+    rng = np.random.default_rng(17)
+    n, m, tile = 8, 3, 4
+    cm = CompositionMetric("manhattan", random_combination(rng))
+    s = IndexedSample(rng.uniform(size=(n, m)), rng.uniform(0.0, 5.0, n))
+    model = fit_extension(s, cm, method, alpha=0.3 if method == "blend" else None)
+    queries = [rng.uniform(size=(q, m)) for q in (1, tile - 1, tile, tile + 1, 3 * tile)]
+    untiled = [
+        predict_from_distances(model, phi_eval(cm.phi, pairwise_base(cm.base, X, s.points)),
+                               model.alpha)[1]
+        for X in queries
+    ]
+    # Distances to the n training rows, ``tile`` queries per block.
+    monkeypatch.setattr(metrics, "TILE_BYTES", 8 * n * tile)
+    for X, expected in zip(queries, untiled):
+        assert np.array_equal(predict(model, X), expected)
+    assert predict(model, np.empty((0, m))).shape == (0,)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        predict(model, np.empty((0, m + 1)))
+
+
+@pytest.mark.parametrize("sample", ["random", "duplicate-heavy"])
+def test_oracles_agree_at_n_200(sample, monkeypatch):
+    rng = np.random.default_rng(61)
+    n, m = 200, 3
+    if sample == "random":
+        points = rng.uniform(size=(n, m))
+        values = rng.uniform(0.0, 20.0, n)
+    else:
+        # 25 distinct points, each repeated with the value it always carries.
+        distinct = rng.uniform(size=(25, m))
+        pick = rng.integers(0, 25, n)
+        points, values = distinct[pick], (distinct @ rng.uniform(size=m) * 10.0)[pick]
+    s = IndexedSample(points, values)
+    cm = CompositionMetric("euclidean", random_combination(rng))
+    phi = cm.phi
+    pts, vals = s.points.tolist(), s.values.tolist()
+    K_o, Q_o, _ = oracles.constants(pts, vals, "euclidean", phi.atoms, phi.coefficients)
+    close = functools.partial(pytest.approx, rel=1e-12, abs=1e-12)
+    monkeypatch.setattr(metrics, "TILE_BYTES", 8 * n * 7)  # seven rows per block
+    ds = Dataset([f"r{i}" for i in range(n)], s.points, s.values, [f"f{j}" for j in range(m)])
+    rows = np.arange(n)
+    assert coherence_constant(s, cm) == close(K_o)
+    assert coherence_constant(s, cm, PairTable(ds, cm).block(rows, rows)) == close(K_o)
+    report = constants_report(s, cm)
+    assert (report.K, report.Q) == (close(K_o), close(Q_o))
+
+    X = rng.uniform(-0.2, 1.2, size=(30, m))
+    whitney = fit_extension(s, cm, "whitney")
+    standard = fit_extension(s, cm, "standard")
+    blend = replace(whitney, method="blend", alpha=0.4)
+    args = (pts, vals, "euclidean", phi.atoms, phi.coefficients, whitney.K)
+    w_o = np.array([oracles.whitney(*args, x.tolist()) for x in X])
+    m_o = np.array([oracles.mcshane(*args, x.tolist()) for x in X])
+    s_o = [oracles.standard(*args, x.tolist()) for x in X]
+    assert predict(whitney, X) == close(w_o)
+    assert predict(replace(whitney, method="mcshane"), X) == close(m_o)
+    assert predict(blend, X) == close(0.6 * w_o + 0.4 * m_o)
+    assert predict(standard, X) == close(s_o)

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lipext import metrics
 from lipext.metrics import (
     BASE_METRICS,
     TILE_BYTES,
@@ -11,7 +12,7 @@ from lipext.metrics import (
     _reduce,
     pairwise_base,
 )
-from lipext.phi import ATOM_NAMES, PhiCombination, identity_phi
+from lipext.phi import ATOM_NAMES, PhiCombination, identity_phi, phi_eval
 
 from helpers import distance, random_combination, scaled
 from oracles import base_dist
@@ -149,6 +150,24 @@ def test_pairwise_tiles_match_one_shot_bit_for_bit(kind):
     for q in (1, tile - 1, tile, tile + 1, 3 * tile):
         A = rng.uniform(-5.0, 5.0, size=(q, m))
         assert np.array_equal(pairwise_base(kind, A, B), _one_shot(kind, A, B))
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "manhattan", "chebyshev"])
+def test_composed_pairwise_tiles_match_one_shot_bit_for_bit(kind, monkeypatch):
+    rng = np.random.default_rng(5)
+    n, m, tile = 16, 3, 5
+    phi = PhiCombination(("sqrt", "log1p", "rational"), (0.7, 2.0, 1.3))
+    cm = CompositionMetric(kind, phi)
+    B = rng.uniform(-5.0, 5.0, size=(n, m))
+    queries = [rng.uniform(-5.0, 5.0, size=(q, m)) for q in (1, tile - 1, tile, tile + 1, 3 * tile)]
+    one_shot = [phi_eval(phi, pairwise_base(kind, A, B)) for A in queries]
+    # The modulus then runs on blocks of ``tile`` rows of base distances.
+    monkeypatch.setattr(metrics, "TILE_BYTES", 8 * n * tile)
+    for A, expected in zip(queries, one_shot):
+        assert np.array_equal(cm.pairwise(A, B), expected)
+    assert cm.pairwise(np.empty((0, m)), B).shape == (0, n)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        cm.pairwise(np.empty((0, m + 1)), B)
 
 
 def test_pairwise_empty_query_block():

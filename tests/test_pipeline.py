@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -471,3 +472,24 @@ def test_objective_test_rmse_infinite_on_conflicting_duplicates():
     lam = np.array([1.0, 0.5, 0.0, 2.0])
     assert naive_test_rmse(ds, "euclidean", LINEAR_BASIS, lam, 0) == math.inf
     assert obj(lam) == math.inf
+
+
+def test_extend_fit_and_predict_stay_under_memory_ceilings():
+    # 2,000 indexed rows: the distance table alone is 30.5 MiB.  The fit
+    # may add the holdout's square and blocks, but no copy of the table;
+    # prediction holds one block of distances at a time.
+    rng = np.random.default_rng(19)
+    features = rng.uniform(size=(2000, 10))
+    indexed = make_dataset(features, features @ rng.uniform(size=10))
+    targets = rng.uniform(size=(3000, 10))
+    tracemalloc.start()
+    try:
+        model = fit_for_extend(indexed, IDENTITY, "blend")
+        fit_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        predict(model, targets)
+        predict_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fit_peak < 64 * 2**20
+    assert predict_peak < 16 * 2**20
