@@ -115,7 +115,7 @@ def ratio_max(num: np.ndarray, den: np.ndarray) -> tuple[float, int | None]:
     """Max of num/den over den > 0; +inf if some den <= 0 has num > 0.
 
     Returns (value, position of the achieving pair), or (0.0, None) when no
-    den is positive.  np.argmax keeps the first occurrence, and the
+    den is positive.  argmax keeps the first occurrence, and the
     condensed order is lexicographic, so ties resolve to the smallest (i, j)
     automatically.  When every den is positive, which is the usual case,
     the ratios take a single division and no masking.
@@ -126,11 +126,11 @@ def ratio_max(num: np.ndarray, den: np.ndarray) -> tuple[float, int | None]:
     else:
         violated = ~ok & (num > 0.0)
         if violated.any():
-            return math.inf, int(np.argmax(violated))
+            return math.inf, int(violated.argmax())
         if not ok.any():
             return 0.0, None
         ratios = np.divide(num, den, out=np.full(num.shape, -math.inf), where=ok)
-    k = int(np.argmax(ratios))
+    k = int(ratios.argmax())
     return float(ratios[k]), k
 
 

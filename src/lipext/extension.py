@@ -133,12 +133,14 @@ def _dphi_to_training(m: ExtensionModel, X) -> np.ndarray:
     return m.cm.pairwise(X, m.training.points)
 
 
-def _whitney(m: ExtensionModel, D: np.ndarray) -> np.ndarray:
-    return np.min(m.training.values[None, :] + m.K * D, axis=1)
+def _whitney(m: ExtensionModel, KD: np.ndarray) -> np.ndarray:
+    """Whitney predictions from K times the (q, n) distances."""
+    return (m.training.values + KD).min(axis=1)
 
 
-def _mcshane(m: ExtensionModel, D: np.ndarray) -> np.ndarray:
-    return np.max(m.training.values[None, :] - m.K * D, axis=1)
+def _mcshane(m: ExtensionModel, KD: np.ndarray) -> np.ndarray:
+    """McShane predictions from K times the (q, n) distances."""
+    return (m.training.values - KD).max(axis=1)
 
 
 def predict_from_distances(
@@ -153,26 +155,27 @@ def predict_from_distances(
     weight.
     """
     if m.method == "whitney":
-        return None, _whitney(m, D)
+        return None, _whitney(m, m.K * D)
     if m.method == "mcshane":
-        return None, _mcshane(m, D)
+        return None, _mcshane(m, m.K * D)
     if m.method == "standard":
         return None, m.offset + m.K * D[:, m.anchor]
     if m.method != "blend":
         raise ValueError(f"method {m.method!r} does not predict from distances")
     if alpha is None and truth is None:
         raise ValueError("blend requires an alpha (fit one or pass it)")
-    i_w, i_m = _whitney(m, D), _mcshane(m, D)
+    KD = m.K * D
+    i_w, i_m = _whitney(m, KD), _mcshane(m, KD)
     a = optimal_alpha(truth, i_w, i_m) if alpha is None else alpha
     return a, (1.0 - a) * i_w + a * i_m
 
 
 def whitney_batch(m: ExtensionModel, X) -> np.ndarray:
-    return _whitney(m, _dphi_to_training(m, X))
+    return _whitney(m, m.K * _dphi_to_training(m, X))
 
 
 def mcshane_batch(m: ExtensionModel, X) -> np.ndarray:
-    return _mcshane(m, _dphi_to_training(m, X))
+    return _mcshane(m, m.K * _dphi_to_training(m, X))
 
 
 def predict(m: ExtensionModel, X) -> np.ndarray:
@@ -207,7 +210,7 @@ def optimal_alpha(i_true, i_whitney, i_mcshane) -> float:
     if not (t.shape == w.shape == m.shape) or t.size == 0:
         raise ValueError("inputs must be non-empty and of equal length")
     gap = w - m
-    denom = float(np.sum(gap * gap))
+    denom = float((gap * gap).sum())
     if denom == 0.0:
         warnings.warn(
             "degenerate blend: whitney and mcshane coincide on the reference "
@@ -215,5 +218,5 @@ def optimal_alpha(i_true, i_whitney, i_mcshane) -> float:
             stacklevel=2,
         )
         return 0.5
-    a0 = float(np.sum((w - t) * gap)) / denom
+    a0 = float(((w - t) * gap).sum()) / denom
     return min(1.0, max(0.0, a0))

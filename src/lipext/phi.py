@@ -12,6 +12,7 @@ numerically at run time; the package's tests probe the axioms instead.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -81,7 +82,7 @@ class PhiCombination:
         unknown = [a for a in atoms if a not in ATOM_FUNCS]
         if unknown:
             raise ValueError(f"unknown atoms {unknown}; choose from {ATOM_NAMES}")
-        if any(not np.isfinite(c) or c < 0.0 for c in coeffs):
+        if any(not math.isfinite(c) or c < 0.0 for c in coeffs):
             raise ValueError("coefficients must be finite and >= 0")
         if all(c == 0.0 for c in coeffs):
             raise ValueError("all-zero coefficients give a constant map")
@@ -122,9 +123,9 @@ def weighted_sum(coefficients, atom_values, like: np.ndarray) -> np.ndarray:
     """``sum_j c_j * v_j``, added atom by atom onto zeros shaped like ``like``.
 
     This is the order ``phi_eval`` sums in, so atom values computed ahead of
-    time give its bits exactly.
+    time give its bits exactly.  There must be one coefficient per atom.
     """
-    out = np.zeros_like(like)
-    for c, v in zip(coefficients, atom_values):
+    out = np.zeros(like.shape)
+    for c, v in zip(coefficients, atom_values, strict=True):
         out += c * v
     return out

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .constants import IndexedSample
+from .constants import IndexedSample, ratio_max
 from .extension import (
     METHODS,
     ExtensionModel,
@@ -33,7 +33,7 @@ from .extension import (
     predict,
     predict_from_distances,
 )
-from .metrics import CompositionMetric
+from .metrics import CompositionMetric, pairwise_base
 from .phi import ATOM_FUNCS, PhiCombination, weighted_sum
 
 #: Seed offset for the nested alpha split, so it never reuses a repeat seed.
@@ -168,7 +168,7 @@ def rmse(pred, truth) -> float:
     t = np.asarray(truth, dtype=float).reshape(-1)
     if p.shape != t.shape or p.size == 0:
         raise ValueError("prediction and truth must be non-empty and equal length")
-    return float(np.sqrt(np.mean((p - t) ** 2)))
+    return math.sqrt(((p - t) ** 2).mean())
 
 
 def rank(ds: Dataset, predictions) -> list[tuple[int, str, float]]:
@@ -397,11 +397,15 @@ def objective_test_rmse(
 
     One split is drawn up front and reused for every candidate, so all
     coefficient vectors are compared on identical data.  Each atom is
-    applied once to the base distances of the train x train square and of
-    the test x train block; a candidate then weights and sums those stacks in
-    ``phi_eval``'s order.  Unfittable candidates and the zero vector, which
-    is not a modulus, score +inf.  A split with fewer than two training rows
-    raises ``ValueError`` here, since every candidate would be unfittable.
+    applied once to the base distances of the train pairs i < j and of the
+    test x train block, held in one (atoms, pairs + test*train) stack.  A
+    candidate is checked as ``PhiCombination`` checks it, then takes one
+    weighted sum over the stack in ``phi_eval``'s order, K as ``ratio_max``
+    over the pair part (the bits of ``coherence_constant`` on the square)
+    and the optimal blend on the block part.  An infinite K, which no fit
+    survives, and the zero vector, which is not a modulus, score +inf.  A
+    split with fewer than two training rows raises ``ValueError`` here,
+    since every candidate would be unfittable.
     """
     train, test = _split_rows(ds_indexed.n_rows, train_fraction, seed, "random")
     if len(train) < 2:
@@ -410,28 +414,31 @@ def objective_test_rmse(
             f"{ds_indexed.n_rows} indexed rows at train_fraction {train_fraction} "
             f"leaves {len(train)}"
         )
-    # Under the identity modulus the table holds the base distances.
-    table = PairTable(ds_indexed, CompositionMetric(base))
-    square, block = table.block(train, train), table.block(test, train)
-    square_atoms = [ATOM_FUNCS[a](square) for a in atoms]
-    block_atoms = [ATOM_FUNCS[a](block) for a in atoms]
-    train_sample = IndexedSample(ds_indexed.features[train], ds_indexed.index[train])
-    truth = ds_indexed.index[test]
+    X, values = ds_indexed.features, ds_indexed.index
+    train_sample = IndexedSample(X[train], values[train])
+    i, j = np.triu_indices(len(train), k=1)
+    n_pairs = len(i)
+    base_d = np.concatenate([
+        pairwise_base(base, X[train], X[train])[i, j],
+        pairwise_base(base, X[test], X[train]).ravel(),
+    ])
+    stack = np.stack([ATOM_FUNCS[a](base_d) for a in atoms])
+    dI = np.abs(train_sample.values[i] - train_sample.values[j])
+    truth = values[test]
 
     def objective(lam: np.ndarray) -> float:
-        if not np.any(lam):
+        coeffs = tuple(float(v) for v in lam)
+        if len(coeffs) == len(atoms) and not any(coeffs):
+            return math.inf  # the zero vector is not a modulus
+        cm = CompositionMetric(base, PhiCombination(atoms, coeffs))
+        d = weighted_sum(coeffs, stack, base_d)
+        K = ratio_max(dI, d[:n_pairs])[0]
+        if K == math.inf:
             return math.inf
-        phi = PhiCombination(atoms, tuple(float(v) for v in lam))
-        cm = CompositionMetric(base, phi)
-        d_square = weighted_sum(phi.coefficients, square_atoms, square)
-        try:
-            model = fit_extension(train_sample, cm, "blend", None, d_square)
-        except FitError:
-            return math.inf
-        d_block = weighted_sum(phi.coefficients, block_atoms, block)
+        model = ExtensionModel(train_sample, cm, K, "blend")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            pred = predict_from_distances(model, d_block, truth=truth)[1]
+            pred = predict_from_distances(model, d[n_pairs:].reshape(len(test), -1), truth=truth)[1]
         return rmse(pred, truth)
 
     return objective

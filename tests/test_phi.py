@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lipext.phi import ATOM_NAMES, PhiCombination, identity_phi, phi_eval
+from lipext.phi import ATOM_NAMES, PhiCombination, identity_phi, phi_eval, weighted_sum
 
 from helpers import random_combination, scaled, validate_modulus, validate_phi
 from oracles import phi_value
@@ -63,11 +63,22 @@ def test_eval_matches_pure_python_reference():
         (("identity",), (-1.0,)),
         (("cube",), (1.0,)),
         (("identity",), (float("nan"),)),
+        (("identity", "sqrt"), (1.0, float("inf"))),
     ],
 )
 def test_invalid_combinations_rejected(atoms, coeffs):
     with pytest.raises(ValueError):
         PhiCombination(atoms, coeffs)
+
+
+@pytest.mark.parametrize("n_coeffs", [1, 3])
+def test_weighted_sum_rejects_a_count_mismatch(n_coeffs):
+    # Two atom value arrays: one coefficient too few or too many would
+    # otherwise drop a term silently.
+    values = [np.ones(3), np.full(3, 2.0)]
+    with pytest.raises(ValueError):
+        weighted_sum((1.0,) * n_coeffs, values, values[0])
+    assert weighted_sum((1.0, 0.5), values, values[0]).tolist() == [2.0, 2.0, 2.0]
 
 
 def test_validate_sqrt_and_identity_pass():

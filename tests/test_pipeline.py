@@ -314,6 +314,36 @@ def test_objective_test_rmse_finite_and_penalizes_unfittable():
     assert math.isfinite(val) and val >= 0.0
     # Identical coefficients give identical values: the split is frozen.
     assert obj(np.array([1.0, 0.0])) == val
+    # Rows 10-19 repeat the points of rows 0-9 with other values.  Fourteen
+    # training rows from ten such pairs hold both rows of at least four, so
+    # K is infinite and no candidate can be fitted.
+    X, y = ds.features.copy(), ds.index.copy()
+    X[10:], y[10:] = X[:10], y[:10] + 1.0
+    unfittable = objective_test_rmse(make_dataset(X, y), "euclidean", atoms, seed=2)
+    for lam in ([1.0, 0.0], [0.0, 3.0], [0.2, 5.0]):
+        assert unfittable(np.array(lam)) == math.inf
+
+
+@pytest.mark.parametrize(
+    "lam, message",
+    [
+        ([1.0, 0.0, 0.0], "4 atoms but 3 coefficients"),
+        ([0.0] * 5, "4 atoms but 5 coefficients"),
+        ([1.0, -0.5, 0.0, 0.0], "finite and >= 0"),
+        ([0.0, 0.0, 0.0, -1.0], "finite and >= 0"),
+        ([1.0, math.nan, 0.0, 0.0], "finite and >= 0"),
+        ([math.nan, 0.0, 0.0, 0.0], "finite and >= 0"),
+        ([0.0, 0.0, math.inf, 0.0], "finite and >= 0"),
+    ],
+)
+def test_objective_test_rmse_checks_each_candidate_first(lam, message):
+    # A wrong length, a negative, a NaN or an inf coefficient is an error,
+    # as ``PhiCombination`` makes it, even where the rest of the vector is
+    # zero; only the zero vector of the right length scores +inf.
+    obj = objective_test_rmse(smooth_dataset(n=30, seed=1).indexed_rows(), "euclidean", LINEAR_BASIS)
+    with pytest.raises(ValueError, match=message):
+        obj(np.array(lam))
+    assert obj(np.zeros(4)) == obj(np.array([-0.0] * 4)) == math.inf
 
 
 def test_objective_test_rmse_rejects_one_training_row():
@@ -451,17 +481,40 @@ def naive_test_rmse(ds, base, atoms, lam, seed):
     return rmse(pred, test.index)
 
 
-@pytest.mark.parametrize(
-    "base, atoms", [("euclidean", LINEAR_BASIS), ("manhattan", SQRT_BASIS)]
-)
+def equal_duplicates_dataset():
+    """Indexed rows where every fifth row repeats the point and the value of
+    the row before it, so some training pairs are 0/0 and some test rows lie
+    at distance 0 from a training row."""
+    ds = smooth_dataset(n=120, seed=8).indexed_rows()
+    X, y = ds.features.copy(), ds.index.copy()
+    copies = np.arange(1, ds.n_rows, 5)
+    X[copies], y[copies] = X[copies - 1], y[copies - 1]
+    return make_dataset(X, y)
+
+
+def rmse_candidates(n_atoms, rng):
+    """The zero vector, single-atom rays (the first of them the identity
+    lambda (1, 0, ..., 0) scaled by 1e-9) and random vectors, some of them
+    with zeros."""
+    lams = [np.zeros(n_atoms)]
+    lams += [c * e for e in np.eye(n_atoms) for c in (1e-9, 0.3, 7.0)]
+    lams += list(rng.uniform(0.0, 10.0, size=(51, n_atoms)))
+    sparse = rng.uniform(0.0, 10.0, size=(20, n_atoms))
+    sparse[rng.uniform(size=sparse.shape) < 0.5] = 0.0
+    return lams + list(sparse)
+
+
+@pytest.mark.parametrize("atoms", [LINEAR_BASIS, SQRT_BASIS])
+@pytest.mark.parametrize("base", ["euclidean", "manhattan", "chebyshev"])
 def test_objective_test_rmse_matches_refitting(base, atoms):
-    ds = smooth_dataset(seed=5).indexed_rows()
-    obj = objective_test_rmse(ds, base, atoms, seed=4)
+    # 6 metric and basis pairs x 2 samples x 84 vectors = 1,008 candidates.
     rng = np.random.default_rng(6)
-    lams = [np.zeros(len(atoms))] + list(rng.uniform(0.0, 10.0, size=(200, len(atoms))))
-    lams[1][1:] = 0.0  # one single-atom candidate
-    for lam in lams:
-        assert obj(lam) == naive_test_rmse(ds, base, atoms, lam, 4)
+    for ds in (smooth_dataset(seed=5).indexed_rows(), equal_duplicates_dataset()):
+        obj = objective_test_rmse(ds, base, atoms, seed=4)
+        lams = rmse_candidates(len(atoms), rng)
+        assert len(lams) == 84
+        for lam in lams:
+            assert obj(lam) == naive_test_rmse(ds, base, atoms, lam, 4)
 
 
 def test_objective_test_rmse_infinite_on_conflicting_duplicates():
