@@ -12,7 +12,8 @@ Five subcommands cover the user workflows:
 Every command reads one dataset CSV plus an optional JSON config; flags
 override config values.  Outputs are CSV/JSON files written atomically.
 On failure the process exits nonzero after printing a single line of the
-form ``error:<category>: <message>`` to stderr.
+form ``error:<category>: <message>`` to stderr.  A warning is printed as one
+``warning: <message>`` line.
 """
 
 from __future__ import annotations
@@ -467,7 +468,13 @@ def run(argv: list[str] | None = None) -> int:
     return COMMANDS[args.command](cfg, args)
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv: list[str] | None = None) -> int:
+    # Only the printed form changes: recording warnings still sees them all.
+    previous, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         return run(argv)
     except CliError as exc:
@@ -485,6 +492,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error:data: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = previous
 
 
 if __name__ == "__main__":

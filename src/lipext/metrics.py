@@ -10,11 +10,16 @@ from .phi import PhiCombination, identity_phi, phi_eval
 
 BASE_METRICS = ("euclidean", "manhattan", "chebyshev")
 
-#: Byte budget of one row block: the (rows, n, m) difference tensor of
-#: ``pairwise_base``, or a (rows, n) block of composed distances, ratios or
-#: predictions.  Work done row block by row block has a peak memory of
-#: O(TILE_BYTES) on top of its inputs and result.
+#: Byte budget of one row block: the (rows, n) scratch arrays that
+#: ``pairwise_base`` keeps live while it adds up one feature column at a
+#: time, or a (rows, n) block of composed distances, ratios or predictions.
+#: Work done row block by row block has a peak memory of O(TILE_BYTES) on
+#: top of its inputs and result.
 TILE_BYTES = 2 * 2**20
+
+#: numpy's pairwise summation: fewer than 8 terms are added in sequence, up
+#: to this many in 8 strided partial sums, and more are split in two.
+_PAIRWISE_BLOCK = 128
 
 
 def row_blocks(rows: int, row_bytes: int):
@@ -32,28 +37,109 @@ def row_blocks(rows: int, row_bytes: int):
 def pairwise_base(kind: str, A, B) -> np.ndarray:
     """All base distances between rows of A (q, m) and rows of B (n, m).
 
-    Rows of A are taken in ``row_blocks`` of their differences.  Each
-    distance is still one reduction over its own m differences, so the
-    result does not depend on the block size.
+    Rows of A are taken in ``row_blocks``, and each block of the result is
+    filled in place one feature column at a time: the m differences
+    ``A[:, k, None] - B[:, k]`` are squared (euclidean) or taken as absolute
+    values (manhattan, chebyshev) and added up, or combined by
+    ``np.maximum`` for chebyshev.  The sums follow the order in which
+    ``np.sum(terms, axis=-1)`` adds m contiguous terms, numpy's pairwise
+    summation: fewer than 8 terms in sequence; up to 128 in 8 strided
+    partial sums r0..r7, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+    then the last m % 8 terms in sequence; more than 128 split at half of
+    them rounded down to a multiple of 8, each half summed by the same rule.
+    Floating-point addition is not associative, so this order is what gives
+    every distance the bits of that one-shot reduction of the (q, n, m)
+    difference tensor, which is never built; a maximum is exact in any
+    order.  Each distance depends only on its own m terms, so the result
+    does not depend on the block size either.  Zero features give zeros.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if A.shape[1] != B.shape[1]:
         raise ValueError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
-    out = np.empty((A.shape[0], B.shape[0]))
-    for rows in row_blocks(A.shape[0], 8 * B.shape[0] * A.shape[1]):
-        out[rows] = _reduce(kind, A[rows, None, :] - B[None, :, :])
+    if kind not in BASE_METRICS:
+        raise ValueError(f"unknown base metric {kind!r}; choose from {BASE_METRICS}")
+    (q, m), n = A.shape, B.shape[0]
+    out = np.zeros((q, n))
+    if m == 0:
+        return out
+    BT = np.ascontiguousarray(B.T)
+    live = _scratch_count(kind, m)
+    work = None
+    for rows in row_blocks(q, 8 * n * live):
+        block = A[rows]
+        if work is None:  # the first block is the largest
+            work = np.empty((live, len(block), n))
+        scratch = list(work[:, : len(block)])
+
+        def term(k, dst, block=block):
+            np.subtract(block[:, k, None], BT[k], out=dst)
+            if kind == "euclidean":
+                return np.multiply(dst, dst, out=dst)
+            return np.abs(dst, out=dst)
+
+        dst = out[rows]
+        if kind == "chebyshev":
+            _fold(term, 0, m, dst, scratch[0], np.maximum)
+        else:
+            _pairwise_sum(term, 0, m, dst, scratch)
+            if kind == "euclidean":
+                np.sqrt(dst, out=dst)
     return out
 
 
-def _reduce(kind: str, diff: np.ndarray) -> np.ndarray:
-    if kind == "euclidean":
-        return np.sqrt(np.sum(diff * diff, axis=-1))
-    if kind == "manhattan":
-        return np.sum(np.abs(diff), axis=-1)
-    if kind == "chebyshev":
-        return np.max(np.abs(diff), axis=-1)
-    raise ValueError(f"unknown base metric {kind!r}; choose from {BASE_METRICS}")
+def _split(count: int) -> int:
+    """Where numpy's pairwise summation splits more than 128 terms."""
+    half = count // 2
+    return half - half % 8
+
+
+def _scratch_count(kind: str, m: int) -> int:
+    """The (rows, n) scratch arrays ``pairwise_base`` keeps live at m features
+    besides the result block: one for the current term, seven more partial
+    sums from 8 terms on, and one held half sum per split level."""
+    if kind == "chebyshev" or m < 8:
+        return 1
+    if m <= _PAIRWISE_BLOCK:
+        return 8
+    half = _split(m)
+    return max(_scratch_count(kind, half), 1 + _scratch_count(kind, m - half))
+
+
+def _fold(term, lo: int, hi: int, dst, scratch, combine=np.add) -> None:
+    """dst = term(lo) combined with term(lo + 1), ..., term(hi - 1) in turn."""
+    term(lo, dst)
+    for k in range(lo + 1, hi):
+        combine(dst, term(k, scratch), out=dst)
+
+
+def _pairwise_sum(term, lo: int, hi: int, dst, scratch) -> None:
+    """dst = the sum of term(lo), ..., term(hi - 1) in numpy's pairwise order.
+
+    ``term(k, buf)`` writes the k-th (rows, n) term into ``buf`` and returns
+    it; ``scratch`` holds ``_scratch_count`` free arrays of dst's shape.
+    The terms are never negative, so starting from the first term gives the
+    bits of numpy's start from 0.
+    """
+    count = hi - lo
+    if count < 8:
+        _fold(term, lo, hi, dst, scratch[0])
+    elif count <= _PAIRWISE_BLOCK:
+        r = [dst, *scratch[1:8]]
+        body = hi - count % 8
+        for k in range(lo, lo + 8):
+            term(k, r[k - lo])
+        for k in range(lo + 8, body):
+            np.add(r[(k - lo) % 8], term(k, scratch[0]), out=r[(k - lo) % 8])
+        for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+            np.add(r[a], r[b], out=r[a])
+        for k in range(body, hi):
+            np.add(dst, term(k, scratch[0]), out=dst)
+    else:
+        mid = lo + _split(count)
+        _pairwise_sum(term, lo, mid, dst, scratch)
+        _pairwise_sum(term, mid, hi, scratch[-1], scratch[:-1])
+        np.add(dst, scratch[-1], out=dst)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 ``oracles`` holds the independent plain-Python references; this module holds
 what the tests need beyond them: a numeric probe of the modulus axioms,
 random and rescaled coefficient combinations, single-pair distances
-taken from ``pairwise``, and seeded synthetic dataset CSVs.
+taken from ``pairwise``, the one-shot tensor formula of the base distances,
+and seeded synthetic dataset CSVs.
 """
 
 from __future__ import annotations
@@ -96,6 +97,20 @@ def scaled(phi: PhiCombination, c: float) -> PhiCombination:
 def distance(cm, a, b) -> float:
     """Composed distance between two points: the one entry of ``pairwise``."""
     return float(cm.pairwise([a], [b])[0, 0])
+
+
+def one_shot_pairwise(kind: str, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Base distances from the whole (q, n, m) difference tensor at once, each
+    reduced by ``np.sum``/``np.max`` over its last axis: the bits that
+    ``pairwise_base`` must keep without building the tensor."""
+    diff = A[:, None, :] - B[None, :, :]
+    if kind == "euclidean":
+        return np.sqrt(np.sum(diff * diff, axis=-1))
+    if kind == "manhattan":
+        return np.sum(np.abs(diff), axis=-1)
+    if kind == "chebyshev":
+        return np.max(np.abs(diff), axis=-1)
+    raise ValueError(f"unknown base metric {kind!r}")
 
 
 def synthetic_csv(seed: int, n: int, m: int = 3, hidden: float = 0.2) -> str:

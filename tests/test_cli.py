@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lipext
 from lipext.cli import main, rebuild_model
 from lipext.dataio import CsvParseError, dataset_hash, read_dataset, table1_path
 from lipext.extension import METHODS, predict
@@ -407,6 +411,38 @@ def test_two_indexed_rows_extend_with_alpha_half(tmp_path, capsys):
         code, _, _ = run_cli(capsys, "extend", "--data", data, "--out", str(tmp_path / "out"))
     assert code == 0
     assert json.loads((tmp_path / "out" / "model.json").read_text())["alpha"] == 0.5
+
+
+# Every indexed row carries one value, so Whitney and McShane coincide and
+# the blend weight is degenerate.
+CONSTANT_INDEX_CSV = "id,x,y,index\na,0,0,3\nb,1,0,3\nc,0,1,3\nd,1,1,3\ne,2,1,3\nf,0.5,0.5,\n"
+DEGENERATE_BLEND = (
+    "warning: degenerate blend: whitney and mcshane coincide on the reference set, "
+    "any alpha is optimal; returning 0.5"
+)
+
+
+def test_warnings_print_as_plain_lines(tmp_path, capsys):
+    data = write(tmp_path, "flat.csv", CONSTANT_INDEX_CSV)
+    src = str(Path(lipext.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "lipext", "extend", "--method", "blend",
+         "--data", data, "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    # No install path, line number or source line: only the message lines.
+    lines = done.stderr.splitlines()
+    assert lines and set(lines) == {DEGENERATE_BLEND}
+    assert done.stderr.endswith("\n")
+    # In-process the warning is still recorded, and the format is restored.
+    before = warnings.formatwarning
+    with pytest.warns(UserWarning, match="degenerate blend"):
+        code, _, _ = run_cli(capsys, "extend", "--method", "blend", "--data", data,
+                             "--out", str(tmp_path / "again"))
+    assert code == 0
+    assert warnings.formatwarning is before
 
 
 def test_one_training_row_reports_unfittable_or_names_the_split(tmp_path, capsys):

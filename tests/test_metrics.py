@@ -7,14 +7,12 @@ import pytest
 from lipext import metrics
 from lipext.metrics import (
     BASE_METRICS,
-    TILE_BYTES,
     CompositionMetric,
-    _reduce,
     pairwise_base,
 )
 from lipext.phi import ATOM_NAMES, PhiCombination, identity_phi, phi_eval
 
-from helpers import distance, random_combination, scaled
+from helpers import distance, one_shot_pairwise, random_combination, scaled
 from oracles import base_dist
 
 
@@ -136,20 +134,27 @@ def test_coefficient_scaling_scales_distance():
         )
 
 
-def _one_shot(kind, A, B):
-    return _reduce(kind, A[:, None, :] - B[None, :, :])
+# Below 8 features numpy adds them in sequence, from 8 to 128 in 8 strided
+# partial sums, and above 128 it splits them in two: every branch and each
+# boundary between them.
+PAIRWISE_WIDTHS = (*range(1, 21), 64, 127, 128, 129, 200)
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "manhattan", "chebyshev"])
-def test_pairwise_tiles_match_one_shot_bit_for_bit(kind):
+def test_pairwise_tiles_match_one_shot_bit_for_bit(kind, monkeypatch):
+    # The pin on the summation order: one column at a time, block by block,
+    # must give the bits of the one-shot tensor reduction.
     rng = np.random.default_rng(3)
-    n, m = 64, 8
-    tile = TILE_BYTES // (8 * n * m)
-    B = rng.uniform(-5.0, 5.0, size=(n, m))
-    # One row, around one tile, and whole tiles with an empty remainder.
-    for q in (1, tile - 1, tile, tile + 1, 3 * tile):
-        A = rng.uniform(-5.0, 5.0, size=(q, m))
-        assert np.array_equal(pairwise_base(kind, A, B), _one_shot(kind, A, B))
+    n = 16
+    monkeypatch.setattr(metrics, "TILE_BYTES", 2**14)  # keeps 3 tiles small
+    for m in PAIRWISE_WIDTHS:
+        tile = max(1, metrics.TILE_BYTES // (8 * n * metrics._scratch_count(kind, m)))
+        scales = 10.0 ** rng.uniform(-3.0, 3.0, size=m)  # columns of very different sizes
+        B = rng.uniform(-5.0, 5.0, size=(n, m)) * scales
+        # One row, around one tile, and whole tiles with an empty remainder.
+        for q in (1, tile - 1, tile, tile + 1, 3 * tile):
+            A = rng.uniform(-5.0, 5.0, size=(q, m)) * scales
+            assert np.array_equal(pairwise_base(kind, A, B), one_shot_pairwise(kind, A, B)), (m, q)
 
 
 @pytest.mark.parametrize("kind", ["euclidean", "manhattan", "chebyshev"])
@@ -171,20 +176,47 @@ def test_composed_pairwise_tiles_match_one_shot_bit_for_bit(kind, monkeypatch):
 
 
 def test_pairwise_empty_query_block():
-    B = np.ones((4, 2))
-    assert pairwise_base("euclidean", np.empty((0, 2)), B).shape == (0, 4)
-    with pytest.raises(ValueError):
-        pairwise_base("cosine", np.empty((0, 2)), B)
+    for m in (2, 8, 130):
+        B = np.ones((4, m))
+        for kind in BASE_METRICS:
+            assert pairwise_base(kind, np.empty((0, m)), B).shape == (0, 4)
+        with pytest.raises(ValueError, match="unknown base metric"):
+            pairwise_base("cosine", np.empty((0, m)), B)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            pairwise_base("euclidean", np.empty((0, m + 1)), B)
+
+
+@pytest.mark.parametrize("kind", BASE_METRICS)
+def test_pairwise_without_features_is_zero(kind):
+    D = pairwise_base(kind, np.empty((3, 0)), np.empty((2, 0)))
+    assert D.shape == (3, 2)
+    assert np.array_equal(D, np.zeros((3, 2)))
+
+
+def _traced_peak(kind, A, B):
+    tracemalloc.start()
+    try:
+        pairwise_base(kind, A, B)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_pairwise_peak_memory_is_bounded_by_the_tile():
     rng = np.random.default_rng(4)
     A, B = rng.uniform(size=(2000, 10)), rng.uniform(size=(500, 10))
-    tracemalloc.start()
-    try:
-        pairwise_base("euclidean", A, B)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     # One (q, n, m) difference tensor and its square would need 160 MB.
+    assert _traced_peak("euclidean", A, B) < 32 * 2**20
+
+
+@pytest.mark.parametrize("kind", BASE_METRICS)
+def test_pairwise_peak_memory_with_many_features(kind):
+    # At m = 200 eight partial sums, the current term and a held half sum are
+    # live at once; the row blocks are sized for all of them.
+    rng = np.random.default_rng(5)
+    A, B = rng.uniform(size=(2000, 200)), rng.uniform(size=(500, 200))
+    peak = _traced_peak(kind, A, B)
     assert peak < 32 * 2**20
+    # Beyond the result and B transposed, one tile of scratch and the
+    # buffers of numpy's broadcasting subtract (about 128 KiB).
+    assert peak < 8 * 2000 * 500 + B.nbytes + metrics.TILE_BYTES + 2**18
