@@ -135,33 +135,47 @@ def ratio_max(num: np.ndarray, den: np.ndarray) -> tuple[float, int | None]:
 
 
 def coherence_constant(
-    s: IndexedSample, cm: CompositionMetric, d: np.ndarray | None = None
+    s: IndexedSample,
+    cm: CompositionMetric,
+    d: np.ndarray | None = None,
+    rows: np.ndarray | None = None,
 ) -> float:
     """Smallest Lipschitz constant of the index; +inf if not coherent.
 
-    ``d`` is the (n, n) square of composed distances among the rows of
-    ``s``, for example sliced from a distance table built once; None
-    computes it from the points.  The square is reduced in ``row_blocks``,
-    each row i against the columns j >= the block's first row: the square
-    is symmetric, so this covers every pair.  A pair at distance 0 with
-    equal values imposes no constraint, and one with distinct values makes
-    K infinite, as in ``ratio_max``, which gives the same bits on the
-    condensed pairs.
+    ``d`` is a symmetric table of composed distances, for example one built
+    once for many fits, and ``rows`` the positions of the rows of ``s`` in
+    it; None for ``rows`` means the table is the (n, n) square of ``s``
+    itself, and None for ``d`` computes the distances from the points.
+    Either way K is reduced in ``row_blocks``, each row i against the
+    columns j >= the block's first row: the distances are symmetric, so
+    this covers every pair, and only one block of them is held at a time.
+    A block of ``rows`` is gathered with ``take`` on each axis, the table is
+    never copied.  A pair at distance 0 with equal values imposes no
+    constraint, and one with distinct values makes K infinite, as in
+    ``ratio_max``, which gives the same bits on the condensed pairs.
     """
     n = len(s)
     if n < 2:
         raise ValueError("need at least two rows")
-    if d is None:
-        d = cm.pairwise(s.points, s.points)
+
+    def distances(block: slice) -> np.ndarray:
+        if d is None:
+            return cm.pairwise(s.points[block], s.points[block.start:])
+        if rows is None:
+            return d[block, block.start:]
+        return d.take(rows[block], axis=0).take(rows[block.start:], axis=1)
+
     v = s.values
     K = 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        for rows in row_blocks(n, 8 * n):
-            ratios = v[rows, None] - v[rows.start:]
+        for block in row_blocks(n, 8 * (n if d is None else len(d))):
+            dist = distances(block)  # first, so the ratios reuse what its gather frees
+            ratios = v[block, None] - v[block.start:]
             np.abs(ratios, out=ratios)
-            ratios /= d[rows, rows.start:]
+            ratios /= dist
             # fmax skips the NaN of 0/0; x/0 is +inf.
             K = max(K, np.fmax.reduce(ratios, axis=None, initial=0.0))
+            del dist, ratios  # before the next block's distances are made
     return float(K)
 
 

@@ -17,11 +17,12 @@ values:
 
 Predictions are vectorized over rows.  A Lipschitz prediction depends only
 on its own row, so row-by-row calls give the same bits as one batch call,
-and ``predict`` works through the queries in row blocks.
-``fit_extension`` and ``predict_from_distances`` can take the composed
-distances as given instead of computing them from the points, so callers
-that slice one distance table for many fits get the same bits as fresh
-computation.
+and ``predict_in_blocks`` works through the queries in row blocks, taking
+the distances of one block at a time from the points (``predict``) or from
+a distance table.  ``fit_extension`` and the prediction routines can take
+the composed distances as given instead of computing them from the points,
+so callers that read one distance table for many fits get the same bits as
+fresh computation.
 """
 
 from __future__ import annotations
@@ -71,6 +72,7 @@ def fit_extension(
     method: str = "blend",
     alpha: float | None = None,
     d: np.ndarray | None = None,
+    rows: np.ndarray | None = None,
 ) -> ExtensionModel:
     """Fit an extension model on an indexed sample.
 
@@ -81,9 +83,11 @@ def fit_extension(
     minimum and anchors at the argmin of the shifted values (ties go to the
     lowest row index).
 
-    ``d`` is the (n, n) square of composed distances among the rows of
-    ``s``; None computes it from the points.  The distances do not change
-    under the standard method's shift, so one square serves every method.
+    ``d`` and ``rows`` go to ``coherence_constant``: a table of composed
+    distances and the positions of the rows of ``s`` in it (None: the table
+    is the square of ``s``), or None to compute distances from the points.
+    The distances do not change under the standard method's shift, so one
+    table serves every method.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
@@ -94,7 +98,7 @@ def fit_extension(
     if method == "standard":
         offset = float(np.min(s.values))
         s = katetov_shift(s)
-    k_val = coherence_constant(s, cm, d)
+    k_val = coherence_constant(s, cm, d, rows)
     if method == "standard":
         if not math.isfinite(k_val):
             raise FitError("coherence constant is infinite: standard index unfittable")
@@ -143,31 +147,68 @@ def _mcshane(m: ExtensionModel, KD: np.ndarray) -> np.ndarray:
     return (m.training.values - KD).max(axis=1)
 
 
+def _extremes(m: ExtensionModel, KD: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """(predictions, McShane's) of a Lipschitz model from K times the (q, n)
+    distances.  A blend's predictions are Whitney's, for ``_weigh`` to mix;
+    the other methods give None for McShane's."""
+    if m.method == "standard":
+        return m.offset + KD[:, m.anchor], None
+    if m.method == "mcshane":
+        return _mcshane(m, KD), None
+    return _whitney(m, KD), _mcshane(m, KD) if m.method == "blend" else None
+
+
+def _check_predictable(m: ExtensionModel, alpha: float | None, truth) -> None:
+    if m.method not in ("whitney", "mcshane", "blend", "standard"):
+        raise ValueError(f"method {m.method!r} does not predict from distances")
+    if m.method == "blend" and alpha is None and truth is None:
+        raise ValueError("blend requires an alpha (fit one or pass it)")
+
+
+def _weigh(m: ExtensionModel, first, mcshane, alpha: float | None, truth):
+    """(blend weight, predictions) from ``_extremes`` of all the query rows:
+    a blend mixes with ``alpha`` when given, else with the ``optimal_alpha``
+    against ``truth``; the other methods return None as the weight."""
+    if m.method != "blend":
+        return None, first
+    a = optimal_alpha(truth, first, mcshane) if alpha is None else alpha
+    return a, (1.0 - a) * first + a * mcshane
+
+
 def predict_from_distances(
     m: ExtensionModel, D: np.ndarray, alpha: float | None = None, truth=None
 ) -> tuple[float | None, np.ndarray]:
     """(blend weight, predictions) of a Lipschitz model from distances.
 
     ``D`` (q, n) holds the composed distances of the query rows to the
-    model's training rows.  A blend model mixes with ``alpha`` when given,
-    else with the ``optimal_alpha`` against ``truth``, and raises
-    ``ValueError`` with neither; the other methods return None as the
-    weight.
+    model's training rows, taken in one piece.  A blend model mixes with
+    ``alpha`` when given, else with the ``optimal_alpha`` against
+    ``truth``, and raises ``ValueError`` with neither; the other methods
+    return None as the weight.
     """
-    if m.method == "whitney":
-        return None, _whitney(m, m.K * D)
-    if m.method == "mcshane":
-        return None, _mcshane(m, m.K * D)
-    if m.method == "standard":
-        return None, m.offset + m.K * D[:, m.anchor]
-    if m.method != "blend":
-        raise ValueError(f"method {m.method!r} does not predict from distances")
-    if alpha is None and truth is None:
-        raise ValueError("blend requires an alpha (fit one or pass it)")
-    KD = m.K * D
-    i_w, i_m = _whitney(m, KD), _mcshane(m, KD)
-    a = optimal_alpha(truth, i_w, i_m) if alpha is None else alpha
-    return a, (1.0 - a) * i_w + a * i_m
+    _check_predictable(m, alpha, truth)
+    return _weigh(m, *_extremes(m, m.K * D), alpha, truth)
+
+
+def predict_in_blocks(
+    m: ExtensionModel, q: int, distances, alpha: float | None = None, truth=None
+) -> tuple[float | None, np.ndarray]:
+    """``predict_from_distances`` at q query rows whose distances come in
+    blocks: ``distances(block)`` gives those of the query rows in the slice
+    ``block``, once per ``row_blocks`` block, so only one block of them is
+    held at a time.  A blend keeps its Whitney and McShane predictions
+    block by block and takes its weight over all q rows after the last.
+    Each prediction depends only on its own row, so the blocks do not
+    change its bits.
+    """
+    _check_predictable(m, alpha, truth)
+    first = np.empty(q)
+    mcshane = np.empty(q) if m.method == "blend" else None
+    for block in row_blocks(q, 8 * len(m.training)):
+        first[block], block_mcshane = _extremes(m, m.K * distances(block))
+        if mcshane is not None:
+            mcshane[block] = block_mcshane
+    return _weigh(m, first, mcshane, alpha, truth)
 
 
 def whitney_batch(m: ExtensionModel, X) -> np.ndarray:
@@ -181,16 +222,15 @@ def mcshane_batch(m: ExtensionModel, X) -> np.ndarray:
 def predict(m: ExtensionModel, X) -> np.ndarray:
     """Batch prediction dispatched on the fitted method.
 
-    A Lipschitz model takes the queries in ``row_blocks`` of their distances
-    to the training rows, so only one block of distances is held at a time.
+    A Lipschitz model takes the queries in ``predict_in_blocks``, computing
+    each block's distances to the training rows from the points.
     """
     if m.method == "linear":
         return linear_predict(m.coefficients, X)
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    out = np.empty(X.shape[0])
-    for rows in row_blocks(X.shape[0], 8 * len(m.training)):
-        out[rows] = predict_from_distances(m, _dphi_to_training(m, X[rows]), m.alpha)[1]
-    return out
+    return predict_in_blocks(
+        m, X.shape[0], lambda block: _dphi_to_training(m, X[block]), m.alpha
+    )[1]
 
 
 def optimal_alpha(i_true, i_whitney, i_mcshane) -> float:

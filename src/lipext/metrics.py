@@ -168,3 +168,22 @@ class CompositionMetric:
         for rows in row_blocks(A.shape[0], 8 * B.shape[0]):
             out[rows] = phi_eval(self.phi, pairwise_base(self.base, A[rows], B))
         return out
+
+    def square(self, X) -> np.ndarray:
+        """The (n, n) composed distances among the rows of X, each pair
+        computed once: the bits of ``pairwise(X, X)``.
+
+        Each row block is computed against the columns from its first row
+        on, and the columns before it are mirrored from the blocks above.
+        |a - b| = |b - a| term by term and every entry is summed in one
+        fixed order, so an entry and its mirror have the same bits.
+        """
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        n = X.shape[0]
+        out = np.empty((n, n))
+        for rows in row_blocks(n, 8 * n):
+            out[rows, rows.start:] = phi_eval(
+                self.phi, pairwise_base(self.base, X[rows], X[rows.start:])
+            )
+            out[rows, : rows.start] = out[: rows.start, rows].T
+        return out

@@ -9,7 +9,7 @@ a nested split inside the training rows.
 
 Splits only change which indexed rows train, so the composed distances
 among the indexed rows are computed once (``PairTable``) and every split
-slices them.
+reads them in place.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .extension import (
     fit_extension,
     predict,
     predict_from_distances,
+    predict_in_blocks,
 )
 from .metrics import CompositionMetric, pairwise_base
 from .phi import ATOM_FUNCS, PhiCombination, weighted_sum
@@ -222,51 +223,50 @@ def _cv_stats(values: Sequence[float]) -> tuple[float, float, float]:
 class PairTable:
     """Composed distances among the rows of ``ds``, all indexed, built once.
 
-    Fits and predictions on subsets of the rows slice the table instead of
-    recomputing distances.  The modulus acts elementwise and each entry is
-    the base reduction over the same two rows, so a slice has the bits that
-    a fresh computation on the subset would give.  The table is read-only
-    once built, so threads may share it.  ``distances=False`` skips the
-    table for the linear method, which needs none.  Memory is O(n^2): the
-    table is the one quadratic structure on the fit and prediction paths.
+    Fits and predictions on subsets of the rows read the table in place, in
+    row blocks, instead of recomputing distances or copying a block of
+    them.  The modulus acts elementwise and each entry is the base
+    reduction over the same two rows, so the entries read have the bits
+    that a fresh computation on the subset would give.  The table is
+    read-only once built, so threads may share it.  ``distances=False``
+    skips the table for the linear method, which needs none.  Memory is
+    O(n^2): the table is the one quadratic structure on the fit and
+    prediction paths.
     """
 
     def __init__(self, ds: Dataset, cm: CompositionMetric, distances: bool = True):
         self.ds = ds
         self.cm = cm
-        self.D = cm.pairwise(ds.features, ds.features) if distances else None
-
-    def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Distances from ``rows`` (one per result row) to ``cols``."""
-        return self.D[np.ix_(rows, cols)]
+        self.D = cm.square(ds.features) if distances else None
 
     def fit(self, rows: np.ndarray, method: str, alpha: float | None = None) -> ExtensionModel:
-        """``fit_extension`` on the given rows.
+        """``fit_extension`` on the given rows, with K read from the table.
 
-        A fit on every row, in order, takes the table itself rather than a
-        copy of it.
+        A fit on every row, in order, reads the table as the sample's own
+        square, with no gather.
         """
         sample = IndexedSample(self.ds.features[rows], self.ds.index[rows])
         if method == "linear":
-            d = None
-        elif np.array_equal(rows, np.arange(len(self.D))):
-            d = self.D
-        else:
-            d = self.block(rows, rows)
-        return fit_extension(sample, self.cm, method, alpha, d)
+            return fit_extension(sample, self.cm, method, alpha)
+        every_row = np.array_equal(rows, np.arange(len(self.D)))
+        return fit_extension(sample, self.cm, method, alpha, self.D, None if every_row else rows)
 
     def predict(
         self, model: ExtensionModel, train: np.ndarray, rows: np.ndarray, alpha=None
     ) -> tuple[float | None, np.ndarray]:
         """(blend weight, predictions) at ``rows`` of a model fitted on ``train``.
 
-        A blend without ``alpha`` takes the optimal weight against the
-        index values at ``rows``.
+        Each block of ``rows`` gathers its distances to ``train`` from the
+        table.  A blend without ``alpha`` takes the optimal weight against
+        the index values at ``rows``.
         """
         if model.method == "linear":
             return None, predict(model, self.ds.features[rows])
-        truth = self.ds.index[rows]
-        return predict_from_distances(model, self.block(rows, train), alpha, truth)
+
+        def distances(block):
+            return self.D.take(rows[block], axis=0).take(train, axis=1)
+
+        return predict_in_blocks(model, len(rows), distances, alpha, self.ds.index[rows])
 
     def holdout_alpha(
         self, rows: np.ndarray, train_fraction: float, seed: int, split_method: str
@@ -331,9 +331,9 @@ def cross_validate(
     Repeats where fitting fails, or whose nested ``honest_alpha`` split is
     too small, are excluded from the RMSE statistics and counted.  The
     distances among the indexed rows are computed once, and each repeat
-    slices them.  Repeats are independent, so with ``workers`` above 1 they
-    run on a thread pool of that size, with results assembled in repeat
-    order; None means 1.
+    reads them in place.  Repeats are independent, so with ``workers``
+    above 1 they run on a thread pool of that size, with results assembled
+    in repeat order; None means 1.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")

@@ -250,10 +250,10 @@ def test_coherence_from_a_table_slice_equals_fresh_computation(base):
         cm = CompositionMetric(base, random_combination(rng) if k % 2 else identity_phi())
         ds = Dataset([f"r{i}" for i in range(len(s))], s.points, s.values,
                      [f"f{j}" for j in range(s.points.shape[1])])
-        rows = np.arange(len(s))
-        square = PairTable(ds, cm).block(rows, rows)
+        table = PairTable(ds, cm).D
         fresh = coherence_constant(s, cm)
-        assert coherence_constant(s, cm, square) == fresh
+        assert coherence_constant(s, cm, table) == fresh
+        assert coherence_constant(s, cm, table, np.arange(len(s))) == fresh
         if expected is not None:
             assert fresh == expected
 
@@ -283,6 +283,7 @@ def test_coherence_tiles_on_a_table_slice_match_condensed_ratio_max(n, tile, bas
     references = [_condensed_coherence(s, cm) for s, _ in cases]
     monkeypatch.setattr(metrics, "TILE_BYTES", 8 * n * tile)
     for (s, expected), reference in zip(cases, references):
+        assert coherence_constant(s, cm) == reference  # from the points, block by block
         # The sample's rows alternate with other rows of the table.
         features = np.empty((2 * n, m))
         features[0::2], features[1::2] = rng.uniform(size=(n, m)), s.points
@@ -291,8 +292,10 @@ def test_coherence_tiles_on_a_table_slice_match_condensed_ratio_max(n, tile, bas
         ds = Dataset([f"r{i}" for i in range(2 * n)], features, index,
                      [f"f{j}" for j in range(m)])
         rows = np.arange(1, 2 * n, 2)
-        K = coherence_constant(s, cm, PairTable(ds, cm).block(rows, rows))
+        table = PairTable(ds, cm).D
+        K = coherence_constant(s, cm, table, rows)  # read in place
         assert K == reference
+        assert coherence_constant(s, cm, table[np.ix_(rows, rows)]) == reference  # a copy
         if expected is not None:
             assert K == expected
 

@@ -361,7 +361,7 @@ def test_oracles_agree_at_n_200(sample, monkeypatch):
     ds = Dataset([f"r{i}" for i in range(n)], s.points, s.values, [f"f{j}" for j in range(m)])
     rows = np.arange(n)
     assert coherence_constant(s, cm) == close(K_o)
-    assert coherence_constant(s, cm, PairTable(ds, cm).block(rows, rows)) == close(K_o)
+    assert coherence_constant(s, cm, PairTable(ds, cm).D, rows) == close(K_o)
     report = constants_report(s, cm)
     assert (report.K, report.Q) == (close(K_o), close(Q_o))
 

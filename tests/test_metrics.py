@@ -175,6 +175,24 @@ def test_composed_pairwise_tiles_match_one_shot_bit_for_bit(kind, monkeypatch):
         cm.pairwise(np.empty((0, m + 1)), B)
 
 
+@pytest.mark.parametrize("kind", BASE_METRICS)
+def test_square_matches_pairwise_of_the_points_with_themselves(kind, monkeypatch):
+    # Each pair is computed once and mirrored; the mirror must keep the bits.
+    rng = np.random.default_rng(6)
+    cm = CompositionMetric(kind, PhiCombination(ATOM_NAMES, rng.uniform(0.1, 2.0, len(ATOM_NAMES))))
+    tile = 4
+    for m in (2, 9, 130):
+        scales = 10.0 ** rng.uniform(-3.0, 3.0, size=m)
+        for n in (1, tile - 1, tile, tile + 1, 3 * tile):
+            X = rng.uniform(-5.0, 5.0, size=(n, m)) * scales
+            with monkeypatch.context() as patch:
+                patch.setattr(metrics, "TILE_BYTES", 8 * n * tile)  # ``tile`` rows a block
+                square = cm.square(X)
+            assert np.array_equal(square, cm.pairwise(X, X)), (m, n)
+            assert np.array_equal(square, square.T)
+    assert cm.square(np.empty((0, 3))).shape == (0, 0)
+
+
 def test_pairwise_empty_query_block():
     for m in (2, 8, 130):
         B = np.ones((4, m))

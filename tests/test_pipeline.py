@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from lipext import metrics
 from lipext.constants import IndexedSample
 from lipext.extension import (
     FitError,
@@ -13,6 +14,7 @@ from lipext.extension import (
     linear_predict,
     predict,
     predict_from_distances,
+    predict_in_blocks,
 )
 from lipext.metrics import CompositionMetric
 from lipext.phi import ATOM_NAMES, LINEAR_BASIS, SQRT_BASIS, PhiCombination, identity_phi
@@ -20,6 +22,8 @@ from lipext.pipeline import (
     _INNER_SPLIT_OFFSET,
     CvReport,
     Dataset,
+    PairTable,
+    _split_rows,
     cross_validate,
     fit_for_extend,
     minmax_scale,
@@ -529,12 +533,15 @@ def test_objective_test_rmse_infinite_on_conflicting_duplicates():
 
 def test_extend_fit_and_predict_stay_under_memory_ceilings():
     # 2,000 indexed rows: the distance table alone is 30.5 MiB.  The fit
-    # may add the holdout's square and blocks, but no copy of the table;
-    # prediction holds one block of distances at a time.
+    # adds O(tile) on top of it: the blocks of the table's build, and the
+    # holdout's K and predictions read from the table in row blocks, with
+    # no square of a subset.  Prediction holds one block of distances at a
+    # time.
     rng = np.random.default_rng(19)
     features = rng.uniform(size=(2000, 10))
     indexed = make_dataset(features, features @ rng.uniform(size=10))
     targets = rng.uniform(size=(3000, 10))
+    train, held_out = _split_rows(2000, 0.7, 0, "random")
     tracemalloc.start()
     try:
         model = fit_for_extend(indexed, IDENTITY, "blend")
@@ -542,7 +549,42 @@ def test_extend_fit_and_predict_stay_under_memory_ceilings():
         tracemalloc.reset_peak()
         predict(model, targets)
         predict_peak = tracemalloc.get_traced_memory()[1]
+        table = PairTable(indexed, IDENTITY)
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        table.predict(table.fit(train, "blend"), train, held_out)
+        subset_peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert fit_peak < 64 * 2**20
+    assert fit_peak < 42 * 2**20
     assert predict_peak < 16 * 2**20
+    # One 1,400 x 1,400 square of the training rows alone would be 15 MiB.
+    assert subset_peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("method", ["whitney", "mcshane", "blend", "standard"])
+def test_table_fits_and_predictions_in_blocks_match_one_shot(method, monkeypatch):
+    # A fit and a prediction on subsets of the table read it in place, block
+    # by block, and so does predict_in_blocks on a given block; they must
+    # give the bits of a fit on the copied square and of one
+    # predict_from_distances on the copied block.
+    rng = np.random.default_rng(23)
+    n, m, tile = 30, 3, 4
+    cm = CompositionMetric("manhattan", random_combination(rng))
+    table = PairTable(make_dataset(rng.uniform(size=(n, m)), rng.uniform(0.0, 5.0, n)), cm)
+    train, held_out = _split_rows(n, 0.6, 3, "random")
+    sample = IndexedSample(table.ds.features[train], table.ds.index[train])
+    alphas = (None, 0.3) if method == "blend" else (None,)
+    model = fit_extension(sample, cm, method, d=table.D[np.ix_(train, train)])
+    truth = table.ds.index[held_out]
+    D = table.D[np.ix_(held_out, train)]
+    one_shot = [predict_from_distances(model, D, a, truth) for a in alphas]
+    monkeypatch.setattr(metrics, "TILE_BYTES", 8 * len(train) * tile)  # ``tile`` rows a block
+    fitted = table.fit(train, method)
+    assert fitted.K == model.K
+    assert (fitted.anchor, fitted.offset) == (model.anchor, model.offset)
+    for a, (weight, expected) in zip(alphas, one_shot):
+        for blocked in (table.predict(fitted, train, held_out, a),
+                        predict_in_blocks(model, len(D), D.__getitem__, a, truth)):
+            assert blocked[0] == weight
+            assert np.array_equal(blocked[1], expected)
