@@ -49,12 +49,9 @@ def cv_table(ds, cm, repeats, seed):
 
 def print_cv(title, reports):
     print(f"\n{title}")
-    print(f"{'method':<10} {'mean':>8} {'median':>8} {'std':>8} {'s/iter':>10}")
+    print(f"{'method':<10} {'mean':>8} {'median':>8} {'std':>8}")
     for method, r in reports.items():
-        print(
-            f"{method:<10} {r.mean:>8.3f} {r.median:>8.3f} {r.std_dev:>8.3f}"
-            f" {r.seconds_per_iteration:>10.2e}"
-        )
+        print(f"{method:<10} {r.mean:>8.3f} {r.median:>8.3f} {r.std_dev:>8.3f}")
 
 
 def rank_unindexed(ds, cm, seed):

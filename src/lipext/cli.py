@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import warnings
 from dataclasses import dataclass, field, fields, replace
@@ -52,9 +51,6 @@ from .pipeline import (
 from .swarm import PsoConfig, minimize_kq, pso_minimize, settle
 
 DEFAULT_ATOMS = LINEAR_BASIS
-
-#: Environment variable with the number of threads for ``cv`` repeats.
-THREADS_ENV_VAR = "LIPEXT_THREADS"
 
 
 class CliError(Exception):
@@ -91,7 +87,7 @@ def load_config(path: str | None) -> RunConfig:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise CliError("io", f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CliError("config", f"invalid JSON in {path}: {exc}")
     if not isinstance(raw, dict):
         raise CliError("config", f"{path} must hold a JSON object")
@@ -322,7 +318,8 @@ def rebuild_model(model_dict: dict, ds_raw: Dataset) -> tuple[ExtensionModel, Da
 # commands
 
 
-def _extend(cfg: RunConfig, raw: Dataset, scaled: Dataset) -> tuple[np.ndarray, dict]:
+def _extend(cfg: RunConfig, scaled: Dataset) -> tuple[np.ndarray, ExtensionModel]:
+    """(predictions at the unindexed rows, the model fitted on the indexed rows)."""
     cm = CompositionMetric(cfg.metric, _resolve_phi(cfg, scaled))
     indexed = scaled.indexed_rows()
     targets = scaled.unindexed_rows()
@@ -330,10 +327,9 @@ def _extend(cfg: RunConfig, raw: Dataset, scaled: Dataset) -> tuple[np.ndarray, 
         indexed, cm, cfg.method, cfg.alpha, cfg.train_fraction, cfg.seed, cfg.split
     )
     preds = predict(model, targets.features) if targets.n_rows else np.empty(0)
-    model_dict = model_to_json_dict(model, dataset_hash(raw), scaled, indexed.ids)
     if targets.n_rows == 0:
         warnings.warn("no unindexed rows: nothing to predict", stacklevel=2)
-    return preds, model_dict
+    return preds, model
 
 
 def cmd_constants(cfg: RunConfig, args) -> int:
@@ -349,7 +345,8 @@ def cmd_constants(cfg: RunConfig, args) -> int:
 
 def cmd_extend(cfg: RunConfig, args) -> int:
     raw, scaled = _load(cfg, args)
-    preds, model_dict = _extend(cfg, raw, scaled)
+    preds, model = _extend(cfg, scaled)
+    model_dict = model_to_json_dict(model, dataset_hash(raw), scaled, scaled.indexed_rows().ids)
     ids = scaled.unindexed_rows().ids
     out = Path(cfg.out or ".")
     write_csv(out / "predictions.csv", ["id", "predicted_index"],
@@ -360,21 +357,7 @@ def cmd_extend(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _thread_count() -> int | None:
-    """Threads for ``cv`` repeats from the environment; values below 1 mean 1."""
-    threads = os.environ.get(THREADS_ENV_VAR)
-    if not threads:
-        return None
-    try:
-        return max(1, int(threads))
-    except ValueError:
-        raise CliError(
-            "config", f"{THREADS_ENV_VAR} must be an integer, got {threads!r}"
-        ) from None
-
-
 def cmd_cv(cfg: RunConfig, args) -> int:
-    workers = _thread_count()
     _, scaled = _load(cfg, args)
     cm = CompositionMetric(cfg.metric, _resolve_phi(cfg, scaled))
     report = cross_validate(
@@ -387,7 +370,6 @@ def cmd_cv(cfg: RunConfig, args) -> int:
         alpha=cfg.alpha,
         honest_alpha=cfg.honest_alpha,
         split_method=cfg.split,
-        workers=workers,
     )
     payload = report.to_json_dict()
     print(json.dumps(payload, indent=2, sort_keys=True))
@@ -411,10 +393,10 @@ def cmd_optimize(cfg: RunConfig, args) -> int:
 
 
 def cmd_rank(cfg: RunConfig, args) -> int:
-    raw, scaled = _load(cfg, args)
+    _, scaled = _load(cfg, args)
     if scaled.unindexed_rows().n_rows == 0:
         raise CliError("data", "ranking needs at least one unindexed row")
-    preds, _ = _extend(cfg, raw, scaled)
+    preds, _ = _extend(cfg, scaled)
     rows = [(r, cid, val, cfg.method) for r, cid, val in rank(scaled, preds)]
     out = Path(cfg.out or ".")
     write_csv(out / "ranking.csv", ["rank", "id", "predicted_index", "method"], rows)

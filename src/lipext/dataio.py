@@ -46,7 +46,7 @@ def read_dataset(path) -> Dataset:
     if isinstance(path, (str, os.PathLike)):
         path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(path, fh)
         try:
             header = next(reader)
         except StopIteration:
@@ -98,6 +98,19 @@ def read_dataset(path) -> Dataset:
         if not ids:
             raise CsvParseError(f"{path}:2: no data rows")
     return Dataset(ids, np.array(features), np.array(index), feature_names)
+
+
+def _csv_rows(path, fh):
+    """The rows of ``csv.reader(fh)``; a ``csv.Error``, such as a cell over
+    ``csv.field_size_limit()``, or a byte that is not UTF-8 ends in a
+    ``CsvParseError`` naming ``path``."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise CsvParseError(f"{path}:{reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CsvParseError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def dataset_hash(ds: Dataset) -> str:

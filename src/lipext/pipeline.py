@@ -9,21 +9,21 @@ a nested split inside the training rows.
 
 Splits only change which indexed rows train, so the composed distances
 among the indexed rows are computed once (``PairTable``) and every split
-reads them in place.
+reads them in place.  The repeats run one after another in one loop, and a
+report holds no measured time, so the same inputs give the same report,
+bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .constants import IndexedSample, ratio_max
+from .constants import IndexedSample, pair_data, ratio_max
 from .extension import (
     METHODS,
     ExtensionModel,
@@ -188,9 +188,8 @@ class CvReport:
 
     ``per_repeat_rmse`` covers the successful repeats only (failures, e.g.
     from an infinite coherence constant, are counted in ``failed``).
-    Statistics use the population standard deviation.  Timing is wall time
-    per repeat, averaged, with the one-off distance table build shared out
-    over the repeats; it is measurement metadata, not reproducible.
+    Statistics use the population standard deviation.  Every field is
+    reproducible from the inputs and seed.
     """
 
     method: str
@@ -200,7 +199,6 @@ class CvReport:
     mean: float
     median: float
     std_dev: float
-    seconds_per_iteration: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -211,7 +209,6 @@ class CvReport:
             "mean": self.mean,
             "median": self.median,
             "std_dev": self.std_dev,
-            "seconds_per_iteration": self.seconds_per_iteration,
         }
 
 
@@ -228,10 +225,9 @@ class PairTable:
     them.  The modulus acts elementwise and each entry is the base
     reduction over the same two rows, so the entries read have the bits
     that a fresh computation on the subset would give.  The table is
-    read-only once built, so threads may share it.  ``distances=False``
-    skips the table for the linear method, which needs none.  Memory is
-    O(n^2): the table is the one quadratic structure on the fit and
-    prediction paths.
+    read-only once built.  ``distances=False`` skips the table for the
+    linear method, which needs none.  Memory is O(n^2): the table is the
+    one quadratic structure on the fit and prediction paths.
     """
 
     def __init__(self, ds: Dataset, cm: CompositionMetric, distances: bool = True):
@@ -324,16 +320,13 @@ def cross_validate(
     alpha: float | None = None,
     honest_alpha: bool = False,
     split_method: str = "random",
-    workers: int | None = None,
 ) -> CvReport:
     """Repeatedly split, fit and score; repeat r uses seed + r.
 
     Repeats where fitting fails, or whose nested ``honest_alpha`` split is
     too small, are excluded from the RMSE statistics and counted.  The
-    distances among the indexed rows are computed once, and each repeat
-    reads them in place.  Repeats are independent, so with ``workers``
-    above 1 they run on a thread pool of that size, with results assembled
-    in repeat order; None means 1.
+    distances among the indexed rows are computed once, and each repeat, in
+    order, reads them in place.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
@@ -343,12 +336,9 @@ def cross_validate(
     indexed = ds.indexed_rows()
     if indexed.n_rows < 2:
         raise ValueError("cross-validation needs at least two indexed rows")
-    t0 = time.perf_counter()
     table = PairTable(indexed, cm, distances=method != "linear")
-    build_seconds = time.perf_counter() - t0
-
-    def one_repeat(r: int) -> tuple[float | None, float]:
-        t0 = time.perf_counter()
+    scores = []
+    for r in range(repeats):
         train, test = _split_rows(indexed.n_rows, train_fraction, seed + r, split_method)
         a = alpha
         try:
@@ -358,19 +348,9 @@ def cross_validate(
                 if a is None:
                     raise FitError("the nested alpha split is too small")
             model = table.fit(train, method)
-            score = rmse(table.predict(model, train, test, a)[1], indexed.index[test])
         except FitError:
-            score = None
-        return score, time.perf_counter() - t0
-
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one_repeat, range(repeats)))
-    else:
-        outcomes = [one_repeat(r) for r in range(repeats)]
-
-    scores = tuple(s for s, _ in outcomes if s is not None)
-    seconds = (build_seconds + sum(t for _, t in outcomes)) / repeats
+            continue
+        scores.append(rmse(table.predict(model, train, test, a)[1], indexed.index[test]))
     if not scores:
         raise FitError("every cross-validation repeat failed to fit")
     mean, median, std = _cv_stats(scores)
@@ -378,11 +358,10 @@ def cross_validate(
         method=method,
         repeats=repeats,
         failed=repeats - len(scores),
-        per_repeat_rmse=scores,
+        per_repeat_rmse=tuple(scores),
         mean=mean,
         median=median,
         std_dev=std,
-        seconds_per_iteration=seconds,
     )
 
 
@@ -397,15 +376,16 @@ def objective_test_rmse(
 
     One split is drawn up front and reused for every candidate, so all
     coefficient vectors are compared on identical data.  Each atom is
-    applied once to the base distances of the train pairs i < j and of the
-    test x train block, held in one (atoms, pairs + test*train) stack.  A
-    candidate is checked as ``PhiCombination`` checks it, then takes one
-    weighted sum over the stack in ``phi_eval``'s order, K as ``ratio_max``
-    over the pair part (the bits of ``coherence_constant`` on the square)
-    and the optimal blend on the block part.  An infinite K, which no fit
-    survives, and the zero vector, which is not a modulus, score +inf.  A
-    split with fewer than two training rows raises ``ValueError`` here,
-    since every candidate would be unfittable.
+    applied once to the base distances of the train pairs i < j, taken with
+    their |I_i - I_j| from ``pair_data``, and of the test x train block,
+    held in one (atoms, pairs + test*train) stack.  A candidate is checked
+    as ``PhiCombination`` checks it, then takes one weighted sum over the
+    stack in ``phi_eval``'s order, K as ``ratio_max`` over the pair part
+    (the bits of ``coherence_constant`` on the square) and the optimal
+    blend on the block part.  An infinite K, which no fit survives, and the
+    zero vector, which is not a modulus, score +inf.  A split with fewer
+    than two training rows raises ``ValueError`` here, since every
+    candidate would be unfittable.
     """
     train, test = _split_rows(ds_indexed.n_rows, train_fraction, seed, "random")
     if len(train) < 2:
@@ -416,14 +396,10 @@ def objective_test_rmse(
         )
     X, values = ds_indexed.features, ds_indexed.index
     train_sample = IndexedSample(X[train], values[train])
-    i, j = np.triu_indices(len(train), k=1)
-    n_pairs = len(i)
-    base_d = np.concatenate([
-        pairwise_base(base, X[train], X[train])[i, j],
-        pairwise_base(base, X[test], X[train]).ravel(),
-    ])
+    _, _, pair_base, dI, _, _ = pair_data(train_sample, base)
+    n_pairs = len(pair_base)
+    base_d = np.concatenate([pair_base, pairwise_base(base, X[test], X[train]).ravel()])
     stack = np.stack([ATOM_FUNCS[a](base_d) for a in atoms])
-    dI = np.abs(train_sample.values[i] - train_sample.values[j])
     truth = values[test]
 
     def objective(lam: np.ndarray) -> float:

@@ -2,9 +2,7 @@
 
 Each test prints a single ``ACCEPTANCE <name>: PASS|FAIL`` line (visible with
 ``pytest -s`` or in captured output).  File-level determinism is asserted
-byte-for-byte, with one documented exception: wall-clock timing fields
-(``seconds_per_iteration``) are measurement metadata and are excluded from
-the comparison, since no two runs can measure identical wall time.
+byte-for-byte, for every output file.
 """
 
 from __future__ import annotations
@@ -358,8 +356,7 @@ def test_desk_scale_experiment(tmp_path):
 @criterion("determinism")
 def test_command_determinism(tmp_path):
     # Rerunning every command with the same seed/config/data reproduces the
-    # output files byte-for-byte; the one exception is the wall-clock field
-    # in the cv report, which is measurement metadata by nature.
+    # output files byte-for-byte.
     data = str(table1_path())
     runs = {}
     for tag in ("first", "second"):
@@ -378,11 +375,4 @@ def test_command_determinism(tmp_path):
     assert first_files, "commands produced no files"
     for path in first_files:
         twin = runs["second"] / path.relative_to(runs["first"])
-        if path.name == "cv_report.json":
-            a = json.loads(path.read_text())
-            b = json.loads(twin.read_text())
-            a.pop("seconds_per_iteration")
-            b.pop("seconds_per_iteration")
-            assert a == b, "cv report differs beyond timing"
-        else:
-            assert path.read_bytes() == twin.read_bytes(), f"{path.name} differs"
+        assert path.read_bytes() == twin.read_bytes(), f"{path.name} differs"

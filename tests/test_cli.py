@@ -384,6 +384,31 @@ def test_malformed_csv_reports_parse_category(tmp_path, capsys):
     assert ":2:" in err
 
 
+def test_oversized_csv_cell_reports_parse_category(tmp_path, capsys):
+    # A cell over csv.field_size_limit() (131,072 characters) on line 3.
+    data = write(tmp_path, "big.csv", f"id,x,index\na,0,1\nb,{'1' * 200_000},2\nc,2,\n")
+    with pytest.raises(CsvParseError, match=":3: field larger than field limit"):
+        read_dataset(data)
+    code, out, err = run_cli(capsys, "constants", "--data", data)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error:parse: {data}:3:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag, category", [
+    ("--data", "parse"), ("--config", "config"), ("--phi", "config"),
+])
+def test_non_utf8_input_reports_its_category(tmp_path, capsys, flag, category):
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"id,x,index\na,0,1\n\xff\xfe,1,2\n")
+    argv = ["constants", flag, str(binary)]
+    if flag != "--data":
+        argv += ["--data", str(table1_path())]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error:{category}:") and str(binary) in err
+    assert err.count("\n") == 1
+
+
 def test_unfittable_reports_category(tmp_path, capsys):
     data = write(tmp_path, "dup.csv", "id,x,index\na,1,0\nb,1,5\nc,2,\n")
     code, _, err = run_cli(capsys, "extend", "--data", data, "--method", "whitney")
@@ -513,24 +538,6 @@ def test_os_errors_report_io(tmp_path, capsys, monkeypatch, case):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:io:") and err.count("\n") == 1
-
-
-def test_bad_thread_cap_reports_config(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("LIPEXT_THREADS", "abc")
-    code, _, err = run_cli(capsys, "cv", "--data", str(table1_path()), "--repeats", "2")
-    assert code == 2
-    assert err.startswith("error:config:") and "LIPEXT_THREADS" in err
-    assert err.count("\n") == 1
-
-
-def test_thread_count_does_not_change_cv(capsys, monkeypatch):
-    argv = ["cv", "--data", str(table1_path()), "--repeats", "4"]
-    monkeypatch.delenv("LIPEXT_THREADS", raising=False)
-    serial = json.loads(run_cli(capsys, *argv)[1])["per_repeat_rmse"]
-    for value in ("2", "0", "-3"):  # values below 1 mean 1
-        monkeypatch.setenv("LIPEXT_THREADS", value)
-        code, out, _ = run_cli(capsys, *argv)
-        assert code == 0 and json.loads(out)["per_repeat_rmse"] == serial
 
 
 def test_bad_config_key_rejected(tmp_path, capsys):

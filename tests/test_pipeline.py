@@ -228,6 +228,7 @@ def test_cv_deterministic_apart_from_timing():
     assert r1.per_repeat_rmse == r2.per_repeat_rmse
     assert (r1.mean, r1.median, r1.std_dev) == (r2.mean, r2.median, r2.std_dev)
     assert r1.failed == r2.failed == 0
+    assert r1 == r2  # the report holds no timing
 
 
 def test_cv_statistics_consistent():
@@ -238,7 +239,6 @@ def test_cv_statistics_consistent():
     assert abs(report.median - float(np.median(arr))) <= 1e-12
     assert abs(report.std_dev - float(np.std(arr))) <= 1e-12
     assert len(report.per_repeat_rmse) == 20
-    assert report.seconds_per_iteration >= 0.0
 
 
 def test_cv_all_methods_run():
@@ -300,13 +300,6 @@ def test_cv_rejects_out_of_range_arguments(kwargs, message):
     ds = minmax_scale(table1_like())
     with pytest.raises(ValueError, match=message):
         cross_validate(ds, "blend", IDENTITY, **kwargs)
-
-
-def test_cv_workers_do_not_change_results():
-    ds = minmax_scale(table1_like())
-    serial = cross_validate(ds, "blend", IDENTITY, repeats=8, seed=4)
-    threaded = cross_validate(ds, "blend", IDENTITY, repeats=8, seed=4, workers=4)
-    assert serial.per_repeat_rmse == threaded.per_repeat_rmse
 
 
 def test_objective_test_rmse_finite_and_penalizes_unfittable():
@@ -441,19 +434,19 @@ def naive_cv(ds, method, cm, repeats, seed, alpha, honest_alpha, split_method):
 
 
 @pytest.mark.filterwarnings("ignore:degenerate blend")
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("honest_alpha", [False, True])
 @pytest.mark.parametrize("split_method", ["random", "ordered"])
 @pytest.mark.parametrize("method", ["mcshane", "whitney", "blend", "standard", "linear"])
-def test_cv_matches_fitting_each_split_afresh(method, split_method, honest_alpha, workers):
+def test_cv_matches_fitting_each_split_afresh(method, split_method, honest_alpha, seed):
     ds = smooth_dataset()
     phi = random_combination(np.random.default_rng(1), ATOM_NAMES)
     cm = CompositionMetric("euclidean", phi)
     report = cross_validate(
-        ds, method, cm, repeats=6, seed=3, honest_alpha=honest_alpha,
-        split_method=split_method, workers=workers,
+        ds, method, cm, repeats=6, seed=seed, honest_alpha=honest_alpha,
+        split_method=split_method,
     )
-    expected = naive_cv(ds, method, cm, 6, 3, None, honest_alpha, split_method)
+    expected = naive_cv(ds, method, cm, 6, seed, None, honest_alpha, split_method)
     assert report.per_repeat_rmse == expected
     assert report.failed == 0
 
@@ -463,7 +456,7 @@ def test_cv_matches_fitting_each_split_afresh(method, split_method, honest_alpha
 def test_cv_matches_afresh_with_failed_repeats_and_fixed_alpha(kind, method):
     ds = smooth_dataset(seed=2, duplicates=True)
     cm = CompositionMetric(kind, PhiCombination(SQRT_BASIS, (0.5, 1.0, 2.0, 0.25)))
-    report = cross_validate(ds, method, cm, repeats=10, seed=0, alpha=0.3, workers=2)
+    report = cross_validate(ds, method, cm, repeats=10, seed=0, alpha=0.3)
     expected = naive_cv(ds, method, cm, 10, 0, 0.3, False, "random")
     assert report.per_repeat_rmse == expected
     assert report.failed == 10 - len(expected) > 0
