@@ -48,7 +48,7 @@ def read_dataset(path) -> Dataset:
     with path.open(newline="", encoding="utf-8") as fh:
         reader = _csv_rows(path, fh)
         try:
-            header = next(reader)
+            _, header = next(reader)
         except StopIteration:
             raise CsvParseError(f"{path}:1: empty file") from None
         if len(header) < 3:
@@ -60,7 +60,7 @@ def read_dataset(path) -> Dataset:
         first_line: dict[str, int] = {}
         features: list[list[float]] = []
         index: list[float] = []
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in reader:
             if not row or all(cell.strip() == "" for cell in row):
                 continue
             if len(row) != len(header):
@@ -101,12 +101,16 @@ def read_dataset(path) -> Dataset:
 
 
 def _csv_rows(path, fh):
-    """The rows of ``csv.reader(fh)``; a ``csv.Error``, such as a cell over
-    ``csv.field_size_limit()``, or a byte that is not UTF-8 ends in a
-    ``CsvParseError`` naming ``path``."""
+    """(line, row) for each row of ``csv.reader(fh)``, ``line`` being the
+    physical line the row starts on: a quoted cell may span lines.  A
+    ``csv.Error``, such as a cell over ``csv.field_size_limit()``, or a byte
+    that is not UTF-8 ends in a ``CsvParseError`` naming ``path``."""
     reader = csv.reader(fh)
+    start = 1
     try:
-        yield from reader
+        for row in reader:
+            yield start, row
+            start = reader.line_num + 1
     except csv.Error as exc:
         raise CsvParseError(f"{path}:{reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:

@@ -12,9 +12,10 @@ BASE_METRICS = ("euclidean", "manhattan", "chebyshev")
 
 #: Byte budget of one row block: the (rows, n) scratch arrays that
 #: ``pairwise_base`` keeps live while it adds up one feature column at a
-#: time, or a (rows, n) block of composed distances, ratios or predictions.
-#: Work done row block by row block has a peak memory of O(TILE_BYTES) on
-#: top of its inputs and result.
+#: time; the two that ``CompositionMetric`` allocates once per call, for a
+#: block's base distances and one modulus atom's values; or a (rows, n)
+#: block of ratios or predictions.  Work done row block by row block has a
+#: peak memory of O(TILE_BYTES) on top of its inputs and result.
 TILE_BYTES = 2 * 2**20
 
 #: numpy's pairwise summation: fewer than 8 terms are added in sequence, up
@@ -34,14 +35,17 @@ def row_blocks(rows: int, row_bytes: int):
         yield slice(start, start + tile)
 
 
-def pairwise_base(kind: str, A, B) -> np.ndarray:
+def pairwise_base(kind: str, A, B, out=None) -> np.ndarray:
     """All base distances between rows of A (q, m) and rows of B (n, m).
 
     Rows of A are taken in ``row_blocks``, and each block of the result is
-    filled in place one feature column at a time: the m differences
-    ``A[:, k, None] - B[:, k]`` are squared (euclidean) or taken as absolute
-    values (manhattan, chebyshev) and added up, or combined by
-    ``np.maximum`` for chebyshev.  The sums follow the order in which
+    filled in place one feature column at a time: column k of B is copied
+    into every row of a scratch block and the queries' ``A[:, k]`` is
+    subtracted from it in place, and these m differences are squared
+    (euclidean) or taken as absolute values (manhattan, chebyshev) and added
+    up, or combined by ``np.maximum`` for chebyshev.  b - a is exactly
+    -(a - b) in IEEE arithmetic, so the square and the absolute value have
+    the bits of those of a - b.  The sums follow the order in which
     ``np.sum(terms, axis=-1)`` adds m contiguous terms, numpy's pairwise
     summation: fewer than 8 terms in sequence; up to 128 in 8 strided
     partial sums r0..r7, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
@@ -52,6 +56,7 @@ def pairwise_base(kind: str, A, B) -> np.ndarray:
     difference tensor, which is never built; a maximum is exact in any
     order.  Each distance depends only on its own m terms, so the result
     does not depend on the block size either.  Zero features give zeros.
+    ``out``, a (q, n) float array, receives the distances when given.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -60,8 +65,10 @@ def pairwise_base(kind: str, A, B) -> np.ndarray:
     if kind not in BASE_METRICS:
         raise ValueError(f"unknown base metric {kind!r}; choose from {BASE_METRICS}")
     (q, m), n = A.shape, B.shape[0]
-    out = np.zeros((q, n))
+    if out is None:
+        out = np.empty((q, n))
     if m == 0:
+        out.fill(0.0)
         return out
     BT = np.ascontiguousarray(B.T)
     live = _scratch_count(kind, m)
@@ -73,7 +80,8 @@ def pairwise_base(kind: str, A, B) -> np.ndarray:
         scratch = list(work[:, : len(block)])
 
         def term(k, dst, block=block):
-            np.subtract(block[:, k, None], BT[k], out=dst)
+            np.copyto(dst, BT[k])
+            np.subtract(dst, block[:, k, None], out=dst)
             if kind == "euclidean":
                 return np.multiply(dst, dst, out=dst)
             return np.abs(dst, out=dst)
@@ -161,12 +169,16 @@ class CompositionMetric:
 
         The modulus acts elementwise, so applying it to each row block of
         base distances gives the bits of applying it to all of them at once.
+        Each block's base distances go into one scratch array allocated for
+        the call, and ``phi_eval`` adds the modulus atom by atom into the
+        result in place, with a second one for the atoms' values.
         """
         A = np.atleast_2d(np.asarray(A, dtype=float))
         B = np.atleast_2d(np.asarray(B, dtype=float))
         out = np.empty((A.shape[0], B.shape[0]))
-        for rows in row_blocks(A.shape[0], 8 * B.shape[0]):
-            out[rows] = phi_eval(self.phi, pairwise_base(self.base, A[rows], B))
+        for rows, base, atom in _scratch_blocks(A.shape[0], B.shape[0]):
+            pairwise_base(self.base, A[rows], B, out=base)
+            phi_eval(self.phi, base, out=out[rows], scratch=atom)
         return out
 
     def square(self, X) -> np.ndarray:
@@ -176,14 +188,30 @@ class CompositionMetric:
         Each row block is computed against the columns from its first row
         on, and the columns before it are mirrored from the blocks above.
         |a - b| = |b - a| term by term and every entry is summed in one
-        fixed order, so an entry and its mirror have the same bits.
+        fixed order, so an entry and its mirror have the same bits.  The
+        scratch arrays are those of ``pairwise``, cut to each block's
+        columns.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         n = X.shape[0]
         out = np.empty((n, n))
-        for rows in row_blocks(n, 8 * n):
-            out[rows, rows.start:] = phi_eval(
-                self.phi, pairwise_base(self.base, X[rows], X[rows.start:])
-            )
+        for rows, base, atom in _scratch_blocks(n, n, upper=True):
+            pairwise_base(self.base, X[rows], X[rows.start:], out=base)
+            phi_eval(self.phi, base, out=out[rows, rows.start:], scratch=atom)
             out[rows, : rows.start] = out[: rows.start, rows].T
         return out
+
+
+def _scratch_blocks(q: int, n: int, upper: bool = False):
+    """``row_blocks`` of q rows against n columns, or with ``upper`` against
+    the columns from the block's first row on, each with two contiguous
+    (rows, columns) arrays cut from one scratch array allocated for the whole
+    call: the block's base distances, and the values of one modulus atom at
+    a time.  The two together take at most ``TILE_BYTES``."""
+    work = None
+    for rows in row_blocks(q, 2 * 8 * n):
+        count, cols = len(range(q)[rows]), n - rows.start if upper else n
+        if work is None:  # the first block is the largest
+            work = np.empty((2, count * n))
+        base, atom = work[:, : count * cols].reshape(2, count, cols)
+        yield rows, base, atom

@@ -18,27 +18,34 @@ from typing import Callable
 
 import numpy as np
 
-def _rational(x):
-    return x / (1.0 + x)
+def _identity(x, out=None):
+    return x
 
 
-def _sqrt_log1p(x):
-    return np.log1p(np.sqrt(x))
+def _rational(x, out=None):
+    return np.divide(x, np.add(1.0, x, out=out), out=out)
 
 
-def _sqrt_arctan(x):
-    return np.arctan(np.sqrt(x))
+def _sqrt_log1p(x, out=None):
+    return np.log1p(np.sqrt(x, out=out), out=out)
 
 
-def _sqrt_rational(x):
-    r = np.sqrt(x)
-    return r / (1.0 + r)
+def _sqrt_arctan(x, out=None):
+    return np.arctan(np.sqrt(x, out=out), out=out)
+
+
+def _sqrt_rational(x, out=None):
+    r = np.sqrt(x, out=out)
+    return np.divide(r, 1.0 + r, out=out)
 
 
 #: The closed atom set.  The last four are the first four pre-composed
-#: with a square root, which is itself an admissible modulus.
-ATOM_FUNCS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "identity": lambda x: +x,
+#: with a square root, which is itself an admissible modulus.  Each maps x
+#: to a new array, or into ``out`` when one is given and returns it; the
+#: identity returns x itself, so a caller must not write to what it gets.
+#: No atom writes to x.
+ATOM_FUNCS: dict[str, Callable[..., np.ndarray]] = {
+    "identity": _identity,
     "sqrt": np.sqrt,
     "log1p": np.log1p,
     "arctan": np.arctan,
@@ -104,28 +111,38 @@ def identity_phi() -> PhiCombination:
     return PhiCombination(("identity",), (1.0,))
 
 
-def phi_eval(phi: PhiCombination, x):
+def phi_eval(phi: PhiCombination, x, out=None, scratch=None):
     """Evaluate ``sum_j lambda_j * atom_j(x)`` elementwise.
 
     Accepts scalars or arrays; negative input is a domain error.  The value
-    at 0 is exactly 0 because every atom vanishes there.
+    at 0 is exactly 0 because every atom vanishes there.  ``out``, an array
+    of x's shape apart from x, receives the sum; ``scratch``, another one,
+    receives each atom's values in turn.  With both, an array x costs no
+    temporary of its size but the ``1 + r`` of the two rational atoms.  x
+    itself is never written to.
     """
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0.0):
         raise ValueError("modulus functions are defined on [0, inf) only")
-    out = weighted_sum(phi.coefficients, (ATOM_FUNCS[name](arr) for name in phi.atoms), arr)
+    values = (ATOM_FUNCS[name](arr, out=scratch) for name in phi.atoms)
+    out = weighted_sum(phi.coefficients, values, arr, out, scratch)
     if np.ndim(x) == 0:
         return float(out)
     return out
 
 
-def weighted_sum(coefficients, atom_values, like: np.ndarray) -> np.ndarray:
+def weighted_sum(coefficients, atom_values, like: np.ndarray, out=None, scratch=None) -> np.ndarray:
     """``sum_j c_j * v_j``, added atom by atom onto zeros shaped like ``like``.
 
     This is the order ``phi_eval`` sums in, so atom values computed ahead of
     time give its bits exactly.  There must be one coefficient per atom.
+    The sum goes into ``out`` when given, and each ``c_j * v_j`` into
+    ``scratch`` (which may be v_j itself) when given.
     """
-    out = np.zeros(like.shape)
+    if out is None:
+        out = np.zeros(like.shape)
+    else:
+        out.fill(0.0)
     for c, v in zip(coefficients, atom_values, strict=True):
-        out += c * v
+        out += c * v if scratch is None else np.multiply(c, v, out=scratch)
     return out

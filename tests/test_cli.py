@@ -88,6 +88,20 @@ def test_duplicate_id_rejected_at_second_occurrence(tmp_path, capsys):
     assert err.startswith("error:parse:") and err.count("\n") == 1
 
 
+def test_errors_name_the_physical_line_after_a_multiline_cell(tmp_path, capsys):
+    # The quoted id spans lines 2 and 3, so the next record starts on line 4.
+    head = 'id,x,index\n"a\nb",0,1\n'
+    bad = write(tmp_path, "ml.csv", head + "c,oops,2\n")
+    with pytest.raises(CsvParseError, match=":4: non-numeric feature"):
+        read_dataset(bad)
+    dup = write(tmp_path, "dup.csv", head + "c,1,2\nc,2,\n")
+    with pytest.raises(CsvParseError, match=r":5: duplicate id 'c' \(first on line 4\)"):
+        read_dataset(dup)
+    code, out, err = run_cli(capsys, "constants", "--data", bad)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error:parse: {bad}:4:") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # constants command
 
@@ -535,7 +549,11 @@ def test_os_errors_report_io(tmp_path, capsys, monkeypatch, case):
         "phi-dir": ["constants", "--data", data, "--config", str(tmp_path / "phi.json")],
         "out-under-file": ["extend", "--data", data, "--out", data + "/x"],
     }[case]
-    code, out, err = run_cli(capsys, *argv)
+    if case == "out-under-file":  # two indexed rows leave no alpha holdout
+        with pytest.warns(UserWarning, match="too few indexed rows to estimate alpha"):
+            code, out, err = run_cli(capsys, *argv)
+    else:
+        code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:io:") and err.count("\n") == 1
 

@@ -134,6 +134,17 @@ def test_coefficient_scaling_scales_distance():
         )
 
 
+def _composed_tile_bytes(n: int, tile: int) -> int:
+    """The ``TILE_BYTES`` that gives ``CompositionMetric`` blocks of ``tile``
+    rows against n columns: two (rows, n) scratch arrays share the budget."""
+    return 2 * 8 * n * tile
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 # Below 8 features numpy adds them in sequence, from 8 to 128 in 8 strided
 # partial sums, and above 128 it splits them in two: every branch and each
 # boundary between them.
@@ -167,7 +178,7 @@ def test_composed_pairwise_tiles_match_one_shot_bit_for_bit(kind, monkeypatch):
     queries = [rng.uniform(-5.0, 5.0, size=(q, m)) for q in (1, tile - 1, tile, tile + 1, 3 * tile)]
     one_shot = [phi_eval(phi, pairwise_base(kind, A, B)) for A in queries]
     # The modulus then runs on blocks of ``tile`` rows of base distances.
-    monkeypatch.setattr(metrics, "TILE_BYTES", 8 * n * tile)
+    monkeypatch.setattr(metrics, "TILE_BYTES", _composed_tile_bytes(n, tile))
     for A, expected in zip(queries, one_shot):
         assert np.array_equal(cm.pairwise(A, B), expected)
     assert cm.pairwise(np.empty((0, m)), B).shape == (0, n)
@@ -186,7 +197,7 @@ def test_square_matches_pairwise_of_the_points_with_themselves(kind, monkeypatch
         for n in (1, tile - 1, tile, tile + 1, 3 * tile):
             X = rng.uniform(-5.0, 5.0, size=(n, m)) * scales
             with monkeypatch.context() as patch:
-                patch.setattr(metrics, "TILE_BYTES", 8 * n * tile)  # ``tile`` rows a block
+                patch.setattr(metrics, "TILE_BYTES", _composed_tile_bytes(n, tile))
                 square = cm.square(X)
             assert np.array_equal(square, cm.pairwise(X, X)), (m, n)
             assert np.array_equal(square, square.T)
@@ -211,13 +222,17 @@ def test_pairwise_without_features_is_zero(kind):
     assert np.array_equal(D, np.zeros((3, 2)))
 
 
-def _traced_peak(kind, A, B):
+def _traced_call_peak(fn, *args):
     tracemalloc.start()
     try:
-        pairwise_base(kind, A, B)
+        fn(*args)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _traced_peak(kind, A, B):
+    return _traced_call_peak(pairwise_base, kind, A, B)
 
 
 def test_pairwise_peak_memory_is_bounded_by_the_tile():
@@ -238,3 +253,56 @@ def test_pairwise_peak_memory_with_many_features(kind):
     # Beyond the result and B transposed, one tile of scratch and the
     # buffers of numpy's broadcasting subtract (about 128 KiB).
     assert peak < 8 * 2000 * 500 + B.nbytes + metrics.TILE_BYTES + 2**18
+
+
+# Signed zeros, subnormals, and magnitudes near 1e155, whose squares and sums
+# of squares overflow to inf, where the two rational atoms give nan.
+EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
+               1e155, -1e155, 1.3e154, -9e153, 1.0, -0.5)
+
+
+@pytest.mark.parametrize("m", [1, 7, 8, 9, 129])
+@pytest.mark.parametrize("kind", BASE_METRICS)
+def test_edge_values_keep_the_bits_of_the_one_shot_reduction(kind, m, monkeypatch):
+    rng = np.random.default_rng(m)
+    n, tile = 6, 4
+    phi = PhiCombination(ATOM_NAMES, tuple(rng.uniform(0.1, 2.0, len(ATOM_NAMES))))
+    cm = CompositionMetric(kind, phi)
+
+    def points(rows, first):
+        P = rng.choice(EDGE_VALUES, size=(rows, m))
+        P[0] = first
+        return P
+
+    B = points(n, 1e155)  # 2e155 from every query's first row in every column
+    counts = (1, tile - 1, tile, tile + 1, 3 * tile)
+    with np.errstate(over="ignore", invalid="ignore"):
+        monkeypatch.setattr(metrics, "TILE_BYTES", 8 * n * metrics._scratch_count(kind, m) * tile)
+        for q in counts:
+            A = points(q, -1e155)
+            assert _same_bits(pairwise_base(kind, A, B), one_shot_pairwise(kind, A, B)), q
+        monkeypatch.setattr(metrics, "TILE_BYTES", _composed_tile_bytes(n, tile))
+        for q in counts:
+            A = points(q, -1e155)
+            expected = phi_eval(phi, one_shot_pairwise(kind, A, B))
+            assert _same_bits(cm.pairwise(A, B), expected), q
+            if kind == "euclidean":
+                assert np.isinf(one_shot_pairwise(kind, A, B)[0, 0]) and np.isnan(expected[0, 0])
+        for rows in counts:
+            X = points(rows, -1e155)
+            monkeypatch.setattr(metrics, "TILE_BYTES", _composed_tile_bytes(rows, tile))
+            assert _same_bits(cm.square(X), phi_eval(phi, one_shot_pairwise(kind, X, X))), rows
+
+
+@pytest.mark.parametrize("atoms", [("identity",), ATOM_NAMES])
+@pytest.mark.parametrize("kind", BASE_METRICS)
+def test_composed_peak_memory_above_the_result(kind, atoms):
+    # One per-call scratch of base distances and atom values (one tile in
+    # all) and pairwise_base's own tile of partial sums; after those are
+    # freed the modulus adds at most the rational atoms' 1 + r (half a tile).
+    rng = np.random.default_rng(7)
+    cm = CompositionMetric(kind, PhiCombination(atoms, tuple(rng.uniform(0.1, 2.0, len(atoms)))))
+    A, B = rng.uniform(size=(1000, 10)), rng.uniform(size=(800, 10))
+    slack = 2 * metrics.TILE_BYTES + B.nbytes + 2**17
+    assert _traced_call_peak(cm.pairwise, A, B) < 8 * 1000 * 800 + slack
+    assert _traced_call_peak(cm.square, B) < 8 * 800 * 800 + slack
