@@ -23,14 +23,21 @@ TILE_BYTES = 2 * 2**20
 _PAIRWISE_BLOCK = 128
 
 
-def row_blocks(rows: int, row_bytes: int):
+def _rows_per_tile(row_bytes: int) -> int:
+    return max(1, TILE_BYTES // max(1, row_bytes))
+
+
+def row_blocks(rows: int, row_bytes: int, align: int = 1):
     """Slices that cover ``range(rows)`` in order, each of as many rows as fit
-    in ``TILE_BYTES`` at ``row_bytes`` per row (at least one).
+    in ``TILE_BYTES`` at ``row_bytes`` per row (at least one), rounded down
+    to a multiple of ``align`` rows when at least ``align`` fit.
 
     Zero rows still give one empty slice, so the work on a block, and the
     checks that work makes, run at least once.
     """
-    tile = max(1, TILE_BYTES // max(1, row_bytes))
+    tile = _rows_per_tile(row_bytes)
+    if tile >= align:
+        tile -= tile % align
     for start in range(0, max(rows, 1), tile):
         yield slice(start, start + tile)
 
@@ -176,7 +183,7 @@ class CompositionMetric:
         A = np.atleast_2d(np.asarray(A, dtype=float))
         B = np.atleast_2d(np.asarray(B, dtype=float))
         out = np.empty((A.shape[0], B.shape[0]))
-        for rows, base, atom in _scratch_blocks(A.shape[0], B.shape[0]):
+        for rows, base, atom in _scratch_blocks(A.shape[0], B.shape[0], self.base, A.shape[1]):
             pairwise_base(self.base, A[rows], B, out=base)
             phi_eval(self.phi, base, out=out[rows], scratch=atom)
         return out
@@ -195,21 +202,25 @@ class CompositionMetric:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         n = X.shape[0]
         out = np.empty((n, n))
-        for rows, base, atom in _scratch_blocks(n, n, upper=True):
+        for rows, base, atom in _scratch_blocks(n, n, self.base, X.shape[1], upper=True):
             pairwise_base(self.base, X[rows], X[rows.start:], out=base)
             phi_eval(self.phi, base, out=out[rows, rows.start:], scratch=atom)
             out[rows, : rows.start] = out[: rows.start, rows].T
         return out
 
 
-def _scratch_blocks(q: int, n: int, upper: bool = False):
+def _scratch_blocks(q: int, n: int, kind: str, m: int, upper: bool = False):
     """``row_blocks`` of q rows against n columns, or with ``upper`` against
     the columns from the block's first row on, each with two contiguous
     (rows, columns) arrays cut from one scratch array allocated for the whole
     call: the block's base distances, and the values of one modulus atom at
-    a time.  The two together take at most ``TILE_BYTES``."""
+    a time.  The two together take at most ``TILE_BYTES``.  Each block is a
+    whole number of ``pairwise_base``'s own row blocks for ``kind`` and m
+    features against n columns, where one of those fits, so that no block
+    ends in a short one that pays a full round of ufunc calls."""
+    align = _rows_per_tile(8 * n * _scratch_count(kind, m))
     work = None
-    for rows in row_blocks(q, 2 * 8 * n):
+    for rows in row_blocks(q, 2 * 8 * n, align):
         count, cols = len(range(q)[rows]), n - rows.start if upper else n
         if work is None:  # the first block is the largest
             work = np.empty((2, count * n))

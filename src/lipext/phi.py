@@ -118,8 +118,8 @@ def phi_eval(phi: PhiCombination, x, out=None, scratch=None):
     at 0 is exactly 0 because every atom vanishes there.  ``out``, an array
     of x's shape apart from x, receives the sum; ``scratch``, another one,
     receives each atom's values in turn.  With both, an array x costs no
-    temporary of its size but the ``1 + r`` of the two rational atoms.  x
-    itself is never written to.
+    temporary of its size but the ``1 + r`` of ``sqrt_rational``.  x itself
+    is never written to.
     """
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0.0):
@@ -144,5 +144,5 @@ def weighted_sum(coefficients, atom_values, like: np.ndarray, out=None, scratch=
     else:
         out.fill(0.0)
     for c, v in zip(coefficients, atom_values, strict=True):
-        out += c * v if scratch is None else np.multiply(c, v, out=scratch)
+        out += np.multiply(c, v, out=scratch)
     return out

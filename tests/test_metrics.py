@@ -235,6 +235,19 @@ def _traced_peak(kind, A, B):
     return _traced_call_peak(pairwise_base, kind, A, B)
 
 
+@pytest.mark.parametrize("kind", BASE_METRICS)
+@pytest.mark.parametrize("m", [3, 10, 200])
+def test_composed_blocks_are_whole_base_blocks(kind, m):
+    # A composed block that ends in a short pairwise_base block pays a full
+    # round of ufunc calls for a few rows.
+    n, q = 2000, 3000
+    base = metrics._rows_per_tile(8 * n * metrics._scratch_count(kind, m))
+    sizes = [len(range(q)[rows]) for rows, _, _ in metrics._scratch_blocks(q, n, kind, m)]
+    assert sum(sizes) == q
+    assert 2 * 8 * n * sizes[0] <= metrics.TILE_BYTES
+    assert all(size % base == 0 for size in sizes[:-1]) or sizes[0] < base
+
+
 def test_pairwise_peak_memory_is_bounded_by_the_tile():
     rng = np.random.default_rng(4)
     A, B = rng.uniform(size=(2000, 10)), rng.uniform(size=(500, 10))
@@ -250,8 +263,9 @@ def test_pairwise_peak_memory_with_many_features(kind):
     A, B = rng.uniform(size=(2000, 200)), rng.uniform(size=(500, 200))
     peak = _traced_peak(kind, A, B)
     assert peak < 32 * 2**20
-    # Beyond the result and B transposed, one tile of scratch and the
-    # buffers of numpy's broadcasting subtract (about 128 KiB).
+    # Beyond the result and B transposed, one tile of scratch; the 256 KiB
+    # covers the call's small objects and numpy's, which measured 60-64 KiB
+    # with numpy 2.4.
     assert peak < 8 * 2000 * 500 + B.nbytes + metrics.TILE_BYTES + 2**18
 
 
@@ -299,7 +313,7 @@ def test_edge_values_keep_the_bits_of_the_one_shot_reduction(kind, m, monkeypatc
 def test_composed_peak_memory_above_the_result(kind, atoms):
     # One per-call scratch of base distances and atom values (one tile in
     # all) and pairwise_base's own tile of partial sums; after those are
-    # freed the modulus adds at most the rational atoms' 1 + r (half a tile).
+    # freed the modulus adds at most sqrt_rational's 1 + r (half a tile).
     rng = np.random.default_rng(7)
     cm = CompositionMetric(kind, PhiCombination(atoms, tuple(rng.uniform(0.1, 2.0, len(atoms)))))
     A, B = rng.uniform(size=(1000, 10)), rng.uniform(size=(800, 10))
