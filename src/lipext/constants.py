@@ -111,19 +111,22 @@ def pair_data(s: IndexedSample, base: str):
     )
 
 
-def ratio_max(num: np.ndarray, den: np.ndarray) -> tuple[float, int | None]:
+def ratio_max(
+    num: np.ndarray, den: np.ndarray, out: np.ndarray | None = None
+) -> tuple[float, int | None]:
     """Max of num/den over den > 0; +inf if some den <= 0 has num > 0.
 
     Returns (value, position of the achieving pair), or (0.0, None) when no
     den is positive.  argmax keeps the first occurrence, and the
     condensed order is lexicographic, so ties resolve to the smallest (i, j)
     automatically.  When every den is positive, which is the usual case,
-    the ratios take a single division and no masking.
+    the ratios take a single division into ``out`` (a new array when None)
+    and no masking.
     """
-    ok = den > 0.0
-    if ok.all():
-        ratios = num / den
+    if den.min() > 0.0:  # False on a NaN, as den > 0 is
+        ratios = np.divide(num, den, out=out)
     else:
+        ok = den > 0.0
         violated = ~ok & (num > 0.0)
         if violated.any():
             return math.inf, int(violated.argmax())

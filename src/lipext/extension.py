@@ -137,14 +137,24 @@ def _dphi_to_training(m: ExtensionModel, X) -> np.ndarray:
     return m.cm.pairwise(X, m.training.points)
 
 
-def _whitney(m: ExtensionModel, KD: np.ndarray) -> np.ndarray:
-    """Whitney predictions from K times the (q, n) distances."""
-    return (m.training.values + KD).min(axis=1)
+def _whitney(values: np.ndarray, KD: np.ndarray, out=None, work=None) -> np.ndarray:
+    """Whitney predictions from the training values and K times the (q, n)
+    distances.  ``work`` (q, n), which may be KD itself, receives the terms
+    I(y) + K d(x, y), and ``out`` (q,) their row minima, when given."""
+    return np.add(values, KD, out=work).min(axis=1, out=out)
 
 
-def _mcshane(m: ExtensionModel, KD: np.ndarray) -> np.ndarray:
-    """McShane predictions from K times the (q, n) distances."""
-    return (m.training.values - KD).max(axis=1)
+def _mcshane(values: np.ndarray, KD: np.ndarray, out=None, work=None) -> np.ndarray:
+    """McShane predictions, the row maxima of I(y) - K d(x, y), as ``_whitney``."""
+    return np.subtract(values, KD, out=work).max(axis=1, out=out)
+
+
+def _mix(a: float, whitney: np.ndarray, mcshane: np.ndarray, out=None, work=None) -> np.ndarray:
+    """The blend (1 - a) * whitney + a * mcshane.  ``out`` and ``work``,
+    which may be the inputs themselves, receive the two terms when given."""
+    out = np.multiply(1.0 - a, whitney, out=out)
+    out += np.multiply(a, mcshane, out=work)
+    return out
 
 
 def _extremes(m: ExtensionModel, KD: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -153,9 +163,10 @@ def _extremes(m: ExtensionModel, KD: np.ndarray) -> tuple[np.ndarray, np.ndarray
     the other methods give None for McShane's."""
     if m.method == "standard":
         return m.offset + KD[:, m.anchor], None
+    values = m.training.values
     if m.method == "mcshane":
-        return _mcshane(m, KD), None
-    return _whitney(m, KD), _mcshane(m, KD) if m.method == "blend" else None
+        return _mcshane(values, KD), None
+    return _whitney(values, KD), _mcshane(values, KD) if m.method == "blend" else None
 
 
 def _check_predictable(m: ExtensionModel, alpha: float | None, truth) -> None:
@@ -172,7 +183,7 @@ def _weigh(m: ExtensionModel, first, mcshane, alpha: float | None, truth):
     if m.method != "blend":
         return None, first
     a = optimal_alpha(truth, first, mcshane) if alpha is None else alpha
-    return a, (1.0 - a) * first + a * mcshane
+    return a, _mix(a, first, mcshane)
 
 
 def predict_from_distances(
@@ -212,11 +223,11 @@ def predict_in_blocks(
 
 
 def whitney_batch(m: ExtensionModel, X) -> np.ndarray:
-    return _whitney(m, m.K * _dphi_to_training(m, X))
+    return _whitney(m.training.values, m.K * _dphi_to_training(m, X))
 
 
 def mcshane_batch(m: ExtensionModel, X) -> np.ndarray:
-    return _mcshane(m, m.K * _dphi_to_training(m, X))
+    return _mcshane(m.training.values, m.K * _dphi_to_training(m, X))
 
 
 def predict(m: ExtensionModel, X) -> np.ndarray:
@@ -249,14 +260,54 @@ def optimal_alpha(i_true, i_whitney, i_mcshane) -> float:
     m = np.asarray(i_mcshane, dtype=float).reshape(-1)
     if not (t.shape == w.shape == m.shape) or t.size == 0:
         raise ValueError("inputs must be non-empty and of equal length")
-    gap = w - m
-    denom = float((gap * gap).sum())
-    if denom == 0.0:
+    a = _alpha(t, w, m)
+    if a is None:
         warnings.warn(
             "degenerate blend: whitney and mcshane coincide on the reference "
             "set, any alpha is optimal; returning 0.5",
             stacklevel=2,
         )
         return 0.5
-    a0 = float(((w - t) * gap).sum()) / denom
+    return a
+
+
+def _alpha(t: np.ndarray, w: np.ndarray, m: np.ndarray, gap=None, work=None) -> float | None:
+    """``optimal_alpha`` of (q,) float arrays, unchecked and silent: None
+    where that warns.  ``gap`` and ``work`` (q,), distinct from the inputs,
+    receive W - M and the products when given.  The sums are ``np.add.reduce``,
+    which adds in the order of ``.sum()``."""
+    gap = np.subtract(w, m, out=gap)
+    denom = float(np.add.reduce(np.multiply(gap, gap, out=work)))
+    if denom == 0.0:
+        return None
+    a0 = float(np.add.reduce(np.multiply(np.subtract(w, t, out=work), gap, out=work))) / denom
     return min(1.0, max(0.0, a0))
+
+
+def optimal_blend(values: np.ndarray, D: np.ndarray, truth: np.ndarray, block: np.ndarray):
+    """``at(K)``: the (weight, predictions) of ``predict_from_distances`` for
+    a blend model with training values ``values`` and constant K, at the
+    query rows of the (q, n) distances ``D``, weighted against ``truth``.
+
+    ``at`` reads D afresh at each call, so the caller may rewrite it in
+    between.  It writes K * D and the terms into ``block``, a (q, n) array
+    that the caller may use between calls.  Its other arrays are allocated
+    here once: the values repeated on each of the q rows, since numpy
+    buffers an operand that it broadcasts, and four (q,) arrays.  It
+    returns the predictions in one of them, which the next call
+    overwrites.  A degenerate blend takes the weight 0.5, as
+    ``optimal_alpha`` gives it, without the warning.
+    """
+    tiled = np.tile(values, (D.shape[0], 1))
+    first, second, gap, work = np.empty((4, D.shape[0]))
+
+    def at(K: float) -> tuple[float, np.ndarray]:
+        # The Whitney terms overwrite K * D, so McShane's takes it again.
+        _whitney(tiled, np.multiply(K, D, out=block), first, block)
+        _mcshane(tiled, np.multiply(K, D, out=block), second, block)
+        a = _alpha(truth, first, second, gap, work)
+        if a is None:
+            a = 0.5
+        return a, _mix(a, first, second, first, second)
+
+    return at

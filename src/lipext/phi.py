@@ -80,19 +80,7 @@ class PhiCombination:
         coeffs = tuple(float(c) for c in self.coefficients)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "coefficients", coeffs)
-        if len(atoms) == 0:
-            raise ValueError("at least one atom is required")
-        if len(atoms) != len(coeffs):
-            raise ValueError(
-                f"{len(atoms)} atoms but {len(coeffs)} coefficients"
-            )
-        unknown = [a for a in atoms if a not in ATOM_FUNCS]
-        if unknown:
-            raise ValueError(f"unknown atoms {unknown}; choose from {ATOM_NAMES}")
-        if any(not math.isfinite(c) or c < 0.0 for c in coeffs):
-            raise ValueError("coefficients must be finite and >= 0")
-        if all(c == 0.0 for c in coeffs):
-            raise ValueError("all-zero coefficients give a constant map")
+        check_combination(atoms, coeffs)
 
     def to_json_dict(self) -> dict:
         return {"atoms": list(self.atoms), "coefficients": list(self.coefficients)}
@@ -104,6 +92,23 @@ class PhiCombination:
     @classmethod
     def from_json(cls, text: str) -> "PhiCombination":
         return cls.from_json_dict(json.loads(text))
+
+
+def check_combination(atoms: tuple[str, ...], coefficients: tuple[float, ...]) -> None:
+    """Raise ``ValueError`` unless ``PhiCombination(atoms, coefficients)``
+    is valid: at least one atom, one coefficient per atom, known
+    atoms, finite non-negative coefficients and at least one positive."""
+    if len(atoms) == 0:
+        raise ValueError("at least one atom is required")
+    if len(atoms) != len(coefficients):
+        raise ValueError(f"{len(atoms)} atoms but {len(coefficients)} coefficients")
+    unknown = [a for a in atoms if a not in ATOM_FUNCS]
+    if unknown:
+        raise ValueError(f"unknown atoms {unknown}; choose from {ATOM_NAMES}")
+    if any(not math.isfinite(c) or c < 0.0 for c in coefficients):
+        raise ValueError("coefficients must be finite and >= 0")
+    if all(c == 0.0 for c in coefficients):
+        raise ValueError("all-zero coefficients give a constant map")
 
 
 def identity_phi() -> PhiCombination:

@@ -30,12 +30,12 @@ from .extension import (
     FitError,
     check_alpha,
     fit_extension,
+    optimal_blend,
     predict,
-    predict_from_distances,
     predict_in_blocks,
 )
 from .metrics import CompositionMetric, pairwise_base
-from .phi import ATOM_FUNCS, PhiCombination, weighted_sum
+from .phi import ATOM_FUNCS, check_combination, weighted_sum
 
 #: Seed offset for the nested alpha split, so it never reuses a repeat seed.
 _INNER_SPLIT_OFFSET = 7919
@@ -169,7 +169,17 @@ def rmse(pred, truth) -> float:
     t = np.asarray(truth, dtype=float).reshape(-1)
     if p.shape != t.shape or p.size == 0:
         raise ValueError("prediction and truth must be non-empty and equal length")
-    return math.sqrt(((p - t) ** 2).mean())
+    return _root_mean_square(p - t)
+
+
+def _root_mean_square(r: np.ndarray) -> float:
+    """sqrt(mean(r ** 2)) of a non-empty (n,) array, squaring r in place.
+
+    ``np.add.reduce`` adds in the order of ``.mean()``, so this has the
+    bits of ``math.sqrt((r ** 2).mean())``.
+    """
+    np.multiply(r, r, out=r)
+    return math.sqrt(np.add.reduce(r) / r.size)
 
 
 def rank(ds: Dataset, predictions) -> list[tuple[int, str, float]]:
@@ -214,7 +224,24 @@ class CvReport:
 
 def _cv_stats(values: Sequence[float]) -> tuple[float, float, float]:
     arr = np.asarray(values, dtype=float)
-    return float(np.mean(arr)), float(np.median(arr)), float(np.std(arr))
+    return float(np.mean(arr)), _median(arr), float(np.std(arr))
+
+
+def _median(arr: np.ndarray) -> float:
+    """``np.median`` of a non-empty (n,) float array, bit for bit.
+
+    The middle values come from ``np.partition`` at the positions
+    ``np.median`` partitions at, and the last position too, where the NaNs
+    gather: NaN if any value is NaN, else the mean of the middle value, or
+    of the middle two for even n.  ``np.median`` itself would import
+    ``numpy.ma`` for its NaN check.
+    """
+    n = arr.size
+    part = np.partition(arr, [n // 2, -1] if n % 2 else [n // 2 - 1, n // 2, -1])
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    middle = part[(n - 1) // 2 : n // 2 + 1]
+    return float(np.add.reduce(middle) / middle.size)
 
 
 class PairTable:
@@ -379,13 +406,17 @@ def objective_test_rmse(
     applied once to the base distances of the train pairs i < j, taken with
     their |I_i - I_j| from ``pair_data``, and of the test x train block,
     held in one (atoms, pairs + test*train) stack.  A candidate is checked
-    as ``PhiCombination`` checks it, then takes one weighted sum over the
-    stack in ``phi_eval``'s order, K as ``ratio_max`` over the pair part
-    (the bits of ``coherence_constant`` on the square) and the optimal
-    blend on the block part.  An infinite K, which no fit survives, and the
-    zero vector, which is not a modulus, score +inf.  A split with fewer
-    than two training rows raises ``ValueError`` here, since every
-    candidate would be unfittable.
+    by ``check_combination``, the rule of ``PhiCombination``, then takes one
+    weighted sum over the stack in ``phi_eval``'s order, K as ``ratio_max``
+    over the pair part (the bits of ``coherence_constant`` on the square)
+    and the ``optimal_blend`` on the block part, with numpy's
+    floating-point warnings silenced there.  An infinite K, which no fit
+    survives, and the zero vector, which is not a modulus, score +inf.  A
+    split with fewer than two training rows raises ``ValueError`` here,
+    since every candidate would be unfittable.
+
+    Every array a candidate writes is allocated here once and reused, so
+    the returned function serves one caller at a time.
     """
     train, test = _split_rows(ds_indexed.n_rows, train_fraction, seed, "random")
     if len(train) < 2:
@@ -401,20 +432,26 @@ def objective_test_rmse(
     base_d = np.concatenate([pair_base, pairwise_base(base, X[test], X[train]).ravel()])
     stack = np.stack([ATOM_FUNCS[a](base_d) for a in atoms])
     truth = values[test]
+    # scratch takes each atom's term, then the pair ratios and the blend's block.
+    d, scratch = np.empty((2, len(base_d)))
+    pair_d, ratios = d[:n_pairs], scratch[:n_pairs]
+    block_shape = (len(test), len(train))
+    blend = optimal_blend(
+        train_sample.values, d[n_pairs:].reshape(block_shape), truth,
+        scratch[n_pairs:].reshape(block_shape),
+    )
 
     def objective(lam: np.ndarray) -> float:
         coeffs = tuple(float(v) for v in lam)
         if len(coeffs) == len(atoms) and not any(coeffs):
             return math.inf  # the zero vector is not a modulus
-        cm = CompositionMetric(base, PhiCombination(atoms, coeffs))
-        d = weighted_sum(coeffs, stack, base_d)
-        K = ratio_max(dI, d[:n_pairs])[0]
+        check_combination(atoms, coeffs)
+        weighted_sum(coeffs, stack, base_d, d, scratch)
+        K = ratio_max(dI, pair_d, ratios)[0]
         if K == math.inf:
             return math.inf
-        model = ExtensionModel(train_sample, cm, K, "blend")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            pred = predict_from_distances(model, d[n_pairs:].reshape(len(test), -1), truth=truth)[1]
-        return rmse(pred, truth)
+        with np.errstate(all="ignore"):
+            pred = blend(K)[1]
+        return _root_mean_square(np.subtract(pred, truth, out=pred))
 
     return objective

@@ -461,6 +461,26 @@ DEGENERATE_BLEND = (
 )
 
 
+def test_cv_leaves_numpy_ma_unimported(tmp_path):
+    # ``np.median`` imports numpy.ma, which costs every ``cv`` command
+    # 12-17 ms; the report's median is taken without it.
+    code = (
+        "import sys\n"
+        "from lipext.cli import main\n"
+        "from lipext.dataio import table1_path\n"
+        "main(['cv', '--data', str(table1_path()), '--repeats', '3', '--out', sys.argv[1]])\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(lipext.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+    assert json.loads((tmp_path / "cv_report.json").read_text())["repeats"] == 3
+
+
 def test_warnings_print_as_plain_lines(tmp_path, capsys):
     data = write(tmp_path, "flat.csv", CONSTANT_INDEX_CSV)
     src = str(Path(lipext.__file__).resolve().parents[1])

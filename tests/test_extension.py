@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from lipext.extension import (
     fit_extension,
     mcshane_batch,
     optimal_alpha,
+    optimal_blend,
     predict,
     predict_from_distances,
     whitney_batch,
@@ -152,6 +154,20 @@ def test_optimal_alpha_degenerate_warns():
     same = [1.0, 2.0]
     with pytest.warns(UserWarning, match="degenerate blend"):
         assert optimal_alpha([0.0, 1.0], same, same) == 0.5
+
+
+def test_optimal_alpha_sums_in_the_order_of_sum():
+    # The weight's sums are ``np.add.reduce``; they must give the bits of
+    # the closed form's ``.sum()`` at lengths on both sides of numpy's
+    # pairwise-summation blocks.
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 7, 8, 9, 127, 128, 129, 300, 1001):
+        w, m = rng.normal(size=(2, n)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        t = 0.7 * w + 0.3 * m + 0.1 * (w - m) * rng.normal(size=n)
+        gap = w - m
+        a0 = float(((w - t) * gap).sum()) / float((gap * gap).sum())
+        assert 0.0 < a0 < 1.0
+        assert optimal_alpha(t, w, m) == a0
 
 
 def test_optimal_alpha_bad_lengths():
@@ -306,6 +322,35 @@ def test_blend_from_distances_picks_optimal_alpha_and_mixes():
     assert predict_from_distances(model, D, 0.3)[0] == 0.3
     with pytest.raises(ValueError, match="blend requires an alpha"):
         predict(model, X)
+
+
+def test_optimal_blend_matches_predict_from_distances():
+    # ``at`` reads D afresh at each call and reuses its buffers, and each
+    # call gives the bits of a blend model's ``predict_from_distances``.
+    rng = np.random.default_rng(21)
+    s = IndexedSample(rng.uniform(size=(15, 3)), rng.uniform(0.0, 5.0, 15))
+    X, truth = rng.uniform(size=(9, 3)), rng.uniform(0.0, 5.0, 9)
+    D = np.empty((9, 15))
+    at = optimal_blend(s.values, D, truth, np.empty((9, 15)))
+    for _ in range(6):
+        model = fit_extension(s, CompositionMetric("manhattan", random_combination(rng)), "blend")
+        D[:] = model.cm.pairwise(X, s.points)
+        a, pred = at(model.K)
+        expected_a, expected = predict_from_distances(model, D, truth=truth)
+        assert a == expected_a
+        assert np.array_equal(pred, expected)
+
+
+def test_optimal_blend_takes_half_without_warning_when_degenerate():
+    # Equal training values and K = 0: Whitney and McShane coincide, so
+    # ``optimal_alpha`` would warn and give 0.5.
+    D, truth = np.ones((3, 4)), np.array([1.0, 2.0, 3.0])
+    at = optimal_blend(np.full(4, 2.0), D, truth, np.empty((3, 4)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a, pred = at(0.0)
+    assert a == 0.5
+    assert np.array_equal(pred, np.full(3, 2.0))
 
 
 def test_linear_fits_where_coherence_is_infinite():

@@ -23,6 +23,7 @@ from lipext.pipeline import (
     CvReport,
     Dataset,
     PairTable,
+    _median,
     _split_rows,
     cross_validate,
     fit_for_extend,
@@ -302,6 +303,29 @@ def test_cv_rejects_out_of_range_arguments(kwargs, message):
         cross_validate(ds, "blend", IDENTITY, **kwargs)
 
 
+def test_rmse_sums_in_the_order_of_mean():
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 7, 8, 9, 127, 128, 129, 1000):
+        p, t = rng.normal(size=(2, n))
+        assert rmse(p, t) == math.sqrt(((p - t) ** 2).mean())
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_cv_median_matches_numpy_bit_for_bit(n):
+    # Ties, signed zeros, an infinity and NaNs at odd and even lengths.
+    rng = np.random.default_rng(n)
+    pool = np.array([0.0, -0.0, 0.1, 0.2, 1.5, 1.5, -3.0, math.inf])
+    for trial in range(60):
+        arr = rng.choice(pool, n) if trial % 2 else rng.normal(size=n)
+        if trial % 5 == 0:
+            arr[rng.integers(n, size=1 + trial % 3)] = math.nan
+        assert _bits(_median(arr)) == _bits(np.median(arr))
+
+
 def test_objective_test_rmse_finite_and_penalizes_unfittable():
     rng = np.random.default_rng(11)
     ds = make_dataset(rng.uniform(size=(20, 3)), rng.uniform(0.0, 10.0, 20))
@@ -512,6 +536,57 @@ def test_objective_test_rmse_matches_refitting(base, atoms):
         assert len(lams) == 84
         for lam in lams:
             assert obj(lam) == naive_test_rmse(ds, base, atoms, lam, 4)
+
+
+def test_objective_test_rmse_buffers_carry_no_state():
+    # A search reuses its arrays from one candidate to the next, so each
+    # candidate must score the same forwards, backwards and after each kind
+    # of early return: the zero vector, a NaN coefficient (a ValueError)
+    # and ``tiny``.  Its composed distances below 0.5 round to 0, so close
+    # training pairs become conflicting duplicates and K is infinite only
+    # after the weighted sum has overwritten the distances.
+    ds = smooth_dataset(seed=5).indexed_rows()
+    obj = objective_test_rmse(ds, "euclidean", LINEAR_BASIS, seed=4)
+    tiny = np.array([5e-324, 0.0, 0.0, 0.0])
+    assert obj(tiny) == math.inf
+
+    def early_return(k):
+        if k % 3 == 2:
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                obj(np.array([1.0, math.nan, 0.0, 0.0]))
+        else:
+            assert obj((np.zeros(4), tiny)[k % 3]) == math.inf
+
+    lams = [lam for lam in rmse_candidates(4, np.random.default_rng(13)) if lam.any()]
+    forwards = [obj(lam) for lam in lams]
+    backwards = [obj(lam) for lam in lams[::-1]][::-1]
+    interleaved = []
+    for k, lam in enumerate(lams):
+        early_return(k)
+        interleaved.append(obj(lam))
+    assert all(map(math.isfinite, forwards))
+    assert forwards == backwards == interleaved
+
+
+def test_objective_test_rmse_candidates_allocate_no_block():
+    # 234 indexed rows: a 70 x 164 test x train block of 90 KiB and 13,366
+    # training pairs.  After the first call, candidates write only into the
+    # arrays that the search allocated once.
+    ds = smooth_dataset(n=260, seed=3).indexed_rows()
+    train, test = _split_rows(ds.n_rows, 0.7, 1, "random")
+    block_bytes = 8 * len(test) * len(train)
+    assert block_bytes >= 64 * 2**10
+    obj = objective_test_rmse(ds, "euclidean", LINEAR_BASIS, seed=1)
+    lams = np.random.default_rng(2).uniform(0.1, 10.0, size=(51, 4))
+    assert math.isfinite(obj(lams[0]))
+    tracemalloc.start()
+    try:
+        values = [obj(lam) for lam in lams[1:]]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(map(math.isfinite, values))
+    assert peak < block_bytes / 4
 
 
 def test_objective_test_rmse_infinite_on_conflicting_duplicates():
