@@ -21,7 +21,6 @@ from .extension import (
     FitError,
     fit_extension,
     linear_fit,
-    linear_predict,
     optimal_alpha,
     predict,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "index_bound",
     "katetov_shift",
     "linear_fit",
-    "linear_predict",
     "minimize_kq",
     "minmax_scale",
     "objective_kq",

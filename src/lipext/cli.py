@@ -143,8 +143,8 @@ def _check_config(cfg: RunConfig) -> None:
         raise CliError("config", "train-fraction must lie strictly between 0 and 1")
     if not (_is_int(cfg.repeats) and cfg.repeats >= 1):
         raise CliError("config", "repeats must be an integer >= 1")
-    if not _is_int(cfg.seed):
-        raise CliError("config", "seed must be an integer")
+    if not (_is_int(cfg.seed) and cfg.seed >= 0):
+        raise CliError("config", "seed must be an integer >= 0")
     if cfg.alpha is not None and not (_is_real(cfg.alpha) and 0.0 <= cfg.alpha <= 1.0):
         raise CliError("config", "alpha must be null or a number in [0, 1]")
     if cfg.scale_on not in ("all", "indexed"):
@@ -183,20 +183,20 @@ def _parse_phi_value(value: object) -> PhiCombination:
     if isinstance(value, dict):
         try:
             return PhiCombination.from_json_dict(value)
-        except (KeyError, ValueError) as exc:
+        except ValueError as exc:
             raise CliError("config", f"bad phi specification: {exc}")
     if isinstance(value, str):
         text = value.strip()
         if text.startswith("{"):
             try:
                 return PhiCombination.from_json(text)
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
+            except ValueError as exc:  # json.JSONDecodeError is one
                 raise CliError("config", f"bad phi JSON: {exc}")
         try:
             return PhiCombination.from_json(Path(text).read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise CliError("io", f"phi file not found: {text}")
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+        except ValueError as exc:
             raise CliError("config", f"bad phi file {text}: {exc}")
     raise CliError("config", f"cannot interpret phi value {value!r}")
 

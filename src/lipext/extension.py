@@ -15,21 +15,22 @@ values:
 * linear:   ordinary least squares on the features, with no metric and no
   coherence constant.
 
-Predictions are vectorized over rows.  A Lipschitz prediction depends only
-on its own row, so row-by-row calls give the same bits as one batch call,
-and ``predict_in_blocks`` works through the queries in row blocks, taking
-the distances of one block at a time from the points (``predict``) or from
-a distance table.  ``fit_extension`` and the prediction routines can take
-the composed distances as given instead of computing them from the points,
-so callers that read one distance table for many fits get the same bits as
-fresh computation.
+``predict_in_blocks`` is the one route from distances to Lipschitz
+predictions.  A Lipschitz prediction depends only on its own row, so it
+works through the queries in row blocks, taking the distances of one block
+at a time from the points (``predict``) or from a distance table, and
+row-by-row calls give the same bits as one batch call.  ``fit_extension``
+and ``predict_in_blocks`` take the composed distances as given, so callers
+that read one distance table for many fits get the same bits as fresh
+computation.  ``optimal_blend`` gives a blend's bits for many constants K
+at one set of query rows, in buffers reused between calls.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -127,16 +128,6 @@ def linear_fit(s: IndexedSample) -> np.ndarray:
     return coeffs
 
 
-def linear_predict(coeffs: np.ndarray, X) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    return np.hstack([np.ones((X.shape[0], 1)), X]) @ coeffs
-
-
-def _dphi_to_training(m: ExtensionModel, X) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    return m.cm.pairwise(X, m.training.points)
-
-
 def _whitney(values: np.ndarray, KD: np.ndarray, out=None, work=None) -> np.ndarray:
     """Whitney predictions from the training values and K times the (q, n)
     distances.  ``work`` (q, n), which may be KD itself, receives the terms
@@ -157,90 +148,67 @@ def _mix(a: float, whitney: np.ndarray, mcshane: np.ndarray, out=None, work=None
     return out
 
 
-def _extremes(m: ExtensionModel, KD: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """(predictions, McShane's) of a Lipschitz model from K times the (q, n)
-    distances.  A blend's predictions are Whitney's, for ``_weigh`` to mix;
-    the other methods give None for McShane's."""
-    if m.method == "standard":
-        return m.offset + KD[:, m.anchor], None
-    values = m.training.values
-    if m.method == "mcshane":
-        return _mcshane(values, KD), None
-    return _whitney(values, KD), _mcshane(values, KD) if m.method == "blend" else None
+def predict_in_blocks(
+    m: ExtensionModel, q: int, distances, alpha: float | None = None, truth=None
+) -> tuple[float | None, np.ndarray]:
+    """(blend weight, predictions) of a Lipschitz model at q query rows.
 
-
-def _check_predictable(m: ExtensionModel, alpha: float | None, truth) -> None:
+    ``distances(block)`` gives the composed distances of the query rows in
+    the slice ``block`` to the model's training rows, once per
+    ``row_blocks`` block, so only one block of them is held at a time.
+    Each prediction depends only on its own row, so the blocks do not
+    change its bits.  A blend keeps its Whitney and McShane predictions
+    block by block and mixes them after the last: with ``alpha`` when
+    given, else with the ``optimal_alpha`` over all q rows against
+    ``truth``, and with neither it raises ``ValueError``.  The other
+    methods return None as the weight.
+    """
     if m.method not in ("whitney", "mcshane", "blend", "standard"):
         raise ValueError(f"method {m.method!r} does not predict from distances")
     if m.method == "blend" and alpha is None and truth is None:
         raise ValueError("blend requires an alpha (fit one or pass it)")
-
-
-def _weigh(m: ExtensionModel, first, mcshane, alpha: float | None, truth):
-    """(blend weight, predictions) from ``_extremes`` of all the query rows:
-    a blend mixes with ``alpha`` when given, else with the ``optimal_alpha``
-    against ``truth``; the other methods return None as the weight."""
-    if m.method != "blend":
+    values = m.training.values
+    first = np.empty(q)  # a blend's Whitney predictions
+    mcshane = np.empty(q) if m.method == "blend" else None
+    for block in row_blocks(q, 8 * len(m.training)):
+        KD = m.K * distances(block)
+        if m.method == "standard":
+            first[block] = m.offset + KD[:, m.anchor]
+        elif m.method == "mcshane":
+            first[block] = _mcshane(values, KD)
+        else:
+            first[block] = _whitney(values, KD)
+            if mcshane is not None:
+                mcshane[block] = _mcshane(values, KD)
+        del KD  # before the next block's distances are made
+    if mcshane is None:
         return None, first
     a = optimal_alpha(truth, first, mcshane) if alpha is None else alpha
     return a, _mix(a, first, mcshane)
 
 
-def predict_from_distances(
-    m: ExtensionModel, D: np.ndarray, alpha: float | None = None, truth=None
-) -> tuple[float | None, np.ndarray]:
-    """(blend weight, predictions) of a Lipschitz model from distances.
-
-    ``D`` (q, n) holds the composed distances of the query rows to the
-    model's training rows, taken in one piece.  A blend model mixes with
-    ``alpha`` when given, else with the ``optimal_alpha`` against
-    ``truth``, and raises ``ValueError`` with neither; the other methods
-    return None as the weight.
-    """
-    _check_predictable(m, alpha, truth)
-    return _weigh(m, *_extremes(m, m.K * D), alpha, truth)
-
-
-def predict_in_blocks(
-    m: ExtensionModel, q: int, distances, alpha: float | None = None, truth=None
-) -> tuple[float | None, np.ndarray]:
-    """``predict_from_distances`` at q query rows whose distances come in
-    blocks: ``distances(block)`` gives those of the query rows in the slice
-    ``block``, once per ``row_blocks`` block, so only one block of them is
-    held at a time.  A blend keeps its Whitney and McShane predictions
-    block by block and takes its weight over all q rows after the last.
-    Each prediction depends only on its own row, so the blocks do not
-    change its bits.
-    """
-    _check_predictable(m, alpha, truth)
-    first = np.empty(q)
-    mcshane = np.empty(q) if m.method == "blend" else None
-    for block in row_blocks(q, 8 * len(m.training)):
-        first[block], block_mcshane = _extremes(m, m.K * distances(block))
-        if mcshane is not None:
-            mcshane[block] = block_mcshane
-    return _weigh(m, first, mcshane, alpha, truth)
-
-
 def whitney_batch(m: ExtensionModel, X) -> np.ndarray:
-    return _whitney(m.training.values, m.K * _dphi_to_training(m, X))
+    """Whitney's predictions at X from the training values and K of ``m``."""
+    return predict(replace(m, method="whitney"), X)
 
 
 def mcshane_batch(m: ExtensionModel, X) -> np.ndarray:
-    return _mcshane(m.training.values, m.K * _dphi_to_training(m, X))
+    """McShane's predictions at X, as ``whitney_batch``."""
+    return predict(replace(m, method="mcshane"), X)
 
 
 def predict(m: ExtensionModel, X) -> np.ndarray:
     """Batch prediction dispatched on the fitted method.
 
-    A Lipschitz model takes the queries in ``predict_in_blocks``, computing
-    each block's distances to the training rows from the points.
+    A linear model takes the least-squares product.  A Lipschitz model
+    takes the queries in ``predict_in_blocks``, computing each block's
+    distances to the training rows from the points.
     """
-    if m.method == "linear":
-        return linear_predict(m.coefficients, X)
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    if m.method == "linear":
+        return np.hstack([np.ones((X.shape[0], 1)), X]) @ m.coefficients
     return predict_in_blocks(
-        m, X.shape[0], lambda block: _dphi_to_training(m, X[block]), m.alpha
+        m, X.shape[0], lambda block: m.cm.pairwise(X[block], m.training.points), m.alpha
     )[1]
 
 
@@ -285,8 +253,8 @@ def _alpha(t: np.ndarray, w: np.ndarray, m: np.ndarray, gap=None, work=None) -> 
 
 
 def optimal_blend(values: np.ndarray, D: np.ndarray, truth: np.ndarray, block: np.ndarray):
-    """``at(K)``: the (weight, predictions) of ``predict_from_distances`` for
-    a blend model with training values ``values`` and constant K, at the
+    """``at(K)``: the (weight, predictions) of ``predict_in_blocks`` for a
+    blend model with training values ``values`` and constant K, at the
     query rows of the (q, n) distances ``D``, weighted against ``truth``.
 
     ``at`` reads D afresh at each call, so the caller may rewrite it in

@@ -86,8 +86,24 @@ class PhiCombination:
         return {"atoms": list(self.atoms), "coefficients": list(self.coefficients)}
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "PhiCombination":
-        return cls(tuple(d["atoms"]), tuple(d["coefficients"]))
+    def from_json_dict(cls, d: object) -> "PhiCombination":
+        """The combination of the JSON shape ``to_json_dict`` writes: an
+        object with exactly the keys ``atoms``, a list of strings, and
+        ``coefficients``, a list of numbers.  Any other shape, or an invalid
+        combination, raises ``ValueError``."""
+        if not isinstance(d, dict) or set(d) != {"atoms", "coefficients"}:
+            raise ValueError('phi must be an object with exactly the keys "atoms" and "coefficients"')
+        atoms, coefficients = d["atoms"], d["coefficients"]
+        if not (isinstance(atoms, list) and all(isinstance(a, str) for a in atoms)):
+            raise ValueError("phi atoms must be a list of atom names")
+        if not (isinstance(coefficients, list) and all(
+            isinstance(c, (int, float)) and not isinstance(c, bool) for c in coefficients
+        )):
+            raise ValueError("phi coefficients must be a list of numbers")
+        try:
+            return cls(tuple(atoms), tuple(coefficients))
+        except OverflowError:  # an integer too large for a float
+            raise ValueError("coefficients must be finite and >= 0") from None
 
     @classmethod
     def from_json(cls, text: str) -> "PhiCombination":

@@ -611,6 +611,23 @@ def test_bad_config_key_rejected(tmp_path, capsys):
         ("cv", '{"honest_alpha": "false"}'),
         ("cv", '{"honest_alpha": 0}'),
         ("optimize", '{"objective": "test_rmse", "pso": {"objective": "kq_bound"}}'),
+        ("constants", '{"phi": {"atoms": ["sqrt"], "coefficients": 1}}'),
+        ("extend", '{"phi": {"atoms": ["sqrt"], "coefficients": null}}'),
+        ("cv", '{"phi": {"atoms": [["sqrt"]], "coefficients": [1]}}'),
+        ("rank", '{"phi": {"atoms": ["sqrt"], "coefficients": ["2"]}}'),
+        ("constants", '{"phi": {"atoms": ["sqrt"], "coefficients": [true]}}'),
+        ("constants", '{"phi": {"atoms": ["sqrt"], "coefficients": [1], "scale": 2}}'),
+        ("constants", '{"phi": {"atoms": "sqrt", "coefficients": [1]}}'),
+        ("constants", '{"phi": {"atoms": ["sqrt"]}}'),
+        pytest.param("constants", '{"phi": {"atoms": ["sqrt"], "coefficients": [1%s]}}' % ("0" * 400),
+                     id="constants-coefficient-beyond-float-range"),
+        ("constants", '{"phi": "{\\"atoms\\": [\\"sqrt\\"], \\"coefficients\\": 1}"}'),
+        ("constants", '{"seed": -1}'),
+        ("extend", '{"seed": -1}'),
+        ("cv", '{"seed": -1}'),
+        ("rank", '{"seed": -1}'),
+        ("optimize", '{"seed": -1}'),
+        ("optimize", '{"seed": -1, "objective": "test_rmse"}'),
     ],
 )
 def test_bad_config_values_report_config(tmp_path, capsys, monkeypatch, command, config):
@@ -622,6 +639,14 @@ def test_bad_config_values_report_config(tmp_path, capsys, monkeypatch, command,
         err.strip()
     ]
     assert err.startswith("error:config:")
+
+
+@pytest.mark.parametrize("text", ['[1]', '"x"', '{"atoms": "sqrt", "coefficients": [1]}', '{"atoms": ["sqrt"]}'])
+def test_bad_phi_file_reports_config(tmp_path, capsys, text):
+    phi = write(tmp_path, "phi.json", text)
+    code, out, err = run_cli(capsys, "constants", "--data", str(table1_path()), "--phi", phi)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error:config: bad phi file {phi}: ") and err.count("\n") == 1
 
 
 def test_config_file_values_and_flag_override(tmp_path, capsys):

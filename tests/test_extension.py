@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -20,7 +21,7 @@ from lipext.extension import (
     optimal_alpha,
     optimal_blend,
     predict,
-    predict_from_distances,
+    predict_in_blocks,
     whitney_batch,
 )
 from lipext import metrics
@@ -315,18 +316,18 @@ def test_blend_from_distances_picks_optimal_alpha_and_mixes():
     D = model.cm.pairwise(X, model.training.points)
     truth = rng.uniform(0.0, 5.0, 20)
     i_w, i_m = whitney_batch(model, X), mcshane_batch(model, X)
-    a, pred = predict_from_distances(model, D, truth=truth)
+    a, pred = predict_in_blocks(model, len(D), D.__getitem__, truth=truth)
     assert a == optimal_alpha(truth, i_w, i_m)
     assert np.array_equal(pred, (1.0 - a) * i_w + a * i_m)
     assert np.array_equal(pred, blend(model, X, a))
-    assert predict_from_distances(model, D, 0.3)[0] == 0.3
+    assert predict_in_blocks(model, len(D), D.__getitem__, 0.3)[0] == 0.3
     with pytest.raises(ValueError, match="blend requires an alpha"):
         predict(model, X)
 
 
-def test_optimal_blend_matches_predict_from_distances():
+def test_optimal_blend_matches_predict_in_blocks():
     # ``at`` reads D afresh at each call and reuses its buffers, and each
-    # call gives the bits of a blend model's ``predict_from_distances``.
+    # call gives the bits of a blend model's ``predict_in_blocks``.
     rng = np.random.default_rng(21)
     s = IndexedSample(rng.uniform(size=(15, 3)), rng.uniform(0.0, 5.0, 15))
     X, truth = rng.uniform(size=(9, 3)), rng.uniform(0.0, 5.0, 9)
@@ -336,7 +337,7 @@ def test_optimal_blend_matches_predict_from_distances():
         model = fit_extension(s, CompositionMetric("manhattan", random_combination(rng)), "blend")
         D[:] = model.cm.pairwise(X, s.points)
         a, pred = at(model.K)
-        expected_a, expected = predict_from_distances(model, D, truth=truth)
+        expected_a, expected = predict_in_blocks(model, len(D), D.__getitem__, truth=truth)
         assert a == expected_a
         assert np.array_equal(pred, expected)
 
@@ -370,11 +371,9 @@ def test_predict_tiles_match_one_untiled_call(method, monkeypatch):
     s = IndexedSample(rng.uniform(size=(n, m)), rng.uniform(0.0, 5.0, n))
     model = fit_extension(s, cm, method, alpha=0.3 if method == "blend" else None)
     queries = [rng.uniform(size=(q, m)) for q in (1, tile - 1, tile, tile + 1, 3 * tile)]
-    untiled = [
-        predict_from_distances(model, phi_eval(cm.phi, pairwise_base(cm.base, X, s.points)),
-                               model.alpha)[1]
-        for X in queries
-    ]
+    # One block each at the default TILE_BYTES.
+    distances = [phi_eval(cm.phi, pairwise_base(cm.base, X, s.points)) for X in queries]
+    untiled = [predict_in_blocks(model, len(D), D.__getitem__, model.alpha)[1] for D in distances]
     # Distances to the n training rows, ``tile`` queries per block.
     monkeypatch.setattr(metrics, "TILE_BYTES", 8 * n * tile)
     for X, expected in zip(queries, untiled):
@@ -382,6 +381,24 @@ def test_predict_tiles_match_one_untiled_call(method, monkeypatch):
     assert predict(model, np.empty((0, m))).shape == (0,)
     with pytest.raises(ValueError, match="dimension mismatch"):
         predict(model, np.empty((0, m + 1)))
+
+
+@pytest.mark.parametrize("batch", [whitney_batch, mcshane_batch])
+def test_batch_predictions_hold_one_block_of_distances(batch):
+    # 3,000 queries against 2,000 training rows: the whole (q, n) product
+    # of distances would be 46 MiB, and each block of them is at most 2 MiB.
+    rng = np.random.default_rng(19)
+    features = rng.uniform(size=(2000, 10))
+    s = IndexedSample(features, features @ rng.uniform(size=10))
+    model = fit_extension(s, IDENTITY, "blend")
+    targets = rng.uniform(size=(3000, 10))
+    tracemalloc.start()
+    try:
+        batch(model, targets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("sample", ["random", "duplicate-heavy"])

@@ -20,7 +20,7 @@ def test_public_names_are_the_documented_surface():
         ConstantsReport CvReport Dataset ExtensionModel FitError IndexedSample
         PhiCombination PsoConfig SwarmResult coherence_constant constants_report
         cross_validate error_bound fit_extension fit_for_extend identity_phi
-        index_bound katetov_shift linear_fit linear_predict minimize_kq
+        index_bound katetov_shift linear_fit minimize_kq
         minmax_scale objective_kq optimal_alpha phi_eval predict pso_minimize
         rank rmse split
     """.split())

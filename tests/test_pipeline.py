@@ -11,9 +11,7 @@ from lipext.extension import (
     FitError,
     fit_extension,
     linear_fit,
-    linear_predict,
     predict,
-    predict_from_distances,
     predict_in_blocks,
 )
 from lipext.metrics import CompositionMetric
@@ -177,9 +175,8 @@ def test_linear_fit_recovers_affine_generator():
     X = rng.uniform(size=(30, 4))
     beta = np.array([2.0, -1.0, 0.5, 3.0, -0.25])
     y = beta[0] + X @ beta[1:]
-    s = IndexedSample(X, y)
-    coeffs = linear_fit(s)
-    residual = np.max(np.abs(linear_predict(coeffs, X) - y))
+    model = fit_extension(IndexedSample(X, y), IDENTITY, "linear")
+    residual = np.max(np.abs(predict(model, X) - y))
     assert residual <= 1e-8
 
 
@@ -187,8 +184,8 @@ def test_linear_fit_singular_system_survives():
     # Duplicate column makes the normal equations singular.
     X = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     s = IndexedSample(X, [2.0, 4.0, 6.0])
-    coeffs = linear_fit(s)
-    assert np.max(np.abs(linear_predict(coeffs, X) - s.values)) <= 1e-4
+    model = fit_extension(s, IDENTITY, "linear")
+    assert np.max(np.abs(predict(model, X) - s.values)) <= 1e-4
 
 
 def test_rank_ordering():
@@ -431,7 +428,8 @@ def smooth_dataset(n=200, m=3, seed=0, duplicates=False):
 
 def blend_at(model, X, alpha=None, truth=None):
     """(weight, predictions) of a blend model at X, distances computed afresh."""
-    return predict_from_distances(model, model.cm.pairwise(X, model.training.points), alpha, truth)
+    D = model.cm.pairwise(X, model.training.points)
+    return predict_in_blocks(model, len(D), D.__getitem__, alpha, truth)
 
 
 def naive_cv(ds, method, cm, repeats, seed, alpha, honest_alpha, split_method):
@@ -634,8 +632,8 @@ def test_extend_fit_and_predict_stay_under_memory_ceilings():
 def test_table_fits_and_predictions_in_blocks_match_one_shot(method, monkeypatch):
     # A fit and a prediction on subsets of the table read it in place, block
     # by block, and so does predict_in_blocks on a given block; they must
-    # give the bits of a fit on the copied square and of one
-    # predict_from_distances on the copied block.
+    # give the bits of a fit on the copied square and of predict_in_blocks
+    # on the copied block, taken in one block at the default TILE_BYTES.
     rng = np.random.default_rng(23)
     n, m, tile = 30, 3, 4
     cm = CompositionMetric("manhattan", random_combination(rng))
@@ -646,7 +644,7 @@ def test_table_fits_and_predictions_in_blocks_match_one_shot(method, monkeypatch
     model = fit_extension(sample, cm, method, d=table.D[np.ix_(train, train)])
     truth = table.ds.index[held_out]
     D = table.D[np.ix_(held_out, train)]
-    one_shot = [predict_from_distances(model, D, a, truth) for a in alphas]
+    one_shot = [predict_in_blocks(model, len(D), D.__getitem__, a, truth) for a in alphas]
     monkeypatch.setattr(metrics, "TILE_BYTES", 8 * len(train) * tile)  # ``tile`` rows a block
     fitted = table.fit(train, method)
     assert fitted.K == model.K
