@@ -1,14 +1,24 @@
 """The golden corpus: a fixed matrix of CLI runs, each pinned to the sha256
 of its stdout, its stderr and every file it writes.
 
-The datasets in ``tests/golden/`` are committed bytes, made once with
-``helpers.synthetic_csv`` and not regenerated, since that helper's ``@``
-and ``np.sin`` may round differently between CPUs.  The matrix keeps to
-arithmetic that gives the same bits on every machine: the three base
+The datasets in ``tests/golden/`` are committed bytes.  ``small3`` and
+``wide10`` were made once with ``helpers.synthetic_csv`` and are not
+regenerated, since that helper's ``@`` and ``np.sin`` may round
+differently between CPUs; ``dupes`` is written by hand, with two pairs of
+duplicate points that carry distinct values, one pair that carries equal
+ones, and a three-way tie at the minimum value 0.  The digested runs keep
+to arithmetic that gives the same bits on every machine: the three base
 metrics, the identity modulus and a fixed sqrt + sqrt_rational
 combination, which take +, -, *, /, sqrt, min and max in lipext's own
-summation order.  ``linear`` (``@`` and LAPACK), ``log1p``/``arctan`` and
-the coefficient search are left out for that reason.
+summation order.  That covers the test-rmse swarm over sqrt +
+sqrt_rational, and cv under ``honest_alpha``, the ordered split and
+``scale_on: "indexed"``, with the configs committed next to the data.
+
+The K*Q search solves its vertex with LAPACK and its default atoms include
+``log1p`` and ``arctan``, which numpy may send to SIMD kernels, so its
+runs (``TOLERANT``) are pinned to the numbers they print, compared at the
+relative tolerance ``REL_TOL``, instead of to digests of their bytes.
+``linear`` (``@`` and LAPACK) is left out.
 
 ``scripts/update_golden.py`` rewrites ``golden/digests.json``.  A change
 that alters outputs on purpose reruns it and names each changed digest.
@@ -33,13 +43,20 @@ FIXED_PHI = json.dumps({"atoms": ["sqrt", "sqrt_rational"], "coefficients": [1.0
 PHIS = {"identity": [], "sqrt": ["--phi", FIXED_PHI]}
 METHODS = ("whitney", "mcshane", "blend", "standard")
 COMMANDS = {"extend": [], "cv": ["--repeats", "3"], "rank": []}
+CV_CONFIGS = ("honest_alpha", "ordered_split", "scale_on_indexed")
+#: Relative tolerance of the numbers of the ``TOLERANT`` runs.
+REL_TOL = 1e-12
 
 
-def _cases() -> dict[str, list[str]]:
-    """Case name -> argv, apart from ``--out``."""
-    cases = {}
+def _golden(name: str) -> str:
+    return str(GOLDEN_DIR / name)
+
+
+def _cases() -> tuple[dict[str, list[str]], frozenset[str]]:
+    """(case name -> argv apart from ``--out``, the names of the tolerant cases)."""
+    cases, tolerant = {}, set()
     for data in DATASETS:
-        path = str(GOLDEN_DIR / f"{data}.csv")
+        path = _golden(f"{data}.csv")
         for metric in BASE_METRICS:
             for phi, phi_args in PHIS.items():
                 shared = ["--data", path, "--metric", metric, *phi_args]
@@ -48,10 +65,42 @@ def _cases() -> dict[str, list[str]]:
                     for method in METHODS:
                         argv = [command, *shared, "--method", method, *extra]
                         cases[f"{data}/{command}/{method}/{metric}/{phi}"] = argv
-    return cases
+            shared = ["--data", path, "--metric", metric]
+            cases[f"{data}/optimize-test-rmse/{metric}"] = [
+                "optimize", *shared, "--objective", "test-rmse",
+                "--config", _golden("rmse_search.json"),
+            ]
+            for config in CV_CONFIGS:
+                cases[f"{data}/cv/blend/{metric}/{config}"] = [
+                    "cv", *shared, "--method", "blend", "--repeats", "3",
+                    "--config", _golden(f"{config}.json"),
+                ]
+            for name, argv in (("optimize-kq-bound", ["optimize", *shared]),
+                               ("constants-phi-optimize", ["constants", *shared, "--phi", "optimize"])):
+                cases[f"{data}/{name}/{metric}"] = argv
+                tolerant.add(f"{data}/{name}/{metric}")
+    path = _golden("dupes.csv")
+    for metric in BASE_METRICS:
+        cases[f"dupes/constants/{metric}"] = ["constants", "--data", path, "--metric", metric]
+    for method in METHODS:
+        cases[f"dupes/extend/{method}"] = ["extend", "--data", path, "--method", method]
+        cases[f"dupes/cv/{method}"] = ["cv", "--data", path, "--method", method, "--repeats", "5"]
+    return cases, frozenset(tolerant)
 
 
-CASES = _cases()
+CASES, TOLERANT = _cases()
+
+
+def _numbers(payload: dict) -> dict[str, float]:
+    """The numbers a tolerant run prints: the constants, or the search's
+    objectives and coefficients, one float per key ("inf" read as inf)."""
+    if "best_phi" in payload:
+        phi = payload["best_phi"]
+        numbers = {f"coefficient/{a}": c for a, c in zip(phi["atoms"], phi["coefficients"])}
+        keys = ("best_objective", "identity_objective")
+    else:
+        numbers, keys = {}, ("K", "Q", "C", "Q_shifted", "C_shifted", "bound")
+    return {**numbers, **{k: float(payload[k]) for k in keys}}
 
 
 def _sha256(data: bytes) -> str:
@@ -60,20 +109,26 @@ def _sha256(data: bytes) -> str:
 
 def run_case(name: str, out_dir: Path) -> dict:
     """Run one case in process, writing into the empty ``out_dir``, and
-    return its exit code, warnings and digests."""
+    return its exit code, warnings and digests; a ``TOLERANT`` case gives
+    the numbers of its stdout and the names of its files in place of their
+    digests."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             redirect_stdout(stdout), redirect_stderr(stderr):
         warnings.simplefilter("always")
         code = main([*CASES[name], "--out", str(out_dir)])
     files = sorted(p for p in out_dir.rglob("*") if p.is_file())
-    return {
+    record = {
         "exit": code,
         "warnings": [str(w.message) for w in caught],
         "stdout": _sha256(stdout.getvalue().encode("utf-8")),
         "stderr": _sha256(stderr.getvalue().encode("utf-8")),
         "files": {p.relative_to(out_dir).as_posix(): _sha256(p.read_bytes()) for p in files},
     }
+    if name in TOLERANT:
+        record["stdout"] = _numbers(json.loads(stdout.getvalue()))
+        record["files"] = sorted(record["files"])
+    return record
 
 
 def read_digests() -> dict:
