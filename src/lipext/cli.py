@@ -187,10 +187,10 @@ def _parse_phi_value(value: object) -> PhiCombination:
             raise CliError("config", f"bad phi specification: {exc}")
     if isinstance(value, str):
         text = value.strip()
-        if text.startswith("{"):
-            try:
-                return PhiCombination.from_json(text)
-            except ValueError as exc:  # json.JSONDecodeError is one
+        try:  # inline if it parses as JSON or opens an object, else a file path
+            return PhiCombination.from_json(text)
+        except ValueError as exc:  # json.JSONDecodeError is one
+            if text.startswith("{") or not isinstance(exc, json.JSONDecodeError):
                 raise CliError("config", f"bad phi JSON: {exc}")
         try:
             return PhiCombination.from_json(Path(text).read_text(encoding="utf-8"))

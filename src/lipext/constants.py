@@ -9,13 +9,15 @@ quantities are computed exactly by maximizing over the finite pair set:
   Katetov constant.
 * ``C``: max |I_i|, the sup norm of the index.
 
+K and Q are maxima of ratios over the pairs, all reduced by ``ratio_max``
+under one rule: 0/0 imposes nothing, and x/0 with x > 0, or a ratio beyond
+the float range, makes the constant +inf.  Infinities are returned as
+values rather than raised, so optimizers can penalize them.
+
 The approximation error of anchor-based extension is bounded by
 (K*Q - 1) * C once the index has been shifted so its minimum is zero.
 ``constants_report`` therefore gives Q and C of the shifted index next to
 the raw ones and takes the bound from those; K is the same for both.
-Constants can legitimately be infinite (duplicate points with distinct
-values, or zero Katetov denominators on distinct points); infinities are
-returned as values rather than raised, so optimizers can penalize them.
 """
 
 from __future__ import annotations
@@ -111,30 +113,13 @@ def pair_data(s: IndexedSample, base: str):
     )
 
 
-def ratio_max(
-    num: np.ndarray, den: np.ndarray, out: np.ndarray | None = None
-) -> tuple[float, int | None]:
-    """Max of num/den over den > 0; +inf if some den <= 0 has num > 0.
-
-    Returns (value, position of the achieving pair), or (0.0, None) when no
-    den is positive.  argmax keeps the first occurrence, and the
-    condensed order is lexicographic, so ties resolve to the smallest (i, j)
-    automatically.  When every den is positive, which is the usual case,
-    the ratios take a single division into ``out`` (a new array when None)
-    and no masking.
-    """
-    if den.min() > 0.0:  # False on a NaN, as den > 0 is
+def ratio_max(num: np.ndarray, den: np.ndarray, out: np.ndarray | None = None) -> float:
+    """The largest ratio num/den under the module's ratio rule, 0.0 when no
+    pair constrains.  ``out`` (a new array when None, and it may be num or
+    den) receives the ratios: NaN for 0/0, +inf for x/0 and overflows."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratios = np.divide(num, den, out=out)
-    else:
-        ok = den > 0.0
-        violated = ~ok & (num > 0.0)
-        if violated.any():
-            return math.inf, int(violated.argmax())
-        if not ok.any():
-            return 0.0, None
-        ratios = np.divide(num, den, out=np.full(num.shape, -math.inf), where=ok)
-    k = int(ratios.argmax())
-    return float(ratios[k]), k
+    return float(np.fmax.reduce(ratios, axis=None, initial=0.0))
 
 
 def coherence_constant(
@@ -153,9 +138,8 @@ def coherence_constant(
     columns j >= the block's first row: the distances are symmetric, so
     this covers every pair, and only one block of them is held at a time.
     A block of ``rows`` is gathered with ``take`` on each axis, the table is
-    never copied.  A pair at distance 0 with equal values imposes no
-    constraint, and one with distinct values makes K infinite, as in
-    ``ratio_max``, which gives the same bits on the condensed pairs.
+    never copied.  Each block's ratios are reduced by ``ratio_max``, which
+    gives the same bits on the condensed pairs.
     """
     n = len(s)
     if n < 2:
@@ -170,16 +154,13 @@ def coherence_constant(
 
     v = s.values
     K = 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for block in row_blocks(n, 8 * (n if d is None else len(d))):
-            dist = distances(block)  # first, so the ratios reuse what its gather frees
-            ratios = v[block, None] - v[block.start:]
-            np.abs(ratios, out=ratios)
-            ratios /= dist
-            # fmax skips the NaN of 0/0; x/0 is +inf.
-            K = max(K, np.fmax.reduce(ratios, axis=None, initial=0.0))
-            del dist, ratios  # before the next block's distances are made
-    return float(K)
+    for block in row_blocks(n, 8 * (n if d is None else len(d))):
+        dist = distances(block)  # first, so the ratios reuse what its gather frees
+        ratios = v[block, None] - v[block.start:]
+        np.abs(ratios, out=ratios)
+        K = max(K, ratio_max(ratios, dist, ratios))
+        del dist, ratios  # before the next block's distances are made
+    return K
 
 
 def index_bound(s: IndexedSample) -> float:
@@ -218,38 +199,41 @@ def katetov_shift(s: IndexedSample) -> IndexedSample:
 def constants_report(s: IndexedSample, cm: CompositionMetric) -> ConstantsReport:
     """Compute K, Q, C and the error bound with achieving pairs.
 
-    Reported argmax pairs reproduce the max ratio exactly.  Infinite K or Q
-    is flagged in ``notes`` together with the offending pair.  The bound is
-    that of the Katetov-shifted index, which the theorem covers: it uses
-    the shifted Q and C.  Two distinct rows that tie at the minimum both
-    shift to 0, so the shifted Q and the bound are infinite.
+    A reported pair is the first that attains the constant, None when no
+    pair constrains it; an infinite K or Q is flagged in ``notes`` with the
+    first pair at a zero denominator, else the first beyond the float range.
+    The bound is that of the Katetov-shifted index, which the theorem
+    covers: it uses the shifted Q and C.  Two distinct rows that tie at the
+    minimum both shift to 0, so the shifted Q and the bound are infinite.
     """
     i_idx, j_idx, d_base, d_vals, denom, denom_shifted = pair_data(s, cm.base)
     d_phi = phi_eval(cm.phi, d_base)
+    ratios = np.empty_like(d_phi)
+    notes = []
 
-    def pair(k):
-        return None if k is None else (int(i_idx[k]), int(j_idx[k]))
+    def constant(num, den, what, zero_den):
+        """(max ratio of num/den, its pair), noting an infinite maximum."""
+        value = ratio_max(num, den, ratios)
+        at = ratios == value
+        at_zero = at & (den == 0.0)  # only where the maximum is +inf
+        k = int((at_zero if at_zero.any() else at).argmax())
+        if not at[k]:
+            return value, None
+        pair = (int(i_idx[k]), int(j_idx[k]))
+        if value == math.inf:
+            why = zero_den if den[k] == 0.0 else "have a ratio beyond the float range"
+            notes.append(f"{what}: rows {pair} {why}")
+        return value, pair
 
-    K, k_at = ratio_max(d_vals, d_phi)
+    K, k_pair = constant(d_vals, d_phi, "not coherent", "coincide but carry distinct values")
     # Katetov pairs with d_phi == 0 impose no constraint, so only distances
     # over a zero denominator can force Q to infinity.
-    Q, q_at = ratio_max(d_phi, denom)
-    k_pair, q_pair = pair(k_at), pair(q_at)
+    Q, q_pair = constant(d_phi, denom, "not normalizable", "are distinct with |I|+|I| = 0")
+    Q_shifted = constant(d_phi, denom_shifted, "shifted index not normalizable",
+                         "are distinct and both attain the minimum")[0]
     C = index_bound(s)
-    Q_shifted, q_shifted_at = ratio_max(d_phi, denom_shifted)
     # max(I - min I) rounds like max(I) - min(I): subtraction is monotone.
     C_shifted = float(np.max(s.values) - np.min(s.values))
-
-    notes = []
-    if math.isinf(K):
-        notes.append(f"not coherent: rows {k_pair} coincide but carry distinct values")
-    if math.isinf(Q):
-        notes.append(f"not normalizable: rows {q_pair} are distinct with |I|+|I| = 0")
-    if math.isinf(Q_shifted):
-        notes.append(
-            f"shifted index not normalizable: rows {pair(q_shifted_at)} are "
-            "distinct and both attain the minimum"
-        )
     bound = error_bound(K, Q_shifted, C_shifted)
     return ConstantsReport(
         K, Q, C, Q_shifted, C_shifted, bound, k_pair, q_pair, tuple(notes)

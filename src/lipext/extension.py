@@ -15,11 +15,12 @@ values:
 * linear:   ordinary least squares on the features, with no metric and no
   coherence constant.
 
-``predict_in_blocks`` is the one route from distances to Lipschitz
-predictions.  A Lipschitz prediction depends only on its own row, so it
-works through the queries in row blocks, taking the distances of one block
-at a time from the points (``predict``) or from a distance table, and
-row-by-row calls give the same bits as one batch call.  ``fit_extension``
+``predict_in_blocks`` is the one route from distances to the other
+Lipschitz predictions; a standard one reads the distances to a0 alone.  A
+prediction depends only on its own row, so it works through the queries
+in row blocks, taking the distances of one block at a time from the
+points (``predict``) or from a distance table, and row-by-row calls give
+the same bits as one batch call.  ``fit_extension``
 and ``predict_in_blocks`` take the composed distances as given, so callers
 that read one distance table for many fits get the same bits as fresh
 computation.  ``optimal_blend`` gives a blend's bits for many constants K
@@ -100,14 +101,20 @@ def fit_extension(
         offset = float(np.min(s.values))
         s = katetov_shift(s)
     k_val = coherence_constant(s, cm, d, rows)
+    if not math.isfinite(k_val):
+        why = ("standard index unfittable" if method == "standard"
+               else "duplicate points carry distinct values" if _conflicting_duplicates(s)
+               else "a ratio |I_i - I_j| / d exceeds the float range")
+        raise FitError(f"coherence constant is infinite: {why}")
     if method == "standard":
-        if not math.isfinite(k_val):
-            raise FitError("coherence constant is infinite: standard index unfittable")
         anchor = int(np.argmin(s.values))
         return ExtensionModel(s, cm, k_val, "standard", anchor=anchor, offset=offset)
-    if not math.isfinite(k_val):
-        raise FitError("coherence constant is infinite: duplicate points carry distinct values")
     return ExtensionModel(s, cm, k_val, method, alpha=alpha)
+
+
+def _conflicting_duplicates(s: IndexedSample) -> bool:
+    """Whether two rows of ``s`` share their point but not their value."""
+    return len(np.unique(s.points, axis=0)) < len(np.unique(np.c_[s.points, s.values], axis=0))
 
 
 def linear_fit(s: IndexedSample) -> np.ndarray:
@@ -160,10 +167,10 @@ def predict_in_blocks(
     change its bits.  A blend keeps its Whitney and McShane predictions
     block by block and mixes them after the last: with ``alpha`` when
     given, else with the ``optimal_alpha`` over all q rows against
-    ``truth``, and with neither it raises ``ValueError``.  The other
-    methods return None as the weight.
+    ``truth``, and with neither it raises ``ValueError``.  Whitney and
+    McShane return None as the weight.  Standard models are not taken.
     """
-    if m.method not in ("whitney", "mcshane", "blend", "standard"):
+    if m.method not in ("whitney", "mcshane", "blend"):
         raise ValueError(f"method {m.method!r} does not predict from distances")
     if m.method == "blend" and alpha is None and truth is None:
         raise ValueError("blend requires an alpha (fit one or pass it)")
@@ -172,9 +179,7 @@ def predict_in_blocks(
     mcshane = np.empty(q) if m.method == "blend" else None
     for block in row_blocks(q, 8 * len(m.training)):
         KD = m.K * distances(block)
-        if m.method == "standard":
-            first[block] = m.offset + KD[:, m.anchor]
-        elif m.method == "mcshane":
+        if m.method == "mcshane":
             first[block] = _mcshane(values, KD)
         else:
             first[block] = _whitney(values, KD)
@@ -200,13 +205,15 @@ def mcshane_batch(m: ExtensionModel, X) -> np.ndarray:
 def predict(m: ExtensionModel, X) -> np.ndarray:
     """Batch prediction dispatched on the fitted method.
 
-    A linear model takes the least-squares product.  A Lipschitz model
-    takes the queries in ``predict_in_blocks``, computing each block's
-    distances to the training rows from the points.
+    A linear model takes the least-squares product, a standard one the
+    distances to its anchor alone, and the others ``predict_in_blocks``,
+    computing each block's distances to the training rows from the points.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if m.method == "linear":
         return np.hstack([np.ones((X.shape[0], 1)), X]) @ m.coefficients
+    if m.method == "standard":
+        return m.offset + m.K * m.cm.pairwise(X, m.training.points[m.anchor, None])[:, 0]
     return predict_in_blocks(
         m, X.shape[0], lambda block: m.cm.pairwise(X[block], m.training.points), m.alpha
     )[1]

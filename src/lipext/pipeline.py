@@ -280,11 +280,13 @@ class PairTable:
         """(blend weight, predictions) at ``rows`` of a model fitted on ``train``.
 
         Each block of ``rows`` gathers its distances to ``train`` from the
-        table.  A blend without ``alpha`` takes the optimal weight against
-        the index values at ``rows``.
+        table, a standard model the anchor's column alone.  A blend without
+        ``alpha`` takes the optimal weight against the index values there.
         """
         if model.method == "linear":
             return None, predict(model, self.ds.features[rows])
+        if model.method == "standard":
+            return None, model.offset + model.K * self.D[rows, train[model.anchor]]
 
         def distances(block):
             return self.D.take(rows[block], axis=0).take(train, axis=1)
@@ -447,7 +449,7 @@ def objective_test_rmse(
             return math.inf  # the zero vector is not a modulus
         check_combination(atoms, coeffs)
         weighted_sum(coeffs, stack, base_d, d, scratch)
-        K = ratio_max(dI, pair_d, ratios)[0]
+        K = ratio_max(dI, pair_d, ratios)
         if K == math.inf:
             return math.inf
         with np.errstate(all="ignore"):

@@ -152,8 +152,8 @@ def _kq_value(lam: np.ndarray, atom_vals: np.ndarray, d_vals: np.ndarray, denom:
         return math.inf  # the zero vector is not a modulus
     # Summed as ``phi_eval`` sums, so the value is that of ``constants_report``.
     d_phi = weighted_sum(lam, atom_vals, d_vals)
-    K = ratio_max(d_vals, d_phi)[0]
-    Q = ratio_max(d_phi, denom)[0]
+    K = ratio_max(d_vals, d_phi)
+    Q = ratio_max(d_phi, denom)
     # An infinite constant makes the product infinite, even times K = 0.
     return math.inf if math.inf in (K, Q) else K * Q
 
@@ -270,10 +270,12 @@ def minimize_kq(s: IndexedSample, base: str, atoms: tuple[str, ...]):
 
     lam = identity
     work_k = work_q = np.empty(0, dtype=np.intp)
+    k_ratio, q_ratio = np.empty((2, len(d_vals)))
     while True:
         d_phi = weighted_sum(lam, atom_vals, d_vals)
-        k_ratio = np.divide(d_vals, d_phi, out=np.zeros_like(d_phi), where=d_vals > 0.0)
-        q_ratio = np.divide(d_phi, denom, out=np.zeros_like(d_phi), where=denom > 0.0)
+        # The ratios of ``ratio_max``; a NaN (0/0) never counts as violated.
+        ratio_max(d_vals, d_phi, k_ratio)
+        ratio_max(d_phi, denom, q_ratio)
         new_k = _most_violated(k_ratio, work_k)
         new_q = _most_violated(q_ratio, work_q)
         if new_k.size == 0 and new_q.size == 0:

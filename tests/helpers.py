@@ -3,7 +3,7 @@
 ``oracles`` holds the independent plain-Python references; this module holds
 what the tests need beyond them: a numeric probe of the modulus axioms,
 random and rescaled coefficient combinations, single-pair distances
-taken from ``pairwise``, the one-shot tensor formula of the base distances,
+taken from ``pairwise``, Lipschitz predictions from a block of distances, the one-shot tensor formula of the base distances,
 and seeded synthetic dataset CSVs.
 """
 
@@ -14,6 +14,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from lipext.extension import ExtensionModel, predict_in_blocks
 from lipext.phi import ATOM_NAMES, PhiCombination, phi_eval
 
 # Probe domain and slack.  Features are min-max scaled in practice, so
@@ -132,3 +133,12 @@ def synthetic_csv(seed: int, n: int, m: int = 3, hidden: float = 0.2) -> str:
         value = "" if i in hide else repr(float(index[i]))
         lines.append(f"r{i}," + ",".join(repr(float(x)) for x in features[i]) + "," + value)
     return "\n".join(lines) + "\n"
+
+
+def predict_from(m: ExtensionModel, D: np.ndarray, alpha=None, truth=None):
+    """(blend weight, predictions) of ``m`` from the (q, n) distances D in
+    one ``predict_in_blocks`` call; a standard model, which reads only its
+    anchor's distances, as offset + (K * D) at the anchor's column."""
+    if m.method == "standard":
+        return None, m.offset + (m.K * D)[:, m.anchor]
+    return predict_in_blocks(m, len(D), D.__getitem__, alpha, truth)

@@ -622,6 +622,10 @@ def test_bad_config_key_rejected(tmp_path, capsys):
         pytest.param("constants", '{"phi": {"atoms": ["sqrt"], "coefficients": [1%s]}}' % ("0" * 400),
                      id="constants-coefficient-beyond-float-range"),
         ("constants", '{"phi": "{\\"atoms\\": [\\"sqrt\\"], \\"coefficients\\": 1}"}'),
+        ("constants", '{"phi": "[1]"}'),
+        ("constants", '{"phi": "5"}'),
+        ("constants", '{"phi": "\\"x\\""}'),
+        ("constants", '{"phi": "null"}'),
         ("constants", '{"seed": -1}'),
         ("extend", '{"seed": -1}'),
         ("cv", '{"seed": -1}'),
@@ -647,6 +651,24 @@ def test_bad_phi_file_reports_config(tmp_path, capsys, text):
     code, out, err = run_cli(capsys, "constants", "--data", str(table1_path()), "--phi", phi)
     assert code == 2 and out == ""
     assert err.startswith(f"error:config: bad phi file {phi}: ") and err.count("\n") == 1
+
+
+def test_an_overflowing_ratio_is_not_reported_as_duplicates(tmp_path, capsys, monkeypatch):
+    # 1e-320 times a scaled distance is subnormal, and every |I_i - I_j| over
+    # it exceeds the float range, though no two rows of Table 1 coincide.
+    monkeypatch.chdir(tmp_path)
+    args = ("--data", str(table1_path()), "--phi", '{"atoms": ["identity"], "coefficients": [1e-320]}')
+    code, out, err = run_cli(capsys, "constants", *args)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert (report["K"], report["k_pair"]) == ("inf", [0, 1])
+    assert report["notes"] == ["not coherent: rows (0, 1) have a ratio beyond the float range"]
+    code, out, err = run_cli(capsys, "extend", *args)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error:unfittable: coherence constant is infinite: a ratio |I_i - I_j| / d "
+        "exceeds the float range\n"
+    )
 
 
 def test_config_file_values_and_flag_override(tmp_path, capsys):

@@ -177,6 +177,60 @@ def test_argmax_tie_resolves_to_smallest_pair():
     assert report.k_pair == (0, 1)
 
 
+@pytest.mark.parametrize(
+    "num, den, expected",
+    [
+        ([0.0, 1.0], [0.0, 2.0], 0.5),  # 0/0 imposes nothing
+        ([1.0, 1.0], [0.0, 2.0], math.inf),  # x/0 makes the maximum infinite
+        ([1.0, 1.0], [1e-320, 2.0], math.inf),  # so does a ratio past the float range
+        ([0.0, 0.0], [0.0, 0.0], 0.0),  # no pair constrains
+        ([0.0, 3.0], [4.0, 2.0], 1.5),
+    ],
+)
+def test_ratio_max_table(num, den, expected):
+    num, den = np.array(num), np.array(den)
+    out = np.empty(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow and 0/0 stay silent
+        value = ratio_max(num, den, out)
+        assert ratio_max(num, den) == value
+    assert type(value) is float and value == expected
+    with np.errstate(all="ignore"):
+        np.testing.assert_array_equal(out, num / den)  # the ratios, NaN for 0/0
+
+
+def test_reported_pairs_on_ties_and_infinities():
+    # The corners of a unit square are 1 apart under chebyshev: the K ratios
+    # tie at 1 on the pairs with row 3, the Q ratios at 1/2 on the others.
+    s = IndexedSample([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 1.0, 1.0, 2.0])
+    report = constants_report(s, CompositionMetric("chebyshev", identity_phi()))
+    assert (report.K, report.k_pair, report.Q, report.q_pair) == (1.0, (0, 3), 0.5, (0, 1))
+    # Pair (0, 1) overflows first, but the reported pair is the first at
+    # distance 0, (2, 3), and a pair at distance 0 with equal values, (4, 5),
+    # constrains nothing.
+    s = line_sample([0.0, 1.0, 5.0, 5.0, 9.0, 9.0], [0.0, 10.0, 20.0, 30.0, 7.0, 7.0])
+    tiny = CompositionMetric("euclidean", PhiCombination(("identity",), (1e-320,)))
+    report = constants_report(s, tiny)
+    assert (report.K, report.k_pair) == (math.inf, (2, 3))
+    assert report.notes[0] == "not coherent: rows (2, 3) coincide but carry distinct values"
+    # Two rows at distance 0 with the value 0: no pair constrains K or Q.
+    with pytest.warns(UserWarning, match=r"K\*Q = 0.0 < 1"):
+        report = constants_report(line_sample([1.0, 1.0], [0.0, 0.0]), IDENTITY)
+    assert (report.K, report.k_pair, report.Q, report.q_pair) == (0.0, None, 0.0, None)
+
+
+def test_an_overflowing_ratio_is_not_reported_as_duplicates():
+    # 1e-320 times a distance is subnormal, and 10 over it exceeds the
+    # float range: K is infinite, though no two rows coincide.
+    s = line_sample([0.0, 1.0, 2.0], [0.0, 10.0, 20.0])
+    tiny = CompositionMetric("euclidean", PhiCombination(("identity",), (1e-320,)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = constants_report(s, tiny)
+    assert (report.K, report.k_pair) == (math.inf, (0, 1))
+    assert report.notes == ("not coherent: rows (0, 1) have a ratio beyond the float range",)
+
+
 @pytest.mark.filterwarnings("ignore:K\\*Q")
 def test_matches_double_loop_oracle_small_samples():
     rng = np.random.default_rng(13)
@@ -262,7 +316,7 @@ def _condensed_coherence(s, cm):
     """K as ``ratio_max`` gives it on the condensed pairs i < j."""
     i, j = np.triu_indices(len(s), k=1)
     d = phi_eval(cm.phi, pairwise_base(cm.base, s.points, s.points))[i, j]
-    return ratio_max(np.abs(s.values[i] - s.values[j]), d)[0]
+    return ratio_max(np.abs(s.values[i] - s.values[j]), d)
 
 
 # A tile of one row, then samples of tile - 1, tile, tile + 1 and 3 * tile

@@ -26,11 +26,11 @@ from lipext.extension import (
 )
 from lipext import metrics
 from lipext.metrics import CompositionMetric, pairwise_base
-from lipext.phi import identity_phi, phi_eval
+from lipext.phi import PhiCombination, identity_phi, phi_eval
 from lipext.pipeline import Dataset, PairTable
 
 import oracles
-from helpers import random_combination, scaled
+from helpers import predict_from, random_combination, scaled
 
 IDENTITY = CompositionMetric("euclidean", identity_phi())
 
@@ -373,7 +373,7 @@ def test_predict_tiles_match_one_untiled_call(method, monkeypatch):
     queries = [rng.uniform(size=(q, m)) for q in (1, tile - 1, tile, tile + 1, 3 * tile)]
     # One block each at the default TILE_BYTES.
     distances = [phi_eval(cm.phi, pairwise_base(cm.base, X, s.points)) for X in queries]
-    untiled = [predict_in_blocks(model, len(D), D.__getitem__, model.alpha)[1] for D in distances]
+    untiled = [predict_from(model, D, model.alpha)[1] for D in distances]
     # Distances to the n training rows, ``tile`` queries per block.
     monkeypatch.setattr(metrics, "TILE_BYTES", 8 * n * tile)
     for X, expected in zip(queries, untiled):
@@ -399,6 +399,39 @@ def test_batch_predictions_hold_one_block_of_distances(batch):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_standard_predicts_from_its_anchor_alone():
+    # A standard prediction reads one distance per query, to the anchor.  At
+    # 3,000 queries against 2,000 training rows, and 600 held-out rows
+    # against 600 training rows of a table, the peaks stay far below one
+    # block of distances to every training row (2 MiB), and the bits are
+    # those of K times that block, read at the anchor's column.
+    rng = np.random.default_rng(29)
+    cm = CompositionMetric("euclidean", PhiCombination(("sqrt", "sqrt_rational"), (1.0, 0.75)))
+    features = rng.uniform(size=(2000, 10))
+    model = fit_extension(IndexedSample(features, features @ rng.uniform(size=10)), cm, "standard")
+    targets = rng.uniform(size=(3000, 10))
+    table = PairTable(Dataset([f"r{i}" for i in range(1200)], features[:1200],
+                              rng.uniform(1.0, 5.0, 1200), [f"f{j}" for j in range(10)]), cm)
+    train, held_out = np.arange(0, 1200, 2), np.arange(1, 1200, 2)
+    table_model = table.fit(train, "standard")
+    expected = [
+        model.offset + (model.K * cm.pairwise(targets, model.training.points))[:, model.anchor],
+        table_model.offset + (table_model.K * table.D[np.ix_(held_out, train)])[:, table_model.anchor],
+    ]
+    for run, reference in zip(
+        (lambda: predict(model, targets), lambda: table.predict(table_model, train, held_out)[1]),
+        expected,
+    ):
+        tracemalloc.start()
+        try:
+            pred = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(pred, reference)
+        assert peak < 2**19
 
 
 @pytest.mark.parametrize("sample", ["random", "duplicate-heavy"])

@@ -32,7 +32,7 @@ from lipext.pipeline import (
     split,
 )
 
-from helpers import random_combination, scaled
+from helpers import predict_from, random_combination, scaled
 
 IDENTITY = CompositionMetric("euclidean", identity_phi())
 
@@ -633,7 +633,8 @@ def test_table_fits_and_predictions_in_blocks_match_one_shot(method, monkeypatch
     # A fit and a prediction on subsets of the table read it in place, block
     # by block, and so does predict_in_blocks on a given block; they must
     # give the bits of a fit on the copied square and of predict_in_blocks
-    # on the copied block, taken in one block at the default TILE_BYTES.
+    # on the copied block, taken in one block at the default TILE_BYTES (a
+    # standard model reads the anchor's column of that block).
     rng = np.random.default_rng(23)
     n, m, tile = 30, 3, 4
     cm = CompositionMetric("manhattan", random_combination(rng))
@@ -644,13 +645,13 @@ def test_table_fits_and_predictions_in_blocks_match_one_shot(method, monkeypatch
     model = fit_extension(sample, cm, method, d=table.D[np.ix_(train, train)])
     truth = table.ds.index[held_out]
     D = table.D[np.ix_(held_out, train)]
-    one_shot = [predict_in_blocks(model, len(D), D.__getitem__, a, truth) for a in alphas]
+    one_shot = [predict_from(model, D, a, truth) for a in alphas]
     monkeypatch.setattr(metrics, "TILE_BYTES", 8 * len(train) * tile)  # ``tile`` rows a block
     fitted = table.fit(train, method)
     assert fitted.K == model.K
     assert (fitted.anchor, fitted.offset) == (model.anchor, model.offset)
     for a, (weight, expected) in zip(alphas, one_shot):
         for blocked in (table.predict(fitted, train, held_out, a),
-                        predict_in_blocks(model, len(D), D.__getitem__, a, truth)):
+                        predict_from(model, D, a, truth)):
             assert blocked[0] == weight
             assert np.array_equal(blocked[1], expected)
