@@ -215,8 +215,9 @@ def constants_report(s: IndexedSample, cm: CompositionMetric) -> ConstantsReport
         """(max ratio of num/den, its pair), noting an infinite maximum."""
         value = ratio_max(num, den, ratios)
         at = ratios == value
-        at_zero = at & (den == 0.0)  # only where the maximum is +inf
-        k = int((at_zero if at_zero.any() else at).argmax())
+        if value == math.inf and (at & (den == 0.0)).any():
+            at &= den == 0.0  # a zero denominator before an overflow
+        k = int(at.argmax())
         if not at[k]:
             return value, None
         pair = (int(i_idx[k]), int(j_idx[k]))

@@ -20,8 +20,8 @@ Lipschitz predictions; a standard one reads the distances to a0 alone.  A
 prediction depends only on its own row, so it works through the queries
 in row blocks, taking the distances of one block at a time from the
 points (``predict``) or from a distance table, and row-by-row calls give
-the same bits as one batch call.  ``fit_extension``
-and ``predict_in_blocks`` take the composed distances as given, so callers
+the same bits as one batch call.  ``fit_extension`` and
+``predict_in_blocks`` take the composed distances as given, so callers
 that read one distance table for many fits get the same bits as fresh
 computation.  ``optimal_blend`` gives a blend's bits for many constants K
 at one set of query rows, in buffers reused between calls.
