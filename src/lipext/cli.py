@@ -28,10 +28,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .constants import constants_report, encode_inf
+from .constants import constants_report
 from .dataio import (
     CsvParseError,
+    csv_text,
     dataset_hash,
+    json_text,
     read_dataset,
     write_csv,
     write_json,
@@ -57,6 +59,14 @@ class CliError(Exception):
     def __init__(self, category: str, message: str):
         super().__init__(message)
         self.category = category
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose flag errors are ``CliError``s; the
+    subcommand parsers are made of the same class."""
+
+    def error(self, message):
+        raise CliError("config", message)
 
 
 @dataclass
@@ -103,22 +113,10 @@ def load_config(path: str | None) -> RunConfig:
 
 
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    updates = {}
-    for flag, key in (
-        ("method", "method"),
-        ("metric", "metric"),
-        ("seed", "seed"),
-        ("repeats", "repeats"),
-        ("train_fraction", "train_fraction"),
-        ("out", "out"),
-        ("phi", "phi"),
-    ):
-        val = getattr(args, flag, None)
-        if val is not None:
-            updates[key] = val
-    if getattr(args, "objective", None) is not None:
-        updates["objective"] = args.objective.replace("-", "_")
-    cfg = replace(cfg, **updates)
+    flags = ("method", "metric", "seed", "repeats", "train_fraction", "out", "phi", "objective")
+    cfg = replace(cfg, **{k: getattr(args, k) for k in flags if getattr(args, k, None) is not None})
+    if isinstance(cfg.objective, str):  # kq-bound or kq_bound, from a flag or the file
+        cfg = replace(cfg, objective=cfg.objective.replace("-", "_"))
     _check_config(cfg)
     return cfg
 
@@ -208,8 +206,7 @@ def _resolve_phi(cfg: RunConfig, scaled: Dataset) -> PhiCombination:
     uses the winning coefficients.
     """
     if cfg.phi == "optimize":
-        result = _run_optimize(cfg, scaled)
-        return PhiCombination(cfg.atoms, tuple(result["best_phi"]["coefficients"]))
+        return _run_optimize(cfg, scaled)["best_phi"]
     return _parse_phi_value(cfg.phi)
 
 
@@ -233,12 +230,12 @@ def _run_optimize(cfg: RunConfig, scaled: Dataset) -> dict:
         objective = objective_test_rmse(indexed, cfg.metric, atoms, cfg.train_fraction, cfg.seed)
         result = pso_minimize(objective, len(atoms), _pso_config(cfg))
         lam, best, identity_objective = settle(objective, result.best_lambda)
-        search = {"swarm": result.to_json_dict()}
+        search = {"swarm": result}
     return {
         "objective": cfg.objective,
         "identity_objective": identity_objective,
         "best_objective": best,
-        "best_phi": PhiCombination(atoms, tuple(float(v) for v in lam)).to_json_dict(),
+        "best_phi": PhiCombination(atoms, lam),
         **search,
     }
 
@@ -247,23 +244,16 @@ def _run_optimize(cfg: RunConfig, scaled: Dataset) -> dict:
 # model file round trip
 
 
-def model_to_json_dict(
-    model: ExtensionModel, raw_hash: str, scaled: Dataset, ids: list[str]
-) -> dict:
-    scaling = {"min": [], "max": []}
-    if scaled.scaling is not None:
-        scaling = {
-            "min": [float(v) for v in scaled.scaling[0]],
-            "max": [float(v) for v in scaled.scaling[1]],
-        }
+def model_payload(model: ExtensionModel, raw_hash: str, scaled: Dataset, ids: list[str]) -> dict:
+    """The content of ``model.json``, for ``write_json``."""
     shared = {
         "method": model.method,
         "training_hash": raw_hash,
-        "feature_names": list(scaled.feature_names),
-        "scaling": scaling,
+        "feature_names": scaled.feature_names,
+        "scaling": {"min": scaled.scaling[0], "max": scaled.scaling[1]},
     }
     if model.method == "linear":
-        return dict(shared, coefficients=[float(c) for c in model.coefficients])
+        return dict(shared, coefficients=model.coefficients)
     anchor_id = ids[model.anchor] if model.anchor is not None else None
     return dict(
         shared,
@@ -271,7 +261,7 @@ def model_to_json_dict(
         anchor_id=anchor_id,
         K=model.K,
         offset=model.offset,
-        phi=model.cm.phi.to_json_dict(),
+        phi=model.cm.phi,
         metric=model.cm.base,
     )
 
@@ -336,24 +326,21 @@ def cmd_constants(cfg: RunConfig, args) -> int:
     _, scaled = _load(cfg, args)
     cm = CompositionMetric(cfg.metric, _resolve_phi(cfg, scaled))
     report = constants_report(scaled.as_sample(), cm)
-    payload = report.to_json_dict()
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json_text(report), end="")
     if cfg.out:
-        write_json(Path(cfg.out) / "constants.json", payload)
+        write_json(Path(cfg.out) / "constants.json", report)
     return 0
 
 
 def cmd_extend(cfg: RunConfig, args) -> int:
     raw, scaled = _load(cfg, args)
     preds, model = _extend(cfg, scaled)
-    model_dict = model_to_json_dict(model, dataset_hash(raw), scaled, scaled.indexed_rows().ids)
-    ids = scaled.unindexed_rows().ids
+    rows = list(zip(scaled.unindexed_rows().ids, preds))
     out = Path(cfg.out or ".")
-    write_csv(out / "predictions.csv", ["id", "predicted_index"],
-              list(zip(ids, [float(p) for p in preds])))
-    write_json(out / "model.json", model_dict)
-    for cid, p in zip(ids, preds):
-        print(f"{cid},{float(p)!r}")
+    write_csv(out / "predictions.csv", ["id", "predicted_index"], rows)
+    write_json(out / "model.json",
+               model_payload(model, dataset_hash(raw), scaled, scaled.indexed_rows().ids))
+    print(csv_text(rows), end="")
     return 0
 
 
@@ -371,10 +358,9 @@ def cmd_cv(cfg: RunConfig, args) -> int:
         honest_alpha=cfg.honest_alpha,
         split_method=cfg.split,
     )
-    payload = report.to_json_dict()
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json_text(report), end="")
     if cfg.out:
-        write_json(Path(cfg.out) / "cv_report.json", payload)
+        write_json(Path(cfg.out) / "cv_report.json", report)
         write_csv(Path(cfg.out) / "cv_repeats.csv", ["repeat", "rmse"],
                   list(enumerate(report.per_repeat_rmse, start=1)))
     return 0
@@ -383,12 +369,10 @@ def cmd_cv(cfg: RunConfig, args) -> int:
 def cmd_optimize(cfg: RunConfig, args) -> int:
     _, scaled = _load(cfg, args)
     result = _run_optimize(cfg, scaled)
-    payload = dict(result, identity_objective=encode_inf(result["identity_objective"]),
-                   best_objective=encode_inf(result["best_objective"]))
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json_text(result), end="")
     if cfg.out:
         write_json(Path(cfg.out) / "best_phi.json", result["best_phi"])
-        write_json(Path(cfg.out) / "swarm_result.json", payload)
+        write_json(Path(cfg.out) / "swarm_result.json", result)
     return 0
 
 
@@ -400,8 +384,7 @@ def cmd_rank(cfg: RunConfig, args) -> int:
     rows = [(r, cid, val, cfg.method) for r, cid, val in rank(scaled, preds)]
     out = Path(cfg.out or ".")
     write_csv(out / "ranking.csv", ["rank", "id", "predicted_index", "method"], rows)
-    for row in rows:
-        print(f"{row[0]},{row[1]},{row[2]!r},{row[3]}")
+    print(csv_text(rows), end="")
     return 0
 
 
@@ -415,7 +398,7 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lipext",
         description="Extend a partially known index over a dataset by "
         "Lipschitz regression under a composed metric.",
@@ -439,7 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--repeats", type=int, default=None)
         p.add_argument("--train-fraction", type=float, default=None,
                        dest="train_fraction")
-        p.add_argument("--objective", choices=["kq-bound", "test-rmse"], default=None)
+        p.add_argument("--objective", default=None, metavar="{kq-bound,test-rmse}",
+                       help="either spelling, kq-bound or kq_bound, is accepted")
         p.add_argument("--out", default=None, help="output directory")
     return parser
 

@@ -63,11 +63,6 @@ class IndexedSample:
 KQ_ROUNDING_SLACK = 4 * np.finfo(float).eps
 
 
-def encode_inf(value):
-    """``value`` for a JSON file: an infinity becomes the string "inf"."""
-    return "inf" if math.isinf(value) else value
-
-
 @dataclass(frozen=True)
 class ConstantsReport:
     K: float
@@ -79,19 +74,6 @@ class ConstantsReport:
     k_pair: tuple[int, int] | None
     q_pair: tuple[int, int] | None
     notes: tuple[str, ...] = ()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "K": encode_inf(self.K),
-            "Q": encode_inf(self.Q),
-            "C": self.C,
-            "Q_shifted": encode_inf(self.Q_shifted),
-            "C_shifted": self.C_shifted,
-            "bound": encode_inf(self.bound),
-            "k_pair": list(self.k_pair) if self.k_pair is not None else None,
-            "q_pair": list(self.q_pair) if self.q_pair is not None else None,
-            "notes": list(self.notes),
-        }
 
 
 def pair_data(s: IndexedSample, base: str):
@@ -192,8 +174,17 @@ def error_bound(K: float, Q: float, C: float) -> float:
 
 
 def katetov_shift(s: IndexedSample) -> IndexedSample:
-    """Shift values so the minimum is exactly zero; ordering is preserved."""
-    return IndexedSample(s.points, s.values - np.min(s.values))
+    """Shift values so the minimum is exactly zero; ordering is preserved.
+
+    Raises ``ValueError`` when the range of the values exceeds the float
+    range, so that the shifted maximum would be infinite.
+    """
+    lo, hi = float(np.min(s.values)), float(np.max(s.values))
+    if math.isinf(hi - lo):
+        raise ValueError(
+            f"the index range [{lo!r}, {hi!r}] exceeds the float range when shifted to minimum 0"
+        )
+    return IndexedSample(s.points, s.values - lo)
 
 
 def constants_report(s: IndexedSample, cm: CompositionMetric) -> ConstantsReport:
@@ -202,6 +193,8 @@ def constants_report(s: IndexedSample, cm: CompositionMetric) -> ConstantsReport
     A reported pair is the first that attains the constant, None when no
     pair constrains it; an infinite K or Q is flagged in ``notes`` with the
     first pair at a zero denominator, else the first beyond the float range.
+    A zero distance under K is named as coinciding rows only when their
+    points are equal: a modulus may round a positive distance to 0.
     The bound is that of the Katetov-shifted index, which the theorem
     covers: it uses the shifted Q and C.  Two distinct rows that tie at the
     minimum both shift to 0, so the shifted Q and the bound are infinite.
@@ -222,7 +215,12 @@ def constants_report(s: IndexedSample, cm: CompositionMetric) -> ConstantsReport
             return value, None
         pair = (int(i_idx[k]), int(j_idx[k]))
         if value == math.inf:
-            why = zero_den if den[k] == 0.0 else "have a ratio beyond the float range"
+            if den[k] != 0.0:
+                why = "have a ratio beyond the float range"
+            elif den is d_phi and not np.array_equal(s.points[pair[0]], s.points[pair[1]]):
+                why = "are distinct but their composed distance rounds to 0"
+            else:
+                why = zero_den
             notes.append(f"{what}: rows {pair} {why}")
         return value, pair
 

@@ -11,6 +11,7 @@ decimal point.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -139,21 +140,42 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def write_json(path: str | os.PathLike, payload: dict) -> None:
-    _atomic_write(Path(path), json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def json_text(payload) -> str:
+    """``payload`` as the text of a JSON file, the only JSON lipext writes.
+
+    A dataclass becomes the object of its fields and a tuple or numpy array
+    a list; a float, numpy's float64 included, is written by ``repr``, and a
+    non-finite one as the string "inf", "-inf" or "nan", so the text is
+    valid JSON.  Keys are sorted, so equal payloads give equal bytes.
+    """
+    return json.dumps(_plain(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _plain(x):
+    if dataclasses.is_dataclass(x):
+        x = {f.name: getattr(x, f.name) for f in dataclasses.fields(x)}
+    if isinstance(x, dict):
+        return {k: _plain(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple, np.ndarray)):
+        return [_plain(v) for v in x]
+    if isinstance(x, float) and not math.isfinite(x):
+        return str(x)  # "inf", "-inf" or "nan"
+    return x
+
+
+def csv_text(rows) -> str:
+    """The CSV lines of ``rows``, the only CSV lipext writes: floats by
+    ``repr``, which round-trips float64 exactly, so files are deterministic."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for row in rows:
+        writer.writerow([float.__repr__(c) if isinstance(c, float) else c for c in row])
+    return buf.getvalue()
+
+
+def write_json(path: str | os.PathLike, payload) -> None:
+    _atomic_write(Path(path), json_text(payload))
 
 
 def write_csv(path: str | os.PathLike, header: list[str], rows: list) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_format_cell(c) for c in row])
-    _atomic_write(Path(path), buf.getvalue())
-
-
-def _format_cell(cell) -> str:
-    # repr round-trips float64 exactly, so files are deterministic.
-    if isinstance(cell, float):
-        return repr(cell)
-    return str(cell)
+    _atomic_write(Path(path), csv_text([header, *rows]))

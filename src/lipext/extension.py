@@ -102,8 +102,7 @@ def fit_extension(
         s = katetov_shift(s)
     k_val = coherence_constant(s, cm, d, rows)
     if not math.isfinite(k_val):
-        why = ("standard index unfittable" if method == "standard"
-               else "duplicate points carry distinct values" if _conflicting_duplicates(s)
+        why = ("duplicate points carry distinct values" if _conflicting_duplicates(s)
                else "a ratio |I_i - I_j| / d exceeds the float range")
         raise FitError(f"coherence constant is infinite: {why}")
     if method == "standard":

@@ -82,12 +82,9 @@ class PhiCombination:
         object.__setattr__(self, "coefficients", coeffs)
         check_combination(atoms, coeffs)
 
-    def to_json_dict(self) -> dict:
-        return {"atoms": list(self.atoms), "coefficients": list(self.coefficients)}
-
     @classmethod
     def from_json_dict(cls, d: object) -> "PhiCombination":
-        """The combination of the JSON shape ``to_json_dict`` writes: an
+        """The combination of the JSON shape lipext writes for it: an
         object with exactly the keys ``atoms``, a list of strings, and
         ``coefficients``, a list of numbers.  Any other shape, or an invalid
         combination, raises ``ValueError``."""

@@ -210,17 +210,6 @@ class CvReport:
     median: float
     std_dev: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "repeats": self.repeats,
-            "failed": self.failed,
-            "per_repeat_rmse": list(self.per_repeat_rmse),
-            "mean": self.mean,
-            "median": self.median,
-            "std_dev": self.std_dev,
-        }
-
 
 def _cv_stats(values: Sequence[float]) -> tuple[float, float, float]:
     arr = np.asarray(values, dtype=float)

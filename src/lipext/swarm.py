@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constants import IndexedSample, encode_inf, pair_data, ratio_max
+from .constants import IndexedSample, pair_data, ratio_max
 from .phi import ATOM_FUNCS, weighted_sum
 
 #: Constriction values of the velocity update (Clerc & Kennedy 2002).
@@ -58,13 +58,6 @@ class SwarmResult:
     best_lambda: np.ndarray
     best_objective: float
     history: np.ndarray  # best-so-far after each iteration, non-increasing
-
-    def to_json_dict(self) -> dict:
-        return {
-            "best_lambda": [float(v) for v in self.best_lambda],
-            "best_objective": encode_inf(float(self.best_objective)),
-            "history": [encode_inf(float(v)) for v in self.history],
-        }
 
 
 def identity_lambda(dim: int) -> np.ndarray:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 import lipext
 from lipext.cli import main, rebuild_model
-from lipext.dataio import CsvParseError, dataset_hash, read_dataset, table1_path
+from lipext.dataio import CsvParseError, dataset_hash, json_text, read_dataset, table1_path
 from lipext.extension import METHODS, predict
 from lipext.phi import LINEAR_BASIS, SQRT_BASIS
 from lipext.pipeline import minmax_scale, objective_test_rmse
@@ -33,6 +34,17 @@ def run_cli(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def lipext_env() -> dict:
+    """The environment of a ``python -m lipext`` subprocess that imports
+    the package under test."""
+    src = str(Path(lipext.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def reject_constant(name: str):
+    raise ValueError(f"{name} is not valid JSON")
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +112,53 @@ def test_errors_name_the_physical_line_after_a_multiline_cell(tmp_path, capsys):
     code, out, err = run_cli(capsys, "constants", "--data", bad)
     assert code == 2 and out == ""
     assert err.startswith(f"error:parse: {bad}:4:") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# output encoding
+
+
+def test_json_text_walks_dataclasses_arrays_and_non_finite_floats():
+    @dataclass
+    class Row:
+        pair: tuple
+        values: np.ndarray
+
+    payload = {"row": Row((1, math.inf), np.array([-math.inf, math.nan, 0.5])), "x": np.float64(2.0)}
+    text = json_text(payload)
+    assert json.loads(text, parse_constant=reject_constant) == {
+        "row": {"pair": [1, "inf"], "values": ["-inf", "nan", 0.5]}, "x": 2.0,
+    }
+    assert text.endswith("}\n")
+
+
+def test_extend_and_rank_echo_the_rows_they_write(tmp_path, capsys):
+    # An id with a comma is quoted on stdout as it is in the file.
+    data = write(tmp_path, "q.csv", 'id,x,index\na,0,0\nb,1,2\nc,2,4\n"d, quoted",1.5,\n')
+    for command, name in (("extend", "predictions.csv"), ("rank", "ranking.csv")):
+        out_dir = tmp_path / command
+        code, out, err = run_cli(capsys, command, "--data", data, "--method", "whitney",
+                                 "--out", str(out_dir))
+        assert (code, err) == (0, "")
+        assert '"d, quoted"' in out
+        assert out == (out_dir / name).read_text().split("\n", 1)[1]
+
+
+def test_an_overflowing_cv_writes_valid_json(tmp_path):
+    # The predictions overflow, so the RMSEs are inf and their spread NaN;
+    # both print as strings, as every non-finite number does.
+    data = write(tmp_path, "ovf.csv", "id,x,index\na,0,1e300\nb,1e-300,-1e300\nc,1,0\n"
+                 "d,2,1e300\ne,3,0\nf,4,1\n")
+    out_dir = tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, "-m", "lipext", "cv", "--method", "whitney", "--repeats", "3",
+         "--data", data, "--out", str(out_dir)],
+        env=lipext_env(), capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (out_dir / "cv_report.json").read_text()
+    report = json.loads(done.stdout, parse_constant=reject_constant)
+    assert (report["mean"], report["std_dev"]) == ("inf", "nan")
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +415,17 @@ def test_optimize_test_rmse_objective(tmp_path, capsys):
     assert payload["best_objective"] <= payload["identity_objective"]
 
 
+@pytest.mark.parametrize("spelling", ["kq-bound", "kq_bound", "test-rmse", "test_rmse"])
+def test_objective_takes_either_spelling_in_the_file_or_a_flag(tmp_path, capsys, spelling):
+    small = {"pso": {"swarm_size": 4, "iterations": 2}}
+    for settings, flag in (({"objective": spelling}, []), ({}, ["--objective", spelling])):
+        cfg = write(tmp_path, "cfg.json", json.dumps(dict(small, **settings)))
+        code, out, err = run_cli(capsys, "optimize", "--data", str(table1_path()),
+                                 "--config", cfg, *flag)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["objective"] == spelling.replace("-", "_")
+
+
 # ---------------------------------------------------------------------------
 # rank command
 
@@ -471,10 +541,8 @@ def test_cv_leaves_numpy_ma_unimported(tmp_path):
         "main(['cv', '--data', str(table1_path()), '--repeats', '3', '--out', sys.argv[1]])\n"
         "print('numpy.ma' in sys.modules)\n"
     )
-    src = str(Path(lipext.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True
+        [sys.executable, "-c", code, str(tmp_path)], env=lipext_env(), capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "False"
@@ -483,12 +551,10 @@ def test_cv_leaves_numpy_ma_unimported(tmp_path):
 
 def test_warnings_print_as_plain_lines(tmp_path, capsys):
     data = write(tmp_path, "flat.csv", CONSTANT_INDEX_CSV)
-    src = str(Path(lipext.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
         [sys.executable, "-m", "lipext", "extend", "--method", "blend",
          "--data", data, "--out", str(tmp_path / "out")],
-        env=env, capture_output=True, text=True,
+        env=lipext_env(), capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr
     # No install path, line number or source line: only the message lines.
@@ -576,6 +642,37 @@ def test_os_errors_report_io(tmp_path, capsys, monkeypatch, case):
         code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:io:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["cv", "--method", "foo", "--data", "d.csv"], "argument --method: invalid choice: 'foo'"),
+    (["cv", "--seed", "abc", "--data", "d.csv"], "argument --seed: invalid int value: 'abc'"),
+    (["frob", "--data", "d.csv"], "argument command: invalid choice: 'frob'"),
+    (["cv"], "the following arguments are required: --data"),
+], ids=["bad-choice", "bad-int", "unknown-command", "missing-data"])
+def test_flag_errors_end_in_one_config_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error:config: {message}") and err.count("\n") == 1
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cv", "-h"])
+    assert exc.value.code == 0
+    assert "--data" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["constants"], ["extend", "--method", "standard"], ["optimize"]])
+def test_an_index_range_beyond_the_float_range_is_one_error_line(tmp_path, capsys, argv):
+    # Every value is finite, but shifting the minimum to 0 overflows.
+    data = write(tmp_path, "big.csv", "id,x,index\na,0,1e308\nb,1,-1e308\nc,2,\n")
+    code, out, err = run_cli(capsys, *argv, "--data", data, "--out", str(tmp_path / "out"))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error:data: the index range [-1e+308, 1e+308] exceeds the float range "
+        "when shifted to minimum 0\n"
+    )
 
 
 def test_bad_config_key_rejected(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 import warnings
@@ -15,7 +16,7 @@ from lipext.constants import (
     katetov_shift,
     ratio_max,
 )
-from lipext.dataio import read_dataset, table1_path
+from lipext.dataio import json_text, read_dataset, table1_path
 from lipext.metrics import CompositionMetric, pairwise_base
 from lipext.phi import LINEAR_BASIS, PhiCombination, identity_phi, phi_eval
 from lipext.pipeline import Dataset, PairTable, minmax_scale
@@ -231,6 +232,24 @@ def test_an_overflowing_ratio_is_not_reported_as_duplicates():
     assert report.notes == ("not coherent: rows (0, 1) have a ratio beyond the float range",)
 
 
+def test_a_distance_rounded_to_zero_is_not_reported_as_coinciding():
+    # 1e-320 times the distance 1e-5 rounds to 0, though rows 0 and 1 differ.
+    s = line_sample([0.0, 1e-5, 1.0], [0.0, 1.0, 0.5])
+    tiny = CompositionMetric("euclidean", PhiCombination(("identity",), (1e-320,)))
+    report = constants_report(s, tiny)
+    assert (report.K, report.k_pair) == (math.inf, (0, 1))
+    assert report.notes == (
+        "not coherent: rows (0, 1) are distinct but their composed distance rounds to 0",
+    )
+
+
+def test_a_shift_beyond_the_float_range_names_the_range():
+    # Both values are finite; their difference is not, and numpy does not warn.
+    s = line_sample([0.0, 1.0], [1e308, -1e308])
+    with pytest.raises(ValueError, match=r"index range \[-1e\+308, 1e\+308\] exceeds the float range"):
+        katetov_shift(s)
+
+
 @pytest.mark.filterwarnings("ignore:K\\*Q")
 def test_matches_double_loop_oracle_small_samples():
     rng = np.random.default_rng(13)
@@ -249,7 +268,7 @@ def test_matches_double_loop_oracle_small_samples():
 
 def test_report_json_encodes_infinity():
     s = line_sample([0.0, 1.0], [0.0, 0.0])
-    d = constants_report(s, IDENTITY).to_json_dict()
+    d = json.loads(json_text(constants_report(s, IDENTITY)))
     assert d["Q"] == "inf"
     assert d["bound"] == "inf"
 
@@ -271,7 +290,7 @@ def test_report_bound_is_that_of_the_shifted_index_on_table1():
     assert report.bound == pytest.approx((K_sh * Q_sh - 1.0) * C_sh, rel=1e-12)
     assert report.Q_shifted == pytest.approx(0.74169, abs=1e-5)
     assert report.bound == pytest.approx(150.221, abs=1e-3)
-    d = report.to_json_dict()
+    d = json.loads(json_text(report))
     assert (d["Q_shifted"], d["C_shifted"], d["bound"]) == (
         report.Q_shifted, report.C_shifted, report.bound,
     )
@@ -287,7 +306,7 @@ def test_tie_at_the_minimum_makes_the_shifted_bound_infinite():
     assert report.C_shifted == 2.0
     assert report.bound == math.inf
     assert any("(0, 1)" in note and "minimum" in note for note in report.notes)
-    d = report.to_json_dict()
+    d = json.loads(json_text(report))
     assert d["Q_shifted"] == "inf" and d["bound"] == "inf"
 
 

@@ -217,6 +217,15 @@ def test_unfittable_when_constant_infinite():
         fit_extension(s, IDENTITY, "standard")
 
 
+@pytest.mark.parametrize("method", ["whitney", "mcshane", "blend", "standard"])
+def test_every_method_names_the_cause_of_an_infinite_constant(method):
+    with pytest.raises(FitError, match="duplicate points carry distinct values"):
+        fit_extension(line_sample([1.0, 1.0], [0.0, 2.0]), IDENTITY, method)
+    tiny = CompositionMetric("euclidean", PhiCombination(("identity",), (1e-320,)))
+    with pytest.raises(FitError, match=r"a ratio \|I_i - I_j\| / d exceeds the float range"):
+        fit_extension(line_sample([0.0, 1.0], [0.0, 10.0]), tiny, method)
+
+
 @pytest.mark.filterwarnings("ignore:K\\*Q")
 def test_standard_error_bounded_on_training_rows():
     rng = np.random.default_rng(5)

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 import warnings
@@ -7,6 +8,7 @@ import pytest
 
 from lipext import metrics
 from lipext.constants import IndexedSample
+from lipext.dataio import json_text
 from lipext.extension import (
     FitError,
     fit_extension,
@@ -282,7 +284,7 @@ def test_cv_repeat_rows_shape():
     assert report.failed == 0
     assert len(report.per_repeat_rmse) == report.repeats == 4
     assert all(math.isfinite(v) and v >= 0.0 for v in report.per_repeat_rmse)
-    assert report.to_json_dict()["per_repeat_rmse"] == list(report.per_repeat_rmse)
+    assert json.loads(json_text(report))["per_repeat_rmse"] == list(report.per_repeat_rmse)
 
 
 @pytest.mark.parametrize(

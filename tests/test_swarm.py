@@ -10,7 +10,7 @@ import pytest
 
 import lipext
 from lipext.constants import IndexedSample, constants_report, katetov_shift, pair_data
-from lipext.dataio import read_dataset, table1_path
+from lipext.dataio import json_text, read_dataset, table1_path
 from lipext.metrics import CompositionMetric
 from lipext.phi import ATOM_FUNCS, LINEAR_BASIS, SQRT_BASIS, PhiCombination
 from lipext.pipeline import minmax_scale, objective_test_rmse
@@ -183,7 +183,7 @@ def test_pso_on_kq_objective_never_worse_than_identity():
 
 def test_swarm_result_json_encodes_infinity():
     result = pso_minimize(lambda lam: math.inf, dim=1, cfg=PsoConfig(iterations=2, seed=1))
-    d = result.to_json_dict()
+    d = json.loads(json_text(result))
     assert d["best_objective"] == "inf"
     assert d["history"] == ["inf", "inf"]
 
