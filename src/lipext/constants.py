@@ -134,15 +134,108 @@ def coherence_constant(
             return d[block, block.start:]
         return d.take(rows[block], axis=0).take(rows[block.start:], axis=1)
 
-    v = s.values
     K = 0.0
     for block in row_blocks(n, 8 * (n if d is None else len(d))):
         dist = distances(block)  # first, so the ratios reuse what its gather frees
-        ratios = v[block, None] - v[block.start:]
-        np.abs(ratios, out=ratios)
+        ratios = _value_gaps(s.values, block)
         K = max(K, ratio_max(ratios, dist, ratios))
         del dist, ratios  # before the next block's distances are made
     return K
+
+
+def _value_gaps(v: np.ndarray, block: slice) -> np.ndarray:
+    """|I_i - I_j| of the rows i in ``block`` against the rows j from its
+    first on, a new (rows, n - start) array; a gap beyond the float range
+    is +inf, which ``ratio_max`` takes as an overflow of the ratio."""
+    with np.errstate(over="ignore"):
+        gaps = v[block, None] - v[block.start:]
+    return np.abs(gaps, out=gaps)
+
+
+#: How many of a distance table's largest pair ratios ``largest_ratios`` lists.
+LISTED_PAIRS = 256
+
+
+@dataclass(frozen=True, eq=False)
+class LargestRatios:
+    """The largest ratios |I_i - I_j| / d_ij over the pairs i < j of a
+    table of n rows, descending, with their rows; every pair left off has
+    a ratio no larger than the smallest listed one, and 0/0 pairs, which
+    impose nothing, are never listed."""
+
+    ratios: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    n: int
+
+    def coherence(self, rows: np.ndarray) -> float | None:
+        """``coherence_constant`` of the table's ``rows``, the first listed
+        ratio with both ends among them; None when no listed pair has both.
+
+        Every pair of ``rows`` that is not listed, or listed later, has a
+        ratio no larger, and a listed ratio is the division that
+        ``coherence_constant`` makes of the same two numbers, so K has its
+        bits.
+        """
+        member = np.zeros(self.n, dtype=bool)
+        member[rows] = True
+        hit = member[self.i] & member[self.j]
+        return float(self.ratios[hit.argmax()]) if hit.any() else None
+
+
+def largest_ratios(d: np.ndarray, values: np.ndarray) -> LargestRatios:
+    """Up to ``LISTED_PAIRS`` largest pair ratios of the rows with index
+    ``values`` under the symmetric table ``d`` of their composed distances.
+
+    The table is read in place in ``coherence_constant``'s row blocks, and
+    each block's ratios come from ``ratio_max``'s rule.  A running
+    ``floor`` bounds every ratio seen and left off.  In a block with more
+    than ``LISTED_PAIRS`` ratios above it, the floor first rises to the
+    block's ``LISTED_PAIRS``-th largest ratio, which a partition of the
+    block's ratios in place finds, and the block's ratios are made again.
+    Then the pairs above the floor join the list, which is cut back to its
+    ``LISTED_PAIRS`` largest whenever it grows past them, the floor rising
+    to the largest ratio cut.  Ratios equal to the floor stay off,
+    so ties at the cutoff can leave the list short, or empty, but never
+    break its invariant.  On top of the table this holds one block of
+    ratios and O(``LISTED_PAIRS``) for the list.
+    """
+    n, size = len(values), LISTED_PAIRS
+
+    def block_ratios(block: slice) -> tuple[np.ndarray, float]:
+        """The ratios of the rows in ``block`` against the rows j from its
+        first on, -inf at j <= i, which is no pair, and their largest."""
+        r = _value_gaps(values, block)
+        top = ratio_max(r, d[block, block.start:], r)
+        np.copyto(r[:, : len(r)], -math.inf, where=np.tri(len(r), dtype=bool))
+        return r, top
+
+    ratios, i, j = np.empty(0), np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    floor = -math.inf
+    for block in row_blocks(n, 8 * n):
+        r, top = block_ratios(block)
+        if top <= floor:
+            continue
+        above = r > floor  # never at a 0/0 pair's NaN
+        if np.count_nonzero(above) > size:
+            flat = np.fmax(r, -math.inf, out=r).ravel()  # NaN as -inf, below every ratio
+            flat.partition(flat.size - size)
+            floor = float(flat[flat.size - size])
+            del r, flat
+            r = block_ratios(block)[0]
+            np.greater(r, floor, out=above)
+        at = np.flatnonzero(above)
+        ratios = np.concatenate([ratios, r.ravel()[at]])
+        i = np.concatenate([i, at // r.shape[1] + block.start])
+        j = np.concatenate([j, at % r.shape[1] + block.start])
+        del r, above
+        if len(ratios) > size:
+            order = np.argsort(ratios)[::-1]
+            floor = max(floor, float(ratios[order[size]]))
+            ratios, i, j = ratios[order[:size]], i[order[:size]], j[order[:size]]
+    keep = ratios >= floor
+    order = np.argsort(ratios[keep])[::-1]
+    return LargestRatios(ratios[keep][order], i[keep][order], j[keep][order], n)
 
 
 def index_bound(s: IndexedSample) -> float:

@@ -75,6 +75,7 @@ def fit_extension(
     alpha: float | None = None,
     d: np.ndarray | None = None,
     rows: np.ndarray | None = None,
+    K: float | None = None,
 ) -> ExtensionModel:
     """Fit an extension model on an indexed sample.
 
@@ -89,7 +90,10 @@ def fit_extension(
     distances and the positions of the rows of ``s`` in it (None: the table
     is the square of ``s``), or None to compute distances from the points.
     The distances do not change under the standard method's shift, so one
-    table serves every method.
+    table serves every method.  A given ``K`` is taken as the coherence
+    constant of ``s`` as it is, and ``d`` and ``rows`` go unused; it may
+    differ in its last bits from the constant of the shifted sample, so a
+    standard fit should not be given one.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
@@ -100,7 +104,7 @@ def fit_extension(
     if method == "standard":
         offset = float(np.min(s.values))
         s = katetov_shift(s)
-    k_val = coherence_constant(s, cm, d, rows)
+    k_val = coherence_constant(s, cm, d, rows) if K is None else K
     if not math.isfinite(k_val):
         why = ("duplicate points carry distinct values" if _conflicting_duplicates(s)
                else "a ratio |I_i - I_j| / d exceeds the float range")
@@ -155,13 +159,17 @@ def _mix(a: float, whitney: np.ndarray, mcshane: np.ndarray, out=None, work=None
 
 
 def predict_in_blocks(
-    m: ExtensionModel, q: int, distances, alpha: float | None = None, truth=None
+    m: ExtensionModel, q: int, distances, alpha: float | None = None, truth=None,
+    row_bytes: int | None = None,
 ) -> tuple[float | None, np.ndarray]:
     """(blend weight, predictions) of a Lipschitz model at q query rows.
 
     ``distances(block)`` gives the composed distances of the query rows in
     the slice ``block`` to the model's training rows, once per
     ``row_blocks`` block, so only one block of them is held at a time.
+    The blocks are sized at ``row_bytes`` per query row, the bytes of one
+    row of the largest array that ``distances`` makes: 8 per training row
+    when None.
     Each prediction depends only on its own row, so the blocks do not
     change its bits.  A blend keeps its Whitney and McShane predictions
     block by block and mixes them after the last: with ``alpha`` when
@@ -176,7 +184,7 @@ def predict_in_blocks(
     values = m.training.values
     first = np.empty(q)  # a blend's Whitney predictions
     mcshane = np.empty(q) if m.method == "blend" else None
-    for block in row_blocks(q, 8 * len(m.training)):
+    for block in row_blocks(q, 8 * len(m.training) if row_bytes is None else row_bytes):
         KD = m.K * distances(block)
         if m.method == "mcshane":
             first[block] = _mcshane(values, KD)

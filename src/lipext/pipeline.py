@@ -9,9 +9,12 @@ a nested split inside the training rows.
 
 Splits only change which indexed rows train, so the composed distances
 among the indexed rows are computed once (``PairTable``) and every split
-reads them in place.  The repeats run one after another in one loop, and a
-report holds no measured time, so the same inputs give the same report,
-bit for bit.
+reads them in place.  For whitney, mcshane and blend, cross-validation also
+lists the table's largest pair ratios once (``constants.largest_ratios``),
+and each split takes its coherence constant K from the first listed pair
+with both rows on its training side.  The repeats run one after another in
+one loop, and a report holds no measured time, so the same inputs give the
+same report, bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .constants import IndexedSample, pair_data, ratio_max
+from .constants import IndexedSample, largest_ratios, pair_data, ratio_max
 from .extension import (
     METHODS,
     ExtensionModel,
@@ -242,24 +245,39 @@ class PairTable:
     reduction over the same two rows, so the entries read have the bits
     that a fresh computation on the subset would give.  The table is
     read-only once built.  ``distances=False`` skips the table for the
-    linear method, which needs none.  Memory is O(n^2): the table is the
-    one quadratic structure on the fit and prediction paths.
+    linear method, which needs none.  ``listed=True`` also lists the
+    table's largest pair ratios (``constants.largest_ratios``), which
+    serve the K of many subset fits at O(``LISTED_PAIRS``) each.  Memory is
+    O(n^2): the table is the one quadratic structure on the fit and
+    prediction paths.
     """
 
-    def __init__(self, ds: Dataset, cm: CompositionMetric, distances: bool = True):
+    def __init__(
+        self, ds: Dataset, cm: CompositionMetric, distances: bool = True, listed: bool = False
+    ):
         self.ds = ds
         self.cm = cm
         self.D = cm.square(ds.features) if distances else None
+        self.largest = largest_ratios(self.D, ds.index) if listed else None
 
     def fit(self, rows: np.ndarray, method: str, alpha: float | None = None) -> ExtensionModel:
         """``fit_extension`` on the given rows, with K read from the table.
 
-        A fit on every row, in order, reads the table as the sample's own
-        square, with no gather.
+        With the table's largest ratios listed, a whitney, mcshane or blend
+        fit takes K from the list.  Otherwise, or when its rows hold no
+        listed pair, K is reduced over the table: a fit on every row, in
+        order, reads it as the sample's own square, with no gather, and
+        others gather it a block at a time.  A standard fit always does,
+        since it takes K on the shifted values, whose differences may
+        round otherwise.
         """
         sample = IndexedSample(self.ds.features[rows], self.ds.index[rows])
         if method == "linear":
             return fit_extension(sample, self.cm, method, alpha)
+        if self.largest is not None and method != "standard":
+            K = self.largest.coherence(rows)
+            if K is not None:
+                return fit_extension(sample, self.cm, method, alpha, K=K)
         every_row = np.array_equal(rows, np.arange(len(self.D)))
         return fit_extension(sample, self.cm, method, alpha, self.D, None if every_row else rows)
 
@@ -269,7 +287,9 @@ class PairTable:
         """(blend weight, predictions) at ``rows`` of a model fitted on ``train``.
 
         Each block of ``rows`` gathers its distances to ``train`` from the
-        table, a standard model the anchor's column alone.  A blend without
+        table, a standard model the anchor's column alone.  The gather takes
+        the block's whole rows of the table first, so a block has as many
+        rows as fit in a tile at the table's width.  A blend without
         ``alpha`` takes the optimal weight against the index values there.
         """
         if model.method == "linear":
@@ -280,7 +300,9 @@ class PairTable:
         def distances(block):
             return self.D.take(rows[block], axis=0).take(train, axis=1)
 
-        return predict_in_blocks(model, len(rows), distances, alpha, self.ds.index[rows])
+        return predict_in_blocks(
+            model, len(rows), distances, alpha, self.ds.index[rows], row_bytes=8 * len(self.D)
+        )
 
     def holdout_alpha(
         self, rows: np.ndarray, train_fraction: float, seed: int, split_method: str
@@ -344,7 +366,9 @@ def cross_validate(
     Repeats where fitting fails, or whose nested ``honest_alpha`` split is
     too small, are excluded from the RMSE statistics and counted.  The
     distances among the indexed rows are computed once, and each repeat, in
-    order, reads them in place.
+    order, reads them in place.  Whitney, mcshane and blend list the
+    table's largest pair ratios once, before the first repeat, and every
+    fit of a repeat, the nested one included, takes K from that list.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
@@ -354,7 +378,10 @@ def cross_validate(
     indexed = ds.indexed_rows()
     if indexed.n_rows < 2:
         raise ValueError("cross-validation needs at least two indexed rows")
-    table = PairTable(indexed, cm, distances=method != "linear")
+    table = PairTable(
+        indexed, cm, distances=method != "linear",
+        listed=method in ("whitney", "mcshane", "blend"),
+    )
     scores = []
     for r in range(repeats):
         train, test = _split_rows(indexed.n_rows, train_fraction, seed + r, split_method)

@@ -79,6 +79,10 @@ def _cases() -> tuple[dict[str, list[str]], frozenset[str]]:
                                ("constants-phi-optimize", ["constants", *shared, "--phi", "optimize"])):
                 cases[f"{data}/{name}/{metric}"] = argv
                 tolerant.add(f"{data}/{name}/{metric}")
+        for method in ("whitney", "mcshane", "blend"):  # the K of all 20 default repeats
+            cases[f"{data}/cv-20/{method}"] = [
+                "cv", "--data", path, "--metric", "euclidean", "--method", method, "--repeats", "20",
+            ]
     path = _golden("dupes.csv")
     for metric in BASE_METRICS:
         cases[f"dupes/constants/{metric}"] = ["constants", "--data", path, "--metric", metric]

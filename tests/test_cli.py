@@ -675,6 +675,19 @@ def test_an_index_range_beyond_the_float_range_is_one_error_line(tmp_path, capsy
     )
 
 
+@pytest.mark.parametrize("method", ["whitney", "mcshane"])
+def test_an_overflowing_value_gap_is_one_error_line(tmp_path, capsys, method):
+    # |I_a - I_b| overflows, so K is +inf, with no warning of the subtraction.
+    data = write(tmp_path, "big.csv", "id,x,index\na,0,1e308\nb,1,-1e308\nc,2,\n")
+    code, out, err = run_cli(capsys, "extend", "--method", method, "--data", data,
+                             "--out", str(tmp_path / "out"))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error:unfittable: coherence constant is infinite: a ratio |I_i - I_j| / d "
+        "exceeds the float range\n"
+    )
+
+
 def test_bad_config_key_rejected(tmp_path, capsys):
     data = write(tmp_path, "two.csv", TWO_POINT_CSV)
     cfg = write(tmp_path, "cfg.json", '{"metirc": "euclidean"}')

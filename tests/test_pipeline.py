@@ -6,8 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from lipext import metrics
-from lipext.constants import IndexedSample
+from lipext import constants, metrics
+from lipext.constants import IndexedSample, coherence_constant, katetov_shift, largest_ratios
 from lipext.dataio import json_text
 from lipext.extension import (
     FitError,
@@ -630,6 +630,24 @@ def test_extend_fit_and_predict_stay_under_memory_ceilings():
     assert subset_peak < 8 * 2**20
 
 
+def test_a_table_prediction_gathers_a_tile_of_table_rows_at_a_time():
+    # 2,000 rows, 1,400 training: a block of query rows is gathered as whole
+    # table rows first, so it is sized at the table's width.  At the
+    # training width the first gather alone would be 1.4 tiles.
+    rng = np.random.default_rng(83)
+    features = rng.uniform(size=(2000, 10))
+    table = PairTable(make_dataset(features, features @ rng.uniform(size=10)), IDENTITY)
+    train, held_out = _split_rows(2000, 0.7, 0, "random")
+    model = table.fit(train, "blend")
+    tracemalloc.start()
+    try:
+        table.predict(model, train, held_out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * metrics.TILE_BYTES
+
+
 @pytest.mark.parametrize("method", ["whitney", "mcshane", "blend", "standard"])
 def test_table_fits_and_predictions_in_blocks_match_one_shot(method, monkeypatch):
     # A fit and a prediction on subsets of the table read it in place, block
@@ -657,3 +675,193 @@ def test_table_fits_and_predictions_in_blocks_match_one_shot(method, monkeypatch
                         predict_from(model, D, a, truth)):
             assert blocked[0] == weight
             assert np.array_equal(blocked[1], expected)
+
+
+def _listed_table(features, index, cm=IDENTITY):
+    return PairTable(make_dataset(features, index), cm, listed=True)
+
+
+def _fresh_K(table, rows):
+    """``coherence_constant`` on a sample made afresh from the table's rows."""
+    return coherence_constant(
+        IndexedSample(table.ds.features[rows], table.ds.index[rows]), table.cm
+    )
+
+
+def _check_list(table):
+    """The list is descending, of pairs i < j, at most ``LISTED_PAIRS``
+    long, and no pair left off has a larger ratio than the last listed."""
+    listed, v = table.largest, table.ds.index
+    with np.errstate(all="ignore"):
+        ratios = np.abs(v[:, None] - v) / table.D
+    assert len(listed.ratios) <= constants.LISTED_PAIRS
+    assert np.all(listed.i < listed.j)
+    assert np.all(listed.ratios[:-1] >= listed.ratios[1:])
+    assert np.array_equal(listed.ratios, ratios[listed.i, listed.j])
+    off = np.triu(np.ones(ratios.shape, dtype=bool), k=1)
+    off[listed.i, listed.j] = False
+    if len(listed.ratios):
+        assert not np.any(ratios[off] > listed.ratios[-1])
+
+
+def _check_subsets(table, subsets):
+    """Each subset's K, listed or not, and the K of each fit on it, against
+    ``coherence_constant`` on a fresh sample; standard against the fresh
+    shifted sample.  Returns how many subsets the list served."""
+    served = 0
+    for rows in subsets:
+        expected = _fresh_K(table, rows)
+        listed = table.largest.coherence(rows)
+        if listed is not None:
+            served += 1
+            assert listed == expected
+        for method in ("whitney", "mcshane", "blend"):
+            if math.isfinite(expected):
+                assert table.fit(rows, method).K == expected
+            else:
+                with pytest.raises(FitError):
+                    table.fit(rows, method)
+        sample = IndexedSample(table.ds.features[rows], table.ds.index[rows])
+        shifted = coherence_constant(katetov_shift(sample), table.cm)
+        if math.isfinite(shifted):
+            assert table.fit(rows, "standard").K == shifted
+    return served
+
+
+def _splits(n, seeds, train_fraction=0.7):
+    """The random training rows of each seed, then the nested training rows
+    that ``honest_alpha`` takes inside them."""
+    for seed in seeds:
+        train = _split_rows(n, train_fraction, seed, "random")[0]
+        yield train
+        yield train[_split_rows(len(train), train_fraction, seed + _INNER_SPLIT_OFFSET, "random")[0]]
+
+
+@pytest.mark.parametrize("growing", [False, True])
+@pytest.mark.parametrize("tile", [None, 3])
+def test_listed_K_matches_a_fresh_sample_on_random_and_nested_subsets(tile, growing, monkeypatch):
+    # Three-row blocks carry the floor and the cut-backs over many blocks;
+    # values that grow down the rows give every block larger ratios than
+    # the blocks above, so the floor rises past pairs already listed.
+    rng = np.random.default_rng(61)
+    n = 60
+    cm = CompositionMetric("manhattan", random_combination(rng))
+    if tile is not None:
+        monkeypatch.setattr(metrics, "TILE_BYTES", 8 * n * tile)
+        monkeypatch.setattr(constants, "LISTED_PAIRS", 20)
+    index = rng.uniform(0.0, 5.0, n) * (np.geomspace(1.0, 1e3, n) if growing else 1.0)
+    table = _listed_table(rng.uniform(size=(n, 3)), index, cm)
+    _check_list(table)
+    assert len(table.largest.ratios) > constants.LISTED_PAIRS // 2
+    assert _check_subsets(table, _splits(n, range(20))) > 30
+
+
+def test_a_floor_that_rises_past_a_listed_pair_drops_it(monkeypatch):
+    # Blocks of two rows, two pairs listed.  Rows 0-1 list (1, 2) at 9.5
+    # and set the floor at 5.25; rows 2-3 have three pairs above it, so the
+    # floor rises to their second largest, (3, 4) at 10.6, and (2, 3) at 20
+    # joins the list.  (1, 2) must then go: it is below the unlisted (3, 4).
+    monkeypatch.setattr(metrics, "TILE_BYTES", 8 * 6 * 2)
+    monkeypatch.setattr(constants, "LISTED_PAIRS", 2)
+    table = _listed_table(np.arange(6.0).reshape(-1, 1), [0.0, 0.5, 10.0, -10.0, 0.6, 0.7])
+    _check_list(table)
+    assert (table.largest.ratios.tolist(), table.largest.i.tolist(), table.largest.j.tolist()) \
+        == ([20.0], [2], [3])
+    subsets = [np.flatnonzero([(mask >> k) & 1 for k in range(6)]) for mask in range(2**6)]
+    _check_subsets(table, [rows for rows in subsets if len(rows) >= 2])
+
+
+@pytest.mark.parametrize("size", [1, 256])
+def test_listed_K_with_infinite_and_zero_over_zero_pairs(size, monkeypatch):
+    # Rows 0 and 1, and rows 4 and 5, coincide with distinct values (+inf);
+    # rows 2 and 3 with equal ones (0/0, which imposes nothing).  A list of
+    # one ends at a tie of the two infinite pairs and lists neither.
+    monkeypatch.setattr(constants, "LISTED_PAIRS", size)
+    rng = np.random.default_rng(67)
+    n = 24
+    features = rng.uniform(size=(n, 2))
+    index = rng.uniform(0.0, 5.0, n)
+    features[1], features[3], features[5], index[3] = features[0], features[2], features[4], index[2]
+    table = _listed_table(features, index)
+    _check_list(table)
+    listed = table.largest
+    infinite = {(int(i), int(j)) for r, i, j in zip(listed.ratios, listed.i, listed.j) if r == math.inf}
+    assert infinite == (set() if size == 1 else {(0, 1), (4, 5)})
+    subsets = [np.arange(n), np.arange(1, n), np.arange(2, n), np.array([2, 3]),
+               np.array([2, 3, 5]), np.array([0, 1, 7]), *_splits(n, range(10))]
+    _check_subsets(table, subsets)
+    assert table.largest.coherence(np.array([2, 3])) is None  # a 0/0 pair is never listed
+    assert table.fit(np.array([2, 3]), "whitney").K == 0.0
+
+
+def test_listed_K_of_a_sample_of_only_zero_over_zero_pairs_is_zero():
+    table = _listed_table(np.ones((6, 2)), np.full(6, 3.0))
+    assert len(table.largest.ratios) == 0
+    for rows in (np.arange(6), np.array([1, 4])):
+        assert table.largest.coherence(rows) is None
+        assert table.fit(rows, "blend").K == 0.0 == _fresh_K(table, rows)
+
+
+@pytest.mark.parametrize("size, tile", [(3, None), (14, None), (5, 2), (14, 2)])
+def test_listed_K_with_ties_at_the_cutoff(size, tile, monkeypatch):
+    # On the integer line with I = 2x every ratio is exactly 2.0, and the
+    # last row's larger value gives its 11 pairs more, all distinct.  A
+    # list of 14 has its cutoff among the ties at 2.0 and leaves them all
+    # off; blocks of two rows cut a list of 5 back as it grows.  Either
+    # way subsets without the last row fall back.
+    monkeypatch.setattr(constants, "LISTED_PAIRS", size)
+    if tile is not None:
+        monkeypatch.setattr(metrics, "TILE_BYTES", 8 * 12 * tile)
+    x = np.arange(12, dtype=float)
+    index = 2.0 * x
+    index[-1] += 5.0
+    table = _listed_table(x.reshape(-1, 1), index)
+    _check_list(table)
+    assert np.all(table.largest.ratios > 2.0)
+    assert len(table.largest.ratios) == 11 or size < 11
+    subsets = [np.arange(11), np.arange(12), np.array([0, 5, 11]), np.array([3, 4]),
+               *_splits(12, range(10))]
+    _check_subsets(table, subsets)
+    assert table.largest.coherence(np.arange(11)) is None
+    assert table.fit(np.arange(11), "mcshane").K == 2.0
+
+
+def test_a_table_of_fewer_pairs_than_the_list_lists_them_all():
+    rng = np.random.default_rng(71)
+    n = 5
+    table = _listed_table(rng.uniform(size=(n, 2)), rng.uniform(0.0, 5.0, n))
+    assert n * (n - 1) // 2 < constants.LISTED_PAIRS
+    assert len(table.largest.ratios) == n * (n - 1) // 2
+    _check_list(table)
+    subsets = [np.flatnonzero([(mask >> k) & 1 for k in range(n)]) for mask in range(2**n)]
+    subsets = [rows for rows in subsets if len(rows) >= 2]
+    assert _check_subsets(table, subsets) == len(subsets)
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_a_short_list_falls_back_to_the_gathered_K(size, monkeypatch):
+    monkeypatch.setattr(constants, "LISTED_PAIRS", size)
+    rng = np.random.default_rng(73)
+    n = 30
+    table = _listed_table(rng.uniform(size=(n, 3)), rng.uniform(0.0, 5.0, n))
+    _check_list(table)
+    assert len(table.largest.ratios) <= size
+    excluded = np.setdiff1d(np.arange(n), np.r_[table.largest.i, table.largest.j])
+    assert table.largest.coherence(excluded) is None
+    assert _check_subsets(table, [excluded, *_splits(n, range(10))]) < 21
+
+
+def test_listing_the_largest_ratios_holds_one_block_on_top_of_the_table():
+    # 2,000 rows: the table is 30.5 MiB, a block of ratios one 2 MiB tile.
+    # A second copy of the block would take the peak past 1.5 tiles.
+    rng = np.random.default_rng(79)
+    features = rng.uniform(size=(2000, 4))
+    D = IDENTITY.square(features)
+    values = features @ rng.uniform(size=4)
+    tracemalloc.start()
+    try:
+        largest_ratios(D, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * metrics.TILE_BYTES
