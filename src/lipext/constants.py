@@ -193,12 +193,15 @@ def largest_ratios(d: np.ndarray, values: np.ndarray) -> LargestRatios:
     than ``LISTED_PAIRS`` ratios above it, the floor first rises to the
     block's ``LISTED_PAIRS``-th largest ratio, which a partition of the
     block's ratios in place finds, and the block's ratios are made again.
-    Then the pairs above the floor join the list, which is cut back to its
-    ``LISTED_PAIRS`` largest whenever it grows past them, the floor rising
-    to the largest ratio cut.  Ratios equal to the floor stay off,
-    so ties at the cutoff can leave the list short, or empty, but never
-    break its invariant.  On top of the table this holds one block of
-    ratios and O(``LISTED_PAIRS``) for the list.
+    Then the pairs strictly above the floor join the list, which is cut
+    back to its ``LISTED_PAIRS`` largest whenever it grows past them, the
+    floor rising to the largest ratio cut.  A cut keeps any listed ratio
+    tied with that one, and at the end the list drops the ratios below the
+    final floor and keeps those equal to it.  So every pair left off is at
+    most the floor, and so at most the smallest listed ratio; ties at the
+    cutoff can leave the list short, or empty, but never break that.  On
+    top of the table this holds one block of ratios and
+    O(``LISTED_PAIRS``) for the list.
     """
     n, size = len(values), LISTED_PAIRS
 
