@@ -158,6 +158,7 @@ def _check_config(cfg: RunConfig) -> None:
     bad = [a for a in cfg.atoms if a not in ATOM_NAMES]
     if bad:
         raise CliError("config", f"unknown atoms {bad}; choose from {ATOM_NAMES}")
+    _pso_config(cfg)
 
 
 def _pso_config(cfg: RunConfig) -> PsoConfig:
@@ -223,7 +224,6 @@ def _run_optimize(cfg: RunConfig, scaled: Dataset) -> dict:
     indexed = scaled.indexed_rows()
     atoms = cfg.atoms
     if cfg.objective == "kq_bound":
-        _pso_config(cfg)  # checked on every run, though only test-rmse searches
         lam, best, identity_objective = minimize_kq(indexed.as_sample(), cfg.metric, atoms)
         search = {}
     else:

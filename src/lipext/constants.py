@@ -114,14 +114,13 @@ def coherence_constant(
 
     ``d`` is a symmetric table of composed distances, for example one built
     once for many fits, and ``rows`` the positions of the rows of ``s`` in
-    it; None for ``rows`` means the table is the (n, n) square of ``s``
-    itself, and None for ``d`` computes the distances from the points.
-    Either way K is reduced in ``row_blocks``, each row i against the
-    columns j >= the block's first row: the distances are symmetric, so
-    this covers every pair, and only one block of them is held at a time.
-    A block of ``rows`` is gathered with ``take`` on each axis, the table is
-    never copied.  Each block's ratios are reduced by ``ratio_max``, which
-    gives the same bits on the condensed pairs.
+    it; the two come together, and without them the distances are computed
+    from the points.  Either way K is reduced in ``row_blocks``, each row i
+    against the columns j >= the block's first row: the distances are
+    symmetric, so this covers every pair, and only one block of them is
+    held at a time.  A block of ``rows`` is gathered with ``take`` on each
+    axis, the table is never copied.  Each block's ratios are reduced by
+    ``ratio_max``, which gives the same bits on the condensed pairs.
     """
     n = len(s)
     if n < 2:
@@ -130,8 +129,6 @@ def coherence_constant(
     def distances(block: slice) -> np.ndarray:
         if d is None:
             return cm.pairwise(s.points[block], s.points[block.start:])
-        if rows is None:
-            return d[block, block.start:]
         return d.take(rows[block], axis=0).take(rows[block.start:], axis=1)
 
     K = 0.0

@@ -20,11 +20,11 @@ Lipschitz predictions; a standard one reads the distances to a0 alone.  A
 prediction depends only on its own row, so it works through the queries
 in row blocks, taking the distances of one block at a time from the
 points (``predict``) or from a distance table, and row-by-row calls give
-the same bits as one batch call.  ``fit_extension`` and
-``predict_in_blocks`` take the composed distances as given, so callers
-that read one distance table for many fits get the same bits as fresh
-computation.  ``optimal_blend`` gives a blend's bits for many constants K
-at one set of query rows, in buffers reused between calls.
+the same bits as one batch call.  ``fit_extension`` takes a given K, and
+``predict_in_blocks`` the composed distances, so callers that read one
+distance table for many fits get the same bits as fresh computation.
+``optimal_blend`` gives a blend's bits for many constants K at one set of
+query rows, in buffers reused between calls.
 """
 
 from __future__ import annotations
@@ -73,27 +73,17 @@ def fit_extension(
     cm: CompositionMetric,
     method: str = "blend",
     alpha: float | None = None,
-    d: np.ndarray | None = None,
-    rows: np.ndarray | None = None,
     K: float | None = None,
 ) -> ExtensionModel:
     """Fit an extension model on an indexed sample.
 
-    K is the coherence constant computed on ``s``, which needs at least two
-    rows.  An infinite constant means the values are not Lipschitz for the
-    chosen metric and nothing can be extended; ``linear`` needs no constant
-    and fits regardless.  The standard method shifts the sample to zero
-    minimum and anchors at the argmin of the shifted values (ties go to the
-    lowest row index).
-
-    ``d`` and ``rows`` go to ``coherence_constant``: a table of composed
-    distances and the positions of the rows of ``s`` in it (None: the table
-    is the square of ``s``), or None to compute distances from the points.
-    The distances do not change under the standard method's shift, so one
-    table serves every method.  A given ``K`` is taken as the coherence
-    constant of ``s`` as it is, and ``d`` and ``rows`` go unused; it may
-    differ in its last bits from the constant of the shifted sample, so a
-    standard fit should not be given one.
+    K is the coherence constant of ``s`` as given, which needs at least two
+    rows: ``K`` when given, else ``coherence_constant(s, cm)``.  An
+    infinite constant means the values are not Lipschitz for the chosen
+    metric and nothing can be extended; ``linear`` needs no constant and
+    fits regardless.  The standard method shifts the sample to zero minimum
+    first, which leaves K as it is, and anchors at the argmin of the
+    shifted values (ties go to the lowest row index).
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
@@ -101,17 +91,16 @@ def fit_extension(
         return ExtensionModel(s, cm, None, "linear", coefficients=linear_fit(s))
     if len(s) < 2:
         raise FitError(f"{method} fit needs at least two rows")
-    if method == "standard":
-        offset = float(np.min(s.values))
-        s = katetov_shift(s)
-    k_val = coherence_constant(s, cm, d, rows) if K is None else K
+    shifted = katetov_shift(s) if method == "standard" else None
+    k_val = coherence_constant(s, cm) if K is None else K
     if not math.isfinite(k_val):
         why = ("duplicate points carry distinct values" if _conflicting_duplicates(s)
                else "a ratio |I_i - I_j| / d exceeds the float range")
         raise FitError(f"coherence constant is infinite: {why}")
-    if method == "standard":
-        anchor = int(np.argmin(s.values))
-        return ExtensionModel(s, cm, k_val, "standard", anchor=anchor, offset=offset)
+    if shifted is not None:
+        anchor = int(np.argmin(shifted.values))
+        offset = float(np.min(s.values))
+        return ExtensionModel(shifted, cm, k_val, "standard", anchor=anchor, offset=offset)
     return ExtensionModel(s, cm, k_val, method, alpha=alpha)
 
 

@@ -143,24 +143,26 @@ def phi_eval(phi: PhiCombination, x, out=None, scratch=None):
     if np.any(arr < 0.0):
         raise ValueError("modulus functions are defined on [0, inf) only")
     values = (ATOM_FUNCS[name](arr, out=scratch) for name in phi.atoms)
-    out = weighted_sum(phi.coefficients, values, arr, out, scratch)
+    out = weighted_sum(phi.coefficients, values, out, scratch)
     if np.ndim(x) == 0:
         return float(out)
     return out
 
 
-def weighted_sum(coefficients, atom_values, like: np.ndarray, out=None, scratch=None) -> np.ndarray:
-    """``sum_j c_j * v_j``, added atom by atom onto zeros shaped like ``like``.
+def weighted_sum(coefficients, atom_values, out=None, scratch=None) -> np.ndarray:
+    """``sum_j c_j * v_j``, starting from the first term and added atom by atom.
 
     This is the order ``phi_eval`` sums in, so atom values computed ahead of
-    time give its bits exactly.  There must be one coefficient per atom.
-    The sum goes into ``out`` when given, and each ``c_j * v_j`` into
-    ``scratch`` (which may be v_j itself) when given.
+    time give its bits exactly.  Zeros to start from would change nothing:
+    0.0 + t == t for every term but -0.0, and with non-negative values a
+    sum is -0.0 only where every term is, which takes all-zero
+    coefficients.  There must be one coefficient per atom, and at least
+    one.  The sum goes into ``out`` when given, and each later ``c_j * v_j``
+    into ``scratch`` (which may be v_j itself) when given.
     """
-    if out is None:
-        out = np.zeros(like.shape)
-    else:
-        out.fill(0.0)
-    for c, v in zip(coefficients, atom_values, strict=True):
+    terms = zip(coefficients, atom_values, strict=True)
+    c, v = next(terms)
+    out = np.multiply(c, v, out=out)
+    for c, v in terms:
         out += np.multiply(c, v, out=scratch)
     return out

@@ -9,12 +9,11 @@ a nested split inside the training rows.
 
 Splits only change which indexed rows train, so the composed distances
 among the indexed rows are computed once (``PairTable``) and every split
-reads them in place.  For whitney, mcshane and blend, cross-validation also
-lists the table's largest pair ratios once (``constants.largest_ratios``),
-and each split takes its coherence constant K from the first listed pair
-with both rows on its training side.  The repeats run one after another in
-one loop, and a report holds no measured time, so the same inputs give the
-same report, bit for bit.
+reads them in place.  The table also lists its largest pair ratios once
+(``constants.largest_ratios``), and each split takes its coherence
+constant K from the first listed pair with both rows on its training
+side.  The repeats run one after another in one loop, and a report holds
+no measured time, so the same inputs give the same report, bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .constants import IndexedSample, largest_ratios, pair_data, ratio_max
+from .constants import IndexedSample, coherence_constant, largest_ratios, pair_data, ratio_max
 from .extension import (
     METHODS,
     ExtensionModel,
@@ -237,49 +236,42 @@ def _median(arr: np.ndarray) -> float:
 
 
 class PairTable:
-    """Composed distances among the rows of ``ds``, all indexed, built once.
+    """Composed distances among the rows of ``ds``, all indexed, built once
+    for fits of ``method`` on subsets of the rows.
 
     Fits and predictions on subsets of the rows read the table in place, in
     row blocks, instead of recomputing distances or copying a block of
     them.  The modulus acts elementwise and each entry is the base
     reduction over the same two rows, so the entries read have the bits
     that a fresh computation on the subset would give.  The table is
-    read-only once built.  ``distances=False`` skips the table for the
-    linear method, which needs none.  ``listed=True`` also lists the
-    table's largest pair ratios (``constants.largest_ratios``), which
-    serve the K of many subset fits at O(``LISTED_PAIRS``) each.  Memory is
-    O(n^2): the table is the one quadratic structure on the fit and
-    prediction paths.
+    read-only once built.  Every method but linear, which needs no
+    distances, builds it and lists its largest pair ratios
+    (``constants.largest_ratios``), which serve the K of many subset fits
+    at O(``LISTED_PAIRS``) each.  Memory is O(n^2): the table is the one
+    quadratic structure on the fit and prediction paths.
     """
 
-    def __init__(
-        self, ds: Dataset, cm: CompositionMetric, distances: bool = True, listed: bool = False
-    ):
+    def __init__(self, ds: Dataset, cm: CompositionMetric, method: str):
         self.ds = ds
         self.cm = cm
-        self.D = cm.square(ds.features) if distances else None
-        self.largest = largest_ratios(self.D, ds.index) if listed else None
+        self.method = method
+        self.D = cm.square(ds.features) if method != "linear" else None
+        self.largest = largest_ratios(self.D, ds.index) if self.D is not None else None
 
-    def fit(self, rows: np.ndarray, method: str, alpha: float | None = None) -> ExtensionModel:
-        """``fit_extension`` on the given rows, with K read from the table.
-
-        With the table's largest ratios listed, a whitney, mcshane or blend
-        fit takes K from the list.  Otherwise, or when its rows hold no
-        listed pair, K is reduced over the table: a fit on every row, in
-        order, reads it as the sample's own square, with no gather, and
-        others gather it a block at a time.  A standard fit always does,
-        since it takes K on the shifted values, whose differences may
-        round otherwise.
+    def fit(self, rows: np.ndarray, alpha: float | None = None) -> ExtensionModel:
+        """``fit_extension`` of the table's method on the given rows, with K
+        read from the table: the first listed ratio with both ends among
+        ``rows``, or, when none is listed, ``coherence_constant`` gathering
+        the table a block at a time.  Either has the bits of K on a fresh
+        sample of the rows.
         """
         sample = IndexedSample(self.ds.features[rows], self.ds.index[rows])
-        if method == "linear":
-            return fit_extension(sample, self.cm, method, alpha)
-        if self.largest is not None and method != "standard":
+        K = None
+        if self.largest is not None and len(rows) >= 2:
             K = self.largest.coherence(rows)
-            if K is not None:
-                return fit_extension(sample, self.cm, method, alpha, K=K)
-        every_row = np.array_equal(rows, np.arange(len(self.D)))
-        return fit_extension(sample, self.cm, method, alpha, self.D, None if every_row else rows)
+            if K is None:
+                K = coherence_constant(sample, self.cm, self.D, rows)
+        return fit_extension(sample, self.cm, self.method, alpha, K)
 
     def predict(
         self, model: ExtensionModel, train: np.ndarray, rows: np.ndarray, alpha=None
@@ -307,7 +299,8 @@ class PairTable:
     def holdout_alpha(
         self, rows: np.ndarray, train_fraction: float, seed: int, split_method: str
     ) -> float | None:
-        """Blend weight of a model fitted on one side of a split of ``rows``.
+        """Blend weight of a model fitted on one side of a split of ``rows``,
+        for a table of the blend method.
 
         None when the split would leave fewer than two training rows or no
         held-out row.
@@ -317,7 +310,7 @@ class PairTable:
             return None
         train, held_out = _split_rows(len(rows), train_fraction, seed, split_method)
         train, held_out = rows[train], rows[held_out]
-        return self.predict(self.fit(train, "blend"), train, held_out)[0]
+        return self.predict(self.fit(train), train, held_out)[0]
 
 
 def fit_for_extend(
@@ -338,16 +331,16 @@ def fit_for_extend(
     fraction or split method raises ``ValueError``.  The holdout and the
     final fit share one distance table.
     """
-    table = PairTable(indexed, cm, distances=method != "linear")
+    table = PairTable(indexed, cm, method)
     rows = np.arange(indexed.n_rows)
     if method != "blend":
-        return table.fit(rows, method)
+        return table.fit(rows)
     if alpha is None:
         alpha = table.holdout_alpha(rows, train_fraction, seed, split_method)
         if alpha is None:
             warnings.warn("too few indexed rows to estimate alpha; using 0.5", stacklevel=2)
             alpha = 0.5
-    return table.fit(rows, "blend", alpha)
+    return table.fit(rows, alpha)
 
 
 def cross_validate(
@@ -366,9 +359,9 @@ def cross_validate(
     Repeats where fitting fails, or whose nested ``honest_alpha`` split is
     too small, are excluded from the RMSE statistics and counted.  The
     distances among the indexed rows are computed once, and each repeat, in
-    order, reads them in place.  Whitney, mcshane and blend list the
-    table's largest pair ratios once, before the first repeat, and every
-    fit of a repeat, the nested one included, takes K from that list.
+    order, reads them in place.  The table's largest pair ratios are
+    listed once, before the first repeat, and every fit of a repeat, the
+    nested one included, takes K from that list.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
@@ -378,10 +371,7 @@ def cross_validate(
     indexed = ds.indexed_rows()
     if indexed.n_rows < 2:
         raise ValueError("cross-validation needs at least two indexed rows")
-    table = PairTable(
-        indexed, cm, distances=method != "linear",
-        listed=method in ("whitney", "mcshane", "blend"),
-    )
+    table = PairTable(indexed, cm, method)
     scores = []
     for r in range(repeats):
         train, test = _split_rows(indexed.n_rows, train_fraction, seed + r, split_method)
@@ -392,7 +382,7 @@ def cross_validate(
                 a = table.holdout_alpha(train, train_fraction, inner_seed, "random")
                 if a is None:
                     raise FitError("the nested alpha split is too small")
-            model = table.fit(train, method)
+            model = table.fit(train)
         except FitError:
             continue
         scores.append(rmse(table.predict(model, train, test, a)[1], indexed.index[test]))
@@ -450,7 +440,7 @@ def objective_test_rmse(
     base_d = np.concatenate([pair_base, pairwise_base(base, X[test], X[train]).ravel()])
     stack = np.stack([ATOM_FUNCS[a](base_d) for a in atoms])
     truth = values[test]
-    # scratch takes each atom's term, then the pair ratios and the blend's block.
+    # scratch takes each later atom's term, then the pair ratios and the blend's block.
     d, scratch = np.empty((2, len(base_d)))
     pair_d, ratios = d[:n_pairs], scratch[:n_pairs]
     block_shape = (len(test), len(train))
@@ -464,7 +454,7 @@ def objective_test_rmse(
         if len(coeffs) == len(atoms) and not any(coeffs):
             return math.inf  # the zero vector is not a modulus
         check_combination(atoms, coeffs)
-        weighted_sum(coeffs, stack, base_d, d, scratch)
+        weighted_sum(coeffs, stack, d, scratch)
         K = ratio_max(dI, pair_d, ratios)
         if K == math.inf:
             return math.inf

@@ -144,7 +144,7 @@ def _kq_value(lam: np.ndarray, atom_vals: np.ndarray, d_vals: np.ndarray, denom:
     if not lam.any():
         return math.inf  # the zero vector is not a modulus
     # Summed as ``phi_eval`` sums, so the value is that of ``constants_report``.
-    d_phi = weighted_sum(lam, atom_vals, d_vals)
+    d_phi = weighted_sum(lam, atom_vals)
     K = ratio_max(d_vals, d_phi)
     Q = ratio_max(d_phi, denom)
     # An infinite constant makes the product infinite, even times K = 0.
@@ -265,7 +265,7 @@ def minimize_kq(s: IndexedSample, base: str, atoms: tuple[str, ...]):
     work_k = work_q = np.empty(0, dtype=np.intp)
     k_ratio, q_ratio = np.empty((2, len(d_vals)))
     while True:
-        d_phi = weighted_sum(lam, atom_vals, d_vals)
+        d_phi = weighted_sum(lam, atom_vals)
         # The ratios of ``ratio_max``; a NaN (0/0) never counts as violated.
         ratio_max(d_vals, d_phi, k_ratio)
         ratio_max(d_phi, denom, q_ratio)

@@ -6,7 +6,9 @@ The datasets in ``tests/golden/`` are committed bytes.  ``small3`` and
 regenerated, since that helper's ``@`` and ``np.sin`` may round
 differently between CPUs; ``dupes`` is written by hand, with two pairs of
 duplicate points that carry distinct values, one pair that carries equal
-ones, and a three-way tie at the minimum value 0.  The digested runs keep
+ones, and a three-way tie at the minimum value 0; and so is
+``shift_rounding``, whose largest ratio rounds otherwise once the index
+is shifted to minimum 0, for the K of ``standard``.  The digested runs keep
 to arithmetic that gives the same bits on every machine: the three base
 metrics, the identity modulus and a fixed sqrt + sqrt_rational
 combination, which take +, -, *, /, sqrt, min and max in lipext's own
@@ -17,8 +19,9 @@ sqrt_rational, and cv under ``honest_alpha``, the ordered split and
 The K*Q search solves its vertex with LAPACK and its default atoms include
 ``log1p`` and ``arctan``, which numpy may send to SIMD kernels, so its
 runs (``TOLERANT``) are pinned to the numbers they print, compared at the
-relative tolerance ``REL_TOL``, instead of to digests of their bytes.
-``linear`` (``@`` and LAPACK) is left out.
+relative tolerance ``REL_TOL``, instead of to digests of their bytes.  So
+are the runs under ``phi: "optimize"`` and a fixed ``log1p`` + ``arctan``
+combination, and ``linear`` (``@`` and LAPACK).
 
 ``scripts/update_golden.py`` rewrites ``golden/digests.json``.  A change
 that alters outputs on purpose reruns it and names each changed digest.
@@ -26,6 +29,7 @@ that alters outputs on purpose reruns it and names each changed digest.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import io
 import json
@@ -40,6 +44,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 DIGESTS = GOLDEN_DIR / "digests.json"
 DATASETS = ("small3", "wide10")  # 40 rows x 3 features, 30 rows x 10
 FIXED_PHI = json.dumps({"atoms": ["sqrt", "sqrt_rational"], "coefficients": [1.0, 0.75]})
+LOG_PHI = json.dumps({"atoms": ["log1p", "arctan"], "coefficients": [1.0, 0.5]})
 PHIS = {"identity": [], "sqrt": ["--phi", FIXED_PHI]}
 METHODS = ("whitney", "mcshane", "blend", "standard")
 COMMANDS = {"extend": [], "cv": ["--repeats", "3"], "rank": []}
@@ -83,22 +88,51 @@ def _cases() -> tuple[dict[str, list[str]], frozenset[str]]:
             cases[f"{data}/cv-20/{method}"] = [
                 "cv", "--data", path, "--metric", "euclidean", "--method", method, "--repeats", "20",
             ]
+        shared = ["--data", path]
+        tolerant_cases = {f"{data}/constants/log1p_arctan": ["constants", *shared, "--phi", LOG_PHI]}
+        for command, extra in COMMANDS.items():
+            tolerant_cases[f"{data}/{command}/linear"] = [command, *shared, "--method", "linear", *extra]
+            if command != "rank":
+                tolerant_cases[f"{data}/{command}/blend/phi-optimize"] = [
+                    command, *shared, "--phi", "optimize", *extra,
+                ]
+                for method in METHODS:
+                    tolerant_cases[f"{data}/{command}/{method}/log1p_arctan"] = [
+                        command, *shared, "--method", method, "--phi", LOG_PHI, *extra,
+                    ]
+        cases.update(tolerant_cases)
+        tolerant.update(tolerant_cases)
     path = _golden("dupes.csv")
     for metric in BASE_METRICS:
         cases[f"dupes/constants/{metric}"] = ["constants", "--data", path, "--metric", metric]
     for method in METHODS:
         cases[f"dupes/extend/{method}"] = ["extend", "--data", path, "--method", method]
         cases[f"dupes/cv/{method}"] = ["cv", "--data", path, "--method", method, "--repeats", "5"]
+    path = _golden("shift_rounding.csv")
+    for command in ("extend", "cv"):
+        cases[f"shift_rounding/{command}/standard"] = [command, "--data", path, "--method", "standard"]
     return cases, frozenset(tolerant)
 
 
 CASES, TOLERANT = _cases()
 
 
-def _numbers(payload: dict) -> dict[str, float]:
-    """The numbers a tolerant run prints: the constants, or the search's
-    objectives and coefficients, one float per key ("inf" read as inf)."""
-    if "best_phi" in payload:
+def _numbers(stdout: str) -> dict[str, float]:
+    """The numbers a tolerant run prints, one float per key ("inf" read as
+    inf): the constants, the search's objectives and coefficients, a cv
+    report's RMSEs, or the prediction of each row that ``extend`` or
+    ``rank`` prints, keyed by its id (and rank)."""
+    if not stdout.startswith("{"):  # extend's rows (id, value), rank's (rank, id, value, method)
+        numbers = {}
+        for row in csv.reader(io.StringIO(stdout)):
+            key, value = (row[0], row[1]) if len(row) == 2 else (f"{row[0]}/{row[1]}", row[2])
+            numbers[key] = float(value)
+        return numbers
+    payload = json.loads(stdout)
+    if "per_repeat_rmse" in payload:
+        numbers = {f"rmse/{r}": v for r, v in enumerate(payload["per_repeat_rmse"], start=1)}
+        keys = ("failed", "mean", "median", "std_dev")
+    elif "best_phi" in payload:
         phi = payload["best_phi"]
         numbers = {f"coefficient/{a}": c for a, c in zip(phi["atoms"], phi["coefficients"])}
         keys = ("best_objective", "identity_objective")
@@ -130,7 +164,7 @@ def run_case(name: str, out_dir: Path) -> dict:
         "files": {p.relative_to(out_dir).as_posix(): _sha256(p.read_bytes()) for p in files},
     }
     if name in TOLERANT:
-        record["stdout"] = _numbers(json.loads(stdout.getvalue()))
+        record["stdout"] = _numbers(stdout.getvalue())
         record["files"] = sorted(record["files"])
     return record
 

@@ -22,6 +22,10 @@ from helpers import synthetic_csv
 
 TWO_POINT_CSV = "id,x,index\na,0,0\nb,1,2\n"
 RECOVERY_CSV = "id,x,index\na,0,0\nb,1,2\nc,1,\n"
+#: An index whose largest ratio rounds otherwise once shifted to minimum 0.
+SHIFT_ROUNDING_CSV = (
+    "id,x,index\na,0.0,10.72\nb,1.0,-2.03\nc,0.805,16.09\nd,0.808,17.47\ne,0.515,-2.51\nf,0.3,\n"
+)
 
 
 def write(tmp_path: Path, name: str, text: str) -> str:
@@ -688,6 +692,20 @@ def test_an_overflowing_value_gap_is_one_error_line(tmp_path, capsys, method):
     )
 
 
+def test_every_model_carries_the_K_that_constants_reports(tmp_path, capsys):
+    # K of the values as given, 459.99999999999926; the shifted values give
+    # 459.99999999999807, which a standard model must not take.
+    data = write(tmp_path, "shift.csv", SHIFT_ROUNDING_CSV)
+    code, out, _ = run_cli(capsys, "constants", "--data", data)
+    assert code == 0
+    K = json.loads(out)["K"]
+    for method in ("standard", "whitney"):
+        out_dir = tmp_path / method
+        code, _, _ = run_cli(capsys, "extend", "--method", method, "--data", data, "--out", str(out_dir))
+        assert code == 0
+        assert json.loads((out_dir / "model.json").read_text(encoding="utf-8"))["K"] == K
+
+
 def test_bad_config_key_rejected(tmp_path, capsys):
     data = write(tmp_path, "two.csv", TWO_POINT_CSV)
     cfg = write(tmp_path, "cfg.json", '{"metirc": "euclidean"}')
@@ -742,6 +760,9 @@ def test_bad_config_key_rejected(tmp_path, capsys):
         ("rank", '{"seed": -1}'),
         ("optimize", '{"seed": -1}'),
         ("optimize", '{"seed": -1, "objective": "test_rmse"}'),
+        # Only a test-rmse search uses pso, but every command checks it.
+        *[(command, '{"pso": %s}' % pso) for command in ("constants", "extend", "cv", "rank")
+          for pso in ('"banana"', '{"swarm_size": 1}', '{"bogus": 3}')],
     ],
 )
 def test_bad_config_values_report_config(tmp_path, capsys, monkeypatch, command, config):

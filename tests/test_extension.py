@@ -297,12 +297,17 @@ def test_empty_training_rejected():
 
 
 @pytest.mark.parametrize("method", ["whitney", "mcshane", "blend", "standard"])
-@pytest.mark.parametrize("given", [False, True], ids=["points", "pairs"])
-def test_one_row_lipschitz_fit_is_unfittable(method, given):
+@pytest.mark.parametrize("table", [False, True], ids=["points", "pairs"])
+def test_one_row_lipschitz_fit_is_unfittable(method, table):
+    # From the points, and from a table of pair distances, on a one-row
+    # subset of its rows.
     one = IndexedSample(np.array([[0.5]]), [3.0])
-    d = np.zeros((1, 1)) if given else None
+    ds = Dataset(["a", "b", "c"], [[0.5], [0.0], [1.0]], [3.0, 1.0, 2.0], ["x"])
     with pytest.raises(FitError, match="at least two rows"):
-        fit_extension(one, IDENTITY, method, d=d)
+        if table:
+            PairTable(ds, IDENTITY, method).fit(np.array([0]))
+        else:
+            fit_extension(one, IDENTITY, method)
     assert fit_extension(one, IDENTITY, "linear").method == "linear"
 
 
@@ -422,9 +427,10 @@ def test_standard_predicts_from_its_anchor_alone():
     model = fit_extension(IndexedSample(features, features @ rng.uniform(size=10)), cm, "standard")
     targets = rng.uniform(size=(3000, 10))
     table = PairTable(Dataset([f"r{i}" for i in range(1200)], features[:1200],
-                              rng.uniform(1.0, 5.0, 1200), [f"f{j}" for j in range(10)]), cm)
+                              rng.uniform(1.0, 5.0, 1200), [f"f{j}" for j in range(10)]),
+                      cm, "standard")
     train, held_out = np.arange(0, 1200, 2), np.arange(1, 1200, 2)
-    table_model = table.fit(train, "standard")
+    table_model = table.fit(train)
     expected = [
         model.offset + (model.K * cm.pairwise(targets, model.training.points))[:, model.anchor],
         table_model.offset + (table_model.K * table.D[np.ix_(held_out, train)])[:, table_model.anchor],
@@ -465,7 +471,7 @@ def test_oracles_agree_at_n_200(sample, monkeypatch):
     ds = Dataset([f"r{i}" for i in range(n)], s.points, s.values, [f"f{j}" for j in range(m)])
     rows = np.arange(n)
     assert coherence_constant(s, cm) == close(K_o)
-    assert coherence_constant(s, cm, PairTable(ds, cm).D, rows) == close(K_o)
+    assert coherence_constant(s, cm, PairTable(ds, cm, "whitney").D, rows) == close(K_o)
     report = constants_report(s, cm)
     assert (report.K, report.Q) == (close(K_o), close(Q_o))
 

@@ -79,8 +79,8 @@ def test_weighted_sum_rejects_a_count_mismatch(n_coeffs):
     # otherwise drop a term silently.
     values = [np.ones(3), np.full(3, 2.0)]
     with pytest.raises(ValueError):
-        weighted_sum((1.0,) * n_coeffs, values, values[0])
-    assert weighted_sum((1.0, 0.5), values, values[0]).tolist() == [2.0, 2.0, 2.0]
+        weighted_sum((1.0,) * n_coeffs, values)
+    assert weighted_sum((1.0, 0.5), values).tolist() == [2.0, 2.0, 2.0]
 
 
 def test_validate_sqrt_and_identity_pass():

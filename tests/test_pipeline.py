@@ -617,10 +617,10 @@ def test_extend_fit_and_predict_stay_under_memory_ceilings():
         tracemalloc.reset_peak()
         predict(model, targets)
         predict_peak = tracemalloc.get_traced_memory()[1]
-        table = PairTable(indexed, IDENTITY)
+        table = PairTable(indexed, IDENTITY, "blend")
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        table.predict(table.fit(train, "blend"), train, held_out)
+        table.predict(table.fit(train), train, held_out)
         subset_peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -636,9 +636,9 @@ def test_a_table_prediction_gathers_a_tile_of_table_rows_at_a_time():
     # training width the first gather alone would be 1.4 tiles.
     rng = np.random.default_rng(83)
     features = rng.uniform(size=(2000, 10))
-    table = PairTable(make_dataset(features, features @ rng.uniform(size=10)), IDENTITY)
+    table = PairTable(make_dataset(features, features @ rng.uniform(size=10)), IDENTITY, "blend")
     train, held_out = _split_rows(2000, 0.7, 0, "random")
-    model = table.fit(train, "blend")
+    model = table.fit(train)
     tracemalloc.start()
     try:
         table.predict(model, train, held_out)
@@ -652,22 +652,23 @@ def test_a_table_prediction_gathers_a_tile_of_table_rows_at_a_time():
 def test_table_fits_and_predictions_in_blocks_match_one_shot(method, monkeypatch):
     # A fit and a prediction on subsets of the table read it in place, block
     # by block, and so does predict_in_blocks on a given block; they must
-    # give the bits of a fit on the copied square and of predict_in_blocks
+    # give the bits of a fit with K from the copied square and of predict_in_blocks
     # on the copied block, taken in one block at the default TILE_BYTES (a
     # standard model reads the anchor's column of that block).
     rng = np.random.default_rng(23)
     n, m, tile = 30, 3, 4
     cm = CompositionMetric("manhattan", random_combination(rng))
-    table = PairTable(make_dataset(rng.uniform(size=(n, m)), rng.uniform(0.0, 5.0, n)), cm)
+    table = PairTable(make_dataset(rng.uniform(size=(n, m)), rng.uniform(0.0, 5.0, n)), cm, method)
     train, held_out = _split_rows(n, 0.6, 3, "random")
     sample = IndexedSample(table.ds.features[train], table.ds.index[train])
     alphas = (None, 0.3) if method == "blend" else (None,)
-    model = fit_extension(sample, cm, method, d=table.D[np.ix_(train, train)])
+    K = coherence_constant(sample, cm, table.D[np.ix_(train, train)], np.arange(len(train)))
+    model = fit_extension(sample, cm, method, K=K)
     truth = table.ds.index[held_out]
     D = table.D[np.ix_(held_out, train)]
     one_shot = [predict_from(model, D, a, truth) for a in alphas]
     monkeypatch.setattr(metrics, "TILE_BYTES", 8 * len(train) * tile)  # ``tile`` rows a block
-    fitted = table.fit(train, method)
+    fitted = table.fit(train)
     assert fitted.K == model.K
     assert (fitted.anchor, fitted.offset) == (model.anchor, model.offset)
     for a, (weight, expected) in zip(alphas, one_shot):
@@ -677,8 +678,8 @@ def test_table_fits_and_predictions_in_blocks_match_one_shot(method, monkeypatch
             assert np.array_equal(blocked[1], expected)
 
 
-def _listed_table(features, index, cm=IDENTITY):
-    return PairTable(make_dataset(features, index), cm, listed=True)
+def _listed_table(features, index, cm=IDENTITY, method="whitney"):
+    return PairTable(make_dataset(features, index), cm, method)
 
 
 def _fresh_K(table, rows):
@@ -705,9 +706,11 @@ def _check_list(table):
 
 
 def _check_subsets(table, subsets):
-    """Each subset's K, listed or not, and the K of each fit on it, against
-    ``coherence_constant`` on a fresh sample; standard against the fresh
-    shifted sample.  Returns how many subsets the list served."""
+    """Each subset's K, listed or not, and the K of a fit on it by each
+    Lipschitz method, on a table of that method, against
+    ``coherence_constant`` on a fresh sample.  Returns how many subsets the
+    list served."""
+    tables = [PairTable(table.ds, table.cm, m) for m in ("whitney", "mcshane", "blend", "standard")]
     served = 0
     for rows in subsets:
         expected = _fresh_K(table, rows)
@@ -715,16 +718,12 @@ def _check_subsets(table, subsets):
         if listed is not None:
             served += 1
             assert listed == expected
-        for method in ("whitney", "mcshane", "blend"):
+        for method_table in tables:
             if math.isfinite(expected):
-                assert table.fit(rows, method).K == expected
+                assert method_table.fit(rows).K == expected
             else:
                 with pytest.raises(FitError):
-                    table.fit(rows, method)
-        sample = IndexedSample(table.ds.features[rows], table.ds.index[rows])
-        shifted = coherence_constant(katetov_shift(sample), table.cm)
-        if math.isfinite(shifted):
-            assert table.fit(rows, "standard").K == shifted
+                    method_table.fit(rows)
     return served
 
 
@@ -754,6 +753,24 @@ def test_listed_K_matches_a_fresh_sample_on_random_and_nested_subsets(tile, grow
     _check_list(table)
     assert len(table.largest.ratios) > constants.LISTED_PAIRS // 2
     assert _check_subsets(table, _splits(n, range(20))) > 30
+
+
+def test_a_standard_table_fit_takes_the_K_of_the_sample_as_given():
+    # Shifting the index to minimum 0 leaves K as it is in theory, but
+    # (I_i - min) - (I_j - min) can round otherwise than I_i - I_j: so it
+    # does on about one random six-row sample in eight.  A standard fit
+    # takes K on the values as given, as ``constants`` reports it.
+    rng = np.random.default_rng(89)
+    shifted_differs = 0
+    for _ in range(100):
+        features, index = rng.uniform(size=(6, 2)), rng.uniform(-5.0, 20.0, 6)
+        table = PairTable(make_dataset(features, index), IDENTITY, "standard")
+        rows = np.sort(rng.choice(6, size=rng.integers(2, 7), replace=False))
+        sample = IndexedSample(features[rows], index[rows])
+        K = coherence_constant(sample, IDENTITY)
+        assert table.fit(rows).K == K
+        shifted_differs += coherence_constant(katetov_shift(sample), IDENTITY) != K
+    assert shifted_differs > 0
 
 
 def test_a_floor_that_rises_past_a_listed_pair_drops_it(monkeypatch):
@@ -791,15 +808,15 @@ def test_listed_K_with_infinite_and_zero_over_zero_pairs(size, monkeypatch):
                np.array([2, 3, 5]), np.array([0, 1, 7]), *_splits(n, range(10))]
     _check_subsets(table, subsets)
     assert table.largest.coherence(np.array([2, 3])) is None  # a 0/0 pair is never listed
-    assert table.fit(np.array([2, 3]), "whitney").K == 0.0
+    assert table.fit(np.array([2, 3])).K == 0.0
 
 
 def test_listed_K_of_a_sample_of_only_zero_over_zero_pairs_is_zero():
-    table = _listed_table(np.ones((6, 2)), np.full(6, 3.0))
+    table = _listed_table(np.ones((6, 2)), np.full(6, 3.0), method="blend")
     assert len(table.largest.ratios) == 0
     for rows in (np.arange(6), np.array([1, 4])):
         assert table.largest.coherence(rows) is None
-        assert table.fit(rows, "blend").K == 0.0 == _fresh_K(table, rows)
+        assert table.fit(rows).K == 0.0 == _fresh_K(table, rows)
 
 
 @pytest.mark.parametrize("size, tile", [(3, None), (14, None), (5, 2), (14, 2)])
@@ -815,7 +832,7 @@ def test_listed_K_with_ties_at_the_cutoff(size, tile, monkeypatch):
     x = np.arange(12, dtype=float)
     index = 2.0 * x
     index[-1] += 5.0
-    table = _listed_table(x.reshape(-1, 1), index)
+    table = _listed_table(x.reshape(-1, 1), index, method="mcshane")
     _check_list(table)
     assert np.all(table.largest.ratios > 2.0)
     assert len(table.largest.ratios) == 11 or size < 11
@@ -823,7 +840,7 @@ def test_listed_K_with_ties_at_the_cutoff(size, tile, monkeypatch):
                *_splits(12, range(10))]
     _check_subsets(table, subsets)
     assert table.largest.coherence(np.arange(11)) is None
-    assert table.fit(np.arange(11), "mcshane").K == 2.0
+    assert table.fit(np.arange(11)).K == 2.0
 
 
 def test_a_table_of_fewer_pairs_than_the_list_lists_them_all():
