@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import CompositionMetric, pairwise_base, row_blocks
-from .phi import phi_eval
+from .phi import atom_values, phi_eval
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,6 +95,73 @@ def pair_data(s: IndexedSample, base: str):
     )
 
 
+def undominated(base_d: np.ndarray, gain: np.ndarray, atoms: np.ndarray) -> np.ndarray:
+    """Which items to keep so that every item dropped has a kept dominator.
+
+    Each row of ``base_d`` (rows, items) holds the base distances of a
+    separate set of items, ``gain`` (broadcastable to its shape) their
+    gains and ``atoms`` (atoms, rows, items) their computed atom values.
+    Item q dominates item p when each of q's atom values is <= p's and q's
+    gain >= p's.  Every atom value and coefficient is >= 0 and IEEE
+    rounding is monotone, so q's ``weighted_sum`` is then <= p's for every
+    coefficient vector, bit for bit.
+
+    In each row the items are sorted by (base distance ascending, gain
+    descending), and an item's candidate dominator is the first item before
+    it of the largest gain so far: a running maximum.  An item is dropped
+    only when that candidate dominates it in the computed atom values, so
+    whether an atom is monotone never matters for correctness, only for how
+    many items are dropped.  The candidate always comes earlier in the
+    order, so following dominators ends at a kept item, and no item that
+    another item does not dominate is ever dropped.  When the atoms grow
+    with the base distance, what is kept is the (base distance, gain)
+    staircase, which is the exact front up to equal items.
+    """
+    gain = np.broadcast_to(gain, base_d.shape)
+    order = np.lexsort((-gain, base_d))
+    g = np.take_along_axis(gain, order, axis=-1)
+    best = np.maximum.accumulate(g, axis=-1)
+    rises = np.ones(g.shape, dtype=bool)
+    rises[:, 1:] = g[:, 1:] > best[:, :-1]
+    first = np.maximum.accumulate(np.where(rises, np.arange(g.shape[-1]), 0), axis=-1)
+    items, candidates = order[:, 1:], np.take_along_axis(order, first[:, :-1], axis=-1)
+    dropped = best[:, :-1] >= g[:, 1:]
+    for a in atoms:
+        dropped &= np.take_along_axis(a, candidates, -1) <= np.take_along_axis(a, items, -1)
+    keep = np.ones(base_d.shape, dtype=bool)
+    np.put_along_axis(keep, items, ~dropped, axis=-1)
+    return keep
+
+
+def pair_front(s: IndexedSample, base: str, atoms: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(atom values (atoms, P), |I_i - I_j| (P,)) of P pairs i < j of ``s``
+    that keep, for every coefficient vector, the bits of ``ratio_max`` over
+    all pairs of the gaps |I_i - I_j| and the composed distances.
+
+    A pair that another pair dominates (``undominated``, gain |I_i - I_j|)
+    has a ratio no larger, or imposes nothing (0/0); the reduction starts
+    at 0.0 and a maximum is exact, so dropping it changes no bit.  The
+    base distances and gaps are made in ``coherence_constant``'s row
+    blocks, from the points, and each block's pairs are merged into the
+    pairs kept so far; memory is O(``TILE_BYTES``) on top of the front.
+    The base distances are those of ``pairwise_base`` on the whole square
+    and the gaps those of ``coherence_constant``, so the atom values have
+    the bits a candidate's ``phi_eval`` would start from.
+    """
+    n = len(s)
+    if n < 2:
+        raise ValueError("need at least two rows")
+    X, v = s.points, s.values
+    base_d, gaps = np.empty(0), np.empty(0)
+    for block in row_blocks(n, 8 * n * (len(atoms) + 8)):
+        upper = ~np.tri(len(range(n)[block]), n - block.start, dtype=bool)  # j > i
+        base_d = np.concatenate([base_d, pairwise_base(base, X[block], X[block.start:])[upper]])
+        gaps = np.concatenate([gaps, _value_gaps(v, block)[upper]])
+        keep = undominated(base_d[None], gaps, atom_values(atoms, base_d)[:, None])[0]
+        base_d, gaps = base_d[keep], gaps[keep]
+    return atom_values(atoms, base_d), gaps
+
+
 def ratio_max(num: np.ndarray, den: np.ndarray, out: np.ndarray | None = None) -> float:
     """The largest ratio num/den under the module's ratio rule, 0.0 when no
     pair constrains.  ``out`` (a new array when None, and it may be num or
@@ -114,8 +181,9 @@ def coherence_constant(
 
     ``d`` is a symmetric table of composed distances, for example one built
     once for many fits, and ``rows`` the positions of the rows of ``s`` in
-    it; the two come together, and without them the distances are computed
-    from the points.  Either way K is reduced in ``row_blocks``, each row i
+    it; the two come together, one without the other raises
+    ``ValueError``, and without them the distances are computed from the
+    points.  Either way K is reduced in ``row_blocks``, each row i
     against the columns j >= the block's first row: the distances are
     symmetric, so this covers every pair, and only one block of them is
     held at a time.  A block of ``rows`` is gathered with ``take`` on each
@@ -125,6 +193,8 @@ def coherence_constant(
     n = len(s)
     if n < 2:
         raise ValueError("need at least two rows")
+    if (d is None) != (rows is None):
+        raise ValueError("a distance table d and its rows come together")
 
     def distances(block: slice) -> np.ndarray:
         if d is None:

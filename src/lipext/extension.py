@@ -128,15 +128,16 @@ def linear_fit(s: IndexedSample) -> np.ndarray:
 
 
 def _whitney(values: np.ndarray, KD: np.ndarray, out=None, work=None) -> np.ndarray:
-    """Whitney predictions from the training values and K times the (q, n)
-    distances.  ``work`` (q, n), which may be KD itself, receives the terms
-    I(y) + K d(x, y), and ``out`` (q,) their row minima, when given."""
-    return np.add(values, KD, out=work).min(axis=1, out=out)
+    """Whitney predictions from the training values, broadcastable to the
+    shape of K times the (q, n) distances.  ``work`` (q, n), which may be
+    KD itself, receives the terms I(y) + K d(x, y), and ``out`` (q,) their
+    row minima, when given."""
+    return np.minimum.reduce(np.add(values, KD, out=work), axis=1, out=out)
 
 
 def _mcshane(values: np.ndarray, KD: np.ndarray, out=None, work=None) -> np.ndarray:
     """McShane predictions, the row maxima of I(y) - K d(x, y), as ``_whitney``."""
-    return np.subtract(values, KD, out=work).max(axis=1, out=out)
+    return np.maximum.reduce(np.subtract(values, KD, out=work), axis=1, out=out)
 
 
 def _mix(a: float, whitney: np.ndarray, mcshane: np.ndarray, out=None, work=None) -> np.ndarray:
@@ -255,27 +256,29 @@ def _alpha(t: np.ndarray, w: np.ndarray, m: np.ndarray, gap=None, work=None) -> 
     return min(1.0, max(0.0, a0))
 
 
-def optimal_blend(values: np.ndarray, D: np.ndarray, truth: np.ndarray, block: np.ndarray):
+def optimal_blend(values: np.ndarray, D: np.ndarray, truth: np.ndarray):
     """``at(K)``: the (weight, predictions) of ``predict_in_blocks`` for a
-    blend model with training values ``values`` and constant K, at the
-    query rows of the (q, n) distances ``D``, weighted against ``truth``.
+    blend model with constant K, at the query rows of the (q, n) distances
+    ``D``, weighted against ``truth``.
 
-    ``at`` reads D afresh at each call, so the caller may rewrite it in
-    between.  It writes K * D and the terms into ``block``, a (q, n) array
-    that the caller may use between calls.  Its other arrays are allocated
-    here once: the values repeated on each of the q rows, since numpy
-    buffers an operand that it broadcasts, and four (q,) arrays.  It
+    ``values`` are the training values, broadcastable to D's shape: the
+    (n,) values of every query row's n training rows, or a (q, n) array of
+    each row's own, for rows that each keep their own training rows.  ``at``
+    reads D afresh at each call, so the caller may rewrite it in between.
+    It forms K * D once per call, in one of two work arrays allocated here
+    in D's memory layout, and ``_whitney`` and ``_mcshane`` take their
+    terms into the other.  Its (q,) arrays are allocated here too, and it
     returns the predictions in one of them, which the next call
     overwrites.  A degenerate blend takes the weight 0.5, as
     ``optimal_alpha`` gives it, without the warning.
     """
-    tiled = np.tile(values, (D.shape[0], 1))
+    KD, terms = np.empty_like(D), np.empty_like(D)
     first, second, gap, work = np.empty((4, D.shape[0]))
 
     def at(K: float) -> tuple[float, np.ndarray]:
-        # The Whitney terms overwrite K * D, so McShane's takes it again.
-        _whitney(tiled, np.multiply(K, D, out=block), first, block)
-        _mcshane(tiled, np.multiply(K, D, out=block), second, block)
+        np.multiply(K, D, out=KD)
+        _whitney(values, KD, first, terms)
+        _mcshane(values, KD, second, terms)
         a = _alpha(truth, first, second, gap, work)
         if a is None:
             a = 0.5

@@ -63,6 +63,11 @@ LINEAR_BASIS: tuple[str, ...] = ("identity", "log1p", "arctan", "rational")
 SQRT_BASIS: tuple[str, ...] = ("sqrt", "sqrt_log1p", "sqrt_arctan", "sqrt_rational")
 
 
+def atom_values(atoms: tuple[str, ...], x: np.ndarray) -> np.ndarray:
+    """The values of each named atom at x, stacked on a new first axis."""
+    return np.stack([ATOM_FUNCS[a](x) for a in atoms])
+
+
 @dataclass(frozen=True)
 class PhiCombination:
     """A non-negative linear combination of modulus atoms.
@@ -118,9 +123,9 @@ def check_combination(atoms: tuple[str, ...], coefficients: tuple[float, ...]) -
     unknown = [a for a in atoms if a not in ATOM_FUNCS]
     if unknown:
         raise ValueError(f"unknown atoms {unknown}; choose from {ATOM_NAMES}")
-    if any(not math.isfinite(c) or c < 0.0 for c in coefficients):
+    if not all(map(math.isfinite, coefficients)) or min(coefficients) < 0.0:
         raise ValueError("coefficients must be finite and >= 0")
-    if all(c == 0.0 for c in coefficients):
+    if not any(coefficients):
         raise ValueError("all-zero coefficients give a constant map")
 
 

@@ -25,7 +25,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .constants import IndexedSample, coherence_constant, largest_ratios, pair_data, ratio_max
+from .constants import (
+    IndexedSample,
+    coherence_constant,
+    largest_ratios,
+    pair_front,
+    ratio_max,
+    undominated,
+)
 from .extension import (
     METHODS,
     ExtensionModel,
@@ -36,8 +43,8 @@ from .extension import (
     predict,
     predict_in_blocks,
 )
-from .metrics import CompositionMetric, pairwise_base
-from .phi import ATOM_FUNCS, check_combination, weighted_sum
+from .metrics import CompositionMetric, pairwise_base, row_blocks
+from .phi import atom_values, check_combination, weighted_sum
 
 #: Seed offset for the nested alpha split, so it never reuses a repeat seed.
 _INNER_SPLIT_OFFSET = 7919
@@ -300,11 +307,14 @@ class PairTable:
         self, rows: np.ndarray, train_fraction: float, seed: int, split_method: str
     ) -> float | None:
         """Blend weight of a model fitted on one side of a split of ``rows``,
-        for a table of the blend method.
+        for a table of the blend method; another method raises
+        ``ValueError``.
 
         None when the split would leave fewer than two training rows or no
         held-out row.
         """
+        if self.method != "blend":
+            raise ValueError(f"holdout_alpha needs a blend table, not {self.method!r}")
         k = _train_size(len(rows), train_fraction)
         if k < 2 or k == len(rows):
             return None
@@ -410,18 +420,31 @@ def objective_test_rmse(
     """Held-out RMSE of the alpha-blend extension as a function of coefficients.
 
     One split is drawn up front and reused for every candidate, so all
-    coefficient vectors are compared on identical data.  Each atom is
-    applied once to the base distances of the train pairs i < j, taken with
-    their |I_i - I_j| from ``pair_data``, and of the test x train block,
-    held in one (atoms, pairs + test*train) stack.  A candidate is checked
-    by ``check_combination``, the rule of ``PhiCombination``, then takes one
-    weighted sum over the stack in ``phi_eval``'s order, K as ``ratio_max``
-    over the pair part (the bits of ``coherence_constant`` on the square)
-    and the ``optimal_blend`` on the block part, with numpy's
-    floating-point warnings silenced there.  An infinite K, which no fit
-    survives, and the zero vector, which is not a modulus, score +inf.  A
-    split with fewer than two training rows raises ``ValueError`` here,
-    since every candidate would be unfittable.
+    coefficient vectors are compared on identical data.  A candidate's K
+    is a maximum of pair ratios, and each Whitney or McShane prediction a
+    minimum or maximum over the training rows.  An item that another item
+    dominates (``constants.undominated``) never decides one of them, for
+    any coefficients: a pair with atom values each no larger and a gap no
+    smaller has a ratio no smaller, and a training row with atom values
+    each no larger and an index no larger has a Whitney term no larger,
+    with an index no smaller a McShane term no smaller.  So the fronts are
+    built once, from the points, in row blocks: the K front of the
+    training pairs (``pair_front``) and, for each test row, the Whitney and
+    McShane fronts of its training rows together (``_row_fronts``), padded
+    to the widest by repeating one of its own members.  Their atom values
+    are held in one (atoms, pairs + test rows * width) stack.
+
+    A candidate is checked by ``check_combination``, the rule of
+    ``PhiCombination``, then takes one weighted sum over the stack in
+    ``phi_eval``'s order, without the terms of zero coefficients on atoms
+    whose values are all finite, K as ``ratio_max`` over the pair part and
+    the ``optimal_blend`` on the row part, with numpy's floating-point
+    warnings silenced there.  A maximum or minimum over a superset of a front has
+    the bits of one over all items, so every candidate scores the bits of a
+    refit on the training rows and a blend at the test rows.  An infinite
+    K, which no fit survives, and the zero vector, which is not a modulus,
+    score +inf.  A split with fewer than two training rows raises
+    ``ValueError`` here, since every candidate would be unfittable.
 
     Every array a candidate writes is allocated here once and reused, so
     the returned function serves one caller at a time.
@@ -435,27 +458,33 @@ def objective_test_rmse(
         )
     X, values = ds_indexed.features, ds_indexed.index
     train_sample = IndexedSample(X[train], values[train])
-    _, _, pair_base, dI, _, _ = pair_data(train_sample, base)
-    n_pairs = len(pair_base)
-    base_d = np.concatenate([pair_base, pairwise_base(base, X[test], X[train]).ravel()])
-    stack = np.stack([ATOM_FUNCS[a](base_d) for a in atoms])
+    pair_atoms, gaps = pair_front(train_sample, base, atoms)
+    row_atoms, row_values = _row_fronts(X[test], train_sample, base, atoms)
+    n_pairs = len(gaps)
+    # The row part is stored front position by front position, test rows
+    # contiguous, so a reduction over each row's front runs along the outer
+    # axis, which numpy does faster for fronts as narrow as these.
+    row_part = row_atoms.transpose(0, 2, 1).reshape(len(atoms), -1)
+    stack = np.concatenate([pair_atoms, row_part], axis=1)
     truth = values[test]
-    # scratch takes each later atom's term, then the pair ratios and the blend's block.
-    d, scratch = np.empty((2, len(base_d)))
+    # scratch takes each later atom's term, then the pair ratios.
+    d, scratch = np.empty((2, stack.shape[1]))
     pair_d, ratios = d[:n_pairs], scratch[:n_pairs]
-    block_shape = (len(test), len(train))
-    blend = optimal_blend(
-        train_sample.values, d[n_pairs:].reshape(block_shape), truth,
-        scratch[n_pairs:].reshape(block_shape),
-    )
+    D = d[n_pairs:].reshape(row_values.shape[::-1]).T
+    blend = optimal_blend(np.asfortranarray(row_values), D, truth)
+    # A zero coefficient times an atom's finite values adds +0.0 to sums
+    # that are >= +0.0, which changes no bit, so such terms are left out;
+    # about half the swarm's coordinates sit at 0, the edge of its box.
+    finite = np.isfinite(stack).all(axis=1).tolist()
 
     def objective(lam: np.ndarray) -> float:
-        coeffs = tuple(float(v) for v in lam)
+        coeffs = tuple(map(float, lam))
         if len(coeffs) == len(atoms) and not any(coeffs):
             return math.inf  # the zero vector is not a modulus
         check_combination(atoms, coeffs)
-        weighted_sum(coeffs, stack, d, scratch)
-        K = ratio_max(dI, pair_d, ratios)
+        terms = [k for k, c in enumerate(coeffs) if c or not finite[k]]
+        weighted_sum([coeffs[k] for k in terms], [stack[k] for k in terms], d, scratch)
+        K = ratio_max(gaps, pair_d, ratios)
         if K == math.inf:
             return math.inf
         with np.errstate(all="ignore"):
@@ -463,3 +492,38 @@ def objective_test_rmse(
         return _root_mean_square(np.subtract(pred, truth, out=pred))
 
     return objective
+
+
+def _row_fronts(
+    queries: np.ndarray, train: IndexedSample, base: str, atoms: tuple[str, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(atom values (atoms, q, w), index values (q, w)) of the training rows
+    that each of the q query rows keeps for its Whitney and McShane
+    predictions: those that ``undominated`` keeps with the index, or its
+    negative, as the gain, and those that no other row exceeds in every
+    atom value.  The last are kept because a composed distance that
+    overflows to +inf makes a NaN term when K = 0, and any such distance
+    of a row is then one of theirs too.  Each row's kept training rows
+    come in their order, and a row with fewer than the widest w repeats
+    its last one, which changes no minimum or maximum.  The base distances
+    are made in ``row_blocks`` of query rows, as ``pairwise_base`` gives
+    them.
+    """
+    fronts = []
+    for block in row_blocks(len(queries), 8 * len(train) * (2 * len(atoms) + 8)):
+        base_d = pairwise_base(base, queries[block], train.points)
+        values = atom_values(atoms, base_d)
+        keep = undominated(base_d, train.values, values)
+        keep |= undominated(base_d, -train.values, values)
+        keep |= undominated(-base_d, 0.0, -values)
+        count = np.count_nonzero(keep, axis=1)
+        kept = np.argsort(~keep, axis=1, kind="stable")  # each row's kept columns first
+        kept = np.take_along_axis(kept, np.minimum(np.arange(count.max()), count[:, None] - 1), 1)
+        fronts.append((kept, np.take_along_axis(values, kept[None], axis=-1)))
+    width = max(kept.shape[1] for kept, _ in fronts)
+
+    def widen(a):  # repeat each row's last column up to the width
+        return a[..., np.minimum(np.arange(width), a.shape[-1] - 1)]
+
+    kept = np.concatenate([widen(kept) for kept, _ in fronts])
+    return np.concatenate([widen(a) for _, a in fronts], axis=1), train.values[kept]

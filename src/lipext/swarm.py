@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .constants import IndexedSample, pair_data, ratio_max
-from .phi import ATOM_FUNCS, weighted_sum
+from .phi import atom_values, weighted_sum
 
 #: Constriction values of the velocity update (Clerc & Kennedy 2002).
 INERTIA = 0.7298
@@ -137,7 +137,7 @@ def _kq_terms(s: IndexedSample, base: str, atoms: tuple[str, ...]):
     """(atom stack (n_atoms, n_pairs), |I_i - I_j|, |I_i| + |I_j|) of the pairs
     of ``s``, the sums taken after the Katetov shift as in ``constants_report``."""
     _, _, d_base, d_vals, _, denom = pair_data(s, base)
-    return np.stack([ATOM_FUNCS[a](d_base) for a in atoms]), d_vals, denom
+    return atom_values(atoms, d_base), d_vals, denom
 
 
 def _kq_value(lam: np.ndarray, atom_vals: np.ndarray, d_vals: np.ndarray, denom: np.ndarray) -> float:

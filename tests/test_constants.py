@@ -14,11 +14,13 @@ from lipext.constants import (
     error_bound,
     index_bound,
     katetov_shift,
+    pair_front,
     ratio_max,
+    undominated,
 )
 from lipext.dataio import json_text, read_dataset, table1_path
 from lipext.metrics import CompositionMetric, pairwise_base
-from lipext.phi import LINEAR_BASIS, PhiCombination, identity_phi, phi_eval
+from lipext.phi import LINEAR_BASIS, PhiCombination, atom_values, identity_phi, phi_eval
 from lipext.pipeline import Dataset, PairTable, minmax_scale
 from lipext.swarm import minimize_kq
 
@@ -328,6 +330,97 @@ def test_coherence_from_a_table_slice_equals_fresh_computation(base):
         assert coherence_constant(s, cm, table, np.arange(len(s))) == fresh
         if expected is not None:
             assert fresh == expected
+
+
+def test_coherence_constant_takes_a_table_and_its_rows_together():
+    rng = np.random.default_rng(43)
+    s = _random_sample(rng)
+    table = IDENTITY.square(s.points)
+    with pytest.raises(ValueError, match="come together"):
+        coherence_constant(s, IDENTITY, table)
+    with pytest.raises(ValueError, match="come together"):
+        coherence_constant(s, IDENTITY, rows=np.arange(len(s)))
+
+
+def _dominators(atoms, gain, p):
+    """The items other than p that dominate p, by a scan of every item:
+    each atom value no larger than p's and a gain no smaller."""
+    at_most = np.all(atoms <= atoms[:, p, None], axis=0) & (gain >= gain[p])
+    at_most[p] = False
+    return np.flatnonzero(at_most)
+
+
+def _check_front(keep, atoms, gain):
+    """``undominated``'s promise on one set of items, against the O(n^2)
+    scan: every item that no other item dominates is kept, and every item
+    dropped has a kept dominator."""
+    for p in range(len(gain)):
+        dominators = _dominators(atoms, gain, p)
+        if dominators.size == 0:
+            assert keep[p], p
+        if not keep[p]:
+            assert keep[dominators].any(), p
+
+
+def _front_classes(atoms, gain):
+    """How many distinct (atom values, gain) items no other item dominates
+    strictly, that is, without being dominated back."""
+    front = set()
+    for p in range(len(gain)):
+        if all(np.all(atoms[:, q] == atoms[:, p]) and gain[q] == gain[p]
+               for q in _dominators(atoms, gain, p)):
+            front.add((*atoms[:, p], gain[p]))
+    return len(front)
+
+
+def test_undominated_keeps_the_front_and_a_dominator_of_every_item_dropped():
+    # Base distances and gains drawn from few values, so both tie often,
+    # and some gains infinite.  With atoms that grow with the base distance
+    # exactly one item of each class of equal front items is kept.  With
+    # atoms unrelated to it, the candidate from the sort often fails the
+    # check, and the promise still holds.
+    rng = np.random.default_rng(47)
+    for trial in range(40):
+        rows, n = int(rng.integers(1, 4)), int(rng.integers(1, 70))
+        base_d = rng.integers(0, 12, size=(rows, n)) / 4.0
+        gain = rng.integers(0, 6, size=(rows, n)).astype(float)
+        gain[rng.uniform(size=gain.shape) < 0.05] = math.inf
+        if trial % 3 == 2:  # one gain for every row, as for a test row's training rows
+            gain = gain[0]
+        monotone = trial % 2 == 0
+        atoms = (atom_values(("identity", "sqrt"), base_d) if monotone
+                 else rng.integers(0, 4, size=(2, rows, n)).astype(float))
+        keep = undominated(base_d, gain, atoms)
+        for r in range(rows):
+            g = np.broadcast_to(gain, base_d.shape)[r]
+            _check_front(keep[r], atoms[:, r], g)
+            if monotone:
+                assert np.count_nonzero(keep[r]) == _front_classes(atoms[:, r], g)
+
+
+@pytest.mark.parametrize("atoms", [("identity", "sqrt"), ("sqrt_arctan", "rational", "log1p")])
+@pytest.mark.parametrize("tile", [None, 3])
+def test_pair_front_keeps_a_front_of_the_pairs(atoms, tile, monkeypatch):
+    # Duplicated points and tied values give 0/0 and x/0 pairs and ties.
+    # With ``tile`` rows a block, the front is merged over many blocks.
+    # Every kept item is a pair, and every pair has a kept dominator or is
+    # kept, so each class of equal front pairs is kept; with correctly
+    # rounded atoms, which grow with the base distance, exactly once.
+    rng = np.random.default_rng(53)
+    pts = rng.integers(0, 4, size=(40, 2)) / 3.0
+    vals = rng.integers(0, 5, size=40).astype(float)
+    if tile is not None:
+        monkeypatch.setattr(metrics, "TILE_BYTES", 8 * 40 * (len(atoms) + 8) * tile)
+    front, gaps = pair_front(IndexedSample(pts, vals), "manhattan", atoms)
+    i, j = np.triu_indices(40, k=1)
+    all_atoms = atom_values(atoms, pairwise_base("manhattan", pts, pts)[i, j])
+    all_gaps = np.abs(vals[i] - vals[j])
+    for k in range(len(gaps)):
+        assert np.any(np.all(all_atoms == front[:, k, None], axis=0) & (all_gaps == gaps[k]))
+    kept = np.arange(len(gaps) + len(all_gaps)) < len(gaps)
+    _check_front(kept, np.concatenate([front, all_atoms], axis=1), np.concatenate([gaps, all_gaps]))
+    if atoms == ("identity", "sqrt"):
+        assert len(gaps) == _front_classes(all_atoms, all_gaps)
 
 
 def _condensed_coherence(s, cm):

@@ -341,26 +341,32 @@ def test_blend_from_distances_picks_optimal_alpha_and_mixes():
 
 def test_optimal_blend_matches_predict_in_blocks():
     # ``at`` reads D afresh at each call and reuses its buffers, and each
-    # call gives the bits of a blend model's ``predict_in_blocks``.
+    # call gives the bits of a blend model's ``predict_in_blocks``, with
+    # the training values shared by every row or given per row, here with
+    # each row's training rows in an order of its own.
     rng = np.random.default_rng(21)
     s = IndexedSample(rng.uniform(size=(15, 3)), rng.uniform(0.0, 5.0, 15))
     X, truth = rng.uniform(size=(9, 3)), rng.uniform(0.0, 5.0, 9)
-    D = np.empty((9, 15))
-    at = optimal_blend(s.values, D, truth, np.empty((9, 15)))
+    D, D_rows = np.empty((2, 9, 15))
+    order = np.argsort(rng.uniform(size=(9, 15)), axis=1)
+    at = optimal_blend(s.values, D, truth)
+    at_rows = optimal_blend(s.values[order], D_rows, truth)
     for _ in range(6):
         model = fit_extension(s, CompositionMetric("manhattan", random_combination(rng)), "blend")
         D[:] = model.cm.pairwise(X, s.points)
-        a, pred = at(model.K)
+        D_rows[:] = np.take_along_axis(D, order, axis=1)
         expected_a, expected = predict_in_blocks(model, len(D), D.__getitem__, truth=truth)
-        assert a == expected_a
-        assert np.array_equal(pred, expected)
+        for blend in (at, at_rows):
+            a, pred = blend(model.K)
+            assert a == expected_a
+            assert np.array_equal(pred, expected)
 
 
 def test_optimal_blend_takes_half_without_warning_when_degenerate():
     # Equal training values and K = 0: Whitney and McShane coincide, so
     # ``optimal_alpha`` would warn and give 0.5.
     D, truth = np.ones((3, 4)), np.array([1.0, 2.0, 3.0])
-    at = optimal_blend(np.full(4, 2.0), D, truth, np.empty((3, 4)))
+    at = optimal_blend(np.full(4, 2.0), D, truth)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         a, pred = at(0.0)

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from lipext import constants, metrics
-from lipext.constants import IndexedSample, coherence_constant, katetov_shift, largest_ratios
+from lipext.constants import (
+    IndexedSample,
+    coherence_constant,
+    katetov_shift,
+    largest_ratios,
+    undominated,
+)
 from lipext.dataio import json_text
 from lipext.extension import (
     FitError,
@@ -16,8 +22,15 @@ from lipext.extension import (
     predict,
     predict_in_blocks,
 )
-from lipext.metrics import CompositionMetric
-from lipext.phi import ATOM_NAMES, LINEAR_BASIS, SQRT_BASIS, PhiCombination, identity_phi
+from lipext.metrics import CompositionMetric, pairwise_base
+from lipext.phi import (
+    ATOM_NAMES,
+    LINEAR_BASIS,
+    SQRT_BASIS,
+    PhiCombination,
+    atom_values,
+    identity_phi,
+)
 from lipext.pipeline import (
     _INNER_SPLIT_OFFSET,
     CvReport,
@@ -538,6 +551,84 @@ def test_objective_test_rmse_matches_refitting(base, atoms):
             assert obj(lam) == naive_test_rmse(ds, base, atoms, lam, 4)
 
 
+def grid_dataset():
+    """100 indexed rows on a 7 x 7 grid, each valued by its grid point
+    among seven levels: distances and values tie, and duplicated points
+    carry equal values (0/0 pairs), but for test row 2, which repeats the
+    point of a training row with another value."""
+    rng = np.random.default_rng(31)
+    X = rng.integers(0, 7, size=(100, 2)) / 6.0
+    y = 1.0 + np.floor(3.0 * X.sum(axis=1))
+    train, test = _split_rows(100, 0.7, 4, "random")
+    X[test[2]], y[test[2]] = X[train[0]], y[train[0]] + 5.0
+    return make_dataset(X, y)
+
+
+def scaled_index_dataset(factor):
+    """``smooth_dataset`` with every index value times ``factor``."""
+    ds = smooth_dataset(seed=5).indexed_rows()
+    return make_dataset(ds.features, factor * ds.index)
+
+
+def far_rows_dataset():
+    """``smooth_dataset`` with every seventh row's features times 1e300, so
+    that euclidean base distances to those rows overflow to +inf and the
+    atoms' values there are +inf, pi/2 or NaN."""
+    ds = smooth_dataset(seed=5).indexed_rows()
+    X = ds.features.copy()
+    X[::7] *= 1e300
+    return make_dataset(X, ds.index)
+
+
+def test_objective_test_rmse_test_rows_keep_fronts_of_different_widths():
+    # The Whitney and McShane fronts alone already differ in width from
+    # one test row to another, so the datasets below pad row fronts.
+    for ds in (grid_dataset(), scaled_index_dataset(1.0)):
+        train, test = _split_rows(ds.n_rows, 0.7, 4, "random")
+        base_d = pairwise_base("manhattan", ds.features[test], ds.features[train])
+        values, atoms = ds.index[train], atom_values(SQRT_BASIS, base_d)
+        keep = undominated(base_d, values, atoms) | undominated(base_d, -values, atoms)
+        width = np.count_nonzero(keep, axis=1)
+        assert width.min() < width.max()
+
+
+@pytest.mark.parametrize("tile", [None, 1])
+@pytest.mark.parametrize(
+    "ds, special",
+    [(grid_dataset(), math.inf), (scaled_index_dataset(1e150), math.inf),
+     (scaled_index_dataset(1e-150), math.inf), (scaled_index_dataset(0.0), math.nan),
+     (far_rows_dataset(), math.nan)],
+    ids=["ties-and-duplicates", "huge-index", "tiny-index", "constant-index", "far-rows"],
+)
+def test_objective_test_rmse_on_fronts_matches_refitting_at_the_edges(ds, special, tile, monkeypatch):
+    # Besides ``rmse_candidates``, rays at 5e-324, 1e-310 and 1e-160, alone
+    # and next to a coefficient of 1: the composed distances round to 0 or
+    # to subnormals, which ties them, and on the huge index the ratios
+    # overflow.  The tiny index keeps some of those candidates finite.  Rays
+    # at 1e308 next to another make far distances overflow to +inf, which
+    # the constant index, where K = 0, turns into NaN predictions.  On the
+    # far rows a zero coefficient times an infinite atom value makes NaN
+    # distances, so those terms of the weighted sum are not left out.  The
+    # overflows warn in both versions.  With a ``tile`` of one row a block,
+    # the pair front is merged over every row block and the row fronts
+    # built a test row at a time.
+    if tile is not None:
+        monkeypatch.setattr(metrics, "TILE_BYTES", 8 * ds.n_rows * 16 * tile)
+    rng = np.random.default_rng(37)
+    scores = []
+    for base, basis in (("manhattan", SQRT_BASIS), ("euclidean", LINEAR_BASIS)):
+        lams = rmse_candidates(4, rng)
+        for e in np.eye(4):
+            lams += [c * e + np.roll(e, 1) for c in (5e-324, 1e-310, 1e-160)]
+            lams += [c * e for c in (5e-324, 1e-310, 1e-160)] + [1e308 * (e + np.roll(e, 1))]
+        with np.errstate(over="ignore", invalid="ignore"):
+            obj = objective_test_rmse(ds, base, basis, seed=4)
+            got = [repr(obj(lam)) for lam in lams]
+            assert got == [repr(naive_test_rmse(ds, base, basis, lam, 4)) for lam in lams]
+        scores += got
+    assert repr(special) in scores and any(map(math.isfinite, map(float, scores)))
+
+
 def test_objective_test_rmse_buffers_carry_no_state():
     # A search reuses its arrays from one candidate to the next, so each
     # candidate must score the same forwards, backwards and after each kind
@@ -587,6 +678,22 @@ def test_objective_test_rmse_candidates_allocate_no_block():
         tracemalloc.stop()
     assert all(map(math.isfinite, values))
     assert peak < block_bytes / 4
+
+
+def test_objective_test_rmse_builds_fronts_under_a_memory_ceiling():
+    # 1,000 indexed rows, 700 training and 300 test: a stack of four atoms
+    # over the 244,650 training pairs and the test x train block would be
+    # 14.5 MB.  The fronts are built in row blocks from the points.
+    ds = smooth_dataset(n=1111, seed=9).indexed_rows()
+    assert ds.n_rows == 1000
+    tracemalloc.start()
+    try:
+        obj = objective_test_rmse(ds, "euclidean", LINEAR_BASIS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert math.isfinite(obj(np.ones(4)))
 
 
 def test_objective_test_rmse_infinite_on_conflicting_duplicates():
@@ -676,6 +783,15 @@ def test_table_fits_and_predictions_in_blocks_match_one_shot(method, monkeypatch
                         predict_from(model, D, a, truth)):
             assert blocked[0] == weight
             assert np.array_equal(blocked[1], expected)
+
+
+@pytest.mark.parametrize("method", ["whitney", "mcshane", "standard", "linear"])
+def test_holdout_alpha_refuses_a_table_of_another_method(method):
+    # Only a blend gives a weight; None would read as "split too small".
+    rng = np.random.default_rng(29)
+    table = PairTable(make_dataset(rng.uniform(size=(20, 2)), rng.uniform(0.0, 5.0, 20)), IDENTITY, method)
+    with pytest.raises(ValueError, match=f"holdout_alpha needs a blend table, not '{method}'"):
+        table.holdout_alpha(np.arange(20), 0.7, 0, "random")
 
 
 def _listed_table(features, index, cm=IDENTITY, method="whitney"):
