@@ -74,7 +74,7 @@ class RunConfig:
     """Run settings; every field has a default and a JSON config key."""
 
     metric: str = "euclidean"
-    phi: object = None  # None -> identity, "optimize", or {"atoms":..,"coefficients":..}
+    phi: object = None  # None (identity), "optimize", an object, JSON text or a path
     atoms: tuple[str, ...] = DEFAULT_ATOMS  # basis for phi optimization
     method: str = "blend"
     alpha: float | None = None
@@ -118,7 +118,8 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     if isinstance(cfg.objective, str):  # kq-bound or kq_bound, from a flag or the file
         cfg = replace(cfg, objective=cfg.objective.replace("-", "_"))
     _check_config(cfg)
-    return cfg
+    # Parsed here, once, so that every command rejects a bad phi alike.
+    return cfg if cfg.phi == "optimize" else replace(cfg, phi=_parse_phi_value(cfg.phi))
 
 
 def _is_int(value: object) -> bool:
@@ -208,7 +209,7 @@ def _resolve_phi(cfg: RunConfig, scaled: Dataset) -> PhiCombination:
     """
     if cfg.phi == "optimize":
         return _run_optimize(cfg, scaled)["best_phi"]
-    return _parse_phi_value(cfg.phi)
+    return cfg.phi
 
 
 def _load(cfg: RunConfig, args) -> tuple[Dataset, Dataset]:

@@ -76,23 +76,23 @@ class ConstantsReport:
     notes: tuple[str, ...] = ()
 
 
-def pair_data(s: IndexedSample, base: str):
-    """Condensed upper-triangle pair data in lexicographic (i, j) order.
-
-    Returns (i_idx, j_idx, base distances, |I_i - I_j|, |I_i| + |I_j|, and
-    |I_i| + |I_j| of the Katetov-shifted index).
+def pair_blocks(s: IndexedSample, base: str, row_bytes: int):
+    """The pairs i < j of ``s``, a block of rows at a time: (rows, upper, d)
+    for each of the ``row_blocks`` of rows 0 to n - 2 at ``row_bytes`` per
+    row.  ``d`` holds the base distances of the rows i in the slice
+    ``rows`` against the columns j from its first row on, with the bits of
+    ``pairwise_base`` on the whole square, and ``upper`` marks the pairs
+    j > i: flat position k is the pair (rows.start + k // width, rows.start
+    + k % width), so they come in lexicographic order.  The other entries
+    are the diagonal, at distance 0, and the mirrors of the block's pairs.
     """
     n = len(s)
     if n < 2:
         raise ValueError("need at least two rows")
-    i_idx, j_idx = np.triu_indices(n, k=1)
-    d_base = pairwise_base(base, s.points, s.points)[i_idx, j_idx]
-    v_i, v_j = s.values[i_idx], s.values[j_idx]
-    shifted = katetov_shift(s).values  # non-negative, so no abs
-    return (
-        i_idx, j_idx, d_base, np.abs(v_i - v_j), np.abs(v_i) + np.abs(v_j),
-        shifted[i_idx] + shifted[j_idx],
-    )
+    for block in row_blocks(n - 1, row_bytes):
+        rows = slice(block.start, min(block.stop, n - 1))
+        upper = ~np.tri(rows.stop - rows.start, n - rows.start, dtype=bool)
+        yield rows, upper, pairwise_base(base, s.points[rows], s.points[rows.start:])
 
 
 def undominated(base_d: np.ndarray, gain: np.ndarray, atoms: np.ndarray) -> np.ndarray:
@@ -140,23 +140,18 @@ def pair_front(s: IndexedSample, base: str, atoms: tuple[str, ...]) -> tuple[np.
 
     A pair that another pair dominates (``undominated``, gain |I_i - I_j|)
     has a ratio no larger, or imposes nothing (0/0); the reduction starts
-    at 0.0 and a maximum is exact, so dropping it changes no bit.  The
-    base distances and gaps are made in ``coherence_constant``'s row
-    blocks, from the points, and each block's pairs are merged into the
-    pairs kept so far; memory is O(``TILE_BYTES``) on top of the front.
-    The base distances are those of ``pairwise_base`` on the whole square
-    and the gaps those of ``coherence_constant``, so the atom values have
-    the bits a candidate's ``phi_eval`` would start from.
+    at 0.0 and a maximum is exact, so dropping it changes no bit.  Each
+    block of ``pair_blocks`` is merged into the pairs kept so far; memory
+    is O(``TILE_BYTES``) on top of the front.  The base distances are
+    those of ``pairwise_base`` on the whole square and the gaps those of
+    ``coherence_constant``, so the atom values have the bits a candidate's
+    ``phi_eval`` would start from.
     """
-    n = len(s)
-    if n < 2:
-        raise ValueError("need at least two rows")
-    X, v = s.points, s.values
+    v = s.values
     base_d, gaps = np.empty(0), np.empty(0)
-    for block in row_blocks(n, 8 * n * (len(atoms) + 8)):
-        upper = ~np.tri(len(range(n)[block]), n - block.start, dtype=bool)  # j > i
-        base_d = np.concatenate([base_d, pairwise_base(base, X[block], X[block.start:])[upper]])
-        gaps = np.concatenate([gaps, _value_gaps(v, block)[upper]])
+    for rows, upper, d in pair_blocks(s, base, 8 * len(s) * (len(atoms) + 8)):
+        base_d = np.concatenate([base_d, d[upper]])
+        gaps = np.concatenate([gaps, _gaps(v[rows, None], v[rows.start:])[upper]])
         keep = undominated(base_d[None], gaps, atom_values(atoms, base_d)[:, None])[0]
         base_d, gaps = base_d[keep], gaps[keep]
     return atom_values(atoms, base_d), gaps
@@ -171,51 +166,25 @@ def ratio_max(num: np.ndarray, den: np.ndarray, out: np.ndarray | None = None) -
     return float(np.fmax.reduce(ratios, axis=None, initial=0.0))
 
 
-def coherence_constant(
-    s: IndexedSample,
-    cm: CompositionMetric,
-    d: np.ndarray | None = None,
-    rows: np.ndarray | None = None,
-) -> float:
+def coherence_constant(s: IndexedSample, cm: CompositionMetric) -> float:
     """Smallest Lipschitz constant of the index; +inf if not coherent.
 
-    ``d`` is a symmetric table of composed distances, for example one built
-    once for many fits, and ``rows`` the positions of the rows of ``s`` in
-    it; the two come together, one without the other raises
-    ``ValueError``, and without them the distances are computed from the
-    points.  Either way K is reduced in ``row_blocks``, each row i
-    against the columns j >= the block's first row: the distances are
-    symmetric, so this covers every pair, and only one block of them is
-    held at a time.  A block of ``rows`` is gathered with ``take`` on each
-    axis, the table is never copied.  Each block's ratios are reduced by
-    ``ratio_max``, which gives the same bits on the condensed pairs.
+    K is reduced by ``ratio_max`` over each whole block of ``pair_blocks``:
+    the entries off its pairs are 0/0 or a mirror of a pair, and a maximum
+    is exact, so the blocks give the bits of one reduction over the pairs.
     """
-    n = len(s)
-    if n < 2:
-        raise ValueError("need at least two rows")
-    if (d is None) != (rows is None):
-        raise ValueError("a distance table d and its rows come together")
-
-    def distances(block: slice) -> np.ndarray:
-        if d is None:
-            return cm.pairwise(s.points[block], s.points[block.start:])
-        return d.take(rows[block], axis=0).take(rows[block.start:], axis=1)
-
-    K = 0.0
-    for block in row_blocks(n, 8 * (n if d is None else len(d))):
-        dist = distances(block)  # first, so the ratios reuse what its gather frees
-        ratios = _value_gaps(s.values, block)
-        K = max(K, ratio_max(ratios, dist, ratios))
-        del dist, ratios  # before the next block's distances are made
+    v, K = s.values, 0.0
+    for rows, _, d in pair_blocks(s, cm.base, 8 * len(s) * 4):
+        ratios = _gaps(v[rows, None], v[rows.start:])
+        K = max(K, ratio_max(ratios, phi_eval(cm.phi, d), ratios))
     return K
 
 
-def _value_gaps(v: np.ndarray, block: slice) -> np.ndarray:
-    """|I_i - I_j| of the rows i in ``block`` against the rows j from its
-    first on, a new (rows, n - start) array; a gap beyond the float range
-    is +inf, which ``ratio_max`` takes as an overflow of the ratio."""
+def _gaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a - b|, broadcast, in a new array; a gap beyond the float range is
+    +inf, which ``ratio_max`` takes as an overflow of the ratio."""
     with np.errstate(over="ignore"):
-        gaps = v[block, None] - v[block.start:]
+        gaps = np.subtract(a, b)
     return np.abs(gaps, out=gaps)
 
 
@@ -254,8 +223,9 @@ def largest_ratios(d: np.ndarray, values: np.ndarray) -> LargestRatios:
     """Up to ``LISTED_PAIRS`` largest pair ratios of the rows with index
     ``values`` under the symmetric table ``d`` of their composed distances.
 
-    The table is read in place in ``coherence_constant``'s row blocks, and
-    each block's ratios come from ``ratio_max``'s rule.  A running
+    The table is read in place in row blocks, each against the columns
+    from its first row on as in ``pair_blocks``, and each block's ratios
+    come from ``ratio_max``'s rule.  A running
     ``floor`` bounds every ratio seen and left off.  In a block with more
     than ``LISTED_PAIRS`` ratios above it, the floor first rises to the
     block's ``LISTED_PAIRS``-th largest ratio, which a partition of the
@@ -275,7 +245,7 @@ def largest_ratios(d: np.ndarray, values: np.ndarray) -> LargestRatios:
     def block_ratios(block: slice) -> tuple[np.ndarray, float]:
         """The ratios of the rows in ``block`` against the rows j from its
         first on, -inf at j <= i, which is no pair, and their largest."""
-        r = _value_gaps(values, block)
+        r = _gaps(values[block, None], values[block.start:])
         top = ratio_max(r, d[block, block.start:], r)
         np.copyto(r[:, : len(r)], -math.inf, where=np.tri(len(r), dtype=bool))
         return r, top
@@ -361,42 +331,61 @@ def constants_report(s: IndexedSample, cm: CompositionMetric) -> ConstantsReport
     The bound is that of the Katetov-shifted index, which the theorem
     covers: it uses the shifted Q and C.  Two distinct rows that tie at the
     minimum both shift to 0, so the shifted Q and the bound are infinite.
-    """
-    i_idx, j_idx, d_base, d_vals, denom, denom_shifted = pair_data(s, cm.base)
-    d_phi = phi_eval(cm.phi, d_base)
-    ratios = np.empty_like(d_phi)
-    notes = []
 
-    def constant(num, den, what, zero_den):
-        """(max ratio of num/den, its pair), noting an infinite maximum."""
-        value = ratio_max(num, den, ratios)
-        at = ratios == value
-        if value == math.inf and (at & (den == 0.0)).any():
-            at &= den == 0.0  # a zero denominator before an overflow
-        k = int(at.argmax())
-        if not at[k]:
-            return value, None
-        pair = (int(i_idx[k]), int(j_idx[k]))
+    The constants are reduced block by block over ``pair_blocks``, whose
+    pairs come in lexicographic order: each block's first pair of highest
+    rank replaces the one kept only when it ranks strictly higher, so the
+    pair kept is the first over all pairs.  A pair's rank is its ratio,
+    then whether it constrains at all, then, for +inf, whether its
+    denominator is zero.
+    """
+    v, shifted = s.values, katetov_shift(s).values  # shifted is non-negative, so no abs
+    best = [(0.0, False, False, None)] * 3  # (constant, constrains, zero denominator, pair)
+    for rows, upper, d_base in pair_blocks(s, cm.base, 8 * len(s) * 12):
+        d_phi = phi_eval(cm.phi, d_base)
+        ratios = np.empty_like(d_phi)
+        a, b = v[rows, None], v[rows.start:]
+        fractions = ((_gaps(a, b), d_phi), (d_phi, np.abs(a) + np.abs(b)),
+                     (d_phi, shifted[rows, None] + shifted[rows.start:]))
+        for c, (num, den) in enumerate(fractions):
+            best[c] = max(best[c], _first_max(num, den, rows, upper, ratios), key=lambda b: b[:3])
+
+    notes = []
+    for c, (what, zero_den) in enumerate((
+        ("not coherent", "coincide but carry distinct values"),
+        # Katetov pairs with d_phi == 0 impose no constraint, so only
+        # distances over a zero denominator can force Q to infinity.
+        ("not normalizable", "are distinct with |I|+|I| = 0"),
+        ("shifted index not normalizable", "are distinct and both attain the minimum"),
+    )):
+        value, _, zero, pair = best[c]
         if value == math.inf:
-            if den[k] != 0.0:
+            if not zero:
                 why = "have a ratio beyond the float range"
-            elif den is d_phi and not np.array_equal(s.points[pair[0]], s.points[pair[1]]):
+            elif c == 0 and not np.array_equal(s.points[pair[0]], s.points[pair[1]]):
                 why = "are distinct but their composed distance rounds to 0"
             else:
                 why = zero_den
             notes.append(f"{what}: rows {pair} {why}")
-        return value, pair
-
-    K, k_pair = constant(d_vals, d_phi, "not coherent", "coincide but carry distinct values")
-    # Katetov pairs with d_phi == 0 impose no constraint, so only distances
-    # over a zero denominator can force Q to infinity.
-    Q, q_pair = constant(d_phi, denom, "not normalizable", "are distinct with |I|+|I| = 0")
-    Q_shifted = constant(d_phi, denom_shifted, "shifted index not normalizable",
-                         "are distinct and both attain the minimum")[0]
+    (K, _, _, k_pair), (Q, _, _, q_pair), (Q_shifted, *_) = best
     C = index_bound(s)
     # max(I - min I) rounds like max(I) - min(I): subtraction is monotone.
     C_shifted = float(np.max(s.values) - np.min(s.values))
     bound = error_bound(K, Q_shifted, C_shifted)
-    return ConstantsReport(
-        K, Q, C, Q_shifted, C_shifted, bound, k_pair, q_pair, tuple(notes)
-    )
+    return ConstantsReport(K, Q, C, Q_shifted, C_shifted, bound, k_pair, q_pair, tuple(notes))
+
+
+def _first_max(num: np.ndarray, den: np.ndarray, rows: slice, upper: np.ndarray, ratios: np.ndarray):
+    """(``ratio_max`` of num/den, whether a pair attains it, whether its
+    denominator is zero, the pair) on a block of ``pair_blocks``: the first
+    such pair, for +inf the first at a zero denominator if one is.
+    ``ratios`` receives the ratios."""
+    value = ratio_max(num, den, ratios)
+    at = (ratios == value) & upper
+    zero = value == math.inf and bool((at & (den == 0.0)).any())
+    if zero:
+        at &= den == 0.0
+    if not at.any():
+        return value, False, False, None
+    i, j = divmod(int(at.argmax()), at.shape[1])
+    return value, True, zero, (rows.start + i, rows.start + j)

@@ -27,7 +27,6 @@ import numpy as np
 
 from .constants import (
     IndexedSample,
-    coherence_constant,
     largest_ratios,
     pair_front,
     ratio_max,
@@ -267,17 +266,12 @@ class PairTable:
 
     def fit(self, rows: np.ndarray, alpha: float | None = None) -> ExtensionModel:
         """``fit_extension`` of the table's method on the given rows, with K
-        read from the table: the first listed ratio with both ends among
-        ``rows``, or, when none is listed, ``coherence_constant`` gathering
-        the table a block at a time.  Either has the bits of K on a fresh
-        sample of the rows.
+        the first listed ratio with both ends among ``rows``.  When none is
+        listed, ``fit_extension`` computes K from the points.  Either has
+        the bits of K on a fresh sample of the rows.
         """
         sample = IndexedSample(self.ds.features[rows], self.ds.index[rows])
-        K = None
-        if self.largest is not None and len(rows) >= 2:
-            K = self.largest.coherence(rows)
-            if K is None:
-                K = coherence_constant(sample, self.cm, self.D, rows)
+        K = self.largest.coherence(rows) if self.largest is not None else None
         return fit_extension(sample, self.cm, self.method, alpha, K)
 
     def predict(

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constants import IndexedSample, pair_data, ratio_max
+from .constants import IndexedSample, katetov_shift, pair_blocks, ratio_max
 from .phi import atom_values, weighted_sum
 
 #: Constriction values of the velocity update (Clerc & Kennedy 2002).
@@ -135,9 +135,18 @@ def pso_minimize(
 
 def _kq_terms(s: IndexedSample, base: str, atoms: tuple[str, ...]):
     """(atom stack (n_atoms, n_pairs), |I_i - I_j|, |I_i| + |I_j|) of the pairs
-    of ``s``, the sums taken after the Katetov shift as in ``constants_report``."""
-    _, _, d_base, d_vals, _, denom = pair_data(s, base)
-    return atom_values(atoms, d_base), d_vals, denom
+    i < j of ``s`` in lexicographic order, the sums taken after the Katetov
+    shift as in ``constants_report``.  The arrays are allocated once, at
+    their final size, and filled block by block from ``pair_blocks``."""
+    n, v, shifted = len(s), s.values, katetov_shift(s).values  # shifted is non-negative
+    terms, end = np.empty((len(atoms) + 2, n * (n - 1) // 2)), 0
+    for rows, upper, d in pair_blocks(s, base, 8 * n * (len(atoms) + 4)):
+        at = slice(end, end + np.count_nonzero(upper))
+        end = at.stop
+        terms[:-2, at] = atom_values(atoms, d[upper])
+        np.abs((v[rows, None] - v[rows.start:])[upper], out=terms[-2, at])
+        terms[-1, at] = (shifted[rows, None] + shifted[rows.start:])[upper]
+    return terms[:-2], terms[-2], terms[-1]
 
 
 def _kq_value(lam: np.ndarray, atom_vals: np.ndarray, d_vals: np.ndarray, denom: np.ndarray) -> float:
@@ -263,14 +272,15 @@ def minimize_kq(s: IndexedSample, base: str, atoms: tuple[str, ...]):
 
     lam = identity
     work_k = work_q = np.empty(0, dtype=np.intp)
-    k_ratio, q_ratio = np.empty((2, len(d_vals)))
+    ratio = np.empty(len(d_vals))
     while True:
-        d_phi = weighted_sum(lam, atom_vals)
         # The ratios of ``ratio_max``; a NaN (0/0) never counts as violated.
-        ratio_max(d_vals, d_phi, k_ratio)
-        ratio_max(d_phi, denom, q_ratio)
-        new_k = _most_violated(k_ratio, work_k)
-        new_q = _most_violated(q_ratio, work_q)
+        # The composed distances are made afresh for each kind, in place of
+        # its ratios, so that one array of the pairs' size holds them all.
+        ratio_max(d_vals, weighted_sum(lam, atom_vals, ratio), ratio)
+        new_k = _most_violated(ratio, work_k)
+        ratio_max(weighted_sum(lam, atom_vals, ratio), denom, ratio)
+        new_q = _most_violated(ratio, work_q)
         if new_k.size == 0 and new_q.size == 0:
             break
         work_k = np.concatenate([work_k, new_k])

@@ -4,7 +4,7 @@
 what the tests need beyond them: a numeric probe of the modulus axioms,
 random and rescaled coefficient combinations, single-pair distances
 taken from ``pairwise``, Lipschitz predictions from a block of distances, the one-shot tensor formula of the base distances,
-and seeded synthetic dataset CSVs.
+the condensed pair arrays of a sample, and seeded synthetic dataset CSVs.
 """
 
 from __future__ import annotations
@@ -14,7 +14,9 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from lipext.constants import IndexedSample
 from lipext.extension import ExtensionModel, predict_in_blocks
+from lipext.metrics import pairwise_base
 from lipext.phi import ATOM_NAMES, PhiCombination, phi_eval
 
 # Probe domain and slack.  Features are min-max scaled in practice, so
@@ -112,6 +114,17 @@ def one_shot_pairwise(kind: str, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     if kind == "chebyshev":
         return np.max(np.abs(diff), axis=-1)
     raise ValueError(f"unknown base metric {kind!r}")
+
+
+def condensed_pairs(s: IndexedSample, base: str):
+    """The pairs i < j of ``s`` all at once, from ``np.triu_indices`` of the
+    whole base square: (i, j, base distances, |I_i - I_j|, |I_i| + |I_j|,
+    and |I_i| + |I_j| of the index shifted to minimum 0)."""
+    i, j = np.triu_indices(len(s), k=1)
+    d_base = pairwise_base(base, s.points, s.points)[i, j]
+    v = s.values
+    shifted = v - v.min()
+    return i, j, d_base, np.abs(v[i] - v[j]), np.abs(v[i]) + np.abs(v[j]), shifted[i] + shifted[j]
 
 
 def synthetic_csv(seed: int, n: int, m: int = 3, hidden: float = 0.2) -> str:

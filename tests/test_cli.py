@@ -784,6 +784,26 @@ def test_bad_phi_file_reports_config(tmp_path, capsys, text):
     assert err.startswith(f"error:config: bad phi file {phi}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("phi, category", [("banana", "io"), ("{bad", "config")])
+@pytest.mark.parametrize("command", ["constants", "extend", "cv", "optimize", "rank"])
+def test_every_command_rejects_a_bad_phi(tmp_path, capsys, monkeypatch, command, phi, category):
+    # optimize searches phi itself, but a phi it is given must still parse:
+    # "banana" names no file, and "{bad" opens an object that is not JSON.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, command, "--data", str(table1_path()), "--phi", phi,
+                             "--out", str(tmp_path / "out"))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error:{category}:") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_optimize_still_takes_phi_optimize(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "optimize", "--data", str(table1_path()), "--phi", "optimize",
+                             "--out", str(tmp_path / "out"))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["objective"] == "kq_bound"
+
+
 def test_an_overflowing_ratio_is_not_reported_as_duplicates(tmp_path, capsys, monkeypatch):
     # 1e-320 times a scaled distance is subnormal, and every |I_i - I_j| over
     # it exceeds the float range, though no two rows of Table 1 coincide.

@@ -8,6 +8,7 @@ import pytest
 
 from lipext import metrics
 from lipext.constants import (
+    ConstantsReport,
     IndexedSample,
     coherence_constant,
     constants_report,
@@ -24,7 +25,7 @@ from lipext.phi import LINEAR_BASIS, PhiCombination, atom_values, identity_phi, 
 from lipext.pipeline import Dataset, PairTable, minmax_scale
 from lipext.swarm import minimize_kq
 
-from helpers import distance, random_combination, scaled
+from helpers import condensed_pairs, distance, random_combination, scaled
 from oracles import constants as oracle_constants
 
 IDENTITY = CompositionMetric("euclidean", identity_phi())
@@ -314,9 +315,9 @@ def test_tie_at_the_minimum_makes_the_shifted_bound_infinite():
 
 @pytest.mark.parametrize("base", ["euclidean", "manhattan", "chebyshev"])
 def test_coherence_from_a_table_slice_equals_fresh_computation(base):
-    # The slice of a PairTable and the distances computed from the points
-    # must give one float, finite, infinite (conflicting duplicates) or 0.0
-    # (a constant index).
+    # The K that the condensed pairs of a PairTable give and the K that
+    # coherence_constant computes from the points must be one float,
+    # finite, infinite (conflicting duplicates) or 0.0 (a constant index).
     rng = np.random.default_rng(41)
     cases = [(_random_sample(rng), None) for _ in range(15)]
     cases.append((line_sample([0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 3.0, 2.0]), math.inf))
@@ -325,21 +326,17 @@ def test_coherence_from_a_table_slice_equals_fresh_computation(base):
         cm = CompositionMetric(base, random_combination(rng) if k % 2 else identity_phi())
         ds = Dataset([f"r{i}" for i in range(len(s))], s.points, s.values,
                      [f"f{j}" for j in range(s.points.shape[1])])
-        table = PairTable(ds, cm, "whitney").D
         fresh = coherence_constant(s, cm)
-        assert coherence_constant(s, cm, table, np.arange(len(s))) == fresh
+        assert _table_coherence(PairTable(ds, cm, "whitney").D, s.values) == fresh
         if expected is not None:
             assert fresh == expected
 
 
-def test_coherence_constant_takes_a_table_and_its_rows_together():
-    rng = np.random.default_rng(43)
-    s = _random_sample(rng)
-    table = IDENTITY.square(s.points)
-    with pytest.raises(ValueError, match="come together"):
-        coherence_constant(s, IDENTITY, table)
-    with pytest.raises(ValueError, match="come together"):
-        coherence_constant(s, IDENTITY, rows=np.arange(len(s)))
+def _table_coherence(table, values):
+    """K as ``ratio_max`` gives it on the condensed pairs i < j of a square
+    table of composed distances among rows with index ``values``."""
+    i, j = np.triu_indices(len(values), k=1)
+    return ratio_max(np.abs(values[i] - values[j]), table[i, j])
 
 
 def _dominators(atoms, gain, p):
@@ -425,9 +422,7 @@ def test_pair_front_keeps_a_front_of_the_pairs(atoms, tile, monkeypatch):
 
 def _condensed_coherence(s, cm):
     """K as ``ratio_max`` gives it on the condensed pairs i < j."""
-    i, j = np.triu_indices(len(s), k=1)
-    d = phi_eval(cm.phi, pairwise_base(cm.base, s.points, s.points))[i, j]
-    return ratio_max(np.abs(s.values[i] - s.values[j]), d)
+    return _table_coherence(phi_eval(cm.phi, pairwise_base(cm.base, s.points, s.points)), s.values)
 
 
 # A tile of one row, then samples of tile - 1, tile, tile + 1 and 3 * tile
@@ -446,10 +441,12 @@ def test_coherence_tiles_on_a_table_slice_match_condensed_ratio_max(n, tile, bas
         (IndexedSample(conflicting, np.arange(n, dtype=float)), math.inf),
     ]
     references = [_condensed_coherence(s, cm) for s, _ in cases]
-    monkeypatch.setattr(metrics, "TILE_BYTES", 8 * n * tile)
+    monkeypatch.setattr(metrics, "TILE_BYTES", 8 * n * 8 * tile)  # ``tile`` rows a block
     for (s, expected), reference in zip(cases, references):
-        assert coherence_constant(s, cm) == reference  # from the points, block by block
-        # The sample's rows alternate with other rows of the table.
+        K = coherence_constant(s, cm)  # from the points, block by block
+        assert K == reference
+        # The sample's rows alternate with other rows of a table, whose
+        # slice at the sample's rows gives the same K.
         features = np.empty((2 * n, m))
         features[0::2], features[1::2] = rng.uniform(size=(n, m)), s.points
         index = np.empty(2 * n)
@@ -458,12 +455,151 @@ def test_coherence_tiles_on_a_table_slice_match_condensed_ratio_max(n, tile, bas
                      [f"f{j}" for j in range(m)])
         rows = np.arange(1, 2 * n, 2)
         table = PairTable(ds, cm, "whitney").D
-        K = coherence_constant(s, cm, table, rows)  # read in place
-        assert K == reference
-        copy = table[np.ix_(rows, rows)]
-        assert coherence_constant(s, cm, copy, np.arange(n)) == reference
+        assert _table_coherence(table[np.ix_(rows, rows)], s.values) == reference
         if expected is not None:
             assert K == expected
+
+
+def _condensed_report(s, cm):
+    """``constants_report`` from all the condensed pairs at once: each
+    constant's first pair, for +inf the first at a zero denominator if one
+    is, with the report's notes."""
+    i, j, d_base, gaps, denom, denom_shifted = condensed_pairs(s, cm.base)
+    d_phi = phi_eval(cm.phi, d_base)
+    notes = []
+
+    def constant(num, den, what, zero_den):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ratios = num / den
+        value = float(np.fmax.reduce(ratios, initial=0.0))
+        at = ratios == value
+        if value == math.inf and np.any(at & (den == 0.0)):
+            at &= den == 0.0
+        if not at.any():
+            return value, None
+        k = int(np.flatnonzero(at)[0])
+        pair = (int(i[k]), int(j[k]))
+        if value == math.inf:
+            if den[k] != 0.0:
+                why = "have a ratio beyond the float range"
+            elif den is d_phi and not np.array_equal(s.points[pair[0]], s.points[pair[1]]):
+                why = "are distinct but their composed distance rounds to 0"
+            else:
+                why = zero_den
+            notes.append(f"{what}: rows {pair} {why}")
+        return value, pair
+
+    K, k_pair = constant(gaps, d_phi, "not coherent", "coincide but carry distinct values")
+    Q, q_pair = constant(d_phi, denom, "not normalizable", "are distinct with |I|+|I| = 0")
+    Q_shifted, _ = constant(d_phi, denom_shifted, "shifted index not normalizable",
+                            "are distinct and both attain the minimum")
+    v = s.values
+    C_shifted = float(v.max() - v.min())
+    return ConstantsReport(K, Q, float(np.abs(v).max()), Q_shifted, C_shifted,
+                           error_bound(K, Q_shifted, C_shifted), k_pair, q_pair, tuple(notes))
+
+
+def _edge_samples(n, rng):
+    """(name, sample, modulus) of n rows, n >= 3, whose pairs decide the
+    report at the edges of its rules, the deciding pairs in the first and
+    the last rows, and tie-heavy samples on a coarse grid."""
+    line = np.arange(n, dtype=float)
+    identity = identity_phi()
+    # K = 2 at every pair from row 1 on; row 0's pairs come close.
+    ties = line * 2.0
+    ties[0] = 0.5
+    # K: (0, 1) overflows and the last two rows coincide with distinct values.
+    k_x, k_v = line.copy(), line.copy()
+    k_x[1], k_v[1] = 1e-150, 1e160
+    k_x[-1], k_v[-1] = k_x[-2], k_v[-2] + 1.0
+    # Q: (0, 1) overflows over subnormal values; the last two rows are 0.
+    q_v = line + 1.0
+    q_v[:2] = 1e-320
+    q_v[-2:] = 0.0
+    # A 1e-320 modulus: ratios overflow, and the last two rows are so close
+    # that their composed distance rounds to 0.
+    tiny_x = line.copy()
+    tiny_x[-1] = tiny_x[-2] + 1e-5
+    samples = [
+        ("ties", line_sample(line, ties), identity),
+        ("k-overflow-then-zero", line_sample(k_x, k_v), identity),
+        ("q-overflow-then-zero", line_sample(line, q_v), identity),
+        ("constant-index", IndexedSample(rng.uniform(size=(n, 2)), np.full(n, 3.0)), identity),
+        # Every K pair is 0/0, every Q ratio 0/6, as on the diagonal.
+        ("one-point", IndexedSample(np.ones((n, 2)), np.full(n, 3.0)), identity),
+        ("near-1e307", IndexedSample(rng.uniform(size=(n, 3)), rng.uniform(-0.8, 0.8, n) * 1e307),
+         random_combination(rng)),
+        ("1e-320-modulus", line_sample(tiny_x, rng.uniform(0.0, 5.0, n)),
+         PhiCombination(("identity",), (1e-320,))),
+    ]
+    for k in range(3):  # duplicates, 0/0 and x/0 pairs and tied ratios
+        grid = IndexedSample(rng.integers(0, 3, size=(n, 2)) / 2.0, rng.integers(0, 4, n).astype(float))
+        samples.append((f"grid-{k}", grid, random_combination(rng) if k else identity))
+    return samples
+
+
+# A tile of one row, then samples of tile - 1, tile, tile + 1 and 3 * tile
+# rows against a tile of four.
+@pytest.mark.filterwarnings("ignore:K\\*Q")
+@pytest.mark.parametrize("n, tile", [(12, 1), (3, 4), (4, 4), (5, 4), (12, 4)])
+@pytest.mark.parametrize("base", ["euclidean", "manhattan"])
+def test_report_in_row_blocks_matches_the_condensed_pairs(n, tile, base, monkeypatch):
+    rng = np.random.default_rng(11 * n + tile)
+    samples = _edge_samples(n, rng)
+    monkeypatch.setattr(metrics, "TILE_BYTES", 8 * n * 12 * tile)  # ``tile`` rows a block
+    for name, s, phi in samples:
+        cm = CompositionMetric(base, phi)
+        assert repr(constants_report(s, cm)) == repr(_condensed_report(s, cm)), name
+
+
+@pytest.mark.filterwarnings("ignore:K\\*Q")
+def test_the_report_edge_samples_reach_every_rule():
+    # The edge cases above decide by the rules they are named after.
+    reports = {name: constants_report(s, CompositionMetric("euclidean", phi))
+               for name, s, phi in _edge_samples(12, np.random.default_rng(5))}
+    assert (reports["ties"].K, reports["ties"].k_pair) == (2.0, (1, 2))
+    assert reports["k-overflow-then-zero"].k_pair == (10, 11)
+    assert reports["k-overflow-then-zero"].notes[0].endswith("coincide but carry distinct values")
+    assert reports["q-overflow-then-zero"].q_pair == (10, 11)
+    assert reports["q-overflow-then-zero"].notes[0].endswith("are distinct with |I|+|I| = 0")
+    assert (reports["constant-index"].K, reports["constant-index"].k_pair) == (0.0, (0, 1))
+    assert reports["constant-index"].Q_shifted == math.inf
+    assert (reports["one-point"].k_pair, reports["one-point"].q_pair) == (None, (0, 1))
+    assert math.isfinite(reports["near-1e307"].Q) and reports["near-1e307"].C > 1e306
+    tiny = reports["1e-320-modulus"]
+    assert tiny.k_pair == (10, 11) and "rounds to 0" in tiny.notes[0]
+
+
+def test_constants_report_holds_a_tile_of_pairs_at_a_time():
+    # 3,000 rows: all 4,498,500 pairs at once take 34 MiB per float array.
+    rng = np.random.default_rng(97)
+    s = IndexedSample(rng.uniform(size=(3000, 5)), rng.uniform(0.0, 5.0, 3000))
+    tracemalloc.start()
+    try:
+        constants_report(s, IDENTITY)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * metrics.TILE_BYTES
+
+
+def test_the_kq_solve_holds_the_condensed_terms_and_one_array_of_ratios():
+    # 1,500 rows, 1,124,250 pairs.  The terms take 48 B a pair (four atoms,
+    # |I_i - I_j| and |I_i| + |I_j|); the solve one array of composed
+    # distances and ratios, and in its first round the indices, ratios and
+    # partition of every violated pair, 32 B a pair in all.  The whole base
+    # square (16 B a pair) or the pairs' row and column indices (16 B) on
+    # top would break the ceiling.
+    rng = np.random.default_rng(43)
+    n = 1500
+    s = katetov_shift(IndexedSample(rng.uniform(size=(n, 3)), rng.uniform(1.0, 3.0, n)))
+    tracemalloc.start()
+    try:
+        minimize_kq(s, "euclidean", LINEAR_BASIS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (48 + 32) * (n * (n - 1) // 2) + metrics.TILE_BYTES
 
 
 def test_constants_and_kq_search_hold_no_memory_after_they_return():

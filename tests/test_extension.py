@@ -473,11 +473,10 @@ def test_oracles_agree_at_n_200(sample, monkeypatch):
     pts, vals = s.points.tolist(), s.values.tolist()
     K_o, Q_o, _ = oracles.constants(pts, vals, "euclidean", phi.atoms, phi.coefficients)
     close = functools.partial(pytest.approx, rel=1e-12, abs=1e-12)
-    monkeypatch.setattr(metrics, "TILE_BYTES", 8 * n * 7)  # seven rows per block
+    monkeypatch.setattr(metrics, "TILE_BYTES", 8 * n * 8 * 7)  # seven rows per K block
     ds = Dataset([f"r{i}" for i in range(n)], s.points, s.values, [f"f{j}" for j in range(m)])
-    rows = np.arange(n)
     assert coherence_constant(s, cm) == close(K_o)
-    assert coherence_constant(s, cm, PairTable(ds, cm, "whitney").D, rows) == close(K_o)
+    assert PairTable(ds, cm, "whitney").fit(np.arange(n)).K == close(K_o)
     report = constants_report(s, cm)
     assert (report.K, report.Q) == (close(K_o), close(Q_o))
 

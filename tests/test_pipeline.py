@@ -12,6 +12,7 @@ from lipext.constants import (
     coherence_constant,
     katetov_shift,
     largest_ratios,
+    ratio_max,
     undominated,
 )
 from lipext.dataio import json_text
@@ -769,7 +770,8 @@ def test_table_fits_and_predictions_in_blocks_match_one_shot(method, monkeypatch
     train, held_out = _split_rows(n, 0.6, 3, "random")
     sample = IndexedSample(table.ds.features[train], table.ds.index[train])
     alphas = (None, 0.3) if method == "blend" else (None,)
-    K = coherence_constant(sample, cm, table.D[np.ix_(train, train)], np.arange(len(train)))
+    i, j = np.triu_indices(len(train), k=1)
+    K = ratio_max(np.abs(sample.values[i] - sample.values[j]), table.D[np.ix_(train, train)][i, j])
     model = fit_extension(sample, cm, method, K=K)
     truth = table.ds.index[held_out]
     D = table.D[np.ix_(held_out, train)]
@@ -972,7 +974,7 @@ def test_a_table_of_fewer_pairs_than_the_list_lists_them_all():
 
 
 @pytest.mark.parametrize("size", [1, 2])
-def test_a_short_list_falls_back_to_the_gathered_K(size, monkeypatch):
+def test_a_short_list_leaves_K_to_the_points(size, monkeypatch):
     monkeypatch.setattr(constants, "LISTED_PAIRS", size)
     rng = np.random.default_rng(73)
     n = 30
@@ -981,6 +983,8 @@ def test_a_short_list_falls_back_to_the_gathered_K(size, monkeypatch):
     assert len(table.largest.ratios) <= size
     excluded = np.setdiff1d(np.arange(n), np.r_[table.largest.i, table.largest.j])
     assert table.largest.coherence(excluded) is None
+    # A fit on rows with no listed pair takes K from the points, and
+    # ``_check_subsets`` checks it against a fresh sample's, bit for bit.
     assert _check_subsets(table, [excluded, *_splits(n, range(10))]) < 21
 
 

@@ -9,12 +9,15 @@ import numpy as np
 import pytest
 
 import lipext
-from lipext.constants import IndexedSample, constants_report, katetov_shift, pair_data
+from lipext import metrics
+from lipext.constants import IndexedSample, constants_report, katetov_shift
 from lipext.dataio import json_text, read_dataset, table1_path
 from lipext.metrics import CompositionMetric
-from lipext.phi import ATOM_FUNCS, LINEAR_BASIS, SQRT_BASIS, PhiCombination
+from lipext.phi import ATOM_FUNCS, LINEAR_BASIS, SQRT_BASIS, PhiCombination, atom_values
 from lipext.pipeline import minmax_scale, objective_test_rmse
-from lipext.swarm import PsoConfig, minimize_kq, objective_kq, pso_minimize, settle
+from lipext.swarm import PsoConfig, _kq_terms, minimize_kq, objective_kq, pso_minimize, settle
+
+from helpers import condensed_pairs
 
 
 def sphere(lam):
@@ -206,7 +209,7 @@ def linprog_kq(s, atoms):
     feasibility tolerance lets t overshoot on pairs with a small |dI|.
     """
     linprog = pytest.importorskip("scipy.optimize").linprog
-    _, _, d, dv, den, _ = pair_data(s, "euclidean")
+    _, _, d, dv, den, _ = condensed_pairs(s, "euclidean")
     A = np.stack([ATOM_FUNCS[a](d) for a in atoms], axis=1)
     k, q = dv > 0.0, den > 0.0
     a_ub = np.vstack([
@@ -218,6 +221,23 @@ def linprog_kq(s, atoms):
                  bounds=[(0.0, None)] * (len(atoms) + 1), method="highs")
     assert lp.status == 0, lp.message
     return objective_kq(s, "euclidean", atoms)(lp.x[:-1])
+
+
+# A tile of one row, then samples of tile - 1, tile, tile + 1 and 3 * tile
+# rows against a tile of four.
+@pytest.mark.parametrize("n, tile", [(12, 1), (3, 4), (4, 4), (5, 4), (12, 4)])
+@pytest.mark.parametrize("base", ["euclidean", "manhattan"])
+def test_kq_terms_in_row_blocks_match_the_condensed_pairs(n, tile, base, monkeypatch):
+    # Grid points with duplicates; the index has a negative minimum, so the
+    # Katetov shift moves every value.
+    rng = np.random.default_rng(13 * n + tile)
+    s = IndexedSample(rng.integers(0, 3, size=(n, 2)) / 2.0, rng.uniform(-5.0, 5.0, n))
+    _, _, d_base, gaps, _, denom_shifted = condensed_pairs(s, base)
+    monkeypatch.setattr(metrics, "TILE_BYTES", 8 * n * (4 + 4) * tile)  # ``tile`` rows a block
+    for atoms in (LINEAR_BASIS, SQRT_BASIS):
+        terms = _kq_terms(s, base, atoms)
+        expected = (atom_values(atoms, d_base), gaps, denom_shifted)
+        assert [a.tobytes() for a in terms] == [a.tobytes() for a in expected]
 
 
 @pytest.mark.parametrize("atoms", [LINEAR_BASIS, SQRT_BASIS], ids=["linear", "sqrt"])
