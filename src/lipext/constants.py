@@ -12,7 +12,9 @@ quantities are computed exactly by maximizing over the finite pair set:
 K and Q are maxima of ratios over the pairs, all reduced by ``ratio_max``
 under one rule: 0/0 imposes nothing, and x/0 with x > 0, or a ratio beyond
 the float range, makes the constant +inf.  Infinities are returned as
-values rather than raised, so optimizers can penalize them.
+values rather than raised, so optimizers can penalize them.  Every scan
+over a sample's pairs reads them from the points, a block of rows at a
+time (``pair_blocks``), so it holds O(``TILE_BYTES``) of them at once.
 
 The approximation error of anchor-based extension is bounded by
 (K*Q - 1) * C once the index has been shifted so its minimum is zero.

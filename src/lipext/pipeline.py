@@ -12,8 +12,9 @@ among the indexed rows are computed once (``PairTable``) and every split
 reads them in place.  The table also lists its largest pair ratios once
 (``constants.largest_ratios``), and each split takes its coherence
 constant K from the first listed pair with both rows on its training
-side.  The repeats run one after another in one loop, and a report holds
-no measured time, so the same inputs give the same report, bit for bit.
+side, or from the points when none is listed.  The repeats run one after
+another in one loop, and a report holds no measured time, so the same
+inputs give the same report, bit for bit.
 """
 
 from __future__ import annotations
