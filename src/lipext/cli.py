@@ -74,7 +74,7 @@ class RunConfig:
     """Run settings; every field has a default and a JSON config key."""
 
     metric: str = "euclidean"
-    phi: object = None  # None (identity), "optimize", an object, JSON text or a path
+    phi: object = None  # flag or file value; after _apply_overrides a PhiCombination or "optimize"
     atoms: tuple[str, ...] = DEFAULT_ATOMS  # basis for phi optimization
     method: str = "blend"
     alpha: float | None = None

@@ -97,6 +97,22 @@ def pair_blocks(s: IndexedSample, base: str, row_bytes: int):
         yield rows, upper, pairwise_base(base, s.points[rows], s.points[rows.start:])
 
 
+def pair_gaps(values: np.ndarray, rows: slice) -> np.ndarray:
+    """|I_i - I_j| of the rows i in ``rows``, laid out as a block of
+    ``pair_blocks``, in a new array; a gap beyond the float range is +inf,
+    which ``ratio_max`` takes as an overflow of the ratio."""
+    with np.errstate(over="ignore"):
+        gaps = np.subtract(values[rows, None], values[rows.start:])
+    return np.abs(gaps, out=gaps)
+
+
+def pair_sums(values: np.ndarray, rows: slice) -> np.ndarray:
+    """|I_i| + |I_j| laid out as ``pair_gaps``; a sum beyond the float range is +inf."""
+    size = np.abs(values)
+    with np.errstate(over="ignore"):
+        return size[rows, None] + size[rows.start:]
+
+
 def undominated(base_d: np.ndarray, gain: np.ndarray, atoms: np.ndarray) -> np.ndarray:
     """Which items to keep so that every item dropped has a kept dominator.
 
@@ -146,14 +162,13 @@ def pair_front(s: IndexedSample, base: str, atoms: tuple[str, ...]) -> tuple[np.
     block of ``pair_blocks`` is merged into the pairs kept so far; memory
     is O(``TILE_BYTES``) on top of the front.  The base distances are
     those of ``pairwise_base`` on the whole square and the gaps those of
-    ``coherence_constant``, so the atom values have the bits a candidate's
+    ``pair_gaps``, so the atom values have the bits a candidate's
     ``phi_eval`` would start from.
     """
-    v = s.values
     base_d, gaps = np.empty(0), np.empty(0)
     for rows, upper, d in pair_blocks(s, base, 8 * len(s) * (len(atoms) + 8)):
         base_d = np.concatenate([base_d, d[upper]])
-        gaps = np.concatenate([gaps, _gaps(v[rows, None], v[rows.start:])[upper]])
+        gaps = np.concatenate([gaps, pair_gaps(s.values, rows)[upper]])
         keep = undominated(base_d[None], gaps, atom_values(atoms, base_d)[:, None])[0]
         base_d, gaps = base_d[keep], gaps[keep]
     return atom_values(atoms, base_d), gaps
@@ -177,17 +192,9 @@ def coherence_constant(s: IndexedSample, cm: CompositionMetric) -> float:
     """
     v, K = s.values, 0.0
     for rows, _, d in pair_blocks(s, cm.base, 8 * len(s) * 4):
-        ratios = _gaps(v[rows, None], v[rows.start:])
+        ratios = pair_gaps(v, rows)
         K = max(K, ratio_max(ratios, phi_eval(cm.phi, d), ratios))
     return K
-
-
-def _gaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """|a - b|, broadcast, in a new array; a gap beyond the float range is
-    +inf, which ``ratio_max`` takes as an overflow of the ratio."""
-    with np.errstate(over="ignore"):
-        gaps = np.subtract(a, b)
-    return np.abs(gaps, out=gaps)
 
 
 #: How many of a distance table's largest pair ratios ``largest_ratios`` lists.
@@ -247,7 +254,7 @@ def largest_ratios(d: np.ndarray, values: np.ndarray) -> LargestRatios:
     def block_ratios(block: slice) -> tuple[np.ndarray, float]:
         """The ratios of the rows in ``block`` against the rows j from its
         first on, -inf at j <= i, which is no pair, and their largest."""
-        r = _gaps(values[block, None], values[block.start:])
+        r = pair_gaps(values, block)
         top = ratio_max(r, d[block, block.start:], r)
         np.copyto(r[:, : len(r)], -math.inf, where=np.tri(len(r), dtype=bool))
         return r, top
@@ -341,14 +348,13 @@ def constants_report(s: IndexedSample, cm: CompositionMetric) -> ConstantsReport
     then whether it constrains at all, then, for +inf, whether its
     denominator is zero.
     """
-    v, shifted = s.values, katetov_shift(s).values  # shifted is non-negative, so no abs
+    v, shifted = s.values, katetov_shift(s).values
     best = [(0.0, False, False, None)] * 3  # (constant, constrains, zero denominator, pair)
     for rows, upper, d_base in pair_blocks(s, cm.base, 8 * len(s) * 12):
         d_phi = phi_eval(cm.phi, d_base)
         ratios = np.empty_like(d_phi)
-        a, b = v[rows, None], v[rows.start:]
-        fractions = ((_gaps(a, b), d_phi), (d_phi, np.abs(a) + np.abs(b)),
-                     (d_phi, shifted[rows, None] + shifted[rows.start:]))
+        fractions = ((pair_gaps(v, rows), d_phi), (d_phi, pair_sums(v, rows)),
+                     (d_phi, pair_sums(shifted, rows)))
         for c, (num, den) in enumerate(fractions):
             best[c] = max(best[c], _first_max(num, den, rows, upper, ratios), key=lambda b: b[:3])
 

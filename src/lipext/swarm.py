@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constants import IndexedSample, katetov_shift, pair_blocks, ratio_max
+from .constants import IndexedSample, katetov_shift, pair_blocks, pair_gaps, pair_sums, ratio_max
 from .phi import atom_values, weighted_sum
 
 #: Constriction values of the velocity update (Clerc & Kennedy 2002).
@@ -138,14 +138,14 @@ def _kq_terms(s: IndexedSample, base: str, atoms: tuple[str, ...]):
     i < j of ``s`` in lexicographic order, the sums taken after the Katetov
     shift as in ``constants_report``.  The arrays are allocated once, at
     their final size, and filled block by block from ``pair_blocks``."""
-    n, v, shifted = len(s), s.values, katetov_shift(s).values  # shifted is non-negative
+    n, v, shifted = len(s), s.values, katetov_shift(s).values
     terms, end = np.empty((len(atoms) + 2, n * (n - 1) // 2)), 0
     for rows, upper, d in pair_blocks(s, base, 8 * n * (len(atoms) + 4)):
         at = slice(end, end + np.count_nonzero(upper))
         end = at.stop
         terms[:-2, at] = atom_values(atoms, d[upper])
-        np.abs((v[rows, None] - v[rows.start:])[upper], out=terms[-2, at])
-        terms[-1, at] = (shifted[rows, None] + shifted[rows.start:])[upper]
+        terms[-2, at] = pair_gaps(v, rows)[upper]
+        terms[-1, at] = pair_sums(shifted, rows)[upper]
     return terms[:-2], terms[-2], terms[-1]
 
 

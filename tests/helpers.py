@@ -4,7 +4,8 @@
 what the tests need beyond them: a numeric probe of the modulus axioms,
 random and rescaled coefficient combinations, single-pair distances
 taken from ``pairwise``, Lipschitz predictions from a block of distances, the one-shot tensor formula of the base distances,
-the condensed pair arrays of a sample, and seeded synthetic dataset CSVs.
+the condensed pair arrays of a sample, a record of the pair blocks a
+function reads, and seeded synthetic dataset CSVs.
 """
 
 from __future__ import annotations
@@ -125,6 +126,26 @@ def condensed_pairs(s: IndexedSample, base: str):
     v = s.values
     shifted = v - v.min()
     return i, j, d_base, np.abs(v[i] - v[j]), np.abs(v[i]) + np.abs(v[j]), shifted[i] + shifted[j]
+
+
+def record_blocks(monkeypatch, module) -> list[int]:
+    """Patch ``module.pair_blocks`` so that each block it yields appends its
+    number of rows to the list returned, to check the block sizes that a
+    patched ``TILE_BYTES`` gives."""
+    sizes, pair_blocks = [], module.pair_blocks
+
+    def recording(*args):
+        for rows, upper, d in pair_blocks(*args):
+            sizes.append(rows.stop - rows.start)
+            yield rows, upper, d
+
+    monkeypatch.setattr(module, "pair_blocks", recording)
+    return sizes
+
+
+def tiles(rows: int, tile: int) -> list[int]:
+    """The sizes of the blocks of ``rows`` rows at ``tile`` rows a block."""
+    return [min(tile, rows - start) for start in range(0, rows, tile)]
 
 
 def synthetic_csv(seed: int, n: int, m: int = 3, hidden: float = 0.2) -> str:

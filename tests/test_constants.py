@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lipext import metrics
+from lipext import constants, metrics
 from lipext.constants import (
     ConstantsReport,
     IndexedSample,
@@ -25,7 +25,7 @@ from lipext.phi import LINEAR_BASIS, PhiCombination, atom_values, identity_phi, 
 from lipext.pipeline import Dataset, PairTable, minmax_scale
 from lipext.swarm import minimize_kq
 
-from helpers import condensed_pairs, distance, random_combination, scaled
+from helpers import condensed_pairs, distance, random_combination, record_blocks, scaled, tiles
 from oracles import constants as oracle_constants
 
 IDENTITY = CompositionMetric("euclidean", identity_phi())
@@ -425,11 +425,16 @@ def _condensed_coherence(s, cm):
     return _table_coherence(phi_eval(cm.phi, pairwise_base(cm.base, s.points, s.points)), s.values)
 
 
-# A tile of one row, then samples of tile - 1, tile, tile + 1 and 3 * tile
-# rows against a tile of four.
-@pytest.mark.parametrize("n, tile", [(12, 1), (3, 4), (4, 4), (5, 4), (12, 4)])
+# ``rows`` rows of pairs i < j, the rows 0 to n - 2 of a sample of n = rows
+# + 1: a tile of one row, then tile - 1, tile, tile + 1 and 3 * tile rows
+# against a tile of four.
+BLOCK_CASES = [(12, 1), (3, 4), (4, 4), (5, 4), (12, 4)]
+
+
+@pytest.mark.parametrize("rows, tile", BLOCK_CASES)
 @pytest.mark.parametrize("base", ["euclidean", "manhattan", "chebyshev"])
-def test_coherence_tiles_on_a_table_slice_match_condensed_ratio_max(n, tile, base, monkeypatch):
+def test_coherence_tiles_on_a_table_slice_match_condensed_ratio_max(rows, tile, base, monkeypatch):
+    n = rows + 1
     rng = np.random.default_rng(7 * n + tile)
     m = 3
     cm = CompositionMetric(base, random_combination(rng))
@@ -441,10 +446,13 @@ def test_coherence_tiles_on_a_table_slice_match_condensed_ratio_max(n, tile, bas
         (IndexedSample(conflicting, np.arange(n, dtype=float)), math.inf),
     ]
     references = [_condensed_coherence(s, cm) for s, _ in cases]
-    monkeypatch.setattr(metrics, "TILE_BYTES", 8 * n * 8 * tile)  # ``tile`` rows a block
+    monkeypatch.setattr(metrics, "TILE_BYTES", 8 * n * 4 * tile)  # ``tile`` rows a block
+    sizes = record_blocks(monkeypatch, constants)
     for (s, expected), reference in zip(cases, references):
+        sizes.clear()
         K = coherence_constant(s, cm)  # from the points, block by block
         assert K == reference
+        assert sizes == tiles(rows, tile)
         # The sample's rows alternate with other rows of a table, whose
         # slice at the sample's rows gives the same K.
         features = np.empty((2 * n, m))
@@ -453,9 +461,9 @@ def test_coherence_tiles_on_a_table_slice_match_condensed_ratio_max(n, tile, bas
         index[0::2], index[1::2] = rng.uniform(0.0, 10.0, n), s.values
         ds = Dataset([f"r{i}" for i in range(2 * n)], features, index,
                      [f"f{j}" for j in range(m)])
-        rows = np.arange(1, 2 * n, 2)
+        sample_rows = np.arange(1, 2 * n, 2)
         table = PairTable(ds, cm, "whitney").D
-        assert _table_coherence(table[np.ix_(rows, rows)], s.values) == reference
+        assert _table_coherence(table[np.ix_(sample_rows, sample_rows)], s.values) == reference
         if expected is not None:
             assert K == expected
 
@@ -538,18 +546,20 @@ def _edge_samples(n, rng):
     return samples
 
 
-# A tile of one row, then samples of tile - 1, tile, tile + 1 and 3 * tile
-# rows against a tile of four.
 @pytest.mark.filterwarnings("ignore:K\\*Q")
-@pytest.mark.parametrize("n, tile", [(12, 1), (3, 4), (4, 4), (5, 4), (12, 4)])
+@pytest.mark.parametrize("rows, tile", BLOCK_CASES)
 @pytest.mark.parametrize("base", ["euclidean", "manhattan"])
-def test_report_in_row_blocks_matches_the_condensed_pairs(n, tile, base, monkeypatch):
+def test_report_in_row_blocks_matches_the_condensed_pairs(rows, tile, base, monkeypatch):
+    n = rows + 1
     rng = np.random.default_rng(11 * n + tile)
     samples = _edge_samples(n, rng)
     monkeypatch.setattr(metrics, "TILE_BYTES", 8 * n * 12 * tile)  # ``tile`` rows a block
+    sizes = record_blocks(monkeypatch, constants)
     for name, s, phi in samples:
         cm = CompositionMetric(base, phi)
+        sizes.clear()
         assert repr(constants_report(s, cm)) == repr(_condensed_report(s, cm)), name
+        assert sizes == tiles(rows, tile), name
 
 
 @pytest.mark.filterwarnings("ignore:K\\*Q")
@@ -568,6 +578,17 @@ def test_the_report_edge_samples_reach_every_rule():
     assert math.isfinite(reports["near-1e307"].Q) and reports["near-1e307"].C > 1e306
     tiny = reports["1e-320-modulus"]
     assert tiny.k_pair == (10, 11) and "rounds to 0" in tiny.notes[0]
+
+
+def test_a_sum_of_sizes_beyond_the_float_range_reads_as_inf_without_a_warning():
+    # |I_0| + |I_1| = 1e308 + 9e307 overflows to +inf, so that pair's Q
+    # ratio is 0; the values and their range are finite.
+    s = IndexedSample([[0.0], [1.0], [3.0]], [1e308, 9e307, 5e307])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = constants_report(s, IDENTITY)
+    assert (report.Q, report.q_pair) == (3.0 / (1e308 + 5e307), (0, 2))
+    assert report.notes == ()
 
 
 def test_constants_report_holds_a_tile_of_pairs_at_a_time():

@@ -24,13 +24,13 @@ from lipext.extension import (
     predict_in_blocks,
     whitney_batch,
 )
-from lipext import metrics
+from lipext import constants, metrics
 from lipext.metrics import CompositionMetric, pairwise_base
 from lipext.phi import PhiCombination, identity_phi, phi_eval
 from lipext.pipeline import Dataset, PairTable
 
 import oracles
-from helpers import predict_from, random_combination, scaled
+from helpers import predict_from, random_combination, record_blocks, scaled, tiles
 
 IDENTITY = CompositionMetric("euclidean", identity_phi())
 
@@ -473,9 +473,11 @@ def test_oracles_agree_at_n_200(sample, monkeypatch):
     pts, vals = s.points.tolist(), s.values.tolist()
     K_o, Q_o, _ = oracles.constants(pts, vals, "euclidean", phi.atoms, phi.coefficients)
     close = functools.partial(pytest.approx, rel=1e-12, abs=1e-12)
-    monkeypatch.setattr(metrics, "TILE_BYTES", 8 * n * 8 * 7)  # seven rows per K block
+    monkeypatch.setattr(metrics, "TILE_BYTES", 8 * n * 4 * 7)  # seven rows per K block
+    sizes = record_blocks(monkeypatch, constants)
     ds = Dataset([f"r{i}" for i in range(n)], s.points, s.values, [f"f{j}" for j in range(m)])
     assert coherence_constant(s, cm) == close(K_o)
+    assert sizes == tiles(n - 1, 7)
     assert PairTable(ds, cm, "whitney").fit(np.arange(n)).K == close(K_o)
     report = constants_report(s, cm)
     assert (report.K, report.Q) == (close(K_o), close(Q_o))

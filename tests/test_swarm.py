@@ -3,13 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import lipext
-from lipext import metrics
+from lipext import metrics, swarm
 from lipext.constants import IndexedSample, constants_report, katetov_shift
 from lipext.dataio import json_text, read_dataset, table1_path
 from lipext.metrics import CompositionMetric
@@ -17,7 +18,7 @@ from lipext.phi import ATOM_FUNCS, LINEAR_BASIS, SQRT_BASIS, PhiCombination, ato
 from lipext.pipeline import minmax_scale, objective_test_rmse
 from lipext.swarm import PsoConfig, _kq_terms, minimize_kq, objective_kq, pso_minimize, settle
 
-from helpers import condensed_pairs
+from helpers import condensed_pairs, record_blocks, tiles
 
 
 def sphere(lam):
@@ -223,21 +224,36 @@ def linprog_kq(s, atoms):
     return objective_kq(s, "euclidean", atoms)(lp.x[:-1])
 
 
-# A tile of one row, then samples of tile - 1, tile, tile + 1 and 3 * tile
-# rows against a tile of four.
-@pytest.mark.parametrize("n, tile", [(12, 1), (3, 4), (4, 4), (5, 4), (12, 4)])
+# ``rows`` rows of pairs i < j, the rows 0 to n - 2 of a sample of n = rows
+# + 1: a tile of one row, then tile - 1, tile, tile + 1 and 3 * tile rows
+# against a tile of four.
+@pytest.mark.parametrize("rows, tile", [(12, 1), (3, 4), (4, 4), (5, 4), (12, 4)])
 @pytest.mark.parametrize("base", ["euclidean", "manhattan"])
-def test_kq_terms_in_row_blocks_match_the_condensed_pairs(n, tile, base, monkeypatch):
+def test_kq_terms_in_row_blocks_match_the_condensed_pairs(rows, tile, base, monkeypatch):
     # Grid points with duplicates; the index has a negative minimum, so the
     # Katetov shift moves every value.
+    n = rows + 1
     rng = np.random.default_rng(13 * n + tile)
     s = IndexedSample(rng.integers(0, 3, size=(n, 2)) / 2.0, rng.uniform(-5.0, 5.0, n))
     _, _, d_base, gaps, _, denom_shifted = condensed_pairs(s, base)
     monkeypatch.setattr(metrics, "TILE_BYTES", 8 * n * (4 + 4) * tile)  # ``tile`` rows a block
+    sizes = record_blocks(monkeypatch, swarm)
     for atoms in (LINEAR_BASIS, SQRT_BASIS):
+        sizes.clear()
         terms = _kq_terms(s, base, atoms)
+        assert sizes == tiles(rows, tile)
         expected = (atom_values(atoms, d_base), gaps, denom_shifted)
         assert [a.tobytes() for a in terms] == [a.tobytes() for a in expected]
+
+
+def test_kq_terms_take_a_shifted_sum_beyond_the_float_range_as_inf_without_a_warning():
+    # Shifted to minimum 0, the index is 0, 1e308, 1e308, whose last two sum to +inf.
+    s = IndexedSample([[0.0], [1.0], [3.0]], [-1e308, 0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, gaps, denom = _kq_terms(s, "euclidean", LINEAR_BASIS)
+    assert gaps.tolist() == [1e308, 1e308, 0.0]
+    assert denom.tolist() == [1e308, 1e308, math.inf]
 
 
 @pytest.mark.parametrize("atoms", [LINEAR_BASIS, SQRT_BASIS], ids=["linear", "sqrt"])
