@@ -13,8 +13,9 @@ K and Q are maxima of ratios over the pairs, all reduced by ``ratio_max``
 under one rule: 0/0 imposes nothing, and x/0 with x > 0, or a ratio beyond
 the float range, makes the constant +inf.  Infinities are returned as
 values rather than raised, so optimizers can penalize them.  Every scan
-over a sample's pairs reads them from the points, a block of rows at a
-time (``pair_blocks``), so it holds O(``TILE_BYTES``) of them at once.
+over a sample's pairs, the build of a distance table (``pair_table``)
+included, reads them from the points, a block of rows at a time
+(``pair_blocks``), so it holds O(``TILE_BYTES``) of them at once.
 
 The approximation error of anchor-based extension is bounded by
 (K*Q - 1) * C once the index has been shifted so its minimum is zero.
@@ -87,22 +88,31 @@ def pair_blocks(s: IndexedSample, base: str, row_bytes: int):
     j > i: flat position k is the pair (rows.start + k // width, rows.start
     + k % width), so they come in lexicographic order.  The other entries
     are the diagonal, at distance 0, and the mirrors of the block's pairs.
+    Every ``d`` is cut from one scratch array allocated for the call, so
+    the next block overwrites it: a reader keeps what it needs of a block
+    before it asks for the next.
     """
     n = len(s)
     if n < 2:
         raise ValueError("need at least two rows")
+    work = None
     for block in row_blocks(n - 1, row_bytes):
         rows = slice(block.start, min(block.stop, n - 1))
-        upper = ~np.tri(rows.stop - rows.start, n - rows.start, dtype=bool)
-        yield rows, upper, pairwise_base(base, s.points[rows], s.points[rows.start:])
+        shape = (rows.stop - rows.start, n - rows.start)
+        if work is None:  # the first block is the largest
+            work = np.empty(shape[0] * shape[1])
+        d = work[: shape[0] * shape[1]].reshape(shape)
+        pairwise_base(base, s.points[rows], s.points[rows.start:], out=d)
+        yield rows, np.less.outer(np.arange(shape[0]), np.arange(shape[1])), d
 
 
-def pair_gaps(values: np.ndarray, rows: slice) -> np.ndarray:
+def pair_gaps(values: np.ndarray, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
     """|I_i - I_j| of the rows i in ``rows``, laid out as a block of
-    ``pair_blocks``, in a new array; a gap beyond the float range is +inf,
-    which ``ratio_max`` takes as an overflow of the ratio."""
+    ``pair_blocks``, in ``out`` when given, else in a new array; a gap
+    beyond the float range is +inf, which ``ratio_max`` takes as an
+    overflow of the ratio."""
     with np.errstate(over="ignore"):
-        gaps = np.subtract(values[rows, None], values[rows.start:])
+        gaps = np.subtract(values[rows, None], values[rows.start:], out=out)
     return np.abs(gaps, out=gaps)
 
 
@@ -197,7 +207,7 @@ def coherence_constant(s: IndexedSample, cm: CompositionMetric) -> float:
     return K
 
 
-#: How many of a distance table's largest pair ratios ``largest_ratios`` lists.
+#: How many of a sample's largest pair ratios ``pair_table`` lists.
 LISTED_PAIRS = 256
 
 
@@ -228,63 +238,70 @@ class LargestRatios:
         return float(self.ratios[hit.argmax()]) if hit.any() else None
 
 
-def largest_ratios(d: np.ndarray, values: np.ndarray) -> LargestRatios:
-    """Up to ``LISTED_PAIRS`` largest pair ratios of the rows with index
-    ``values`` under the symmetric table ``d`` of their composed distances.
+def pair_table(s: IndexedSample, cm: CompositionMetric) -> tuple[np.ndarray, LargestRatios]:
+    """The (n, n) composed distances among the rows of ``s``, with the bits
+    of ``cm.pairwise(s.points, s.points)``, and up to ``LISTED_PAIRS`` of
+    their largest pair ratios, from one pass over ``pair_blocks``.
 
-    The table is read in place in row blocks, each against the columns
-    from its first row on as in ``pair_blocks``, and each block's ratios
-    come from ``ratio_max``'s rule.  A running
-    ``floor`` bounds every ratio seen and left off.  In a block with more
-    than ``LISTED_PAIRS`` ratios above it, the floor first rises to the
-    block's ``LISTED_PAIRS``-th largest ratio, which a partition of the
-    block's ratios in place finds, and the block's ratios are made again.
-    Then the pairs strictly above the floor join the list, which is cut
-    back to its ``LISTED_PAIRS`` largest whenever it grows past them, the
-    floor rising to the largest ratio cut.  A cut keeps any listed ratio
-    tied with that one, and at the end the list drops the ratios below the
-    final floor and keeps those equal to it.  So every pair left off is at
-    most the floor, and so at most the smallest listed ratio; ties at the
-    cutoff can leave the list short, or empty, but never break that.  On
-    top of the table this holds one block of ratios and
+    The modulus of each block goes into the table at its rows, against
+    the columns from the block's first row on, and the columns before it
+    are mirrored from the blocks above: |a - b| = |b - a| term by term and
+    every entry is summed in one fixed order, so an entry and its mirror
+    have the same bits.  The last row, which starts no pair, is its column
+    mirrored, and its diagonal phi(0) = 0.
+
+    Each block's ratios come from ``ratio_max``'s rule, and only its
+    pairs, which ``upper`` marks, are listed.  A running ``floor`` bounds
+    every ratio seen and left off.  In a block with more than
+    ``LISTED_PAIRS`` pairs above it, the floor first rises to the block's
+    ``LISTED_PAIRS``-th largest pair ratio, which a partition of the
+    block's ratios in place finds, with its other entries at -inf, and the
+    block's ratios are made again from the table.  Then the pairs strictly
+    above the floor join the list, which is cut back to its
+    ``LISTED_PAIRS`` largest whenever it grows past them, the floor rising
+    to the largest ratio cut.  A cut keeps any listed ratio tied with that
+    one, and at the end the list drops the ratios below the final floor and
+    keeps those equal to it.  So every pair left off is at most the floor,
+    and so at most the smallest listed ratio; ties at the cutoff can leave
+    the list short, or empty, but never break that.  On top of the table
+    this holds ``pair_blocks``' scratch, one more scratch array for the
+    call that takes each block's atom values and then its ratios, and
     O(``LISTED_PAIRS``) for the list.
     """
-    n, size = len(values), LISTED_PAIRS
-
-    def block_ratios(block: slice) -> tuple[np.ndarray, float]:
-        """The ratios of the rows in ``block`` against the rows j from its
-        first on, -inf at j <= i, which is no pair, and their largest."""
-        r = pair_gaps(values, block)
-        top = ratio_max(r, d[block, block.start:], r)
-        np.copyto(r[:, : len(r)], -math.inf, where=np.tri(len(r), dtype=bool))
-        return r, top
-
+    n, v, size = len(s), s.values, LISTED_PAIRS
+    D = np.empty((n, n))
     ratios, i, j = np.empty(0), np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-    floor = -math.inf
-    for block in row_blocks(n, 8 * n):
-        r, top = block_ratios(block)
-        if top <= floor:
+    floor, work = -math.inf, None
+    for rows, upper, d in pair_blocks(s, cm.base, 8 * n * 4):
+        if work is None:  # the first block is the largest
+            work = np.empty(d.size)
+        r = work[: d.size].reshape(d.shape)  # the block's atom values, then its ratios
+        phi_eval(cm.phi, d, out=D[rows, rows.start:], scratch=r)
+        D[rows, : rows.start] = D[: rows.start, rows].T
+        # The largest ratio of the block is that of its pairs: the other
+        # entries are 0/0 or mirror one.
+        if ratio_max(pair_gaps(v, rows, r), D[rows, rows.start:], r) <= floor:
             continue
-        above = r > floor  # never at a 0/0 pair's NaN
+        above = (r > floor) & upper  # never at a 0/0 pair's NaN
         if np.count_nonzero(above) > size:
+            np.copyto(r, -math.inf, where=~upper)
             flat = np.fmax(r, -math.inf, out=r).ravel()  # NaN as -inf, below every ratio
             flat.partition(flat.size - size)
             floor = float(flat[flat.size - size])
-            del r, flat
-            r = block_ratios(block)[0]
-            np.greater(r, floor, out=above)
+            ratio_max(pair_gaps(v, rows, r), D[rows, rows.start:], r)
+            above = (r > floor) & upper
         at = np.flatnonzero(above)
         ratios = np.concatenate([ratios, r.ravel()[at]])
-        i = np.concatenate([i, at // r.shape[1] + block.start])
-        j = np.concatenate([j, at % r.shape[1] + block.start])
-        del r, above
+        i = np.concatenate([i, at // r.shape[1] + rows.start])
+        j = np.concatenate([j, at % r.shape[1] + rows.start])
         if len(ratios) > size:
             order = np.argsort(ratios)[::-1]
             floor = max(floor, float(ratios[order[size]]))
             ratios, i, j = ratios[order[:size]], i[order[:size]], j[order[:size]]
+    D[-1, :-1], D[-1, -1] = D[:-1, -1], 0.0
     keep = ratios >= floor
     order = np.argsort(ratios[keep])[::-1]
-    return LargestRatios(ratios[keep][order], i[keep][order], j[keep][order], n)
+    return D, LargestRatios(ratios[keep][order], i[keep][order], j[keep][order], n)
 
 
 def index_bound(s: IndexedSample) -> float:

@@ -12,10 +12,10 @@ BASE_METRICS = ("euclidean", "manhattan", "chebyshev")
 
 #: Byte budget of one row block: the (rows, n) scratch arrays that
 #: ``pairwise_base`` keeps live while it adds up one feature column at a
-#: time; the two that ``CompositionMetric`` allocates once per call, for a
-#: block's base distances and one modulus atom's values; or a (rows, n)
-#: block of ratios or predictions.  Work done row block by row block has a
-#: peak memory of O(TILE_BYTES) on top of its inputs and result.
+#: time; the scratch arrays allocated once per call, for a block's base
+#: distances and one modulus atom's values; or a (rows, n) block of ratios
+#: or predictions.  Work done row block by row block has a peak memory of
+#: O(TILE_BYTES) on top of its inputs and result.
 TILE_BYTES = 2 * 2**20
 
 #: numpy's pairwise summation: fewer than 8 terms are added in sequence, up
@@ -178,51 +178,23 @@ class CompositionMetric:
         base distances gives the bits of applying it to all of them at once.
         Each block's base distances go into one scratch array allocated for
         the call, and ``phi_eval`` adds the modulus atom by atom into the
-        result in place, with a second one for the atoms' values.
+        result in place, with a second one for the atoms' values.  The two
+        together take at most ``TILE_BYTES``.  Each block is a whole number
+        of ``pairwise_base``'s own row blocks, where one of those fits, so
+        that no block ends in a short one that pays a full round of ufunc
+        calls.
         """
         A = np.atleast_2d(np.asarray(A, dtype=float))
         B = np.atleast_2d(np.asarray(B, dtype=float))
-        out = np.empty((A.shape[0], B.shape[0]))
-        for rows, base, atom in _scratch_blocks(A.shape[0], B.shape[0], self.base, A.shape[1]):
+        (q, m), n = A.shape, B.shape[0]
+        out = np.empty((q, n))
+        align = _rows_per_tile(8 * n * _scratch_count(self.base, m))
+        work = None
+        for rows in row_blocks(q, 2 * 8 * n, align):
+            count = len(range(q)[rows])
+            if work is None:  # the first block is the largest
+                work = np.empty((2, count, n))
+            base, atom = work[:, :count]
             pairwise_base(self.base, A[rows], B, out=base)
             phi_eval(self.phi, base, out=out[rows], scratch=atom)
         return out
-
-    def square(self, X) -> np.ndarray:
-        """The (n, n) composed distances among the rows of X, each pair
-        computed once: the bits of ``pairwise(X, X)``.
-
-        Each row block is computed against the columns from its first row
-        on, and the columns before it are mirrored from the blocks above.
-        |a - b| = |b - a| term by term and every entry is summed in one
-        fixed order, so an entry and its mirror have the same bits.  The
-        scratch arrays are those of ``pairwise``, cut to each block's
-        columns.
-        """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        n = X.shape[0]
-        out = np.empty((n, n))
-        for rows, base, atom in _scratch_blocks(n, n, self.base, X.shape[1], upper=True):
-            pairwise_base(self.base, X[rows], X[rows.start:], out=base)
-            phi_eval(self.phi, base, out=out[rows, rows.start:], scratch=atom)
-            out[rows, : rows.start] = out[: rows.start, rows].T
-        return out
-
-
-def _scratch_blocks(q: int, n: int, kind: str, m: int, upper: bool = False):
-    """``row_blocks`` of q rows against n columns, or with ``upper`` against
-    the columns from the block's first row on, each with two contiguous
-    (rows, columns) arrays cut from one scratch array allocated for the whole
-    call: the block's base distances, and the values of one modulus atom at
-    a time.  The two together take at most ``TILE_BYTES``.  Each block is a
-    whole number of ``pairwise_base``'s own row blocks for ``kind`` and m
-    features against n columns, where one of those fits, so that no block
-    ends in a short one that pays a full round of ufunc calls."""
-    align = _rows_per_tile(8 * n * _scratch_count(kind, m))
-    work = None
-    for rows in row_blocks(q, 2 * 8 * n, align):
-        count, cols = len(range(q)[rows]), n - rows.start if upper else n
-        if work is None:  # the first block is the largest
-            work = np.empty((2, count * n))
-        base, atom = work[:, : count * cols].reshape(2, count, cols)
-        yield rows, base, atom

@@ -9,12 +9,14 @@ a nested split inside the training rows.
 
 Splits only change which indexed rows train, so the composed distances
 among the indexed rows are computed once (``PairTable``) and every split
-reads them in place.  The table also lists its largest pair ratios once
-(``constants.largest_ratios``), and each split takes its coherence
-constant K from the first listed pair with both rows on its training
-side, or from the points when none is listed.  The repeats run one after
-another in one loop, and a report holds no measured time, so the same
-inputs give the same report, bit for bit.
+reads them in place.  One pass over the rows' pairs
+(``constants.pair_table``) builds the table and lists its largest pair
+ratios, and each split takes its coherence constant K from the first
+listed pair with both rows on its training side, or from the points when
+none is listed.  A fit on every indexed row, as ``extend`` and ``rank``
+make it, builds a table only for a blend's holdout weight.  The repeats
+run one after another in one loop, and a report holds no measured time,
+so the same inputs give the same report, bit for bit.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ import numpy as np
 
 from .constants import (
     IndexedSample,
-    largest_ratios,
     pair_front,
+    pair_table,
     ratio_max,
     undominated,
 )
@@ -252,18 +254,20 @@ class PairTable:
     reduction over the same two rows, so the entries read have the bits
     that a fresh computation on the subset would give.  The table is
     read-only once built.  Every method but linear, which needs no
-    distances, builds it and lists its largest pair ratios
-    (``constants.largest_ratios``), which serve the K of many subset fits
-    at O(``LISTED_PAIRS``) each.  Memory is O(n^2): the table is the one
-    quadratic structure on the fit and prediction paths.
+    distances, builds it, and the same pass over the pairs
+    (``constants.pair_table``) lists its largest pair ratios, which serve
+    the K of many subset fits at O(``LISTED_PAIRS``) each.  Memory is
+    O(n^2): the table is the one quadratic structure on the fit and
+    prediction paths.
     """
 
     def __init__(self, ds: Dataset, cm: CompositionMetric, method: str):
         self.ds = ds
         self.cm = cm
         self.method = method
-        self.D = cm.square(ds.features) if method != "linear" else None
-        self.largest = largest_ratios(self.D, ds.index) if self.D is not None else None
+        self.D, self.largest = None, None
+        if method != "linear":
+            self.D, self.largest = pair_table(IndexedSample(ds.features, ds.index), cm)
 
     def fit(self, rows: np.ndarray, alpha: float | None = None) -> ExtensionModel:
         """``fit_extension`` of the table's method on the given rows, with K
@@ -334,17 +338,19 @@ def fit_for_extend(
     holdout split is too small, the weight is 0.5, with a warning; a
     holdout that cannot be fitted raises its ``FitError``, and a bad
     fraction or split method raises ``ValueError``.  The holdout and the
-    final fit share one distance table.
+    final fit share one distance table.  Every other fit, and any fit on
+    one row, which raises ``FitError`` unless it is linear, is
+    ``fit_extension`` on every row: it takes K from the points and builds
+    no table.
     """
+    if method != "blend" or alpha is not None or indexed.n_rows < 2:
+        return fit_extension(indexed.as_sample(), cm, method, alpha)
     table = PairTable(indexed, cm, method)
     rows = np.arange(indexed.n_rows)
-    if method != "blend":
-        return table.fit(rows)
+    alpha = table.holdout_alpha(rows, train_fraction, seed, split_method)
     if alpha is None:
-        alpha = table.holdout_alpha(rows, train_fraction, seed, split_method)
-        if alpha is None:
-            warnings.warn("too few indexed rows to estimate alpha; using 0.5", stacklevel=2)
-            alpha = 0.5
+        warnings.warn("too few indexed rows to estimate alpha; using 0.5", stacklevel=2)
+        alpha = 0.5
     return table.fit(rows, alpha)
 
 

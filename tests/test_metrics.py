@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lipext import metrics
+from lipext import constants, metrics
+from lipext.constants import IndexedSample, pair_table
 from lipext.metrics import (
     BASE_METRICS,
     CompositionMetric,
@@ -12,7 +13,7 @@ from lipext.metrics import (
 )
 from lipext.phi import ATOM_NAMES, PhiCombination, identity_phi, phi_eval
 
-from helpers import distance, one_shot_pairwise, random_combination, scaled
+from helpers import distance, one_shot_pairwise, random_combination, record_blocks, scaled, tiles
 from oracles import base_dist
 
 
@@ -140,6 +141,17 @@ def _composed_tile_bytes(n: int, tile: int) -> int:
     return 2 * 8 * n * tile
 
 
+def _table_tile_bytes(n: int, tile: int) -> int:
+    """The ``TILE_BYTES`` that gives ``pair_table`` blocks of ``tile`` rows
+    of n: its pass budgets four (rows, n) arrays a row block."""
+    return 8 * n * 4 * tile
+
+
+def _table(X, cm):
+    """The distance table that ``pair_table`` builds among the rows of X."""
+    return pair_table(IndexedSample(X, np.zeros(len(X))), cm)[0]
+
+
 def _same_bits(a, b) -> bool:
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
@@ -187,21 +199,25 @@ def test_composed_pairwise_tiles_match_one_shot_bit_for_bit(kind, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", BASE_METRICS)
-def test_square_matches_pairwise_of_the_points_with_themselves(kind, monkeypatch):
-    # Each pair is computed once and mirrored; the mirror must keep the bits.
+def test_the_pair_table_matches_pairwise_of_the_points_with_themselves(kind, monkeypatch):
+    # Each pair is computed once and mirrored, and the last row, which
+    # starts no pair, is its column mirrored; the mirrors must keep the bits.
     rng = np.random.default_rng(6)
     cm = CompositionMetric(kind, PhiCombination(ATOM_NAMES, rng.uniform(0.1, 2.0, len(ATOM_NAMES))))
     tile = 4
     for m in (2, 9, 130):
         scales = 10.0 ** rng.uniform(-3.0, 3.0, size=m)
-        for n in (1, tile - 1, tile, tile + 1, 3 * tile):
+        # Rows 0 to n - 2 start the pairs: one row, one block, around one
+        # tile and past three.
+        for n in (2, tile, tile + 1, tile + 2, 3 * tile + 2):
             X = rng.uniform(-5.0, 5.0, size=(n, m)) * scales
             with monkeypatch.context() as patch:
-                patch.setattr(metrics, "TILE_BYTES", _composed_tile_bytes(n, tile))
-                square = cm.square(X)
-            assert np.array_equal(square, cm.pairwise(X, X)), (m, n)
-            assert np.array_equal(square, square.T)
-    assert cm.square(np.empty((0, 3))).shape == (0, 0)
+                patch.setattr(metrics, "TILE_BYTES", _table_tile_bytes(n, tile))
+                sizes = record_blocks(patch, constants)
+                D = _table(X, cm)
+            assert sizes == tiles(n - 1, tile)
+            assert _same_bits(D, cm.pairwise(X, X)), (m, n)
+            assert np.array_equal(D, D.T)
 
 
 def test_pairwise_empty_query_block():
@@ -237,12 +253,21 @@ def _traced_peak(kind, A, B):
 
 @pytest.mark.parametrize("kind", BASE_METRICS)
 @pytest.mark.parametrize("m", [3, 10, 200])
-def test_composed_blocks_are_whole_base_blocks(kind, m):
+def test_composed_blocks_are_whole_base_blocks(kind, m, monkeypatch):
     # A composed block that ends in a short pairwise_base block pays a full
-    # round of ufunc calls for a few rows.
+    # round of ufunc calls for a few rows.  The blocks are recorded as
+    # ``pairwise`` hands them to ``pairwise_base``, which computes nothing.
     n, q = 2000, 3000
+    sizes = []
+
+    def recording(kind, A, B, out):
+        sizes.append(len(A))
+        out.fill(0.0)
+        return out
+
+    monkeypatch.setattr(metrics, "pairwise_base", recording)
+    CompositionMetric(kind).pairwise(np.zeros((q, m)), np.zeros((n, m)))
     base = metrics._rows_per_tile(8 * n * metrics._scratch_count(kind, m))
-    sizes = [len(range(q)[rows]) for rows, _, _ in metrics._scratch_blocks(q, n, kind, m)]
     assert sum(sizes) == q
     assert 2 * 8 * n * sizes[0] <= metrics.TILE_BYTES
     assert all(size % base == 0 for size in sizes[:-1]) or sizes[0] < base
@@ -302,10 +327,10 @@ def test_edge_values_keep_the_bits_of_the_one_shot_reduction(kind, m, monkeypatc
             assert _same_bits(cm.pairwise(A, B), expected), q
             if kind == "euclidean":
                 assert np.isinf(one_shot_pairwise(kind, A, B)[0, 0]) and np.isnan(expected[0, 0])
-        for rows in counts:
+        for rows in (2, tile, tile + 1, tile + 2, 3 * tile + 2):  # a table has two rows or more
             X = points(rows, -1e155)
-            monkeypatch.setattr(metrics, "TILE_BYTES", _composed_tile_bytes(rows, tile))
-            assert _same_bits(cm.square(X), phi_eval(phi, one_shot_pairwise(kind, X, X))), rows
+            monkeypatch.setattr(metrics, "TILE_BYTES", _table_tile_bytes(rows, tile))
+            assert _same_bits(_table(X, cm), phi_eval(phi, one_shot_pairwise(kind, X, X))), rows
 
 
 @pytest.mark.parametrize("atoms", [("identity",), ATOM_NAMES])
@@ -314,9 +339,12 @@ def test_composed_peak_memory_above_the_result(kind, atoms):
     # One per-call scratch of base distances and atom values (one tile in
     # all) and pairwise_base's own tile of partial sums; after those are
     # freed the modulus adds at most sqrt_rational's 1 + r (half a tile).
+    # A table's pass holds a quarter tile of base distances and one of atom
+    # values, then ratios, besides pairwise_base's tile.
     rng = np.random.default_rng(7)
     cm = CompositionMetric(kind, PhiCombination(atoms, tuple(rng.uniform(0.1, 2.0, len(atoms)))))
     A, B = rng.uniform(size=(1000, 10)), rng.uniform(size=(800, 10))
     slack = 2 * metrics.TILE_BYTES + B.nbytes + 2**17
     assert _traced_call_peak(cm.pairwise, A, B) < 8 * 1000 * 800 + slack
-    assert _traced_call_peak(cm.square, B) < 8 * 800 * 800 + slack
+    sample = IndexedSample(B, rng.uniform(size=800))
+    assert _traced_call_peak(pair_table, sample, cm) < 8 * 800 * 800 + slack

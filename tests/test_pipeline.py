@@ -11,7 +11,6 @@ from lipext.constants import (
     IndexedSample,
     coherence_constant,
     katetov_shift,
-    largest_ratios,
     ratio_max,
     undominated,
 )
@@ -48,7 +47,7 @@ from lipext.pipeline import (
     split,
 )
 
-from helpers import predict_from, random_combination, scaled
+from helpers import predict_from, random_combination, record_blocks, scaled, tiles
 
 IDENTITY = CompositionMetric("euclidean", identity_phi())
 
@@ -738,6 +737,37 @@ def test_extend_fit_and_predict_stay_under_memory_ceilings():
     assert subset_peak < 8 * 2**20
 
 
+@pytest.mark.parametrize("method, alpha", [("whitney", None), ("mcshane", None),
+                                           ("standard", None), ("blend", 0.3)])
+def test_a_fit_for_extend_without_a_holdout_builds_no_table(method, alpha):
+    # 2,000 indexed rows: the table would be 30.5 MiB.  A fit on every row
+    # that needs no holdout weight takes K from the points, a tile of pairs
+    # at a time, with the bits of coherence_constant.
+    rng = np.random.default_rng(97)
+    features = rng.uniform(size=(2000, 10))
+    indexed = make_dataset(features, features @ rng.uniform(size=10))
+    tracemalloc.start()
+    try:
+        model = fit_for_extend(indexed, IDENTITY, method, alpha)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * metrics.TILE_BYTES
+    assert model.K == coherence_constant(indexed.as_sample(), IDENTITY)
+    assert model.alpha == alpha
+
+
+@pytest.mark.parametrize("alpha", [None, 0.3])
+@pytest.mark.parametrize("method", ["whitney", "mcshane", "blend", "standard", "linear"])
+def test_a_one_row_fit_for_extend_raises_fit_error_but_linear_fits(method, alpha):
+    one = make_dataset([[0.5]], [3.0])
+    if method == "linear":
+        assert fit_for_extend(one, IDENTITY, method, alpha).method == "linear"
+    else:
+        with pytest.raises(FitError, match=f"{method} fit needs at least two rows"):
+            fit_for_extend(one, IDENTITY, method, alpha)
+
+
 def test_a_table_prediction_gathers_a_tile_of_table_rows_at_a_time():
     # 2,000 rows, 1,400 training: a block of query rows is gathered as whole
     # table rows first, so it is sized at the table's width.  At the
@@ -798,6 +828,14 @@ def test_holdout_alpha_refuses_a_table_of_another_method(method):
 
 def _listed_table(features, index, cm=IDENTITY, method="whitney"):
     return PairTable(make_dataset(features, index), cm, method)
+
+
+def _list_in_tiles(monkeypatch, n, tile):
+    """Patch ``TILE_BYTES`` so that the pass of ``pair_table`` over n rows,
+    which budgets four (rows, n) arrays a row block, takes ``tile`` rows a
+    block; returns the list that records the block sizes of every pass."""
+    monkeypatch.setattr(metrics, "TILE_BYTES", 8 * n * 4 * tile)
+    return record_blocks(monkeypatch, constants)
 
 
 def _fresh_K(table, rows):
@@ -864,10 +902,12 @@ def test_listed_K_matches_a_fresh_sample_on_random_and_nested_subsets(tile, grow
     n = 60
     cm = CompositionMetric("manhattan", random_combination(rng))
     if tile is not None:
-        monkeypatch.setattr(metrics, "TILE_BYTES", 8 * n * tile)
+        sizes = _list_in_tiles(monkeypatch, n, tile)
         monkeypatch.setattr(constants, "LISTED_PAIRS", 20)
     index = rng.uniform(0.0, 5.0, n) * (np.geomspace(1.0, 1e3, n) if growing else 1.0)
     table = _listed_table(rng.uniform(size=(n, 3)), index, cm)
+    if tile is not None:
+        assert sizes == tiles(n - 1, tile)
     _check_list(table)
     assert len(table.largest.ratios) > constants.LISTED_PAIRS // 2
     assert _check_subsets(table, _splits(n, range(20))) > 30
@@ -896,9 +936,10 @@ def test_a_floor_that_rises_past_a_listed_pair_drops_it(monkeypatch):
     # and set the floor at 5.25; rows 2-3 have three pairs above it, so the
     # floor rises to their second largest, (3, 4) at 10.6, and (2, 3) at 20
     # joins the list.  (1, 2) must then go: it is below the unlisted (3, 4).
-    monkeypatch.setattr(metrics, "TILE_BYTES", 8 * 6 * 2)
+    sizes = _list_in_tiles(monkeypatch, 6, 2)
     monkeypatch.setattr(constants, "LISTED_PAIRS", 2)
     table = _listed_table(np.arange(6.0).reshape(-1, 1), [0.0, 0.5, 10.0, -10.0, 0.6, 0.7])
+    assert sizes == [2, 2, 1]
     _check_list(table)
     assert (table.largest.ratios.tolist(), table.largest.i.tolist(), table.largest.j.tolist()) \
         == ([20.0], [2], [3])
@@ -945,12 +986,12 @@ def test_listed_K_with_ties_at_the_cutoff(size, tile, monkeypatch):
     # off; blocks of two rows cut a list of 5 back as it grows.  Either
     # way subsets without the last row fall back.
     monkeypatch.setattr(constants, "LISTED_PAIRS", size)
-    if tile is not None:
-        monkeypatch.setattr(metrics, "TILE_BYTES", 8 * 12 * tile)
+    sizes = _list_in_tiles(monkeypatch, 12, tile) if tile is not None else None
     x = np.arange(12, dtype=float)
     index = 2.0 * x
     index[-1] += 5.0
     table = _listed_table(x.reshape(-1, 1), index, method="mcshane")
+    assert sizes is None or sizes == tiles(11, tile)
     _check_list(table)
     assert np.all(table.largest.ratios > 2.0)
     assert len(table.largest.ratios) == 11 or size < 11
@@ -988,17 +1029,19 @@ def test_a_short_list_leaves_K_to_the_points(size, monkeypatch):
     assert _check_subsets(table, [excluded, *_splits(n, range(10))]) < 21
 
 
-def test_listing_the_largest_ratios_holds_one_block_on_top_of_the_table():
-    # 2,000 rows: the table is 30.5 MiB, a block of ratios one 2 MiB tile.
-    # A second copy of the block would take the peak past 1.5 tiles.
+def test_building_the_table_and_its_list_holds_one_tile_on_top_of_the_table():
+    # 2,000 rows: the table is 30.5 MiB.  Its one pass over the pairs
+    # holds a quarter tile each of base distances, of atom values, then
+    # ratios, and of pairwise_base's partial sums, besides the list; a
+    # second block of ratios or a table-sized array would take the peak
+    # past one tile.
     rng = np.random.default_rng(79)
     features = rng.uniform(size=(2000, 4))
-    D = IDENTITY.square(features)
-    values = features @ rng.uniform(size=4)
+    ds = make_dataset(features, features @ rng.uniform(size=4))
     tracemalloc.start()
     try:
-        largest_ratios(D, values)
+        PairTable(ds, IDENTITY, "whitney")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * metrics.TILE_BYTES
+    assert peak < 8 * 2000 * 2000 + metrics.TILE_BYTES
