@@ -204,6 +204,7 @@ def coherence_constant(s: IndexedSample, cm: CompositionMetric) -> float:
     for rows, _, d in pair_blocks(s, cm.base, 8 * len(s) * 4):
         ratios = pair_gaps(v, rows)
         K = max(K, ratio_max(ratios, phi_eval(cm.phi, d), ratios))
+        del ratios  # before the next block's base distances are made
     return K
 
 
@@ -213,10 +214,10 @@ LISTED_PAIRS = 256
 
 @dataclass(frozen=True, eq=False)
 class LargestRatios:
-    """The largest ratios |I_i - I_j| / d_ij over the pairs i < j of a
-    table of n rows, descending, with their rows; every pair left off has
-    a ratio no larger than the smallest listed one, and 0/0 pairs, which
-    impose nothing, are never listed."""
+    """The min(``LISTED_PAIRS``, pairs that constrain) largest ratios
+    |I_i - I_j| / d_ij over the pairs i < j of a table of n rows,
+    descending, with their rows; every pair left off has a ratio no larger
+    than the smallest listed one, and 0/0 pairs are never listed."""
 
     ratios: np.ndarray
     i: np.ndarray
@@ -252,27 +253,24 @@ def pair_table(s: IndexedSample, cm: CompositionMetric) -> tuple[np.ndarray, Lar
 
     Each block's ratios come from ``ratio_max``'s rule, and only its
     pairs, which ``upper`` marks, are listed.  A running ``floor`` bounds
-    every ratio seen and left off.  In a block with more than
-    ``LISTED_PAIRS`` pairs above it, the floor first rises to the block's
-    ``LISTED_PAIRS``-th largest pair ratio, which a partition of the
-    block's ratios in place finds, with its other entries at -inf, and the
-    block's ratios are made again from the table.  Then the pairs strictly
-    above the floor join the list, which is cut back to its
+    every ratio seen and left off.  A block lists its pairs above it, or,
+    when more than ``LISTED_PAIRS`` are, its ``LISTED_PAIRS`` largest,
+    which one ``np.argpartition`` finds with the entries off its pairs and
+    0/0 at -inf; the floor rises to the smallest taken.  The list is cut back to its
     ``LISTED_PAIRS`` largest whenever it grows past them, the floor rising
-    to the largest ratio cut.  A cut keeps any listed ratio tied with that
-    one, and at the end the list drops the ratios below the final floor and
-    keeps those equal to it.  So every pair left off is at most the floor,
-    and so at most the smallest listed ratio; ties at the cutoff can leave
-    the list short, or empty, but never break that.  On top of the table
-    this holds ``pair_blocks``' scratch, one more scratch array for the
-    call that takes each block's atom values and then its ratios, and
-    O(``LISTED_PAIRS``) for the list.
+    to the largest ratio cut if higher.  After each block no listed ratio
+    is below the floor, so every pair left off is at most the smallest
+    listed one, and the list holds min(``LISTED_PAIRS``, pairs that
+    constrain): the floor leaves -inf only when the list fills.  On top of
+    the table this holds ``pair_blocks``' scratch, one more scratch array
+    for the call that takes each block's atom values and then its ratios,
+    the partition's indices, and O(``LISTED_PAIRS``) for the list.
     """
     n, v, size = len(s), s.values, LISTED_PAIRS
     D = np.empty((n, n))
     ratios, i, j = np.empty(0), np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
     floor, work = -math.inf, None
-    for rows, upper, d in pair_blocks(s, cm.base, 8 * n * 4):
+    for rows, upper, d in pair_blocks(s, cm.base, 8 * n * 5):
         if work is None:  # the first block is the largest
             work = np.empty(d.size)
         r = work[: d.size].reshape(d.shape)  # the block's atom values, then its ratios
@@ -283,15 +281,16 @@ def pair_table(s: IndexedSample, cm: CompositionMetric) -> tuple[np.ndarray, Lar
         if ratio_max(pair_gaps(v, rows, r), D[rows, rows.start:], r) <= floor:
             continue
         above = (r > floor) & upper  # never at a 0/0 pair's NaN
+        flat = r.ravel()
         if np.count_nonzero(above) > size:
+            # -inf off the pairs and at 0/0 only: many equal entries slow the selection.
             np.copyto(r, -math.inf, where=~upper)
-            flat = np.fmax(r, -math.inf, out=r).ravel()  # NaN as -inf, below every ratio
-            flat.partition(flat.size - size)
-            floor = float(flat[flat.size - size])
-            ratio_max(pair_gaps(v, rows, r), D[rows, rows.start:], r)
-            above = (r > floor) & upper
-        at = np.flatnonzero(above)
-        ratios = np.concatenate([ratios, r.ravel()[at]])
+            np.fmax(r, -math.inf, out=r)
+            at = np.argpartition(flat, -size)[-size:].copy()  # a copy frees the rest
+            floor = float(flat[at[0]])  # the partition's pivot, the smallest taken
+        else:
+            at = np.flatnonzero(above)
+        ratios = np.concatenate([ratios, flat[at]])
         i = np.concatenate([i, at // r.shape[1] + rows.start])
         j = np.concatenate([j, at % r.shape[1] + rows.start])
         if len(ratios) > size:
@@ -299,9 +298,8 @@ def pair_table(s: IndexedSample, cm: CompositionMetric) -> tuple[np.ndarray, Lar
             floor = max(floor, float(ratios[order[size]]))
             ratios, i, j = ratios[order[:size]], i[order[:size]], j[order[:size]]
     D[-1, :-1], D[-1, -1] = D[:-1, -1], 0.0
-    keep = ratios >= floor
-    order = np.argsort(ratios[keep])[::-1]
-    return D, LargestRatios(ratios[keep][order], i[keep][order], j[keep][order], n)
+    order = np.argsort(ratios)[::-1]
+    return D, LargestRatios(ratios[order], i[order], j[order], n)
 
 
 def index_bound(s: IndexedSample) -> float:
@@ -315,14 +313,14 @@ def error_bound(K: float, Q: float, C: float) -> float:
     Valid for shifted non-negative indices, where K*Q >= 1 is automatic.
     When K*Q < 1 the formula would go negative and the bound degrades to 0.
     A product more than KQ_ROUNDING_SLACK below 1 signals inputs outside
-    that regime and warns; one within it is a product of exactly 1 that
-    rounded down, and does not.
+    that regime and warns; one within it, a product of exactly 1 that
+    rounded down, or C = 0, where the bound is exactly 0, does not.
     """
     if not (math.isfinite(K) and math.isfinite(Q) and math.isfinite(C)):
         return math.inf
     kq = K * Q
     if kq < 1.0:
-        if kq < 1.0 - KQ_ROUNDING_SLACK:
+        if kq < 1.0 - KQ_ROUNDING_SLACK and C != 0.0:
             warnings.warn(
                 f"K*Q = {kq} < 1: error bound clamped to 0 (input outside the "
                 "shifted-index regime)",

@@ -248,17 +248,18 @@ class PairTable:
     """Composed distances among the rows of ``ds``, all indexed, built once
     for fits of ``method`` on subsets of the rows.
 
-    Fits and predictions on subsets of the rows read the table in place, in
-    row blocks, instead of recomputing distances or copying a block of
-    them.  The modulus acts elementwise and each entry is the base
-    reduction over the same two rows, so the entries read have the bits
-    that a fresh computation on the subset would give.  The table is
-    read-only once built.  Every method but linear, which needs no
+    Whitney, McShane and blend predictions on subsets of the rows read the
+    table in place, in row blocks, instead of recomputing distances or
+    copying a block of them.  The modulus acts elementwise and each entry
+    is the base reduction over the same two rows, so the entries read have
+    the bits that a fresh computation on the subset would give.  The table
+    is read-only once built.  Every method but linear, which needs no
     distances, builds it, and the same pass over the pairs
-    (``constants.pair_table``) lists its largest pair ratios, which serve
-    the K of many subset fits at O(``LISTED_PAIRS``) each.  Memory is
-    O(n^2): the table is the one quadratic structure on the fit and
-    prediction paths.
+    (``constants.pair_table``) lists its largest pair ratios,
+    min(``LISTED_PAIRS``, pairs that constrain) of them, which serve the K
+    of many subset fits at O(``LISTED_PAIRS``) each.  Memory is O(n^2):
+    the table is the one quadratic structure on the fit and prediction
+    paths.
     """
 
     def __init__(self, ds: Dataset, cm: CompositionMetric, method: str):
@@ -284,16 +285,16 @@ class PairTable:
     ) -> tuple[float | None, np.ndarray]:
         """(blend weight, predictions) at ``rows`` of a model fitted on ``train``.
 
-        Each block of ``rows`` gathers its distances to ``train`` from the
-        table, a standard model the anchor's column alone.  The gather takes
-        the block's whole rows of the table first, so a block has as many
-        rows as fit in a tile at the table's width.  A blend without
-        ``alpha`` takes the optimal weight against the index values there.
+        A whitney, mcshane or blend model reads the table: each block of
+        ``rows`` gathers its distances to ``train`` from it, taking the
+        block's whole rows of the table first, so a block has as many rows
+        as fit in a tile at the table's width.  A blend without ``alpha``
+        takes the optimal weight against the index values there.  A linear
+        or standard model, which needs no distances or those to one anchor,
+        is ``extension.predict`` at the rows' points.
         """
-        if model.method == "linear":
+        if model.method in ("linear", "standard"):
             return None, predict(model, self.ds.features[rows])
-        if model.method == "standard":
-            return None, model.offset + model.K * self.D[rows, train[model.anchor]]
 
         def distances(block):
             return self.D.take(rows[block], axis=0).take(train, axis=1)

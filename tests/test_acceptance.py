@@ -147,7 +147,6 @@ def test_alpha_optimality():
         assert best <= float(np.min(sse)) + 1e-9
 
 
-@pytest.mark.filterwarnings("ignore:K\\*Q")
 @criterion("error-bound")
 def test_error_bound_guarantee():
     # 200 random zero-min samples with finite K, Q: both the anchor-based
@@ -352,7 +351,6 @@ def test_desk_scale_experiment(tmp_path):
     assert all(0.0 <= float(e[2]) <= 100.0 for e in entries)
 
 
-@pytest.mark.filterwarnings("ignore:K\\*Q")
 @criterion("determinism")
 def test_command_determinism(tmp_path):
     # Rerunning every command with the same seed/config/data reproduces the

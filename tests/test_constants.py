@@ -87,12 +87,15 @@ def test_error_bound_ignores_rounding_below_one():
         assert error_bound(1.0, 1.0 - 2.0**-53, 5.0) == 0.0
 
 
-def test_degenerate_zero_constants_still_warn():
-    # Two copies of one row: K and the shifted Q are both 0.
+def test_degenerate_zero_constants_do_not_warn():
+    # Two copies of one row: K and the shifted Q are both 0, and so is the
+    # shifted C, so the bound is exactly 0 and nothing is out of regime.
     s = line_sample([1.0, 1.0], [3.0, 3.0])
-    with pytest.warns(UserWarning, match="K\\*Q = 0.0 < 1"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         report = constants_report(s, IDENTITY)
-    assert (report.K, report.Q_shifted, report.bound) == (0.0, 0.0, 0.0)
+        assert error_bound(0.5, 0.5, 0.0) == 0.0
+    assert (report.K, report.Q_shifted, report.C_shifted, report.bound) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_katetov_shift():
@@ -123,7 +126,6 @@ def _random_sample(rng, n=None, m=None):
     return IndexedSample(pts, vals)
 
 
-@pytest.mark.filterwarnings("ignore:K\\*Q")
 def test_kq_product_invariant_under_coefficient_scaling():
     rng = np.random.default_rng(10)
     for _ in range(20):
@@ -156,7 +158,6 @@ def test_kq_at_least_one_after_shift():
         assert K * Q >= 1.0 - 1e-9
 
 
-@pytest.mark.filterwarnings("ignore:K\\*Q")
 def test_reported_pairs_achieve_the_constants():
     rng = np.random.default_rng(12)
     for _ in range(20):
@@ -217,8 +218,10 @@ def test_reported_pairs_on_ties_and_infinities():
     report = constants_report(s, tiny)
     assert (report.K, report.k_pair) == (math.inf, (2, 3))
     assert report.notes[0] == "not coherent: rows (2, 3) coincide but carry distinct values"
-    # Two rows at distance 0 with the value 0: no pair constrains K or Q.
-    with pytest.warns(UserWarning, match=r"K\*Q = 0.0 < 1"):
+    # Two rows at distance 0 with the value 0: no pair constrains K or Q,
+    # and the bound is exactly 0, without a warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         report = constants_report(line_sample([1.0, 1.0], [0.0, 0.0]), IDENTITY)
     assert (report.K, report.k_pair, report.Q, report.q_pair) == (0.0, None, 0.0, None)
 
@@ -253,7 +256,6 @@ def test_a_shift_beyond_the_float_range_names_the_range():
         katetov_shift(s)
 
 
-@pytest.mark.filterwarnings("ignore:K\\*Q")
 def test_matches_double_loop_oracle_small_samples():
     rng = np.random.default_rng(13)
     for trial in range(30):
@@ -546,7 +548,6 @@ def _edge_samples(n, rng):
     return samples
 
 
-@pytest.mark.filterwarnings("ignore:K\\*Q")
 @pytest.mark.parametrize("rows, tile", BLOCK_CASES)
 @pytest.mark.parametrize("base", ["euclidean", "manhattan"])
 def test_report_in_row_blocks_matches_the_condensed_pairs(rows, tile, base, monkeypatch):
@@ -562,7 +563,6 @@ def test_report_in_row_blocks_matches_the_condensed_pairs(rows, tile, base, monk
         assert sizes == tiles(rows, tile), name
 
 
-@pytest.mark.filterwarnings("ignore:K\\*Q")
 def test_the_report_edge_samples_reach_every_rule():
     # The edge cases above decide by the rules they are named after.
     reports = {name: constants_report(s, CompositionMetric("euclidean", phi))
@@ -602,6 +602,24 @@ def test_constants_report_holds_a_tile_of_pairs_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 2 * metrics.TILE_BYTES
+
+
+def test_coherence_constant_frees_each_block_before_the_next():
+    # 2,000 rows x 10 features.  A block is a quarter tile each of base
+    # distances, gaps (then ratios) and composed distances, besides
+    # pairwise_base's partial sums: 1.37 tiles.  A block's ratios kept
+    # alive while the next block's base distances are made read 1.60.
+    rng = np.random.default_rng(101)
+    features = rng.uniform(size=(2000, 10))
+    s = IndexedSample(features, features @ rng.uniform(size=10))
+    tracemalloc.start()
+    try:
+        K = coherence_constant(s, IDENTITY)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * metrics.TILE_BYTES
+    assert K == constants.pair_table(s, IDENTITY)[1].ratios[0]  # the table's largest listed ratio
 
 
 def test_the_kq_solve_holds_the_condensed_terms_and_one_array_of_ratios():

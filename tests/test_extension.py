@@ -226,7 +226,6 @@ def test_every_method_names_the_cause_of_an_infinite_constant(method):
         fit_extension(line_sample([0.0, 1.0], [0.0, 10.0]), tiny, method)
 
 
-@pytest.mark.filterwarnings("ignore:K\\*Q")
 def test_standard_error_bounded_on_training_rows():
     rng = np.random.default_rng(5)
     for _ in range(30):

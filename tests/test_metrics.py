@@ -143,8 +143,8 @@ def _composed_tile_bytes(n: int, tile: int) -> int:
 
 def _table_tile_bytes(n: int, tile: int) -> int:
     """The ``TILE_BYTES`` that gives ``pair_table`` blocks of ``tile`` rows
-    of n: its pass budgets four (rows, n) arrays a row block."""
-    return 8 * n * 4 * tile
+    of n: its pass budgets five (rows, n) arrays a row block."""
+    return 8 * n * 5 * tile
 
 
 def _table(X, cm):
@@ -327,10 +327,13 @@ def test_edge_values_keep_the_bits_of_the_one_shot_reduction(kind, m, monkeypatc
             assert _same_bits(cm.pairwise(A, B), expected), q
             if kind == "euclidean":
                 assert np.isinf(one_shot_pairwise(kind, A, B)[0, 0]) and np.isnan(expected[0, 0])
+        sizes = record_blocks(monkeypatch, constants)
         for rows in (2, tile, tile + 1, tile + 2, 3 * tile + 2):  # a table has two rows or more
             X = points(rows, -1e155)
             monkeypatch.setattr(metrics, "TILE_BYTES", _table_tile_bytes(rows, tile))
+            sizes.clear()
             assert _same_bits(_table(X, cm), phi_eval(phi, one_shot_pairwise(kind, X, X))), rows
+            assert sizes == tiles(rows - 1, tile)  # rows 0 to rows - 2 start the pairs
 
 
 @pytest.mark.parametrize("atoms", [("identity",), ATOM_NAMES])
@@ -339,8 +342,9 @@ def test_composed_peak_memory_above_the_result(kind, atoms):
     # One per-call scratch of base distances and atom values (one tile in
     # all) and pairwise_base's own tile of partial sums; after those are
     # freed the modulus adds at most sqrt_rational's 1 + r (half a tile).
-    # A table's pass holds a quarter tile of base distances and one of atom
-    # values, then ratios, besides pairwise_base's tile.
+    # A table's pass holds a fifth of a tile each of base distances, of atom
+    # values, then ratios, and of the partition's indices, besides
+    # pairwise_base's tile.
     rng = np.random.default_rng(7)
     cm = CompositionMetric(kind, PhiCombination(atoms, tuple(rng.uniform(0.1, 2.0, len(atoms)))))
     A, B = rng.uniform(size=(1000, 10)), rng.uniform(size=(800, 10))

@@ -789,7 +789,8 @@ def test_a_table_prediction_gathers_a_tile_of_table_rows_at_a_time():
 @pytest.mark.parametrize("method", ["whitney", "mcshane", "blend", "standard"])
 def test_table_fits_and_predictions_in_blocks_match_one_shot(method, monkeypatch):
     # A fit and a prediction on subsets of the table read it in place, block
-    # by block, and so does predict_in_blocks on a given block; they must
+    # by block (a standard prediction takes its anchor's distances from the
+    # points), and so does predict_in_blocks on a given block; they must
     # give the bits of a fit with K from the copied square and of predict_in_blocks
     # on the copied block, taken in one block at the default TILE_BYTES (a
     # standard model reads the anchor's column of that block).
@@ -832,9 +833,9 @@ def _listed_table(features, index, cm=IDENTITY, method="whitney"):
 
 def _list_in_tiles(monkeypatch, n, tile):
     """Patch ``TILE_BYTES`` so that the pass of ``pair_table`` over n rows,
-    which budgets four (rows, n) arrays a row block, takes ``tile`` rows a
+    which budgets five (rows, n) arrays a row block, takes ``tile`` rows a
     block; returns the list that records the block sizes of every pass."""
-    monkeypatch.setattr(metrics, "TILE_BYTES", 8 * n * 4 * tile)
+    monkeypatch.setattr(metrics, "TILE_BYTES", 8 * n * 5 * tile)
     return record_blocks(monkeypatch, constants)
 
 
@@ -846,12 +847,14 @@ def _fresh_K(table, rows):
 
 
 def _check_list(table):
-    """The list is descending, of pairs i < j, at most ``LISTED_PAIRS``
-    long, and no pair left off has a larger ratio than the last listed."""
+    """The list is descending, of pairs i < j, min(``LISTED_PAIRS``, pairs
+    that are not 0/0) long, and no pair left off has a larger ratio than
+    the last listed."""
     listed, v = table.largest, table.ds.index
     with np.errstate(all="ignore"):
         ratios = np.abs(v[:, None] - v) / table.D
-    assert len(listed.ratios) <= constants.LISTED_PAIRS
+    constrain = np.count_nonzero(~np.isnan(ratios[np.triu_indices(len(v), k=1)]))
+    assert len(listed.ratios) == min(constants.LISTED_PAIRS, constrain)
     assert np.all(listed.i < listed.j)
     assert np.all(listed.ratios[:-1] >= listed.ratios[1:])
     assert np.array_equal(listed.ratios, ratios[listed.i, listed.j])
@@ -932,17 +935,18 @@ def test_a_standard_table_fit_takes_the_K_of_the_sample_as_given():
 
 
 def test_a_floor_that_rises_past_a_listed_pair_drops_it(monkeypatch):
-    # Blocks of two rows, two pairs listed.  Rows 0-1 list (1, 2) at 9.5
-    # and set the floor at 5.25; rows 2-3 have three pairs above it, so the
-    # floor rises to their second largest, (3, 4) at 10.6, and (2, 3) at 20
-    # joins the list.  (1, 2) must then go: it is below the unlisted (3, 4).
+    # Blocks of two rows, two pairs listed.  Rows 0-1 list their two
+    # largest, (1, 2) at 9.5 and (1, 3) at 5.25, and set the floor at 5.25;
+    # rows 2-3 have three pairs above it, so they list their two largest,
+    # (2, 3) at 20 and (3, 4) at 10.6, and the floor rises to 10.6.  (1, 2)
+    # and (1, 3) must then go: they are below it.
     sizes = _list_in_tiles(monkeypatch, 6, 2)
     monkeypatch.setattr(constants, "LISTED_PAIRS", 2)
     table = _listed_table(np.arange(6.0).reshape(-1, 1), [0.0, 0.5, 10.0, -10.0, 0.6, 0.7])
     assert sizes == [2, 2, 1]
     _check_list(table)
     assert (table.largest.ratios.tolist(), table.largest.i.tolist(), table.largest.j.tolist()) \
-        == ([20.0], [2], [3])
+        == ([20.0, 10.6], [2, 3], [3, 4])
     subsets = [np.flatnonzero([(mask >> k) & 1 for k in range(6)]) for mask in range(2**6)]
     _check_subsets(table, [rows for rows in subsets if len(rows) >= 2])
 
@@ -951,7 +955,7 @@ def test_a_floor_that_rises_past_a_listed_pair_drops_it(monkeypatch):
 def test_listed_K_with_infinite_and_zero_over_zero_pairs(size, monkeypatch):
     # Rows 0 and 1, and rows 4 and 5, coincide with distinct values (+inf);
     # rows 2 and 3 with equal ones (0/0, which imposes nothing).  A list of
-    # one ends at a tie of the two infinite pairs and lists neither.
+    # one ends at a tie of the two infinite pairs and lists one of them.
     monkeypatch.setattr(constants, "LISTED_PAIRS", size)
     rng = np.random.default_rng(67)
     n = 24
@@ -962,7 +966,10 @@ def test_listed_K_with_infinite_and_zero_over_zero_pairs(size, monkeypatch):
     _check_list(table)
     listed = table.largest
     infinite = {(int(i), int(j)) for r, i, j in zip(listed.ratios, listed.i, listed.j) if r == math.inf}
-    assert infinite == (set() if size == 1 else {(0, 1), (4, 5)})
+    if size == 1:
+        assert len(infinite) == 1 and infinite < {(0, 1), (4, 5)}
+    else:
+        assert infinite == {(0, 1), (4, 5)}
     subsets = [np.arange(n), np.arange(1, n), np.arange(2, n), np.array([2, 3]),
                np.array([2, 3, 5]), np.array([0, 1, 7]), *_splits(n, range(10))]
     _check_subsets(table, subsets)
@@ -982,9 +989,9 @@ def test_listed_K_of_a_sample_of_only_zero_over_zero_pairs_is_zero():
 def test_listed_K_with_ties_at_the_cutoff(size, tile, monkeypatch):
     # On the integer line with I = 2x every ratio is exactly 2.0, and the
     # last row's larger value gives its 11 pairs more, all distinct.  A
-    # list of 14 has its cutoff among the ties at 2.0 and leaves them all
-    # off; blocks of two rows cut a list of 5 back as it grows.  Either
-    # way subsets without the last row fall back.
+    # list of 14 has its cutoff among the ties at 2.0 and lists three of
+    # them; blocks of two rows cut a list of 5 back as it grows.  Subsets
+    # without the last row are served by a listed tie, or fall back.
     monkeypatch.setattr(constants, "LISTED_PAIRS", size)
     sizes = _list_in_tiles(monkeypatch, 12, tile) if tile is not None else None
     x = np.arange(12, dtype=float)
@@ -993,13 +1000,27 @@ def test_listed_K_with_ties_at_the_cutoff(size, tile, monkeypatch):
     table = _listed_table(x.reshape(-1, 1), index, method="mcshane")
     assert sizes is None or sizes == tiles(11, tile)
     _check_list(table)
-    assert np.all(table.largest.ratios > 2.0)
-    assert len(table.largest.ratios) == 11 or size < 11
+    assert len(table.largest.ratios) == size
+    assert np.all(table.largest.ratios[:11] > 2.0)
+    assert np.all(table.largest.ratios[11:] == 2.0)
     subsets = [np.arange(11), np.arange(12), np.array([0, 5, 11]), np.array([3, 4]),
                *_splits(12, range(10))]
     _check_subsets(table, subsets)
-    assert table.largest.coherence(np.arange(11)) is None
+    assert table.largest.coherence(np.arange(11)) == (2.0 if size > 11 else None)
     assert table.fit(np.arange(11)).K == 2.0
+
+
+def test_a_table_of_only_ties_lists_a_full_list():
+    # On the integer line with I = 2x every one of the 44,850 ratios is
+    # exactly 2.0: the first block has more pairs than the list, and the
+    # list takes LISTED_PAIRS of them, every one a cutoff tie.
+    n = 300
+    x = np.arange(n, dtype=float)
+    table = _listed_table(x.reshape(-1, 1), 2.0 * x)
+    _check_list(table)
+    assert len(table.largest.ratios) == constants.LISTED_PAIRS
+    assert np.all(table.largest.ratios == 2.0)
+    assert _check_subsets(table, _splits(n, range(10))) > 0
 
 
 def test_a_table_of_fewer_pairs_than_the_list_lists_them_all():
@@ -1021,7 +1042,6 @@ def test_a_short_list_leaves_K_to_the_points(size, monkeypatch):
     n = 30
     table = _listed_table(rng.uniform(size=(n, 3)), rng.uniform(0.0, 5.0, n))
     _check_list(table)
-    assert len(table.largest.ratios) <= size
     excluded = np.setdiff1d(np.arange(n), np.r_[table.largest.i, table.largest.j])
     assert table.largest.coherence(excluded) is None
     # A fit on rows with no listed pair takes K from the points, and
@@ -1031,17 +1051,23 @@ def test_a_short_list_leaves_K_to_the_points(size, monkeypatch):
 
 def test_building_the_table_and_its_list_holds_one_tile_on_top_of_the_table():
     # 2,000 rows: the table is 30.5 MiB.  Its one pass over the pairs
-    # holds a quarter tile each of base distances, of atom values, then
-    # ratios, and of pairwise_base's partial sums, besides the list; a
-    # second block of ratios or a table-sized array would take the peak
-    # past one tile.
+    # holds a fifth of a tile each of base distances, of atom values, then
+    # ratios, of the partition's indices and of pairwise_base's partial
+    # sums, besides the list: 0.75 tiles on random data and 0.69 on the
+    # integer line with I = 2x, where every pair ties at 2.0.  Both
+    # partition their first block.  The partition's indices kept into the
+    # next block would read 0.95 tiles, and a second block of ratios or a
+    # table-sized array more.
     rng = np.random.default_rng(79)
     features = rng.uniform(size=(2000, 4))
-    ds = make_dataset(features, features @ rng.uniform(size=4))
-    tracemalloc.start()
-    try:
-        PairTable(ds, IDENTITY, "whitney")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2000 * 2000 + metrics.TILE_BYTES
+    line = np.arange(2000, dtype=float)
+    for ds in (make_dataset(features, features @ rng.uniform(size=4)),
+               make_dataset(line.reshape(-1, 1), 2.0 * line)):
+        tracemalloc.start()
+        try:
+            table = PairTable(ds, IDENTITY, "whitney")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2000 * 2000 + 0.85 * metrics.TILE_BYTES
+        assert len(table.largest.ratios) == constants.LISTED_PAIRS
