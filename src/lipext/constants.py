@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import CompositionMetric, pairwise_base, row_blocks
+from .metrics import CompositionMetric, base_scratch_size, pairwise_base, row_blocks
 from .phi import atom_values, phi_eval
 
 
@@ -79,31 +79,37 @@ class ConstantsReport:
     notes: tuple[str, ...] = ()
 
 
-def pair_blocks(s: IndexedSample, base: str, row_bytes: int):
-    """The pairs i < j of ``s``, a block of rows at a time: (rows, upper, d)
-    for each of the ``row_blocks`` of rows 0 to n - 2 at ``row_bytes`` per
-    row.  ``d`` holds the base distances of the rows i in the slice
+def pair_blocks(s: IndexedSample, base: str, row_bytes: int, spare: int = 0):
+    """The pairs i < j of ``s``, a block of rows at a time: (rows, upper, d,
+    work) for each of the ``row_blocks`` of rows 0 to n - 2 at ``row_bytes``
+    per row.  ``d`` holds the base distances of the rows i in the slice
     ``rows`` against the columns j from its first row on, with the bits of
     ``pairwise_base`` on the whole square, and ``upper`` marks the pairs
     j > i: flat position k is the pair (rows.start + k // width, rows.start
     + k % width), so they come in lexicographic order.  The other entries
     are the diagonal, at distance 0, and the mirrors of the block's pairs.
-    Every ``d`` is cut from one scratch array allocated for the call, so
-    the next block overwrites it: a reader keeps what it needs of a block
-    before it asks for the next.
+
+    Every ``d`` is cut from one scratch array allocated for the call, and
+    ``pairwise_base``'s partial sums from another, ``work``, a flat array of
+    at least ``spare`` times d's size, which the reader may cut its own
+    arrays of the block from once it has d.  The next block overwrites
+    both: a reader keeps what it needs of a block before it asks for the
+    next.
     """
     n = len(s)
     if n < 2:
         raise ValueError("need at least two rows")
-    work = None
+    block_d = work = None
     for block in row_blocks(n - 1, row_bytes):
         rows = slice(block.start, min(block.stop, n - 1))
         shape = (rows.stop - rows.start, n - rows.start)
+        size = shape[0] * shape[1]
         if work is None:  # the first block is the largest
-            work = np.empty(shape[0] * shape[1])
-        d = work[: shape[0] * shape[1]].reshape(shape)
-        pairwise_base(base, s.points[rows], s.points[rows.start:], out=d)
-        yield rows, np.less.outer(np.arange(shape[0]), np.arange(shape[1])), d
+            block_d = np.empty(size)
+            work = np.empty(max(spare * size, base_scratch_size(base, s.points.shape[1], *shape)))
+        d = block_d[:size].reshape(shape)
+        pairwise_base(base, s.points[rows], s.points[rows.start:], out=d, scratch=work)
+        yield rows, np.less.outer(np.arange(shape[0]), np.arange(shape[1])), d, work
 
 
 def pair_gaps(values: np.ndarray, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
@@ -116,11 +122,11 @@ def pair_gaps(values: np.ndarray, rows: slice, out: np.ndarray | None = None) ->
     return np.abs(gaps, out=gaps)
 
 
-def pair_sums(values: np.ndarray, rows: slice) -> np.ndarray:
+def pair_sums(values: np.ndarray, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
     """|I_i| + |I_j| laid out as ``pair_gaps``; a sum beyond the float range is +inf."""
     size = np.abs(values)
     with np.errstate(over="ignore"):
-        return size[rows, None] + size[rows.start:]
+        return np.add(size[rows, None], size[rows.start:], out=out)
 
 
 def undominated(base_d: np.ndarray, gain: np.ndarray, atoms: np.ndarray) -> np.ndarray:
@@ -176,7 +182,7 @@ def pair_front(s: IndexedSample, base: str, atoms: tuple[str, ...]) -> tuple[np.
     ``phi_eval`` would start from.
     """
     base_d, gaps = np.empty(0), np.empty(0)
-    for rows, upper, d in pair_blocks(s, base, 8 * len(s) * (len(atoms) + 8)):
+    for rows, upper, d, _ in pair_blocks(s, base, 8 * len(s) * (len(atoms) + 8)):
         base_d = np.concatenate([base_d, d[upper]])
         gaps = np.concatenate([gaps, pair_gaps(s.values, rows)[upper]])
         keep = undominated(base_d[None], gaps, atom_values(atoms, base_d)[:, None])[0]
@@ -199,12 +205,14 @@ def coherence_constant(s: IndexedSample, cm: CompositionMetric) -> float:
     K is reduced by ``ratio_max`` over each whole block of ``pair_blocks``:
     the entries off its pairs are 0/0 or a mirror of a pair, and a maximum
     is exact, so the blocks give the bits of one reduction over the pairs.
+    A block's composed distances and its gaps, then ratios, are cut from
+    the ``work`` of ``pair_blocks``, so the call allocates nothing a block.
     """
     v, K = s.values, 0.0
-    for rows, _, d in pair_blocks(s, cm.base, 8 * len(s) * 4):
-        ratios = pair_gaps(v, rows)
-        K = max(K, ratio_max(ratios, phi_eval(cm.phi, d), ratios))
-        del ratios  # before the next block's base distances are made
+    for rows, _, d, work in pair_blocks(s, cm.base, 8 * len(s) * 4, spare=2):
+        d_phi, ratios = work[: 2 * d.size].reshape(2, *d.shape)
+        phi_eval(cm.phi, d, out=d_phi, scratch=ratios)
+        K = max(K, ratio_max(pair_gaps(v, rows, ratios), d_phi, ratios))
     return K
 
 
@@ -239,17 +247,22 @@ class LargestRatios:
         return float(self.ratios[hit.argmax()]) if hit.any() else None
 
 
-def pair_table(s: IndexedSample, cm: CompositionMetric) -> tuple[np.ndarray, LargestRatios]:
+def pair_table(
+    s: IndexedSample, cm: CompositionMetric, table: bool = True
+) -> tuple[np.ndarray | None, LargestRatios]:
     """The (n, n) composed distances among the rows of ``s``, with the bits
-    of ``cm.pairwise(s.points, s.points)``, and up to ``LISTED_PAIRS`` of
-    their largest pair ratios, from one pass over ``pair_blocks``.
+    of ``cm.pairwise(s.points, s.points)``, or None without ``table``, and
+    up to ``LISTED_PAIRS`` of their largest pair ratios, from one pass over
+    ``pair_blocks``.
 
     The modulus of each block goes into the table at its rows, against
     the columns from the block's first row on, and the columns before it
     are mirrored from the blocks above: |a - b| = |b - a| term by term and
     every entry is summed in one fixed order, so an entry and its mirror
     have the same bits.  The last row, which starts no pair, is its column
-    mirrored, and its diagonal phi(0) = 0.
+    mirrored, and its diagonal phi(0) = 0.  Without the table the modulus
+    of each block goes into the ``work`` of ``pair_blocks``, and the list
+    is the same.
 
     Each block's ratios come from ``ratio_max``'s rule, and only its
     pairs, which ``upper`` marks, are listed.  A running ``floor`` bounds
@@ -262,23 +275,24 @@ def pair_table(s: IndexedSample, cm: CompositionMetric) -> tuple[np.ndarray, Lar
     is below the floor, so every pair left off is at most the smallest
     listed one, and the list holds min(``LISTED_PAIRS``, pairs that
     constrain): the floor leaves -inf only when the list fills.  On top of
-    the table this holds ``pair_blocks``' scratch, one more scratch array
-    for the call that takes each block's atom values and then its ratios,
-    the partition's indices, and O(``LISTED_PAIRS``) for the list.
+    the table this holds ``pair_blocks``' scratch, whose ``work`` takes
+    each block's atom values and then its ratios, the partition's indices,
+    and O(``LISTED_PAIRS``) for the list.
     """
     n, v, size = len(s), s.values, LISTED_PAIRS
-    D = np.empty((n, n))
+    D = np.empty((n, n)) if table else None
     ratios, i, j = np.empty(0), np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-    floor, work = -math.inf, None
-    for rows, upper, d in pair_blocks(s, cm.base, 8 * n * 5):
-        if work is None:  # the first block is the largest
-            work = np.empty(d.size)
-        r = work[: d.size].reshape(d.shape)  # the block's atom values, then its ratios
-        phi_eval(cm.phi, d, out=D[rows, rows.start:], scratch=r)
-        D[rows, : rows.start] = D[: rows.start, rows].T
+    floor, words = -math.inf, 1 if table else 2
+    for rows, upper, d, work in pair_blocks(s, cm.base, 8 * n * 5, spare=words):
+        cut = work[: words * d.size].reshape(words, *d.shape)
+        r = cut[0]  # the block's atom values, then its ratios
+        d_phi = D[rows, rows.start:] if table else cut[1]  # its modulus
+        phi_eval(cm.phi, d, out=d_phi, scratch=r)
+        if table:
+            D[rows, : rows.start] = D[: rows.start, rows].T
         # The largest ratio of the block is that of its pairs: the other
         # entries are 0/0 or mirror one.
-        if ratio_max(pair_gaps(v, rows, r), D[rows, rows.start:], r) <= floor:
+        if ratio_max(pair_gaps(v, rows, r), d_phi, r) <= floor:
             continue
         above = (r > floor) & upper  # never at a 0/0 pair's NaN
         flat = r.ravel()
@@ -297,7 +311,8 @@ def pair_table(s: IndexedSample, cm: CompositionMetric) -> tuple[np.ndarray, Lar
             order = np.argsort(ratios)[::-1]
             floor = max(floor, float(ratios[order[size]]))
             ratios, i, j = ratios[order[:size]], i[order[:size]], j[order[:size]]
-    D[-1, :-1], D[-1, -1] = D[:-1, -1], 0.0
+    if table:
+        D[-1, :-1], D[-1, -1] = D[:-1, -1], 0.0
     order = np.argsort(ratios)[::-1]
     return D, LargestRatios(ratios[order], i[order], j[order], n)
 
@@ -365,9 +380,9 @@ def constants_report(s: IndexedSample, cm: CompositionMetric) -> ConstantsReport
     """
     v, shifted = s.values, katetov_shift(s).values
     best = [(0.0, False, False, None)] * 3  # (constant, constrains, zero denominator, pair)
-    for rows, upper, d_base in pair_blocks(s, cm.base, 8 * len(s) * 12):
-        d_phi = phi_eval(cm.phi, d_base)
-        ratios = np.empty_like(d_phi)
+    for rows, upper, d_base, work in pair_blocks(s, cm.base, 8 * len(s) * 12, spare=2):
+        d_phi, ratios = work[: 2 * d_base.size].reshape(2, *d_base.shape)
+        phi_eval(cm.phi, d_base, out=d_phi, scratch=ratios)
         fractions = ((pair_gaps(v, rows), d_phi), (d_phi, pair_sums(v, rows)),
                      (d_phi, pair_sums(shifted, rows)))
         for c, (num, den) in enumerate(fractions):

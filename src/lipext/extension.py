@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import IndexedSample, coherence_constant, katetov_shift
-from .metrics import CompositionMetric, row_blocks
+from .metrics import CompositionMetric
 
 METHODS = ("mcshane", "whitney", "blend", "standard", "linear")
 
@@ -149,23 +149,22 @@ def _mix(a: float, whitney: np.ndarray, mcshane: np.ndarray, out=None, work=None
 
 
 def predict_in_blocks(
-    m: ExtensionModel, q: int, distances, alpha: float | None = None, truth=None,
-    row_bytes: int | None = None,
+    m: ExtensionModel, q: int, blocks, alpha: float | None = None, truth=None
 ) -> tuple[float | None, np.ndarray]:
     """(blend weight, predictions) of a Lipschitz model at q query rows.
 
-    ``distances(block)`` gives the composed distances of the query rows in
-    the slice ``block`` to the model's training rows, once per
-    ``row_blocks`` block, so only one block of them is held at a time.
-    The blocks are sized at ``row_bytes`` per query row, the bytes of one
-    row of the largest array that ``distances`` makes: 8 per training row
-    when None.
-    Each prediction depends only on its own row, so the blocks do not
-    change its bits.  A blend keeps its Whitney and McShane predictions
-    block by block and mixes them after the last: with ``alpha`` when
-    given, else with the ``optimal_alpha`` over all q rows against
-    ``truth``, and with neither it raises ``ValueError``.  Whitney and
-    McShane return None as the weight.  Standard models are not taken.
+    ``blocks`` yields (rows, d, work) for slices ``rows`` that cover
+    range(q) in order: d holds the composed distances of those query rows
+    to the model's training rows, so only one block of them is held at a
+    time, and ``work`` is a flat float array of at least d's size.  Each
+    prediction depends only on its own row, so the blocks do not change
+    its bits.  The prediction overwrites both: K·d goes into d in place, a
+    blend's Whitney terms into ``work``, and every other term into K·d
+    itself, so it allocates nothing a block.  A blend keeps its Whitney and
+    McShane predictions block by block and mixes them after the last: with
+    ``alpha`` when given, else with the ``optimal_alpha`` over all q rows
+    against ``truth``, and with neither it raises ``ValueError``.  Whitney
+    and McShane return None as the weight.  Standard models are not taken.
     """
     if m.method not in ("whitney", "mcshane", "blend"):
         raise ValueError(f"method {m.method!r} does not predict from distances")
@@ -174,15 +173,15 @@ def predict_in_blocks(
     values = m.training.values
     first = np.empty(q)  # a blend's Whitney predictions
     mcshane = np.empty(q) if m.method == "blend" else None
-    for block in row_blocks(q, 8 * len(m.training) if row_bytes is None else row_bytes):
-        KD = m.K * distances(block)
+    for rows, d, work in blocks:
+        KD = np.multiply(m.K, d, out=d)
         if m.method == "mcshane":
-            first[block] = _mcshane(values, KD)
+            _mcshane(values, KD, first[rows], KD)
+        elif m.method == "whitney":
+            _whitney(values, KD, first[rows], KD)
         else:
-            first[block] = _whitney(values, KD)
-            if mcshane is not None:
-                mcshane[block] = _mcshane(values, KD)
-        del KD  # before the next block's distances are made
+            _whitney(values, KD, first[rows], work[: d.size].reshape(d.shape))
+            _mcshane(values, KD, mcshane[rows], KD)
     if mcshane is None:
         return None, first
     a = optimal_alpha(truth, first, mcshane) if alpha is None else alpha
@@ -203,17 +202,15 @@ def predict(m: ExtensionModel, X) -> np.ndarray:
     """Batch prediction dispatched on the fitted method.
 
     A linear model takes the least-squares product, a standard one the
-    distances to its anchor alone, and the others ``predict_in_blocks``,
-    computing each block's distances to the training rows from the points.
+    distances to its anchor alone, and the others ``predict_in_blocks`` on
+    the blocks of ``CompositionMetric.blocks``, made from the points.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if m.method == "linear":
         return np.hstack([np.ones((X.shape[0], 1)), X]) @ m.coefficients
     if m.method == "standard":
         return m.offset + m.K * m.cm.pairwise(X, m.training.points[m.anchor, None])[:, 0]
-    return predict_in_blocks(
-        m, X.shape[0], lambda block: m.cm.pairwise(X[block], m.training.points), m.alpha
-    )[1]
+    return predict_in_blocks(m, X.shape[0], m.cm.blocks(X, m.training.points), m.alpha)[1]
 
 
 def optimal_alpha(i_true, i_whitney, i_mcshane) -> float:

@@ -42,7 +42,7 @@ def row_blocks(rows: int, row_bytes: int, align: int = 1):
         yield slice(start, start + tile)
 
 
-def pairwise_base(kind: str, A, B, out=None) -> np.ndarray:
+def pairwise_base(kind: str, A, B, out=None, scratch=None) -> np.ndarray:
     """All base distances between rows of A (q, m) and rows of B (n, m).
 
     Rows of A are taken in ``row_blocks``, and each block of the result is
@@ -64,6 +64,9 @@ def pairwise_base(kind: str, A, B, out=None) -> np.ndarray:
     order.  Each distance depends only on its own m terms, so the result
     does not depend on the block size either.  Zero features give zeros.
     ``out``, a (q, n) float array, receives the distances when given.
+    ``scratch``, a flat float array of at least ``base_scratch_size(kind,
+    m, q, n)`` elements, lends the blocks' partial sums, cut from its start
+    as contiguous (rows, n) arrays; without it the call allocates its own.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -79,12 +82,11 @@ def pairwise_base(kind: str, A, B, out=None) -> np.ndarray:
         return out
     BT = np.ascontiguousarray(B.T)
     live = _scratch_count(kind, m)
-    work = None
+    if scratch is None:
+        scratch = np.empty(base_scratch_size(kind, m, q, n))
     for rows in row_blocks(q, 8 * n * live):
         block = A[rows]
-        if work is None:  # the first block is the largest
-            work = np.empty((live, len(block), n))
-        scratch = list(work[:, : len(block)])
+        parts = list(scratch[: live * len(block) * n].reshape(live, len(block), n))
 
         def term(k, dst, block=block):
             np.copyto(dst, BT[k])
@@ -95,12 +97,21 @@ def pairwise_base(kind: str, A, B, out=None) -> np.ndarray:
 
         dst = out[rows]
         if kind == "chebyshev":
-            _fold(term, 0, m, dst, scratch[0], np.maximum)
+            _fold(term, 0, m, dst, parts[0], np.maximum)
         else:
-            _pairwise_sum(term, 0, m, dst, scratch)
+            _pairwise_sum(term, 0, m, dst, parts)
             if kind == "euclidean":
                 np.sqrt(dst, out=dst)
     return out
+
+
+def base_scratch_size(kind: str, m: int, rows: int, n: int) -> int:
+    """Elements of a ``scratch`` that serves every ``pairwise_base`` call on
+    at most ``rows`` rows of m features against at most n columns: its
+    partial sums at a call's own row block, and those of any narrower call,
+    whose blocks can hold more rows, all fit in one tile or one row."""
+    live = _scratch_count(kind, m)
+    return min(live * rows * n, max(live * n, TILE_BYTES // 8))
 
 
 def _split(count: int) -> int:
@@ -172,29 +183,50 @@ class CompositionMetric:
             raise ValueError(f"unknown base metric {self.base!r}")
 
     def pairwise(self, A, B) -> np.ndarray:
-        """Composed distances between rows of A (q, m) and rows of B (n, m).
+        """Composed distances between rows of A (q, m) and rows of B (n, m),
+        written block by block by ``blocks`` into the result."""
+        A = np.atleast_2d(np.asarray(A, dtype=float))
+        B = np.atleast_2d(np.asarray(B, dtype=float))
+        out = np.empty((A.shape[0], B.shape[0]))
+        for _ in self.blocks(A, B, out=out):
+            pass
+        return out
+
+    def blocks(self, A, B, out=None):
+        """(rows, d, work) for each row block of A (q, m): d holds the
+        composed distances of the rows ``A[rows]`` to the rows of B (n, m).
 
         The modulus acts elementwise, so applying it to each row block of
         base distances gives the bits of applying it to all of them at once.
-        Each block's base distances go into one scratch array allocated for
-        the call, and ``phi_eval`` adds the modulus atom by atom into the
-        result in place, with a second one for the atoms' values.  The two
-        together take at most ``TILE_BYTES``.  Each block is a whole number
-        of ``pairwise_base``'s own row blocks, where one of those fits, so
-        that no block ends in a short one that pays a full round of ufunc
-        calls.
+        Every array of the call is allocated once, at its first block, the
+        largest: each block's base distances and d itself are cut from one
+        flat array as contiguous (rows, n) arrays, and ``pairwise_base``'s
+        partial sums from another, ``work``, which then takes one modulus
+        atom's values at a time while ``phi_eval`` adds the modulus into d
+        in place.  ``work`` holds at least as many floats as d, and is free
+        once d is made, so the reader may cut an array of the block from it.
+        The next block overwrites d and ``work``: a reader keeps what it
+        needs of a block before it asks for the next, and may write to
+        both.  With ``out``, a (q, n) array, d is ``out[rows]`` instead.  A
+        block has as many rows as fit in ``TILE_BYTES`` with its base
+        distances, atom values and d, and is a whole number of
+        ``pairwise_base``'s own row blocks, where one of those fits, so that
+        no block ends in a short one that pays a full round of ufunc calls.
         """
         A = np.atleast_2d(np.asarray(A, dtype=float))
         B = np.atleast_2d(np.asarray(B, dtype=float))
         (q, m), n = A.shape, B.shape[0]
-        out = np.empty((q, n))
+        words = 1 if out is not None else 2  # base distances, and d
         align = _rows_per_tile(8 * n * _scratch_count(self.base, m))
-        work = None
-        for rows in row_blocks(q, 2 * 8 * n, align):
+        own = work = None
+        for rows in row_blocks(q, (words + 1) * 8 * n, align):
             count = len(range(q)[rows])
-            if work is None:  # the first block is the largest
-                work = np.empty((2, count, n))
-            base, atom = work[:, :count]
-            pairwise_base(self.base, A[rows], B, out=base)
-            phi_eval(self.phi, base, out=out[rows], scratch=atom)
-        return out
+            if own is None:  # the first block is the largest
+                own = np.empty(words * count * n)
+                # At least a block: a tile, a row of partial sums, or them all.
+                work = np.empty(base_scratch_size(self.base, m, count, n))
+            cut = own[: words * count * n].reshape(words, count, n)
+            base, d = cut[0], out[rows] if out is not None else cut[1]
+            pairwise_base(self.base, A[rows], B, out=base, scratch=work)
+            phi_eval(self.phi, base, out=d, scratch=work[: count * n].reshape(count, n))
+            yield rows, d, work

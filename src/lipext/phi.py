@@ -145,7 +145,7 @@ def phi_eval(phi: PhiCombination, x, out=None, scratch=None):
     is never written to.
     """
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0):
+    if np.fmin.reduce(arr, axis=None, initial=0.0) < 0.0:  # skips NaN as arr < 0.0 does, with no mask
         raise ValueError("modulus functions are defined on [0, inf) only")
     values = (ATOM_FUNCS[name](arr, out=scratch) for name in phi.atoms)
     out = weighted_sum(phi.coefficients, values, out, scratch)

@@ -14,7 +14,9 @@ reads them in place.  One pass over the rows' pairs
 ratios, and each split takes its coherence constant K from the first
 listed pair with both rows on its training side, or from the points when
 none is listed.  A fit on every indexed row, as ``extend`` and ``rank``
-make it, builds a table only for a blend's holdout weight.  The repeats
+make it, builds no table: a blend's holdout weight takes K from the same
+list, built without the table, and the held-out rows' distances from the
+points (``fit_for_extend``).  The repeats
 run one after another in one loop, and a report holds no measured time,
 so the same inputs give the same report, bit for bit.
 """
@@ -248,18 +250,19 @@ class PairTable:
     """Composed distances among the rows of ``ds``, all indexed, built once
     for fits of ``method`` on subsets of the rows.
 
-    Whitney, McShane and blend predictions on subsets of the rows read the
-    table in place, in row blocks, instead of recomputing distances or
-    copying a block of them.  The modulus acts elementwise and each entry
-    is the base reduction over the same two rows, so the entries read have
-    the bits that a fresh computation on the subset would give.  The table
-    is read-only once built.  Every method but linear, which needs no
+    Whitney, McShane and blend predictions on subsets of the rows gather
+    the table's entries, a row block at a time into per-call scratch,
+    instead of recomputing distances.  The modulus acts elementwise and
+    each entry is the base reduction over the same two rows, so the
+    entries read have the bits that a fresh computation on the subset
+    would give.  The table is read-only once built.  Every method but linear, which needs no
     distances, builds it, and the same pass over the pairs
     (``constants.pair_table``) lists its largest pair ratios,
     min(``LISTED_PAIRS``, pairs that constrain) of them, which serve the K
     of many subset fits at O(``LISTED_PAIRS``) each.  Memory is O(n^2):
-    the table is the one quadratic structure on the fit and prediction
-    paths.
+    ``cross_validate``, which reads the table in every repeat, is the one
+    command that builds it; ``fit_for_extend`` takes the same K and blend
+    weight from the points, bit for bit.
     """
 
     def __init__(self, ds: Dataset, cm: CompositionMetric, method: str):
@@ -286,41 +289,63 @@ class PairTable:
         """(blend weight, predictions) at ``rows`` of a model fitted on ``train``.
 
         A whitney, mcshane or blend model reads the table: each block of
-        ``rows`` gathers its distances to ``train`` from it, taking the
-        block's whole rows of the table first, so a block has as many rows
-        as fit in a tile at the table's width.  A blend without ``alpha``
-        takes the optimal weight against the index values there.  A linear
-        or standard model, which needs no distances or those to one anchor,
-        is ``extension.predict`` at the rows' points.
+        ``rows`` gathers its distances to ``train`` from it (``_blocks``).
+        A blend without ``alpha`` takes the optimal weight against the
+        index values there.  A linear or standard model, which needs no
+        distances or those to one anchor, is ``extension.predict`` at the
+        rows' points.
         """
         if model.method in ("linear", "standard"):
             return None, predict(model, self.ds.features[rows])
-
-        def distances(block):
-            return self.D.take(rows[block], axis=0).take(train, axis=1)
-
         return predict_in_blocks(
-            model, len(rows), distances, alpha, self.ds.index[rows], row_bytes=8 * len(self.D)
+            model, len(rows), self._blocks(train, rows), alpha, self.ds.index[rows]
         )
+
+    def _blocks(self, train: np.ndarray, rows: np.ndarray):
+        """The ``blocks`` of ``predict_in_blocks`` at ``rows`` for a model
+        fitted on ``train``, gathered from the table into one flat scratch
+        array allocated for the call: a block's whole rows of the table,
+        which are the block's ``work`` once their columns at ``train`` are
+        taken into d.  A block has as many rows as fit in a tile with both.
+        """
+        width, n = len(self.D), len(train)
+        flat = None
+        for block in row_blocks(len(rows), 8 * (width + n)):
+            count = len(range(len(rows))[block])
+            if flat is None:  # the first block is the largest
+                flat = np.empty(count * (width + n))
+            table_rows = flat[: count * width].reshape(count, width)
+            d = flat[count * width : count * (width + n)].reshape(count, n)
+            # Every index is in range, so "clip" changes none; it spares
+            # numpy the copy that "raise" makes into a given ``out``.
+            np.take(self.D, rows[block], axis=0, out=table_rows, mode="clip")
+            np.take(table_rows, train, axis=1, out=d, mode="clip")
+            yield block, d, table_rows.ravel()
 
     def holdout_alpha(
         self, rows: np.ndarray, train_fraction: float, seed: int, split_method: str
     ) -> float | None:
-        """Blend weight of a model fitted on one side of a split of ``rows``,
-        for a table of the blend method; another method raises
-        ``ValueError``.
-
-        None when the split would leave fewer than two training rows or no
-        held-out row.
+        """Blend weight of a model fitted on one side of ``_holdout_split``
+        of ``rows``, for a table of the blend method; another method raises
+        ``ValueError``.  None when that split is too small.
         """
         if self.method != "blend":
             raise ValueError(f"holdout_alpha needs a blend table, not {self.method!r}")
-        k = _train_size(len(rows), train_fraction)
-        if k < 2 or k == len(rows):
+        split = _holdout_split(len(rows), train_fraction, seed, split_method)
+        if split is None:
             return None
-        train, held_out = _split_rows(len(rows), train_fraction, seed, split_method)
-        train, held_out = rows[train], rows[held_out]
+        train, held_out = rows[split[0]], rows[split[1]]
         return self.predict(self.fit(train), train, held_out)[0]
+
+
+def _holdout_split(n: int, train_fraction: float, seed: int, split_method: str):
+    """(train, held-out) row positions of the split of n rows that chooses
+    a blend's weight, or None when it would leave fewer than two training
+    rows or no held-out row."""
+    k = _train_size(n, train_fraction)
+    if k < 2 or k == n:
+        return None
+    return _split_rows(n, train_fraction, seed, split_method)
 
 
 def fit_for_extend(
@@ -334,25 +359,38 @@ def fit_for_extend(
 ) -> ExtensionModel:
     """Fit ``method`` on every row of ``indexed``: the model that extends.
 
-    A blend without ``alpha`` takes its weight from ``PairTable.holdout_alpha``
-    first, then refits on every row with that weight frozen.  When the
-    holdout split is too small, the weight is 0.5, with a warning; a
-    holdout that cannot be fitted raises its ``FitError``, and a bad
-    fraction or split method raises ``ValueError``.  The holdout and the
-    final fit share one distance table.  Every other fit, and any fit on
-    one row, which raises ``FitError`` unless it is linear, is
-    ``fit_extension`` on every row: it takes K from the points and builds
-    no table.
+    A blend without ``alpha`` takes its weight from a model fitted on the
+    training side of ``_holdout_split``, at the held-out rows, then refits
+    on every row with that weight frozen.  When the split is too small,
+    the weight is 0.5, with a warning; a holdout that cannot be fitted
+    raises its ``FitError``, and a bad fraction or split method raises
+    ``ValueError``.  No distance table is built: one pass over the pairs
+    (``pair_table`` without its table) lists their largest ratios, and
+    both fits take K from the list as ``PairTable.fit`` does, or from the
+    points when no listed pair has both ends on the fit's rows; the
+    held-out rows' distances to the training rows are made again from the
+    points, in the row blocks of ``CompositionMetric.blocks``.  A table
+    holds the same bits, so K and the weight are those of
+    ``PairTable.holdout_alpha``.  Every other fit, and any fit on one row,
+    which raises ``FitError`` unless it is linear, is ``fit_extension`` on
+    every row, with K from the points.
     """
+    sample = indexed.as_sample()
     if method != "blend" or alpha is not None or indexed.n_rows < 2:
-        return fit_extension(indexed.as_sample(), cm, method, alpha)
-    table = PairTable(indexed, cm, method)
-    rows = np.arange(indexed.n_rows)
-    alpha = table.holdout_alpha(rows, train_fraction, seed, split_method)
-    if alpha is None:
+        return fit_extension(sample, cm, method, alpha)
+    largest = pair_table(sample, cm, table=False)[1]
+    split = _holdout_split(indexed.n_rows, train_fraction, seed, split_method)
+    if split is None:
         warnings.warn("too few indexed rows to estimate alpha; using 0.5", stacklevel=2)
         alpha = 0.5
-    return table.fit(rows, alpha)
+    else:
+        train, held_out = split
+        X, values = sample.points, sample.values
+        model = fit_extension(IndexedSample(X[train], values[train]), cm, method,
+                              K=largest.coherence(train))
+        blocks = cm.blocks(X[held_out], X[train])
+        alpha = predict_in_blocks(model, len(held_out), blocks, truth=values[held_out])[0]
+    return fit_extension(sample, cm, method, alpha, largest.coherence(np.arange(len(sample))))
 
 
 def cross_validate(

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .constants import IndexedSample, katetov_shift, pair_blocks, pair_gaps, pair_sums, ratio_max
-from .phi import atom_values, weighted_sum
+from .phi import ATOM_FUNCS, weighted_sum
 
 #: Constriction values of the velocity update (Clerc & Kennedy 2002).
 INERTIA = 0.7298
@@ -137,15 +137,21 @@ def _kq_terms(s: IndexedSample, base: str, atoms: tuple[str, ...]):
     """(atom stack (n_atoms, n_pairs), |I_i - I_j|, |I_i| + |I_j|) of the pairs
     i < j of ``s`` in lexicographic order, the sums taken after the Katetov
     shift as in ``constants_report``.  The arrays are allocated once, at
-    their final size, and filled block by block from ``pair_blocks``."""
+    their final size, and filled block by block from ``pair_blocks``: each
+    block's pairs are compressed into them, through the block's ``work``,
+    so a block allocates nothing."""
     n, v, shifted = len(s), s.values, katetov_shift(s).values
     terms, end = np.empty((len(atoms) + 2, n * (n - 1) // 2)), 0
-    for rows, upper, d in pair_blocks(s, base, 8 * n * (len(atoms) + 4)):
+    for rows, upper, d, work in pair_blocks(s, base, 8 * n * (len(atoms) + 4), spare=2):
         at = slice(end, end + np.count_nonzero(upper))
         end = at.stop
-        terms[:-2, at] = atom_values(atoms, d[upper])
-        terms[-2, at] = pair_gaps(v, rows)[upper]
-        terms[-1, at] = pair_sums(shifted, rows)[upper]
+        pairs, block = work[: at.stop - at.start], work[d.size : 2 * d.size].reshape(d.shape)
+        mask = upper.ravel()
+        np.compress(mask, d.ravel(), out=pairs)
+        for k, a in enumerate(atoms):  # the identity returns its input
+            np.copyto(terms[k, at], ATOM_FUNCS[a](pairs, out=terms[k, at]))
+        np.compress(mask, pair_gaps(v, rows, block).ravel(), out=terms[-2, at])
+        np.compress(mask, pair_sums(shifted, rows, block).ravel(), out=terms[-1, at])
     return terms[:-2], terms[-2], terms[-1]
 
 

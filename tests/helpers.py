@@ -17,7 +17,7 @@ import numpy as np
 
 from lipext.constants import IndexedSample
 from lipext.extension import ExtensionModel, predict_in_blocks
-from lipext.metrics import pairwise_base
+from lipext.metrics import pairwise_base, row_blocks
 from lipext.phi import ATOM_NAMES, PhiCombination, phi_eval
 
 # Probe domain and slack.  Features are min-max scaled in practice, so
@@ -134,10 +134,10 @@ def record_blocks(monkeypatch, module) -> list[int]:
     patched ``TILE_BYTES`` gives."""
     sizes, pair_blocks = [], module.pair_blocks
 
-    def recording(*args):
-        for rows, upper, d in pair_blocks(*args):
-            sizes.append(rows.stop - rows.start)
-            yield rows, upper, d
+    def recording(*args, **kwargs):
+        for block in pair_blocks(*args, **kwargs):
+            sizes.append(block[0].stop - block[0].start)
+            yield block
 
     monkeypatch.setattr(module, "pair_blocks", recording)
     return sizes
@@ -169,10 +169,18 @@ def synthetic_csv(seed: int, n: int, m: int = 3, hidden: float = 0.2) -> str:
     return "\n".join(lines) + "\n"
 
 
+def distance_blocks(D: np.ndarray):
+    """(rows, a copy of D[rows], work) for the ``row_blocks`` of the (q, n)
+    distances D at one float a column, as ``predict_in_blocks`` takes them:
+    it overwrites a block's distances and its ``work``."""
+    return ((rows, D[rows].copy(), np.empty(D[rows].size))
+            for rows in row_blocks(len(D), 8 * D.shape[1]))
+
+
 def predict_from(m: ExtensionModel, D: np.ndarray, alpha=None, truth=None):
     """(blend weight, predictions) of ``m`` from the (q, n) distances D in
     one ``predict_in_blocks`` call; a standard model, which reads only its
     anchor's distances, as offset + (K * D) at the anchor's column."""
     if m.method == "standard":
         return None, m.offset + (m.K * D)[:, m.anchor]
-    return predict_in_blocks(m, len(D), D.__getitem__, alpha, truth)
+    return predict_in_blocks(m, len(D), distance_blocks(D), alpha, truth)

@@ -605,10 +605,11 @@ def test_constants_report_holds_a_tile_of_pairs_at_a_time():
 
 
 def test_coherence_constant_frees_each_block_before_the_next():
-    # 2,000 rows x 10 features.  A block is a quarter tile each of base
-    # distances, gaps (then ratios) and composed distances, besides
-    # pairwise_base's partial sums: 1.37 tiles.  A block's ratios kept
-    # alive while the next block's base distances are made read 1.60.
+    # 2,000 rows x 10 features.  A block is a quarter tile of base
+    # distances, besides pairwise_base's tile of partial sums, which then
+    # take the block's composed distances and gaps (then ratios): 1.38
+    # tiles.  A block's ratios kept alive while the next block's base
+    # distances are made read 1.60.
     rng = np.random.default_rng(101)
     features = rng.uniform(size=(2000, 10))
     s = IndexedSample(features, features @ rng.uniform(size=10))

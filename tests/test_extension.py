@@ -30,7 +30,7 @@ from lipext.phi import PhiCombination, identity_phi, phi_eval
 from lipext.pipeline import Dataset, PairTable
 
 import oracles
-from helpers import predict_from, random_combination, record_blocks, scaled, tiles
+from helpers import distance_blocks, predict_from, random_combination, record_blocks, scaled, tiles
 
 IDENTITY = CompositionMetric("euclidean", identity_phi())
 
@@ -329,11 +329,11 @@ def test_blend_from_distances_picks_optimal_alpha_and_mixes():
     D = model.cm.pairwise(X, model.training.points)
     truth = rng.uniform(0.0, 5.0, 20)
     i_w, i_m = whitney_batch(model, X), mcshane_batch(model, X)
-    a, pred = predict_in_blocks(model, len(D), D.__getitem__, truth=truth)
+    a, pred = predict_in_blocks(model, len(D), distance_blocks(D), truth=truth)
     assert a == optimal_alpha(truth, i_w, i_m)
     assert np.array_equal(pred, (1.0 - a) * i_w + a * i_m)
     assert np.array_equal(pred, blend(model, X, a))
-    assert predict_in_blocks(model, len(D), D.__getitem__, 0.3)[0] == 0.3
+    assert predict_in_blocks(model, len(D), distance_blocks(D), 0.3)[0] == 0.3
     with pytest.raises(ValueError, match="blend requires an alpha"):
         predict(model, X)
 
@@ -354,7 +354,7 @@ def test_optimal_blend_matches_predict_in_blocks():
         model = fit_extension(s, CompositionMetric("manhattan", random_combination(rng)), "blend")
         D[:] = model.cm.pairwise(X, s.points)
         D_rows[:] = np.take_along_axis(D, order, axis=1)
-        expected_a, expected = predict_in_blocks(model, len(D), D.__getitem__, truth=truth)
+        expected_a, expected = predict_in_blocks(model, len(D), distance_blocks(D), truth=truth)
         for blend in (at, at_rows):
             a, pred = blend(model.K)
             assert a == expected_a

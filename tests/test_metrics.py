@@ -220,6 +220,57 @@ def test_the_pair_table_matches_pairwise_of_the_points_with_themselves(kind, mon
             assert np.array_equal(D, D.T)
 
 
+@pytest.mark.parametrize("kind", BASE_METRICS)
+def test_pairwise_base_takes_its_partial_sums_from_a_given_scratch(kind, monkeypatch):
+    # One scratch of base_scratch_size serves every call on as many rows or
+    # fewer, against as many columns or fewer, as the narrowing blocks of
+    # pair_blocks make them (one too small fails to reshape), with the bits
+    # of a call that allocates its own.
+    rng = np.random.default_rng(8)
+    monkeypatch.setattr(metrics, "TILE_BYTES", 2**14)  # several base blocks a call
+    q, n = 37, 23
+    for m in (3, 9, 130):
+        A, B = rng.uniform(size=(q, m)), rng.uniform(size=(n, m))
+        scratch = np.full(metrics.base_scratch_size(kind, m, q, n), np.nan)
+        for rows in (1, 11, q):
+            for cols in (1, 8, n):
+                expected = pairwise_base(kind, A[:rows], B[:cols])
+                got = pairwise_base(kind, A[:rows], B[:cols], scratch=scratch)
+                assert _same_bits(got, expected), (m, rows, cols)
+        assert not np.isnan(scratch).all()
+
+
+def _owner(a: np.ndarray) -> np.ndarray:
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+@pytest.mark.parametrize("kind", BASE_METRICS)
+def test_composed_blocks_are_contiguous_views_of_per_call_scratch(kind, monkeypatch):
+    # Every block's distances are cut from one array allocated for the call,
+    # contiguous (a strided view slows the readers), and its work from
+    # another that holds at least as many floats; a reader that overwrites
+    # both leaves the next blocks the bits of pairwise.
+    rng = np.random.default_rng(9)
+    cm = CompositionMetric(kind, random_combination(rng))
+    n, m, tile = 16, 9, 5
+    A, B = rng.uniform(size=(3 * tile + 2, m)), rng.uniform(size=(n, m))
+    expected = cm.pairwise(A, B)
+    # Base distances, atom values and d: three (rows, n) arrays a block.
+    monkeypatch.setattr(metrics, "TILE_BYTES", 3 * 8 * n * tile)
+    sizes, owners = [], set()
+    for rows, d, work in cm.blocks(A, B):
+        assert d.flags.c_contiguous and work.size >= d.size
+        assert _same_bits(d, expected[rows])
+        sizes.append(len(d))
+        owners.update({id(_owner(d)), id(_owner(work))})
+        d.fill(np.nan)
+        work.fill(np.nan)
+    assert sizes == tiles(len(A), tile)
+    assert len(owners) == 2
+
+
 def test_pairwise_empty_query_block():
     for m in (2, 8, 130):
         B = np.ones((4, m))
@@ -260,7 +311,7 @@ def test_composed_blocks_are_whole_base_blocks(kind, m, monkeypatch):
     n, q = 2000, 3000
     sizes = []
 
-    def recording(kind, A, B, out):
+    def recording(kind, A, B, out, scratch):
         sizes.append(len(A))
         out.fill(0.0)
         return out

@@ -30,10 +30,13 @@ def test_two_atom_combination_value():
 
 
 def test_negative_input_rejected():
-    with pytest.raises(ValueError):
-        phi_eval(identity_phi(), -0.5)
-    with pytest.raises(ValueError):
-        phi_eval(identity_phi(), np.array([0.1, -0.1]))
+    # A NaN does not hide a negative value, and is itself not negative, as
+    # with ``np.any(x < 0.0)``; neither is -0.0.
+    for x in (-0.5, [0.1, -0.1], [np.nan, -0.1], [-0.1, np.nan], [-np.inf]):
+        with pytest.raises(ValueError):
+            phi_eval(identity_phi(), np.array(x))
+    for x in ([np.nan, np.nan], [], [-0.0], [[]]):
+        assert np.array_equal(phi_eval(identity_phi(), np.array(x)), np.array(x), equal_nan=True)
 
 
 def test_vector_eval_matches_scalar():

@@ -22,7 +22,7 @@ from lipext.extension import (
     predict,
     predict_in_blocks,
 )
-from lipext.metrics import CompositionMetric, pairwise_base
+from lipext.metrics import BASE_METRICS, CompositionMetric, pairwise_base
 from lipext.phi import (
     ATOM_NAMES,
     LINEAR_BASIS,
@@ -47,7 +47,7 @@ from lipext.pipeline import (
     split,
 )
 
-from helpers import predict_from, random_combination, record_blocks, scaled, tiles
+from helpers import distance_blocks, predict_from, random_combination, record_blocks, scaled, tiles
 
 IDENTITY = CompositionMetric("euclidean", identity_phi())
 
@@ -444,7 +444,7 @@ def smooth_dataset(n=200, m=3, seed=0, duplicates=False):
 def blend_at(model, X, alpha=None, truth=None):
     """(weight, predictions) of a blend model at X, distances computed afresh."""
     D = model.cm.pairwise(X, model.training.points)
-    return predict_in_blocks(model, len(D), D.__getitem__, alpha, truth)
+    return predict_in_blocks(model, len(D), distance_blocks(D), alpha, truth)
 
 
 def naive_cv(ds, method, cm, repeats, seed, alpha, honest_alpha, split_method):
@@ -707,11 +707,11 @@ def test_objective_test_rmse_infinite_on_conflicting_duplicates():
 
 
 def test_extend_fit_and_predict_stay_under_memory_ceilings():
-    # 2,000 indexed rows: the distance table alone is 30.5 MiB.  The fit
-    # adds O(tile) on top of it: the blocks of the table's build, and the
-    # holdout's K and predictions read from the table in row blocks, with
-    # no square of a subset.  Prediction holds one block of distances at a
-    # time.
+    # 2,000 indexed rows: the distance table alone would be 30.5 MiB.  The
+    # blend's fit builds none: its pass over the pairs, its holdout
+    # predictions from the points and a prediction on a built table's
+    # subset each hold a few arrays allocated once per call, the block
+    # scratch and pairwise_base's partial sums, with no square of a subset.
     rng = np.random.default_rng(19)
     features = rng.uniform(size=(2000, 10))
     indexed = make_dataset(features, features @ rng.uniform(size=10))
@@ -731,18 +731,18 @@ def test_extend_fit_and_predict_stay_under_memory_ceilings():
         subset_peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert fit_peak < 42 * 2**20
-    assert predict_peak < 16 * 2**20
+    assert fit_peak < 2.5 * metrics.TILE_BYTES
+    assert predict_peak < 2 * metrics.TILE_BYTES
     # One 1,400 x 1,400 square of the training rows alone would be 15 MiB.
-    assert subset_peak < 8 * 2**20
+    assert subset_peak < 1.5 * metrics.TILE_BYTES
 
 
 @pytest.mark.parametrize("method, alpha", [("whitney", None), ("mcshane", None),
-                                           ("standard", None), ("blend", 0.3)])
+                                           ("standard", None), ("blend", 0.3), ("blend", None)])
 def test_a_fit_for_extend_without_a_holdout_builds_no_table(method, alpha):
     # 2,000 indexed rows: the table would be 30.5 MiB.  A fit on every row
-    # that needs no holdout weight takes K from the points, a tile of pairs
-    # at a time, with the bits of coherence_constant.
+    # takes K from the points, a tile of pairs at a time, with the bits of
+    # coherence_constant, and a blend's holdout weight is that of a table.
     rng = np.random.default_rng(97)
     features = rng.uniform(size=(2000, 10))
     indexed = make_dataset(features, features @ rng.uniform(size=10))
@@ -754,7 +754,68 @@ def test_a_fit_for_extend_without_a_holdout_builds_no_table(method, alpha):
         tracemalloc.stop()
     assert peak < 2 * metrics.TILE_BYTES
     assert model.K == coherence_constant(indexed.as_sample(), IDENTITY)
+    if method == "blend" and alpha is None:
+        table = PairTable(indexed, IDENTITY, "blend")
+        alpha = table.holdout_alpha(np.arange(2000), 0.7, 0, "random")
     assert model.alpha == alpha
+
+
+def _ties(rng):
+    """48 rows on a line, I = 2x: every pair's ratio is 2.0 under identity."""
+    x = np.arange(48) / 16
+    return make_dataset(x[:, None], 2 * x)
+
+
+def _duplicates(rng):
+    """30 random rows and 8 copies of some of them with their values: 0/0 pairs."""
+    features = rng.uniform(size=(30, 2))
+    values = features @ [1.0, 3.0] + 0.1 * rng.uniform(size=30)
+    copies = rng.integers(0, 30, 8)
+    return make_dataset(np.vstack([features, features[copies]]), np.r_[values, values[copies]])
+
+
+def _steep_end(rng):
+    """20 rows whose steepest pair is the last two, off an ordered split's
+    training side: with one listed pair, the holdout's K comes from the points."""
+    features = np.c_[np.arange(20.0), rng.uniform(0.0, 0.1, 20)]
+    features[19, 0] = 18.01
+    values = 0.5 * features[:, 0]
+    values[19] += 5.0
+    return make_dataset(features, values)
+
+
+@pytest.mark.parametrize("kind", BASE_METRICS)
+@pytest.mark.parametrize("phi", ["identity", "random"])
+@pytest.mark.parametrize("data, split_method, listed", [
+    ("random", "random", None), ("ties", "random", None), ("ties", "ordered", 5),
+    ("duplicates", "random", None), ("duplicates", "random", 3), ("steep_end", "ordered", 1),
+])
+def test_a_blend_fit_for_extend_matches_the_table_route(kind, phi, data, split_method, listed,
+                                                         monkeypatch):
+    # fit_for_extend builds no table: its list comes from pair_table without
+    # one, and its holdout predicts from the points.  K and alpha must have
+    # the bits of a blend table's holdout_alpha and its fit on every row, with
+    # any warning the same.
+    rng = np.random.default_rng(61)
+    indexed = {"random": lambda r: make_dataset(r.uniform(size=(40, 3)), r.uniform(0.0, 5.0, 40)),
+               "ties": _ties, "duplicates": _duplicates, "steep_end": _steep_end}[data](rng)
+    cm = CompositionMetric(kind, identity_phi() if phi == "identity" else random_combination(rng))
+    if listed is not None:
+        monkeypatch.setattr(constants, "LISTED_PAIRS", listed)
+    rows = np.arange(indexed.n_rows)
+    with warnings.catch_warnings(record=True) as table_warnings:
+        warnings.simplefilter("always")
+        table = PairTable(indexed, cm, "blend")
+        expected = table.fit(rows, table.holdout_alpha(rows, 0.7, 4, split_method))
+    with warnings.catch_warnings(record=True) as fresh_warnings:
+        warnings.simplefilter("always")
+        model = fit_for_extend(indexed, cm, "blend", seed=4, split_method=split_method)
+    assert [str(w.message) for w in fresh_warnings] == [str(w.message) for w in table_warnings]
+    assert (model.K, model.alpha, model.method) == (expected.K, expected.alpha, "blend")
+    if data == "steep_end":
+        train = _split_rows(indexed.n_rows, 0.7, 4, "ordered")[0]
+        assert table.largest.coherence(train) is None  # the holdout's K is from the points
+        assert table.largest.coherence(rows) is not None
 
 
 @pytest.mark.parametrize("alpha", [None, 0.3])
@@ -1051,10 +1112,10 @@ def test_a_short_list_leaves_K_to_the_points(size, monkeypatch):
 
 def test_building_the_table_and_its_list_holds_one_tile_on_top_of_the_table():
     # 2,000 rows: the table is 30.5 MiB.  Its one pass over the pairs
-    # holds a fifth of a tile each of base distances, of atom values, then
-    # ratios, of the partition's indices and of pairwise_base's partial
-    # sums, besides the list: 0.75 tiles on random data and 0.69 on the
-    # integer line with I = 2x, where every pair ties at 2.0.  Both
+    # holds a fifth of a tile each of base distances, of pairwise_base's
+    # partial sums, which then take the atom values and ratios, and of the
+    # partition's indices, besides the list: 0.69 tiles on random data and
+    # 0.67 on the integer line with I = 2x, where every pair ties at 2.0.  Both
     # partition their first block.  The partition's indices kept into the
     # next block would read 0.95 tiles, and a second block of ratios or a
     # table-sized array more.
