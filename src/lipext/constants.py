@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import CompositionMetric, base_scratch_size, pairwise_base, row_blocks
-from .phi import atom_values, phi_eval
+from .phi import ATOM_FUNCS, phi_eval
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,54 +140,109 @@ def undominated(base_d: np.ndarray, gain: np.ndarray, atoms: np.ndarray) -> np.n
     rounding is monotone, so q's ``weighted_sum`` is then <= p's for every
     coefficient vector, bit for bit.
 
-    In each row the items are sorted by (base distance ascending, gain
-    descending), and an item's candidate dominator is the first item before
-    it of the largest gain so far: a running maximum.  An item is dropped
-    only when that candidate dominates it in the computed atom values, so
-    whether an atom is monotone never matters for correctness, only for how
-    many items are dropped.  The candidate always comes earlier in the
-    order, so following dominators ends at a kept item, and no item that
-    another item does not dominate is ever dropped.  When the atoms grow
-    with the base distance, what is kept is the (base distance, gain)
-    staircase, which is the exact front up to equal items.
+    The items of each row are sorted by (base distance ascending, gain
+    descending) and go through ``_drop``.  When the atoms grow with the
+    base distance, what is kept is the (base distance, gain) staircase,
+    which is the exact front up to equal items.
     """
     gain = np.broadcast_to(gain, base_d.shape)
-    order = np.lexsort((-gain, base_d))
+    return _drop(np.lexsort((-gain, base_d)), gain, atoms)
+
+
+def _drop(order: np.ndarray, gain: np.ndarray, atoms: np.ndarray) -> np.ndarray:
+    """``undominated``'s keep mask with the items of each row taken in the
+    caller's ``order`` (rows, items).
+
+    An item's candidate dominator is the first item before it in the order
+    of the largest gain so far: a running maximum.  An item is dropped
+    only when that candidate dominates it in the computed atom values, so
+    neither the order nor whether an atom is monotone ever matters for
+    correctness, only for how many items are dropped.  The candidate
+    always comes earlier in the order, so following dominators ends at a
+    kept item, and no item that another item does not dominate is ever
+    dropped.
+    """
     g = np.take_along_axis(gain, order, axis=-1)
     best = np.maximum.accumulate(g, axis=-1)
     rises = np.ones(g.shape, dtype=bool)
     rises[:, 1:] = g[:, 1:] > best[:, :-1]
     first = np.maximum.accumulate(np.where(rises, np.arange(g.shape[-1]), 0), axis=-1)
-    items, candidates = order[:, 1:], np.take_along_axis(order, first[:, :-1], axis=-1)
+    # Flat positions, so that each atom is gathered with one index array.
+    flat = order + g.shape[-1] * np.arange(len(g))[:, None]
+    items, candidates = flat[:, 1:], np.take_along_axis(flat, first[:, :-1], axis=-1)
     dropped = best[:, :-1] >= g[:, 1:]
     for a in atoms:
-        dropped &= np.take_along_axis(a, candidates, -1) <= np.take_along_axis(a, items, -1)
-    keep = np.ones(base_d.shape, dtype=bool)
-    np.put_along_axis(keep, items, ~dropped, axis=-1)
-    return keep
+        a = a.reshape(-1)
+        dropped &= a[candidates] <= a[items]
+    keep = np.ones(g.size, dtype=bool)
+    keep[items] = ~dropped
+    return keep.reshape(g.shape)
 
 
-def pair_front(s: IndexedSample, base: str, atoms: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """(atom values (atoms, P), |I_i - I_j| (P,)) of P pairs i < j of ``s``
-    that keep, for every coefficient vector, the bits of ``ratio_max`` over
-    all pairs of the gaps |I_i - I_j| and the composed distances.
+def pair_front(
+    s: IndexedSample, base: str, atoms: tuple[str, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The K and Q fronts of the pairs i < j of ``s``: (atom values (atoms,
+    P), gaps |I_i - I_j| (P,), atom values (atoms, R), sums |I_i| + |I_j|
+    (R,)) of P and R pairs that keep, for every coefficient vector, the
+    bits of ``ratio_max`` over all pairs of the gaps over the composed
+    distances (K) and of the composed distances over the sums (Q).  The
+    sums are those of the index shifted to minimum 0, which
+    ``constants_report`` takes for the shifted Q; where that shift
+    overflows, which ``katetov_shift`` raises on, they are +inf.
 
-    A pair that another pair dominates (``undominated``, gain |I_i - I_j|)
-    has a ratio no larger, or imposes nothing (0/0); the reduction starts
-    at 0.0 and a maximum is exact, so dropping it changes no bit.  Each
-    block of ``pair_blocks`` is merged into the pairs kept so far; memory
-    is O(``TILE_BYTES``) on top of the front.  The base distances are
-    those of ``pairwise_base`` on the whole square and the gaps those of
-    ``pair_gaps``, so the atom values have the bits a candidate's
+    A pair that another dominates for K (``undominated``, with the gap as
+    the gain) has a ratio no larger, or imposes nothing (0/0).  For Q the
+    rule is ``undominated(-d, -sums, -atoms)``: a dominator's composed
+    distance is no smaller for every coefficient vector and its sum no
+    larger.  The reductions start at 0.0 and a maximum is exact, so
+    dropping dominated pairs changes no bit.
+
+    Both fronts are built in one pass over ``pair_blocks``, and each
+    block's base distances, gaps, sums and atom values are cut from its
+    ``work``.  A pre-pass sends a block's pairs through ``_drop`` in the
+    order of their base distances alone, which one ``np.argsort`` gives,
+    ascending for K and descending for Q; only the pairs it keeps, with
+    the front so far, reach the exact ``undominated``.  The Q front is kept
+    negated, so one rule serves both.  Memory is O(``TILE_BYTES``) on top
+    of the fronts.  The base distances are those of ``pairwise_base`` on
+    the whole square and the gaps and sums those of ``pair_gaps`` and
+    ``pair_sums``, so the atom values have the bits a candidate's
     ``phi_eval`` would start from.
     """
-    base_d, gaps = np.empty(0), np.empty(0)
-    for rows, upper, d, _ in pair_blocks(s, base, 8 * len(s) * (len(atoms) + 8)):
-        base_d = np.concatenate([base_d, d[upper]])
-        gaps = np.concatenate([gaps, pair_gaps(s.values, rows)[upper]])
-        keep = undominated(base_d[None], gaps, atom_values(atoms, base_d)[:, None])[0]
-        base_d, gaps = base_d[keep], gaps[keep]
-    return atom_values(atoms, base_d), gaps
+    n, v, width = len(s), s.values, len(atoms) + 3
+    with np.errstate(over="ignore"):
+        shifted = v - v.min()  # ``katetov_shift``'s values
+    empty = (np.empty(0), np.empty(0), np.empty((len(atoms), 0)))
+    fronts = [empty, empty]  # (base distances, gains, atom values) of K, and of Q negated
+    # ``work`` takes the block's pairs, width floats each, then one block of gaps or sums.
+    for rows, upper, d, work in pair_blocks(s, base, 8 * n * (len(atoms) + 8), spare=width + 1):
+        mask, count = upper.ravel(), np.count_nonzero(upper)
+        pairs = work[: width * count].reshape(width, count)
+        block = work[width * count: width * count + d.size].reshape(d.shape)
+        base_d, gaps, sums, values = pairs[0], pairs[1], pairs[2], pairs[3:]
+        np.compress(mask, d.ravel(), out=base_d)
+        np.compress(mask, pair_gaps(v, rows, block).ravel(), out=gaps)
+        np.compress(mask, pair_sums(shifted, rows, block).ravel(), out=sums)
+        for a, out in zip(atoms, values):  # the identity returns its input
+            np.copyto(out, ATOM_FUNCS[a](base_d, out=out))
+        order = np.argsort(base_d)
+        fronts[0] = _merge(fronts[0], order, base_d, gaps, values)
+        np.negative(pairs, out=pairs)
+        fronts[1] = _merge(fronts[1], order[::-1], base_d, sums, values)
+    (_, gaps, k_atoms), (_, sums, q_atoms) = fronts
+    return k_atoms, gaps, -q_atoms, -sums
+
+
+def _merge(front, order: np.ndarray, base_d: np.ndarray, gain: np.ndarray, atoms: np.ndarray):
+    """The (base distances, gains, atom values) ``front`` merged with a
+    block's items: those that ``_drop`` keeps in ``order`` join the front,
+    and ``undominated`` keeps the front of them all."""
+    keep = np.flatnonzero(_drop(order[None], gain[None], atoms[:, None]))
+    base_d, gain, atoms = (np.concatenate([f, x[..., keep]], axis=-1)
+                           for f, x in zip(front, (base_d, gain, atoms)))
+    keep = undominated(base_d[None], gain, atoms[:, None])[0]
+    return base_d[keep], gain[keep], atoms[:, keep]
 
 
 def ratio_max(num: np.ndarray, den: np.ndarray, out: np.ndarray | None = None) -> float:

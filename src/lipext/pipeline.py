@@ -47,7 +47,7 @@ from .extension import (
     predict,
     predict_in_blocks,
 )
-from .metrics import CompositionMetric, pairwise_base, row_blocks
+from .metrics import CompositionMetric, base_scratch_size, pairwise_base, row_blocks
 from .phi import atom_values, check_combination, weighted_sum
 
 #: Seed offset for the nested alpha split, so it never reuses a repeat seed.
@@ -498,7 +498,7 @@ def objective_test_rmse(
         )
     X, values = ds_indexed.features, ds_indexed.index
     train_sample = IndexedSample(X[train], values[train])
-    pair_atoms, gaps = pair_front(train_sample, base, atoms)
+    pair_atoms, gaps, _, _ = pair_front(train_sample, base, atoms)
     row_atoms, row_values = _row_fronts(X[test], train_sample, base, atoms)
     n_pairs = len(gaps)
     # The row part is stored front position by front position, test rows
@@ -547,11 +547,16 @@ def _row_fronts(
     come in their order, and a row with fewer than the widest w repeats
     its last one, which changes no minimum or maximum.  The base distances
     are made in ``row_blocks`` of query rows, as ``pairwise_base`` gives
-    them.
+    them, into a block and with partial sums cut from two arrays allocated
+    at the first block, the largest.
     """
-    fronts = []
-    for block in row_blocks(len(queries), 8 * len(train) * (2 * len(atoms) + 8)):
-        base_d = pairwise_base(base, queries[block], train.points)
+    (n, m), fronts, own = train.points.shape, [], None
+    for block in row_blocks(len(queries), 8 * n * (2 * len(atoms) + 8)):
+        rows = queries[block]
+        if own is None:
+            own = np.empty((len(rows), n))
+            scratch = np.empty(base_scratch_size(base, m, len(rows), n))
+        base_d = pairwise_base(base, rows, train.points, out=own[: len(rows)], scratch=scratch)
         values = atom_values(atoms, base_d)
         keep = undominated(base_d, train.values, values)
         keep |= undominated(base_d, -train.values, values)

@@ -4,7 +4,9 @@
 coherence-times-normalization product K*Q exactly.  Composed distances are
 linear in the coefficients and the product does not change when they are
 scaled, so the minimum is a small linear program, solved here with numpy
-alone by constraint generation over the pairs and a dense simplex.
+alone by constraint generation and a dense simplex.  Its rows are those of
+the K and Q dominance fronts of the pairs (``constants.pair_front``), the
+fronts that ``objective_kq`` evaluates too.
 
 ``pso_minimize`` is a global-best particle swarm for objectives that are not
 convex, such as held-out RMSE, with the constriction values of Clerc &
@@ -22,8 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from .constants import IndexedSample, katetov_shift, pair_blocks, pair_gaps, pair_sums, ratio_max
-from .phi import ATOM_FUNCS, weighted_sum
+from .constants import IndexedSample, katetov_shift, pair_front, ratio_max
+from .phi import weighted_sum
 
 #: Constriction values of the velocity update (Clerc & Kennedy 2002).
 INERTIA = 0.7298
@@ -133,35 +135,20 @@ def pso_minimize(
     return SwarmResult(gbest, gbest_f, history)
 
 
-def _kq_terms(s: IndexedSample, base: str, atoms: tuple[str, ...]):
-    """(atom stack (n_atoms, n_pairs), |I_i - I_j|, |I_i| + |I_j|) of the pairs
-    i < j of ``s`` in lexicographic order, the sums taken after the Katetov
-    shift as in ``constants_report``.  The arrays are allocated once, at
-    their final size, and filled block by block from ``pair_blocks``: each
-    block's pairs are compressed into them, through the block's ``work``,
-    so a block allocates nothing."""
-    n, v, shifted = len(s), s.values, katetov_shift(s).values
-    terms, end = np.empty((len(atoms) + 2, n * (n - 1) // 2)), 0
-    for rows, upper, d, work in pair_blocks(s, base, 8 * n * (len(atoms) + 4), spare=2):
-        at = slice(end, end + np.count_nonzero(upper))
-        end = at.stop
-        pairs, block = work[: at.stop - at.start], work[d.size : 2 * d.size].reshape(d.shape)
-        mask = upper.ravel()
-        np.compress(mask, d.ravel(), out=pairs)
-        for k, a in enumerate(atoms):  # the identity returns its input
-            np.copyto(terms[k, at], ATOM_FUNCS[a](pairs, out=terms[k, at]))
-        np.compress(mask, pair_gaps(v, rows, block).ravel(), out=terms[-2, at])
-        np.compress(mask, pair_sums(shifted, rows, block).ravel(), out=terms[-1, at])
-    return terms[:-2], terms[-2], terms[-1]
+def _kq_fronts(s: IndexedSample, base: str, atoms: tuple[str, ...]):
+    """``pair_front``'s K and Q fronts of ``s``; raises ``ValueError`` as
+    ``katetov_shift`` does when the shifted index overflows."""
+    katetov_shift(s)
+    return pair_front(s, base, atoms)
 
 
-def _kq_value(lam: np.ndarray, atom_vals: np.ndarray, d_vals: np.ndarray, denom: np.ndarray) -> float:
+def _kq_value(lam: np.ndarray, fronts) -> float:
     if not lam.any():
         return math.inf  # the zero vector is not a modulus
+    k_atoms, gaps, q_atoms, sums = fronts
     # Summed as ``phi_eval`` sums, so the value is that of ``constants_report``.
-    d_phi = weighted_sum(lam, atom_vals)
-    K = ratio_max(d_vals, d_phi)
-    Q = ratio_max(d_phi, denom)
+    K = ratio_max(gaps, weighted_sum(lam, k_atoms))
+    Q = ratio_max(weighted_sum(lam, q_atoms), sums)
     # An infinite constant makes the product infinite, even times K = 0.
     return math.inf if math.inf in (K, Q) else K * Q
 
@@ -170,17 +157,17 @@ def objective_kq(s: IndexedSample, base: str, atoms: tuple[str, ...]) -> Callabl
     """Evaluator of the coherence-times-normalization product over coefficients.
 
     Q is that of the Katetov-shifted index, which makes the product at least
-    1.  Base distances and per-atom transforms are precomputed once, so each
-    evaluation is a weighted sum plus two reductions.  Returns +inf when
-    either constant is infinite, and for the zero vector.
+    1.  The K and Q fronts of the pairs (``pair_front``) are built once, so
+    each evaluation is two weighted sums plus two reductions over them.
+    Returns +inf when either constant is infinite, and for the zero vector.
     """
-    atom_vals, d_vals, denom = _kq_terms(s, base, atoms)
+    fronts = _kq_fronts(s, base, atoms)
 
     def objective(lam: np.ndarray) -> float:
         lam = np.asarray(lam, dtype=float)
         if lam.shape != (len(atoms),):
             raise ValueError(f"expected {len(atoms)} coefficients, got {lam.shape}")
-        return _kq_value(lam, atom_vals, d_vals, denom)
+        return _kq_value(lam, fronts)
 
     return objective
 
@@ -250,15 +237,18 @@ def minimize_kq(s: IndexedSample, base: str, atoms: tuple[str, ...]):
 
         d_p >= t |I_i - I_j|   and   d_p <= |I_i| + |I_j|   for every pair.
 
-    Its rows are generated in rounds.  The working set starts from the pairs
-    that come closest to binding at the identity.  Each round solves the
-    working rows with ``_simplex_max`` and adds the pairs whose K or Q ratio
-    at the solution exceeds the largest ratio among the working pairs, which
-    at the working optimum are 1/t and 1.  When no pair exceeds them by more
-    than KQ_REL_TOL, the solution meets every pair's rows and so is optimal
-    for the whole program.  Each round adds a pair, so the search ends.
-    Comparing ratios computed alike, not K*Q with the solved t, keeps the
-    round-off of ill-conditioned rows out of the stopping test.
+    A pair that another dominates (``pair_front``) imposes nothing that its
+    dominator does not, so the rows of the K front and of the Q front
+    define the same program.  Its rows are generated in rounds over them.
+    The working sets start from the front pairs that come closest to
+    binding at the identity.  Each round solves the working rows with
+    ``_simplex_max`` and adds the pairs whose K or Q ratio at the solution
+    exceeds the largest ratio among the working pairs, which at the
+    working optimum are 1/t and 1.  When no pair exceeds them by more than
+    KQ_REL_TOL, the solution meets every front pair's rows and so is
+    optimal for the whole program.  Each round adds a pair, so the search
+    ends.  Comparing ratios computed alike, not K*Q with the solved t,
+    keeps the round-off of ill-conditioned rows out of the stopping test.
 
     When the identity's K*Q is infinite (duplicate points with distinct
     values, or distinct rows with |I_i| + |I_j| = 0) no coefficients can
@@ -266,10 +256,11 @@ def minimize_kq(s: IndexedSample, base: str, atoms: tuple[str, ...]):
     solve is skipped; so it is when the product is 0, which nothing
     undercuts.
     """
-    atom_vals, d_vals, denom = _kq_terms(s, base, atoms)
+    fronts = _kq_fronts(s, base, atoms)
+    k_atoms, gaps, q_atoms, sums = fronts
 
     def kq(lam: np.ndarray) -> float:
-        return _kq_value(lam, atom_vals, d_vals, denom)
+        return _kq_value(lam, fronts)
 
     identity = identity_lambda(len(atoms))
     identity_value = kq(identity)
@@ -278,15 +269,14 @@ def minimize_kq(s: IndexedSample, base: str, atoms: tuple[str, ...]):
 
     lam = identity
     work_k = work_q = np.empty(0, dtype=np.intp)
-    ratio = np.empty(len(d_vals))
+    ratio_k, ratio_q = np.empty(len(gaps)), np.empty(len(sums))
     while True:
-        # The ratios of ``ratio_max``; a NaN (0/0) never counts as violated.
-        # The composed distances are made afresh for each kind, in place of
-        # its ratios, so that one array of the pairs' size holds them all.
-        ratio_max(d_vals, weighted_sum(lam, atom_vals, ratio), ratio)
-        new_k = _most_violated(ratio, work_k)
-        ratio_max(weighted_sum(lam, atom_vals, ratio), denom, ratio)
-        new_q = _most_violated(ratio, work_q)
+        # The ratios of ``ratio_max``, in place of the composed distances;
+        # a NaN (0/0) never counts as violated.
+        ratio_max(gaps, weighted_sum(lam, k_atoms, ratio_k), ratio_k)
+        new_k = _most_violated(ratio_k, work_k)
+        ratio_max(weighted_sum(lam, q_atoms, ratio_q), sums, ratio_q)
+        new_q = _most_violated(ratio_q, work_q)
         if new_k.size == 0 and new_q.size == 0:
             break
         work_k = np.concatenate([work_k, new_k])
@@ -294,8 +284,8 @@ def minimize_kq(s: IndexedSample, base: str, atoms: tuple[str, ...]):
         # Rows scaled by |I_i - I_j| and |I_i| + |I_j|: t - lam.a_p/|I_i - I_j| <= 0
         # and lam.a_p/(|I_i| + |I_j|) <= 1.
         A = np.vstack([
-            np.hstack([-(atom_vals[:, work_k] / d_vals[work_k]).T, np.ones((work_k.size, 1))]),
-            np.hstack([(atom_vals[:, work_q] / denom[work_q]).T, np.zeros((work_q.size, 1))]),
+            np.hstack([-(k_atoms[:, work_k] / gaps[work_k]).T, np.ones((work_k.size, 1))]),
+            np.hstack([(q_atoms[:, work_q] / sums[work_q]).T, np.zeros((work_q.size, 1))]),
         ])
         b = np.concatenate([np.zeros(work_k.size), np.ones(work_q.size)])
         c = np.zeros(len(atoms) + 1)

@@ -21,9 +21,9 @@ from lipext.constants import (
 )
 from lipext.dataio import json_text, read_dataset, table1_path
 from lipext.metrics import CompositionMetric, pairwise_base
-from lipext.phi import LINEAR_BASIS, PhiCombination, atom_values, identity_phi, phi_eval
+from lipext.phi import ATOM_FUNCS, LINEAR_BASIS, SQRT_BASIS, PhiCombination, atom_values, identity_phi, phi_eval
 from lipext.pipeline import Dataset, PairTable, minmax_scale
-from lipext.swarm import minimize_kq
+from lipext.swarm import _kq_value, minimize_kq
 
 from helpers import condensed_pairs, distance, random_combination, record_blocks, scaled, tiles
 from oracles import constants as oracle_constants
@@ -377,7 +377,8 @@ def test_undominated_keeps_the_front_and_a_dominator_of_every_item_dropped():
     # and some gains infinite.  With atoms that grow with the base distance
     # exactly one item of each class of equal front items is kept.  With
     # atoms unrelated to it, the candidate from the sort often fails the
-    # check, and the promise still holds.
+    # check, and the promise still holds.  So it does for ``_drop`` in a
+    # random order, where only how many items go can change.
     rng = np.random.default_rng(47)
     for trial in range(40):
         rows, n = int(rng.integers(1, 4)), int(rng.integers(1, 70))
@@ -390,18 +391,55 @@ def test_undominated_keeps_the_front_and_a_dominator_of_every_item_dropped():
         atoms = (atom_values(("identity", "sqrt"), base_d) if monotone
                  else rng.integers(0, 4, size=(2, rows, n)).astype(float))
         keep = undominated(base_d, gain, atoms)
+        order = np.argsort(rng.uniform(size=base_d.shape), axis=-1)
+        any_order = constants._drop(order, np.broadcast_to(gain, base_d.shape), atoms)
         for r in range(rows):
             g = np.broadcast_to(gain, base_d.shape)[r]
             _check_front(keep[r], atoms[:, r], g)
+            _check_front(any_order[r], atoms[:, r], g)
             if monotone:
                 assert np.count_nonzero(keep[r]) == _front_classes(atoms[:, r], g)
+
+
+def _check_pair_fronts(s, base, atoms, fronts):
+    """The K and Q fronts of ``pair_front`` against the condensed pairs:
+    every kept item is a pair, bit for bit, and every pair is kept or has a
+    kept dominator.  The Q front is checked as the K rule on negated items,
+    larger atom values and smaller shifted sums.  Returns the pairs' atom
+    values, gaps and shifted sums."""
+    _, _, d_base, all_gaps, _, all_sums = condensed_pairs(s, base)
+    all_atoms = atom_values(atoms, d_base)
+    k_atoms, gaps, q_atoms, sums = fronts
+    for front, gain, every, all_gain in ((k_atoms, gaps, all_atoms, all_gaps),
+                                         (-q_atoms, -sums, -all_atoms, -all_sums)):
+        for k in range(len(gain)):
+            assert np.any(np.all(every == front[:, k, None], axis=0) & (all_gain == gain[k]))
+        kept = np.arange(len(gain) + len(all_gain)) < len(gain)
+        _check_front(kept, np.concatenate([front, every], axis=1), np.concatenate([gain, all_gain]))
+    return all_atoms, all_gaps, all_sums
+
+
+def _check_kq_value(s, base, atoms, fronts, rng, draws=8):
+    """``_kq_value`` over the fronts at random coefficients, some of them
+    zero, against K * Q_shifted of ``constants_report``, bit for bit.
+    Returns the values."""
+    values = []
+    for _ in range(draws):
+        lam = rng.uniform(0.05, 8.0, size=len(atoms)) * (rng.uniform(size=len(atoms)) < 0.8)
+        lam[rng.integers(len(atoms))] += 1.0
+        report = constants_report(s, CompositionMetric(base, PhiCombination(atoms, tuple(lam))))
+        K, Q = report.K, report.Q_shifted
+        expected = math.inf if math.inf in (K, Q) else K * Q
+        assert _kq_value(lam, fronts).hex() == expected.hex(), lam
+        values.append(expected)
+    return values
 
 
 @pytest.mark.parametrize("atoms", [("identity", "sqrt"), ("sqrt_arctan", "rational", "log1p")])
 @pytest.mark.parametrize("tile", [None, 3])
 def test_pair_front_keeps_a_front_of_the_pairs(atoms, tile, monkeypatch):
     # Duplicated points and tied values give 0/0 and x/0 pairs and ties.
-    # With ``tile`` rows a block, the front is merged over many blocks.
+    # With ``tile`` rows a block, the fronts are merged over many blocks.
     # Every kept item is a pair, and every pair has a kept dominator or is
     # kept, so each class of equal front pairs is kept; with correctly
     # rounded atoms, which grow with the base distance, exactly once.
@@ -410,16 +448,116 @@ def test_pair_front_keeps_a_front_of_the_pairs(atoms, tile, monkeypatch):
     vals = rng.integers(0, 5, size=40).astype(float)
     if tile is not None:
         monkeypatch.setattr(metrics, "TILE_BYTES", 8 * 40 * (len(atoms) + 8) * tile)
-    front, gaps = pair_front(IndexedSample(pts, vals), "manhattan", atoms)
-    i, j = np.triu_indices(40, k=1)
-    all_atoms = atom_values(atoms, pairwise_base("manhattan", pts, pts)[i, j])
-    all_gaps = np.abs(vals[i] - vals[j])
-    for k in range(len(gaps)):
-        assert np.any(np.all(all_atoms == front[:, k, None], axis=0) & (all_gaps == gaps[k]))
-    kept = np.arange(len(gaps) + len(all_gaps)) < len(gaps)
-    _check_front(kept, np.concatenate([front, all_atoms], axis=1), np.concatenate([gaps, all_gaps]))
+    s = IndexedSample(pts, vals)
+    fronts = pair_front(s, "manhattan", atoms)
+    all_atoms, all_gaps, all_sums = _check_pair_fronts(s, "manhattan", atoms, fronts)
+    gaps, sums = fronts[1], fronts[3]
     if atoms == ("identity", "sqrt"):
         assert len(gaps) == _front_classes(all_atoms, all_gaps)
+        assert len(sums) == _front_classes(-all_atoms, -all_sums)
+
+
+# ``rows`` rows of pairs i < j, the rows 0 to n - 2 of a sample of n = rows
+# + 1: a tile of one row, then tile - 1, tile, tile + 1 and 3 * tile rows
+# against a tile of four.
+@pytest.mark.parametrize("rows, tile", [(12, 1), (3, 4), (4, 4), (5, 4), (12, 4)])
+@pytest.mark.parametrize("base", ["euclidean", "manhattan"])
+def test_pair_front_in_row_blocks_gives_the_kq_of_every_pair(rows, tile, base, monkeypatch):
+    # Grid points with duplicates; the index has a negative minimum, so the
+    # Katetov shift moves every value.
+    n = rows + 1
+    rng = np.random.default_rng(13 * n + tile)
+    s = IndexedSample(rng.integers(0, 3, size=(n, 2)) / 2.0, rng.uniform(-5.0, 5.0, n))
+    monkeypatch.setattr(metrics, "TILE_BYTES", 8 * n * (4 + 8) * tile)  # ``tile`` rows a block
+    sizes = record_blocks(monkeypatch, constants)
+    for atoms in (LINEAR_BASIS, SQRT_BASIS):
+        sizes.clear()
+        fronts = pair_front(s, base, atoms)
+        assert sizes == tiles(rows, tile)
+        _check_pair_fronts(s, base, atoms, fronts)
+        _check_kq_value(s, base, atoms, fronts, rng)
+
+
+def _tied_grid(rng, n):
+    """Points on a coarse grid, some repeated, with values from a few
+    integers that the grid point sets, so that distances, gaps and sums tie
+    and repeated points make 0/0 pairs; one row off the grid holds the
+    minimum alone, so that the shifted Q is finite."""
+    cells = rng.integers(0, 4, size=(n, 2))
+    pts, vals = cells / 3.0, ((cells[:, 0] + 2 * cells[:, 1]) % 4).astype(float)
+    pts[0], vals[0] = 2.0, -1.0
+    return IndexedSample(pts, vals)
+
+
+def _duplicates(rng, n, conflict):
+    """A few points, each repeated, with the value of a function of the
+    point, so that repeated points make 0/0 pairs; with ``conflict`` the
+    last row repeats the first with another value, an x/0 pair, so that K
+    is +inf."""
+    pts = rng.uniform(size=(n // 3, 2))[rng.integers(0, n // 3, size=n)]
+    pts[-1] = pts[0]
+    vals = pts @ np.array([2.0, -1.0]) + np.sin(7.0 * pts[:, 0])
+    vals[-1] += 0.5 * conflict
+    return IndexedSample(pts, vals)
+
+
+@pytest.mark.parametrize("case", ["random", "tied-grid", "duplicates", "conflicting-duplicates"])
+@pytest.mark.parametrize("base", ["euclidean", "manhattan", "chebyshev"])
+def test_kq_value_over_the_fronts_is_k_times_the_shifted_q(case, base):
+    rng = np.random.default_rng(["random", "tied-grid", "duplicates", "conflicting-duplicates"].index(case))
+    for trial in range(4):
+        n = int(rng.integers(2, 60))
+        s = {
+            "random": lambda: IndexedSample(rng.uniform(size=(n, 3)), rng.normal(size=n)),
+            "tied-grid": lambda: _tied_grid(rng, n),
+            "duplicates": lambda: _duplicates(rng, max(n, 6), False),
+            "conflicting-duplicates": lambda: _duplicates(rng, max(n, 6), True),
+        }[case]()
+        for atoms in (LINEAR_BASIS, SQRT_BASIS):
+            fronts = pair_front(s, base, atoms)
+            _check_pair_fronts(s, base, atoms, fronts)
+            values = _check_kq_value(s, base, atoms, fronts, rng)
+            finite = case != "conflicting-duplicates"
+            assert all(math.isfinite(v) == finite for v in values), values
+
+
+def test_pair_front_takes_a_shifted_sum_beyond_the_float_range_as_inf_without_a_warning():
+    # Shifted to minimum 0, the index is 0, 1e308, 1e308; rows 1 and 2, the
+    # farthest apart, sum to +inf, so that pair stays on the Q front.
+    s = IndexedSample([[0.0], [-1.0], [1.0]], [-1e308, 0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fronts = pair_front(s, "euclidean", LINEAR_BASIS)
+        _check_kq_value(s, "euclidean", LINEAR_BASIS, fronts, np.random.default_rng(7))
+    _, gaps, _, sums = fronts
+    assert gaps.tolist() == [1e308]
+    assert sorted(sums.tolist()) == [1e308, math.inf]
+    with np.errstate(over="ignore"):  # the reference's own sum overflows
+        _check_pair_fronts(s, "euclidean", LINEAR_BASIS, fronts)
+
+
+def _wave(x, out=None):
+    """1 - cos(5x): >= 0 and 0 at 0, but not monotone on the distances of
+    the unit square, so a pair farther apart can have the smaller value."""
+    y = np.multiply(5.0, x, out=out)
+    return np.subtract(1.0, np.cos(y, out=y), out=y)
+
+
+def test_pair_front_checks_the_computed_values_of_an_atom_that_is_not_monotone(monkeypatch):
+    # Sorted by base distance, the candidate dominator of a pair often has
+    # the larger wave value; a pass that dropped it all the same would lose
+    # the pairs that set K or Q when the wave weighs most.
+    monkeypatch.setitem(ATOM_FUNCS, "arctan", _wave)
+    rng = np.random.default_rng(61)
+    atoms = ("arctan", "identity")
+    for tile in (None, 2):
+        if tile is not None:
+            monkeypatch.setattr(metrics, "TILE_BYTES", 8 * 30 * (len(atoms) + 8) * tile)
+        for _ in range(6):
+            s = IndexedSample(rng.uniform(size=(30, 2)), rng.uniform(size=30))
+            fronts = pair_front(s, "euclidean", atoms)
+            _check_pair_fronts(s, "euclidean", atoms, fronts)
+            _check_kq_value(s, "euclidean", atoms, fronts, rng, draws=12)
 
 
 def _condensed_coherence(s, cm):
