@@ -138,7 +138,8 @@ def undominated(base_d: np.ndarray, gain: np.ndarray, atoms: np.ndarray) -> np.n
     Item q dominates item p when each of q's atom values is <= p's and q's
     gain >= p's.  Every atom value and coefficient is >= 0 and IEEE
     rounding is monotone, so q's ``weighted_sum`` is then <= p's for every
-    coefficient vector, bit for bit.
+    coefficient vector, bit for bit; where q's is NaN, a zero coefficient
+    times an infinite atom value, p's atom value is infinite too.
 
     The items of each row are sorted by (base distance ascending, gain
     descending) and go through ``_drop``.  When the atoms grow with the
@@ -146,12 +147,19 @@ def undominated(base_d: np.ndarray, gain: np.ndarray, atoms: np.ndarray) -> np.n
     which is the exact front up to equal items.
     """
     gain = np.broadcast_to(gain, base_d.shape)
-    return _drop(np.lexsort((-gain, base_d)), gain, atoms)
+    order = np.lexsort((-gain, base_d))
+    # Flat positions, so that each array is gathered with one index array.
+    flat = order + base_d.shape[-1] * np.arange(len(base_d))[:, None]
+    keep = np.empty(base_d.shape, dtype=bool)
+    keep.reshape(-1)[flat] = _drop(gain.reshape(-1)[flat],
+                                   np.take(atoms.reshape(len(atoms), -1), flat, axis=1))
+    return keep
 
 
-def _drop(order: np.ndarray, gain: np.ndarray, atoms: np.ndarray) -> np.ndarray:
-    """``undominated``'s keep mask with the items of each row taken in the
-    caller's ``order`` (rows, items).
+def _drop(gain: np.ndarray, atoms: np.ndarray) -> np.ndarray:
+    """``undominated``'s keep mask of items that the caller has put in
+    order: ``gain`` (rows, items) and ``atoms`` (atoms, rows, items) hold
+    them in it, and so does the mask.
 
     An item's candidate dominator is the first item before it in the order
     of the largest gain so far: a running maximum.  An item is dropped
@@ -162,21 +170,20 @@ def _drop(order: np.ndarray, gain: np.ndarray, atoms: np.ndarray) -> np.ndarray:
     kept item, and no item that another item does not dominate is ever
     dropped.
     """
-    g = np.take_along_axis(gain, order, axis=-1)
-    best = np.maximum.accumulate(g, axis=-1)
-    rises = np.ones(g.shape, dtype=bool)
-    rises[:, 1:] = g[:, 1:] > best[:, :-1]
-    first = np.maximum.accumulate(np.where(rises, np.arange(g.shape[-1]), 0), axis=-1)
-    # Flat positions, so that each atom is gathered with one index array.
-    flat = order + g.shape[-1] * np.arange(len(g))[:, None]
-    items, candidates = flat[:, 1:], np.take_along_axis(flat, first[:, :-1], axis=-1)
-    dropped = best[:, :-1] >= g[:, 1:]
+    best = np.fmax.accumulate(gain, axis=-1)
+    rises = np.ones(gain.shape, dtype=bool)
+    rises[:, 1:] = gain[:, 1:] > best[:, :-1]
+    # The flat position of each item's candidate: the last rise before it.
+    # Every row starts with one, so no run crosses rows, and the positions
+    # never fall along a row, so gathering by them reads forwards.
+    at = np.flatnonzero(rises)
+    candidates = np.repeat(at, np.diff(at, append=rises.size)).reshape(gain.shape)[:, :-1]
+    dropped = best[:, :-1] >= gain[:, 1:]
     for a in atoms:
-        a = a.reshape(-1)
-        dropped &= a[candidates] <= a[items]
-    keep = np.ones(g.size, dtype=bool)
-    keep[items] = ~dropped
-    return keep.reshape(g.shape)
+        dropped &= a.reshape(-1)[candidates] <= a[:, 1:]
+    keep = np.ones(gain.shape, dtype=bool)
+    keep[:, 1:] = ~dropped
+    return keep
 
 
 def pair_front(
@@ -195,50 +202,84 @@ def pair_front(
     the gain) has a ratio no larger, or imposes nothing (0/0).  For Q the
     rule is ``undominated(-d, -sums, -atoms)``: a dominator's composed
     distance is no smaller for every coefficient vector and its sum no
-    larger.  The reductions start at 0.0 and a maximum is exact, so
-    dropping dominated pairs changes no bit.
+    larger.  That fails only where a dominator's composed distance is NaN,
+    a zero coefficient times an infinite atom value that a base distance
+    beyond the float range makes, so the pairs with an atom value that is
+    not finite join the Q front whole and dominate none.  The reductions
+    start at 0.0 and a maximum is exact, so dropping dominated pairs
+    changes no bit.
 
     Both fronts are built in one pass over ``pair_blocks``, and each
     block's base distances, gaps, sums and atom values are cut from its
     ``work``.  A pre-pass sends a block's pairs through ``_drop`` in the
     order of their base distances alone, which one ``np.argsort`` gives,
-    ascending for K and descending for Q; only the pairs it keeps, with
-    the front so far, reach the exact ``undominated``.  The Q front is kept
-    negated, so one rule serves both.  Memory is O(``TILE_BYTES``) on top
-    of the fronts.  The base distances are those of ``pairwise_base`` on
-    the whole square and the gaps and sums those of ``pair_gaps`` and
+    ascending for K and descending for Q, with their atom values gathered
+    once in that order for both; only the pairs it keeps, with the front
+    so far, reach the exact ``undominated``.  The Q front is kept negated,
+    so one rule serves both.  Memory is O(``TILE_BYTES``) on top of the
+    fronts.  The base distances are those of ``pairwise_base`` on the
+    whole square and the gaps and sums those of ``pair_gaps`` and
     ``pair_sums``, so the atom values have the bits a candidate's
     ``phi_eval`` would start from.
     """
-    n, v, width = len(s), s.values, len(atoms) + 3
+    return _fronts(s, base, atoms, True)
+
+
+def k_front(s: IndexedSample, base: str, atoms: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """``pair_front``'s K front alone, (atom values, gaps), without the
+    work of the Q front."""
+    return _fronts(s, base, atoms, False)
+
+
+def _fronts(s: IndexedSample, base: str, atoms: tuple[str, ...], q: bool):
+    """``pair_front``'s fronts, the Q front only when ``q``."""
+    n, v, na = len(s), s.values, len(atoms)
+    width = na + 2 + q  # base distance, gap, the sum when ``q``, atom values
     with np.errstate(over="ignore"):
         shifted = v - v.min()  # ``katetov_shift``'s values
-    empty = (np.empty(0), np.empty(0), np.empty((len(atoms), 0)))
+    empty = (np.empty(0), np.empty(0), np.empty((na, 0)))
     fronts = [empty, empty]  # (base distances, gains, atom values) of K, and of Q negated
-    # ``work`` takes the block's pairs, width floats each, then one block of gaps or sums.
-    for rows, upper, d, work in pair_blocks(s, base, 8 * n * (len(atoms) + 8), spare=width + 1):
+    loose = []  # the pairs with an atom value that is not finite, (width, pairs) each
+    # ``work`` takes the block's pairs, width floats each, their atom values
+    # in base-distance order, then one block of gaps or sums.
+    for rows, upper, d, work in pair_blocks(s, base, 8 * n * (na + 8), spare=width + na + 1):
         mask, count = upper.ravel(), np.count_nonzero(upper)
         pairs = work[: width * count].reshape(width, count)
-        block = work[width * count: width * count + d.size].reshape(d.shape)
-        base_d, gaps, sums, values = pairs[0], pairs[1], pairs[2], pairs[3:]
+        ranked = work[width * count: (width + na) * count].reshape(na, count)
+        block = work[(width + na) * count: (width + na) * count + d.size].reshape(d.shape)
+        base_d, gaps, values = pairs[0], pairs[1], pairs[width - na:]
         np.compress(mask, d.ravel(), out=base_d)
         np.compress(mask, pair_gaps(v, rows, block).ravel(), out=gaps)
-        np.compress(mask, pair_sums(shifted, rows, block).ravel(), out=sums)
         for a, out in zip(atoms, values):  # the identity returns its input
             np.copyto(out, ATOM_FUNCS[a](base_d, out=out))
         order = np.argsort(base_d)
-        fronts[0] = _merge(fronts[0], order, base_d, gaps, values)
+        np.take(values, order, axis=1, out=ranked)
+        fronts[0] = _merge(fronts[0], order, ranked, base_d, gaps, values)
+        if not q:
+            continue
+        sums = pairs[2]
+        np.compress(mask, pair_sums(shifted, rows, block).ravel(), out=sums)
+        finite = np.isfinite(ranked).all(axis=0)
+        if not finite.all():
+            loose.append(pairs[:, order[~finite]])
+            order, ranked = order[finite], ranked[:, finite]
         np.negative(pairs, out=pairs)
-        fronts[1] = _merge(fronts[1], order[::-1], base_d, sums, values)
+        np.negative(ranked, out=ranked)
+        fronts[1] = _merge(fronts[1], order[::-1], ranked[:, ::-1], base_d, sums, values)
     (_, gaps, k_atoms), (_, sums, q_atoms) = fronts
-    return k_atoms, gaps, -q_atoms, -sums
+    if not q:
+        return k_atoms, gaps
+    q_front = np.concatenate([-np.stack([sums, *q_atoms]), *(p[2:] for p in loose)], axis=1)
+    return k_atoms, gaps, q_front[1:], q_front[0]
 
 
-def _merge(front, order: np.ndarray, base_d: np.ndarray, gain: np.ndarray, atoms: np.ndarray):
+def _merge(front, order: np.ndarray, ranked: np.ndarray, base_d: np.ndarray, gain: np.ndarray,
+           atoms: np.ndarray):
     """The (base distances, gains, atom values) ``front`` merged with a
-    block's items: those that ``_drop`` keeps in ``order`` join the front,
+    block's items: those that ``_drop`` keeps taken in ``order``, in which
+    ``ranked`` holds their atom values, join the front in their own order,
     and ``undominated`` keeps the front of them all."""
-    keep = np.flatnonzero(_drop(order[None], gain[None], atoms[:, None]))
+    keep = np.sort(order[_drop(gain[order][None], ranked[:, None])[0]])
     base_d, gain, atoms = (np.concatenate([f, x[..., keep]], axis=-1)
                            for f, x in zip(front, (base_d, gain, atoms)))
     keep = undominated(base_d[None], gain, atoms[:, None])[0]

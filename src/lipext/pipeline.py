@@ -32,7 +32,7 @@ import numpy as np
 
 from .constants import (
     IndexedSample,
-    pair_front,
+    k_front,
     pair_table,
     ratio_max,
     undominated,
@@ -469,7 +469,7 @@ def objective_test_rmse(
     each no larger and an index no larger has a Whitney term no larger,
     with an index no smaller a McShane term no smaller.  So the fronts are
     built once, from the points, in row blocks: the K front of the
-    training pairs (``pair_front``) and, for each test row, the Whitney and
+    training pairs (``k_front``) and, for each test row, the Whitney and
     McShane fronts of its training rows together (``_row_fronts``), padded
     to the widest by repeating one of its own members.  Their atom values
     are held in one (atoms, pairs + test rows * width) stack.
@@ -498,7 +498,7 @@ def objective_test_rmse(
         )
     X, values = ds_indexed.features, ds_indexed.index
     train_sample = IndexedSample(X[train], values[train])
-    pair_atoms, gaps, _, _ = pair_front(train_sample, base, atoms)
+    pair_atoms, gaps = k_front(train_sample, base, atoms)
     row_atoms, row_values = _row_fronts(X[test], train_sample, base, atoms)
     n_pairs = len(gaps)
     # The row part is stored front position by front position, test rows

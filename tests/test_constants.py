@@ -15,6 +15,7 @@ from lipext.constants import (
     error_bound,
     index_bound,
     katetov_shift,
+    k_front,
     pair_front,
     ratio_max,
     undominated,
@@ -392,7 +393,10 @@ def test_undominated_keeps_the_front_and_a_dominator_of_every_item_dropped():
                  else rng.integers(0, 4, size=(2, rows, n)).astype(float))
         keep = undominated(base_d, gain, atoms)
         order = np.argsort(rng.uniform(size=base_d.shape), axis=-1)
-        any_order = constants._drop(order, np.broadcast_to(gain, base_d.shape), atoms)
+        kept = constants._drop(np.take_along_axis(np.broadcast_to(gain, base_d.shape), order, axis=-1),
+                               np.take_along_axis(atoms, order[None], axis=-1))
+        any_order = np.empty_like(kept)
+        np.put_along_axis(any_order, order, kept, axis=-1)
         for r in range(rows):
             g = np.broadcast_to(gain, base_d.shape)[r]
             _check_front(keep[r], atoms[:, r], g)
@@ -410,23 +414,37 @@ def _check_pair_fronts(s, base, atoms, fronts):
     _, _, d_base, all_gaps, _, all_sums = condensed_pairs(s, base)
     all_atoms = atom_values(atoms, d_base)
     k_atoms, gaps, q_atoms, sums = fronts
-    for front, gain, every, all_gain in ((k_atoms, gaps, all_atoms, all_gaps),
-                                         (-q_atoms, -sums, -all_atoms, -all_sums)):
+    for q, (front, gain, every, all_gain) in enumerate(((k_atoms, gaps, all_atoms, all_gaps),
+                                                        (-q_atoms, -sums, -all_atoms, -all_sums))):
         for k in range(len(gain)):
             assert np.any(np.all(every == front[:, k, None], axis=0) & (all_gain == gain[k]))
         kept = np.arange(len(gain) + len(all_gain)) < len(gain)
-        _check_front(kept, np.concatenate([front, every], axis=1), np.concatenate([gain, all_gain]))
+        items = np.concatenate([front, every], axis=1)
+        if q:
+            # A pair with an atom value that is not finite has a NaN
+            # composed distance where its coefficient is 0, so for Q it
+            # dominates nothing and must be on the front itself.  Set to
+            # NaN, such items dominate nothing and nothing dominates them.
+            loose = ~np.isfinite(every).all(axis=0)
+            for p in np.flatnonzero(loose):
+                assert np.any(np.all(front == every[:, p, None], axis=0) & (gain == all_gain[p]))
+            kept[len(gain):] = loose
+            items[:, ~np.isfinite(items).all(axis=0)] = math.nan
+        _check_front(kept, items, np.concatenate([gain, all_gain]))
     return all_atoms, all_gaps, all_sums
 
 
 def _check_kq_value(s, base, atoms, fronts, rng, draws=8):
-    """``_kq_value`` over the fronts at random coefficients, some of them
-    zero, against K * Q_shifted of ``constants_report``, bit for bit.
-    Returns the values."""
+    """``_kq_value`` over the fronts at each atom alone, then at random
+    coefficients, some of them zero, against K * Q_shifted of
+    ``constants_report``, bit for bit.  Returns the values."""
     values = []
-    for _ in range(draws):
-        lam = rng.uniform(0.05, 8.0, size=len(atoms)) * (rng.uniform(size=len(atoms)) < 0.8)
-        lam[rng.integers(len(atoms))] += 1.0
+    for k in range(len(atoms) + draws):
+        if k < len(atoms):
+            lam = np.eye(len(atoms))[k]
+        else:
+            lam = rng.uniform(0.05, 8.0, size=len(atoms)) * (rng.uniform(size=len(atoms)) < 0.8)
+            lam[rng.integers(len(atoms))] += 1.0
         report = constants_report(s, CompositionMetric(base, PhiCombination(atoms, tuple(lam))))
         K, Q = report.K, report.Q_shifted
         expected = math.inf if math.inf in (K, Q) else K * Q
@@ -452,6 +470,8 @@ def test_pair_front_keeps_a_front_of_the_pairs(atoms, tile, monkeypatch):
     fronts = pair_front(s, "manhattan", atoms)
     all_atoms, all_gaps, all_sums = _check_pair_fronts(s, "manhattan", atoms, fronts)
     gaps, sums = fronts[1], fronts[3]
+    k_atoms, k_gaps = k_front(s, "manhattan", atoms)  # the same pass without the Q front
+    assert k_atoms.tobytes() == fronts[0].tobytes() and k_gaps.tobytes() == gaps.tobytes()
     if atoms == ("identity", "sqrt"):
         assert len(gaps) == _front_classes(all_atoms, all_gaps)
         assert len(sums) == _front_classes(-all_atoms, -all_sums)
@@ -501,10 +521,32 @@ def _duplicates(rng, n, conflict):
     return IndexedSample(pts, vals)
 
 
-@pytest.mark.parametrize("case", ["random", "tied-grid", "duplicates", "conflicting-duplicates"])
+def _overflowing(rng, n):
+    """Points near the unit square and a few at +-1e308 in one coordinate,
+    whose base distances to the rest overflow to +inf; their values are
+    the smallest, so that the pairs with an infinite distance have the
+    smallest shifted sums, and dominate pairs at finite distances for Q."""
+    pts = rng.uniform(size=(n, 2))
+    far = rng.integers(0, n, size=max(1, n // 8))
+    pts[far, 0] = rng.choice([-1e308, 1e308], size=len(far))
+    vals = rng.uniform(1.0, 2.0, size=n)
+    vals[far] = rng.uniform(0.0, 0.5, size=len(far))
+    return IndexedSample(pts, vals)
+
+
+CASES = ["random", "tied-grid", "duplicates", "conflicting-duplicates", "overflowing"]
+
+
+@pytest.mark.parametrize("case", CASES)
 @pytest.mark.parametrize("base", ["euclidean", "manhattan", "chebyshev"])
 def test_kq_value_over_the_fronts_is_k_times_the_shifted_q(case, base):
-    rng = np.random.default_rng(["random", "tied-grid", "duplicates", "conflicting-duplicates"].index(case))
+    # With overflowing distances, an atom that is +inf there makes a NaN
+    # composed distance where its coefficient is 0, which ``ratio_max``
+    # skips; the atoms are those that stay numbers at +inf, since the
+    # rational ones make NaN there at every coefficient.
+    rng = np.random.default_rng(CASES.index(case))
+    bases = ((("identity", "arctan"), ("sqrt", "sqrt_arctan", "log1p")) if case == "overflowing"
+             else (LINEAR_BASIS, SQRT_BASIS))
     for trial in range(4):
         n = int(rng.integers(2, 60))
         s = {
@@ -512,13 +554,16 @@ def test_kq_value_over_the_fronts_is_k_times_the_shifted_q(case, base):
             "tied-grid": lambda: _tied_grid(rng, n),
             "duplicates": lambda: _duplicates(rng, max(n, 6), False),
             "conflicting-duplicates": lambda: _duplicates(rng, max(n, 6), True),
+            "overflowing": lambda: _overflowing(rng, max(n, 3)),
         }[case]()
-        for atoms in (LINEAR_BASIS, SQRT_BASIS):
-            fronts = pair_front(s, base, atoms)
-            _check_pair_fronts(s, base, atoms, fronts)
-            values = _check_kq_value(s, base, atoms, fronts, rng)
-            finite = case != "conflicting-duplicates"
-            assert all(math.isfinite(v) == finite for v in values), values
+        for atoms in bases:
+            with np.errstate(over="ignore", invalid="ignore"):
+                fronts = pair_front(s, base, atoms)
+                _check_pair_fronts(s, base, atoms, fronts)
+                values = _check_kq_value(s, base, atoms, fronts, rng)
+            if case != "overflowing":
+                finite = case != "conflicting-duplicates"
+                assert all(math.isfinite(v) == finite for v in values), values
 
 
 def test_pair_front_takes_a_shifted_sum_beyond_the_float_range_as_inf_without_a_warning():
@@ -761,23 +806,25 @@ def test_coherence_constant_frees_each_block_before_the_next():
     assert K == constants.pair_table(s, IDENTITY)[1].ratios[0]  # the table's largest listed ratio
 
 
-def test_the_kq_solve_holds_the_condensed_terms_and_one_array_of_ratios():
-    # 1,500 rows, 1,124,250 pairs.  The terms take 48 B a pair (four atoms,
-    # |I_i - I_j| and |I_i| + |I_j|); the solve one array of composed
-    # distances and ratios, and in its first round the indices, ratios and
-    # partition of every violated pair, 32 B a pair in all.  The whole base
-    # square (16 B a pair) or the pairs' row and column indices (16 B) on
-    # top would break the ceiling.
+def test_the_kq_solve_holds_a_tile_of_pairs_and_the_fronts():
+    # 1,500 rows, 1,124,250 pairs.  The fronts are built a block of pairs at
+    # a time: the block's base distances, gaps, sums and atom values, in
+    # pair order and in base-distance order, take about one tile, and the
+    # pre-pass's order, running maxima and candidates half a tile more.
+    # The solve reads only the fronts.  Any array over every pair, the
+    # terms of each pair (48 B) or the whole base square (16 B), would
+    # break the ceiling many times over.
     rng = np.random.default_rng(43)
     n = 1500
     s = katetov_shift(IndexedSample(rng.uniform(size=(n, 3)), rng.uniform(1.0, 3.0, n)))
+    front_bytes = sum(a.nbytes for a in pair_front(s, "euclidean", LINEAR_BASIS))
     tracemalloc.start()
     try:
         minimize_kq(s, "euclidean", LINEAR_BASIS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < (48 + 32) * (n * (n - 1) // 2) + metrics.TILE_BYTES
+    assert peak < 2 * metrics.TILE_BYTES + front_bytes
 
 
 def test_constants_and_kq_search_hold_no_memory_after_they_return():
