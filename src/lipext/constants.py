@@ -13,9 +13,9 @@ K and Q are maxima of ratios over the pairs, all reduced by ``ratio_max``
 under one rule: 0/0 imposes nothing, and x/0 with x > 0, or a ratio beyond
 the float range, makes the constant +inf.  Infinities are returned as
 values rather than raised, so optimizers can penalize them.  Every scan
-over a sample's pairs, the build of a distance table (``pair_table``)
-included, reads them from the points, a block of rows at a time
-(``pair_blocks``), so it holds O(``TILE_BYTES``) of them at once.
+over a sample's pairs, the list of their largest ratios
+(``largest_ratios``) included, reads them from the points, a block of rows
+at a time (``pair_blocks``), so it holds O(``TILE_BYTES``) of them at once.
 
 The approximation error of anchor-based extension is bounded by
 (K*Q - 1) * C once the index has been shifted so its minimum is zero.
@@ -312,14 +312,14 @@ def coherence_constant(s: IndexedSample, cm: CompositionMetric) -> float:
     return K
 
 
-#: How many of a sample's largest pair ratios ``pair_table`` lists.
+#: How many of a sample's largest pair ratios ``largest_ratios`` lists.
 LISTED_PAIRS = 256
 
 
 @dataclass(frozen=True, eq=False)
 class LargestRatios:
     """The min(``LISTED_PAIRS``, pairs that constrain) largest ratios
-    |I_i - I_j| / d_ij over the pairs i < j of a table of n rows,
+    |I_i - I_j| / d_ij over the pairs i < j of a sample of n rows,
     descending, with their rows; every pair left off has a ratio no larger
     than the smallest listed one, and 0/0 pairs are never listed."""
 
@@ -329,7 +329,7 @@ class LargestRatios:
     n: int
 
     def coherence(self, rows: np.ndarray) -> float | None:
-        """``coherence_constant`` of the table's ``rows``, the first listed
+        """``coherence_constant`` of the sample's ``rows``, the first listed
         ratio with both ends among them; None when no listed pair has both.
 
         Every pair of ``rows`` that is not listed, or listed later, has a
@@ -343,22 +343,11 @@ class LargestRatios:
         return float(self.ratios[hit.argmax()]) if hit.any() else None
 
 
-def pair_table(
-    s: IndexedSample, cm: CompositionMetric, table: bool = True
-) -> tuple[np.ndarray | None, LargestRatios]:
-    """The (n, n) composed distances among the rows of ``s``, with the bits
-    of ``cm.pairwise(s.points, s.points)``, or None without ``table``, and
-    up to ``LISTED_PAIRS`` of their largest pair ratios, from one pass over
-    ``pair_blocks``.
-
-    The modulus of each block goes into the table at its rows, against
-    the columns from the block's first row on, and the columns before it
-    are mirrored from the blocks above: |a - b| = |b - a| term by term and
-    every entry is summed in one fixed order, so an entry and its mirror
-    have the same bits.  The last row, which starts no pair, is its column
-    mirrored, and its diagonal phi(0) = 0.  Without the table the modulus
-    of each block goes into the ``work`` of ``pair_blocks``, and the list
-    is the same.
+def largest_ratios(s: IndexedSample, cm: CompositionMetric) -> LargestRatios:
+    """Up to ``LISTED_PAIRS`` of the largest ratios |I_i - I_j| / d_ij of
+    the composed distances over the pairs i < j of ``s``, from one pass
+    over ``pair_blocks``; a sample of one row has no pairs and raises
+    ``ValueError``.
 
     Each block's ratios come from ``ratio_max``'s rule, and only its
     pairs, which ``upper`` marks, are listed.  A running ``floor`` bounds
@@ -370,22 +359,18 @@ def pair_table(
     to the largest ratio cut if higher.  After each block no listed ratio
     is below the floor, so every pair left off is at most the smallest
     listed one, and the list holds min(``LISTED_PAIRS``, pairs that
-    constrain): the floor leaves -inf only when the list fills.  On top of
-    the table this holds ``pair_blocks``' scratch, whose ``work`` takes
-    each block's atom values and then its ratios, the partition's indices,
-    and O(``LISTED_PAIRS``) for the list.
+    constrain): the floor leaves -inf only when the list fills.  The pass
+    holds ``pair_blocks``' scratch, whose ``work`` takes each block's
+    modulus and its atom values and then its ratios, the partition's
+    indices, and O(``LISTED_PAIRS``) for the list.
     """
     n, v, size = len(s), s.values, LISTED_PAIRS
-    D = np.empty((n, n)) if table else None
     ratios, i, j = np.empty(0), np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-    floor, words = -math.inf, 1 if table else 2
-    for rows, upper, d, work in pair_blocks(s, cm.base, 8 * n * 5, spare=words):
-        cut = work[: words * d.size].reshape(words, *d.shape)
-        r = cut[0]  # the block's atom values, then its ratios
-        d_phi = D[rows, rows.start:] if table else cut[1]  # its modulus
+    floor = -math.inf
+    for rows, upper, d, work in pair_blocks(s, cm.base, 8 * n * 5, spare=2):
+        # r takes the block's atom values, then its ratios; d_phi its modulus.
+        r, d_phi = work[: 2 * d.size].reshape(2, *d.shape)
         phi_eval(cm.phi, d, out=d_phi, scratch=r)
-        if table:
-            D[rows, : rows.start] = D[: rows.start, rows].T
         # The largest ratio of the block is that of its pairs: the other
         # entries are 0/0 or mirror one.
         if ratio_max(pair_gaps(v, rows, r), d_phi, r) <= floor:
@@ -407,10 +392,8 @@ def pair_table(
             order = np.argsort(ratios)[::-1]
             floor = max(floor, float(ratios[order[size]]))
             ratios, i, j = ratios[order[:size]], i[order[:size]], j[order[:size]]
-    if table:
-        D[-1, :-1], D[-1, -1] = D[:-1, -1], 0.0
     order = np.argsort(ratios)[::-1]
-    return D, LargestRatios(ratios[order], i[order], j[order], n)
+    return LargestRatios(ratios[order], i[order], j[order], n)
 
 
 def index_bound(s: IndexedSample) -> float:

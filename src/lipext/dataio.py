@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import hashlib
 import io
 import json
 import math
@@ -120,6 +119,8 @@ def _csv_rows(path, fh):
 
 def dataset_hash(ds: Dataset) -> str:
     """Stable digest of ids, features and index values."""
+    import hashlib  # here: OpenSSL's _hashlib adds 3.5 MiB RSS to commands that never hash
+
     h = hashlib.sha256()
     h.update("\x1f".join(ds.ids).encode("utf-8"))
     h.update(np.ascontiguousarray(ds.features, dtype=float).tobytes())

@@ -15,14 +15,15 @@ values:
 * linear:   ordinary least squares on the features, with no metric and no
   coherence constant.
 
-``predict_in_blocks`` is the one route from distances to the other
+``BlockPredictions`` is the one step from distances to the other
 Lipschitz predictions; a standard one reads the distances to a0 alone.  A
 prediction depends only on its own row, so it works through the queries
-in row blocks, taking the distances of one block at a time from the
-points (``predict``) or from a distance table, and row-by-row calls give
-the same bits as one batch call.  ``fit_extension`` takes a given K, and
-``predict_in_blocks`` the composed distances, so callers that read one
-distance table for many fits get the same bits as fresh computation.
+in row blocks, taking the distances of one block at a time, from the
+points (``predict``) or from blocks of distances that serve many fits,
+and row-by-row calls give the same bits as one batch call.
+``fit_extension`` takes a given K, and ``predict_in_blocks`` the composed
+distances, so callers that make distances once for many fits get the same
+bits as fresh computation.
 ``optimal_blend`` gives a blend's bits for many constants K at one set of
 query rows, in buffers reused between calls.
 """
@@ -148,44 +149,67 @@ def _mix(a: float, whitney: np.ndarray, mcshane: np.ndarray, out=None, work=None
     return out
 
 
+class BlockPredictions:
+    """The predictions of a whitney, mcshane or blend model at q query rows,
+    made a block of rows at a time, the one step from composed distances to
+    them.
+
+    ``add(rows, d, work)`` takes the block of query rows in the slice
+    ``rows``: d holds their composed distances to the model's training
+    rows, and ``work`` is a flat float array of at least d's size.  Each
+    prediction depends only on its own row, so the blocks, and the order
+    they come in, do not change its bits.  ``add`` overwrites both: K·d
+    goes into d in place, a blend's Whitney terms into ``work``, and every
+    other term into K·d itself, so it allocates nothing.  A blend keeps its
+    Whitney and McShane predictions, and ``result(alpha, truth)`` mixes
+    them once every row is added: with ``alpha`` when given, else with the
+    ``optimal_alpha`` over all q rows against ``truth``.  It returns the
+    (blend weight, predictions), the weight None for whitney and mcshane.
+    Standard models, which read the distances to one anchor, are not taken.
+    """
+
+    def __init__(self, m: ExtensionModel, q: int):
+        if m.method not in ("whitney", "mcshane", "blend"):
+            raise ValueError(f"method {m.method!r} does not predict from distances")
+        self.model = m
+        self.first = np.empty(q)  # a blend's Whitney predictions
+        self.mcshane = np.empty(q) if m.method == "blend" else None
+
+    def add(self, rows: slice, d: np.ndarray, work: np.ndarray) -> None:
+        m, values = self.model, self.model.training.values
+        KD = np.multiply(m.K, d, out=d)
+        if m.method == "mcshane":
+            _mcshane(values, KD, self.first[rows], KD)
+        elif m.method == "whitney":
+            _whitney(values, KD, self.first[rows], KD)
+        else:
+            _whitney(values, KD, self.first[rows], work[: d.size].reshape(d.shape))
+            _mcshane(values, KD, self.mcshane[rows], KD)
+
+    def result(self, alpha: float | None = None, truth=None) -> tuple[float | None, np.ndarray]:
+        if self.mcshane is None:
+            return None, self.first
+        a = optimal_alpha(truth, self.first, self.mcshane) if alpha is None else alpha
+        return a, _mix(a, self.first, self.mcshane)
+
+
 def predict_in_blocks(
     m: ExtensionModel, q: int, blocks, alpha: float | None = None, truth=None
 ) -> tuple[float | None, np.ndarray]:
     """(blend weight, predictions) of a Lipschitz model at q query rows.
 
     ``blocks`` yields (rows, d, work) for slices ``rows`` that cover
-    range(q) in order: d holds the composed distances of those query rows
-    to the model's training rows, so only one block of them is held at a
-    time, and ``work`` is a flat float array of at least d's size.  Each
-    prediction depends only on its own row, so the blocks do not change
-    its bits.  The prediction overwrites both: K·d goes into d in place, a
-    blend's Whitney terms into ``work``, and every other term into K·d
-    itself, so it allocates nothing a block.  A blend keeps its Whitney and
-    McShane predictions block by block and mixes them after the last: with
-    ``alpha`` when given, else with the ``optimal_alpha`` over all q rows
-    against ``truth``, and with neither it raises ``ValueError``.  Whitney
-    and McShane return None as the weight.  Standard models are not taken.
+    range(q) in order, each taken by ``BlockPredictions.add``, so only one
+    block of distances is held at a time.  A blend mixes with ``alpha``
+    when given, else with the ``optimal_alpha`` against ``truth``, and
+    with neither it raises ``ValueError``.  Standard models are not taken.
     """
-    if m.method not in ("whitney", "mcshane", "blend"):
-        raise ValueError(f"method {m.method!r} does not predict from distances")
+    out = BlockPredictions(m, q)
     if m.method == "blend" and alpha is None and truth is None:
         raise ValueError("blend requires an alpha (fit one or pass it)")
-    values = m.training.values
-    first = np.empty(q)  # a blend's Whitney predictions
-    mcshane = np.empty(q) if m.method == "blend" else None
     for rows, d, work in blocks:
-        KD = np.multiply(m.K, d, out=d)
-        if m.method == "mcshane":
-            _mcshane(values, KD, first[rows], KD)
-        elif m.method == "whitney":
-            _whitney(values, KD, first[rows], KD)
-        else:
-            _whitney(values, KD, first[rows], work[: d.size].reshape(d.shape))
-            _mcshane(values, KD, mcshane[rows], KD)
-    if mcshane is None:
-        return None, first
-    a = optimal_alpha(truth, first, mcshane) if alpha is None else alpha
-    return a, _mix(a, first, mcshane)
+        out.add(rows, d, work)
+    return out.result(alpha, truth)
 
 
 def whitney_batch(m: ExtensionModel, X) -> np.ndarray:

@@ -7,18 +7,19 @@ seeds.  The blend weight alpha is chosen against the held-out side itself,
 trading a little optimism for data efficiency; ``honest_alpha`` switches to
 a nested split inside the training rows.
 
-Splits only change which indexed rows train, so the composed distances
-among the indexed rows are computed once (``PairTable``) and every split
-reads them in place.  One pass over the rows' pairs
-(``constants.pair_table``) builds the table and lists its largest pair
-ratios, and each split takes its coherence constant K from the first
+Splits only change which indexed rows train, so one pass over the rows'
+pairs (``constants.largest_ratios``) lists their largest ratios, and every
+fit on a subset of them takes its coherence constant K from the first
 listed pair with both rows on its training side, or from the points when
-none is listed.  A fit on every indexed row, as ``extend`` and ``rank``
-make it, builds no table: a blend's holdout weight takes K from the same
-list, built without the table, and the held-out rows' distances from the
-points (``fit_for_extend``).  The repeats
-run one after another in one loop, and a report holds no measured time,
-so the same inputs give the same report, bit for bit.
+none is listed (``PairTable``).  ``cross_validate`` fits every repeat
+first, with no distances, and then makes the composed distances among the
+indexed rows once, a block of rows against all of them at a time: each
+block serves the predictions of every repeat at its rows, so no n × n
+table is held.  A fit on every indexed row, as ``extend`` and ``rank``
+make it, takes K from the same list, and a blend's holdout weight the
+held-out rows' distances from the points (``fit_for_extend``).  A report
+holds no measured time, so the same inputs give the same report, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -33,12 +34,13 @@ import numpy as np
 from .constants import (
     IndexedSample,
     k_front,
-    pair_table,
+    largest_ratios,
     ratio_max,
     undominated,
 )
 from .extension import (
     METHODS,
+    BlockPredictions,
     ExtensionModel,
     FitError,
     check_alpha,
@@ -247,31 +249,25 @@ def _median(arr: np.ndarray) -> float:
 
 
 class PairTable:
-    """Composed distances among the rows of ``ds``, all indexed, built once
-    for fits of ``method`` on subsets of the rows.
+    """Fits of ``method`` on subsets of the rows of ``ds``, all indexed,
+    with K from one list of the rows' largest pair ratios.
 
-    Whitney, McShane and blend predictions on subsets of the rows gather
-    the table's entries, a row block at a time into per-call scratch,
-    instead of recomputing distances.  The modulus acts elementwise and
-    each entry is the base reduction over the same two rows, so the
-    entries read have the bits that a fresh computation on the subset
-    would give.  The table is read-only once built.  Every method but linear, which needs no
-    distances, builds it, and the same pass over the pairs
-    (``constants.pair_table``) lists its largest pair ratios,
-    min(``LISTED_PAIRS``, pairs that constrain) of them, which serve the K
-    of many subset fits at O(``LISTED_PAIRS``) each.  Memory is O(n^2):
-    ``cross_validate``, which reads the table in every repeat, is the one
-    command that builds it; ``fit_for_extend`` takes the same K and blend
-    weight from the points, bit for bit.
+    Every method but linear, which needs no K, lists them once
+    (``constants.largest_ratios``): min(``LISTED_PAIRS``, pairs that
+    constrain) of them, which serve the K of many subset fits at
+    O(``LISTED_PAIRS``) each.  No distance table is built: ``sweep`` makes
+    the composed distances that many fits' predictions read a block of
+    rows at a time, and ``holdout_alpha`` those of its held-out rows from
+    the points.
     """
 
     def __init__(self, ds: Dataset, cm: CompositionMetric, method: str):
         self.ds = ds
         self.cm = cm
         self.method = method
-        self.D, self.largest = None, None
+        self.largest = None
         if method != "linear":
-            self.D, self.largest = pair_table(IndexedSample(ds.features, ds.index), cm)
+            self.largest = largest_ratios(IndexedSample(ds.features, ds.index), cm)
 
     def fit(self, rows: np.ndarray, alpha: float | None = None) -> ExtensionModel:
         """``fit_extension`` of the table's method on the given rows, with K
@@ -283,51 +279,51 @@ class PairTable:
         K = self.largest.coherence(rows) if self.largest is not None else None
         return fit_extension(sample, self.cm, self.method, alpha, K)
 
-    def predict(
-        self, model: ExtensionModel, train: np.ndarray, rows: np.ndarray, alpha=None
-    ) -> tuple[float | None, np.ndarray]:
-        """(blend weight, predictions) at ``rows`` of a model fitted on ``train``.
+    def sweep(self, fits) -> list[BlockPredictions]:
+        """The ``BlockPredictions`` of each (model, train, rows) of ``fits``,
+        in order: a whitney, mcshane or blend model fitted on the table's
+        rows ``train``, at its rows ``rows``, sorted.
 
-        A whitney, mcshane or blend model reads the table: each block of
-        ``rows`` gathers its distances to ``train`` from it (``_blocks``).
-        A blend without ``alpha`` takes the optimal weight against the
-        index values there.  A linear or standard model, which needs no
-        distances or those to one anchor, is ``extension.predict`` at the
-        rows' points.
+        One pass over ``CompositionMetric.blocks`` of every row against
+        every row serves them all.  At each block, each fit with rows in it
+        gathers their distances to its training rows into scratch, whole
+        block rows first, into the block's ``work``, then the training
+        columns of those, into one array allocated at the first block, the
+        largest, which ``BlockPredictions.add`` takes.  The modulus acts
+        elementwise and each base distance is one fixed reduction over the
+        terms |a - b| = |b - a| of its two rows, so every distance has the
+        bits a fresh computation on the fit's rows would give.  Memory is
+        O(``TILE_BYTES``) on top of the fits' predictions.
         """
-        if model.method in ("linear", "standard"):
-            return None, predict(model, self.ds.features[rows])
-        return predict_in_blocks(
-            model, len(rows), self._blocks(train, rows), alpha, self.ds.index[rows]
-        )
-
-    def _blocks(self, train: np.ndarray, rows: np.ndarray):
-        """The ``blocks`` of ``predict_in_blocks`` at ``rows`` for a model
-        fitted on ``train``, gathered from the table into one flat scratch
-        array allocated for the call: a block's whole rows of the table,
-        which are the block's ``work`` once their columns at ``train`` are
-        taken into d.  A block has as many rows as fit in a tile with both.
-        """
-        width, n = len(self.D), len(train)
-        flat = None
-        for block in row_blocks(len(rows), 8 * (width + n)):
-            count = len(range(len(rows))[block])
-            if flat is None:  # the first block is the largest
-                flat = np.empty(count * (width + n))
-            table_rows = flat[: count * width].reshape(count, width)
-            d = flat[count * width : count * (width + n)].reshape(count, n)
-            # Every index is in range, so "clip" changes none; it spares
-            # numpy the copy that "raise" makes into a given ``out``.
-            np.take(self.D, rows[block], axis=0, out=table_rows, mode="clip")
-            np.take(table_rows, train, axis=1, out=d, mode="clip")
-            yield block, d, table_rows.ravel()
+        made = [BlockPredictions(model, len(rows)) for model, _, rows in fits]
+        if not fits:
+            return made
+        X, gathered = self.ds.features, None
+        for block, d, work in self.cm.blocks(X, X):
+            if gathered is None:  # the first block is the largest
+                gathered = np.empty(d.size)
+            for (_, train, rows), out in zip(fits, made):
+                lo, hi = np.searchsorted(rows, (block.start, block.stop))
+                if lo == hi:
+                    continue
+                count = hi - lo
+                whole = work[: count * len(X)].reshape(count, len(X))
+                d_fit = gathered[: count * len(train)].reshape(count, len(train))
+                # Every index is in range, so "clip" changes none; it spares
+                # numpy the copy that "raise" makes into a given ``out``.
+                np.take(d, rows[lo:hi] - block.start, axis=0, out=whole, mode="clip")
+                np.take(whole, train, axis=1, out=d_fit, mode="clip")
+                out.add(slice(lo, hi), d_fit, whole.ravel())
+        return made
 
     def holdout_alpha(
         self, rows: np.ndarray, train_fraction: float, seed: int, split_method: str
     ) -> float | None:
         """Blend weight of a model fitted on one side of ``_holdout_split``
-        of ``rows``, for a table of the blend method; another method raises
-        ``ValueError``.  None when that split is too small.
+        of ``rows``, against the index values of the other side, whose
+        distances are made from the points, for a table of the blend
+        method; another method raises ``ValueError``.  None when that split
+        is too small.
         """
         if self.method != "blend":
             raise ValueError(f"holdout_alpha needs a blend table, not {self.method!r}")
@@ -335,7 +331,9 @@ class PairTable:
         if split is None:
             return None
         train, held_out = rows[split[0]], rows[split[1]]
-        return self.predict(self.fit(train), train, held_out)[0]
+        model, X = self.fit(train), self.ds.features[held_out]
+        blocks = self.cm.blocks(X, model.training.points)
+        return predict_in_blocks(model, len(held_out), blocks, truth=self.ds.index[held_out])[0]
 
 
 def _holdout_split(n: int, train_fraction: float, seed: int, split_method: str):
@@ -360,37 +358,24 @@ def fit_for_extend(
     """Fit ``method`` on every row of ``indexed``: the model that extends.
 
     A blend without ``alpha`` takes its weight from a model fitted on the
-    training side of ``_holdout_split``, at the held-out rows, then refits
-    on every row with that weight frozen.  When the split is too small,
-    the weight is 0.5, with a warning; a holdout that cannot be fitted
-    raises its ``FitError``, and a bad fraction or split method raises
-    ``ValueError``.  No distance table is built: one pass over the pairs
-    (``pair_table`` without its table) lists their largest ratios, and
-    both fits take K from the list as ``PairTable.fit`` does, or from the
-    points when no listed pair has both ends on the fit's rows; the
-    held-out rows' distances to the training rows are made again from the
-    points, in the row blocks of ``CompositionMetric.blocks``.  A table
-    holds the same bits, so K and the weight are those of
-    ``PairTable.holdout_alpha``.  Every other fit, and any fit on one row,
-    which raises ``FitError`` unless it is linear, is ``fit_extension`` on
-    every row, with K from the points.
+    training side of ``_holdout_split``, at the held-out rows
+    (``PairTable.holdout_alpha``), then refits on every row with that
+    weight frozen.  When the split is too small, the weight is 0.5, with a
+    warning; a holdout that cannot be fitted raises its ``FitError``, and a
+    bad fraction or split method raises ``ValueError``.  Both fits take K
+    from the list of the largest pair ratios, or from the points when no
+    listed pair has both ends on the fit's rows.  Every other fit, and any
+    fit on one row, which raises ``FitError`` unless it is linear, is
+    ``fit_extension`` on every row, with K from the points.
     """
-    sample = indexed.as_sample()
     if method != "blend" or alpha is not None or indexed.n_rows < 2:
-        return fit_extension(sample, cm, method, alpha)
-    largest = pair_table(sample, cm, table=False)[1]
-    split = _holdout_split(indexed.n_rows, train_fraction, seed, split_method)
-    if split is None:
+        return fit_extension(indexed.as_sample(), cm, method, alpha)
+    table, rows = PairTable(indexed, cm, method), np.arange(indexed.n_rows)
+    alpha = table.holdout_alpha(rows, train_fraction, seed, split_method)
+    if alpha is None:
         warnings.warn("too few indexed rows to estimate alpha; using 0.5", stacklevel=2)
         alpha = 0.5
-    else:
-        train, held_out = split
-        X, values = sample.points, sample.values
-        model = fit_extension(IndexedSample(X[train], values[train]), cm, method,
-                              K=largest.coherence(train))
-        blocks = cm.blocks(X[held_out], X[train])
-        alpha = predict_in_blocks(model, len(held_out), blocks, truth=values[held_out])[0]
-    return fit_extension(sample, cm, method, alpha, largest.coherence(np.arange(len(sample))))
+    return table.fit(rows, alpha)
 
 
 def cross_validate(
@@ -407,11 +392,13 @@ def cross_validate(
     """Repeatedly split, fit and score; repeat r uses seed + r.
 
     Repeats where fitting fails, or whose nested ``honest_alpha`` split is
-    too small, are excluded from the RMSE statistics and counted.  The
-    distances among the indexed rows are computed once, and each repeat, in
-    order, reads them in place.  The table's largest pair ratios are
-    listed once, before the first repeat, and every fit of a repeat, the
-    nested one included, takes K from that list.
+    too small, are excluded from the RMSE statistics and counted.  Every
+    fit of every repeat, the nested one included, is made first, with K
+    from one list of the largest pair ratios.  Then one
+    ``PairTable.sweep`` over the indexed rows makes the whitney, mcshane
+    and blend predictions of them all; a standard or linear one is
+    ``extension.predict`` at the rows' points.  The blend weights, mixes
+    and RMSEs follow, repeat by repeat in order.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
@@ -422,20 +409,36 @@ def cross_validate(
     if indexed.n_rows < 2:
         raise ValueError("cross-validation needs at least two indexed rows")
     table = PairTable(indexed, cm, method)
-    scores = []
+    plans = []  # each repeat's (nested fit, fit), (model, train, rows) each or None
     for r in range(repeats):
         train, test = _split_rows(indexed.n_rows, train_fraction, seed + r, split_method)
-        a = alpha
+        nested = fit = None
         try:
-            if method == "blend" and a is None and honest_alpha:
+            if method == "blend" and alpha is None and honest_alpha:
                 inner_seed = seed + r + _INNER_SPLIT_OFFSET
-                a = table.holdout_alpha(train, train_fraction, inner_seed, "random")
-                if a is None:
+                split = _holdout_split(len(train), train_fraction, inner_seed, "random")
+                if split is None:
                     raise FitError("the nested alpha split is too small")
-            model = table.fit(train)
+                inner = train[split[0]]
+                nested = (table.fit(inner), inner, train[split[1]])
+            fit = (table.fit(train), train, test)
         except FitError:
-            continue
-        scores.append(rmse(table.predict(model, train, test, a)[1], indexed.index[test]))
+            pass
+        plans.append((nested, fit))
+    fits = [f for plan in plans for f in plan if f is not None]
+    swept = iter(table.sweep(fits) if method in ("whitney", "mcshane", "blend") else ())
+
+    def predictions(fit, a):  # the next fit in the order of ``fits``
+        model, _, rows = fit
+        if method in ("standard", "linear"):
+            return None, predict(model, indexed.features[rows])
+        return next(swept).result(a, indexed.index[rows])
+
+    scores = []
+    for nested, fit in plans:
+        a = alpha if nested is None else predictions(nested, None)[0]
+        if fit is not None:
+            scores.append(rmse(predictions(fit, a)[1], indexed.index[fit[2]]))
     if not scores:
         raise FitError("every cross-validation repeat failed to fit")
     mean, median, std = _cv_stats(scores)

@@ -23,7 +23,7 @@ from lipext.constants import (
 from lipext.dataio import json_text, read_dataset, table1_path
 from lipext.metrics import CompositionMetric, pairwise_base
 from lipext.phi import ATOM_FUNCS, LINEAR_BASIS, SQRT_BASIS, PhiCombination, atom_values, identity_phi, phi_eval
-from lipext.pipeline import Dataset, PairTable, minmax_scale
+from lipext.pipeline import minmax_scale
 from lipext.swarm import _kq_value, minimize_kq
 
 from helpers import condensed_pairs, distance, random_combination, record_blocks, scaled, tiles
@@ -318,7 +318,7 @@ def test_tie_at_the_minimum_makes_the_shifted_bound_infinite():
 
 @pytest.mark.parametrize("base", ["euclidean", "manhattan", "chebyshev"])
 def test_coherence_from_a_table_slice_equals_fresh_computation(base):
-    # The K that the condensed pairs of a PairTable give and the K that
+    # The K that the condensed pairs of the pairwise square give and the K that
     # coherence_constant computes from the points must be one float,
     # finite, infinite (conflicting duplicates) or 0.0 (a constant index).
     rng = np.random.default_rng(41)
@@ -327,10 +327,8 @@ def test_coherence_from_a_table_slice_equals_fresh_computation(base):
     cases.append((line_sample([0.0, 1.0, 2.0], [4.0, 4.0, 4.0]), 0.0))
     for k, (s, expected) in enumerate(cases):
         cm = CompositionMetric(base, random_combination(rng) if k % 2 else identity_phi())
-        ds = Dataset([f"r{i}" for i in range(len(s))], s.points, s.values,
-                     [f"f{j}" for j in range(s.points.shape[1])])
         fresh = coherence_constant(s, cm)
-        assert _table_coherence(PairTable(ds, cm, "whitney").D, s.values) == fresh
+        assert _table_coherence(cm.pairwise(s.points, s.points), s.values) == fresh
         if expected is not None:
             assert fresh == expected
 
@@ -638,16 +636,12 @@ def test_coherence_tiles_on_a_table_slice_match_condensed_ratio_max(rows, tile, 
         K = coherence_constant(s, cm)  # from the points, block by block
         assert K == reference
         assert sizes == tiles(rows, tile)
-        # The sample's rows alternate with other rows of a table, whose
-        # slice at the sample's rows gives the same K.
+        # The sample's rows alternate with other rows of a pairwise square,
+        # whose slice at the sample's rows gives the same K.
         features = np.empty((2 * n, m))
         features[0::2], features[1::2] = rng.uniform(size=(n, m)), s.points
-        index = np.empty(2 * n)
-        index[0::2], index[1::2] = rng.uniform(0.0, 10.0, n), s.values
-        ds = Dataset([f"r{i}" for i in range(2 * n)], features, index,
-                     [f"f{j}" for j in range(m)])
         sample_rows = np.arange(1, 2 * n, 2)
-        table = PairTable(ds, cm, "whitney").D
+        table = cm.pairwise(features, features)
         assert _table_coherence(table[np.ix_(sample_rows, sample_rows)], s.values) == reference
         if expected is not None:
             assert K == expected
@@ -803,7 +797,7 @@ def test_coherence_constant_frees_each_block_before_the_next():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * metrics.TILE_BYTES
-    assert K == constants.pair_table(s, IDENTITY)[1].ratios[0]  # the table's largest listed ratio
+    assert K == constants.largest_ratios(s, IDENTITY).ratios[0]  # the largest listed ratio
 
 
 def test_the_kq_solve_holds_a_tile_of_pairs_and_the_fronts():

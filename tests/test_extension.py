@@ -298,7 +298,7 @@ def test_empty_training_rejected():
 @pytest.mark.parametrize("method", ["whitney", "mcshane", "blend", "standard"])
 @pytest.mark.parametrize("table", [False, True], ids=["points", "pairs"])
 def test_one_row_lipschitz_fit_is_unfittable(method, table):
-    # From the points, and from a table of pair distances, on a one-row
+    # From the points, and from a table of listed pairs, on a one-row
     # subset of its rows.
     one = IndexedSample(np.array([[0.5]]), [3.0])
     ds = Dataset(["a", "b", "c"], [[0.5], [0.0], [1.0]], [3.0, 1.0, 2.0], ["x"])
@@ -423,25 +423,28 @@ def test_batch_predictions_hold_one_block_of_distances(batch):
 def test_standard_predicts_from_its_anchor_alone():
     # A standard prediction reads one distance per query, to the anchor.  At
     # 3,000 queries against 2,000 training rows, and 600 held-out rows
-    # against 600 training rows of a table, the peaks stay far below one
-    # block of distances to every training row (2 MiB), and the bits are
-    # those of K times that block, read at the anchor's column.
+    # against 600 training rows of a table, as cv predicts them, the peaks
+    # stay far below one block of distances to every training row (2 MiB),
+    # and the bits are those of K times that block, read at the anchor's
+    # column.
     rng = np.random.default_rng(29)
     cm = CompositionMetric("euclidean", PhiCombination(("sqrt", "sqrt_rational"), (1.0, 0.75)))
     features = rng.uniform(size=(2000, 10))
     model = fit_extension(IndexedSample(features, features @ rng.uniform(size=10)), cm, "standard")
     targets = rng.uniform(size=(3000, 10))
-    table = PairTable(Dataset([f"r{i}" for i in range(1200)], features[:1200],
+    rows = features[:1200]
+    table = PairTable(Dataset([f"r{i}" for i in range(1200)], rows,
                               rng.uniform(1.0, 5.0, 1200), [f"f{j}" for j in range(10)]),
                       cm, "standard")
     train, held_out = np.arange(0, 1200, 2), np.arange(1, 1200, 2)
     table_model = table.fit(train)
     expected = [
         model.offset + (model.K * cm.pairwise(targets, model.training.points))[:, model.anchor],
-        table_model.offset + (table_model.K * table.D[np.ix_(held_out, train)])[:, table_model.anchor],
+        table_model.offset
+        + (table_model.K * cm.pairwise(rows, rows)[np.ix_(held_out, train)])[:, table_model.anchor],
     ]
     for run, reference in zip(
-        (lambda: predict(model, targets), lambda: table.predict(table_model, train, held_out)[1]),
+        (lambda: predict(model, targets), lambda: predict(table_model, rows[held_out])),
         expected,
     ):
         tracemalloc.start()

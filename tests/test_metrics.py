@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lipext import constants, metrics
-from lipext.constants import IndexedSample, pair_table
+from lipext.constants import IndexedSample, largest_ratios
 from lipext.metrics import (
     BASE_METRICS,
     CompositionMetric,
@@ -141,15 +141,10 @@ def _composed_tile_bytes(n: int, tile: int) -> int:
     return 2 * 8 * n * tile
 
 
-def _table_tile_bytes(n: int, tile: int) -> int:
-    """The ``TILE_BYTES`` that gives ``pair_table`` blocks of ``tile`` rows
-    of n: its pass budgets five (rows, n) arrays a row block."""
+def _list_tile_bytes(n: int, tile: int) -> int:
+    """The ``TILE_BYTES`` that gives ``largest_ratios`` blocks of ``tile``
+    rows of n: its pass budgets five (rows, n) arrays a row block."""
     return 8 * n * 5 * tile
-
-
-def _table(X, cm):
-    """The distance table that ``pair_table`` builds among the rows of X."""
-    return pair_table(IndexedSample(X, np.zeros(len(X))), cm)[0]
 
 
 def _same_bits(a, b) -> bool:
@@ -199,25 +194,29 @@ def test_composed_pairwise_tiles_match_one_shot_bit_for_bit(kind, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", BASE_METRICS)
-def test_the_pair_table_matches_pairwise_of_the_points_with_themselves(kind, monkeypatch):
-    # Each pair is computed once and mirrored, and the last row, which
-    # starts no pair, is its column mirrored; the mirrors must keep the bits.
+def test_pairwise_of_the_points_with_themselves_is_symmetric_bit_for_bit(kind, monkeypatch):
+    # cv's sweep reads d(x_i, x_j) from the block of row i against every
+    # row: it must keep the bits of d(x_j, x_i) and of a fresh computation
+    # on any rows and columns, which blocks of ``tile`` rows cut across.
     rng = np.random.default_rng(6)
     cm = CompositionMetric(kind, PhiCombination(ATOM_NAMES, rng.uniform(0.1, 2.0, len(ATOM_NAMES))))
     tile = 4
     for m in (2, 9, 130):
         scales = 10.0 ** rng.uniform(-3.0, 3.0, size=m)
-        # Rows 0 to n - 2 start the pairs: one row, one block, around one
-        # tile and past three.
+        # One row, one block, around one tile and past three.
         for n in (2, tile, tile + 1, tile + 2, 3 * tile + 2):
             X = rng.uniform(-5.0, 5.0, size=(n, m)) * scales
+            rows = np.sort(rng.choice(n, size=rng.integers(1, n + 1), replace=False))
+            cols = np.sort(rng.choice(n, size=rng.integers(1, n + 1), replace=False))
+            fresh = cm.pairwise(X[rows], X[cols])
             with monkeypatch.context() as patch:
-                patch.setattr(metrics, "TILE_BYTES", _table_tile_bytes(n, tile))
-                sizes = record_blocks(patch, constants)
-                D = _table(X, cm)
-            assert sizes == tiles(n - 1, tile)
-            assert _same_bits(D, cm.pairwise(X, X)), (m, n)
-            assert np.array_equal(D, D.T)
+                # Base distances, d and work: three (rows, n) arrays a block.
+                patch.setattr(metrics, "TILE_BYTES", 3 * 8 * n * tile)
+                blocks = [(block, d.copy()) for block, d, _ in cm.blocks(X, X)]
+            assert [len(range(n)[block]) for block, _ in blocks] == tiles(n, tile)
+            D = np.vstack([d for _, d in blocks])
+            assert _same_bits(D, D.T), (m, n)
+            assert _same_bits(D[np.ix_(rows, cols)], fresh), (m, n)
 
 
 @pytest.mark.parametrize("kind", BASE_METRICS)
@@ -379,11 +378,13 @@ def test_edge_values_keep_the_bits_of_the_one_shot_reduction(kind, m, monkeypatc
             if kind == "euclidean":
                 assert np.isinf(one_shot_pairwise(kind, A, B)[0, 0]) and np.isnan(expected[0, 0])
         sizes = record_blocks(monkeypatch, constants)
-        for rows in (2, tile, tile + 1, tile + 2, 3 * tile + 2):  # a table has two rows or more
+        for rows in (2, tile, tile + 1, tile + 2, 3 * tile + 2):  # a pair needs two rows
             X = points(rows, -1e155)
-            monkeypatch.setattr(metrics, "TILE_BYTES", _table_tile_bytes(rows, tile))
+            monkeypatch.setattr(metrics, "TILE_BYTES", _composed_tile_bytes(rows, tile))
+            assert _same_bits(cm.pairwise(X, X), phi_eval(phi, one_shot_pairwise(kind, X, X))), rows
+            monkeypatch.setattr(metrics, "TILE_BYTES", _list_tile_bytes(rows, tile))
             sizes.clear()
-            assert _same_bits(_table(X, cm), phi_eval(phi, one_shot_pairwise(kind, X, X))), rows
+            largest_ratios(IndexedSample(X, np.zeros(rows)), cm)
             assert sizes == tiles(rows - 1, tile)  # rows 0 to rows - 2 start the pairs
 
 
@@ -393,13 +394,13 @@ def test_composed_peak_memory_above_the_result(kind, atoms):
     # One per-call scratch of base distances and atom values (one tile in
     # all) and pairwise_base's own tile of partial sums; after those are
     # freed the modulus adds at most sqrt_rational's 1 + r (half a tile).
-    # A table's pass holds a fifth of a tile each of base distances, of atom
-    # values, then ratios, and of the partition's indices, besides
-    # pairwise_base's tile.
+    # The pass that lists the largest pair ratios holds a fifth of a tile
+    # each of base distances, of their modulus, of atom values, then
+    # ratios, and of the partition's indices, besides pairwise_base's tile.
     rng = np.random.default_rng(7)
     cm = CompositionMetric(kind, PhiCombination(atoms, tuple(rng.uniform(0.1, 2.0, len(atoms)))))
     A, B = rng.uniform(size=(1000, 10)), rng.uniform(size=(800, 10))
     slack = 2 * metrics.TILE_BYTES + B.nbytes + 2**17
     assert _traced_call_peak(cm.pairwise, A, B) < 8 * 1000 * 800 + slack
     sample = IndexedSample(B, rng.uniform(size=800))
-    assert _traced_call_peak(pair_table, sample, cm) < 8 * 800 * 800 + slack
+    assert _traced_call_peak(largest_ratios, sample, cm) < slack

@@ -26,6 +26,18 @@ def test_public_names_are_the_documented_surface():
     """.split())
 
 
+def test_importing_the_cli_leaves_openssl_hashing_out():
+    # ``_hashlib`` costs about 3.5 MiB of RSS; only the commands that hash a
+    # dataset or draw from ``numpy.random`` import it.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = "import sys, lipext.cli\nprint('_hashlib' in sys.modules, 'hashlib' in sys.modules)\n"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False False\n"
+
+
 def test_table1_demo_runs():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

@@ -425,7 +425,7 @@ def test_dataset_validation():
 
 
 # ---------------------------------------------------------------------------
-# equivalence of the shared distance table with fitting each split afresh
+# equivalence of cv's shared list and sweep with fitting each split afresh
 
 
 def smooth_dataset(n=200, m=3, seed=0, duplicates=False):
@@ -497,6 +497,42 @@ def test_cv_matches_afresh_with_failed_repeats_and_fixed_alpha(kind, method):
     expected = naive_cv(ds, method, cm, 10, 0, 0.3, False, "random")
     assert report.per_repeat_rmse == expected
     assert report.failed == 10 - len(expected) > 0
+
+
+@pytest.mark.filterwarnings("ignore:degenerate blend")
+@pytest.mark.parametrize("tile", [1, 3, 50])
+@pytest.mark.parametrize("method, alpha, honest_alpha", [
+    ("whitney", None, False), ("mcshane", None, False), ("standard", None, False),
+    ("linear", None, False), ("blend", None, False), ("blend", None, True), ("blend", 0.3, False),
+])
+def test_cv_sweep_in_row_blocks_matches_fitting_each_split_afresh(method, alpha, honest_alpha,
+                                                                   tile, monkeypatch):
+    # cv's sweep takes every indexed row against every one a block of rows
+    # at a time: blocks of one row, of three, and of 50, which split each
+    # repeat's 54 test rows and the nested fit's held-out rows across
+    # blocks.  Repeats that train on a conflicting duplicate fail, some
+    # after their nested fit succeeds.
+    ds = smooth_dataset(seed=2, duplicates=True)
+    n = ds.indexed_rows().n_rows
+    cm = CompositionMetric("manhattan", PhiCombination(SQRT_BASIS, (0.5, 1.0, 2.0, 0.25)))
+    expected = naive_cv(ds, method, cm, 10, 0, alpha, honest_alpha, "random")
+    sizes, blocks = [], CompositionMetric.blocks
+
+    def recording(self, A, B, out=None):
+        for block in blocks(self, A, B, out):
+            sizes.append(len(range(len(A))[block[0]]))
+            yield block
+
+    monkeypatch.setattr(CompositionMetric, "blocks", recording)
+    # Base distances, d and work: three (rows, n) arrays a block.
+    monkeypatch.setattr(metrics, "TILE_BYTES", 3 * 8 * n * tile)
+    report = cross_validate(ds, method, cm, repeats=10, seed=0, alpha=alpha,
+                            honest_alpha=honest_alpha)
+    assert report.per_repeat_rmse == expected
+    assert report.failed == 10 - len(expected)
+    assert report.failed > 0 or method == "linear"
+    if method not in ("standard", "linear"):
+        assert sizes == tiles(n, tile)  # one sweep serves every repeat
 
 
 def naive_test_rmse(ds, base, atoms, lam, seed):
@@ -707,16 +743,14 @@ def test_objective_test_rmse_infinite_on_conflicting_duplicates():
 
 
 def test_extend_fit_and_predict_stay_under_memory_ceilings():
-    # 2,000 indexed rows: the distance table alone would be 30.5 MiB.  The
-    # blend's fit builds none: its pass over the pairs, its holdout
-    # predictions from the points and a prediction on a built table's
-    # subset each hold a few arrays allocated once per call, the block
-    # scratch and pairwise_base's partial sums, with no square of a subset.
+    # 2,000 indexed rows: a distance table alone would be 30.5 MiB.  The
+    # blend's fit builds none: its pass over the pairs and its holdout
+    # predictions from the points each hold a few arrays allocated once per
+    # call, the block scratch and pairwise_base's partial sums.
     rng = np.random.default_rng(19)
     features = rng.uniform(size=(2000, 10))
     indexed = make_dataset(features, features @ rng.uniform(size=10))
     targets = rng.uniform(size=(3000, 10))
-    train, held_out = _split_rows(2000, 0.7, 0, "random")
     tracemalloc.start()
     try:
         model = fit_for_extend(indexed, IDENTITY, "blend")
@@ -724,17 +758,10 @@ def test_extend_fit_and_predict_stay_under_memory_ceilings():
         tracemalloc.reset_peak()
         predict(model, targets)
         predict_peak = tracemalloc.get_traced_memory()[1]
-        table = PairTable(indexed, IDENTITY, "blend")
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        table.predict(table.fit(train), train, held_out)
-        subset_peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
     assert fit_peak < 2.5 * metrics.TILE_BYTES
     assert predict_peak < 2 * metrics.TILE_BYTES
-    # One 1,400 x 1,400 square of the training rows alone would be 15 MiB.
-    assert subset_peak < 1.5 * metrics.TILE_BYTES
 
 
 @pytest.mark.parametrize("method, alpha", [("whitney", None), ("mcshane", None),
@@ -790,32 +817,35 @@ def _steep_end(rng):
     ("random", "random", None), ("ties", "random", None), ("ties", "ordered", 5),
     ("duplicates", "random", None), ("duplicates", "random", 3), ("steep_end", "ordered", 1),
 ])
-def test_a_blend_fit_for_extend_matches_the_table_route(kind, phi, data, split_method, listed,
-                                                         monkeypatch):
-    # fit_for_extend builds no table: its list comes from pair_table without
-    # one, and its holdout predicts from the points.  K and alpha must have
-    # the bits of a blend table's holdout_alpha and its fit on every row, with
-    # any warning the same.
+def test_a_blend_fit_for_extend_matches_fitting_afresh(kind, phi, data, split_method, listed,
+                                                      monkeypatch):
+    # fit_for_extend takes K from the list of the largest pair ratios, or
+    # from the points when no listed pair is on a fit's rows, and its
+    # holdout predicts from the points.  K and alpha must have the bits of
+    # fits on fresh samples of the holdout's training rows and of every
+    # row, with any warning the same.
     rng = np.random.default_rng(61)
     indexed = {"random": lambda r: make_dataset(r.uniform(size=(40, 3)), r.uniform(0.0, 5.0, 40)),
                "ties": _ties, "duplicates": _duplicates, "steep_end": _steep_end}[data](rng)
     cm = CompositionMetric(kind, identity_phi() if phi == "identity" else random_combination(rng))
     if listed is not None:
         monkeypatch.setattr(constants, "LISTED_PAIRS", listed)
-    rows = np.arange(indexed.n_rows)
-    with warnings.catch_warnings(record=True) as table_warnings:
-        warnings.simplefilter("always")
-        table = PairTable(indexed, cm, "blend")
-        expected = table.fit(rows, table.holdout_alpha(rows, 0.7, 4, split_method))
+    train, held_out = _split_rows(indexed.n_rows, 0.7, 4, split_method)
+    X, v = indexed.features, indexed.index
     with warnings.catch_warnings(record=True) as fresh_warnings:
         warnings.simplefilter("always")
+        holdout = fit_extension(IndexedSample(X[train], v[train]), cm, "blend")
+        alpha = blend_at(holdout, X[held_out], truth=v[held_out])[0]
+        expected = fit_extension(indexed.as_sample(), cm, "blend", alpha)
+    with warnings.catch_warnings(record=True) as listed_warnings:
+        warnings.simplefilter("always")
         model = fit_for_extend(indexed, cm, "blend", seed=4, split_method=split_method)
-    assert [str(w.message) for w in fresh_warnings] == [str(w.message) for w in table_warnings]
+    assert [str(w.message) for w in listed_warnings] == [str(w.message) for w in fresh_warnings]
     assert (model.K, model.alpha, model.method) == (expected.K, expected.alpha, "blend")
     if data == "steep_end":
-        train = _split_rows(indexed.n_rows, 0.7, 4, "ordered")[0]
+        table = PairTable(indexed, cm, "blend")
         assert table.largest.coherence(train) is None  # the holdout's K is from the points
-        assert table.largest.coherence(rows) is not None
+        assert table.largest.coherence(np.arange(indexed.n_rows)) is not None
 
 
 @pytest.mark.parametrize("alpha", [None, 0.3])
@@ -829,52 +859,62 @@ def test_a_one_row_fit_for_extend_raises_fit_error_but_linear_fits(method, alpha
             fit_for_extend(one, IDENTITY, method, alpha)
 
 
-def test_a_table_prediction_gathers_a_tile_of_table_rows_at_a_time():
-    # 2,000 rows, 1,400 training: a block of query rows is gathered as whole
-    # table rows first, so it is sized at the table's width.  At the
-    # training width the first gather alone would be 1.4 tiles.
+@pytest.mark.parametrize("method, honest_alpha", [("blend", False), ("blend", True),
+                                                  ("whitney", False), ("standard", False)])
+def test_cv_holds_a_few_tiles_not_a_distance_table(method, honest_alpha):
+    # 1,500 indexed rows: a table of their distances would be 17.2 MiB,
+    # 8.6 tiles.  The list of the largest ratios holds under one tile, and
+    # the sweep a block of every row against every row, the gathered
+    # distances of one fit's rows in it, and pairwise_base's partial sums;
+    # the fits and their predictions (about 1.7 MiB with the nested ones)
+    # stay with the repeats.
     rng = np.random.default_rng(83)
-    features = rng.uniform(size=(2000, 10))
-    table = PairTable(make_dataset(features, features @ rng.uniform(size=10)), IDENTITY, "blend")
-    train, held_out = _split_rows(2000, 0.7, 0, "random")
-    model = table.fit(train)
+    features = rng.uniform(size=(1500, 5))
+    ds = make_dataset(features, features @ rng.uniform(size=5))
     tracemalloc.start()
     try:
-        table.predict(model, train, held_out)
+        cross_validate(ds, method, IDENTITY, honest_alpha=honest_alpha)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * metrics.TILE_BYTES
+    assert peak < 3 * metrics.TILE_BYTES
 
 
 @pytest.mark.parametrize("method", ["whitney", "mcshane", "blend", "standard"])
 def test_table_fits_and_predictions_in_blocks_match_one_shot(method, monkeypatch):
-    # A fit and a prediction on subsets of the table read it in place, block
-    # by block (a standard prediction takes its anchor's distances from the
-    # points), and so does predict_in_blocks on a given block; they must
-    # give the bits of a fit with K from the copied square and of predict_in_blocks
-    # on the copied block, taken in one block at the default TILE_BYTES (a
-    # standard model reads the anchor's column of that block).
+    # A fit on a subset of the table's rows takes K from its list, and the
+    # sweep gathers a prediction's distances from blocks of every row
+    # against every row (a standard prediction takes its anchor's distances
+    # from the points); they must give the bits of a fit with K from the
+    # pairwise square and of predict_in_blocks on its copied block, taken
+    # in one block at the default TILE_BYTES (a standard model reads the
+    # anchor's column of that block).
     rng = np.random.default_rng(23)
     n, m, tile = 30, 3, 4
     cm = CompositionMetric("manhattan", random_combination(rng))
     table = PairTable(make_dataset(rng.uniform(size=(n, m)), rng.uniform(0.0, 5.0, n)), cm, method)
+    X = table.ds.features
     train, held_out = _split_rows(n, 0.6, 3, "random")
-    sample = IndexedSample(table.ds.features[train], table.ds.index[train])
+    sample = IndexedSample(X[train], table.ds.index[train])
     alphas = (None, 0.3) if method == "blend" else (None,)
+    square = cm.pairwise(X, X)
     i, j = np.triu_indices(len(train), k=1)
-    K = ratio_max(np.abs(sample.values[i] - sample.values[j]), table.D[np.ix_(train, train)][i, j])
+    K = ratio_max(np.abs(sample.values[i] - sample.values[j]), square[np.ix_(train, train)][i, j])
     model = fit_extension(sample, cm, method, K=K)
     truth = table.ds.index[held_out]
-    D = table.D[np.ix_(held_out, train)]
+    D = square[np.ix_(held_out, train)]
     one_shot = [predict_from(model, D, a, truth) for a in alphas]
-    monkeypatch.setattr(metrics, "TILE_BYTES", 8 * len(train) * tile)  # ``tile`` rows a block
+    # Base distances, d and work: ``tile`` rows a block of the sweep.
+    monkeypatch.setattr(metrics, "TILE_BYTES", 3 * 8 * n * tile)
     fitted = table.fit(train)
     assert fitted.K == model.K
     assert (fitted.anchor, fitted.offset) == (model.anchor, model.offset)
     for a, (weight, expected) in zip(alphas, one_shot):
-        for blocked in (table.predict(fitted, train, held_out, a),
-                        predict_from(model, D, a, truth)):
+        if method == "standard":
+            swept = (None, predict(fitted, X[held_out]))
+        else:
+            swept = table.sweep([(fitted, train, held_out)])[0].result(a, truth)
+        for blocked in (swept, predict_from(model, D, a, truth)):
             assert blocked[0] == weight
             assert np.array_equal(blocked[1], expected)
 
@@ -893,7 +933,7 @@ def _listed_table(features, index, cm=IDENTITY, method="whitney"):
 
 
 def _list_in_tiles(monkeypatch, n, tile):
-    """Patch ``TILE_BYTES`` so that the pass of ``pair_table`` over n rows,
+    """Patch ``TILE_BYTES`` so that the pass of ``largest_ratios`` over n rows,
     which budgets five (rows, n) arrays a row block, takes ``tile`` rows a
     block; returns the list that records the block sizes of every pass."""
     monkeypatch.setattr(metrics, "TILE_BYTES", 8 * n * 5 * tile)
@@ -911,9 +951,9 @@ def _check_list(table):
     """The list is descending, of pairs i < j, min(``LISTED_PAIRS``, pairs
     that are not 0/0) long, and no pair left off has a larger ratio than
     the last listed."""
-    listed, v = table.largest, table.ds.index
+    listed, v, X = table.largest, table.ds.index, table.ds.features
     with np.errstate(all="ignore"):
-        ratios = np.abs(v[:, None] - v) / table.D
+        ratios = np.abs(v[:, None] - v) / table.cm.pairwise(X, X)
     constrain = np.count_nonzero(~np.isnan(ratios[np.triu_indices(len(v), k=1)]))
     assert len(listed.ratios) == min(constants.LISTED_PAIRS, constrain)
     assert np.all(listed.i < listed.j)
@@ -1110,15 +1150,15 @@ def test_a_short_list_leaves_K_to_the_points(size, monkeypatch):
     assert _check_subsets(table, [excluded, *_splits(n, range(10))]) < 21
 
 
-def test_building_the_table_and_its_list_holds_one_tile_on_top_of_the_table():
-    # 2,000 rows: the table is 30.5 MiB.  Its one pass over the pairs
-    # holds a fifth of a tile each of base distances, of pairwise_base's
-    # partial sums, which then take the atom values and ratios, and of the
-    # partition's indices, besides the list: 0.69 tiles on random data and
-    # 0.67 on the integer line with I = 2x, where every pair ties at 2.0.  Both
-    # partition their first block.  The partition's indices kept into the
-    # next block would read 0.95 tiles, and a second block of ratios or a
-    # table-sized array more.
+def test_building_the_list_holds_under_one_tile():
+    # 2,000 rows.  The one pass over the pairs holds a fifth of a tile
+    # each of base distances, of their modulus, of pairwise_base's partial
+    # sums, which then take the atom values and ratios, and of the
+    # partition's indices, besides the list and the rows' sample: 0.89
+    # tiles on random data and 0.86 on the integer line with I = 2x, where
+    # every pair ties at 2.0.  Both partition their first block.  The
+    # partition's indices kept into the next block, or a second block of
+    # ratios, would pass one tile.
     rng = np.random.default_rng(79)
     features = rng.uniform(size=(2000, 4))
     line = np.arange(2000, dtype=float)
@@ -1130,5 +1170,5 @@ def test_building_the_table_and_its_list_holds_one_tile_on_top_of_the_table():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2000 * 2000 + 0.85 * metrics.TILE_BYTES
+        assert peak < 0.95 * metrics.TILE_BYTES
         assert len(table.largest.ratios) == constants.LISTED_PAIRS
