@@ -21,9 +21,9 @@ prediction depends only on its own row, so it works through the queries
 in row blocks, taking the distances of one block at a time, from the
 points (``predict``) or from blocks of distances that serve many fits,
 and row-by-row calls give the same bits as one batch call.
-``fit_extension`` takes a given K, and ``predict_in_blocks`` the composed
-distances, so callers that make distances once for many fits get the same
-bits as fresh computation.
+``fit_extension`` takes a given K, and ``predict_in_blocks`` and
+``BlockPredictions`` the composed distances, so callers that make
+distances once for many fits get the same bits as fresh computation.
 ``optimal_blend`` gives a blend's bits for many constants K at one set of
 query rows, in buffers reused between calls.
 """

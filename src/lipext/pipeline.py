@@ -16,8 +16,8 @@ first, with no distances, and then makes the composed distances among the
 indexed rows once, a block of rows against all of them at a time: each
 block serves the predictions of every repeat at its rows, so no n × n
 table is held.  A fit on every indexed row, as ``extend`` and ``rank``
-make it, takes K from the same list, and a blend's holdout weight the
-held-out rows' distances from the points (``fit_for_extend``).  A report
+make it, takes K from the same list, and a blend's holdout weight reads
+the held-out rows' distances from the points (``fit_for_extend``).  A report
 holds no measured time, so the same inputs give the same report, bit for
 bit.
 """
@@ -250,7 +250,7 @@ def _median(arr: np.ndarray) -> float:
 
 class PairTable:
     """Fits of ``method`` on subsets of the rows of ``ds``, all indexed,
-    with K from one list of the rows' largest pair ratios.
+    with K from one table of the rows' largest pair ratios.
 
     Every method but linear, which needs no K, lists them once
     (``constants.largest_ratios``): min(``LISTED_PAIRS``, pairs that
@@ -286,10 +286,9 @@ class PairTable:
 
         One pass over ``CompositionMetric.blocks`` of every row against
         every row serves them all.  At each block, each fit with rows in it
-        gathers their distances to its training rows into scratch, whole
-        block rows first, into the block's ``work``, then the training
-        columns of those, into one array allocated at the first block, the
-        largest, which ``BlockPredictions.add`` takes.  The modulus acts
+        takes their whole rows of the block into the block's ``work``, then
+        their columns at its training rows into one array allocated at the
+        first block, the largest, for ``BlockPredictions.add``.  The modulus acts
         elementwise and each base distance is one fixed reduction over the
         terms |a - b| = |b - a| of its two rows, so every distance has the
         bits a fresh computation on the fit's rows would give.  Memory is
