@@ -166,21 +166,23 @@ class BlockPredictions:
     ``optimal_alpha`` over all q rows against ``truth``.  It returns the
     (blend weight, predictions), the weight None for whitney and mcshane.
     Standard models, which read the distances to one anchor, are not taken.
+    Of the model it keeps K, the method and the training values, not the
+    training points, so a caller may hold many of them before any ``add``.
     """
 
     def __init__(self, m: ExtensionModel, q: int):
         if m.method not in ("whitney", "mcshane", "blend"):
             raise ValueError(f"method {m.method!r} does not predict from distances")
-        self.model = m
+        self.K, self.method, self.values = m.K, m.method, m.training.values
         self.first = np.empty(q)  # a blend's Whitney predictions
         self.mcshane = np.empty(q) if m.method == "blend" else None
 
     def add(self, rows: slice, d: np.ndarray, work: np.ndarray) -> None:
-        m, values = self.model, self.model.training.values
-        KD = np.multiply(m.K, d, out=d)
-        if m.method == "mcshane":
+        values = self.values
+        KD = np.multiply(self.K, d, out=d)
+        if self.method == "mcshane":
             _mcshane(values, KD, self.first[rows], KD)
-        elif m.method == "whitney":
+        elif self.method == "whitney":
             _whitney(values, KD, self.first[rows], KD)
         else:
             _whitney(values, KD, self.first[rows], work[: d.size].reshape(d.shape))

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -151,9 +151,11 @@ def apply_scaling(ds: Dataset, scaling: tuple[np.ndarray, np.ndarray]) -> Datase
 def split(ds: Dataset, train_fraction: float, seed: int, method: str = "random"):
     """Partition rows into (train, test), train size = round(n * fraction).
 
-    ``method="random"`` shuffles with the given seed; ``method="ordered"``
-    takes the first rows in file order as training, for datasets pre-sorted
-    by some priority such as population.
+    ``method="random"`` shuffles with the given seed, as
+    ``np.random.default_rng(seed).permutation(n)`` does, and tests on the
+    rows it puts last; ``method="ordered"`` takes the first rows in file
+    order as training, for datasets pre-sorted by some priority such as
+    population.  Each side keeps file order (``_split_rows``).
     """
     train_idx, test_idx = _split_rows(ds.n_rows, train_fraction, seed, method)
     return ds.subset(train_idx), ds.subset(test_idx)
@@ -167,13 +169,25 @@ def _train_size(n: int, train_fraction: float) -> int:
 
 
 def _split_rows(n: int, train_fraction: float, seed: int, method: str):
-    """Sorted (train, test) row positions of ``split`` on n rows."""
+    """Sorted (train, test) row positions of ``split`` on n rows.
+
+    Every random split of lipext is drawn here: the ``cv`` repeats, their
+    nested ``honest_alpha`` splits, the holdout of a blend's weight in
+    ``extend`` and ``rank``, and the test-rmse search's split.  The test
+    side is the last n - k positions of numpy's
+    ``default_rng(seed).permutation(n)``, reproduced bit for bit by
+    ``pcg64.permutation_tail`` without importing ``numpy.random``, and the
+    training side is the rest.  A negative seed raises ``ValueError``.
+    """
     k = _train_size(n, train_fraction)
     if k == 0 or k == n:
         raise ValueError(f"split of {n} rows at {train_fraction} leaves an empty side")
     if method == "random":
-        perm = np.random.default_rng(seed).permutation(n)
-        return np.sort(perm[:k]), np.sort(perm[k:])
+        from .pcg64 import permutation_tail  # here, so commands that never split skip it
+
+        on_test = np.zeros(n, dtype=bool)
+        on_test[permutation_tail(n, k, seed)] = True
+        return np.flatnonzero(~on_test), np.flatnonzero(on_test)
     if method == "ordered":
         return np.arange(k), np.arange(k, n)
     raise ValueError("split method must be 'random' or 'ordered'")
@@ -279,10 +293,11 @@ class PairTable:
         K = self.largest.coherence(rows) if self.largest is not None else None
         return fit_extension(sample, self.cm, self.method, alpha, K)
 
-    def sweep(self, fits) -> list[BlockPredictions]:
-        """The ``BlockPredictions`` of each (model, train, rows) of ``fits``,
-        in order: a whitney, mcshane or blend model fitted on the table's
-        rows ``train``, at its rows ``rows``, sorted.
+    def sweep(self, fits) -> None:
+        """Add to each ``BlockPredictions`` of (predictions, train, rows) in
+        ``fits`` the predictions at its rows ``rows``, sorted, of a
+        whitney, mcshane or blend model fitted on the table's rows
+        ``train``.
 
         One pass over ``CompositionMetric.blocks`` of every row against
         every row serves them all.  At each block, each fit with rows in it
@@ -294,14 +309,13 @@ class PairTable:
         bits a fresh computation on the fit's rows would give.  Memory is
         O(``TILE_BYTES``) on top of the fits' predictions.
         """
-        made = [BlockPredictions(model, len(rows)) for model, _, rows in fits]
         if not fits:
-            return made
+            return
         X, gathered = self.ds.features, None
         for block, d, work in self.cm.blocks(X, X):
             if gathered is None:  # the first block is the largest
                 gathered = np.empty(d.size)
-            for (_, train, rows), out in zip(fits, made):
+            for out, train, rows in fits:
                 lo, hi = np.searchsorted(rows, (block.start, block.stop))
                 if lo == hi:
                     continue
@@ -313,7 +327,6 @@ class PairTable:
                 np.take(d, rows[lo:hi] - block.start, axis=0, out=whole, mode="clip")
                 np.take(whole, train, axis=1, out=d_fit, mode="clip")
                 out.add(slice(lo, hi), d_fit, whole.ravel())
-        return made
 
     def holdout_alpha(
         self, rows: np.ndarray, train_fraction: float, seed: int, split_method: str
@@ -393,11 +406,15 @@ def cross_validate(
     Repeats where fitting fails, or whose nested ``honest_alpha`` split is
     too small, are excluded from the RMSE statistics and counted.  Every
     fit of every repeat, the nested one included, is made first, with K
-    from one list of the largest pair ratios.  Then one
+    from one list of the largest pair ratios, and kept as what its scoring
+    reads: a whitney, mcshane or blend fit as its ``BlockPredictions``, a
+    standard or linear one cut to one training row (``_trimmed``), so no
+    repeat holds a copy of its training points.  Then one
     ``PairTable.sweep`` over the indexed rows makes the whitney, mcshane
     and blend predictions of them all; a standard or linear one is
     ``extension.predict`` at the rows' points.  The blend weights, mixes
-    and RMSEs follow, repeat by repeat in order.
+    and RMSEs follow, repeat by repeat in order, so every warning of a fit
+    comes before those of the predictions.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
@@ -408,7 +425,14 @@ def cross_validate(
     if indexed.n_rows < 2:
         raise ValueError("cross-validation needs at least two indexed rows")
     table = PairTable(indexed, cm, method)
-    plans = []  # each repeat's (nested fit, fit), (model, train, rows) each or None
+    lipschitz = method in ("whitney", "mcshane", "blend")
+
+    def pending(model, train, rows):  # what scoring reads of a fit
+        if lipschitz:
+            return BlockPredictions(model, len(rows)), train, rows
+        return _trimmed(model), train, rows
+
+    plans = []  # each repeat's (nested fit, fit), pending(...) each or None
     for r in range(repeats):
         train, test = _split_rows(indexed.n_rows, train_fraction, seed + r, split_method)
         nested = fit = None
@@ -419,19 +443,19 @@ def cross_validate(
                 if split is None:
                     raise FitError("the nested alpha split is too small")
                 inner = train[split[0]]
-                nested = (table.fit(inner), inner, train[split[1]])
-            fit = (table.fit(train), train, test)
+                nested = pending(table.fit(inner), inner, train[split[1]])
+            fit = pending(table.fit(train), train, test)
         except FitError:
             pass
         plans.append((nested, fit))
-    fits = [f for plan in plans for f in plan if f is not None]
-    swept = iter(table.sweep(fits) if method in ("whitney", "mcshane", "blend") else ())
+    if lipschitz:
+        table.sweep([f for plan in plans for f in plan if f is not None])
 
-    def predictions(fit, a):  # the next fit in the order of ``fits``
-        model, _, rows = fit
-        if method in ("standard", "linear"):
-            return None, predict(model, indexed.features[rows])
-        return next(swept).result(a, indexed.index[rows])
+    def predictions(fit, a):
+        made, _, rows = fit
+        if lipschitz:
+            return made.result(a, indexed.index[rows])
+        return None, predict(made, indexed.features[rows])
 
     scores = []
     for nested, fit in plans:
@@ -450,6 +474,17 @@ def cross_validate(
         median=median,
         std_dev=std,
     )
+
+
+def _trimmed(model: ExtensionModel) -> ExtensionModel:
+    """A standard or linear ``model`` cut to the one training row that
+    ``predict`` reads of it: a standard model's anchor, or for a linear
+    one, which reads its coefficients alone, the first.  Its predictions
+    keep their bits, and it holds no copy of every training point.
+    """
+    row = [model.anchor or 0]
+    training = IndexedSample(model.training.points[row], model.training.values[row])
+    return replace(model, training=training, anchor=None if model.anchor is None else 0)
 
 
 def objective_test_rmse(

@@ -553,6 +553,31 @@ def test_cv_leaves_numpy_ma_unimported(tmp_path):
     assert json.loads((tmp_path / "cv_report.json").read_text())["repeats"] == 3
 
 
+@pytest.mark.parametrize("command, left_out", [
+    (["cv", "--method", "blend", "--repeats", "3"], ["numpy.random", "secrets", "_hashlib"]),
+    (["cv", "--method", "blend", "--config", "honest.json"], ["numpy.random", "secrets", "_hashlib"]),
+    (["extend", "--method", "blend"], ["numpy.random", "secrets"]),
+    (["rank", "--method", "blend"], ["numpy.random", "secrets"]),
+], ids=["cv", "cv-honest-alpha", "extend", "rank"])
+def test_commands_that_split_leave_numpy_random_unimported(tmp_path, command, left_out):
+    # Splits are drawn by lipext.pcg64, not numpy.random, whose import loads
+    # secrets, hmac and OpenSSL's _hashlib (about 6 MiB of RSS).  extend and
+    # rank hash the dataset for model.json, which imports _hashlib.
+    data = write(tmp_path, "data.csv", synthetic_csv(3, 40))
+    write(tmp_path, "honest.json", '{"honest_alpha": true}')
+    code = (
+        "import sys\n"
+        "from lipext.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        f"print([m for m in {['lipext.pcg64', *left_out]!r} if m in sys.modules])\n"
+    )
+    argv = [*command, "--data", data, "--out", str(tmp_path / "out")]
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=lipext_env(), cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "['lipext.pcg64']"  # a split was drawn, in lipext
+
+
 def test_warnings_print_as_plain_lines(tmp_path, capsys):
     data = write(tmp_path, "flat.csv", CONSTANT_INDEX_CSV)
     done = subprocess.run(

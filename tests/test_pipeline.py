@@ -16,6 +16,7 @@ from lipext.constants import (
 )
 from lipext.dataio import json_text
 from lipext.extension import (
+    BlockPredictions,
     FitError,
     fit_extension,
     linear_fit,
@@ -866,8 +867,7 @@ def test_cv_holds_a_few_tiles_not_a_distance_table(method, honest_alpha):
     # 8.6 tiles.  The list of the largest ratios holds under one tile, and
     # the sweep a block of every row against every row, the gathered
     # distances of one fit's rows in it, and pairwise_base's partial sums;
-    # the fits and their predictions (about 1.7 MiB with the nested ones)
-    # stay with the repeats.
+    # each repeat keeps its rows, training values and predictions.
     rng = np.random.default_rng(83)
     features = rng.uniform(size=(1500, 5))
     ds = make_dataset(features, features @ rng.uniform(size=5))
@@ -878,6 +878,29 @@ def test_cv_holds_a_few_tiles_not_a_distance_table(method, honest_alpha):
     finally:
         tracemalloc.stop()
     assert peak < 3 * metrics.TILE_BYTES
+
+
+@pytest.mark.parametrize("method, honest_alpha", [("linear", False), ("whitney", False),
+                                                  ("blend", True)])
+def test_cv_repeats_hold_no_copy_of_their_training_points(method, honest_alpha):
+    # What cv keeps of each repeat until scoring (its rows, training values
+    # and predictions) is O(n); a fitted model would add a copy of its
+    # training points, O(n * m), 160 KiB a repeat at these 1,000 training
+    # rows of 20 features.  The growth from 1 to 20 repeats stays under
+    # half of those copies.
+    rng = np.random.default_rng(89)
+    features = rng.uniform(size=(1430, 20))
+    ds = make_dataset(features, features @ rng.uniform(size=20))
+    cross_validate(ds, method, IDENTITY, repeats=1)  # the imports it makes
+    peaks = []
+    for repeats in (1, 20):
+        tracemalloc.start()
+        try:
+            cross_validate(ds, method, IDENTITY, repeats=repeats, honest_alpha=honest_alpha)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 19 * 1001 * 20 * 8 / 2
 
 
 @pytest.mark.parametrize("method", ["whitney", "mcshane", "blend", "standard"])
@@ -913,7 +936,9 @@ def test_table_fits_and_predictions_in_blocks_match_one_shot(method, monkeypatch
         if method == "standard":
             swept = (None, predict(fitted, X[held_out]))
         else:
-            swept = table.sweep([(fitted, train, held_out)])[0].result(a, truth)
+            made = BlockPredictions(fitted, len(held_out))
+            table.sweep([(made, train, held_out)])
+            swept = made.result(a, truth)
         for blocked in (swept, predict_from(model, D, a, truth)):
             assert blocked[0] == weight
             assert np.array_equal(blocked[1], expected)
