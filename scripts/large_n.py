@@ -1,41 +1,62 @@
 #!/usr/bin/env python3
 """Large-n checks of lipext at full benchmark size, runnable on a checkout.
 
-Run:
+Run one check of:
     python3 scripts/large_n.py k-check
+    python3 scripts/large_n.py rmse-sqrt
+    python3 scripts/large_n.py rmse-large
 
 Each check writes its datasets, made by the ``perfbench`` generators, into
 a temporary directory, prints what it verified and fails with an
-``AssertionError`` on the first mismatch.  The package is imported from
-this checkout's ``src``.
+``AssertionError`` or ``checks.CheckError`` on the first mismatch.  The
+package is imported, and run, from this checkout's ``src``.
 
 k-check: cv-blend dataset 0 and a tied grid.  Each method's K on the
 random, ordered and nested ``honest_alpha`` splits of seeds 0-19, and on
 every row as ``extend`` fits, must equal ``coherence_constant`` on a fresh
 sample, bit for bit.  The list of the largest ratios must serve all 60
 subsets of cv-blend and be full on the grid.
+
+rmse-sqrt: optimize-rmse dataset 0 over SQRT_BASIS.  ``lipext optimize
+--objective test-rmse`` at its default swarm must report a best objective
+and an identity objective equal to the brute-force blend RMSE of its
+coefficients and of sqrt alone.
+
+rmse-large: the optimize-rmse generator at n = 1,250 (1,000 indexed rows),
+over LINEAR_BASIS and SQRT_BASIS.  Prints the K front's size, the widest
+row front, the build time and the cost per candidate; the test-rmse
+objective at five coefficient vectors must equal the brute-force blend
+RMSE.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from lipext.constants import LISTED_PAIRS, IndexedSample, coherence_constant  # noqa: E402
+import numpy as np  # noqa: E402
+
+import checks  # noqa: E402
+from lipext.constants import LISTED_PAIRS, IndexedSample, coherence_constant, k_front  # noqa: E402
 from lipext.dataio import read_dataset  # noqa: E402
 from lipext.metrics import CompositionMetric  # noqa: E402
-from lipext.phi import identity_phi  # noqa: E402
+from lipext.phi import LINEAR_BASIS, SQRT_BASIS, identity_phi  # noqa: E402
 from lipext.pipeline import (  # noqa: E402
     _INNER_SPLIT_OFFSET,
     PairTable,
+    _row_fronts,
     _split_rows,
     fit_for_extend,
     minmax_scale,
+    objective_test_rmse,
 )
 from workloads import WORKLOADS, generate  # noqa: E402
 
@@ -93,7 +114,56 @@ def k_check(work: Path) -> None:
           f"{listed} pairs listed; the list served {served} of 60 subsets")
 
 
-CHECKS = {"k-check": k_check}
+def rmse_sqrt(work: Path) -> None:
+    data, config = work / "data.csv", work / "config.json"
+    data.write_text(generate(WORKLOADS["optimize-rmse"], 0, 0).csv_text, encoding="utf-8")
+    config.write_text('{"atoms": ["sqrt", "sqrt_log1p", "sqrt_arctan", "sqrt_rational"]}',
+                      encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    subprocess.run([sys.executable, "-m", "lipext", "optimize", "--objective", "test-rmse",
+                    "--data", str(data), "--config", str(config), "--out", str(work / "out")],
+                   env=env, check=True)
+    # identity_objective is the objective at (1, 0, 0, 0): sqrt alone.
+    points, values = checks.scaled_indexed(generate(WORKLOADS["optimize-rmse"], 0, 0))
+    train, test = checks.split(len(values), 0)
+    result = checks.read_json(work / "out" / "swarm_result.json")
+    for key, phi in (("best_objective", result["best_phi"]),
+                     ("identity_objective", {"atoms": ["sqrt"], "coefficients": [1.0]})):
+        checks.close(checks.as_float(result[key]), checks.blend_rmse(points, values, train, test, phi), key)
+    print("best_objective and identity_objective match the brute-force blend RMSE")
+
+
+def rmse_large(work: Path) -> None:
+    data = work / "data.csv"
+    data.write_text(generate(WORKLOADS["optimize-rmse"], 0, 0, n=1250).csv_text, encoding="utf-8")
+    indexed = minmax_scale(read_dataset(data)).indexed_rows()
+    points, values = checks.scaled_indexed(generate(WORKLOADS["optimize-rmse"], 0, 0, n=1250))
+    train, test = _split_rows(indexed.n_rows, 0.7, 0, "random")
+    ref_train, ref_test = checks.split(len(values), 0)
+    sample = IndexedSample(indexed.features[train], indexed.index[train])
+    rng = np.random.default_rng(0)
+    for atoms in (LINEAR_BASIS, SQRT_BASIS):
+        start = perf_counter()
+        objective = objective_test_rmse(indexed, "euclidean", atoms)
+        build = perf_counter() - start
+        k_pairs = len(k_front(sample, "euclidean", atoms)[1])
+        width = _row_fronts(indexed.features[test], sample, "euclidean", atoms)[1].shape[1]
+        lams = rng.uniform(0.0, 10.0, size=(200, len(atoms)))
+        lams[:5:2, 1] = 0.0
+        objective(lams[0])  # the first call pays numpy's one-time costs
+        start = perf_counter()
+        scores = [objective(lam) for lam in lams]
+        per_candidate = (perf_counter() - start) / len(lams)
+        for lam, score in zip(lams[:5], scores):
+            phi = {"atoms": list(atoms), "coefficients": [float(c) for c in lam]}
+            checks.close(score, checks.blend_rmse(points, values, ref_train, ref_test, phi), str(lam))
+        print(f"{atoms[0]} basis: {len(train)} training and {len(test)} test rows; "
+              f"K front {k_pairs} of {len(train) * (len(train) - 1) // 2} pairs; "
+              f"widest row front {width} of {len(train)} rows; build {build * 1e3:.0f} ms; "
+              f"{per_candidate * 1e3:.3f} ms per candidate; 5 of 5 match the brute-force blend RMSE")
+
+
+CHECKS = {"k-check": k_check, "rmse-sqrt": rmse_sqrt, "rmse-large": rmse_large}
 
 
 def main(argv: list[str] | None = None) -> None:

@@ -14,7 +14,9 @@ Kennedy (2002).  It searches the fixed box [0, BOX] per coordinate: both
 objectives depend only on the coefficients' direction, so only the box's
 size next to the identity seed (1, 0, ..., 0) matters.  The zero vector is
 not a modulus, and both objectives score it +inf.  Runs are deterministic
-given the seed.  ``settle`` writes either search's answer under one rule.
+given the seed: the swarm draws numpy's ``default_rng(seed)`` uniforms,
+reproduced in ``lipext.pcg64``.  ``settle`` writes either search's answer
+under one rule.
 """
 from __future__ import annotations
 
@@ -94,14 +96,23 @@ def pso_minimize(
     velocities clamped to half the box and positions to the box.  A NaN
     objective is treated as +inf.  ``history[i]`` is the best objective seen
     up to and including iteration i+1 (initial placement included).
+
+    The uniforms are numpy's ``default_rng(cfg.seed)`` stream, drawn by
+    ``pcg64.UniformStream`` in numpy's order: the initial positions as
+    ``uniform(0, BOX, size=(S, dim))``, then each iteration's r1 and r2 as
+    ``uniform(size=(S, dim))``.  The stream holds one chunk of draws, so
+    memory does not grow with ``cfg.iterations``.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    rng = np.random.default_rng(cfg.seed)
+    from .pcg64 import UniformStream  # here, so the kq-bound search skips it
+
+    uniforms = UniformStream(cfg.seed)
     S = cfg.swarm_size
     v_max = 0.5 * BOX
 
-    X = rng.uniform(0.0, BOX, size=(S, dim))
+    # numpy's uniform(0, BOX) is 0 + BOX * u, which has the bits of BOX * u.
+    X = BOX * uniforms.random(S * dim).reshape(S, dim)
     X[0] = identity_lambda(dim)
     V = np.zeros_like(X)
 
@@ -117,8 +128,8 @@ def pso_minimize(
 
     history = np.empty(cfg.iterations)
     for it in range(cfg.iterations):
-        r1 = rng.uniform(size=(S, dim))
-        r2 = rng.uniform(size=(S, dim))
+        r1 = uniforms.random(S * dim).reshape(S, dim)
+        r2 = uniforms.random(S * dim).reshape(S, dim)
         V = INERTIA * V + COGNITIVE * r1 * (pbest - X) + SOCIAL * r2 * (gbest - X)
         np.clip(V, -v_max, v_max, out=V)
         X = np.clip(X + V, 0.0, BOX)

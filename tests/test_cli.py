@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -268,6 +269,21 @@ def test_model_round_trip_bitwise(tmp_path, capsys, method):
     preds = predict(model, scaled.unindexed_rows().features)
     reread = [float(line.split(",")[1]) for line in first.strip().splitlines()[1:]]
     assert list(preds) == reread  # bitwise: repr round-trips float64 exactly
+
+
+def test_the_dataset_hash_is_hashlibs_sha256(monkeypatch):
+    # dataset_hash takes CPython's built-in SHA-256 where the build has it,
+    # else hashlib's; model.json's digest is hashlib's either way.
+    import hashlib
+
+    ds = read_dataset(table1_path())
+    want = hashlib.sha256()
+    for part in ("\x1f".join(ds.ids).encode("utf-8"), ds.features.tobytes(), ds.index.tobytes()):
+        want.update(part)
+    assert dataset_hash(ds) == want.hexdigest()
+    monkeypatch.setitem(sys.modules, "_sha2", None)  # an import of either now fails
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    assert dataset_hash(ds) == want.hexdigest()
 
 
 def test_rebuild_model_rejects_alpha_out_of_range(tmp_path, capsys):
@@ -553,18 +569,25 @@ def test_cv_leaves_numpy_ma_unimported(tmp_path):
     assert json.loads((tmp_path / "cv_report.json").read_text())["repeats"] == 3
 
 
-@pytest.mark.parametrize("command, left_out", [
-    (["cv", "--method", "blend", "--repeats", "3"], ["numpy.random", "secrets", "_hashlib"]),
-    (["cv", "--method", "blend", "--config", "honest.json"], ["numpy.random", "secrets", "_hashlib"]),
-    (["extend", "--method", "blend"], ["numpy.random", "secrets"]),
-    (["rank", "--method", "blend"], ["numpy.random", "secrets"]),
-], ids=["cv", "cv-honest-alpha", "extend", "rank"])
-def test_commands_that_split_leave_numpy_random_unimported(tmp_path, command, left_out):
-    # Splits are drawn by lipext.pcg64, not numpy.random, whose import loads
-    # secrets, hmac and OpenSSL's _hashlib (about 6 MiB of RSS).  extend and
-    # rank hash the dataset for model.json, which imports _hashlib.
+@pytest.mark.parametrize("command, drawn", [
+    (["cv", "--method", "blend", "--repeats", "3"], True),
+    (["cv", "--method", "blend", "--config", "honest.json"], True),
+    (["extend", "--method", "blend"], True),
+    (["rank", "--method", "blend"], True),
+    (["optimize", "--objective", "test-rmse", "--config", "pso.json"], True),
+    (["optimize"], False),
+], ids=["cv", "cv-honest-alpha", "extend", "rank", "optimize-test-rmse", "optimize-kq"])
+def test_commands_that_split_leave_numpy_random_unimported(tmp_path, command, drawn):
+    # Splits and the swarm's uniforms are drawn by lipext.pcg64, not
+    # numpy.random, whose import loads secrets, hmac and OpenSSL's _hashlib
+    # (about 6 MiB of RSS); extend and rank hash the dataset for model.json
+    # with CPython's built-in SHA-256.  The kq-bound search draws nothing.
     data = write(tmp_path, "data.csv", synthetic_csv(3, 40))
     write(tmp_path, "honest.json", '{"honest_alpha": true}')
+    write(tmp_path, "pso.json", '{"pso": {"swarm_size": 6, "iterations": 5}}')
+    left_out = ["numpy.random", "secrets", "hmac"]
+    if importlib.util.find_spec("_sha2") or importlib.util.find_spec("_sha256"):
+        left_out.append("_hashlib")  # a build with a built-in SHA-256
     code = (
         "import sys\n"
         "from lipext.cli import main\n"
@@ -575,7 +598,8 @@ def test_commands_that_split_leave_numpy_random_unimported(tmp_path, command, le
     done = subprocess.run([sys.executable, "-c", code, *argv], env=lipext_env(), cwd=tmp_path,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "['lipext.pcg64']"  # a split was drawn, in lipext
+    # The draws were made, in lipext, exactly where the command draws.
+    assert done.stdout.splitlines()[-1] == ("['lipext.pcg64']" if drawn else "[]")
 
 
 def test_warnings_print_as_plain_lines(tmp_path, capsys):

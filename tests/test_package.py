@@ -27,9 +27,9 @@ def test_public_names_are_the_documented_surface():
 
 
 def test_importing_the_cli_leaves_openssl_hashing_out():
-    # ``_hashlib`` costs about 3.5 MiB of RSS; only the commands that hash a
-    # dataset, and test-rmse ``optimize``, whose swarm is the one user of
-    # ``numpy.random`` left, import it.
+    # ``_hashlib`` costs about 3.5 MiB of RSS.  No command imports it: the
+    # draws are made in ``lipext.pcg64``, not ``numpy.random``, and the
+    # dataset hash is CPython's built-in SHA-256 (``dataset_hash``).
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     code = "import sys, lipext.cli\nprint('_hashlib' in sys.modules, 'hashlib' in sys.modules)\n"

@@ -1,17 +1,22 @@
-"""The random split draw against numpy's ``default_rng(seed).permutation``.
+"""lipext's draws against numpy's ``default_rng(seed)`` streams.
 
-lipext draws its random splits itself (``lipext.pcg64``), and these tests
-pin that draw to numpy's stream: every seed cv and its nested splits use
+lipext draws its random splits and the swarm's uniforms itself
+(``lipext.pcg64``), and these tests pin them to numpy's streams.  The
+splits against ``permutation``: every seed cv and its nested splits use
 by default, multi-word seeds, every size from 2 to 2,000 rows and every
-train fraction that leaves both sides non-empty.  The literal splits pin
-it to fixed values as well, so a change in numpy's stream fails the numpy
-comparisons alone, not the literals.
+train fraction that leaves both sides non-empty.  The uniforms against
+``random``: the same seeds, counts on each side of the chunk boundaries,
+the swarm's totals, and counts split across calls.  The literals pin
+both to fixed values as well, so a change in numpy's streams fails the
+numpy comparisons alone, not the literals.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from lipext.pcg64 import permutation_tail
+from lipext.pcg64 import _ROOT, UniformStream, permutation_tail
 from lipext.pipeline import _INNER_SPLIT_OFFSET, _split_rows, _train_size
 
 SEEDS = [*range(200), *(s + _INNER_SPLIT_OFFSET for s in range(200)),
@@ -80,3 +85,66 @@ def test_sizes_numpy_draws_64_bit_words_for_are_refused():
     # any list of rows is made.
     with pytest.raises(ValueError, match="at most 2\\*\\*32 rows"):
         permutation_tail(2**32 + 1, 2**32, 0)
+
+
+CHUNK = _ROOT**2
+# Each side of the first three chunk boundaries, the smoke swarm's draws
+# (6 particles, 5 atoms, 5 iterations) and the default swarm's over four
+# atoms (40 particles, 200 iterations).
+COUNTS = [0, 1, *(b + d for b in (CHUNK, 2 * CHUNK, 3 * CHUNK) for d in (-1, 0, 1)),
+          6 * 5 * 11, 40 * 4 * 401]
+
+
+def assert_numpys_uniforms(seed, counts):
+    stream, total = UniformStream(seed), sum(counts)
+    drawn = [stream.random(count) for count in counts]
+    assert all(d.dtype == np.float64 and d.shape == (c,) for d, c in zip(drawn, counts))
+    want = np.random.default_rng(seed).random(total)
+    assert np.concatenate([np.empty(0), *drawn]).tobytes() == want.tobytes()
+
+
+def test_every_seed_draws_numpys_uniforms():
+    for seed in [*range(200), 2**32, 2**64 + 3, 2**130 + 11]:
+        assert_numpys_uniforms(seed, [1, CHUNK])  # across the first boundary
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32, 2**64 + 3, 2**130 + 11])
+@pytest.mark.parametrize("count", COUNTS)
+def test_every_count_draws_numpys_uniforms(seed, count):
+    assert_numpys_uniforms(seed, [count])
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 + 3])
+def test_uniforms_split_across_calls_draw_numpys_stream(seed):
+    # The swarm's calls, calls that end on and straddle chunk boundaries,
+    # empty calls and a call longer than two chunks.
+    assert_numpys_uniforms(seed, [6 * 5] * 11)
+    assert_numpys_uniforms(seed, [40 * 4] * 401)
+    assert_numpys_uniforms(seed, [CHUNK - 1, 0, 1, 1, CHUNK - 2, 0, 2 * CHUNK + 3, 5])
+    rng = np.random.default_rng(seed)
+    assert_numpys_uniforms(seed, rng.integers(0, 3 * _ROOT, size=200).tolist())
+
+
+def test_literal_uniforms():
+    got = UniformStream(0).random(CHUNK + 1)
+    assert got[[0, 1, CHUNK - 1, CHUNK]].tolist() == [
+        0.6369616873214543, 0.2697867137638703, 0.3318236092050132, 0.17840288412338923]
+
+
+def test_the_stream_holds_one_chunk_whatever_it_draws():
+    # 100 chunks' worth (3.1 MiB of doubles) drawn 160 at a time, as the
+    # default swarm draws them over four atoms; measured 0.48 MiB.
+    tracemalloc.start()
+    try:
+        stream = UniformStream(3)
+        for _ in range(100 * CHUNK // 160):
+            stream.random(160)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_a_negative_seed_stream_raises_as_numpy_does():
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        UniformStream(-1)

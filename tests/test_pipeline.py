@@ -279,6 +279,22 @@ def test_cv_counts_failed_repeats():
     assert len(report.per_repeat_rmse) == 20 - report.failed
 
 
+def test_cv_counts_an_unshiftable_standard_repeat_as_failed():
+    # Opposite corners of the unit square carry +-0.95e308: a repeat that
+    # trains on both cannot shift its values to minimum 0 (katetov_shift).
+    # Whitney's K is +inf there, and where a ratio to one corner overflows,
+    # so it fails 5 of 6 repeats; standard fails the same, not the run.
+    # The repeat left tests on a corner, so its RMSE is +inf.
+    points = [[0, 0], [1, 1], [0.5, 0.2], [0.1, 0.9], [0.7, 0.4],
+              [0.3, 0.6], [0.9, 0.1], [0.2, 0.3], [0.6, 0.8], [0.4, 0.5]]
+    ds = make_dataset(points, [0.95e308, -0.95e308, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the +inf RMSE's overflow
+        reports = [cross_validate(ds, m, IDENTITY, repeats=6) for m in ("whitney", "standard")]
+    for report in reports:
+        assert (report.failed, report.per_repeat_rmse) == (5, (math.inf,))
+
+
 def test_cv_scale_invariance_of_rmse():
     ds = minmax_scale(table1_like())
     phi = PhiCombination(("identity", "log1p"), (1.0, 0.5))

@@ -49,6 +49,71 @@ def test_same_seed_bitwise_identical():
     assert np.array_equal(r1.history, r2.history)
 
 
+def numpys_swarm(objective, dim, cfg):
+    """``pso_minimize`` drawing from ``np.random.default_rng``, as it did
+    before the draws moved into ``lipext.pcg64``: the reference."""
+    from lipext.swarm import BOX, COGNITIVE, INERTIA, SOCIAL
+
+    rng = np.random.default_rng(cfg.seed)
+    S = cfg.swarm_size
+    X = rng.uniform(0.0, BOX, size=(S, dim))
+    X[0] = 0.0
+    X[0, 0] = 1.0
+    V = np.zeros_like(X)
+
+    def evaluate(x):
+        val = float(objective(x))
+        return math.inf if math.isnan(val) else val
+
+    pbest, pbest_f = X.copy(), np.array([evaluate(x) for x in X])
+    g = int(np.argmin(pbest_f))
+    gbest, gbest_f = pbest[g].copy(), float(pbest_f[g])
+    history = np.empty(cfg.iterations)
+    for it in range(cfg.iterations):
+        r1 = rng.uniform(size=(S, dim))
+        r2 = rng.uniform(size=(S, dim))
+        V = INERTIA * V + COGNITIVE * r1 * (pbest - X) + SOCIAL * r2 * (gbest - X)
+        np.clip(V, -0.5 * BOX, 0.5 * BOX, out=V)
+        X = np.clip(X + V, 0.0, BOX)
+        for i in range(S):
+            f = evaluate(X[i])
+            if f < pbest_f[i]:
+                pbest_f[i], pbest[i] = f, X[i]
+                if f < gbest_f:
+                    gbest_f, gbest = f, X[i].copy()
+        history[it] = gbest_f
+    return gbest, gbest_f, history
+
+
+def rugged(lam):
+    if lam[-1] > 9.0:
+        return math.nan
+    return float(np.sum(np.sin(3.0 * lam) + 0.1 * lam**2))
+
+
+@pytest.mark.parametrize("objective", [sphere, rugged], ids=["sphere", "rugged"])
+@pytest.mark.parametrize("dim, cfg", [
+    (4, PsoConfig(40, 30, 0)),  # 9,760 draws: past two chunks of the stream
+    (5, PsoConfig(6, 5, 2**64 + 3)),
+    (1, PsoConfig(3, 200, 7)),
+], ids=["40x30", "6x5", "3x200"])
+def test_the_swarm_visits_the_points_of_numpys_generator(objective, dim, cfg):
+    seen, want = [], []
+
+    def recorded(into):
+        def wrapped(lam):
+            into.append(lam.tobytes())
+            return objective(lam)
+        return wrapped
+
+    result = pso_minimize(recorded(seen), dim, cfg)
+    gbest, gbest_f, history = numpys_swarm(recorded(want), dim, cfg)
+    assert seen == want
+    assert result.best_lambda.tobytes() == gbest.tobytes()
+    assert result.best_objective == gbest_f
+    assert result.history.tobytes() == history.tobytes()
+
+
 def test_different_seeds_differ():
     r1 = pso_minimize(sphere, dim=3, cfg=PsoConfig(seed=0, iterations=5))
     r2 = pso_minimize(sphere, dim=3, cfg=PsoConfig(seed=1, iterations=5))
