@@ -180,18 +180,21 @@ class UniformStream:
 
     def __init__(self, seed: int):
         state, inc = _pcg64_seed(seed)
-        self._state = np.uint64(state >> 64), np.uint64(state & _MASK64)
+        # The state is held as 1-element arrays, not numpy scalars: numpy 1.x
+        # turns a uint64 scalar and a Python int into float64, so the limb
+        # arithmetic's masks and shifts would raise on it.
+        self._state = tuple(_limbs([state]))
         steps = _jumps(_MULTIPLIER, inc, _ROOT + 1)
         col_a, col_c = (_limbs(column)[:, None, :] for column in zip(*steps[1:]))
         row_a, row_c = (_limbs(row)[:, :, None] for row in zip(*_jumps(*steps[_ROOT], _ROOT)))
-        zero = np.uint64(0), np.uint64(0)
+        zero = tuple(_limbs([0]))
         self._a = tuple(limb.ravel() for limb in _mul_add(col_a, row_a, zero))
         self._c = tuple(limb.ravel() for limb in _mul_add(col_a, row_c, col_c))
         self._chunk, self._used = np.empty(0), 0
 
     def _next_chunk(self) -> np.ndarray:
         hi, lo = _mul_add(self._a, self._state, self._c)
-        self._state = hi[-1], lo[-1]
+        self._state = hi[-1:], lo[-1:]
         # XSL-RR: the halves xored, rotated right by the state's top 6 bits.
         word, rot = hi ^ lo, hi >> 58
         word = word >> rot | word << ((64 - rot) & 63)

@@ -569,25 +569,27 @@ def test_cv_leaves_numpy_ma_unimported(tmp_path):
     assert json.loads((tmp_path / "cv_report.json").read_text())["repeats"] == 3
 
 
-@pytest.mark.parametrize("command, drawn", [
-    (["cv", "--method", "blend", "--repeats", "3"], True),
-    (["cv", "--method", "blend", "--config", "honest.json"], True),
-    (["extend", "--method", "blend"], True),
-    (["rank", "--method", "blend"], True),
-    (["optimize", "--objective", "test-rmse", "--config", "pso.json"], True),
-    (["optimize"], False),
+@pytest.mark.parametrize("command, drawn, hashes", [
+    (["cv", "--method", "blend", "--repeats", "3"], True, False),
+    (["cv", "--method", "blend", "--config", "honest.json"], True, False),
+    (["extend", "--method", "blend"], True, True),
+    (["rank", "--method", "blend"], True, True),
+    (["optimize", "--objective", "test-rmse", "--config", "pso.json"], True, False),
+    (["optimize"], False, False),
 ], ids=["cv", "cv-honest-alpha", "extend", "rank", "optimize-test-rmse", "optimize-kq"])
-def test_commands_that_split_leave_numpy_random_unimported(tmp_path, command, drawn):
+def test_commands_that_split_leave_numpy_random_unimported(tmp_path, command, drawn, hashes):
     # Splits and the swarm's uniforms are drawn by lipext.pcg64, not
     # numpy.random, whose import loads secrets, hmac and OpenSSL's _hashlib
     # (about 6 MiB of RSS); extend and rank hash the dataset for model.json
-    # with CPython's built-in SHA-256.  The kq-bound search draws nothing.
+    # with CPython's built-in SHA-256, and fall back to hashlib, which loads
+    # _hashlib, only on a build without one.  The kq-bound search draws
+    # nothing.
     data = write(tmp_path, "data.csv", synthetic_csv(3, 40))
     write(tmp_path, "honest.json", '{"honest_alpha": true}')
     write(tmp_path, "pso.json", '{"pso": {"swarm_size": 6, "iterations": 5}}')
     left_out = ["numpy.random", "secrets", "hmac"]
-    if importlib.util.find_spec("_sha2") or importlib.util.find_spec("_sha256"):
-        left_out.append("_hashlib")  # a build with a built-in SHA-256
+    if not hashes or importlib.util.find_spec("_sha2") or importlib.util.find_spec("_sha256"):
+        left_out.append("_hashlib")
     code = (
         "import sys\n"
         "from lipext.cli import main\n"

@@ -145,6 +145,22 @@ def test_the_stream_holds_one_chunk_whatever_it_draws():
     assert peak < 2**20
 
 
+def test_the_limb_arithmetic_sees_arrays_only(monkeypatch):
+    # numpy 1.x turns a uint64 scalar and a Python int into float64, on
+    # which the limbs' masks and shifts raise; a uint64 array and a Python
+    # int stay uint64 under numpy 1.x and 2.x alike.
+    from lipext import pcg64
+
+    mul_add = pcg64._mul_add
+
+    def arrays_only(*operands):
+        assert all(isinstance(limb, np.ndarray) for limbs in operands for limb in limbs)
+        return mul_add(*operands)
+
+    monkeypatch.setattr(pcg64, "_mul_add", arrays_only)
+    assert_numpys_uniforms(5, [1, CHUNK])
+
+
 def test_a_negative_seed_stream_raises_as_numpy_does():
     with pytest.raises(ValueError, match="expected non-negative integer"):
         UniformStream(-1)
