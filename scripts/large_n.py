@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Large-n checks of lipext at full benchmark size, runnable on a checkout.
 
-Run one check of:
+Run one check, or every check in turn with ``--all``:
     python3 scripts/large_n.py k-check
+    python3 scripts/large_n.py kq-large
     python3 scripts/large_n.py rmse-sqrt
     python3 scripts/large_n.py rmse-large
+    python3 scripts/large_n.py --all
 
 Each check writes its datasets, made by the ``perfbench`` generators, into
 a temporary directory, prints what it verified and fails with an
@@ -16,6 +18,16 @@ random, ordered and nested ``honest_alpha`` splits of seeds 0-19, and on
 every row as ``extend`` fits, must equal ``coherence_constant`` on a fresh
 sample, bit for bit.  The list of the largest ratios must serve all 60
 subsets of cv-blend and be full on the grid.
+
+kq-large: the optimize-kq generator at n = 3,750 (3,000 indexed rows).
+``constants``, kq-bound ``optimize``, ``extend --method whitney`` and
+``blend``, ``rank --method blend`` and ``cv --method blend`` each run to
+exit under ``perfbench/spawn.py``, which prints their wall time and peak
+RSS.  Every command but ``constants`` must peak below the 68.7 MiB of the
+3,000-row distance table it never builds; extend's K must equal
+constants' K for whitney and blend; rank must rank the blend's
+predictions; and K, Q and the optimum's K*Q at its own coefficients must
+match the brute-force loop.
 
 rmse-sqrt: optimize-rmse dataset 0 over SQRT_BASIS.  ``lipext optimize
 --objective test-rmse`` at its default swarm must report a best objective
@@ -32,6 +44,8 @@ RMSE.
 from __future__ import annotations
 
 import argparse
+import csv
+import json
 import os
 import subprocess
 import sys
@@ -114,6 +128,52 @@ def k_check(work: Path) -> None:
           f"{listed} pairs listed; the list served {served} of 60 subsets")
 
 
+def kq_large(work: Path) -> None:
+    data, ds = work / "data.csv", generate(WORKLOADS["optimize-kq"], 0, 0, n=3750)
+    data.write_text(ds.csv_text, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    runs = {}
+    for command in ("constants", "optimize", "extend --method whitney", "extend --method blend",
+                    "rank --method blend", "cv --method blend"):
+        name = command.replace(" --method ", "-")
+        (work / name).mkdir()
+        spawned = subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "spawn.py"), "600", str(work / name),
+             sys.executable, "-m", "lipext", *command.split(), "--data", str(data), "--out", str(work / name / "out")],
+            env=env, check=True, capture_output=True, text=True)
+        print(spawned.stdout, end="")
+        runs[name] = json.loads(spawned.stdout)
+    table_mb = 3000 * 3000 * 8 / 2**20
+    for name, run in runs.items():
+        checks.expect(run["exit_code"] == 0, f"{name} exited {run['exit_code']}")
+        print(f"{name}: {run['wall_s']:.2f} s, peak RSS {run['peak_rss_mb']:.0f} MiB")
+        if name != "constants":
+            checks.expect(run["peak_rss_mb"] < table_mb,
+                          f"{name} peaked at {run['peak_rss_mb']:.1f} MiB, not below the table's {table_mb:.1f} MiB")
+    report = checks.read_json(work / "constants" / "out" / "constants.json")
+    for name in ("extend-whitney", "extend-blend"):
+        model_K = checks.read_json(work / name / "out" / "model.json")["K"]
+        checks.expect(model_K == report["K"], f"{name}'s K {model_K!r} is not constants' K {report['K']!r}")
+
+    def column(path, key):
+        with open(path, newline="", encoding="utf-8") as fh:
+            return sorted(row[key] for row in csv.DictReader(fh))
+
+    ranked = column(work / "rank-blend" / "out" / "ranking.csv", "predicted_index")
+    extended = column(work / "extend-blend" / "out" / "predictions.csv", "predicted_index")
+    checks.expect(ranked == extended, "rank --method blend ranks values other than extend's predictions")
+    points, values = checks.scaled_indexed(ds)
+    K, Q = checks.k_and_q(points, values, checks.IDENTITY)
+    checks.close(checks.as_float(report["K"]), K, "K")
+    checks.close(checks.as_float(report["Q"]), Q, "Q")
+    # The search's Q is that of the index shifted to minimum 0.
+    result = checks.read_json(work / "optimize" / "out" / "swarm_result.json")
+    K, Q = checks.k_and_q(points, values - values.min(), result["best_phi"])
+    checks.close(checks.as_float(result["best_objective"]), K * Q, "best_objective")
+    print(f"{len(values)} indexed rows: K, Q and the optimum's K*Q match the brute-force loop; "
+          f"extend's K equals constants' K for whitney and blend; rank ranks the blend's predictions")
+
+
 def rmse_sqrt(work: Path) -> None:
     data, config = work / "data.csv", work / "config.json"
     data.write_text(generate(WORKLOADS["optimize-rmse"], 0, 0).csv_text, encoding="utf-8")
@@ -163,15 +223,21 @@ def rmse_large(work: Path) -> None:
               f"{per_candidate * 1e3:.3f} ms per candidate; 5 of 5 match the brute-force blend RMSE")
 
 
-CHECKS = {"k-check": k_check, "rmse-sqrt": rmse_sqrt, "rmse-large": rmse_large}
+CHECKS = {"k-check": k_check, "kq-large": kq_large, "rmse-sqrt": rmse_sqrt, "rmse-large": rmse_large}
 
 
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("check", choices=sorted(CHECKS))
+    parser.add_argument("check", nargs="?", choices=sorted(CHECKS))
+    parser.add_argument("--all", action="store_true", help="run every check in turn")
     args = parser.parse_args(argv)
-    with tempfile.TemporaryDirectory() as work:
-        CHECKS[args.check](Path(work))
+    if args.all == (args.check is not None):
+        parser.error("give one check or --all")
+    for name in sorted(CHECKS) if args.all else [args.check]:
+        if args.all:
+            print(f"{name}:", flush=True)
+        with tempfile.TemporaryDirectory() as work:
+            CHECKS[name](Path(work))
 
 
 if __name__ == "__main__":

@@ -3,10 +3,10 @@
 ``minimize_kq`` finds the non-negative coefficients that minimize the
 coherence-times-normalization product K*Q exactly.  Composed distances are
 linear in the coefficients and the product does not change when they are
-scaled, so the minimum is a small linear program, solved here with numpy
-alone by constraint generation and a dense simplex.  Its rows are those of
-the K and Q dominance fronts of the pairs (``constants.pair_front``), the
-fronts that ``objective_kq`` evaluates too.
+scaled, so the minimum is a linear program, solved here with numpy alone by
+one simplex on a condensed tableau.  Its rows are those of the K and Q
+dominance fronts of the pairs (``constants.pair_front``), the fronts that
+``objective_kq`` evaluates too.
 
 ``pso_minimize`` is a global-best particle swarm for objectives that are not
 convex, such as held-out RMSE, with the constriction values of Clerc &
@@ -36,10 +36,6 @@ SOCIAL = 1.49618
 #: Upper end of the search box [0, BOX] of every coordinate.
 BOX = 10.0
 
-#: Relative slack of the exact K*Q solve's stopping test.
-KQ_REL_TOL = 1e-12
-#: Pairs of each kind (K rows, Q rows) added to the working set per round.
-KQ_CHUNK = 64
 #: Entries and reduced costs within this of zero count as zero in the simplex.
 SIMPLEX_TOL = 1e-12
 
@@ -186,56 +182,57 @@ def objective_kq(s: IndexedSample, base: str, atoms: tuple[str, ...]) -> Callabl
 def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """x >= 0 maximizing c.x subject to A x <= b, for b >= 0 and a bounded program.
 
-    A dense tableau simplex that starts from the slack basis (feasible
-    because b >= 0) and pivots under Bland's rule: the lowest-numbered
-    improving column enters, and among the rows that tie in the ratio test
+    A condensed (Tucker) tableau simplex: one column per nonbasic variable
+    and one for the right-hand side, so the tableau is (rows + 1) x (columns
+    + 1) and holds no block of slack columns.  It starts from the slack
+    basis (feasible because b >= 0) and pivots under Bland's rule, the
+    variables being numbered x first, then the slacks: the lowest-numbered
+    improving variable enters, and among the rows that tie in the ratio test
     the one whose basic variable has the lowest number leaves.  Bland's rule
     cannot cycle, which matters here because rows with b = 0 make
-    degenerate pivots common.
+    degenerate pivots common.  The tableau is stored by column, and a pivot
+    updates it one column at a time with the entering column as scratch,
+    so no temporary the size of the tableau is made.
     """
     m, n = A.shape
-    T = np.zeros((m + 1, n + m + 1))
+    T = np.zeros((m + 1, n + 1), order="F")
     T[:m, :n] = A
-    T[:m, n:n + m] = np.eye(m)
-    T[:m, -1] = b
+    T[:m, n] = b
     T[m, :n] = -c
-    basis = np.arange(n, n + m)
+    basis = np.arange(n, n + m)  # the variable of each row
+    nonbasic = np.arange(n)  # the variable of each column
+    col = np.empty(m + 1)
     while True:
-        improving = np.flatnonzero(T[m, :-1] < -SIMPLEX_TOL)
+        improving = np.flatnonzero(T[m, :n] < -SIMPLEX_TOL)
         if improving.size == 0:
             break
-        j = improving[0]
+        j = improving[np.argmin(nonbasic[improving])]
         rows = np.flatnonzero(T[:m, j] > SIMPLEX_TOL)
-        ratios = T[rows, -1] / T[rows, j]
+        ratios = T[rows, n] / T[rows, j]
         ties = rows[ratios <= ratios.min()]
         i = ties[np.argmin(basis[ties])]
-        T[i] /= T[i, j]
-        col = T[:, j].copy()
+        recip = 1.0 / T[i, j]
+        np.copyto(col, T[:, j])
         col[i] = 0.0
-        T -= np.outer(col, T[i])
-        basis[i] = j
+        T[i] /= T[i, j]
+        for k in range(n + 1):
+            if k != j:
+                T[:, k] -= np.multiply(col, T[i, k], out=T[:, j])
+        # Column j now holds the leaving variable, row i the entering one.
+        np.multiply(col, -recip, out=T[:, j])
+        T[i, j] = recip
+        basis[i], nonbasic[j] = nonbasic[j], basis[i]
     # The tableau has drifted by the round-off of every pivot, so the vertex
     # of the final basis is solved afresh from the original rows: the rows
-    # whose slacks left the basis hold with equality, and there are as many
+    # whose slacks are nonbasic hold with equality, and there are as many
     # of them as basic columns of x.  That system is at most (n, n), small
     # enough to stay off BLAS's threaded paths.
     columns = basis[basis < n]
-    binding = np.ones(m, dtype=bool)
-    binding[basis[basis >= n] - n] = False
+    binding = np.zeros(m, dtype=bool)
+    binding[nonbasic[nonbasic >= n] - n] = True
     x = np.zeros(n)
     x[columns] = np.linalg.solve(A[binding][:, columns], b[binding])
     return x
-
-
-def _most_violated(ratio: np.ndarray, working: np.ndarray) -> np.ndarray:
-    """The pairs, at most the KQ_CHUNK largest, whose ratio exceeds the
-    largest ratio in ``working`` by more than KQ_REL_TOL, or is positive when
-    ``working`` is empty.  Working pairs themselves never qualify."""
-    limit = ratio[working].max() * (1.0 + KQ_REL_TOL) if working.size else 0.0
-    new = np.flatnonzero(ratio > limit)
-    if new.size > KQ_CHUNK:
-        new = new[np.argpartition(ratio[new], -KQ_CHUNK)[-KQ_CHUNK:]]
-    return new
 
 
 def minimize_kq(s: IndexedSample, base: str, atoms: tuple[str, ...]):
@@ -250,16 +247,18 @@ def minimize_kq(s: IndexedSample, base: str, atoms: tuple[str, ...]):
 
     A pair that another dominates (``pair_front``) imposes nothing that its
     dominator does not, so the rows of the K front and of the Q front
-    define the same program.  Its rows are generated in rounds over them.
-    The working sets start from the front pairs that come closest to
-    binding at the identity.  Each round solves the working rows with
-    ``_simplex_max`` and adds the pairs whose K or Q ratio at the solution
-    exceeds the largest ratio among the working pairs, which at the
-    working optimum are 1/t and 1.  When no pair exceeds them by more than
-    KQ_REL_TOL, the solution meets every front pair's rows and so is
-    optimal for the whole program.  Each round adds a pair, so the search
-    ends.  Comparing ratios computed alike, not K*Q with the solved t,
-    keeps the round-off of ill-conditioned rows out of the stopping test.
+    define the same program, and one ``_simplex_max`` solves them all.  Its
+    tableau is (front rows + 1) x (atoms + 2), the order of the fronts
+    themselves, so no front is too large for it.
+
+    Rows with an entry that is not finite are left out.  The K row of a pair
+    with no gap has one, and imposes nothing.  So does a row whose base
+    distance is beyond the float range, where an atom is +inf or NaN and
+    the composed distance +inf or NaN: a K row's ratio is then 0, or NaN,
+    which ``ratio_max`` skips, and a Q row imposes nothing at a zero
+    coefficient on each +inf atom but makes Q infinite at a positive one.
+    So an atom that is +inf on a Q row whose other entries are finite has
+    its coefficient held at 0.
 
     When the identity's K*Q is infinite (duplicate points with distinct
     values, or distinct rows with |I_i| + |I_j| = 0) no coefficients can
@@ -278,29 +277,23 @@ def minimize_kq(s: IndexedSample, base: str, atoms: tuple[str, ...]):
     if not 0.0 < identity_value < math.inf:
         return identity, identity_value, identity_value
 
-    lam = identity
-    work_k = work_q = np.empty(0, dtype=np.intp)
-    ratio_k, ratio_q = np.empty(len(gaps)), np.empty(len(sums))
-    while True:
-        # The ratios of ``ratio_max``, in place of the composed distances;
-        # a NaN (0/0) never counts as violated.
-        ratio_max(gaps, weighted_sum(lam, k_atoms, ratio_k), ratio_k)
-        new_k = _most_violated(ratio_k, work_k)
-        ratio_max(weighted_sum(lam, q_atoms, ratio_q), sums, ratio_q)
-        new_q = _most_violated(ratio_q, work_q)
-        if new_k.size == 0 and new_q.size == 0:
-            break
-        work_k = np.concatenate([work_k, new_k])
-        work_q = np.concatenate([work_q, new_q])
-        # Rows scaled by |I_i - I_j| and |I_i| + |I_j|: t - lam.a_p/|I_i - I_j| <= 0
-        # and lam.a_p/(|I_i| + |I_j|) <= 1.
-        A = np.vstack([
-            np.hstack([-(k_atoms[:, work_k] / gaps[work_k]).T, np.ones((work_k.size, 1))]),
-            np.hstack([(q_atoms[:, work_q] / sums[work_q]).T, np.zeros((work_q.size, 1))]),
-        ])
-        b = np.concatenate([np.zeros(work_k.size), np.ones(work_q.size)])
-        c = np.zeros(len(atoms) + 1)
-        c[-1] = 1.0
-        lam = _simplex_max(A, b, c)[:-1]
-
+    # Rows scaled by |I_i - I_j| and |I_i| + |I_j|: t - lam.a_p/|I_i - I_j| <= 0
+    # and lam.a_p/(|I_i| + |I_j|) <= 1.
+    n_k = len(gaps)
+    A = np.empty((n_k + len(sums), len(atoms) + 1))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.divide(k_atoms.T, -gaps[:, None], out=A[:n_k, :-1])
+        np.divide(q_atoms.T, sums[:, None], out=A[n_k:, :-1])
+    A[:n_k, -1], A[n_k:, -1] = 1.0, 0.0
+    b = np.repeat([0.0, 1.0], [n_k, len(sums)])
+    finite = np.isfinite(A)
+    lone = np.count_nonzero(~finite[n_k:], axis=1) == 1
+    held = (A[n_k:][lone] == math.inf).any(axis=0)
+    kept = finite.all(axis=1)
+    A, b = A[kept], b[kept]
+    # A zero column never enters the basis, so its coefficient stays 0.
+    A[:, held] = 0.0
+    c = np.zeros(len(atoms) + 1)
+    c[-1] = 1.0
+    lam = _simplex_max(A, b, c)[:-1]
     return settle(kq, lam)

@@ -3,18 +3,20 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import lipext
-from lipext.constants import IndexedSample, constants_report, katetov_shift
+from lipext import swarm
+from lipext.constants import IndexedSample, constants_report, katetov_shift, pair_front
 from lipext.dataio import json_text, read_dataset, table1_path
 from lipext.metrics import CompositionMetric
 from lipext.phi import ATOM_FUNCS, LINEAR_BASIS, SQRT_BASIS, PhiCombination
 from lipext.pipeline import minmax_scale, objective_test_rmse
-from lipext.swarm import PsoConfig, minimize_kq, objective_kq, pso_minimize, settle
+from lipext.swarm import PsoConfig, _simplex_max, minimize_kq, objective_kq, pso_minimize, settle
 
 from helpers import condensed_pairs
 
@@ -287,11 +289,21 @@ def linprog_kq(s, atoms):
     return objective_kq(s, "euclidean", atoms)(lp.x[:-1])
 
 
+def kq_samples():
+    """20 random shifted samples, then 300 rows with an index linear in one
+    feature, I = 2x + 1, where all 44,850 pairs are on the K front."""
+    rng = np.random.default_rng(29)
+    samples = [random_shifted_sample(rng, int(rng.integers(3, 201))) for _ in range(20)]
+    x = rng.uniform(size=(300, 1))
+    samples.append(katetov_shift(IndexedSample(x, 2.0 * x[:, 0] + 1.0)))
+    return samples
+
+
 @pytest.mark.parametrize("atoms", [LINEAR_BASIS, SQRT_BASIS], ids=["linear", "sqrt"])
 def test_minimize_kq_matches_linprog(atoms):
-    rng = np.random.default_rng(29)
-    for _ in range(20):
-        s = random_shifted_sample(rng, int(rng.integers(3, 201)))
+    samples = kq_samples()
+    assert len(pair_front(samples[-1], "euclidean", atoms)[1]) == 300 * 299 // 2
+    for s in samples:
         lam, best, identity_value = minimize_kq(s, "euclidean", atoms)
         assert best == pytest.approx(linprog_kq(s, atoms), rel=1e-9)
         assert best <= identity_value
@@ -333,6 +345,59 @@ def test_minimize_kq_infinite_cases_return_identity(points, values):
     lam, best, identity_value = minimize_kq(s, "euclidean", LINEAR_BASIS)
     assert best == identity_value == math.inf
     assert np.array_equal(lam, [1.0, 0.0, 0.0, 0.0])
+
+
+def test_simplex_max_does_not_cycle_on_beales_example():
+    # Beale (1955): with the largest reduced cost entering, degenerate
+    # pivots cycle back to the slack basis; Bland's rule cannot cycle.
+    A = np.array([[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]])
+    x = _simplex_max(A, np.array([0.0, 0.0, 1.0]), np.array([0.75, -20.0, 0.5, -6.0]))
+    assert np.array_equal(x, [1.0, 0.0, 1.0, 0.0])
+
+
+def far_apart(points, values):
+    """A 1-D sample whose last two points, at +-1e308, are a base distance
+    beyond the float range apart, where identity, log1p, sqrt and
+    sqrt_log1p are +inf, rational NaN and arctan pi/2."""
+    return IndexedSample(np.array([[x] for x in (*points, 1e308, -1e308)]), values)
+
+
+def warning_free_kq(s, atoms):
+    """``minimize_kq``'s triple; fails if the solve itself warns (the fronts
+    and the product warn of their overflows)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        found = minimize_kq(s, "euclidean", atoms)
+    assert not [w for w in caught if w.filename == swarm.__file__]
+    return found
+
+
+@pytest.mark.parametrize("atoms, lam, best, identity_value", [
+    # +inf on a Q row, otherwise finite: identity's coefficient is held at 0.
+    (("arctan", "identity"), [1.0, 0.0], 0.9397770195988445, 0.9397770195988445),
+    # NaN on a Q row: the row imposes nothing, whatever the coefficients.
+    (("rational", "identity"), [1.0, 0.0], 0.8888888888888888, 0.8888888888888888),
+    # Two +inf on a Q row: one coefficient at 0 leaves the row NaN.
+    (("identity", "sqrt"), [0.0, 1.0], 0.9428090415820635, 1.3333333333333333),
+], ids=["arctan", "rational", "sqrt"])
+def test_minimize_kq_leaves_out_rows_that_are_not_finite(atoms, lam, best, identity_value):
+    s = far_apart([0.0, 1.0, 2.0], [1.0, 2.0, 1.5, 0.5, 3.0])
+    found = warning_free_kq(s, atoms)
+    assert np.array_equal(found[0], lam) and found[1:] == (best, identity_value)
+
+
+def test_minimize_kq_holds_an_atom_that_is_infinite_on_a_q_row_at_zero():
+    # sqrt_log1p is +inf on the far pair's Q row and arctan and sqrt_arctan
+    # are not, so the optimum mixes those two; at any positive coefficient
+    # of sqrt_log1p, Q is +inf.
+    s = far_apart([0.5, 1.5, 2.0], [0.0, 1.0, 2.0, 0.0, 3.0])
+    atoms = ("arctan", "sqrt_arctan", "sqrt_log1p")
+    lam, best, identity_value = warning_free_kq(s, atoms)
+    assert lam[2] == 0.0 and best < identity_value
+    with np.errstate(over="ignore", invalid="ignore"):
+        objective = objective_kq(s, "euclidean", atoms)
+        assert best == objective(lam)
+        assert best <= min(objective(np.array([a, 1.0 - a, 0.0])) for a in np.linspace(0.0, 1.0, 1001))
 
 
 def test_minimize_kq_runs_without_scipy(tmp_path):
