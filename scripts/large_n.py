@@ -59,13 +59,19 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 
 import checks  # noqa: E402
-from lipext.constants import LISTED_PAIRS, IndexedSample, coherence_constant, k_front  # noqa: E402
+from lipext.constants import (  # noqa: E402
+    LISTED_PAIRS,
+    IndexedSample,
+    coherence_constant,
+    k_front,
+    largest_ratios,
+)
 from lipext.dataio import read_dataset  # noqa: E402
 from lipext.metrics import CompositionMetric  # noqa: E402
 from lipext.phi import LINEAR_BASIS, SQRT_BASIS, identity_phi  # noqa: E402
 from lipext.pipeline import (  # noqa: E402
     _INNER_SPLIT_OFFSET,
-    PairTable,
+    _fit_rows,
     _row_fronts,
     _split_rows,
     fit_for_extend,
@@ -94,20 +100,20 @@ def k_check(work: Path) -> None:
     def check(path):
         """(fits, listed pairs, subsets the list served) on the CSV at path.
 
-        One table per method, as cross_validate builds it, each listing its
-        largest ratios; every fit, standard included, takes K on its rows as given.
+        One list of the largest ratios, as cross_validate builds it, serves
+        every method; every fit, standard included, takes K on its rows as given.
         """
         indexed = minmax_scale(read_dataset(path)).indexed_rows()
-        tables = {method: PairTable(indexed, cm, method) for method in methods}
+        largest = largest_ratios(indexed.as_sample(), cm)
         n, fits, served = indexed.n_rows, 0, 0
         for seed in range(20):
             train = _split_rows(n, 0.7, seed, "random")[0]
             inner = _split_rows(len(train), 0.7, seed + _INNER_SPLIT_OFFSET, "random")[0]
             for rows in (train, _split_rows(n, 0.7, seed, "ordered")[0], train[inner]):
                 fresh = coherence_constant(IndexedSample(indexed.features[rows], indexed.index[rows]), cm)
-                served += tables["whitney"].largest.coherence(rows) is not None
-                for method, table in tables.items():
-                    K = table.fit(rows).K
+                served += largest.coherence(rows) is not None
+                for method in methods:
+                    K = _fit_rows(indexed, cm, method, largest, rows).K
                     assert K == fresh, (path, seed, len(rows), method, K.hex(), fresh.hex())
                     fits += 1
         # The fit on every row that extend and rank make.
@@ -116,7 +122,7 @@ def k_check(work: Path) -> None:
             K = fit_for_extend(indexed, cm, method).K
             assert K == fresh, (path, method, K.hex(), fresh.hex())
             fits += 1
-        return fits, len(tables["whitney"].largest.ratios), served
+        return fits, len(largest.ratios), served
 
     fits, listed, served = check(data)
     assert served == 60, f"the list served {served} of 60 subsets of cv-blend dataset 0"

@@ -114,17 +114,22 @@ def linear_fit(s: IndexedSample) -> np.ndarray:
     """Ordinary least squares through the normal equations, intercept first.
 
     Singular systems get a 1e-10 ridge jitter on the diagonal, which also
-    yields a near-minimum-norm solution when underdetermined.
+    yields a near-minimum-norm solution when underdetermined.  Coefficients
+    that are not finite even then, as when the sums of the values overflow,
+    raise ``FitError``; numpy's floating-point warnings are silenced here.
     """
     X = np.hstack([np.ones((len(s), 1)), s.points])
-    G = X.T @ X
-    b = X.T @ s.values
-    try:
-        coeffs = np.linalg.solve(G, b)
-        if not np.all(np.isfinite(coeffs)):
-            raise np.linalg.LinAlgError
-    except np.linalg.LinAlgError:
-        coeffs = np.linalg.solve(G + 1e-10 * np.eye(G.shape[0]), b)
+    with np.errstate(all="ignore"):
+        G = X.T @ X
+        b = X.T @ s.values
+        try:
+            coeffs = np.linalg.solve(G, b)
+            if not np.all(np.isfinite(coeffs)):
+                raise np.linalg.LinAlgError
+        except np.linalg.LinAlgError:
+            coeffs = np.linalg.solve(G + 1e-10 * np.eye(G.shape[0]), b)
+    if not np.all(np.isfinite(coeffs)):
+        raise FitError("linear fit has coefficients that are not finite")
     return coeffs
 
 

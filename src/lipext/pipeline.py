@@ -11,15 +11,15 @@ Splits only change which indexed rows train, so one pass over the rows'
 pairs (``constants.largest_ratios``) lists their largest ratios, and every
 fit on a subset of them takes its coherence constant K from the first
 listed pair with both rows on its training side, or from the points when
-none is listed (``PairTable``).  ``cross_validate`` fits every repeat
+none is listed (``_fit_rows``).  ``cross_validate`` fits every repeat
 first, with no distances, and then makes the composed distances among the
-indexed rows once, a block of rows against all of them at a time: each
-block serves the predictions of every repeat at its rows, so no n × n
-table is held.  A fit on every indexed row, as ``extend`` and ``rank``
-make it, takes K from the same list, and a blend's holdout weight reads
-the held-out rows' distances from the points (``fit_for_extend``).  A report
-holds no measured time, so the same inputs give the same report, bit for
-bit.
+indexed rows once, a block of rows against all of them at a time
+(``_sweep``): each block serves the predictions of every repeat at its
+rows, so no n × n table is held.  A blend fitted on every indexed row, as
+``extend`` and ``rank`` make it, takes K from the same list, and its
+holdout weight reads the held-out rows' distances from the points
+(``fit_for_extend``).  A report holds no measured time, so the same inputs
+give the same report, bit for bit.
 """
 
 from __future__ import annotations
@@ -119,8 +119,9 @@ def minmax_scale(ds: Dataset, fit_on: str = "all") -> Dataset:
     Column extremes are taken over all rows by default, indexed and
     unindexed alike, since the whole space is rescaled before any extension;
     ``fit_on="indexed"`` restricts the fit for leakage-sensitive setups.
-    The rows fitted on must number at least two.  Constant columns are
-    collapsed to 0 with a warning.  Index values are never rescaled.
+    The rows fitted on must number at least two.  Columns whose span on
+    them exceeds the float range raise ``ValueError``, and constant ones
+    are collapsed to 0 with a warning.  Index values are never rescaled.
     """
     if fit_on not in ("all", "indexed"):
         raise ValueError("fit_on must be 'all' or 'indexed'")
@@ -128,6 +129,10 @@ def minmax_scale(ds: Dataset, fit_on: str = "all") -> Dataset:
     if rows.shape[0] < 2:
         raise ValueError("scaling needs at least two rows")
     scaling = (rows.min(axis=0), rows.max(axis=0))
+    with np.errstate(over="ignore"):
+        wide = [ds.feature_names[k] for k in np.flatnonzero(np.isinf(scaling[1] - scaling[0]))]
+    if wide:
+        raise ValueError(f"feature columns {wide} span more than the float range")
     flat = np.flatnonzero(scaling[1] == scaling[0])
     if flat.size:
         names = [ds.feature_names[k] for k in flat]
@@ -262,90 +267,52 @@ def _median(arr: np.ndarray) -> float:
     return float(np.add.reduce(middle) / middle.size)
 
 
-class PairTable:
-    """Fits of ``method`` on subsets of the rows of ``ds``, all indexed,
-    with K from one table of the rows' largest pair ratios.
-
-    Every method but linear, which needs no K, lists them once
-    (``constants.largest_ratios``): min(``LISTED_PAIRS``, pairs that
-    constrain) of them, which serve the K of many subset fits at
-    O(``LISTED_PAIRS``) each.  No distance table is built: ``sweep`` makes
-    the composed distances that many fits' predictions read a block of
-    rows at a time, and ``holdout_alpha`` those of its held-out rows from
-    the points.
+def _fit_rows(ds: Dataset, cm: CompositionMetric, method: str, largest, rows, alpha=None):
+    """``fit_extension`` of ``method`` on the given rows of ``ds``, all
+    indexed.  K is the first ratio that ``largest``, the ``LargestRatios``
+    of every row of ``ds``, lists with both ends among ``rows``.  When
+    ``largest`` is None, as for linear, or lists no such pair,
+    ``fit_extension`` computes K from the points.  Either has the bits of
+    K on a fresh sample of the rows.
     """
+    sample = IndexedSample(ds.features[rows], ds.index[rows])
+    K = largest.coherence(rows) if largest is not None else None
+    return fit_extension(sample, cm, method, alpha, K)
 
-    def __init__(self, ds: Dataset, cm: CompositionMetric, method: str):
-        self.ds = ds
-        self.cm = cm
-        self.method = method
-        self.largest = None
-        if method != "linear":
-            self.largest = largest_ratios(IndexedSample(ds.features, ds.index), cm)
 
-    def fit(self, rows: np.ndarray, alpha: float | None = None) -> ExtensionModel:
-        """``fit_extension`` of the table's method on the given rows, with K
-        the first listed ratio with both ends among ``rows``.  When none is
-        listed, ``fit_extension`` computes K from the points.  Either has
-        the bits of K on a fresh sample of the rows.
-        """
-        sample = IndexedSample(self.ds.features[rows], self.ds.index[rows])
-        K = self.largest.coherence(rows) if self.largest is not None else None
-        return fit_extension(sample, self.cm, self.method, alpha, K)
+def _sweep(cm: CompositionMetric, X: np.ndarray, fits) -> None:
+    """Add to each ``BlockPredictions`` of (predictions, train, rows) in
+    ``fits`` the predictions at the rows ``rows`` of X, sorted, of a
+    whitney, mcshane or blend model fitted on the rows ``train`` of X.
 
-    def sweep(self, fits) -> None:
-        """Add to each ``BlockPredictions`` of (predictions, train, rows) in
-        ``fits`` the predictions at its rows ``rows``, sorted, of a
-        whitney, mcshane or blend model fitted on the table's rows
-        ``train``.
-
-        One pass over ``CompositionMetric.blocks`` of every row against
-        every row serves them all.  At each block, each fit with rows in it
-        takes their whole rows of the block into the block's ``work``, then
-        their columns at its training rows into one array allocated at the
-        first block, the largest, for ``BlockPredictions.add``.  The modulus acts
-        elementwise and each base distance is one fixed reduction over the
-        terms |a - b| = |b - a| of its two rows, so every distance has the
-        bits a fresh computation on the fit's rows would give.  Memory is
-        O(``TILE_BYTES``) on top of the fits' predictions.
-        """
-        if not fits:
-            return
-        X, gathered = self.ds.features, None
-        for block, d, work in self.cm.blocks(X, X):
-            if gathered is None:  # the first block is the largest
-                gathered = np.empty(d.size)
-            for out, train, rows in fits:
-                lo, hi = np.searchsorted(rows, (block.start, block.stop))
-                if lo == hi:
-                    continue
-                count = hi - lo
-                whole = work[: count * len(X)].reshape(count, len(X))
-                d_fit = gathered[: count * len(train)].reshape(count, len(train))
-                # Every index is in range, so "clip" changes none; it spares
-                # numpy the copy that "raise" makes into a given ``out``.
-                np.take(d, rows[lo:hi] - block.start, axis=0, out=whole, mode="clip")
-                np.take(whole, train, axis=1, out=d_fit, mode="clip")
-                out.add(slice(lo, hi), d_fit, whole.ravel())
-
-    def holdout_alpha(
-        self, rows: np.ndarray, train_fraction: float, seed: int, split_method: str
-    ) -> float | None:
-        """Blend weight of a model fitted on one side of ``_holdout_split``
-        of ``rows``, against the index values of the other side, whose
-        distances are made from the points, for a table of the blend
-        method; another method raises ``ValueError``.  None when that split
-        is too small.
-        """
-        if self.method != "blend":
-            raise ValueError(f"holdout_alpha needs a blend table, not {self.method!r}")
-        split = _holdout_split(len(rows), train_fraction, seed, split_method)
-        if split is None:
-            return None
-        train, held_out = rows[split[0]], rows[split[1]]
-        model, X = self.fit(train), self.ds.features[held_out]
-        blocks = self.cm.blocks(X, model.training.points)
-        return predict_in_blocks(model, len(held_out), blocks, truth=self.ds.index[held_out])[0]
+    One pass over ``CompositionMetric.blocks`` of every row against every
+    row serves them all.  At each block, each fit with rows in it takes
+    their whole rows of the block into the block's ``work``, then their
+    columns at its training rows into one array allocated at the first
+    block, the largest, for ``BlockPredictions.add``.  The modulus acts
+    elementwise and each base distance is one fixed reduction over the
+    terms |a - b| = |b - a| of its two rows, so every distance has the
+    bits a fresh computation on the fit's rows would give.  Memory is
+    O(``TILE_BYTES``) on top of the fits' predictions.
+    """
+    if not fits:
+        return
+    gathered = None
+    for block, d, work in cm.blocks(X, X):
+        if gathered is None:  # the first block is the largest
+            gathered = np.empty(d.size)
+        for out, train, rows in fits:
+            lo, hi = np.searchsorted(rows, (block.start, block.stop))
+            if lo == hi:
+                continue
+            count = hi - lo
+            whole = work[: count * len(X)].reshape(count, len(X))
+            d_fit = gathered[: count * len(train)].reshape(count, len(train))
+            # Every index is in range, so "clip" changes none; it spares
+            # numpy the copy that "raise" makes into a given ``out``.
+            np.take(d, rows[lo:hi] - block.start, axis=0, out=whole, mode="clip")
+            np.take(whole, train, axis=1, out=d_fit, mode="clip")
+            out.add(slice(lo, hi), d_fit, whole.ravel())
 
 
 def _holdout_split(n: int, train_fraction: float, seed: int, split_method: str):
@@ -370,24 +337,30 @@ def fit_for_extend(
     """Fit ``method`` on every row of ``indexed``: the model that extends.
 
     A blend without ``alpha`` takes its weight from a model fitted on the
-    training side of ``_holdout_split``, at the held-out rows
-    (``PairTable.holdout_alpha``), then refits on every row with that
+    training side of ``_holdout_split``, at the held-out rows, whose
+    distances are made from the points, then refits on every row with that
     weight frozen.  When the split is too small, the weight is 0.5, with a
     warning; a holdout that cannot be fitted raises its ``FitError``, and a
     bad fraction or split method raises ``ValueError``.  Both fits take K
-    from the list of the largest pair ratios, or from the points when no
-    listed pair has both ends on the fit's rows.  Every other fit, and any
-    fit on one row, which raises ``FitError`` unless it is linear, is
-    ``fit_extension`` on every row, with K from the points.
+    from one ``constants.largest_ratios`` of every row (``_fit_rows``).
+    Every other fit, and any fit on one row, which raises ``FitError``
+    unless it is linear, is ``fit_extension`` on every row, with K from the
+    points.
     """
     if method != "blend" or alpha is not None or indexed.n_rows < 2:
         return fit_extension(indexed.as_sample(), cm, method, alpha)
-    table, rows = PairTable(indexed, cm, method), np.arange(indexed.n_rows)
-    alpha = table.holdout_alpha(rows, train_fraction, seed, split_method)
-    if alpha is None:
+    largest = largest_ratios(IndexedSample(indexed.features, indexed.index), cm)
+    split = _holdout_split(indexed.n_rows, train_fraction, seed, split_method)
+    if split is None:
         warnings.warn("too few indexed rows to estimate alpha; using 0.5", stacklevel=2)
         alpha = 0.5
-    return table.fit(rows, alpha)
+    else:
+        train, held_out = split
+        model = _fit_rows(indexed, cm, method, largest, train)
+        blocks = cm.blocks(indexed.features[held_out], model.training.points)
+        alpha = predict_in_blocks(model, len(held_out), blocks, truth=indexed.index[held_out])[0]
+        del model  # its copy of the training side is freed before the refit
+    return _fit_rows(indexed, cm, method, largest, np.arange(indexed.n_rows), alpha)
 
 
 def cross_validate(
@@ -411,8 +384,8 @@ def cross_validate(
     largest pair ratios, and kept as what its scoring reads: a whitney,
     mcshane or blend fit as its ``BlockPredictions``, a standard or linear
     one cut to one training row (``_trimmed``), so no repeat holds a copy
-    of its training points.  Then one ``PairTable.sweep`` over the indexed
-    rows makes the whitney, mcshane and blend predictions of them all; a
+    of its training points.  Then one ``_sweep`` over the indexed rows
+    makes the whitney, mcshane and blend predictions of them all; a
     standard or linear one is ``extension.predict`` at the rows' points.
     The blend weights, mixes and RMSEs follow, repeat by repeat in order,
     so every warning of a fit comes before those of the predictions.
@@ -425,10 +398,13 @@ def cross_validate(
     indexed = ds.indexed_rows()
     if indexed.n_rows < 2:
         raise ValueError("cross-validation needs at least two indexed rows")
-    table = PairTable(indexed, cm, method)
     lipschitz = method in ("whitney", "mcshane", "blend")
+    largest = None
+    if method != "linear":
+        largest = largest_ratios(IndexedSample(indexed.features, indexed.index), cm)
 
-    def pending(model, train, rows):  # what scoring reads of a fit
+    def pending(train, rows):  # what scoring at rows reads of a fit on train
+        model = _fit_rows(indexed, cm, method, largest, train)
         if lipschitz:
             return BlockPredictions(model, len(rows)), train, rows
         return _trimmed(model), train, rows
@@ -443,9 +419,8 @@ def cross_validate(
                 split = _holdout_split(len(train), train_fraction, inner_seed, "random")
                 if split is None:
                     raise FitError("the nested alpha split is too small")
-                inner = train[split[0]]
-                nested = pending(table.fit(inner), inner, train[split[1]])
-            fit = pending(table.fit(train), train, test)
+                nested = pending(train[split[0]], train[split[1]])
+            fit = pending(train, test)
         except FitError:
             pass
         except ValueError:
@@ -455,7 +430,7 @@ def cross_validate(
                 raise
         plans.append((nested, fit))
     if lipschitz:
-        table.sweep([f for plan in plans for f in plan if f is not None])
+        _sweep(cm, indexed.features, [f for plan in plans for f in plan if f is not None])
 
     def predictions(fit, a):
         made, _, rows = fit

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import lipext
-from lipext.cli import main, rebuild_model
+from lipext.cli import CliError, main, rebuild_model
 from lipext.dataio import CsvParseError, dataset_hash, json_text, read_dataset, table1_path
 from lipext.extension import METHODS, predict
 from lipext.phi import LINEAR_BASIS, SQRT_BASIS
@@ -284,6 +284,20 @@ def test_the_dataset_hash_is_hashlibs_sha256(monkeypatch):
     monkeypatch.setitem(sys.modules, "_sha2", None)  # an import of either now fails
     monkeypatch.setitem(sys.modules, "_sha256", None)
     assert dataset_hash(ds) == want.hexdigest()
+
+
+def test_rebuild_model_rejects_a_dataset_with_another_hash(tmp_path, capsys):
+    # The same Table 1 CSV with Chicago's index 57 changed to 58.
+    out_dir = tmp_path / "out"
+    code, _, _ = run_cli(capsys, "extend", "--data", str(table1_path()), "--out", str(out_dir))
+    assert code == 0
+    model_dict = json.loads((out_dir / "model.json").read_text())
+    text = Path(table1_path()).read_text(encoding="utf-8")
+    assert text.count(",72.2,57\n") == 1
+    changed = read_dataset(write(tmp_path, "changed.csv", text.replace(",72.2,57\n", ",72.2,58\n")))
+    with pytest.raises(CliError, match="^dataset does not match the model's training hash$") as exc:
+        rebuild_model(model_dict, changed)
+    assert exc.value.category == "data"
 
 
 def test_rebuild_model_rejects_alpha_out_of_range(tmp_path, capsys):
@@ -741,6 +755,41 @@ def test_an_overflowing_value_gap_is_one_error_line(tmp_path, capsys, method):
         "error:unfittable: coherence constant is infinite: a ratio |I_i - I_j| / d "
         "exceeds the float range\n"
     )
+
+
+#: 12 indexed rows on [0, 1], I = 1e308 on every third and 0 elsewhere, and
+#: one target: the normal equations' sums of the values overflow.
+OVERFLOWING_LINEAR_CSV = "id,x,index\n" + "".join(
+    f"r{k},{k / 11!r},{'1e308' if k % 3 == 0 else '0'}\n" for k in range(12)
+) + "t,0.5,\n"
+
+
+def test_a_linear_fit_whose_coefficients_overflow_is_one_error_line(tmp_path, capsys):
+    # extend writes nothing; cv counts every repeat as failed.
+    data = write(tmp_path, "lin.csv", OVERFLOWING_LINEAR_CSV)
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "extend", "--method", "linear", "--data", data,
+                             "--out", str(out_dir))
+    assert (code, out) == (2, "")
+    assert err == "error:unfittable: linear fit has coefficients that are not finite\n"
+    assert not out_dir.exists()
+    code, out, err = run_cli(capsys, "cv", "--method", "linear", "--data", data, "--repeats", "3",
+                             "--out", str(tmp_path / "cv"))
+    assert (code, out) == (2, "")
+    assert err == "error:unfittable: every cross-validation repeat failed to fit\n"
+
+
+@pytest.mark.parametrize("scale_on", ["all", "indexed"])
+@pytest.mark.parametrize("command", ["constants", "extend", "cv", "optimize", "rank"])
+def test_a_feature_span_beyond_the_float_range_is_one_error_line(tmp_path, capsys, command,
+                                                                 scale_on):
+    # Every cell is finite, but max - min of column a overflows.
+    data = write(tmp_path, "wide.csv", "id,a,b,index\nr0,1e308,0,1\nr1,-1e308,1,2\nr2,0,2,3\nu,5,3,\n")
+    cfg = write(tmp_path, "cfg.json", json.dumps({"scale_on": scale_on}))
+    code, out, err = run_cli(capsys, command, "--data", data, "--config", cfg,
+                             "--out", str(tmp_path / "out"))
+    assert (code, out) == (2, "")
+    assert err == "error:data: feature columns ['a'] span more than the float range\n"
 
 
 def test_every_model_carries_the_K_that_constants_reports(tmp_path, capsys):

@@ -13,10 +13,12 @@ from lipext.constants import (
     constants_report,
     index_bound,
     katetov_shift,
+    largest_ratios,
 )
 from lipext.extension import (
     FitError,
     fit_extension,
+    linear_fit,
     mcshane_batch,
     optimal_alpha,
     optimal_blend,
@@ -27,7 +29,7 @@ from lipext.extension import (
 from lipext import constants, metrics
 from lipext.metrics import CompositionMetric, pairwise_base
 from lipext.phi import PhiCombination, identity_phi, phi_eval
-from lipext.pipeline import Dataset, PairTable
+from lipext.pipeline import Dataset, _fit_rows
 
 import oracles
 from helpers import distance_blocks, predict_from, random_combination, record_blocks, scaled, tiles
@@ -296,15 +298,15 @@ def test_empty_training_rejected():
 
 
 @pytest.mark.parametrize("method", ["whitney", "mcshane", "blend", "standard"])
-@pytest.mark.parametrize("table", [False, True], ids=["points", "pairs"])
-def test_one_row_lipschitz_fit_is_unfittable(method, table):
-    # From the points, and from a table of listed pairs, on a one-row
-    # subset of its rows.
+@pytest.mark.parametrize("listed", [False, True], ids=["points", "pairs"])
+def test_one_row_lipschitz_fit_is_unfittable(method, listed):
+    # From the points, and with K from the list of the largest ratios, on a
+    # one-row subset of its rows.
     one = IndexedSample(np.array([[0.5]]), [3.0])
     ds = Dataset(["a", "b", "c"], [[0.5], [0.0], [1.0]], [3.0, 1.0, 2.0], ["x"])
     with pytest.raises(FitError, match="at least two rows"):
-        if table:
-            PairTable(ds, IDENTITY, method).fit(np.array([0]))
+        if listed:
+            _fit_rows(ds, IDENTITY, method, largest_ratios(ds.as_sample(), IDENTITY), np.array([0]))
         else:
             fit_extension(one, IDENTITY, method)
     assert fit_extension(one, IDENTITY, "linear").method == "linear"
@@ -382,6 +384,16 @@ def test_linear_fits_where_coherence_is_infinite():
     np.testing.assert_allclose(predict(model, [[3.0]]), [7.0], rtol=1e-9)
 
 
+def test_a_linear_fit_whose_coefficients_overflow_is_unfittable():
+    # Two values of 1e308 sum past the float range in the normal equations,
+    # so the coefficients are not finite, with the ridge too; no warning.
+    s = line_sample([0.0, 0.5, 1.0], [1e308, 0.0, 1e308])
+    with pytest.raises(FitError, match="^linear fit has coefficients that are not finite$"):
+        linear_fit(s)
+    with pytest.raises(FitError, match="not finite"):
+        fit_extension(s, IDENTITY, "linear")
+
+
 @pytest.mark.parametrize("method", ["whitney", "mcshane", "blend", "standard"])
 def test_predict_tiles_match_one_untiled_call(method, monkeypatch):
     rng = np.random.default_rng(17)
@@ -423,7 +435,7 @@ def test_batch_predictions_hold_one_block_of_distances(batch):
 def test_standard_predicts_from_its_anchor_alone():
     # A standard prediction reads one distance per query, to the anchor.  At
     # 3,000 queries against 2,000 training rows, and 600 held-out rows
-    # against 600 training rows of a table, as cv predicts them, the peaks
+    # against 600 training rows, as cv fits and predicts them, the peaks
     # stay far below one block of distances to every training row (2 MiB),
     # and the bits are those of K times that block, read at the anchor's
     # column.
@@ -433,18 +445,17 @@ def test_standard_predicts_from_its_anchor_alone():
     model = fit_extension(IndexedSample(features, features @ rng.uniform(size=10)), cm, "standard")
     targets = rng.uniform(size=(3000, 10))
     rows = features[:1200]
-    table = PairTable(Dataset([f"r{i}" for i in range(1200)], rows,
-                              rng.uniform(1.0, 5.0, 1200), [f"f{j}" for j in range(10)]),
-                      cm, "standard")
+    ds = Dataset([f"r{i}" for i in range(1200)], rows, rng.uniform(1.0, 5.0, 1200),
+                 [f"f{j}" for j in range(10)])
     train, held_out = np.arange(0, 1200, 2), np.arange(1, 1200, 2)
-    table_model = table.fit(train)
+    cv_model = _fit_rows(ds, cm, "standard", largest_ratios(ds.as_sample(), cm), train)
     expected = [
         model.offset + (model.K * cm.pairwise(targets, model.training.points))[:, model.anchor],
-        table_model.offset
-        + (table_model.K * cm.pairwise(rows, rows)[np.ix_(held_out, train)])[:, table_model.anchor],
+        cv_model.offset
+        + (cv_model.K * cm.pairwise(rows, rows)[np.ix_(held_out, train)])[:, cv_model.anchor],
     ]
     for run, reference in zip(
-        (lambda: predict(model, targets), lambda: predict(table_model, rows[held_out])),
+        (lambda: predict(model, targets), lambda: predict(cv_model, rows[held_out])),
         expected,
     ):
         tracemalloc.start()
@@ -480,7 +491,7 @@ def test_oracles_agree_at_n_200(sample, monkeypatch):
     ds = Dataset([f"r{i}" for i in range(n)], s.points, s.values, [f"f{j}" for j in range(m)])
     assert coherence_constant(s, cm) == close(K_o)
     assert sizes == tiles(n - 1, 7)
-    assert PairTable(ds, cm, "whitney").fit(np.arange(n)).K == close(K_o)
+    assert _fit_rows(ds, cm, "whitney", largest_ratios(s, cm), np.arange(n)).K == close(K_o)
     report = constants_report(s, cm)
     assert (report.K, report.Q) == (close(K_o), close(Q_o))
 

@@ -11,6 +11,7 @@ from lipext.constants import (
     IndexedSample,
     coherence_constant,
     katetov_shift,
+    largest_ratios,
     ratio_max,
     undominated,
 )
@@ -36,9 +37,10 @@ from lipext.pipeline import (
     _INNER_SPLIT_OFFSET,
     CvReport,
     Dataset,
-    PairTable,
+    _fit_rows,
     _median,
     _split_rows,
+    _sweep,
     cross_validate,
     fit_for_extend,
     minmax_scale,
@@ -105,6 +107,15 @@ def test_minmax_needs_two_rows_to_fit_on(index):
     assert minmax_scale(ds).features[2, 0] == 1.0
     with pytest.raises(ValueError, match="needs at least two rows"):
         minmax_scale(ds, fit_on="indexed")
+
+
+@pytest.mark.parametrize("fit_on", ["all", "indexed"])
+def test_minmax_names_the_columns_whose_span_exceeds_the_float_range(fit_on):
+    # Every cell is finite, but max - min of f0 and f2 overflows.
+    ds = make_dataset([[1e308, 0.0, -1e308], [-1e308, 1.0, 1e308], [0.0, 2.0, 0.0]], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError) as exc:
+        minmax_scale(ds, fit_on=fit_on)
+    assert str(exc.value) == "feature columns ['f0', 'f2'] span more than the float range"
 
 
 def test_minmax_idempotent():
@@ -786,7 +797,8 @@ def test_extend_fit_and_predict_stay_under_memory_ceilings():
 def test_a_fit_for_extend_without_a_holdout_builds_no_table(method, alpha):
     # 2,000 indexed rows: the table would be 30.5 MiB.  A fit on every row
     # takes K from the points, a tile of pairs at a time, with the bits of
-    # coherence_constant, and a blend's holdout weight is that of a table.
+    # coherence_constant, and a blend's holdout weight is that of a fit on
+    # its training side with K from the list of the largest ratios.
     rng = np.random.default_rng(97)
     features = rng.uniform(size=(2000, 10))
     indexed = make_dataset(features, features @ rng.uniform(size=10))
@@ -799,8 +811,10 @@ def test_a_fit_for_extend_without_a_holdout_builds_no_table(method, alpha):
     assert peak < 2 * metrics.TILE_BYTES
     assert model.K == coherence_constant(indexed.as_sample(), IDENTITY)
     if method == "blend" and alpha is None:
-        table = PairTable(indexed, IDENTITY, "blend")
-        alpha = table.holdout_alpha(np.arange(2000), 0.7, 0, "random")
+        train, held_out = _split_rows(2000, 0.7, 0, "random")
+        largest = largest_ratios(indexed.as_sample(), IDENTITY)
+        holdout = _fit_rows(indexed, IDENTITY, "blend", largest, train)
+        alpha = blend_at(holdout, indexed.features[held_out], truth=indexed.index[held_out])[0]
     assert model.alpha == alpha
 
 
@@ -860,9 +874,9 @@ def test_a_blend_fit_for_extend_matches_fitting_afresh(kind, phi, data, split_me
     assert [str(w.message) for w in listed_warnings] == [str(w.message) for w in fresh_warnings]
     assert (model.K, model.alpha, model.method) == (expected.K, expected.alpha, "blend")
     if data == "steep_end":
-        table = PairTable(indexed, cm, "blend")
-        assert table.largest.coherence(train) is None  # the holdout's K is from the points
-        assert table.largest.coherence(np.arange(indexed.n_rows)) is not None
+        largest = largest_ratios(indexed.as_sample(), cm)
+        assert largest.coherence(train) is None  # the holdout's K is from the points
+        assert largest.coherence(np.arange(indexed.n_rows)) is not None
 
 
 @pytest.mark.parametrize("alpha", [None, 0.3])
@@ -931,21 +945,21 @@ def test_table_fits_and_predictions_in_blocks_match_one_shot(method, monkeypatch
     rng = np.random.default_rng(23)
     n, m, tile = 30, 3, 4
     cm = CompositionMetric("manhattan", random_combination(rng))
-    table = PairTable(make_dataset(rng.uniform(size=(n, m)), rng.uniform(0.0, 5.0, n)), cm, method)
-    X = table.ds.features
+    ds = make_dataset(rng.uniform(size=(n, m)), rng.uniform(0.0, 5.0, n))
+    largest, X = largest_ratios(ds.as_sample(), cm), ds.features
     train, held_out = _split_rows(n, 0.6, 3, "random")
-    sample = IndexedSample(X[train], table.ds.index[train])
+    sample = IndexedSample(X[train], ds.index[train])
     alphas = (None, 0.3) if method == "blend" else (None,)
     square = cm.pairwise(X, X)
     i, j = np.triu_indices(len(train), k=1)
     K = ratio_max(np.abs(sample.values[i] - sample.values[j]), square[np.ix_(train, train)][i, j])
     model = fit_extension(sample, cm, method, K=K)
-    truth = table.ds.index[held_out]
+    truth = ds.index[held_out]
     D = square[np.ix_(held_out, train)]
     one_shot = [predict_from(model, D, a, truth) for a in alphas]
     # Base distances, d and work: ``tile`` rows a block of the sweep.
     monkeypatch.setattr(metrics, "TILE_BYTES", 3 * 8 * n * tile)
-    fitted = table.fit(train)
+    fitted = _fit_rows(ds, cm, method, largest, train)
     assert fitted.K == model.K
     assert (fitted.anchor, fitted.offset) == (model.anchor, model.offset)
     for a, (weight, expected) in zip(alphas, one_shot):
@@ -953,24 +967,18 @@ def test_table_fits_and_predictions_in_blocks_match_one_shot(method, monkeypatch
             swept = (None, predict(fitted, X[held_out]))
         else:
             made = BlockPredictions(fitted, len(held_out))
-            table.sweep([(made, train, held_out)])
+            _sweep(cm, X, [(made, train, held_out)])
             swept = made.result(a, truth)
         for blocked in (swept, predict_from(model, D, a, truth)):
             assert blocked[0] == weight
             assert np.array_equal(blocked[1], expected)
 
 
-@pytest.mark.parametrize("method", ["whitney", "mcshane", "standard", "linear"])
-def test_holdout_alpha_refuses_a_table_of_another_method(method):
-    # Only a blend gives a weight; None would read as "split too small".
-    rng = np.random.default_rng(29)
-    table = PairTable(make_dataset(rng.uniform(size=(20, 2)), rng.uniform(0.0, 5.0, 20)), IDENTITY, method)
-    with pytest.raises(ValueError, match=f"holdout_alpha needs a blend table, not '{method}'"):
-        table.holdout_alpha(np.arange(20), 0.7, 0, "random")
-
-
-def _listed_table(features, index, cm=IDENTITY, method="whitney"):
-    return PairTable(make_dataset(features, index), cm, method)
+def _listed(features, index, cm=IDENTITY):
+    """A dataset of the given rows, all indexed, and the list of their
+    largest ratios under ``cm``."""
+    ds = make_dataset(features, index)
+    return ds, largest_ratios(ds.as_sample(), cm)
 
 
 def _list_in_tiles(monkeypatch, n, tile):
@@ -981,50 +989,47 @@ def _list_in_tiles(monkeypatch, n, tile):
     return record_blocks(monkeypatch, constants)
 
 
-def _fresh_K(table, rows):
-    """``coherence_constant`` on a sample made afresh from the table's rows."""
-    return coherence_constant(
-        IndexedSample(table.ds.features[rows], table.ds.index[rows]), table.cm
-    )
+def _fresh_K(ds, cm, rows):
+    """``coherence_constant`` on a sample made afresh from the rows of ``ds``."""
+    return coherence_constant(IndexedSample(ds.features[rows], ds.index[rows]), cm)
 
 
-def _check_list(table):
+def _check_list(ds, cm, largest):
     """The list is descending, of pairs i < j, min(``LISTED_PAIRS``, pairs
     that are not 0/0) long, and no pair left off has a larger ratio than
     the last listed."""
-    listed, v, X = table.largest, table.ds.index, table.ds.features
+    v, X = ds.index, ds.features
     with np.errstate(all="ignore"):
-        ratios = np.abs(v[:, None] - v) / table.cm.pairwise(X, X)
+        ratios = np.abs(v[:, None] - v) / cm.pairwise(X, X)
     constrain = np.count_nonzero(~np.isnan(ratios[np.triu_indices(len(v), k=1)]))
-    assert len(listed.ratios) == min(constants.LISTED_PAIRS, constrain)
-    assert np.all(listed.i < listed.j)
-    assert np.all(listed.ratios[:-1] >= listed.ratios[1:])
-    assert np.array_equal(listed.ratios, ratios[listed.i, listed.j])
+    assert len(largest.ratios) == min(constants.LISTED_PAIRS, constrain)
+    assert np.all(largest.i < largest.j)
+    assert np.all(largest.ratios[:-1] >= largest.ratios[1:])
+    assert np.array_equal(largest.ratios, ratios[largest.i, largest.j])
     off = np.triu(np.ones(ratios.shape, dtype=bool), k=1)
-    off[listed.i, listed.j] = False
-    if len(listed.ratios):
-        assert not np.any(ratios[off] > listed.ratios[-1])
+    off[largest.i, largest.j] = False
+    if len(largest.ratios):
+        assert not np.any(ratios[off] > largest.ratios[-1])
 
 
-def _check_subsets(table, subsets):
+def _check_subsets(ds, cm, largest, subsets):
     """Each subset's K, listed or not, and the K of a fit on it by each
-    Lipschitz method, on a table of that method, against
+    Lipschitz method, with K from ``largest``, against
     ``coherence_constant`` on a fresh sample.  Returns how many subsets the
     list served."""
-    tables = [PairTable(table.ds, table.cm, m) for m in ("whitney", "mcshane", "blend", "standard")]
     served = 0
     for rows in subsets:
-        expected = _fresh_K(table, rows)
-        listed = table.largest.coherence(rows)
+        expected = _fresh_K(ds, cm, rows)
+        listed = largest.coherence(rows)
         if listed is not None:
             served += 1
             assert listed == expected
-        for method_table in tables:
+        for method in ("whitney", "mcshane", "blend", "standard"):
             if math.isfinite(expected):
-                assert method_table.fit(rows).K == expected
+                assert _fit_rows(ds, cm, method, largest, rows).K == expected
             else:
                 with pytest.raises(FitError):
-                    method_table.fit(rows)
+                    _fit_rows(ds, cm, method, largest, rows)
     return served
 
 
@@ -1050,12 +1055,12 @@ def test_listed_K_matches_a_fresh_sample_on_random_and_nested_subsets(tile, grow
         sizes = _list_in_tiles(monkeypatch, n, tile)
         monkeypatch.setattr(constants, "LISTED_PAIRS", 20)
     index = rng.uniform(0.0, 5.0, n) * (np.geomspace(1.0, 1e3, n) if growing else 1.0)
-    table = _listed_table(rng.uniform(size=(n, 3)), index, cm)
+    ds, largest = _listed(rng.uniform(size=(n, 3)), index, cm)
     if tile is not None:
         assert sizes == tiles(n - 1, tile)
-    _check_list(table)
-    assert len(table.largest.ratios) > constants.LISTED_PAIRS // 2
-    assert _check_subsets(table, _splits(n, range(20))) > 30
+    _check_list(ds, cm, largest)
+    assert len(largest.ratios) > constants.LISTED_PAIRS // 2
+    assert _check_subsets(ds, cm, largest, _splits(n, range(20))) > 30
 
 
 def test_a_standard_table_fit_takes_the_K_of_the_sample_as_given():
@@ -1067,11 +1072,11 @@ def test_a_standard_table_fit_takes_the_K_of_the_sample_as_given():
     shifted_differs = 0
     for _ in range(100):
         features, index = rng.uniform(size=(6, 2)), rng.uniform(-5.0, 20.0, 6)
-        table = PairTable(make_dataset(features, index), IDENTITY, "standard")
+        ds, largest = _listed(features, index)
         rows = np.sort(rng.choice(6, size=rng.integers(2, 7), replace=False))
         sample = IndexedSample(features[rows], index[rows])
         K = coherence_constant(sample, IDENTITY)
-        assert table.fit(rows).K == K
+        assert _fit_rows(ds, IDENTITY, "standard", largest, rows).K == K
         shifted_differs += coherence_constant(katetov_shift(sample), IDENTITY) != K
     assert shifted_differs > 0
 
@@ -1084,13 +1089,13 @@ def test_a_floor_that_rises_past_a_listed_pair_drops_it(monkeypatch):
     # and (1, 3) must then go: they are below it.
     sizes = _list_in_tiles(monkeypatch, 6, 2)
     monkeypatch.setattr(constants, "LISTED_PAIRS", 2)
-    table = _listed_table(np.arange(6.0).reshape(-1, 1), [0.0, 0.5, 10.0, -10.0, 0.6, 0.7])
+    ds, largest = _listed(np.arange(6.0).reshape(-1, 1), [0.0, 0.5, 10.0, -10.0, 0.6, 0.7])
     assert sizes == [2, 2, 1]
-    _check_list(table)
-    assert (table.largest.ratios.tolist(), table.largest.i.tolist(), table.largest.j.tolist()) \
+    _check_list(ds, IDENTITY, largest)
+    assert (largest.ratios.tolist(), largest.i.tolist(), largest.j.tolist()) \
         == ([20.0, 10.6], [2, 3], [3, 4])
     subsets = [np.flatnonzero([(mask >> k) & 1 for k in range(6)]) for mask in range(2**6)]
-    _check_subsets(table, [rows for rows in subsets if len(rows) >= 2])
+    _check_subsets(ds, IDENTITY, largest, [rows for rows in subsets if len(rows) >= 2])
 
 
 @pytest.mark.parametrize("size", [1, 256])
@@ -1104,27 +1109,27 @@ def test_listed_K_with_infinite_and_zero_over_zero_pairs(size, monkeypatch):
     features = rng.uniform(size=(n, 2))
     index = rng.uniform(0.0, 5.0, n)
     features[1], features[3], features[5], index[3] = features[0], features[2], features[4], index[2]
-    table = _listed_table(features, index)
-    _check_list(table)
-    listed = table.largest
-    infinite = {(int(i), int(j)) for r, i, j in zip(listed.ratios, listed.i, listed.j) if r == math.inf}
+    ds, largest = _listed(features, index)
+    _check_list(ds, IDENTITY, largest)
+    infinite = {(int(i), int(j)) for r, i, j in zip(largest.ratios, largest.i, largest.j)
+                if r == math.inf}
     if size == 1:
         assert len(infinite) == 1 and infinite < {(0, 1), (4, 5)}
     else:
         assert infinite == {(0, 1), (4, 5)}
     subsets = [np.arange(n), np.arange(1, n), np.arange(2, n), np.array([2, 3]),
                np.array([2, 3, 5]), np.array([0, 1, 7]), *_splits(n, range(10))]
-    _check_subsets(table, subsets)
-    assert table.largest.coherence(np.array([2, 3])) is None  # a 0/0 pair is never listed
-    assert table.fit(np.array([2, 3])).K == 0.0
+    _check_subsets(ds, IDENTITY, largest, subsets)
+    assert largest.coherence(np.array([2, 3])) is None  # a 0/0 pair is never listed
+    assert _fit_rows(ds, IDENTITY, "whitney", largest, np.array([2, 3])).K == 0.0
 
 
 def test_listed_K_of_a_sample_of_only_zero_over_zero_pairs_is_zero():
-    table = _listed_table(np.ones((6, 2)), np.full(6, 3.0), method="blend")
-    assert len(table.largest.ratios) == 0
+    ds, largest = _listed(np.ones((6, 2)), np.full(6, 3.0))
+    assert len(largest.ratios) == 0
     for rows in (np.arange(6), np.array([1, 4])):
-        assert table.largest.coherence(rows) is None
-        assert table.fit(rows).K == 0.0 == _fresh_K(table, rows)
+        assert largest.coherence(rows) is None
+        assert _fit_rows(ds, IDENTITY, "blend", largest, rows).K == 0.0 == _fresh_K(ds, IDENTITY, rows)
 
 
 @pytest.mark.parametrize("size, tile", [(3, None), (14, None), (5, 2), (14, 2)])
@@ -1139,17 +1144,17 @@ def test_listed_K_with_ties_at_the_cutoff(size, tile, monkeypatch):
     x = np.arange(12, dtype=float)
     index = 2.0 * x
     index[-1] += 5.0
-    table = _listed_table(x.reshape(-1, 1), index, method="mcshane")
+    ds, largest = _listed(x.reshape(-1, 1), index)
     assert sizes is None or sizes == tiles(11, tile)
-    _check_list(table)
-    assert len(table.largest.ratios) == size
-    assert np.all(table.largest.ratios[:11] > 2.0)
-    assert np.all(table.largest.ratios[11:] == 2.0)
+    _check_list(ds, IDENTITY, largest)
+    assert len(largest.ratios) == size
+    assert np.all(largest.ratios[:11] > 2.0)
+    assert np.all(largest.ratios[11:] == 2.0)
     subsets = [np.arange(11), np.arange(12), np.array([0, 5, 11]), np.array([3, 4]),
                *_splits(12, range(10))]
-    _check_subsets(table, subsets)
-    assert table.largest.coherence(np.arange(11)) == (2.0 if size > 11 else None)
-    assert table.fit(np.arange(11)).K == 2.0
+    _check_subsets(ds, IDENTITY, largest, subsets)
+    assert largest.coherence(np.arange(11)) == (2.0 if size > 11 else None)
+    assert _fit_rows(ds, IDENTITY, "mcshane", largest, np.arange(11)).K == 2.0
 
 
 def test_a_table_of_only_ties_lists_a_full_list():
@@ -1158,23 +1163,23 @@ def test_a_table_of_only_ties_lists_a_full_list():
     # list takes LISTED_PAIRS of them, every one a cutoff tie.
     n = 300
     x = np.arange(n, dtype=float)
-    table = _listed_table(x.reshape(-1, 1), 2.0 * x)
-    _check_list(table)
-    assert len(table.largest.ratios) == constants.LISTED_PAIRS
-    assert np.all(table.largest.ratios == 2.0)
-    assert _check_subsets(table, _splits(n, range(10))) > 0
+    ds, largest = _listed(x.reshape(-1, 1), 2.0 * x)
+    _check_list(ds, IDENTITY, largest)
+    assert len(largest.ratios) == constants.LISTED_PAIRS
+    assert np.all(largest.ratios == 2.0)
+    assert _check_subsets(ds, IDENTITY, largest, _splits(n, range(10))) > 0
 
 
 def test_a_table_of_fewer_pairs_than_the_list_lists_them_all():
     rng = np.random.default_rng(71)
     n = 5
-    table = _listed_table(rng.uniform(size=(n, 2)), rng.uniform(0.0, 5.0, n))
+    ds, largest = _listed(rng.uniform(size=(n, 2)), rng.uniform(0.0, 5.0, n))
     assert n * (n - 1) // 2 < constants.LISTED_PAIRS
-    assert len(table.largest.ratios) == n * (n - 1) // 2
-    _check_list(table)
+    assert len(largest.ratios) == n * (n - 1) // 2
+    _check_list(ds, IDENTITY, largest)
     subsets = [np.flatnonzero([(mask >> k) & 1 for k in range(n)]) for mask in range(2**n)]
     subsets = [rows for rows in subsets if len(rows) >= 2]
-    assert _check_subsets(table, subsets) == len(subsets)
+    assert _check_subsets(ds, IDENTITY, largest, subsets) == len(subsets)
 
 
 @pytest.mark.parametrize("size", [1, 2])
@@ -1182,13 +1187,13 @@ def test_a_short_list_leaves_K_to_the_points(size, monkeypatch):
     monkeypatch.setattr(constants, "LISTED_PAIRS", size)
     rng = np.random.default_rng(73)
     n = 30
-    table = _listed_table(rng.uniform(size=(n, 3)), rng.uniform(0.0, 5.0, n))
-    _check_list(table)
-    excluded = np.setdiff1d(np.arange(n), np.r_[table.largest.i, table.largest.j])
-    assert table.largest.coherence(excluded) is None
+    ds, largest = _listed(rng.uniform(size=(n, 3)), rng.uniform(0.0, 5.0, n))
+    _check_list(ds, IDENTITY, largest)
+    excluded = np.setdiff1d(np.arange(n), np.r_[largest.i, largest.j])
+    assert largest.coherence(excluded) is None
     # A fit on rows with no listed pair takes K from the points, and
     # ``_check_subsets`` checks it against a fresh sample's, bit for bit.
-    assert _check_subsets(table, [excluded, *_splits(n, range(10))]) < 21
+    assert _check_subsets(ds, IDENTITY, largest, [excluded, *_splits(n, range(10))]) < 21
 
 
 def test_building_the_list_holds_under_one_tile():
@@ -1207,9 +1212,9 @@ def test_building_the_list_holds_under_one_tile():
                make_dataset(line.reshape(-1, 1), 2.0 * line)):
         tracemalloc.start()
         try:
-            table = PairTable(ds, IDENTITY, "whitney")
+            largest = largest_ratios(ds.as_sample(), IDENTITY)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 0.95 * metrics.TILE_BYTES
-        assert len(table.largest.ratios) == constants.LISTED_PAIRS
+        assert len(largest.ratios) == constants.LISTED_PAIRS
