@@ -21,11 +21,11 @@ prediction depends only on its own row, so it works through the queries
 in row blocks, taking the distances of one block at a time, from the
 points (``predict``) or from blocks of distances that serve many fits,
 and row-by-row calls give the same bits as one batch call.
-``fit_extension`` takes a given K, and ``predict_in_blocks`` and
-``BlockPredictions`` the composed distances, so callers that make
-distances once for many fits get the same bits as fresh computation.
-``optimal_blend`` gives a blend's bits for many constants K at one set of
-query rows, in buffers reused between calls.
+``fit_extension`` takes a given K, and ``BlockPredictions`` the composed
+distances, so callers that make distances once for many fits get the
+same bits as fresh computation.  ``optimal_blend`` gives a blend's bits
+for many constants K at one set of query rows, in buffers reused between
+calls.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class ExtensionModel:
     method: str
     alpha: float | None = None  # blend only
     anchor: int | None = None  # standard only: row index of the minimizer
-    offset: float = 0.0  # standard only: pre-shift minimum of the index
+    offset: float = 0.0  # standard only: the index at the anchor, its minimum
     coefficients: np.ndarray | None = None  # linear only: intercept first
 
     def __post_init__(self):
@@ -82,9 +82,10 @@ def fit_extension(
     rows: ``K`` when given, else ``coherence_constant(s, cm)``.  An
     infinite constant means the values are not Lipschitz for the chosen
     metric and nothing can be extended; ``linear`` needs no constant and
-    fits regardless.  The standard method shifts the sample to zero minimum
-    first, which leaves K as it is, and anchors at the argmin of the
-    shifted values (ties go to the lowest row index).
+    fits regardless.  The standard method keeps the sample as given and
+    anchors at the first row where the index is least, whose value is its
+    offset; a sample whose values span more than the float range, which
+    ``katetov_shift`` cannot shift to minimum 0, raises its ``ValueError``.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
@@ -92,16 +93,16 @@ def fit_extension(
         return ExtensionModel(s, cm, None, "linear", coefficients=linear_fit(s))
     if len(s) < 2:
         raise FitError(f"{method} fit needs at least two rows")
-    shifted = katetov_shift(s) if method == "standard" else None
+    if method == "standard":
+        katetov_shift(s)  # for its check of the values' span alone
     k_val = coherence_constant(s, cm) if K is None else K
     if not math.isfinite(k_val):
         why = ("duplicate points carry distinct values" if _conflicting_duplicates(s)
                else "a ratio |I_i - I_j| / d exceeds the float range")
         raise FitError(f"coherence constant is infinite: {why}")
-    if shifted is not None:
-        anchor = int(np.argmin(shifted.values))
-        offset = float(np.min(s.values))
-        return ExtensionModel(shifted, cm, k_val, "standard", anchor=anchor, offset=offset)
+    if method == "standard":
+        anchor = int(np.argmin(s.values))
+        return ExtensionModel(s, cm, k_val, method, anchor=anchor, offset=float(s.values[anchor]))
     return ExtensionModel(s, cm, k_val, method, alpha=alpha)
 
 
@@ -165,22 +166,26 @@ class BlockPredictions:
     prediction depends only on its own row, so the blocks, and the order
     they come in, do not change its bits.  ``add`` overwrites both: K·d
     goes into d in place, a blend's Whitney terms into ``work``, and every
-    other term into K·d itself, so it allocates nothing.  A blend keeps its
-    Whitney and McShane predictions, and ``result(alpha, truth)`` mixes
-    them once every row is added: with ``alpha`` when given, else with the
-    ``optimal_alpha`` over all q rows against ``truth``.  It returns the
-    (blend weight, predictions), the weight None for whitney and mcshane.
-    Standard models, which read the distances to one anchor, are not taken.
-    Of the model it keeps K, the method and the training values, not the
-    training points, so a caller may hold many of them before any ``add``.
+    other term into K·d itself, so it allocates nothing.  The constructor
+    adds each block of ``blocks``, which may make them one at a time.  A
+    blend keeps its Whitney and McShane predictions, and
+    ``result(alpha, truth)`` mixes them once every row is added: with
+    ``alpha`` when given, else with the ``optimal_alpha`` over all q rows
+    against ``truth``.  It returns the (blend weight, predictions), the
+    weight None for whitney and mcshane.  Standard models, which read the
+    distances to one anchor, are not taken.  Of the model it keeps K, the
+    method and the training values, not the training points, so a caller
+    may hold many of them before any ``add``.
     """
 
-    def __init__(self, m: ExtensionModel, q: int):
+    def __init__(self, m: ExtensionModel, q: int, blocks=()):
         if m.method not in ("whitney", "mcshane", "blend"):
             raise ValueError(f"method {m.method!r} does not predict from distances")
         self.K, self.method, self.values = m.K, m.method, m.training.values
         self.first = np.empty(q)  # a blend's Whitney predictions
         self.mcshane = np.empty(q) if m.method == "blend" else None
+        for rows, d, work in blocks:
+            self.add(rows, d, work)
 
     def add(self, rows: slice, d: np.ndarray, work: np.ndarray) -> None:
         values = self.values
@@ -200,25 +205,6 @@ class BlockPredictions:
         return a, _mix(a, self.first, self.mcshane)
 
 
-def predict_in_blocks(
-    m: ExtensionModel, q: int, blocks, alpha: float | None = None, truth=None
-) -> tuple[float | None, np.ndarray]:
-    """(blend weight, predictions) of a Lipschitz model at q query rows.
-
-    ``blocks`` yields (rows, d, work) for slices ``rows`` that cover
-    range(q) in order, each taken by ``BlockPredictions.add``, so only one
-    block of distances is held at a time.  A blend mixes with ``alpha``
-    when given, else with the ``optimal_alpha`` against ``truth``, and
-    with neither it raises ``ValueError``.  Standard models are not taken.
-    """
-    out = BlockPredictions(m, q)
-    if m.method == "blend" and alpha is None and truth is None:
-        raise ValueError("blend requires an alpha (fit one or pass it)")
-    for rows, d, work in blocks:
-        out.add(rows, d, work)
-    return out.result(alpha, truth)
-
-
 def whitney_batch(m: ExtensionModel, X) -> np.ndarray:
     """Whitney's predictions at X from the training values and K of ``m``."""
     return predict(replace(m, method="whitney"), X)
@@ -233,15 +219,18 @@ def predict(m: ExtensionModel, X) -> np.ndarray:
     """Batch prediction dispatched on the fitted method.
 
     A linear model takes the least-squares product, a standard one the
-    distances to its anchor alone, and the others ``predict_in_blocks`` on
-    the blocks of ``CompositionMetric.blocks``, made from the points.
+    distances to its anchor alone, and the others ``BlockPredictions`` of
+    the blocks of ``CompositionMetric.blocks``, made from the points.  A
+    blend without an alpha raises ``ValueError``.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if m.method == "linear":
         return np.hstack([np.ones((X.shape[0], 1)), X]) @ m.coefficients
     if m.method == "standard":
         return m.offset + m.K * m.cm.pairwise(X, m.training.points[m.anchor, None])[:, 0]
-    return predict_in_blocks(m, X.shape[0], m.cm.blocks(X, m.training.points), m.alpha)[1]
+    if m.method == "blend" and m.alpha is None:
+        raise ValueError("blend requires an alpha (fit one or pass it)")
+    return BlockPredictions(m, X.shape[0], m.cm.blocks(X, m.training.points)).result(m.alpha)[1]
 
 
 def optimal_alpha(i_true, i_whitney, i_mcshane) -> float:
@@ -253,14 +242,18 @@ def optimal_alpha(i_true, i_whitney, i_mcshane) -> float:
         a0 = sum((W - I) * (W - M)) / sum((W - M)^2)
 
     to the unit interval yields the constrained minimizer.  When W == M
-    pointwise every alpha is optimal; 0.5 is returned with a warning.
+    pointwise every alpha is optimal; 0.5 is returned with a warning.  A
+    sum that overflows is taken again of the inputs divided by their
+    largest magnitude, which leaves a0 as it is, and numpy's floating-point
+    warnings are silenced.
     """
     t = np.asarray(i_true, dtype=float).reshape(-1)
     w = np.asarray(i_whitney, dtype=float).reshape(-1)
     m = np.asarray(i_mcshane, dtype=float).reshape(-1)
     if not (t.shape == w.shape == m.shape) or t.size == 0:
         raise ValueError("inputs must be non-empty and of equal length")
-    a = _alpha(t, w, m)
+    with np.errstate(all="ignore"):
+        a = _alpha(t, w, m)
     if a is None:
         warnings.warn(
             "degenerate blend: whitney and mcshane coincide on the reference "
@@ -272,20 +265,27 @@ def optimal_alpha(i_true, i_whitney, i_mcshane) -> float:
 
 
 def _alpha(t: np.ndarray, w: np.ndarray, m: np.ndarray, gap=None, work=None) -> float | None:
-    """``optimal_alpha`` of (q,) float arrays, unchecked and silent: None
-    where that warns.  ``gap`` and ``work`` (q,), distinct from the inputs,
+    """``optimal_alpha`` of (q,) float arrays, unchecked and without its
+    warning: None where that warns.  ``gap`` and ``work`` (q,), distinct from the inputs,
     receive W - M and the products when given.  The sums are ``np.add.reduce``,
-    which adds in the order of ``.sum()``."""
+    which adds in the order of ``.sum()``.  When a sum is not finite though
+    every input is, a difference or product overflowed, and the weight is
+    that of the inputs divided by their largest magnitude.  numpy's
+    floating-point warnings are the caller's to silence."""
     gap = np.subtract(w, m, out=gap)
     denom = float(np.add.reduce(np.multiply(gap, gap, out=work)))
     if denom == 0.0:
         return None
-    a0 = float(np.add.reduce(np.multiply(np.subtract(w, t, out=work), gap, out=work))) / denom
-    return min(1.0, max(0.0, a0))
+    num = float(np.add.reduce(np.multiply(np.subtract(w, t, out=work), gap, out=work)))
+    if not (math.isfinite(num) and math.isfinite(denom)):
+        top = float(np.abs(np.stack((t, w, m))).max())
+        if top < math.inf:  # every input is finite: no sum overflows below
+            return _alpha(t / top, w / top, m / top)
+    return min(1.0, max(0.0, num / denom))
 
 
 def optimal_blend(values: np.ndarray, D: np.ndarray, truth: np.ndarray):
-    """``at(K)``: the (weight, predictions) of ``predict_in_blocks`` for a
+    """``at(K)``: the (weight, predictions) of ``BlockPredictions`` for a
     blend model with constant K, at the query rows of the (q, n) distances
     ``D``, weighted against ``truth``.
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,7 +47,6 @@ from .extension import (
     fit_extension,
     optimal_blend,
     predict,
-    predict_in_blocks,
 )
 from .metrics import CompositionMetric, base_scratch_size, pairwise_base, row_blocks
 from .phi import atom_values, check_combination, weighted_sum
@@ -142,12 +141,18 @@ def minmax_scale(ds: Dataset, fit_on: str = "all") -> Dataset:
 
 def apply_scaling(ds: Dataset, scaling: tuple[np.ndarray, np.ndarray]) -> Dataset:
     """``ds`` with per-column (min, max) scaling parameters applied to its
-    features and recorded; a column with min == max maps to 0."""
+    features and recorded; a column with min == max maps to 0.  Columns
+    with a scaled value beyond the float range, as a row far outside the
+    (min, max) of the rows fitted on can give, raise ``ValueError``."""
     col_min, col_max = scaling
     span = col_max - col_min
     flat = span == 0.0
-    features = (ds.features - col_min) / np.where(flat, 1.0, span)
+    with np.errstate(over="ignore"):
+        features = (ds.features - col_min) / np.where(flat, 1.0, span)
     features[:, flat] = 0.0
+    beyond = [ds.feature_names[k] for k in np.flatnonzero(~np.isfinite(features).all(axis=0))]
+    if beyond:
+        raise ValueError(f"feature columns {beyond} scale to values that are not finite")
     return Dataset(
         list(ds.ids), features, ds.index.copy(), list(ds.feature_names), scaling=scaling
     )
@@ -203,17 +208,28 @@ def rmse(pred, truth) -> float:
     t = np.asarray(truth, dtype=float).reshape(-1)
     if p.shape != t.shape or p.size == 0:
         raise ValueError("prediction and truth must be non-empty and equal length")
-    return _root_mean_square(p - t)
+    with np.errstate(all="ignore"):
+        return _root_mean_square(p - t)
 
 
-def _root_mean_square(r: np.ndarray) -> float:
-    """sqrt(mean(r ** 2)) of a non-empty (n,) array, squaring r in place.
+def _root_mean_square(r: np.ndarray, work: np.ndarray | None = None) -> float:
+    """sqrt(mean(r ** 2)) of a non-empty (n,) array, squaring r into
+    ``work`` (n,) when given, else into a new array.
 
     ``np.add.reduce`` adds in the order of ``.mean()``, so this has the
-    bits of ``math.sqrt((r ** 2).mean())``.
+    bits of ``math.sqrt((r ** 2).mean())`` whenever the sum is finite.
+    When it overflows though every residual is finite, r is divided by
+    its largest magnitude first and the root scaled back, so the result
+    is +inf only for a residual beyond the float range.  numpy's
+    floating-point warnings are the caller's to silence.
     """
-    np.multiply(r, r, out=r)
-    return math.sqrt(np.add.reduce(r) / r.size)
+    total = np.add.reduce(np.multiply(r, r, out=work))
+    if total == math.inf:
+        top = float(np.max(np.abs(r)))
+        if top < math.inf:
+            scaled = r / top
+            return math.sqrt(np.add.reduce(scaled * scaled) / r.size) * top
+    return math.sqrt(total / r.size)
 
 
 def rank(ds: Dataset, predictions) -> list[tuple[int, str, float]]:
@@ -246,8 +262,19 @@ class CvReport:
 
 
 def _cv_stats(values: Sequence[float]) -> tuple[float, float, float]:
+    """(mean, median, population standard deviation) of the RMSEs, with
+    numpy's floating-point warnings silenced.  A statistic that overflows
+    though every value is finite is taken again of the values divided by
+    their largest magnitude and scaled back; the others keep their bits."""
     arr = np.asarray(values, dtype=float)
-    return float(np.mean(arr)), _median(arr), float(np.std(arr))
+    with np.errstate(all="ignore"):
+        stats = float(np.mean(arr)), _median(arr), float(np.std(arr))
+        if not all(map(math.isfinite, stats)):
+            top = float(np.max(np.abs(arr)))
+            if top < math.inf:
+                scaled = _cv_stats(arr / top)
+                stats = tuple(v if math.isfinite(v) else u * top for v, u in zip(stats, scaled))
+    return stats
 
 
 def _median(arr: np.ndarray) -> float:
@@ -336,16 +363,16 @@ def fit_for_extend(
 ) -> ExtensionModel:
     """Fit ``method`` on every row of ``indexed``: the model that extends.
 
-    A blend without ``alpha`` takes its weight from a model fitted on the
-    training side of ``_holdout_split``, at the held-out rows, whose
-    distances are made from the points, then refits on every row with that
-    weight frozen.  When the split is too small, the weight is 0.5, with a
-    warning; a holdout that cannot be fitted raises its ``FitError``, and a
-    bad fraction or split method raises ``ValueError``.  Both fits take K
-    from one ``constants.largest_ratios`` of every row (``_fit_rows``).
-    Every other fit, and any fit on one row, which raises ``FitError``
-    unless it is linear, is ``fit_extension`` on every row, with K from the
-    points.
+    A blend without ``alpha`` takes its weight from the ``BlockPredictions``
+    of a model fitted on the training side of ``_holdout_split`` at the
+    held-out rows, from their distances to its training points, then
+    refits on every row with that weight frozen.  When the split is too
+    small, the weight is 0.5, with a warning; a holdout that cannot be
+    fitted raises its ``FitError``, and a bad fraction or split method
+    raises ``ValueError``.  Both fits take K from one
+    ``constants.largest_ratios`` of every row (``_fit_rows``).  Every
+    other fit, and any fit on one row, which raises ``FitError`` unless it
+    is linear, is ``fit_extension`` on every row, with K from the points.
     """
     if method != "blend" or alpha is not None or indexed.n_rows < 2:
         return fit_extension(indexed.as_sample(), cm, method, alpha)
@@ -358,7 +385,8 @@ def fit_for_extend(
         train, held_out = split
         model = _fit_rows(indexed, cm, method, largest, train)
         blocks = cm.blocks(indexed.features[held_out], model.training.points)
-        alpha = predict_in_blocks(model, len(held_out), blocks, truth=indexed.index[held_out])[0]
+        alpha = BlockPredictions(model, len(held_out), blocks).result(
+            truth=indexed.index[held_out])[0]
         del model  # its copy of the training side is freed before the refit
     return _fit_rows(indexed, cm, method, largest, np.arange(indexed.n_rows), alpha)
 
@@ -383,12 +411,12 @@ def cross_validate(
     nested one included, is made first, with K from one list of the
     largest pair ratios, and kept as what its scoring reads: a whitney,
     mcshane or blend fit as its ``BlockPredictions``, a standard or linear
-    one cut to one training row (``_trimmed``), so no repeat holds a copy
-    of its training points.  Then one ``_sweep`` over the indexed rows
-    makes the whitney, mcshane and blend predictions of them all; a
-    standard or linear one is ``extension.predict`` at the rows' points.
-    The blend weights, mixes and RMSEs follow, repeat by repeat in order,
-    so every warning of a fit comes before those of the predictions.
+    one as its predictions, made by ``extension.predict`` at the rows'
+    points as soon as it is fitted, so no repeat holds a copy of its
+    training points.  Then one ``_sweep`` over the indexed rows makes the
+    whitney, mcshane and blend predictions of them all.  The blend
+    weights, mixes and RMSEs follow, repeat by repeat in order, so every
+    warning of a Lipschitz fit comes before those of the predictions.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
@@ -407,7 +435,7 @@ def cross_validate(
         model = _fit_rows(indexed, cm, method, largest, train)
         if lipschitz:
             return BlockPredictions(model, len(rows)), train, rows
-        return _trimmed(model), train, rows
+        return predict(model, indexed.features[rows]), train, rows
 
     plans = []  # each repeat's (nested fit, fit), pending(...) each or None
     for r in range(repeats):
@@ -432,17 +460,13 @@ def cross_validate(
     if lipschitz:
         _sweep(cm, indexed.features, [f for plan in plans for f in plan if f is not None])
 
-    def predictions(fit, a):
-        made, _, rows = fit
-        if lipschitz:
-            return made.result(a, indexed.index[rows])
-        return None, predict(made, indexed.features[rows])
-
     scores = []
     for nested, fit in plans:
-        a = alpha if nested is None else predictions(nested, None)[0]
+        a = alpha if nested is None else nested[0].result(None, indexed.index[nested[2]])[0]
         if fit is not None:
-            scores.append(rmse(predictions(fit, a)[1], indexed.index[fit[2]]))
+            made, _, rows = fit
+            pred = made.result(a, indexed.index[rows])[1] if lipschitz else made
+            scores.append(rmse(pred, indexed.index[rows]))
     if not scores:
         raise FitError("every cross-validation repeat failed to fit")
     mean, median, std = _cv_stats(scores)
@@ -455,17 +479,6 @@ def cross_validate(
         median=median,
         std_dev=std,
     )
-
-
-def _trimmed(model: ExtensionModel) -> ExtensionModel:
-    """A standard or linear ``model`` cut to the one training row that
-    ``predict`` reads of it: a standard model's anchor, or for a linear
-    one, which reads its coefficients alone, the first.  Its predictions
-    keep their bits, and it holds no copy of every training point.
-    """
-    row = [model.anchor or 0]
-    training = IndexedSample(model.training.points[row], model.training.values[row])
-    return replace(model, training=training, anchor=None if model.anchor is None else 0)
 
 
 def objective_test_rmse(
@@ -496,8 +509,8 @@ def objective_test_rmse(
     ``PhiCombination``, then takes one weighted sum over the stack in
     ``phi_eval``'s order, without the terms of zero coefficients on atoms
     whose values are all finite, K as ``ratio_max`` over the pair part and
-    the ``optimal_blend`` on the row part, with numpy's floating-point
-    warnings silenced there.  A maximum or minimum over a superset of a front has
+    the ``optimal_blend`` on the row part and its RMSE, with numpy's
+    floating-point warnings silenced there.  A maximum or minimum over a superset of a front has
     the bits of one over all items, so every candidate scores the bits of a
     refit on the training rows and a blend at the test rows.  An infinite
     K, which no fit survives, and the zero vector, which is not a modulus,
@@ -534,6 +547,7 @@ def objective_test_rmse(
     # that are >= +0.0, which changes no bit, so such terms are left out;
     # about half the swarm's coordinates sit at 0, the edge of its box.
     finite = np.isfinite(stack).all(axis=1).tolist()
+    squares = np.empty(len(test))
 
     def objective(lam: np.ndarray) -> float:
         coeffs = tuple(map(float, lam))
@@ -547,7 +561,7 @@ def objective_test_rmse(
             return math.inf
         with np.errstate(all="ignore"):
             pred = blend(K)[1]
-        return _root_mean_square(np.subtract(pred, truth, out=pred))
+            return _root_mean_square(np.subtract(pred, truth, out=pred), squares)
 
     return objective
 

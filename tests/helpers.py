@@ -16,7 +16,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from lipext.constants import IndexedSample
-from lipext.extension import ExtensionModel, predict_in_blocks
+from lipext.extension import BlockPredictions, ExtensionModel
 from lipext.metrics import pairwise_base, row_blocks
 from lipext.phi import ATOM_NAMES, PhiCombination, phi_eval
 
@@ -171,7 +171,7 @@ def synthetic_csv(seed: int, n: int, m: int = 3, hidden: float = 0.2) -> str:
 
 def distance_blocks(D: np.ndarray):
     """(rows, a copy of D[rows], work) for the ``row_blocks`` of the (q, n)
-    distances D at one float a column, as ``predict_in_blocks`` takes them:
+    distances D at one float a column, as ``BlockPredictions`` takes them:
     it overwrites a block's distances and its ``work``."""
     return ((rows, D[rows].copy(), np.empty(D[rows].size))
             for rows in row_blocks(len(D), 8 * D.shape[1]))
@@ -179,8 +179,8 @@ def distance_blocks(D: np.ndarray):
 
 def predict_from(m: ExtensionModel, D: np.ndarray, alpha=None, truth=None):
     """(blend weight, predictions) of ``m`` from the (q, n) distances D in
-    one ``predict_in_blocks`` call; a standard model, which reads only its
+    one ``BlockPredictions``; a standard model, which reads only its
     anchor's distances, as offset + (K * D) at the anchor's column."""
     if m.method == "standard":
         return None, m.offset + (m.K * D)[:, m.anchor]
-    return predict_in_blocks(m, len(D), distance_blocks(D), alpha, truth)
+    return BlockPredictions(m, len(D), distance_blocks(D)).result(alpha, truth)

@@ -14,7 +14,7 @@ import pytest
 import lipext
 from lipext.cli import CliError, main, rebuild_model
 from lipext.dataio import CsvParseError, dataset_hash, json_text, read_dataset, table1_path
-from lipext.extension import METHODS, predict
+from lipext.extension import METHODS, fit_extension, predict
 from lipext.phi import LINEAR_BASIS, SQRT_BASIS
 from lipext.pipeline import minmax_scale, objective_test_rmse
 from lipext.swarm import objective_kq
@@ -150,8 +150,9 @@ def test_extend_and_rank_echo_the_rows_they_write(tmp_path, capsys):
 
 
 def test_an_overflowing_cv_writes_valid_json(tmp_path):
-    # The predictions overflow, so the RMSEs are inf and their spread NaN;
-    # both print as strings, as every non-finite number does.
+    # The residuals reach 1e300, so their squares overflow; the RMSEs are
+    # taken again of the residuals scaled down, and they, their mean and
+    # their spread are finite, with no numpy warning.
     data = write(tmp_path, "ovf.csv", "id,x,index\na,0,1e300\nb,1e-300,-1e300\nc,1,0\n"
                  "d,2,1e300\ne,3,0\nf,4,1\n")
     out_dir = tmp_path / "out"
@@ -160,10 +161,12 @@ def test_an_overflowing_cv_writes_valid_json(tmp_path):
          "--data", data, "--out", str(out_dir)],
         env=lipext_env(), capture_output=True, text=True,
     )
-    assert done.returncode == 0, done.stderr
+    assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == (out_dir / "cv_report.json").read_text()
     report = json.loads(done.stdout, parse_constant=reject_constant)
-    assert (report["mean"], report["std_dev"]) == ("inf", "nan")
+    numbers = [report["mean"], report["median"], report["std_dev"], *report["per_repeat_rmse"]]
+    assert all(isinstance(v, float) and math.isfinite(v) for v in numbers)
+    assert report["per_repeat_rmse"][0] > 1e300
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +272,21 @@ def test_model_round_trip_bitwise(tmp_path, capsys, method):
     preds = predict(model, scaled.unindexed_rows().features)
     reread = [float(line.split(",")[1]) for line in first.strip().splitlines()[1:]]
     assert list(preds) == reread  # bitwise: repr round-trips float64 exactly
+
+
+def test_a_rebuilt_standard_model_equals_the_fitted_one(tmp_path, capsys):
+    # A standard fit keeps its sample as given, as ``rebuild_model`` makes
+    # it from model.json: the same training rows, anchor, offset and K.
+    out_dir = tmp_path / "out"
+    code, _, _ = run_cli(capsys, "extend", "--data", str(table1_path()), "--out", str(out_dir),
+                         "--method", "standard")
+    assert code == 0
+    model, scaled = rebuild_model(json.loads((out_dir / "model.json").read_text()),
+                                  read_dataset(table1_path()))
+    fitted = fit_extension(scaled.as_sample(), model.cm, "standard")
+    assert np.array_equal(fitted.training.values, model.training.values)
+    assert np.array_equal(fitted.training.points, model.training.points)
+    assert (fitted.anchor, fitted.offset, fitted.K) == (model.anchor, model.offset, model.K)
 
 
 def test_the_dataset_hash_is_hashlibs_sha256(monkeypatch):
@@ -790,6 +808,43 @@ def test_a_feature_span_beyond_the_float_range_is_one_error_line(tmp_path, capsy
                              "--out", str(tmp_path / "out"))
     assert (code, out) == (2, "")
     assert err == "error:data: feature columns ['a'] span more than the float range\n"
+
+
+@pytest.mark.parametrize("rows", [
+    "r0,-1e308,0,1\nr1,-1e308,1,2\nr2,-9e307,2,3\nu,1e308,3,\n",
+    "r0,0,0,1\nr1,1e-300,1,2\nr2,0,2,3\nu,1e10,3,\n",
+], ids=["subtract", "divide"])
+@pytest.mark.parametrize("command", ["constants", "extend", "cv", "optimize", "rank"])
+def test_an_unindexed_row_that_scales_beyond_the_float_range_is_one_error_line(
+    tmp_path, capsys, command, rows
+):
+    # Scaled on the indexed rows alone, column a spans a finite range, but
+    # the unindexed row's scaled value overflows, in the subtraction of the
+    # minimum or the division by the span.
+    data = write(tmp_path, "far.csv", "id,a,b,index\n" + rows)
+    cfg = write(tmp_path, "cfg.json", json.dumps({"scale_on": "indexed"}))
+    code, out, err = run_cli(capsys, command, "--data", data, "--config", cfg,
+                             "--out", str(tmp_path / "out"))
+    assert (code, out) == (2, "")
+    assert err == "error:data: feature columns ['a'] scale to values that are not finite\n"
+
+
+def test_cv_of_residuals_whose_squares_overflow_is_finite_and_silent(tmp_path, capsys):
+    # 12 rows x = k/11 with I = 1e308 on rows 0 and 6: the linear repeats
+    # that fit have residuals past 1.3e154, whose squares overflow.  Their
+    # RMSEs, mean, median and spread are finite, with nothing on stderr.
+    data = write(tmp_path, "lin.csv", "id,x,index\n" + "".join(
+        f"r{k},{k / 11!r},{'1e308' if k % 6 == 0 else '0'}\n" for k in range(12)
+    ) + "t,0.5,\n")
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "cv", "--method", "linear", "--data", data,
+                             "--repeats", "20", "--out", str(out_dir))
+    assert (code, err) == (0, "")
+    report = json.loads((out_dir / "cv_report.json").read_text(), parse_constant=reject_constant)
+    assert report["failed"] < 20
+    numbers = [report["mean"], report["median"], report["std_dev"], *report["per_repeat_rmse"]]
+    assert all(isinstance(v, float) and math.isfinite(v) for v in numbers)
+    assert max(report["per_repeat_rmse"]) > 1e154
 
 
 def test_every_model_carries_the_K_that_constants_reports(tmp_path, capsys):

@@ -16,6 +16,7 @@ from lipext.constants import (
     largest_ratios,
 )
 from lipext.extension import (
+    BlockPredictions,
     FitError,
     fit_extension,
     linear_fit,
@@ -23,7 +24,6 @@ from lipext.extension import (
     optimal_alpha,
     optimal_blend,
     predict,
-    predict_in_blocks,
     whitney_batch,
 )
 from lipext import constants, metrics
@@ -171,6 +171,30 @@ def test_optimal_alpha_sums_in_the_order_of_sum():
         a0 = float(((w - t) * gap).sum()) / float((gap * gap).sum())
         assert 0.0 < a0 < 1.0
         assert optimal_alpha(t, w, m) == a0
+
+
+def test_optimal_alpha_scales_down_sums_that_overflow():
+    # At 1e200 the sums of squares overflow, and the weight was 0.0; it is
+    # that of the inputs divided by their largest magnitude, 0.5, the
+    # weight of the same inputs at 1e10, with no numpy warning.
+    t, w, m = np.array([0.0, 1e200]), np.array([1e200, 2e200]), np.array([-1e200, 0.0])
+    assert optimal_alpha(t, w, m) == optimal_alpha(t * 1e-190, w * 1e-190, m * 1e-190) == 0.5
+    # Random inputs scaled by 2**1000, where every product overflows, and
+    # the blend of ``optimal_blend`` at K scaled the same way.
+    rng = np.random.default_rng(31)
+    big = 2.0**1000
+    for _ in range(20):
+        w, m = rng.normal(size=(2, 40))
+        t = 0.6 * w + 0.4 * m + 0.2 * rng.normal(size=40)
+        assert optimal_alpha(t * big, w * big, m * big) == pytest.approx(
+            optimal_alpha(t, w, m), rel=1e-12, abs=1e-15)
+    values, D, truth = rng.uniform(size=12), rng.uniform(size=(9, 12)), rng.uniform(size=9)
+    expected_a, expected = optimal_blend(values, D, truth)(3.0)
+    with np.errstate(all="ignore"):  # as ``objective_test_rmse`` calls it
+        a, pred = optimal_blend(values * big, D, truth * big)(3.0 * big)
+    assert 0.0 < expected_a < 1.0
+    assert a == pytest.approx(expected_a, rel=1e-12)
+    assert np.allclose(pred, expected * big, rtol=1e-12, atol=0.0)
 
 
 def test_optimal_alpha_bad_lengths():
@@ -331,18 +355,18 @@ def test_blend_from_distances_picks_optimal_alpha_and_mixes():
     D = model.cm.pairwise(X, model.training.points)
     truth = rng.uniform(0.0, 5.0, 20)
     i_w, i_m = whitney_batch(model, X), mcshane_batch(model, X)
-    a, pred = predict_in_blocks(model, len(D), distance_blocks(D), truth=truth)
+    a, pred = BlockPredictions(model, len(D), distance_blocks(D)).result(truth=truth)
     assert a == optimal_alpha(truth, i_w, i_m)
     assert np.array_equal(pred, (1.0 - a) * i_w + a * i_m)
     assert np.array_equal(pred, blend(model, X, a))
-    assert predict_in_blocks(model, len(D), distance_blocks(D), 0.3)[0] == 0.3
+    assert BlockPredictions(model, len(D), distance_blocks(D)).result(0.3)[0] == 0.3
     with pytest.raises(ValueError, match="blend requires an alpha"):
         predict(model, X)
 
 
-def test_optimal_blend_matches_predict_in_blocks():
+def test_optimal_blend_matches_block_predictions():
     # ``at`` reads D afresh at each call and reuses its buffers, and each
-    # call gives the bits of a blend model's ``predict_in_blocks``, with
+    # call gives the bits of a blend model's ``BlockPredictions``, with
     # the training values shared by every row or given per row, here with
     # each row's training rows in an order of its own.
     rng = np.random.default_rng(21)
@@ -356,7 +380,8 @@ def test_optimal_blend_matches_predict_in_blocks():
         model = fit_extension(s, CompositionMetric("manhattan", random_combination(rng)), "blend")
         D[:] = model.cm.pairwise(X, s.points)
         D_rows[:] = np.take_along_axis(D, order, axis=1)
-        expected_a, expected = predict_in_blocks(model, len(D), distance_blocks(D), truth=truth)
+        expected_a, expected = BlockPredictions(model, len(D), distance_blocks(D)).result(
+            truth=truth)
         for blend in (at, at_rows):
             a, pred = blend(model.K)
             assert a == expected_a

@@ -22,7 +22,6 @@ from lipext.extension import (
     fit_extension,
     linear_fit,
     predict,
-    predict_in_blocks,
 )
 from lipext.metrics import BASE_METRICS, CompositionMetric, pairwise_base
 from lipext.phi import (
@@ -37,6 +36,7 @@ from lipext.pipeline import (
     _INNER_SPLIT_OFFSET,
     CvReport,
     Dataset,
+    _cv_stats,
     _fit_rows,
     _median,
     _split_rows,
@@ -295,15 +295,17 @@ def test_cv_counts_an_unshiftable_standard_repeat_as_failed():
     # trains on both cannot shift its values to minimum 0 (katetov_shift).
     # Whitney's K is +inf there, and where a ratio to one corner overflows,
     # so it fails 5 of 6 repeats; standard fails the same, not the run.
-    # The repeat left tests on a corner, so its RMSE is +inf.
+    # The repeat left tests on both corners, with residuals of +-0.95e308
+    # whose squares overflow, but its RMSE, about 0.95e308 * sqrt(2/3), is
+    # finite and comes with no numpy warning.
     points = [[0, 0], [1, 1], [0.5, 0.2], [0.1, 0.9], [0.7, 0.4],
               [0.3, 0.6], [0.9, 0.1], [0.2, 0.3], [0.6, 0.8], [0.4, 0.5]]
     ds = make_dataset(points, [0.95e308, -0.95e308, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the +inf RMSE's overflow
-        reports = [cross_validate(ds, m, IDENTITY, repeats=6) for m in ("whitney", "standard")]
-    for report in reports:
-        assert (report.failed, report.per_repeat_rmse) == (5, (math.inf,))
+    for method in ("whitney", "standard"):
+        report = cross_validate(ds, method, IDENTITY, repeats=6)
+        assert report.failed == 5
+        assert report.per_repeat_rmse == pytest.approx((0.95e308 * math.sqrt(2 / 3),), rel=1e-15)
+        assert (report.mean, report.median, report.std_dev) == (*report.per_repeat_rmse * 2, 0.0)
 
 
 def test_cv_scale_invariance_of_rmse():
@@ -348,6 +350,28 @@ def test_rmse_sums_in_the_order_of_mean():
     for n in (1, 2, 7, 8, 9, 127, 128, 129, 1000):
         p, t = rng.normal(size=(2, n))
         assert rmse(p, t) == math.sqrt(((p - t) ** 2).mean())
+
+
+def test_rmse_and_cv_stats_scale_down_what_overflows():
+    # Squares past the float range: the RMSE of residuals scaled by 2**600
+    # is that of the unscaled ones scaled back, and statistics of values
+    # near the float range are finite.  A residual that is itself +inf
+    # gives +inf, and a spread of +inf values is NaN, with no numpy warning.
+    rng = np.random.default_rng(5)
+    r = rng.normal(size=50)
+    zeros = np.zeros(50)
+    for scale in (2.0**520, 2.0**600, 2.0**1000):
+        assert rmse(r * scale, zeros) == pytest.approx(rmse(r, zeros) * scale, rel=1e-14)
+    assert rmse([1e308, 1.0], [-1e308, 0.0]) == math.inf
+    assert rmse([math.inf, 1.0], [0.0, 0.0]) == math.inf
+    values = rng.uniform(0.5, 1.7, size=9)
+    near = _cv_stats(values * 2.0**1023)
+    assert all(map(math.isfinite, near))
+    assert near == pytest.approx(tuple(v * 2.0**1023 for v in _cv_stats(values)), rel=1e-14)
+    assert _cv_stats([1.0, 2.0, 4.0]) == (
+        float(np.mean([1.0, 2.0, 4.0])), 2.0, float(np.std([1.0, 2.0, 4.0])))
+    mean, median, std = _cv_stats([math.inf, 1.0, math.inf])
+    assert (mean, median, math.isnan(std)) == (math.inf, math.inf, True)
 
 
 def _bits(x) -> bytes:
@@ -472,7 +496,7 @@ def smooth_dataset(n=200, m=3, seed=0, duplicates=False):
 def blend_at(model, X, alpha=None, truth=None):
     """(weight, predictions) of a blend model at X, distances computed afresh."""
     D = model.cm.pairwise(X, model.training.points)
-    return predict_in_blocks(model, len(D), distance_blocks(D), alpha, truth)
+    return BlockPredictions(model, len(D), distance_blocks(D)).result(alpha, truth)
 
 
 def naive_cv(ds, method, cm, repeats, seed, alpha, honest_alpha, split_method):
@@ -910,8 +934,8 @@ def test_cv_holds_a_few_tiles_not_a_distance_table(method, honest_alpha):
     assert peak < 3 * metrics.TILE_BYTES
 
 
-@pytest.mark.parametrize("method, honest_alpha", [("linear", False), ("whitney", False),
-                                                  ("blend", True)])
+@pytest.mark.parametrize("method, honest_alpha", [("linear", False), ("standard", False),
+                                                  ("whitney", False), ("blend", True)])
 def test_cv_repeats_hold_no_copy_of_their_training_points(method, honest_alpha):
     # What cv keeps of each repeat until scoring (its rows, training values
     # and predictions) is O(n); a fitted model would add a copy of its
@@ -939,7 +963,7 @@ def test_table_fits_and_predictions_in_blocks_match_one_shot(method, monkeypatch
     # sweep gathers a prediction's distances from blocks of every row
     # against every row (a standard prediction takes its anchor's distances
     # from the points); they must give the bits of a fit with K from the
-    # pairwise square and of predict_in_blocks on its copied block, taken
+    # pairwise square and of BlockPredictions on its copied block, taken
     # in one block at the default TILE_BYTES (a standard model reads the
     # anchor's column of that block).
     rng = np.random.default_rng(23)
