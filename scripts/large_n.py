@@ -4,6 +4,7 @@
 Run one check, or every check in turn with ``--all``:
     python3 scripts/large_n.py k-check
     python3 scripts/large_n.py kq-large
+    python3 scripts/large_n.py read-large
     python3 scripts/large_n.py rmse-sqrt
     python3 scripts/large_n.py rmse-large
     python3 scripts/large_n.py --all
@@ -28,6 +29,13 @@ RSS.  Every command but ``constants`` must peak below the 68.7 MiB of the
 constants' K for whitney and blend; rank must rank the blend's
 predictions; and K, Q and the optimum's K*Q at its own coefficients must
 match the brute-force loop.
+
+read-large: the extend-wide generator at n = 50,000 (m = 10).  Reading the
+CSV and min-max scaling it, as the benchmark's set-up step does, runs to
+exit under ``perfbench/spawn.py``, and so do the same imports alone; both
+print their wall time and peak RSS.  The read and scaling must peak less
+than 5 times the 3.8 MiB of float64 features (19.1 MiB) above the imports
+alone: the rows are never held as Python floats.
 
 rmse-sqrt: optimize-rmse dataset 0 over SQRT_BASIS.  ``lipext optimize
 --objective test-rmse`` at its default swarm must report a best objective
@@ -180,6 +188,36 @@ def kq_large(work: Path) -> None:
           f"extend's K equals constants' K for whitney and blend; rank ranks the blend's predictions")
 
 
+#: The imports of the benchmark's set-up step; the step adds the read and the scaling.
+READ_IMPORTS = ("import sys; import lipext.cli; from lipext.dataio import read_dataset; "
+                "from lipext.pipeline import minmax_scale")
+
+
+def read_large(work: Path) -> None:
+    data, n, m = work / "data.csv", 50_000, WORKLOADS["extend-wide"].m
+    data.write_text(generate(WORKLOADS["extend-wide"], 0, 0, n=n).csv_text, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    runs = {}
+    for name, code in (("imports", READ_IMPORTS),
+                       ("read-scale", READ_IMPORTS + "; minmax_scale(read_dataset(sys.argv[1]))")):
+        (work / name).mkdir()
+        spawned = subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "spawn.py"), "600", str(work / name),
+             sys.executable, "-c", code, str(data)],
+            env=env, check=True, capture_output=True, text=True)
+        runs[name] = run = json.loads(spawned.stdout)
+        checks.expect(run["exit_code"] == 0, f"{name} exited {run['exit_code']}: "
+                      + (work / name / "stderr.txt").read_text(encoding="utf-8"))
+        print(f"{name}: {run['wall_s']:.2f} s, peak RSS {run['peak_rss_mb']:.1f} MiB")
+    payload_mb = n * m * 8 / 2**20
+    over = runs["read-scale"]["peak_rss_mb"] - runs["imports"]["peak_rss_mb"]
+    checks.expect(over < 5 * payload_mb,
+                  f"read and scaling peaked {over:.1f} MiB above the imports, not below "
+                  f"5 x the {payload_mb:.1f} MiB of features")
+    print(f"{n} x {m}: read and scaling peak {over:.1f} MiB above the imports alone, "
+          f"below 5 x the {payload_mb:.1f} MiB of features")
+
+
 def rmse_sqrt(work: Path) -> None:
     data, config = work / "data.csv", work / "config.json"
     data.write_text(generate(WORKLOADS["optimize-rmse"], 0, 0).csv_text, encoding="utf-8")
@@ -229,7 +267,8 @@ def rmse_large(work: Path) -> None:
               f"{per_candidate * 1e3:.3f} ms per candidate; 5 of 5 match the brute-force blend RMSE")
 
 
-CHECKS = {"k-check": k_check, "kq-large": kq_large, "rmse-sqrt": rmse_sqrt, "rmse-large": rmse_large}
+CHECKS = {"k-check": k_check, "kq-large": kq_large, "read-large": read_large,
+          "rmse-sqrt": rmse_sqrt, "rmse-large": rmse_large}
 
 
 def main(argv: list[str] | None = None) -> None:

@@ -31,7 +31,6 @@ import numpy as np
 from .constants import constants_report
 from .dataio import (
     CsvParseError,
-    csv_text,
     dataset_hash,
     json_text,
     read_dataset,
@@ -212,13 +211,14 @@ def _resolve_phi(cfg: RunConfig, scaled: Dataset) -> PhiCombination:
     return cfg.phi
 
 
-def _load(cfg: RunConfig, args) -> tuple[Dataset, Dataset]:
-    """The (raw, scaled) dataset of ``--data``; every command needs at least
-    two indexed rows, checked before scaling."""
+def _load(cfg: RunConfig, args, hashed: bool = False) -> tuple[Dataset, str | None]:
+    """The scaled dataset of ``--data`` and, when ``hashed``, the
+    ``dataset_hash`` of the raw one, which no command keeps; every command
+    needs at least two indexed rows, checked before scaling."""
     raw = read_dataset(args.data)
     if np.count_nonzero(raw.indexed_mask) < 2:
         raise CliError("data", f"{args.command} needs at least two indexed rows")
-    return raw, minmax_scale(raw, fit_on=cfg.scale_on)
+    return minmax_scale(raw, fit_on=cfg.scale_on), dataset_hash(raw) if hashed else None
 
 
 def _run_optimize(cfg: RunConfig, scaled: Dataset) -> dict:
@@ -309,8 +309,9 @@ def rebuild_model(model_dict: dict, ds_raw: Dataset) -> tuple[ExtensionModel, Da
 # commands
 
 
-def _extend(cfg: RunConfig, scaled: Dataset) -> tuple[np.ndarray, ExtensionModel]:
-    """(predictions at the unindexed rows, the model fitted on the indexed rows)."""
+def _extend(cfg: RunConfig, scaled: Dataset) -> tuple[np.ndarray, ExtensionModel, list[str], list[str]]:
+    """(predictions at the unindexed rows, the model fitted on the indexed
+    rows, the ids of the indexed rows, the ids of the unindexed rows)."""
     cm = CompositionMetric(cfg.metric, _resolve_phi(cfg, scaled))
     indexed = scaled.indexed_rows()
     targets = scaled.unindexed_rows()
@@ -320,11 +321,11 @@ def _extend(cfg: RunConfig, scaled: Dataset) -> tuple[np.ndarray, ExtensionModel
     preds = predict(model, targets.features) if targets.n_rows else np.empty(0)
     if targets.n_rows == 0:
         warnings.warn("no unindexed rows: nothing to predict", stacklevel=2)
-    return preds, model
+    return preds, model, indexed.ids, targets.ids
 
 
 def cmd_constants(cfg: RunConfig, args) -> int:
-    _, scaled = _load(cfg, args)
+    scaled, _ = _load(cfg, args)
     cm = CompositionMetric(cfg.metric, _resolve_phi(cfg, scaled))
     report = constants_report(scaled.as_sample(), cm)
     print(json_text(report), end="")
@@ -334,19 +335,17 @@ def cmd_constants(cfg: RunConfig, args) -> int:
 
 
 def cmd_extend(cfg: RunConfig, args) -> int:
-    raw, scaled = _load(cfg, args)
-    preds, model = _extend(cfg, scaled)
-    rows = list(zip(scaled.unindexed_rows().ids, preds))
+    scaled, raw_hash = _load(cfg, args, hashed=True)
+    preds, model, indexed_ids, target_ids = _extend(cfg, scaled)
     out = Path(cfg.out or ".")
-    write_csv(out / "predictions.csv", ["id", "predicted_index"], rows)
-    write_json(out / "model.json",
-               model_payload(model, dataset_hash(raw), scaled, scaled.indexed_rows().ids))
-    print(csv_text(rows), end="")
+    write_csv(out / "predictions.csv", ["id", "predicted_index"], list(zip(target_ids, preds)),
+              echo=sys.stdout)
+    write_json(out / "model.json", model_payload(model, raw_hash, scaled, indexed_ids))
     return 0
 
 
 def cmd_cv(cfg: RunConfig, args) -> int:
-    _, scaled = _load(cfg, args)
+    scaled, _ = _load(cfg, args)
     cm = CompositionMetric(cfg.metric, _resolve_phi(cfg, scaled))
     report = cross_validate(
         scaled,
@@ -368,7 +367,7 @@ def cmd_cv(cfg: RunConfig, args) -> int:
 
 
 def cmd_optimize(cfg: RunConfig, args) -> int:
-    _, scaled = _load(cfg, args)
+    scaled, _ = _load(cfg, args)
     result = _run_optimize(cfg, scaled)
     print(json_text(result), end="")
     if cfg.out:
@@ -378,14 +377,13 @@ def cmd_optimize(cfg: RunConfig, args) -> int:
 
 
 def cmd_rank(cfg: RunConfig, args) -> int:
-    _, scaled = _load(cfg, args)
-    if scaled.unindexed_rows().n_rows == 0:
+    scaled, _ = _load(cfg, args)
+    if scaled.indexed_mask.all():
         raise CliError("data", "ranking needs at least one unindexed row")
-    preds, _ = _extend(cfg, scaled)
+    preds = _extend(cfg, scaled)[0]
     rows = [(r, cid, val, cfg.method) for r, cid, val in rank(scaled, preds)]
-    out = Path(cfg.out or ".")
-    write_csv(out / "ranking.csv", ["rank", "id", "predicted_index", "method"], rows)
-    print(csv_text(rows), end="")
+    write_csv(Path(cfg.out or ".") / "ranking.csv", ["rank", "id", "predicted_index", "method"],
+              rows, echo=sys.stdout)
     return 0
 
 

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import io
 import json
 import math
 import os
 import tempfile
+from array import array
+from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
 
@@ -42,6 +43,10 @@ def read_dataset(path) -> Dataset:
     """Parse a dataset CSV, reporting the line number of any bad cell.
 
     ``path`` is a file path or a package resource such as ``table1_path()``.
+    Each row's numbers go straight into two flat float64 buffers, one for
+    the features and one for the index, and the dataset's arrays are views
+    of them: every cell is held once, at 8 bytes, and never as a Python
+    float in a list of rows.
     """
     if isinstance(path, (str, os.PathLike)):
         path = Path(path)
@@ -58,8 +63,8 @@ def read_dataset(path) -> Dataset:
         feature_names = [h.strip() for h in header[1:-1]]
         ids: list[str] = []
         first_line: dict[str, int] = {}
-        features: list[list[float]] = []
-        index: list[float] = []
+        features = array("d")
+        index = array("d")
         for lineno, row in reader:
             if not row or all(cell.strip() == "" for cell in row):
                 continue
@@ -81,7 +86,7 @@ def read_dataset(path) -> Dataset:
             if not all(map(math.isfinite, values)):
                 cell = next(c for c, v in zip(row[1:-1], values) if not math.isfinite(v))
                 raise CsvParseError(f"{path}:{lineno}: non-finite feature {cell.strip()!r}")
-            features.append(values)
+            features.extend(values)
             last = row[-1].strip()
             if last == "":
                 index.append(float("nan"))
@@ -97,7 +102,8 @@ def read_dataset(path) -> Dataset:
                 index.append(value)
         if not ids:
             raise CsvParseError(f"{path}:2: no data rows")
-    return Dataset(ids, np.array(features), np.array(index), feature_names)
+    features = np.frombuffer(features, dtype=float).reshape(len(ids), len(feature_names))
+    return Dataset(ids, features, np.frombuffer(index, dtype=float), feature_names)
 
 
 def _csv_rows(path, fh):
@@ -135,17 +141,20 @@ def dataset_hash(ds: Dataset) -> str:
             from hashlib import sha256
     h = sha256()
     h.update("\x1f".join(ds.ids).encode("utf-8"))
-    h.update(np.ascontiguousarray(ds.features, dtype=float).tobytes())
-    h.update(np.ascontiguousarray(ds.index, dtype=float).tobytes())
+    h.update(np.ascontiguousarray(ds.features, dtype=float))
+    h.update(np.ascontiguousarray(ds.index, dtype=float))
     return h.hexdigest()
 
 
-def _atomic_write(path: Path, text: str) -> None:
+@contextmanager
+def _atomic_file(path: Path):
+    """A text file that replaces ``path`` once the block exits; an
+    exception in the block leaves ``path`` as it was and no temporary file."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -176,19 +185,37 @@ def _plain(x):
     return x
 
 
-def csv_text(rows) -> str:
-    """The CSV lines of ``rows``, the only CSV lipext writes: floats by
+class _LineOut:
+    """A file for ``csv.writer`` whose ``write`` returns the text it is
+    given, so that ``writerow`` returns the row's line."""
+
+    @staticmethod
+    def write(text: str) -> str:
+        return text
+
+
+_ROW_WRITER = csv.writer(_LineOut(), lineterminator="\n")
+
+
+def csv_line(row) -> str:
+    """The CSV line of one row, the only CSV text lipext writes: floats by
     ``repr``, which round-trips float64 exactly, so files are deterministic."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for row in rows:
-        writer.writerow([float.__repr__(c) if isinstance(c, float) else c for c in row])
-    return buf.getvalue()
+    return _ROW_WRITER.writerow([float.__repr__(c) if isinstance(c, float) else c for c in row])
 
 
 def write_json(path: str | os.PathLike, payload) -> None:
-    _atomic_write(Path(path), json_text(payload))
+    with _atomic_file(Path(path)) as fh:
+        fh.write(json_text(payload))
 
 
-def write_csv(path: str | os.PathLike, header: list[str], rows: list) -> None:
-    _atomic_write(Path(path), csv_text([header, *rows]))
+def write_csv(path: str | os.PathLike, header: list[str], rows: list, echo=None) -> None:
+    """Write ``header`` and ``rows`` to ``path`` atomically, one line at a
+    time; each row's line, the header's excepted, also goes to the text
+    stream ``echo`` when one is given."""
+    with _atomic_file(Path(path)) as fh:
+        fh.write(csv_line(header))
+        for row in rows:
+            line = csv_line(row)
+            fh.write(line)
+            if echo is not None:
+                echo.write(line)

@@ -243,9 +243,9 @@ def optimal_alpha(i_true, i_whitney, i_mcshane) -> float:
 
     to the unit interval yields the constrained minimizer.  When W == M
     pointwise every alpha is optimal; 0.5 is returned with a warning.  A
-    sum that overflows is taken again of the inputs divided by their
-    largest magnitude, which leaves a0 as it is, and numpy's floating-point
-    warnings are silenced.
+    sum that overflows, or a sum of squares that underflows to 0, is taken
+    again of the inputs divided by their largest magnitude, which leaves a0
+    as it is, and numpy's floating-point warnings are silenced.
     """
     t = np.asarray(i_true, dtype=float).reshape(-1)
     w = np.asarray(i_whitney, dtype=float).reshape(-1)
@@ -269,18 +269,22 @@ def _alpha(t: np.ndarray, w: np.ndarray, m: np.ndarray, gap=None, work=None) -> 
     warning: None where that warns.  ``gap`` and ``work`` (q,), distinct from the inputs,
     receive W - M and the products when given.  The sums are ``np.add.reduce``,
     which adds in the order of ``.sum()``.  When a sum is not finite though
-    every input is, a difference or product overflowed, and the weight is
-    that of the inputs divided by their largest magnitude.  numpy's
-    floating-point warnings are the caller's to silence."""
+    every input is, a difference or product overflowed; when the sum of
+    squares is 0 though W != M, the squares underflowed.  Either way the
+    weight is that of the inputs divided by their largest magnitude, unless
+    that is already 1.  numpy's floating-point warnings are the caller's to
+    silence."""
     gap = np.subtract(w, m, out=gap)
     denom = float(np.add.reduce(np.multiply(gap, gap, out=work)))
-    if denom == 0.0:
+    if denom == 0.0 and not gap.any():
         return None
     num = float(np.add.reduce(np.multiply(np.subtract(w, t, out=work), gap, out=work)))
-    if not (math.isfinite(num) and math.isfinite(denom)):
+    if denom == 0.0 or not (math.isfinite(num) and math.isfinite(denom)):
         top = float(np.abs(np.stack((t, w, m))).max())
-        if top < math.inf:  # every input is finite: no sum overflows below
+        if top < math.inf and top != 1.0:  # every input is finite and the scale changes
             return _alpha(t / top, w / top, m / top)
+        if denom == 0.0:  # W - M is below about 1e-162 of the largest input
+            return None
     return min(1.0, max(0.0, num / denom))
 
 

@@ -148,7 +148,8 @@ def apply_scaling(ds: Dataset, scaling: tuple[np.ndarray, np.ndarray]) -> Datase
     span = col_max - col_min
     flat = span == 0.0
     with np.errstate(over="ignore"):
-        features = (ds.features - col_min) / np.where(flat, 1.0, span)
+        features = np.subtract(ds.features, col_min)  # the one new (n, m) array
+        np.divide(features, np.where(flat, 1.0, span), out=features)
     features[:, flat] = 0.0
     beyond = [ds.feature_names[k] for k in np.flatnonzero(~np.isfinite(features).all(axis=0))]
     if beyond:
@@ -234,11 +235,11 @@ def _root_mean_square(r: np.ndarray, work: np.ndarray | None = None) -> float:
 
 def rank(ds: Dataset, predictions) -> list[tuple[int, str, float]]:
     """Rank the unindexed rows by predicted value, descending; ties by id."""
-    targets = ds.unindexed_rows()
+    ids = [ds.ids[i] for i in np.flatnonzero(~ds.indexed_mask)]
     values = np.asarray(predictions, dtype=float).reshape(-1)
-    if values.shape[0] != targets.n_rows:
+    if values.shape[0] != len(ids):
         raise ValueError("one prediction per unindexed row is required")
-    order = sorted(zip(targets.ids, values), key=lambda t: (-t[1], t[0]))
+    order = sorted(zip(ids, values), key=lambda t: (-t[1], t[0]))
     return [(r + 1, cid, float(v)) for r, (cid, v) in enumerate(order)]
 
 

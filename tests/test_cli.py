@@ -1,9 +1,12 @@
+import csv
 import importlib.util
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -13,7 +16,14 @@ import pytest
 
 import lipext
 from lipext.cli import CliError, main, rebuild_model
-from lipext.dataio import CsvParseError, dataset_hash, json_text, read_dataset, table1_path
+from lipext.dataio import (
+    CsvParseError,
+    dataset_hash,
+    json_text,
+    read_dataset,
+    table1_path,
+    write_csv,
+)
 from lipext.extension import METHODS, fit_extension, predict
 from lipext.phi import LINEAR_BASIS, SQRT_BASIS
 from lipext.pipeline import minmax_scale, objective_test_rmse
@@ -119,8 +129,95 @@ def test_errors_name_the_physical_line_after_a_multiline_cell(tmp_path, capsys):
     assert err.startswith(f"error:parse: {bad}:4:") and err.count("\n") == 1
 
 
+def wide_csv() -> str:
+    """5,000 rows of 10 features, 60% without an index, as extend-wide has
+    them, with a negative zero, a subnormal, cells padded with spaces and
+    an index cell of spaces alone."""
+    lines = synthetic_csv(4, 5000, m=10, hidden=0.6).split("\n")
+    rows = [line.split(",") for line in lines[1:4]]
+    rows[0][1] = "-0.0"
+    rows[1][2], rows[1][5], rows[1][-1] = "1e-320", f"  {rows[1][5]} ", f" {rows[1][-1]}  "
+    rows[2][-1] = "   "
+    lines[1:4] = [",".join(row) for row in rows]
+    return "\n".join(lines)
+
+
+def test_read_dataset_holds_each_cell_once(tmp_path):
+    # Each cell is parsed into a flat float64 buffer: the peak while reading
+    # stays below twice what the dataset holds once returned, where a list
+    # of rows of Python floats took about 56 bytes a cell.
+    path = write(tmp_path, "wide.csv", wide_csv())
+    tracemalloc.start()
+    try:
+        ds = read_dataset(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (ds.n_rows, ds.n_features) == (5000, 10)
+    assert peak < 2 * held, (peak, held)
+
+
+def test_read_dataset_gives_the_bits_of_float(tmp_path):
+    text = wide_csv()
+    ds = read_dataset(write(tmp_path, "wide.csv", text))
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    features = np.array([[float(c) for c in row[1:-1]] for row in rows])
+    index = np.array([float(row[-1]) if row[-1].strip() else math.nan for row in rows])
+    assert ds.features.dtype == ds.index.dtype == np.float64
+    assert ds.features.tobytes() == features.tobytes()
+    assert ds.index.tobytes() == index.tobytes()
+    assert math.copysign(1.0, ds.features[0, 0]) == -1.0 and ds.features[0, 0] == 0.0
+    assert ds.features[1, 1] == 1e-320 and math.isnan(ds.index[2])
+    assert ds.ids[:3] == ["r0", "r1", "r2"]
+
+
 # ---------------------------------------------------------------------------
 # output encoding
+
+
+def one_csv_text(rows) -> str:
+    """Reference: every row through one ``csv.writer`` into one string,
+    floats by ``repr``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for row in rows:
+        writer.writerow([float.__repr__(c) if isinstance(c, float) else c for c in row])
+    return buf.getvalue()
+
+
+def test_write_csv_streams_the_bytes_of_one_csv_text(tmp_path):
+    header = ["rank", "id", "predicted_index", "note"]
+    rows = [
+        (1, "plain", 0.1, "x"),
+        (2, "a, comma", np.float64(1 / 3), 7),
+        (3, 'a "quoted" id', -0.0, "y"),
+        (4, "two\nlines", 1e-320, None),
+        (5, "Zürich", math.inf, -12),
+        (6, " padded ", np.float64(-2.5e300), True),
+    ] * 700
+    echo = io.StringIO()
+    write_csv(tmp_path / "out.csv", header, rows, echo=echo)
+    assert (tmp_path / "out.csv").read_bytes() == one_csv_text([header, *rows]).encode("utf-8")
+    assert echo.getvalue() == one_csv_text(rows)
+    write_csv(tmp_path / "quiet.csv", header, rows[:6])
+    assert (tmp_path / "quiet.csv").read_bytes() == one_csv_text([header, *rows[:6]]).encode()
+
+
+def test_a_row_that_raises_leaves_no_file_behind(tmp_path):
+    class Broken:
+        def __iter__(self):
+            raise RuntimeError("broken row")
+
+    # Enough rows come first that some reach the temporary file.
+    rows = [(f"r{i}", i / 7) for i in range(5000)] + [Broken()]
+    with pytest.raises(RuntimeError, match="broken row"):
+        write_csv(tmp_path / "out" / "predictions.csv", ["id", "predicted_index"], rows)
+    assert list((tmp_path / "out").iterdir()) == []
+    (tmp_path / "kept.csv").write_text("old\n")
+    with pytest.raises(RuntimeError, match="broken row"):
+        write_csv(tmp_path / "kept.csv", ["id", "predicted_index"], rows)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv", "out"]
+    assert (tmp_path / "kept.csv").read_text() == "old\n"
 
 
 def test_json_text_walks_dataclasses_arrays_and_non_finite_floats():
@@ -138,15 +235,18 @@ def test_json_text_walks_dataclasses_arrays_and_non_finite_floats():
 
 
 def test_extend_and_rank_echo_the_rows_they_write(tmp_path, capsys):
-    # An id with a comma is quoted on stdout as it is in the file.
-    data = write(tmp_path, "q.csv", 'id,x,index\na,0,0\nb,1,2\nc,2,4\n"d, quoted",1.5,\n')
+    # Ids with a comma, a quote or a line break are quoted on stdout as
+    # they are in the file, and stdout is exactly the file's body.
+    data = write(tmp_path, "q.csv", 'id,x,index\na,0,0\nb,1,2\nc,2,4\n"d, quoted",1.5,\n'
+                 '"say ""hi""",0.5,\n"two\nlines",2.5,\ne,3,\n')
     for command, name in (("extend", "predictions.csv"), ("rank", "ranking.csv")):
         out_dir = tmp_path / command
         code, out, err = run_cli(capsys, command, "--data", data, "--method", "whitney",
                                  "--out", str(out_dir))
         assert (code, err) == (0, "")
-        assert '"d, quoted"' in out
-        assert out == (out_dir / name).read_text().split("\n", 1)[1]
+        assert '"d, quoted"' in out and '"say ""hi"""' in out and '"two\nlines"' in out
+        header, body = (out_dir / name).read_bytes().decode("utf-8").split("\n", 1)
+        assert header.startswith(("id,", "rank,")) and out == body
 
 
 def test_an_overflowing_cv_writes_valid_json(tmp_path):

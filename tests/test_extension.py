@@ -197,6 +197,26 @@ def test_optimal_alpha_scales_down_sums_that_overflow():
     assert np.allclose(pred, expected * big, rtol=1e-12, atol=0.0)
 
 
+def test_optimal_alpha_scales_up_sums_of_squares_that_underflow():
+    # At 1e-170 every square of W - M underflows to 0, and the blend was
+    # called degenerate (0.5, with a warning); W equals the truth, so the
+    # exact weight is 0.0, that of the same inputs at 1.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert optimal_alpha([1e-170] * 2, [1e-170] * 2, [-1e-170] * 2) == 0.0
+        assert optimal_alpha([-1e-170] * 2, [1e-170] * 2, [-1e-170] * 2) == 1.0
+        rng = np.random.default_rng(37)
+        tiny = 2.0**-1000
+        for _ in range(20):
+            w, m = rng.normal(size=(2, 40))
+            t = 0.6 * w + 0.4 * m + 0.2 * rng.normal(size=40)
+            assert optimal_alpha(t * tiny, w * tiny, m * tiny) == pytest.approx(
+                optimal_alpha(t, w, m), rel=1e-12, abs=1e-15)
+    # W == M is still degenerate, subnormal or not.
+    with pytest.warns(UserWarning, match="degenerate blend"):
+        assert optimal_alpha([1.0, 2.0], [5e-324, 0.0], [5e-324, 0.0]) == 0.5
+
+
 def test_optimal_alpha_bad_lengths():
     with pytest.raises(ValueError):
         optimal_alpha([1.0], [1.0, 2.0], [0.0, 1.0])
