@@ -111,21 +111,21 @@ def k_check(work: Path) -> None:
         One list of the largest ratios, as cross_validate builds it, serves
         every method; every fit, standard included, takes K on its rows as given.
         """
-        indexed = minmax_scale(read_dataset(path)).indexed_rows()
-        largest = largest_ratios(indexed.as_sample(), cm)
-        n, fits, served = indexed.n_rows, 0, 0
+        indexed = minmax_scale(read_dataset(path)).as_sample()
+        largest = largest_ratios(indexed, cm)
+        n, fits, served = len(indexed), 0, 0
         for seed in range(20):
             train = _split_rows(n, 0.7, seed, "random")[0]
             inner = _split_rows(len(train), 0.7, seed + _INNER_SPLIT_OFFSET, "random")[0]
             for rows in (train, _split_rows(n, 0.7, seed, "ordered")[0], train[inner]):
-                fresh = coherence_constant(IndexedSample(indexed.features[rows], indexed.index[rows]), cm)
+                fresh = coherence_constant(IndexedSample(indexed.points[rows], indexed.values[rows]), cm)
                 served += largest.coherence(rows) is not None
                 for method in methods:
                     K = _fit_rows(indexed, cm, method, largest, rows).K
                     assert K == fresh, (path, seed, len(rows), method, K.hex(), fresh.hex())
                     fits += 1
         # The fit on every row that extend and rank make.
-        fresh = coherence_constant(indexed.as_sample(), cm)
+        fresh = coherence_constant(indexed, cm)
         for method in methods:
             K = fit_for_extend(indexed, cm, method).K
             assert K == fresh, (path, method, K.hex(), fresh.hex())
@@ -240,18 +240,18 @@ def rmse_sqrt(work: Path) -> None:
 def rmse_large(work: Path) -> None:
     data = work / "data.csv"
     data.write_text(generate(WORKLOADS["optimize-rmse"], 0, 0, n=1250).csv_text, encoding="utf-8")
-    indexed = minmax_scale(read_dataset(data)).indexed_rows()
+    indexed = minmax_scale(read_dataset(data)).as_sample()
     points, values = checks.scaled_indexed(generate(WORKLOADS["optimize-rmse"], 0, 0, n=1250))
-    train, test = _split_rows(indexed.n_rows, 0.7, 0, "random")
+    train, test = _split_rows(len(indexed), 0.7, 0, "random")
     ref_train, ref_test = checks.split(len(values), 0)
-    sample = IndexedSample(indexed.features[train], indexed.index[train])
+    sample = IndexedSample(indexed.points[train], indexed.values[train])
     rng = np.random.default_rng(0)
     for atoms in (LINEAR_BASIS, SQRT_BASIS):
         start = perf_counter()
         objective = objective_test_rmse(indexed, "euclidean", atoms)
         build = perf_counter() - start
         k_pairs = len(k_front(sample, "euclidean", atoms)[1])
-        width = _row_fronts(indexed.features[test], sample, "euclidean", atoms)[1].shape[1]
+        width = _row_fronts(indexed.points[test], sample, "euclidean", atoms)[1].shape[1]
         lams = rng.uniform(0.0, 10.0, size=(200, len(atoms)))
         lams[:5:2, 1] = 0.0
         objective(lams[0])  # the first call pays numpy's one-time costs

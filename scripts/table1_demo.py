@@ -34,15 +34,15 @@ from lipext.dataio import read_dataset, table1_path
 METHODS = ("standard", "mcshane", "whitney", "blend", "linear")
 
 
-def optimize_phi(ds, atoms, metric):
-    lam, best, identity_value = minimize_kq(ds.indexed_rows().as_sample(), metric, atoms)
+def optimize_phi(sample, atoms, metric):
+    lam, best, identity_value = minimize_kq(sample, metric, atoms)
     return PhiCombination(atoms, tuple(lam)), identity_value, best
 
 
-def cv_table(ds, cm, repeats, seed):
+def cv_table(sample, cm, repeats, seed):
     rows = {}
     for method in METHODS:
-        report = cross_validate(ds, method, cm, repeats=repeats, seed=seed)
+        report = cross_validate(sample, method, cm, repeats=repeats, seed=seed)
         rows[method] = report
     return rows
 
@@ -54,9 +54,9 @@ def print_cv(title, reports):
         print(f"{method:<10} {r.mean:>8.3f} {r.median:>8.3f} {r.std_dev:>8.3f}")
 
 
-def rank_unindexed(ds, cm, seed):
-    model = fit_for_extend(ds.indexed_rows(), cm, "blend", seed=seed)
-    preds = predict(model, ds.unindexed_rows().features)
+def rank_unindexed(ds, sample, cm, seed):
+    model = fit_for_extend(sample, cm, "blend", seed=seed)
+    preds = predict(model, ds.features[~ds.indexed_mask])
     return rank(ds, preds)
 
 
@@ -70,22 +70,23 @@ def main() -> int:
 
     warnings.simplefilter("ignore")  # demo output only; tests exercise warnings
     ds = minmax_scale(read_dataset(args.data))
-    n_indexed = ds.indexed_rows().n_rows
+    sample = ds.as_sample()
+    n_indexed = len(sample)
     print(f"dataset: {args.data}")
     print(f"rows: {ds.n_rows} ({n_indexed} indexed, {ds.n_rows - n_indexed} to extend)")
 
     plain = CompositionMetric(args.metric, identity_phi())
-    print_cv("plain metric", cv_table(ds, plain, args.repeats, args.seed))
+    print_cv("plain metric", cv_table(sample, plain, args.repeats, args.seed))
 
     for label, atoms in (("linear family", LINEAR_BASIS), ("sqrt family", SQRT_BASIS)):
-        phi, ident_kq, best_kq = optimize_phi(ds, atoms, args.metric)
+        phi, ident_kq, best_kq = optimize_phi(sample, atoms, args.metric)
         coeffs = ", ".join(f"{a}={c:.4f}" for a, c in zip(phi.atoms, phi.coefficients))
         print(f"\n== {label}: K*Q {ident_kq:.4f} -> {best_kq:.4f}")
         print(f"   coefficients: {coeffs}")
         cm = CompositionMetric(args.metric, phi)
-        print_cv(f"optimized metric ({label})", cv_table(ds, cm, args.repeats, args.seed))
+        print_cv(f"optimized metric ({label})", cv_table(sample, cm, args.repeats, args.seed))
         print("\nranking of unindexed rows:")
-        for r, cid, val in rank_unindexed(ds, cm, args.seed):
+        for r, cid, val in rank_unindexed(ds, sample, cm, args.seed):
             print(f"  {r}. {cid:<12} {val:.2f}")
     return 0
 

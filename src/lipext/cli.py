@@ -10,7 +10,11 @@ Five subcommands cover the user workflows:
 * ``rank``      -- extend, then order the unindexed rows by prediction.
 
 Every command reads one dataset CSV plus an optional JSON config; flags
-override config values.  Outputs are CSV/JSON files written atomically.
+override config values.  The ``Dataset`` stops here: a command fits on
+``scaled.as_sample()``, made once, takes ids and target features from
+``scaled.indexed_mask``, and rejects a modulus whose composed distances
+may pass the float range (``_resolve_phi``).  Outputs are CSV/JSON files
+written atomically.
 On failure the process exits nonzero after printing a single line of the
 form ``error:<category>: <message>`` to stderr.  A warning is printed as one
 ``warning: <message>`` line.
@@ -28,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constants import constants_report
+from .constants import IndexedSample, constants_report
 from .dataio import (
     CsvParseError,
     dataset_hash,
@@ -200,15 +204,20 @@ def _parse_phi_value(value: object) -> PhiCombination:
     raise CliError("config", f"cannot interpret phi value {value!r}")
 
 
-def _resolve_phi(cfg: RunConfig, scaled: Dataset) -> PhiCombination:
-    """Turn the configured phi into a concrete combination.
-
-    ``"optimize"`` runs the coefficient search on the indexed rows first and
-    uses the winning coefficients.
-    """
-    if cfg.phi == "optimize":
-        return _run_optimize(cfg, scaled)["best_phi"]
-    return cfg.phi
+def _resolve_phi(cfg: RunConfig, scaled: Dataset, sample: IndexedSample) -> PhiCombination:
+    """The configured phi, searched for on ``sample`` when ``"optimize"``.
+    Base metrics grow with each coordinate gap and atoms are increasing, so
+    the composed distance from the column minima to the column maxima of
+    the scaled rows bounds every pair's: when it is not finite, the data
+    raise ``CliError`` before any distance is used."""
+    phi = _run_optimize(cfg, sample)["best_phi"] if cfg.phi == "optimize" else cfg.phi
+    X = scaled.features
+    with np.errstate(all="ignore"):
+        corner = CompositionMetric(cfg.metric, phi).pairwise(X.min(axis=0), X.max(axis=0))[0, 0]
+    if not math.isfinite(corner):
+        raise CliError("data", "composed distances may exceed the float range: the distance "
+                       f"from the column minima to the column maxima is {corner}")
+    return phi
 
 
 def _load(cfg: RunConfig, args, hashed: bool = False) -> tuple[Dataset, str | None]:
@@ -221,14 +230,13 @@ def _load(cfg: RunConfig, args, hashed: bool = False) -> tuple[Dataset, str | No
     return minmax_scale(raw, fit_on=cfg.scale_on), dataset_hash(raw) if hashed else None
 
 
-def _run_optimize(cfg: RunConfig, scaled: Dataset) -> dict:
-    indexed = scaled.indexed_rows()
+def _run_optimize(cfg: RunConfig, sample: IndexedSample) -> dict:
     atoms = cfg.atoms
     if cfg.objective == "kq_bound":
-        lam, best, identity_objective = minimize_kq(indexed.as_sample(), cfg.metric, atoms)
+        lam, best, identity_objective = minimize_kq(sample, cfg.metric, atoms)
         search = {}
     else:
-        objective = objective_test_rmse(indexed, cfg.metric, atoms, cfg.train_fraction, cfg.seed)
+        objective = objective_test_rmse(sample, cfg.metric, atoms, cfg.train_fraction, cfg.seed)
         result = pso_minimize(objective, len(atoms), _pso_config(cfg))
         lam, best, identity_objective = settle(objective, result.best_lambda)
         search = {"swarm": result}
@@ -280,26 +288,19 @@ def rebuild_model(model_dict: dict, ds_raw: Dataset) -> tuple[ExtensionModel, Da
         np.array(model_dict["scaling"]["min"], dtype=float),
         np.array(model_dict["scaling"]["max"], dtype=float),
     ))
-    indexed = scaled.indexed_rows()
+    training = scaled.as_sample()
     if model_dict["method"] == "linear":
         coeffs = np.array(model_dict["coefficients"], dtype=float)
-        model = ExtensionModel(
-            indexed.as_sample(), CompositionMetric(), None, "linear", coefficients=coeffs
-        )
+        model = ExtensionModel(training, CompositionMetric(), None, "linear", coefficients=coeffs)
         return model, scaled
-    cm = CompositionMetric(
-        model_dict["metric"], PhiCombination.from_json_dict(model_dict["phi"])
-    )
-    anchor = None
-    if model_dict["anchor_id"] is not None:
-        anchor = indexed.ids.index(model_dict["anchor_id"])
+    anchor_id, phi = model_dict["anchor_id"], PhiCombination.from_json_dict(model_dict["phi"])
     model = ExtensionModel(
-        training=indexed.as_sample(),
-        cm=cm,
+        training=training,
+        cm=CompositionMetric(model_dict["metric"], phi),
         K=float(model_dict["K"]),
         method=model_dict["method"],
         alpha=model_dict["alpha"],
-        anchor=anchor,
+        anchor=None if anchor_id is None else _ids(scaled, True).index(anchor_id),
         offset=float(model_dict["offset"]),
     )
     return model, scaled
@@ -309,25 +310,31 @@ def rebuild_model(model_dict: dict, ds_raw: Dataset) -> tuple[ExtensionModel, Da
 # commands
 
 
+def _ids(scaled: Dataset, indexed: bool) -> list[str]:
+    """The ids of the indexed rows, or of the unindexed rows, in file order."""
+    return [cid for cid, known in zip(scaled.ids, scaled.indexed_mask.tolist()) if known == indexed]
+
+
 def _extend(cfg: RunConfig, scaled: Dataset) -> tuple[np.ndarray, ExtensionModel, list[str], list[str]]:
     """(predictions at the unindexed rows, the model fitted on the indexed
     rows, the ids of the indexed rows, the ids of the unindexed rows)."""
-    cm = CompositionMetric(cfg.metric, _resolve_phi(cfg, scaled))
-    indexed = scaled.indexed_rows()
-    targets = scaled.unindexed_rows()
+    sample = scaled.as_sample()
+    cm = CompositionMetric(cfg.metric, _resolve_phi(cfg, scaled, sample))
     model = fit_for_extend(
-        indexed, cm, cfg.method, cfg.alpha, cfg.train_fraction, cfg.seed, cfg.split
+        sample, cm, cfg.method, cfg.alpha, cfg.train_fraction, cfg.seed, cfg.split
     )
-    preds = predict(model, targets.features) if targets.n_rows else np.empty(0)
-    if targets.n_rows == 0:
+    targets = scaled.features[~scaled.indexed_mask]
+    preds = predict(model, targets) if len(targets) else np.empty(0)
+    if len(targets) == 0:
         warnings.warn("no unindexed rows: nothing to predict", stacklevel=2)
-    return preds, model, indexed.ids, targets.ids
+    return preds, model, _ids(scaled, True), _ids(scaled, False)
 
 
 def cmd_constants(cfg: RunConfig, args) -> int:
     scaled, _ = _load(cfg, args)
-    cm = CompositionMetric(cfg.metric, _resolve_phi(cfg, scaled))
-    report = constants_report(scaled.as_sample(), cm)
+    sample = scaled.as_sample()
+    cm = CompositionMetric(cfg.metric, _resolve_phi(cfg, scaled, sample))
+    report = constants_report(sample, cm)
     print(json_text(report), end="")
     if cfg.out:
         write_json(Path(cfg.out) / "constants.json", report)
@@ -346,9 +353,10 @@ def cmd_extend(cfg: RunConfig, args) -> int:
 
 def cmd_cv(cfg: RunConfig, args) -> int:
     scaled, _ = _load(cfg, args)
-    cm = CompositionMetric(cfg.metric, _resolve_phi(cfg, scaled))
+    sample = scaled.as_sample()
+    cm = CompositionMetric(cfg.metric, _resolve_phi(cfg, scaled, sample))
     report = cross_validate(
-        scaled,
+        sample,
         cfg.method,
         cm,
         repeats=cfg.repeats,
@@ -368,7 +376,7 @@ def cmd_cv(cfg: RunConfig, args) -> int:
 
 def cmd_optimize(cfg: RunConfig, args) -> int:
     scaled, _ = _load(cfg, args)
-    result = _run_optimize(cfg, scaled)
+    result = _run_optimize(cfg, scaled.as_sample())
     print(json_text(result), end="")
     if cfg.out:
         write_json(Path(cfg.out) / "best_phi.json", result["best_phi"])

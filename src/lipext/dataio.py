@@ -5,7 +5,7 @@ row because a model file names its anchor row by id; columns 2..m+1 are
 numeric features; the final column is ``index`` where an empty cell marks an
 unknown value.  Every number is finite: ``nan``, ``inf`` and overflowing
 literals such as ``1e400`` are parse errors.  UTF-8, comma separated,
-decimal point.
+decimal point.  Fits take only the indexed rows, ``Dataset.as_sample()``.
 """
 
 from __future__ import annotations

@@ -86,6 +86,8 @@ def fit_extension(
     anchors at the first row where the index is least, whose value is its
     offset; a sample whose values span more than the float range, which
     ``katetov_shift`` cannot shift to minimum 0, raises its ``ValueError``.
+    A model keeps ``alpha`` for blend only, as it keeps an anchor for
+    standard only.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
@@ -103,7 +105,7 @@ def fit_extension(
     if method == "standard":
         anchor = int(np.argmin(s.values))
         return ExtensionModel(s, cm, k_val, method, anchor=anchor, offset=float(s.values[anchor]))
-    return ExtensionModel(s, cm, k_val, method, alpha=alpha)
+    return ExtensionModel(s, cm, k_val, method, alpha=alpha if method == "blend" else None)
 
 
 def _conflicting_duplicates(s: IndexedSample) -> bool:
@@ -245,7 +247,8 @@ def optimal_alpha(i_true, i_whitney, i_mcshane) -> float:
     pointwise every alpha is optimal; 0.5 is returned with a warning.  A
     sum that overflows, or a sum of squares that underflows to 0, is taken
     again of the inputs divided by their largest magnitude, which leaves a0
-    as it is, and numpy's floating-point warnings are silenced.
+    as it is, and a sum of squares still 0 of W - M divided by its own
+    largest magnitude; numpy's floating-point warnings are silenced.
     """
     t = np.asarray(i_true, dtype=float).reshape(-1)
     w = np.asarray(i_whitney, dtype=float).reshape(-1)
@@ -272,8 +275,9 @@ def _alpha(t: np.ndarray, w: np.ndarray, m: np.ndarray, gap=None, work=None) -> 
     every input is, a difference or product overflowed; when the sum of
     squares is 0 though W != M, the squares underflowed.  Either way the
     weight is that of the inputs divided by their largest magnitude, unless
-    that is already 1.  numpy's floating-point warnings are the caller's to
-    silence."""
+    that is already 1; when at that scale the sum of squares is still 0,
+    W - M is divided by its own largest magnitude, so the sum is at least
+    1.  numpy's floating-point warnings are the caller's to silence."""
     gap = np.subtract(w, m, out=gap)
     denom = float(np.add.reduce(np.multiply(gap, gap, out=work)))
     if denom == 0.0 and not gap.any():
@@ -283,8 +287,12 @@ def _alpha(t: np.ndarray, w: np.ndarray, m: np.ndarray, gap=None, work=None) -> 
         top = float(np.abs(np.stack((t, w, m))).max())
         if top < math.inf and top != 1.0:  # every input is finite and the scale changes
             return _alpha(t / top, w / top, m / top)
-        if denom == 0.0:  # W - M is below about 1e-162 of the largest input
+        if denom == 0.0 and not top < math.inf:
             return None
+        if denom == 0.0:  # W - M is below about 1e-162 of the largest input
+            g = float(np.abs(gap).max())
+            gap = gap / g
+            num, denom = float(np.add.reduce((w - t) * gap)) / g, float(np.add.reduce(gap * gap))
     return min(1.0, max(0.0, num / denom))
 
 

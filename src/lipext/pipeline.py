@@ -7,7 +7,10 @@ seeds.  The blend weight alpha is chosen against the held-out side itself,
 trading a little optimism for data efficiency; ``honest_alpha`` switches to
 a nested split inside the training rows.
 
-Splits only change which indexed rows train, so one pass over the rows'
+``fit_for_extend(s, ...)``, ``cross_validate(s, ...)`` and
+``objective_test_rmse(s, ...)`` take an ``IndexedSample``, every row with a
+known value, made from a ``Dataset`` by ``Dataset.as_sample`` alone.
+Splits only change which of its rows train, so one pass over the rows'
 pairs (``constants.largest_ratios``) lists their largest ratios, and every
 fit on a subset of them takes its coherence constant K from the first
 listed pair with both rows on its training side, or from the points when
@@ -83,31 +86,11 @@ class Dataset:
         return self.features.shape[0]
 
     @property
-    def n_features(self) -> int:
-        return self.features.shape[1]
-
-    @property
     def indexed_mask(self) -> np.ndarray:
         return ~np.isnan(self.index)
 
-    def subset(self, rows) -> "Dataset":
-        rows = np.asarray(rows)
-        return Dataset(
-            [self.ids[i] for i in rows],
-            self.features[rows],
-            self.index[rows],
-            list(self.feature_names),
-            self.scaling,
-        )
-
-    def indexed_rows(self) -> "Dataset":
-        return self.subset(np.flatnonzero(self.indexed_mask))
-
-    def unindexed_rows(self) -> "Dataset":
-        return self.subset(np.flatnonzero(~self.indexed_mask))
-
     def as_sample(self) -> IndexedSample:
-        """The indexed rows as a sample for fitting."""
+        """The indexed rows as the sample that every fit takes."""
         mask = self.indexed_mask
         return IndexedSample(self.features[mask], self.index[mask])
 
@@ -168,8 +151,9 @@ def split(ds: Dataset, train_fraction: float, seed: int, method: str = "random")
     order as training, for datasets pre-sorted by some priority such as
     population.  Each side keeps file order (``_split_rows``).
     """
-    train_idx, test_idx = _split_rows(ds.n_rows, train_fraction, seed, method)
-    return ds.subset(train_idx), ds.subset(test_idx)
+    return tuple(Dataset([ds.ids[i] for i in rows], ds.features[rows], ds.index[rows],
+                         list(ds.feature_names), ds.scaling)
+                 for rows in _split_rows(ds.n_rows, train_fraction, seed, method))
 
 
 def _train_size(n: int, train_fraction: float) -> int:
@@ -295,17 +279,15 @@ def _median(arr: np.ndarray) -> float:
     return float(np.add.reduce(middle) / middle.size)
 
 
-def _fit_rows(ds: Dataset, cm: CompositionMetric, method: str, largest, rows, alpha=None):
-    """``fit_extension`` of ``method`` on the given rows of ``ds``, all
-    indexed.  K is the first ratio that ``largest``, the ``LargestRatios``
-    of every row of ``ds``, lists with both ends among ``rows``.  When
-    ``largest`` is None, as for linear, or lists no such pair,
-    ``fit_extension`` computes K from the points.  Either has the bits of
-    K on a fresh sample of the rows.
+def _fit_rows(s: IndexedSample, cm: CompositionMetric, method: str, largest, rows, alpha=None):
+    """``fit_extension`` of ``method`` on the given rows of ``s``.  K is
+    the first ratio that ``largest``, the ``LargestRatios`` of every row of
+    ``s``, lists with both ends among ``rows``.  When ``largest`` is None,
+    as for linear, or lists no such pair, ``fit_extension`` computes K from
+    the points.  Either has the bits of K on a fresh sample of the rows.
     """
-    sample = IndexedSample(ds.features[rows], ds.index[rows])
     K = largest.coherence(rows) if largest is not None else None
-    return fit_extension(sample, cm, method, alpha, K)
+    return fit_extension(IndexedSample(s.points[rows], s.values[rows]), cm, method, alpha, K)
 
 
 def _sweep(cm: CompositionMetric, X: np.ndarray, fits) -> None:
@@ -354,7 +336,7 @@ def _holdout_split(n: int, train_fraction: float, seed: int, split_method: str):
 
 
 def fit_for_extend(
-    indexed: Dataset,
+    s: IndexedSample,
     cm: CompositionMetric,
     method: str,
     alpha: float | None = None,
@@ -362,7 +344,7 @@ def fit_for_extend(
     seed: int = 0,
     split_method: str = "random",
 ) -> ExtensionModel:
-    """Fit ``method`` on every row of ``indexed``: the model that extends.
+    """Fit ``method`` on every row of ``s``: the model that extends.
 
     A blend without ``alpha`` takes its weight from the ``BlockPredictions``
     of a model fitted on the training side of ``_holdout_split`` at the
@@ -374,26 +356,28 @@ def fit_for_extend(
     ``constants.largest_ratios`` of every row (``_fit_rows``).  Every
     other fit, and any fit on one row, which raises ``FitError`` unless it
     is linear, is ``fit_extension`` on every row, with K from the points.
+    The fit on every row trains on ``s`` itself, not a copy, so the model
+    shares its memory.
     """
-    if method != "blend" or alpha is not None or indexed.n_rows < 2:
-        return fit_extension(indexed.as_sample(), cm, method, alpha)
-    largest = largest_ratios(IndexedSample(indexed.features, indexed.index), cm)
-    split = _holdout_split(indexed.n_rows, train_fraction, seed, split_method)
+    if method != "blend" or alpha is not None or len(s) < 2:
+        return fit_extension(s, cm, method, alpha)
+    largest = largest_ratios(s, cm)
+    split = _holdout_split(len(s), train_fraction, seed, split_method)
     if split is None:
         warnings.warn("too few indexed rows to estimate alpha; using 0.5", stacklevel=2)
         alpha = 0.5
     else:
         train, held_out = split
-        model = _fit_rows(indexed, cm, method, largest, train)
-        blocks = cm.blocks(indexed.features[held_out], model.training.points)
+        model = _fit_rows(s, cm, method, largest, train)
+        blocks = cm.blocks(s.points[held_out], model.training.points)
         alpha = BlockPredictions(model, len(held_out), blocks).result(
-            truth=indexed.index[held_out])[0]
+            truth=s.values[held_out])[0]
         del model  # its copy of the training side is freed before the refit
-    return _fit_rows(indexed, cm, method, largest, np.arange(indexed.n_rows), alpha)
+    return fit_extension(s, cm, method, alpha, largest.coherence(np.arange(len(s))))
 
 
 def cross_validate(
-    ds: Dataset,
+    s: IndexedSample,
     method: str,
     cm: CompositionMetric,
     repeats: int = 20,
@@ -403,7 +387,7 @@ def cross_validate(
     honest_alpha: bool = False,
     split_method: str = "random",
 ) -> CvReport:
-    """Repeatedly split, fit and score; repeat r uses seed + r.
+    """Repeatedly split the rows of ``s``, fit and score; repeat r uses seed + r.
 
     Repeats where fitting fails, or whose nested ``honest_alpha`` split is
     too small, are excluded from the RMSE statistics and counted; so is a
@@ -414,7 +398,7 @@ def cross_validate(
     mcshane or blend fit as its ``BlockPredictions``, a standard or linear
     one as its predictions, made by ``extension.predict`` at the rows'
     points as soon as it is fitted, so no repeat holds a copy of its
-    training points.  Then one ``_sweep`` over the indexed rows makes the
+    training points.  Then one ``_sweep`` over the rows of ``s`` makes the
     whitney, mcshane and blend predictions of them all.  The blend
     weights, mixes and RMSEs follow, repeat by repeat in order, so every
     warning of a Lipschitz fit comes before those of the predictions.
@@ -424,23 +408,20 @@ def cross_validate(
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     check_alpha(alpha)
-    indexed = ds.indexed_rows()
-    if indexed.n_rows < 2:
+    if len(s) < 2:
         raise ValueError("cross-validation needs at least two indexed rows")
     lipschitz = method in ("whitney", "mcshane", "blend")
-    largest = None
-    if method != "linear":
-        largest = largest_ratios(IndexedSample(indexed.features, indexed.index), cm)
+    largest = largest_ratios(s, cm) if method != "linear" else None
 
     def pending(train, rows):  # what scoring at rows reads of a fit on train
-        model = _fit_rows(indexed, cm, method, largest, train)
+        model = _fit_rows(s, cm, method, largest, train)
         if lipschitz:
             return BlockPredictions(model, len(rows)), train, rows
-        return predict(model, indexed.features[rows]), train, rows
+        return predict(model, s.points[rows]), train, rows
 
     plans = []  # each repeat's (nested fit, fit), pending(...) each or None
     for r in range(repeats):
-        train, test = _split_rows(indexed.n_rows, train_fraction, seed + r, split_method)
+        train, test = _split_rows(len(s), train_fraction, seed + r, split_method)
         nested = fit = None
         try:
             if method == "blend" and alpha is None and honest_alpha:
@@ -459,15 +440,15 @@ def cross_validate(
                 raise
         plans.append((nested, fit))
     if lipschitz:
-        _sweep(cm, indexed.features, [f for plan in plans for f in plan if f is not None])
+        _sweep(cm, s.points, [f for plan in plans for f in plan if f is not None])
 
     scores = []
     for nested, fit in plans:
-        a = alpha if nested is None else nested[0].result(None, indexed.index[nested[2]])[0]
+        a = alpha if nested is None else nested[0].result(None, s.values[nested[2]])[0]
         if fit is not None:
             made, _, rows = fit
-            pred = made.result(a, indexed.index[rows])[1] if lipschitz else made
-            scores.append(rmse(pred, indexed.index[rows]))
+            pred = made.result(a, s.values[rows])[1] if lipschitz else made
+            scores.append(rmse(pred, s.values[rows]))
     if not scores:
         raise FitError("every cross-validation repeat failed to fit")
     mean, median, std = _cv_stats(scores)
@@ -483,7 +464,7 @@ def cross_validate(
 
 
 def objective_test_rmse(
-    ds_indexed: Dataset,
+    s: IndexedSample,
     base: str,
     atoms: tuple[str, ...],
     train_fraction: float = 0.7,
@@ -491,10 +472,10 @@ def objective_test_rmse(
 ) -> Callable:
     """Held-out RMSE of the alpha-blend extension as a function of coefficients.
 
-    One split is drawn up front and reused for every candidate, so all
-    coefficient vectors are compared on identical data.  A candidate's K
-    is a maximum of pair ratios, and each Whitney or McShane prediction a
-    minimum or maximum over the training rows.  An item that another item
+    One split of the rows of ``s`` is drawn up front and reused for every
+    candidate, so all coefficient vectors are compared on identical data.
+    A candidate's K is a maximum of pair ratios, and each Whitney or
+    McShane prediction a minimum or maximum over the training rows.  An item that another item
     dominates (``constants.undominated``) never decides one of them, for
     any coefficients: a pair with atom values each no larger and a gap no
     smaller has a ratio no smaller, and a training row with atom values
@@ -521,14 +502,14 @@ def objective_test_rmse(
     Every array a candidate writes is allocated here once and reused, so
     the returned function serves one caller at a time.
     """
-    train, test = _split_rows(ds_indexed.n_rows, train_fraction, seed, "random")
+    train, test = _split_rows(len(s), train_fraction, seed, "random")
     if len(train) < 2:
         raise ValueError(
             f"the test-rmse search needs at least two training rows: a split of "
-            f"{ds_indexed.n_rows} indexed rows at train_fraction {train_fraction} "
+            f"{len(s)} indexed rows at train_fraction {train_fraction} "
             f"leaves {len(train)}"
         )
-    X, values = ds_indexed.features, ds_indexed.index
+    X, values = s.points, s.values
     train_sample = IndexedSample(X[train], values[train])
     pair_atoms, gaps = k_front(train_sample, base, atoms)
     row_atoms, row_values = _row_fronts(X[test], train_sample, base, atoms)

@@ -192,19 +192,19 @@ def test_exact_recovery_two_points():
 @criterion("scale-invariance")
 def test_scale_invariance():
     ds = minmax_scale(read_dataset(table1_path()))
+    indexed = ds.as_sample()
     phi = PhiCombination(("identity", "log1p", "arctan"), (1.0, 0.7, 0.3))
 
     def rank_and_rmse(p):
         cm = CompositionMetric("euclidean", p)
-        report = cross_validate(ds, "blend", cm, repeats=5, seed=13)
-        indexed = ds.indexed_rows()
+        report = cross_validate(indexed, "blend", cm, repeats=5, seed=13)
         alpha = fit_for_extend(indexed, cm, "blend", None, 0.7, seed=13).alpha
-        model = fit_extension(indexed.as_sample(), cm, "blend", alpha=alpha)
-        preds = predict(model, ds.unindexed_rows().features)
+        model = fit_extension(indexed, cm, "blend", alpha=alpha)
+        preds = predict(model, ds.features[~ds.indexed_mask])
         return report.per_repeat_rmse, rank(ds, preds)
 
     base_rmse, base_rank = rank_and_rmse(phi)
-    kq = objective_kq(ds.indexed_rows().as_sample(), "euclidean", phi.atoms)
+    kq = objective_kq(indexed, "euclidean", phi.atoms)
     lam = np.asarray(phi.coefficients)
     base_kq = kq(lam)
     for c in (0.1, 3.0, 42.0):
@@ -245,8 +245,8 @@ def test_optimizer_guarantees(tmp_path):
         assert payload["best_objective"] <= payload["identity_objective"]
         phi = payload["best_phi"]
         assert sum(phi["coefficients"]) == pytest.approx(1.0, abs=1e-12)
-        indexed = minmax_scale(read_dataset(data)).indexed_rows()
-        kq = objective_kq(indexed.as_sample(), "euclidean", tuple(phi["atoms"]))
+        indexed = minmax_scale(read_dataset(data)).as_sample()
+        kq = objective_kq(indexed, "euclidean", tuple(phi["atoms"]))
         assert payload["best_objective"] == kq(np.array(phi["coefficients"]))
         assert out1 == quiet_cli(["optimize", "--data", data, "--seed", "5"])
 

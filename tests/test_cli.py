@@ -69,7 +69,7 @@ def reject_constant(name: str):
 def test_read_bundled_table1():
     ds = read_dataset(table1_path())
     assert ds.ids[0] == "New York"
-    assert ds.n_rows == 6 and ds.n_features == 3
+    assert ds.features.shape == (6, 3)
     assert int(np.sum(ds.indexed_mask)) == 4
     assert ds.index[0] == 63.0 and math.isnan(ds.index[3])
 
@@ -153,7 +153,7 @@ def test_read_dataset_holds_each_cell_once(tmp_path):
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (ds.n_rows, ds.n_features) == (5000, 10)
+    assert ds.features.shape == (5000, 10)
     assert peak < 2 * held, (peak, held)
 
 
@@ -369,7 +369,7 @@ def test_model_round_trip_bitwise(tmp_path, capsys, method):
     ds_raw = read_dataset(table1_path())
     assert model_dict["training_hash"] == dataset_hash(ds_raw)
     model, scaled = rebuild_model(model_dict, ds_raw)
-    preds = predict(model, scaled.unindexed_rows().features)
+    preds = predict(model, scaled.features[~scaled.indexed_mask])
     reread = [float(line.split(",")[1]) for line in first.strip().splitlines()[1:]]
     assert list(preds) == reread  # bitwise: repr round-trips float64 exactly
 
@@ -467,7 +467,7 @@ def test_optimize_never_worse_than_identity(tmp_path, capsys):
     assert sum(best_phi["coefficients"]) == pytest.approx(1.0, rel=1e-9)
     result = json.loads((out_dir / "swarm_result.json").read_text())
     assert result == payload and result["best_phi"] == best_phi
-    sample = minmax_scale(read_dataset(table1_path())).indexed_rows().as_sample()
+    sample = minmax_scale(read_dataset(table1_path())).as_sample()
     kq = objective_kq(sample, "euclidean", tuple(best_phi["atoms"]))
     assert result["best_objective"] == kq(np.array(best_phi["coefficients"]))
 
@@ -481,7 +481,7 @@ def test_optimize_never_worse_than_identity(tmp_path, capsys):
     assert payload["best_objective"] <= payload["identity_objective"]
     best_phi = json.loads((out_dir / "best_phi.json").read_text())
     assert sum(best_phi["coefficients"]) == pytest.approx(1.0, rel=1e-12)
-    indexed = minmax_scale(read_dataset(table1_path())).indexed_rows()
+    indexed = minmax_scale(read_dataset(table1_path())).as_sample()
     rmse = objective_test_rmse(indexed, "euclidean", tuple(best_phi["atoms"]), seed=3)
     assert payload["best_objective"] == rmse(np.array(best_phi["coefficients"]))
     history = json.loads((out_dir / "swarm_result.json").read_text())["swarm"]["history"]
@@ -800,6 +800,42 @@ def test_every_command_needs_two_indexed_rows(tmp_path, capsys, command, setting
     code, _, err = run_cli(capsys, command, "--data", data, "--config", cfg)
     assert code == 2
     assert err == f"error:data: {command} needs at least two indexed rows\n"
+
+
+@pytest.mark.parametrize("command", ["constants", "extend", "cv", "rank"])
+def test_composed_distances_past_the_float_range_end_in_one_data_error(tmp_path, capsys, command):
+    # On Table 1's scaled rows the composed distance from the column minima
+    # to the column maxima, 1e308 * (sqrt(3) + 3 ** 0.25), overflows, so the
+    # command stops before any distance is used: no numpy warning, no file.
+    phi = '{"atoms": ["identity", "sqrt"], "coefficients": [1e308, 1e308]}'
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, command, "--data", str(table1_path()), "--phi", phi,
+                             "--out", str(out_dir))
+    assert (code, out) == (2, "")
+    assert err == ("error:data: composed distances may exceed the float range: the distance "
+                   "from the column minima to the column maxima is inf\n")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["constants", "extend", "cv", "rank"])
+def test_composed_distances_near_the_float_range_still_run(tmp_path, capsys, command):
+    # identity at 1e308: the corner distance, sqrt(3) * 1e308, and so every
+    # pair's (the largest is 1.656e308) are finite.
+    phi = '{"atoms": ["identity"], "coefficients": [1e308]}'
+    code, _, err = run_cli(capsys, command, "--data", str(table1_path()), "--phi", phi,
+                           "--out", str(tmp_path / "out"))
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_extend_writes_a_configured_alpha_for_blend_only(tmp_path, capsys, method):
+    # A fixed alpha takes no part in any other method's predictions.
+    cfg = write(tmp_path, "cfg.json", json.dumps({"alpha": 0.3}))
+    code, _, _ = run_cli(capsys, "extend", "--data", str(table1_path()), "--config", cfg,
+                         "--method", method, "--out", str(tmp_path))
+    assert code == 0
+    alpha = json.loads((tmp_path / "model.json").read_text()).get("alpha")
+    assert alpha == (0.3 if method == "blend" else None)
 
 
 def test_missing_file_reports_io(capsys):

@@ -280,7 +280,7 @@ def test_report_json_encodes_infinity():
 
 
 def test_report_bound_is_that_of_the_shifted_index_on_table1():
-    s = minmax_scale(read_dataset(table1_path())).indexed_rows().as_sample()
+    s = minmax_scale(read_dataset(table1_path())).as_sample()
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no "K*Q < 1" clamp on the shifted index
         report = constants_report(s, IDENTITY)

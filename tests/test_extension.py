@@ -29,7 +29,7 @@ from lipext.extension import (
 from lipext import constants, metrics
 from lipext.metrics import CompositionMetric, pairwise_base
 from lipext.phi import PhiCombination, identity_phi, phi_eval
-from lipext.pipeline import Dataset, _fit_rows
+from lipext.pipeline import _fit_rows
 
 import oracles
 from helpers import distance_blocks, predict_from, random_combination, record_blocks, scaled, tiles
@@ -217,6 +217,19 @@ def test_optimal_alpha_scales_up_sums_of_squares_that_underflow():
         assert optimal_alpha([1.0, 2.0], [5e-324, 0.0], [5e-324, 0.0]) == 0.5
 
 
+def test_optimal_alpha_scales_a_gap_whose_squares_underflow_at_unit_scale():
+    # W - M is 1e-170 at one row and 0 at the other.  Divided by the largest
+    # input, its square is still below the smallest subnormal, so W - M is
+    # divided by its own largest magnitude: the stationary point is about
+    # -2e170, so the weight is 0.0, and the blend is not degenerate.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert optimal_alpha([1.0, 2.0], [0.5, 1e-170], [0.5, 0.0]) == 0.0
+        assert optimal_alpha([0.5, -1e-170], [0.5, 1e-170], [0.5, 0.0]) == 1.0
+        assert optimal_alpha([0.5, 0.75e-170], [0.5, 1e-170], [0.5, 0.0]) == pytest.approx(
+            0.25, rel=1e-12)
+
+
 def test_optimal_alpha_bad_lengths():
     with pytest.raises(ValueError):
         optimal_alpha([1.0], [1.0, 2.0], [0.0, 1.0])
@@ -347,10 +360,10 @@ def test_one_row_lipschitz_fit_is_unfittable(method, listed):
     # From the points, and with K from the list of the largest ratios, on a
     # one-row subset of its rows.
     one = IndexedSample(np.array([[0.5]]), [3.0])
-    ds = Dataset(["a", "b", "c"], [[0.5], [0.0], [1.0]], [3.0, 1.0, 2.0], ["x"])
+    three = IndexedSample(np.array([[0.5], [0.0], [1.0]]), [3.0, 1.0, 2.0])
     with pytest.raises(FitError, match="at least two rows"):
         if listed:
-            _fit_rows(ds, IDENTITY, method, largest_ratios(ds.as_sample(), IDENTITY), np.array([0]))
+            _fit_rows(three, IDENTITY, method, largest_ratios(three, IDENTITY), np.array([0]))
         else:
             fit_extension(one, IDENTITY, method)
     assert fit_extension(one, IDENTITY, "linear").method == "linear"
@@ -490,10 +503,9 @@ def test_standard_predicts_from_its_anchor_alone():
     model = fit_extension(IndexedSample(features, features @ rng.uniform(size=10)), cm, "standard")
     targets = rng.uniform(size=(3000, 10))
     rows = features[:1200]
-    ds = Dataset([f"r{i}" for i in range(1200)], rows, rng.uniform(1.0, 5.0, 1200),
-                 [f"f{j}" for j in range(10)])
+    cv_sample = IndexedSample(rows, rng.uniform(1.0, 5.0, 1200))
     train, held_out = np.arange(0, 1200, 2), np.arange(1, 1200, 2)
-    cv_model = _fit_rows(ds, cm, "standard", largest_ratios(ds.as_sample(), cm), train)
+    cv_model = _fit_rows(cv_sample, cm, "standard", largest_ratios(cv_sample, cm), train)
     expected = [
         model.offset + (model.K * cm.pairwise(targets, model.training.points))[:, model.anchor],
         cv_model.offset
@@ -533,10 +545,9 @@ def test_oracles_agree_at_n_200(sample, monkeypatch):
     close = functools.partial(pytest.approx, rel=1e-12, abs=1e-12)
     monkeypatch.setattr(metrics, "TILE_BYTES", 8 * n * 4 * 7)  # seven rows per K block
     sizes = record_blocks(monkeypatch, constants)
-    ds = Dataset([f"r{i}" for i in range(n)], s.points, s.values, [f"f{j}" for j in range(m)])
     assert coherence_constant(s, cm) == close(K_o)
     assert sizes == tiles(n - 1, 7)
-    assert _fit_rows(ds, cm, "whitney", largest_ratios(s, cm), np.arange(n)).K == close(K_o)
+    assert _fit_rows(s, cm, "whitney", largest_ratios(s, cm), np.arange(n)).K == close(K_o)
     report = constants_report(s, cm)
     assert (report.K, report.Q) == (close(K_o), close(Q_o))
 

@@ -64,6 +64,11 @@ def make_dataset(features, index, ids=None):
     return Dataset(ids, features, np.asarray(index, dtype=float), names)
 
 
+def make_sample(features, index):
+    """The indexed rows of ``make_dataset(features, index)`` as a sample."""
+    return make_dataset(features, index).as_sample()
+
+
 def table1_like():
     features = np.array(
         [
@@ -241,15 +246,15 @@ def test_rank_is_a_permutation():
 def test_cv_exact_on_affine_line():
     # One-dimensional affine data: both extensions interpolate the line
     # exactly, so the held-out error vanishes (and the blend degenerates).
-    ds = make_dataset([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
-    report = cross_validate(ds, "blend", IDENTITY, repeats=1, seed=0)
+    s = make_sample([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
+    report = cross_validate(s, "blend", IDENTITY, repeats=1, seed=0)
     assert report.per_repeat_rmse[0] <= 1e-9
 
 
 def test_cv_deterministic_apart_from_timing():
-    ds = minmax_scale(table1_like())
-    r1 = cross_validate(ds, "blend", IDENTITY, repeats=20, seed=3)
-    r2 = cross_validate(ds, "blend", IDENTITY, repeats=20, seed=3)
+    s = minmax_scale(table1_like()).as_sample()
+    r1 = cross_validate(s, "blend", IDENTITY, repeats=20, seed=3)
+    r2 = cross_validate(s, "blend", IDENTITY, repeats=20, seed=3)
     assert r1.per_repeat_rmse == r2.per_repeat_rmse
     assert (r1.mean, r1.median, r1.std_dev) == (r2.mean, r2.median, r2.std_dev)
     assert r1.failed == r2.failed == 0
@@ -257,8 +262,8 @@ def test_cv_deterministic_apart_from_timing():
 
 
 def test_cv_statistics_consistent():
-    ds = minmax_scale(table1_like())
-    report = cross_validate(ds, "whitney", IDENTITY, repeats=20, seed=7)
+    s = minmax_scale(table1_like()).as_sample()
+    report = cross_validate(s, "whitney", IDENTITY, repeats=20, seed=7)
     arr = np.asarray(report.per_repeat_rmse)
     assert abs(report.mean - float(np.mean(arr))) <= 1e-12
     assert abs(report.median - float(np.median(arr))) <= 1e-12
@@ -267,9 +272,9 @@ def test_cv_statistics_consistent():
 
 
 def test_cv_all_methods_run():
-    ds = minmax_scale(table1_like())
+    s = minmax_scale(table1_like()).as_sample()
     for method in ("mcshane", "whitney", "blend", "standard", "linear"):
-        report = cross_validate(ds, method, IDENTITY, repeats=3, seed=2)
+        report = cross_validate(s, method, IDENTITY, repeats=3, seed=2)
         assert report.method == method
         assert report.failed == 0
         assert all(v >= 0.0 for v in report.per_repeat_rmse)
@@ -277,15 +282,15 @@ def test_cv_all_methods_run():
 
 def test_cv_honest_alpha_mode():
     rng = np.random.default_rng(5)
-    ds = make_dataset(rng.uniform(size=(30, 2)), rng.uniform(0.0, 10.0, 30))
-    report = cross_validate(ds, "blend", IDENTITY, repeats=5, seed=1, honest_alpha=True)
+    s = make_sample(rng.uniform(size=(30, 2)), rng.uniform(0.0, 10.0, 30))
+    report = cross_validate(s, "blend", IDENTITY, repeats=5, seed=1, honest_alpha=True)
     assert report.failed == 0
 
 
 def test_cv_counts_failed_repeats():
     # Duplicate points with distinct values make some splits unfittable.
-    ds = make_dataset([0.0, 0.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0])
-    report = cross_validate(ds, "whitney", IDENTITY, repeats=20, seed=0)
+    s = make_sample([0.0, 0.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0])
+    report = cross_validate(s, "whitney", IDENTITY, repeats=20, seed=0)
     assert report.failed > 0
     assert len(report.per_repeat_rmse) == 20 - report.failed
 
@@ -300,21 +305,21 @@ def test_cv_counts_an_unshiftable_standard_repeat_as_failed():
     # finite and comes with no numpy warning.
     points = [[0, 0], [1, 1], [0.5, 0.2], [0.1, 0.9], [0.7, 0.4],
               [0.3, 0.6], [0.9, 0.1], [0.2, 0.3], [0.6, 0.8], [0.4, 0.5]]
-    ds = make_dataset(points, [0.95e308, -0.95e308, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
+    s = make_sample(points, [0.95e308, -0.95e308, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
     for method in ("whitney", "standard"):
-        report = cross_validate(ds, method, IDENTITY, repeats=6)
+        report = cross_validate(s, method, IDENTITY, repeats=6)
         assert report.failed == 5
         assert report.per_repeat_rmse == pytest.approx((0.95e308 * math.sqrt(2 / 3),), rel=1e-15)
         assert (report.mean, report.median, report.std_dev) == (*report.per_repeat_rmse * 2, 0.0)
 
 
 def test_cv_scale_invariance_of_rmse():
-    ds = minmax_scale(table1_like())
+    s = minmax_scale(table1_like()).as_sample()
     phi = PhiCombination(("identity", "log1p"), (1.0, 0.5))
-    base = cross_validate(ds, "blend", CompositionMetric("euclidean", phi), repeats=5, seed=9)
+    base = cross_validate(s, "blend", CompositionMetric("euclidean", phi), repeats=5, seed=9)
     for c in (0.1, 3.0, 42.0):
         rescaled = cross_validate(
-            ds, "blend", CompositionMetric("euclidean", scaled(phi, c)), repeats=5, seed=9
+            s, "blend", CompositionMetric("euclidean", scaled(phi, c)), repeats=5, seed=9
         )
         for a, b in zip(base.per_repeat_rmse, rescaled.per_repeat_rmse):
             assert a == pytest.approx(b, rel=1e-9)
@@ -322,8 +327,8 @@ def test_cv_scale_invariance_of_rmse():
 
 def test_cv_repeat_rows_shape():
     # cv_repeats.csv has one (repeat, rmse) row per entry of per_repeat_rmse.
-    ds = minmax_scale(table1_like())
-    report = cross_validate(ds, "standard", IDENTITY, repeats=4, seed=0)
+    s = minmax_scale(table1_like()).as_sample()
+    report = cross_validate(s, "standard", IDENTITY, repeats=4, seed=0)
     assert report.failed == 0
     assert len(report.per_repeat_rmse) == report.repeats == 4
     assert all(math.isfinite(v) and v >= 0.0 for v in report.per_repeat_rmse)
@@ -340,9 +345,9 @@ def test_cv_repeat_rows_shape():
     ],
 )
 def test_cv_rejects_out_of_range_arguments(kwargs, message):
-    ds = minmax_scale(table1_like())
+    s = minmax_scale(table1_like()).as_sample()
     with pytest.raises(ValueError, match=message):
-        cross_validate(ds, "blend", IDENTITY, **kwargs)
+        cross_validate(s, "blend", IDENTITY, **kwargs)
 
 
 def test_rmse_sums_in_the_order_of_mean():
@@ -392,9 +397,9 @@ def test_cv_median_matches_numpy_bit_for_bit(n):
 
 def test_objective_test_rmse_finite_and_penalizes_unfittable():
     rng = np.random.default_rng(11)
-    ds = make_dataset(rng.uniform(size=(20, 3)), rng.uniform(0.0, 10.0, 20))
+    s = make_sample(rng.uniform(size=(20, 3)), rng.uniform(0.0, 10.0, 20))
     atoms = ("identity", "log1p")
-    obj = objective_test_rmse(ds, "euclidean", atoms, seed=2)
+    obj = objective_test_rmse(s, "euclidean", atoms, seed=2)
     val = obj(np.array([1.0, 0.0]))
     assert math.isfinite(val) and val >= 0.0
     # Identical coefficients give identical values: the split is frozen.
@@ -402,9 +407,9 @@ def test_objective_test_rmse_finite_and_penalizes_unfittable():
     # Rows 10-19 repeat the points of rows 0-9 with other values.  Fourteen
     # training rows from ten such pairs hold both rows of at least four, so
     # K is infinite and no candidate can be fitted.
-    X, y = ds.features.copy(), ds.index.copy()
+    X, y = s.points.copy(), s.values.copy()
     X[10:], y[10:] = X[:10], y[:10] + 1.0
-    unfittable = objective_test_rmse(make_dataset(X, y), "euclidean", atoms, seed=2)
+    unfittable = objective_test_rmse(IndexedSample(X, y), "euclidean", atoms, seed=2)
     for lam in ([1.0, 0.0], [0.0, 3.0], [0.2, 5.0]):
         assert unfittable(np.array(lam)) == math.inf
 
@@ -425,38 +430,38 @@ def test_objective_test_rmse_checks_each_candidate_first(lam, message):
     # A wrong length, a negative, a NaN or an inf coefficient is an error,
     # as ``PhiCombination`` makes it, even where the rest of the vector is
     # zero; only the zero vector of the right length scores +inf.
-    obj = objective_test_rmse(smooth_dataset(n=30, seed=1).indexed_rows(), "euclidean", LINEAR_BASIS)
+    obj = objective_test_rmse(smooth_dataset(n=30, seed=1).as_sample(), "euclidean", LINEAR_BASIS)
     with pytest.raises(ValueError, match=message):
         obj(np.array(lam))
     assert obj(np.zeros(4)) == obj(np.array([-0.0] * 4)) == math.inf
 
 
 def test_objective_test_rmse_rejects_one_training_row():
-    ds = make_dataset([0.0, 1.0], [1.0, 2.0])
+    s = make_sample([0.0, 1.0], [1.0, 2.0])
     with pytest.raises(ValueError, match="2 indexed rows at train_fraction 0.7 leaves 1"):
-        objective_test_rmse(ds, "euclidean", ("identity",))
+        objective_test_rmse(s, "euclidean", ("identity",))
 
 
 def test_cv_counts_one_row_inner_split_as_failed():
     # Four rows at 0.6 train on two; the honest inner split of those two
     # trains on one, which cannot be fitted.
-    ds = make_dataset([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0])
+    s = make_sample([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0])
     with pytest.raises(FitError, match="every cross-validation repeat failed"):
-        cross_validate(ds, "blend", IDENTITY, repeats=3, train_fraction=0.6, honest_alpha=True)
+        cross_validate(s, "blend", IDENTITY, repeats=3, train_fraction=0.6, honest_alpha=True)
 
 
 @pytest.mark.parametrize("train_fraction", [0.9, 0.2])
 def test_cv_counts_too_small_inner_split_as_failed(train_fraction):
     # Six rows at 0.9 train on five, whose inner split at 0.9 holds none
     # out; at 0.2 they train on one, whose inner split trains on none.
-    ds = make_dataset(np.arange(6.0), [0.0, 1.0, 4.0, 2.0, 3.0, 5.0])
+    s = make_sample(np.arange(6.0), [0.0, 1.0, 4.0, 2.0, 3.0, 5.0])
     with pytest.raises(FitError, match="every cross-validation repeat failed"):
-        cross_validate(ds, "blend", IDENTITY, repeats=3, train_fraction=train_fraction,
+        cross_validate(s, "blend", IDENTITY, repeats=3, train_fraction=train_fraction,
                        honest_alpha=True)
 
 
 def test_fit_for_extend_falls_back_only_on_too_few_training_rows():
-    clash = make_dataset([0.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
+    clash = make_sample([0.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FitError):
@@ -464,7 +469,7 @@ def test_fit_for_extend_falls_back_only_on_too_few_training_rows():
         for bad in ({"split_method": "bogus"}, {"train_fraction": 1.5}):
             with pytest.raises(ValueError):
                 fit_for_extend(clash, IDENTITY, "blend", **bad)
-    two = make_dataset([0.0, 1.0], [1.0, 2.0])  # one training row at 0.7
+    two = make_sample([0.0, 1.0], [1.0, 2.0])  # one training row at 0.7
     with pytest.warns(UserWarning, match="too few indexed rows"):
         assert fit_for_extend(two, IDENTITY, "blend").alpha == 0.5
 
@@ -499,9 +504,9 @@ def blend_at(model, X, alpha=None, truth=None):
     return BlockPredictions(model, len(D), distance_blocks(D)).result(alpha, truth)
 
 
-def naive_cv(ds, method, cm, repeats, seed, alpha, honest_alpha, split_method):
+def naive_cv(s, method, cm, repeats, seed, alpha, honest_alpha, split_method):
     """Split, fit on the training rows and predict the test rows, from scratch."""
-    indexed = ds.indexed_rows()
+    indexed = make_dataset(s.points, s.values)
     scores = []
     for r in range(repeats):
         train, test = split(indexed, 0.7, seed + r, split_method)
@@ -528,14 +533,14 @@ def naive_cv(ds, method, cm, repeats, seed, alpha, honest_alpha, split_method):
 @pytest.mark.parametrize("split_method", ["random", "ordered"])
 @pytest.mark.parametrize("method", ["mcshane", "whitney", "blend", "standard", "linear"])
 def test_cv_matches_fitting_each_split_afresh(method, split_method, honest_alpha, seed):
-    ds = smooth_dataset()
+    s = smooth_dataset().as_sample()
     phi = random_combination(np.random.default_rng(1), ATOM_NAMES)
     cm = CompositionMetric("euclidean", phi)
     report = cross_validate(
-        ds, method, cm, repeats=6, seed=seed, honest_alpha=honest_alpha,
+        s, method, cm, repeats=6, seed=seed, honest_alpha=honest_alpha,
         split_method=split_method,
     )
-    expected = naive_cv(ds, method, cm, 6, seed, None, honest_alpha, split_method)
+    expected = naive_cv(s, method, cm, 6, seed, None, honest_alpha, split_method)
     assert report.per_repeat_rmse == expected
     assert report.failed == 0
 
@@ -543,10 +548,10 @@ def test_cv_matches_fitting_each_split_afresh(method, split_method, honest_alpha
 @pytest.mark.parametrize("kind", ["manhattan", "chebyshev"])
 @pytest.mark.parametrize("method", ["mcshane", "whitney", "blend", "standard"])
 def test_cv_matches_afresh_with_failed_repeats_and_fixed_alpha(kind, method):
-    ds = smooth_dataset(seed=2, duplicates=True)
+    s = smooth_dataset(seed=2, duplicates=True).as_sample()
     cm = CompositionMetric(kind, PhiCombination(SQRT_BASIS, (0.5, 1.0, 2.0, 0.25)))
-    report = cross_validate(ds, method, cm, repeats=10, seed=0, alpha=0.3)
-    expected = naive_cv(ds, method, cm, 10, 0, 0.3, False, "random")
+    report = cross_validate(s, method, cm, repeats=10, seed=0, alpha=0.3)
+    expected = naive_cv(s, method, cm, 10, 0, 0.3, False, "random")
     assert report.per_repeat_rmse == expected
     assert report.failed == 10 - len(expected) > 0
 
@@ -564,10 +569,10 @@ def test_cv_sweep_in_row_blocks_matches_fitting_each_split_afresh(method, alpha,
     # repeat's 54 test rows and the nested fit's held-out rows across
     # blocks.  Repeats that train on a conflicting duplicate fail, some
     # after their nested fit succeeds.
-    ds = smooth_dataset(seed=2, duplicates=True)
-    n = ds.indexed_rows().n_rows
+    s = smooth_dataset(seed=2, duplicates=True).as_sample()
+    n = len(s)
     cm = CompositionMetric("manhattan", PhiCombination(SQRT_BASIS, (0.5, 1.0, 2.0, 0.25)))
-    expected = naive_cv(ds, method, cm, 10, 0, alpha, honest_alpha, "random")
+    expected = naive_cv(s, method, cm, 10, 0, alpha, honest_alpha, "random")
     sizes, blocks = [], CompositionMetric.blocks
 
     def recording(self, A, B, out=None):
@@ -578,7 +583,7 @@ def test_cv_sweep_in_row_blocks_matches_fitting_each_split_afresh(method, alpha,
     monkeypatch.setattr(CompositionMetric, "blocks", recording)
     # Base distances, d and work: three (rows, n) arrays a block.
     monkeypatch.setattr(metrics, "TILE_BYTES", 3 * 8 * n * tile)
-    report = cross_validate(ds, method, cm, repeats=10, seed=0, alpha=alpha,
+    report = cross_validate(s, method, cm, repeats=10, seed=0, alpha=alpha,
                             honest_alpha=honest_alpha)
     assert report.per_repeat_rmse == expected
     assert report.failed == 10 - len(expected)
@@ -587,8 +592,8 @@ def test_cv_sweep_in_row_blocks_matches_fitting_each_split_afresh(method, alpha,
         assert sizes == tiles(n, tile)  # one sweep serves every repeat
 
 
-def naive_test_rmse(ds, base, atoms, lam, seed):
-    train, test = split(ds, 0.7, seed)
+def naive_test_rmse(s, base, atoms, lam, seed):
+    train, test = split(make_dataset(s.points, s.values), 0.7, seed)
     lam = np.asarray(lam, dtype=float)
     if np.all(lam == 0.0):
         return math.inf  # not a modulus
@@ -603,15 +608,15 @@ def naive_test_rmse(ds, base, atoms, lam, seed):
     return rmse(pred, test.index)
 
 
-def equal_duplicates_dataset():
+def equal_duplicates_sample():
     """Indexed rows where every fifth row repeats the point and the value of
     the row before it, so some training pairs are 0/0 and some test rows lie
     at distance 0 from a training row."""
-    ds = smooth_dataset(n=120, seed=8).indexed_rows()
-    X, y = ds.features.copy(), ds.index.copy()
-    copies = np.arange(1, ds.n_rows, 5)
+    s = smooth_dataset(n=120, seed=8).as_sample()
+    X, y = s.points.copy(), s.values.copy()
+    copies = np.arange(1, len(s), 5)
     X[copies], y[copies] = X[copies - 1], y[copies - 1]
-    return make_dataset(X, y)
+    return IndexedSample(X, y)
 
 
 def rmse_candidates(n_atoms, rng):
@@ -631,15 +636,15 @@ def rmse_candidates(n_atoms, rng):
 def test_objective_test_rmse_matches_refitting(base, atoms):
     # 6 metric and basis pairs x 2 samples x 84 vectors = 1,008 candidates.
     rng = np.random.default_rng(6)
-    for ds in (smooth_dataset(seed=5).indexed_rows(), equal_duplicates_dataset()):
-        obj = objective_test_rmse(ds, base, atoms, seed=4)
+    for s in (smooth_dataset(seed=5).as_sample(), equal_duplicates_sample()):
+        obj = objective_test_rmse(s, base, atoms, seed=4)
         lams = rmse_candidates(len(atoms), rng)
         assert len(lams) == 84
         for lam in lams:
-            assert obj(lam) == naive_test_rmse(ds, base, atoms, lam, 4)
+            assert obj(lam) == naive_test_rmse(s, base, atoms, lam, 4)
 
 
-def grid_dataset():
+def grid_sample():
     """100 indexed rows on a 7 x 7 grid, each valued by its grid point
     among seven levels: distances and values tie, and duplicated points
     carry equal values (0/0 pairs), but for test row 2, which repeats the
@@ -649,32 +654,32 @@ def grid_dataset():
     y = 1.0 + np.floor(3.0 * X.sum(axis=1))
     train, test = _split_rows(100, 0.7, 4, "random")
     X[test[2]], y[test[2]] = X[train[0]], y[train[0]] + 5.0
-    return make_dataset(X, y)
+    return IndexedSample(X, y)
 
 
-def scaled_index_dataset(factor):
-    """``smooth_dataset`` with every index value times ``factor``."""
-    ds = smooth_dataset(seed=5).indexed_rows()
-    return make_dataset(ds.features, factor * ds.index)
+def scaled_index_sample(factor):
+    """``smooth_dataset``'s indexed rows with every index value times ``factor``."""
+    s = smooth_dataset(seed=5).as_sample()
+    return IndexedSample(s.points, factor * s.values)
 
 
-def far_rows_dataset():
-    """``smooth_dataset`` with every seventh row's features times 1e300, so
-    that euclidean base distances to those rows overflow to +inf and the
-    atoms' values there are +inf, pi/2 or NaN."""
-    ds = smooth_dataset(seed=5).indexed_rows()
-    X = ds.features.copy()
+def far_rows_sample():
+    """``smooth_dataset``'s indexed rows with every seventh row's features
+    times 1e300, so that euclidean base distances to those rows overflow
+    to +inf and the atoms' values there are +inf, pi/2 or NaN."""
+    s = smooth_dataset(seed=5).as_sample()
+    X = s.points.copy()
     X[::7] *= 1e300
-    return make_dataset(X, ds.index)
+    return IndexedSample(X, s.values)
 
 
 def test_objective_test_rmse_test_rows_keep_fronts_of_different_widths():
     # The Whitney and McShane fronts alone already differ in width from
     # one test row to another, so the datasets below pad row fronts.
-    for ds in (grid_dataset(), scaled_index_dataset(1.0)):
-        train, test = _split_rows(ds.n_rows, 0.7, 4, "random")
-        base_d = pairwise_base("manhattan", ds.features[test], ds.features[train])
-        values, atoms = ds.index[train], atom_values(SQRT_BASIS, base_d)
+    for s in (grid_sample(), scaled_index_sample(1.0)):
+        train, test = _split_rows(len(s), 0.7, 4, "random")
+        base_d = pairwise_base("manhattan", s.points[test], s.points[train])
+        values, atoms = s.values[train], atom_values(SQRT_BASIS, base_d)
         keep = undominated(base_d, values, atoms) | undominated(base_d, -values, atoms)
         width = np.count_nonzero(keep, axis=1)
         assert width.min() < width.max()
@@ -682,13 +687,13 @@ def test_objective_test_rmse_test_rows_keep_fronts_of_different_widths():
 
 @pytest.mark.parametrize("tile", [None, 1])
 @pytest.mark.parametrize(
-    "ds, special",
-    [(grid_dataset(), math.inf), (scaled_index_dataset(1e150), math.inf),
-     (scaled_index_dataset(1e-150), math.inf), (scaled_index_dataset(0.0), math.nan),
-     (far_rows_dataset(), math.nan)],
+    "s, special",
+    [(grid_sample(), math.inf), (scaled_index_sample(1e150), math.inf),
+     (scaled_index_sample(1e-150), math.inf), (scaled_index_sample(0.0), math.nan),
+     (far_rows_sample(), math.nan)],
     ids=["ties-and-duplicates", "huge-index", "tiny-index", "constant-index", "far-rows"],
 )
-def test_objective_test_rmse_on_fronts_matches_refitting_at_the_edges(ds, special, tile, monkeypatch):
+def test_objective_test_rmse_on_fronts_matches_refitting_at_the_edges(s, special, tile, monkeypatch):
     # Besides ``rmse_candidates``, rays at 5e-324, 1e-310 and 1e-160, alone
     # and next to a coefficient of 1: the composed distances round to 0 or
     # to subnormals, which ties them, and on the huge index the ratios
@@ -701,7 +706,7 @@ def test_objective_test_rmse_on_fronts_matches_refitting_at_the_edges(ds, specia
     # the pair front is merged over every row block and the row fronts
     # built a test row at a time.
     if tile is not None:
-        monkeypatch.setattr(metrics, "TILE_BYTES", 8 * ds.n_rows * 16 * tile)
+        monkeypatch.setattr(metrics, "TILE_BYTES", 8 * len(s) * 16 * tile)
     rng = np.random.default_rng(37)
     scores = []
     for base, basis in (("manhattan", SQRT_BASIS), ("euclidean", LINEAR_BASIS)):
@@ -710,9 +715,9 @@ def test_objective_test_rmse_on_fronts_matches_refitting_at_the_edges(ds, specia
             lams += [c * e + np.roll(e, 1) for c in (5e-324, 1e-310, 1e-160)]
             lams += [c * e for c in (5e-324, 1e-310, 1e-160)] + [1e308 * (e + np.roll(e, 1))]
         with np.errstate(over="ignore", invalid="ignore"):
-            obj = objective_test_rmse(ds, base, basis, seed=4)
+            obj = objective_test_rmse(s, base, basis, seed=4)
             got = [repr(obj(lam)) for lam in lams]
-            assert got == [repr(naive_test_rmse(ds, base, basis, lam, 4)) for lam in lams]
+            assert got == [repr(naive_test_rmse(s, base, basis, lam, 4)) for lam in lams]
         scores += got
     assert repr(special) in scores and any(map(math.isfinite, map(float, scores)))
 
@@ -724,8 +729,8 @@ def test_objective_test_rmse_buffers_carry_no_state():
     # and ``tiny``.  Its composed distances below 0.5 round to 0, so close
     # training pairs become conflicting duplicates and K is infinite only
     # after the weighted sum has overwritten the distances.
-    ds = smooth_dataset(seed=5).indexed_rows()
-    obj = objective_test_rmse(ds, "euclidean", LINEAR_BASIS, seed=4)
+    s = smooth_dataset(seed=5).as_sample()
+    obj = objective_test_rmse(s, "euclidean", LINEAR_BASIS, seed=4)
     tiny = np.array([5e-324, 0.0, 0.0, 0.0])
     assert obj(tiny) == math.inf
 
@@ -751,11 +756,11 @@ def test_objective_test_rmse_candidates_allocate_no_block():
     # 234 indexed rows: a 70 x 164 test x train block of 90 KiB and 13,366
     # training pairs.  After the first call, candidates write only into the
     # arrays that the search allocated once.
-    ds = smooth_dataset(n=260, seed=3).indexed_rows()
-    train, test = _split_rows(ds.n_rows, 0.7, 1, "random")
+    s = smooth_dataset(n=260, seed=3).as_sample()
+    train, test = _split_rows(len(s), 0.7, 1, "random")
     block_bytes = 8 * len(test) * len(train)
     assert block_bytes >= 64 * 2**10
-    obj = objective_test_rmse(ds, "euclidean", LINEAR_BASIS, seed=1)
+    obj = objective_test_rmse(s, "euclidean", LINEAR_BASIS, seed=1)
     lams = np.random.default_rng(2).uniform(0.1, 10.0, size=(51, 4))
     assert math.isfinite(obj(lams[0]))
     tracemalloc.start()
@@ -772,11 +777,11 @@ def test_objective_test_rmse_builds_fronts_under_a_memory_ceiling():
     # 1,000 indexed rows, 700 training and 300 test: a stack of four atoms
     # over the 244,650 training pairs and the test x train block would be
     # 14.5 MB.  The fronts are built in row blocks from the points.
-    ds = smooth_dataset(n=1111, seed=9).indexed_rows()
-    assert ds.n_rows == 1000
+    s = smooth_dataset(n=1111, seed=9).as_sample()
+    assert len(s) == 1000
     tracemalloc.start()
     try:
-        obj = objective_test_rmse(ds, "euclidean", LINEAR_BASIS)
+        obj = objective_test_rmse(s, "euclidean", LINEAR_BASIS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -787,10 +792,10 @@ def test_objective_test_rmse_builds_fronts_under_a_memory_ceiling():
 def test_objective_test_rmse_infinite_on_conflicting_duplicates():
     # Four copies of one point with distinct values: at least two of them
     # land on the training side.
-    ds = make_dataset([[0.0]] * 4 + [[1.0], [2.0], [3.0], [4.0]], np.arange(8.0))
-    obj = objective_test_rmse(ds, "euclidean", LINEAR_BASIS, seed=0)
+    s = make_sample([[0.0]] * 4 + [[1.0], [2.0], [3.0], [4.0]], np.arange(8.0))
+    obj = objective_test_rmse(s, "euclidean", LINEAR_BASIS, seed=0)
     lam = np.array([1.0, 0.5, 0.0, 2.0])
-    assert naive_test_rmse(ds, "euclidean", LINEAR_BASIS, lam, 0) == math.inf
+    assert naive_test_rmse(s, "euclidean", LINEAR_BASIS, lam, 0) == math.inf
     assert obj(lam) == math.inf
 
 
@@ -801,7 +806,7 @@ def test_extend_fit_and_predict_stay_under_memory_ceilings():
     # call, the block scratch and pairwise_base's partial sums.
     rng = np.random.default_rng(19)
     features = rng.uniform(size=(2000, 10))
-    indexed = make_dataset(features, features @ rng.uniform(size=10))
+    indexed = make_sample(features, features @ rng.uniform(size=10))
     targets = rng.uniform(size=(3000, 10))
     tracemalloc.start()
     try:
@@ -825,7 +830,7 @@ def test_a_fit_for_extend_without_a_holdout_builds_no_table(method, alpha):
     # its training side with K from the list of the largest ratios.
     rng = np.random.default_rng(97)
     features = rng.uniform(size=(2000, 10))
-    indexed = make_dataset(features, features @ rng.uniform(size=10))
+    indexed = make_sample(features, features @ rng.uniform(size=10))
     tracemalloc.start()
     try:
         model = fit_for_extend(indexed, IDENTITY, method, alpha)
@@ -833,19 +838,19 @@ def test_a_fit_for_extend_without_a_holdout_builds_no_table(method, alpha):
     finally:
         tracemalloc.stop()
     assert peak < 2 * metrics.TILE_BYTES
-    assert model.K == coherence_constant(indexed.as_sample(), IDENTITY)
+    assert model.K == coherence_constant(indexed, IDENTITY)
     if method == "blend" and alpha is None:
         train, held_out = _split_rows(2000, 0.7, 0, "random")
-        largest = largest_ratios(indexed.as_sample(), IDENTITY)
+        largest = largest_ratios(indexed, IDENTITY)
         holdout = _fit_rows(indexed, IDENTITY, "blend", largest, train)
-        alpha = blend_at(holdout, indexed.features[held_out], truth=indexed.index[held_out])[0]
+        alpha = blend_at(holdout, indexed.points[held_out], truth=indexed.values[held_out])[0]
     assert model.alpha == alpha
 
 
 def _ties(rng):
     """48 rows on a line, I = 2x: every pair's ratio is 2.0 under identity."""
     x = np.arange(48) / 16
-    return make_dataset(x[:, None], 2 * x)
+    return make_sample(x[:, None], 2 * x)
 
 
 def _duplicates(rng):
@@ -853,7 +858,7 @@ def _duplicates(rng):
     features = rng.uniform(size=(30, 2))
     values = features @ [1.0, 3.0] + 0.1 * rng.uniform(size=30)
     copies = rng.integers(0, 30, 8)
-    return make_dataset(np.vstack([features, features[copies]]), np.r_[values, values[copies]])
+    return make_sample(np.vstack([features, features[copies]]), np.r_[values, values[copies]])
 
 
 def _steep_end(rng):
@@ -863,7 +868,7 @@ def _steep_end(rng):
     features[19, 0] = 18.01
     values = 0.5 * features[:, 0]
     values[19] += 5.0
-    return make_dataset(features, values)
+    return make_sample(features, values)
 
 
 @pytest.mark.parametrize("kind", BASE_METRICS)
@@ -880,33 +885,43 @@ def test_a_blend_fit_for_extend_matches_fitting_afresh(kind, phi, data, split_me
     # fits on fresh samples of the holdout's training rows and of every
     # row, with any warning the same.
     rng = np.random.default_rng(61)
-    indexed = {"random": lambda r: make_dataset(r.uniform(size=(40, 3)), r.uniform(0.0, 5.0, 40)),
+    indexed = {"random": lambda r: make_sample(r.uniform(size=(40, 3)), r.uniform(0.0, 5.0, 40)),
                "ties": _ties, "duplicates": _duplicates, "steep_end": _steep_end}[data](rng)
     cm = CompositionMetric(kind, identity_phi() if phi == "identity" else random_combination(rng))
     if listed is not None:
         monkeypatch.setattr(constants, "LISTED_PAIRS", listed)
-    train, held_out = _split_rows(indexed.n_rows, 0.7, 4, split_method)
-    X, v = indexed.features, indexed.index
+    train, held_out = _split_rows(len(indexed), 0.7, 4, split_method)
+    X, v = indexed.points, indexed.values
     with warnings.catch_warnings(record=True) as fresh_warnings:
         warnings.simplefilter("always")
         holdout = fit_extension(IndexedSample(X[train], v[train]), cm, "blend")
         alpha = blend_at(holdout, X[held_out], truth=v[held_out])[0]
-        expected = fit_extension(indexed.as_sample(), cm, "blend", alpha)
+        expected = fit_extension(indexed, cm, "blend", alpha)
     with warnings.catch_warnings(record=True) as listed_warnings:
         warnings.simplefilter("always")
         model = fit_for_extend(indexed, cm, "blend", seed=4, split_method=split_method)
     assert [str(w.message) for w in listed_warnings] == [str(w.message) for w in fresh_warnings]
     assert (model.K, model.alpha, model.method) == (expected.K, expected.alpha, "blend")
     if data == "steep_end":
-        largest = largest_ratios(indexed.as_sample(), cm)
+        largest = largest_ratios(indexed, cm)
         assert largest.coherence(train) is None  # the holdout's K is from the points
-        assert largest.coherence(np.arange(indexed.n_rows)) is not None
+        assert largest.coherence(np.arange(len(indexed))) is not None
+
+
+@pytest.mark.parametrize("alpha", [None, 0.3])
+@pytest.mark.parametrize("method", ["whitney", "mcshane", "blend", "standard", "linear"])
+def test_fit_for_extend_trains_on_the_callers_sample(method, alpha):
+    # The model that extends holds no copy of the indexed rows' features.
+    rng = np.random.default_rng(101)
+    s = make_sample(rng.uniform(size=(40, 3)), rng.uniform(0.0, 5.0, 40))
+    model = fit_for_extend(s, IDENTITY, method, alpha)
+    assert np.shares_memory(model.training.points, s.points)
 
 
 @pytest.mark.parametrize("alpha", [None, 0.3])
 @pytest.mark.parametrize("method", ["whitney", "mcshane", "blend", "standard", "linear"])
 def test_a_one_row_fit_for_extend_raises_fit_error_but_linear_fits(method, alpha):
-    one = make_dataset([[0.5]], [3.0])
+    one = make_sample([[0.5]], [3.0])
     if method == "linear":
         assert fit_for_extend(one, IDENTITY, method, alpha).method == "linear"
     else:
@@ -924,10 +939,10 @@ def test_cv_holds_a_few_tiles_not_a_distance_table(method, honest_alpha):
     # each repeat keeps its rows, training values and predictions.
     rng = np.random.default_rng(83)
     features = rng.uniform(size=(1500, 5))
-    ds = make_dataset(features, features @ rng.uniform(size=5))
+    s = make_sample(features, features @ rng.uniform(size=5))
     tracemalloc.start()
     try:
-        cross_validate(ds, method, IDENTITY, honest_alpha=honest_alpha)
+        cross_validate(s, method, IDENTITY, honest_alpha=honest_alpha)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -944,13 +959,13 @@ def test_cv_repeats_hold_no_copy_of_their_training_points(method, honest_alpha):
     # half of those copies.
     rng = np.random.default_rng(89)
     features = rng.uniform(size=(1430, 20))
-    ds = make_dataset(features, features @ rng.uniform(size=20))
-    cross_validate(ds, method, IDENTITY, repeats=1)  # the imports it makes
+    s = make_sample(features, features @ rng.uniform(size=20))
+    cross_validate(s, method, IDENTITY, repeats=1)  # the imports it makes
     peaks = []
     for repeats in (1, 20):
         tracemalloc.start()
         try:
-            cross_validate(ds, method, IDENTITY, repeats=repeats, honest_alpha=honest_alpha)
+            cross_validate(s, method, IDENTITY, repeats=repeats, honest_alpha=honest_alpha)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -969,21 +984,21 @@ def test_table_fits_and_predictions_in_blocks_match_one_shot(method, monkeypatch
     rng = np.random.default_rng(23)
     n, m, tile = 30, 3, 4
     cm = CompositionMetric("manhattan", random_combination(rng))
-    ds = make_dataset(rng.uniform(size=(n, m)), rng.uniform(0.0, 5.0, n))
-    largest, X = largest_ratios(ds.as_sample(), cm), ds.features
+    s = make_sample(rng.uniform(size=(n, m)), rng.uniform(0.0, 5.0, n))
+    largest, X = largest_ratios(s, cm), s.points
     train, held_out = _split_rows(n, 0.6, 3, "random")
-    sample = IndexedSample(X[train], ds.index[train])
+    sample = IndexedSample(X[train], s.values[train])
     alphas = (None, 0.3) if method == "blend" else (None,)
     square = cm.pairwise(X, X)
     i, j = np.triu_indices(len(train), k=1)
     K = ratio_max(np.abs(sample.values[i] - sample.values[j]), square[np.ix_(train, train)][i, j])
     model = fit_extension(sample, cm, method, K=K)
-    truth = ds.index[held_out]
+    truth = s.values[held_out]
     D = square[np.ix_(held_out, train)]
     one_shot = [predict_from(model, D, a, truth) for a in alphas]
     # Base distances, d and work: ``tile`` rows a block of the sweep.
     monkeypatch.setattr(metrics, "TILE_BYTES", 3 * 8 * n * tile)
-    fitted = _fit_rows(ds, cm, method, largest, train)
+    fitted = _fit_rows(s, cm, method, largest, train)
     assert fitted.K == model.K
     assert (fitted.anchor, fitted.offset) == (model.anchor, model.offset)
     for a, (weight, expected) in zip(alphas, one_shot):
@@ -999,10 +1014,10 @@ def test_table_fits_and_predictions_in_blocks_match_one_shot(method, monkeypatch
 
 
 def _listed(features, index, cm=IDENTITY):
-    """A dataset of the given rows, all indexed, and the list of their
-    largest ratios under ``cm``."""
-    ds = make_dataset(features, index)
-    return ds, largest_ratios(ds.as_sample(), cm)
+    """A sample of the given rows and the list of their largest ratios
+    under ``cm``."""
+    s = make_sample(features, index)
+    return s, largest_ratios(s, cm)
 
 
 def _list_in_tiles(monkeypatch, n, tile):
@@ -1013,16 +1028,16 @@ def _list_in_tiles(monkeypatch, n, tile):
     return record_blocks(monkeypatch, constants)
 
 
-def _fresh_K(ds, cm, rows):
-    """``coherence_constant`` on a sample made afresh from the rows of ``ds``."""
-    return coherence_constant(IndexedSample(ds.features[rows], ds.index[rows]), cm)
+def _fresh_K(s, cm, rows):
+    """``coherence_constant`` on a sample made afresh from the rows of ``s``."""
+    return coherence_constant(IndexedSample(s.points[rows], s.values[rows]), cm)
 
 
-def _check_list(ds, cm, largest):
+def _check_list(s, cm, largest):
     """The list is descending, of pairs i < j, min(``LISTED_PAIRS``, pairs
     that are not 0/0) long, and no pair left off has a larger ratio than
     the last listed."""
-    v, X = ds.index, ds.features
+    v, X = s.values, s.points
     with np.errstate(all="ignore"):
         ratios = np.abs(v[:, None] - v) / cm.pairwise(X, X)
     constrain = np.count_nonzero(~np.isnan(ratios[np.triu_indices(len(v), k=1)]))
@@ -1036,24 +1051,24 @@ def _check_list(ds, cm, largest):
         assert not np.any(ratios[off] > largest.ratios[-1])
 
 
-def _check_subsets(ds, cm, largest, subsets):
+def _check_subsets(s, cm, largest, subsets):
     """Each subset's K, listed or not, and the K of a fit on it by each
     Lipschitz method, with K from ``largest``, against
     ``coherence_constant`` on a fresh sample.  Returns how many subsets the
     list served."""
     served = 0
     for rows in subsets:
-        expected = _fresh_K(ds, cm, rows)
+        expected = _fresh_K(s, cm, rows)
         listed = largest.coherence(rows)
         if listed is not None:
             served += 1
             assert listed == expected
         for method in ("whitney", "mcshane", "blend", "standard"):
             if math.isfinite(expected):
-                assert _fit_rows(ds, cm, method, largest, rows).K == expected
+                assert _fit_rows(s, cm, method, largest, rows).K == expected
             else:
                 with pytest.raises(FitError):
-                    _fit_rows(ds, cm, method, largest, rows)
+                    _fit_rows(s, cm, method, largest, rows)
     return served
 
 
@@ -1079,12 +1094,12 @@ def test_listed_K_matches_a_fresh_sample_on_random_and_nested_subsets(tile, grow
         sizes = _list_in_tiles(monkeypatch, n, tile)
         monkeypatch.setattr(constants, "LISTED_PAIRS", 20)
     index = rng.uniform(0.0, 5.0, n) * (np.geomspace(1.0, 1e3, n) if growing else 1.0)
-    ds, largest = _listed(rng.uniform(size=(n, 3)), index, cm)
+    s, largest = _listed(rng.uniform(size=(n, 3)), index, cm)
     if tile is not None:
         assert sizes == tiles(n - 1, tile)
-    _check_list(ds, cm, largest)
+    _check_list(s, cm, largest)
     assert len(largest.ratios) > constants.LISTED_PAIRS // 2
-    assert _check_subsets(ds, cm, largest, _splits(n, range(20))) > 30
+    assert _check_subsets(s, cm, largest, _splits(n, range(20))) > 30
 
 
 def test_a_standard_table_fit_takes_the_K_of_the_sample_as_given():
@@ -1096,11 +1111,11 @@ def test_a_standard_table_fit_takes_the_K_of_the_sample_as_given():
     shifted_differs = 0
     for _ in range(100):
         features, index = rng.uniform(size=(6, 2)), rng.uniform(-5.0, 20.0, 6)
-        ds, largest = _listed(features, index)
+        s, largest = _listed(features, index)
         rows = np.sort(rng.choice(6, size=rng.integers(2, 7), replace=False))
         sample = IndexedSample(features[rows], index[rows])
         K = coherence_constant(sample, IDENTITY)
-        assert _fit_rows(ds, IDENTITY, "standard", largest, rows).K == K
+        assert _fit_rows(s, IDENTITY, "standard", largest, rows).K == K
         shifted_differs += coherence_constant(katetov_shift(sample), IDENTITY) != K
     assert shifted_differs > 0
 
@@ -1113,13 +1128,13 @@ def test_a_floor_that_rises_past_a_listed_pair_drops_it(monkeypatch):
     # and (1, 3) must then go: they are below it.
     sizes = _list_in_tiles(monkeypatch, 6, 2)
     monkeypatch.setattr(constants, "LISTED_PAIRS", 2)
-    ds, largest = _listed(np.arange(6.0).reshape(-1, 1), [0.0, 0.5, 10.0, -10.0, 0.6, 0.7])
+    s, largest = _listed(np.arange(6.0).reshape(-1, 1), [0.0, 0.5, 10.0, -10.0, 0.6, 0.7])
     assert sizes == [2, 2, 1]
-    _check_list(ds, IDENTITY, largest)
+    _check_list(s, IDENTITY, largest)
     assert (largest.ratios.tolist(), largest.i.tolist(), largest.j.tolist()) \
         == ([20.0, 10.6], [2, 3], [3, 4])
     subsets = [np.flatnonzero([(mask >> k) & 1 for k in range(6)]) for mask in range(2**6)]
-    _check_subsets(ds, IDENTITY, largest, [rows for rows in subsets if len(rows) >= 2])
+    _check_subsets(s, IDENTITY, largest, [rows for rows in subsets if len(rows) >= 2])
 
 
 @pytest.mark.parametrize("size", [1, 256])
@@ -1133,8 +1148,8 @@ def test_listed_K_with_infinite_and_zero_over_zero_pairs(size, monkeypatch):
     features = rng.uniform(size=(n, 2))
     index = rng.uniform(0.0, 5.0, n)
     features[1], features[3], features[5], index[3] = features[0], features[2], features[4], index[2]
-    ds, largest = _listed(features, index)
-    _check_list(ds, IDENTITY, largest)
+    s, largest = _listed(features, index)
+    _check_list(s, IDENTITY, largest)
     infinite = {(int(i), int(j)) for r, i, j in zip(largest.ratios, largest.i, largest.j)
                 if r == math.inf}
     if size == 1:
@@ -1143,17 +1158,17 @@ def test_listed_K_with_infinite_and_zero_over_zero_pairs(size, monkeypatch):
         assert infinite == {(0, 1), (4, 5)}
     subsets = [np.arange(n), np.arange(1, n), np.arange(2, n), np.array([2, 3]),
                np.array([2, 3, 5]), np.array([0, 1, 7]), *_splits(n, range(10))]
-    _check_subsets(ds, IDENTITY, largest, subsets)
+    _check_subsets(s, IDENTITY, largest, subsets)
     assert largest.coherence(np.array([2, 3])) is None  # a 0/0 pair is never listed
-    assert _fit_rows(ds, IDENTITY, "whitney", largest, np.array([2, 3])).K == 0.0
+    assert _fit_rows(s, IDENTITY, "whitney", largest, np.array([2, 3])).K == 0.0
 
 
 def test_listed_K_of_a_sample_of_only_zero_over_zero_pairs_is_zero():
-    ds, largest = _listed(np.ones((6, 2)), np.full(6, 3.0))
+    s, largest = _listed(np.ones((6, 2)), np.full(6, 3.0))
     assert len(largest.ratios) == 0
     for rows in (np.arange(6), np.array([1, 4])):
         assert largest.coherence(rows) is None
-        assert _fit_rows(ds, IDENTITY, "blend", largest, rows).K == 0.0 == _fresh_K(ds, IDENTITY, rows)
+        assert _fit_rows(s, IDENTITY, "blend", largest, rows).K == 0.0 == _fresh_K(s, IDENTITY, rows)
 
 
 @pytest.mark.parametrize("size, tile", [(3, None), (14, None), (5, 2), (14, 2)])
@@ -1168,17 +1183,17 @@ def test_listed_K_with_ties_at_the_cutoff(size, tile, monkeypatch):
     x = np.arange(12, dtype=float)
     index = 2.0 * x
     index[-1] += 5.0
-    ds, largest = _listed(x.reshape(-1, 1), index)
+    s, largest = _listed(x.reshape(-1, 1), index)
     assert sizes is None or sizes == tiles(11, tile)
-    _check_list(ds, IDENTITY, largest)
+    _check_list(s, IDENTITY, largest)
     assert len(largest.ratios) == size
     assert np.all(largest.ratios[:11] > 2.0)
     assert np.all(largest.ratios[11:] == 2.0)
     subsets = [np.arange(11), np.arange(12), np.array([0, 5, 11]), np.array([3, 4]),
                *_splits(12, range(10))]
-    _check_subsets(ds, IDENTITY, largest, subsets)
+    _check_subsets(s, IDENTITY, largest, subsets)
     assert largest.coherence(np.arange(11)) == (2.0 if size > 11 else None)
-    assert _fit_rows(ds, IDENTITY, "mcshane", largest, np.arange(11)).K == 2.0
+    assert _fit_rows(s, IDENTITY, "mcshane", largest, np.arange(11)).K == 2.0
 
 
 def test_a_table_of_only_ties_lists_a_full_list():
@@ -1187,23 +1202,23 @@ def test_a_table_of_only_ties_lists_a_full_list():
     # list takes LISTED_PAIRS of them, every one a cutoff tie.
     n = 300
     x = np.arange(n, dtype=float)
-    ds, largest = _listed(x.reshape(-1, 1), 2.0 * x)
-    _check_list(ds, IDENTITY, largest)
+    s, largest = _listed(x.reshape(-1, 1), 2.0 * x)
+    _check_list(s, IDENTITY, largest)
     assert len(largest.ratios) == constants.LISTED_PAIRS
     assert np.all(largest.ratios == 2.0)
-    assert _check_subsets(ds, IDENTITY, largest, _splits(n, range(10))) > 0
+    assert _check_subsets(s, IDENTITY, largest, _splits(n, range(10))) > 0
 
 
 def test_a_table_of_fewer_pairs_than_the_list_lists_them_all():
     rng = np.random.default_rng(71)
     n = 5
-    ds, largest = _listed(rng.uniform(size=(n, 2)), rng.uniform(0.0, 5.0, n))
+    s, largest = _listed(rng.uniform(size=(n, 2)), rng.uniform(0.0, 5.0, n))
     assert n * (n - 1) // 2 < constants.LISTED_PAIRS
     assert len(largest.ratios) == n * (n - 1) // 2
-    _check_list(ds, IDENTITY, largest)
+    _check_list(s, IDENTITY, largest)
     subsets = [np.flatnonzero([(mask >> k) & 1 for k in range(n)]) for mask in range(2**n)]
     subsets = [rows for rows in subsets if len(rows) >= 2]
-    assert _check_subsets(ds, IDENTITY, largest, subsets) == len(subsets)
+    assert _check_subsets(s, IDENTITY, largest, subsets) == len(subsets)
 
 
 @pytest.mark.parametrize("size", [1, 2])
@@ -1211,13 +1226,13 @@ def test_a_short_list_leaves_K_to_the_points(size, monkeypatch):
     monkeypatch.setattr(constants, "LISTED_PAIRS", size)
     rng = np.random.default_rng(73)
     n = 30
-    ds, largest = _listed(rng.uniform(size=(n, 3)), rng.uniform(0.0, 5.0, n))
-    _check_list(ds, IDENTITY, largest)
+    s, largest = _listed(rng.uniform(size=(n, 3)), rng.uniform(0.0, 5.0, n))
+    _check_list(s, IDENTITY, largest)
     excluded = np.setdiff1d(np.arange(n), np.r_[largest.i, largest.j])
     assert largest.coherence(excluded) is None
     # A fit on rows with no listed pair takes K from the points, and
     # ``_check_subsets`` checks it against a fresh sample's, bit for bit.
-    assert _check_subsets(ds, IDENTITY, largest, [excluded, *_splits(n, range(10))]) < 21
+    assert _check_subsets(s, IDENTITY, largest, [excluded, *_splits(n, range(10))]) < 21
 
 
 def test_building_the_list_holds_under_one_tile():
@@ -1232,11 +1247,11 @@ def test_building_the_list_holds_under_one_tile():
     rng = np.random.default_rng(79)
     features = rng.uniform(size=(2000, 4))
     line = np.arange(2000, dtype=float)
-    for ds in (make_dataset(features, features @ rng.uniform(size=4)),
-               make_dataset(line.reshape(-1, 1), 2.0 * line)):
+    for s in (make_sample(features, features @ rng.uniform(size=4)),
+              make_sample(line.reshape(-1, 1), 2.0 * line)):
         tracemalloc.start()
         try:
-            largest = largest_ratios(ds.as_sample(), IDENTITY)
+            largest = largest_ratios(s, IDENTITY)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -205,7 +205,7 @@ def test_objectives_score_zero_vector_infinite():
     for values in ([0.0, 2.0], [1.0, 1.0]):
         s = IndexedSample(np.array([[0.0], [1.0]]), values)
         assert objective_kq(s, "euclidean", LINEAR_BASIS)(np.zeros(4)) == math.inf
-    indexed = minmax_scale(read_dataset(table1_path())).indexed_rows()
+    indexed = minmax_scale(read_dataset(table1_path())).as_sample()
     rmse = objective_test_rmse(indexed, "euclidean", LINEAR_BASIS)
     assert math.isfinite(rmse(np.array([1.0, 0.0, 0.0, 0.0])))
     assert rmse(np.zeros(4)) == math.inf
